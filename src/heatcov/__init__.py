@@ -36,18 +36,15 @@ from .quadrature import (
 )
 from .shapes import (
     ConvexPolygon,
-    CovarianceProfile,
-    GammaProfile,
     Interval,
     Rectangle,
+    Shape,
     ShapeGeometry,
     UnitBall,
     covariance,
-    covariance_profile,
     covariance_self_checks,
     directional_variation,
     gamma,
-    gamma_profile,
     gamma_weighted_closed_form,
     gamma_weighted_integral,
     geometry,

@@ -13,19 +13,13 @@ from . import kernel, shapes
 from .errors import DomainError, InconsistentConstantError
 from .quadrature import QuadSpec, extrapolate_limit, integrate_1d, integrate_circle
 from .shapes import (
-    ConvexPolygon,
-    Interval,
-    Rectangle,
     Shape,
-    UnitBall,
     gamma,
     gamma_weighted_integral,
     geometry,
     support_kinks,
     support_radius_at,
 )
-
-SQRT2 = math.sqrt(2.0)
 
 
 @lru_cache(maxsize=None)
@@ -60,14 +54,9 @@ def heat_content(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> float:
     """H(t): mass kept by Omega under the Poisson kernel, clamped to [0, |Omega|]."""
     t = _check_t(t)
     geo = geometry(shape)
-    if isinstance(shape, UnitBall):
-        value = _radial_heat_content(
-            shape.d, 2.0, lambda r: shapes.ball_covariance_radial(shape.d, r, quad), t, quad
-        )
-    elif isinstance(shape, Interval):
-        value = _radial_heat_content(
-            1, shape.length, lambda r: max(0.0, shape.length - r), t, quad
-        )
+    gbar = shape.radial_profile(quad)
+    if gbar is not None:
+        value = _radial_heat_content(geo.dim, geo.support_radius, gbar, t, quad)
     else:
         # 2-D polar sectors: the integrand is smooth within each sector
         kap = kernel.kappa(2)
@@ -154,7 +143,7 @@ def big_R(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> float:
     geo = geometry(shape)
     d = geo.dim
     ell = geo.support_radius
-    if isinstance(shape, Interval):
+    if shape.gamma_vanishes:
         return 0.0
     pref = ell ** (d + 1) * kernel.kappa(d)
 
@@ -206,22 +195,7 @@ def decomposition(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> Expans
 
 def closed_form_constant(shape: Shape) -> Optional[float]:
     """The exact third-term constant, for shapes where a closed form is known."""
-    if isinstance(shape, UnitBall) and shape.d == 2:
-        return 6.0 * math.log(2.0) - 2.0
-    if isinstance(shape, UnitBall) and shape.d == 3:
-        return 4.0 * math.log(2.0)
-    if isinstance(shape, Rectangle) and shape.is_unit_square:
-        return 4.0 / math.pi * (
-            2.0 * (SQRT2 - 1.0) + math.log(16.0 / (3.0 + 2.0 * SQRT2))
-        )
-    if isinstance(shape, ConvexPolygon):
-        # the unit square in polygon representation shares the closed form
-        verts = sorted(shape.vertices)
-        if np.allclose(verts, [(-1, -1), (-1, 1), (1, -1), (1, 1)], atol=1e-12):
-            return closed_form_constant(Rectangle(1.0, 1.0))
-    if isinstance(shape, Interval):
-        return 2.0 / math.pi * (1.0 + math.log(shape.length))
-    return None
+    return shape.closed_form_constant()
 
 
 @dataclass(frozen=True)

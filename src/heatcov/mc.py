@@ -13,18 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SamplingError
-from .shapes import (
-    ConvexPolygon,
-    Interval,
-    Rectangle,
-    Shape,
-    UnitBall,
-    geometry,
-)
+from .shapes import Shape, geometry
 
 BLOCK_SIZE = 1 << 16
-REJECTION_CAP_FACTOR = 1000
 
 
 @dataclass(frozen=True)
@@ -54,65 +45,16 @@ def sample_cauchy(d: int, rng: np.random.Generator, n: int = 1) -> np.ndarray:
     return out
 
 
-def _sample_uniform(shape: Shape, rng: np.random.Generator, n: int) -> np.ndarray:
-    if isinstance(shape, UnitBall):
-        d = shape.d
-        v = rng.standard_normal((n, d))
-        v /= np.linalg.norm(v, axis=1)[:, None]
-        r = rng.random(n) ** (1.0 / d)
-        return v * r[:, None]
-    if isinstance(shape, Rectangle):
-        x = rng.uniform(-shape.h1, shape.h1, n)
-        y = rng.uniform(-shape.h2, shape.h2, n)
-        return np.column_stack([x, y])
-    if isinstance(shape, Interval):
-        return rng.uniform(shape.a, shape.b, (n, 1))
-    if isinstance(shape, ConvexPolygon):
-        verts = shape.vertex_array()
-        lo, hi = verts.min(axis=0), verts.max(axis=0)
-        box_area = float(np.prod(hi - lo))
-        area = geometry(shape).volume
-        out = np.empty((n, 2))
-        filled = 0
-        drawn = 0
-        cap = REJECTION_CAP_FACTOR * max(1, math.ceil(n * box_area / area))
-        while filled < n:
-            m = max(n - filled, 1024)
-            pts = rng.uniform(lo, hi, (m, 2))
-            inside = _points_in_polygon(verts, pts)
-            sel = pts[inside][: n - filled]
-            out[filled : filled + len(sel)] = sel
-            filled += len(sel)
-            drawn += m
-            if drawn > cap:
-                raise SamplingError("rejection sampling cap exceeded")
-        return out
-    raise SamplingError(f"cannot sample from {shape!r}")
-
-
-def _points_in_polygon(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    inside = np.ones(len(pts), dtype=bool)
-    n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
-        inside &= cross >= 0.0
-    return inside
-
-
-def _points_in_shape(shape: Shape, pts: np.ndarray) -> np.ndarray:
-    if isinstance(shape, UnitBall):
-        return np.einsum("ij,ij->i", pts, pts) <= 1.0
-    if isinstance(shape, Rectangle):
-        return (np.abs(pts[:, 0]) <= shape.h1) & (np.abs(pts[:, 1]) <= shape.h2)
-    if isinstance(shape, Interval):
-        return (pts[:, 0] >= shape.a) & (pts[:, 0] <= shape.b)
-    if isinstance(shape, ConvexPolygon):
-        return _points_in_polygon(shape.vertex_array(), pts)
-    raise SamplingError(f"cannot test membership for {shape!r}")
-
-
-def _bernoulli_estimate(vol: float, hits: int, n: int, seed: int) -> McEstimate:
+def _estimate(shape: Shape, n: int, seed: int, move) -> McEstimate:
+    """|Omega| P(move(X, rng) in Omega) for X uniform on Omega, one stream per block."""
+    if n < 1000:
+        raise ValueError("need n >= 1000")
+    vol = geometry(shape).volume
+    hits = 0
+    for block, done in enumerate(range(0, n, BLOCK_SIZE)):
+        rng = _block_rng(seed, block)
+        x = shape.sample(rng, min(BLOCK_SIZE, n - done))
+        hits += int(np.sum(shape.contains(move(x, rng))))
     p = hits / n
     return McEstimate(
         mean=vol * p,
@@ -124,37 +66,10 @@ def _bernoulli_estimate(vol: float, hits: int, n: int, seed: int) -> McEstimate:
 
 def mc_heat_content(shape: Shape, t: float, n: int, seed: int) -> McEstimate:
     """Estimate H(t) = |Omega| P(X + t W in Omega), X uniform on Omega, W ~ p_1."""
-    if n < 1000:
-        raise ValueError("need n >= 1000")
-    geo = geometry(shape)
-    hits = 0
-    done = 0
-    block = 0
-    while done < n:
-        m = min(BLOCK_SIZE, n - done)
-        rng = _block_rng(seed, block)
-        x = _sample_uniform(shape, rng, m)
-        w = sample_cauchy(geo.dim, rng, m)
-        hits += int(np.sum(_points_in_shape(shape, x + t * w)))
-        done += m
-        block += 1
-    return _bernoulli_estimate(geo.volume, hits, n, seed)
+    return _estimate(shape, n, seed, lambda x, rng: x + t * sample_cauchy(shape.dim, rng, len(x)))
 
 
 def mc_covariance(shape: Shape, y, n: int, seed: int) -> McEstimate:
     """Estimate g(y) = |Omega| P(X - y in Omega), X uniform on Omega."""
-    if n < 1000:
-        raise ValueError("need n >= 1000")
-    geo = geometry(shape)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    hits = 0
-    done = 0
-    block = 0
-    while done < n:
-        m = min(BLOCK_SIZE, n - done)
-        rng = _block_rng(seed, block)
-        x = _sample_uniform(shape, rng, m)
-        hits += int(np.sum(_points_in_shape(shape, x - y)))
-        done += m
-        block += 1
-    return _bernoulli_estimate(geo.volume, hits, n, seed)
+    return _estimate(shape, n, seed, lambda x, rng: x - y)

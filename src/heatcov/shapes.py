@@ -4,13 +4,20 @@ Supported shapes are the unit ball (any dimension up to the package
 guard), axis-aligned rectangles, convex polygons, and 1-D intervals.
 All shapes are convex, so the covariance support radius equals the
 diameter exactly.
+
+Each shape class implements the ``Shape`` protocol and so owns what the
+package knows about it.  The module-level functions of the same names
+(``geometry``, ``covariance``, ``gamma``, ...) check their inputs and then
+ask the shape; the other modules call those functions.
 """
 
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -22,31 +29,268 @@ from .errors import (
     InvalidShapeError,
     NonUnitVectorError,
     QuadratureError,
+    SamplingError,
 )
 from .quadrature import QuadSpec, integrate_1d, integrate_circle, integrate_sphere
 
 SQRT2 = math.sqrt(2.0)
+REJECTION_CAP_FACTOR = 1000
 
-
-# ---------------------------------------------------------------------------
-# Shape descriptors
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UnitBall:
+class ShapeGeometry:
+    volume: float
+    perimeter: float
+    support_radius: float
+    dim: int
+
+
+# ---------------------------------------------------------------------------
+# The shape protocol
+# ---------------------------------------------------------------------------
+
+class Shape(ABC):
+    """A bounded set of finite perimeter, as the package computes with it.
+
+    Subclasses implement the abstract members; the rest have defaults for
+    shapes without the structure they describe.  Arguments arrive checked:
+    a direction is a unit vector and a point has the shape's dimension.
+    """
+
+    # gamma is identically zero (1-D sets), so R(t) and its limit vanish
+    gamma_vanishes = False
+
+    @property
+    @abstractmethod
+    def geometry(self) -> ShapeGeometry:
+        """Closed-form volume, perimeter, and support radius (= diameter)."""
+
+    @property
+    def dim(self) -> int:
+        return self.geometry.dim
+
+    @abstractmethod
+    def covariance(self, y: np.ndarray, quad: QuadSpec) -> float:
+        """Set covariance g(y) = |Omega intersect (Omega + y)|."""
+
+    @abstractmethod
+    def covariance_integral(self, quad: QuadSpec) -> float:
+        """Integral of g over its support; equals |Omega|^2."""
+
+    @abstractmethod
+    def directional_variation(self, u: np.ndarray) -> float:
+        """Total variation of the indicator in direction u."""
+
+    @abstractmethod
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        """Membership mask of the rows of an (n, dim) array of points."""
+
+    @abstractmethod
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n points drawn uniformly from the shape, as an (n, dim) array."""
+
+    @abstractmethod
+    def gamma(self, s: float, quad: QuadSpec) -> float:
+        """gamma(ell * s) for s in (0, 1]."""
+
+    def radial_profile(self, quad: QuadSpec) -> Optional[Callable[[float], float]]:
+        """g as a function of |y| when g is radial, else None."""
+        return None
+
+    def support_kinks(self) -> list:
+        """Angles where circle integrands for this shape lose smoothness."""
+        return []
+
+    def support_radius_at(self, theta: float) -> float:
+        """Distance from the origin to the support boundary in direction theta."""
+        return self.geometry.support_radius
+
+    def gamma_weighted_closed_form(self) -> Optional[float]:
+        """Known closed form of the s^-1-weighted gamma integral."""
+        return None
+
+    def closed_form_constant(self) -> Optional[float]:
+        """Known closed form of the third-term constant C_Omega."""
+        return None
+
+
+@dataclass(frozen=True)
+class UnitBall(Shape):
     d: int
 
     def __post_init__(self):
         if not 1 <= self.d <= kernel.MAX_DIM:
             raise InvalidShapeError(f"ball dimension must be in [1, {kernel.MAX_DIM}]")
 
+    @cached_property
+    def geometry(self) -> ShapeGeometry:
+        return ShapeGeometry(
+            volume=kernel.unit_ball_volume(self.d), perimeter=kernel.unit_sphere_area(self.d),
+            support_radius=2.0, dim=self.d,
+        )
+
+    def covariance(self, y, quad):
+        return ball_covariance_radial(self.d, float(np.linalg.norm(y)), quad)
+
+    def radial_profile(self, quad):
+        return lambda r: ball_covariance_radial(self.d, r, quad)
+
+    def covariance_integral(self, quad):
+        val, _ = integrate_1d(
+            lambda r: r ** (self.d - 1) * ball_covariance_radial(self.d, r, quad), 0.0, 2.0, quad
+        )
+        return kernel.unit_sphere_area(self.d) * val
+
+    def directional_variation(self, u):
+        return 2.0 * kernel.unit_ball_volume(self.d - 1) if self.d >= 2 else 2.0
+
+    def contains(self, pts):
+        return np.einsum("ij,ij->i", pts, pts) <= 1.0
+
+    def sample(self, rng, n):
+        v = rng.standard_normal((n, self.d))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        r = rng.random(n) ** (1.0 / self.d)
+        return v * r[:, None]
+
+    def gamma(self, s, quad):
+        """gamma_B(2s) for the unit ball in R^d."""
+        d = self.d
+        if d == 2:
+            # 2*pi*(2 - sqrt(1-s^2) - arcsin(s)/s) with the two near-cancelling
+            # pairs rewritten: 2 - sqrt(1-s^2) = 1 + s^2/(1+sqrt(1-s^2)) and
+            # arcsin(s)/s = 1 + series, so the 1's drop out exactly.
+            root = math.sqrt(max(0.0, 1.0 - s * s))
+            return 2.0 * math.pi * (s * s / (1.0 + root) - _asin_over_x_minus_one(s))
+        if d == 3:
+            return (4.0 / 3.0) * math.pi**2 * s * s
+        a_d = kernel.unit_sphere_area(d)
+        w_dm1 = kernel.unit_ball_volume(d - 1)
+        a_dm1 = kernel.unit_sphere_area(d - 1)
+        one_minus = -math.expm1(0.5 * (d - 1) * math.log1p(-s * s))
+        # (Theta(1) - Theta(sqrt(1-s^2)))/s as an integral over the small cap
+        cap, _ = integrate_1d(
+            lambda ph: math.cos(ph) ** (d - 2) * math.sin(ph) ** 2, 0.0, math.asin(s), quad
+        )
+        return a_d * (w_dm1 * one_minus - a_dm1 * cap / s)
+
+    def gamma_weighted_closed_form(self):
+        if self.d == 2:
+            return math.pi * (math.pi - 4.0 * math.log(2.0))
+        if self.d == 3:
+            return 2.0 * math.pi**2 / 3.0
+        return None
+
+    def closed_form_constant(self):
+        if self.d == 2:
+            return 6.0 * math.log(2.0) - 2.0
+        if self.d == 3:
+            return 4.0 * math.log(2.0)
+        return None
+
+
+class PlanarPolytope(Shape):
+    """A convex polygon: supplies its difference body and edge directions.
+
+    The covariance support is the difference body Omega - Omega.  Along
+    rays, g is piecewise smooth; its pieces change at the corner angles of
+    that body and at the edge directions of the shape itself.
+    """
+
     @property
-    def dim(self) -> int:
-        return self.d
+    @abstractmethod
+    def difference_body(self) -> np.ndarray:
+        """Vertices (CCW) of the covariance support, the difference body of Omega."""
+
+    @property
+    @abstractmethod
+    def edge_directions(self) -> np.ndarray:
+        """One vector along each edge of the shape (length is irrelevant)."""
+
+    def support_kinks(self):
+        angles = {math.atan2(v[1], v[0]) % (2.0 * math.pi) for v in self.difference_body}
+        for e in self.edge_directions:
+            a = math.atan2(e[1], e[0])
+            angles.add(a % (2.0 * math.pi))
+            angles.add((a + math.pi) % (2.0 * math.pi))
+        return sorted(angles)
+
+    def support_radius_at(self, theta):
+        u = np.array([math.cos(theta), math.sin(theta)])
+        body = self.difference_body
+        n = len(body)
+        r_min = math.inf
+        for i in range(n):
+            a, b = body[i], body[(i + 1) % n]
+            edge = b - a
+            normal = np.array([edge[1], -edge[0]])  # outward for CCW
+            c = float(np.dot(normal, a))
+            du = float(np.dot(normal, u))
+            if du > 1e-15:
+                r_min = min(r_min, c / du)
+        if not math.isfinite(r_min):
+            raise QuadratureError(f"no support boundary in direction {theta}")
+        return r_min
+
+    def _circle_crossing_kinks(self, r: float) -> list:
+        """Angles where the circle of radius r crosses the support boundary."""
+        body = self.difference_body
+        angles = []
+        n = len(body)
+        for i in range(n):
+            a, b = body[i], body[(i + 1) % n]
+            d = b - a
+            # |a + t d|^2 = r^2
+            aa = float(np.dot(d, d))
+            bb = 2.0 * float(np.dot(a, d))
+            cc = float(np.dot(a, a)) - r * r
+            disc = bb * bb - 4 * aa * cc
+            if disc < 0:
+                continue
+            sq = math.sqrt(disc)
+            for t in ((-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)):
+                if 0.0 <= t <= 1.0:
+                    p = a + t * d
+                    angles.append(math.atan2(p[1], p[0]) % (2.0 * math.pi))
+        return angles
+
+    def gamma(self, s, quad):
+        """The deficit V_u/2 - (g(0) - g(r u))/r integrated over the circle."""
+        geo = self.geometry
+        ell = geo.support_radius
+        r = ell * s
+
+        def deficit(theta):
+            u = (math.cos(theta), math.sin(theta))
+            vu = directional_variation(self, u)
+            g0 = geo.volume
+            gy = covariance(self, np.array(u) * r, quad)
+            return vu / 2.0 - (g0 - gy) / r
+
+        kinks = self.support_kinks() + self._circle_crossing_kinks(r)
+        value, _ = integrate_circle(deficit, kinks=kinks, spec=quad)
+        return value
+
+    def covariance_integral(self, quad):
+        # polar integration over the difference body
+        def per_angle(theta):
+            rb = support_radius_at(self, theta)
+            inner, _ = integrate_1d(
+                lambda r: r * covariance(
+                    self, np.array([r * math.cos(theta), r * math.sin(theta)]), quad
+                ),
+                0.0,
+                rb,
+                QuadSpec(abs_tol=max(quad.abs_tol, 1e-9), rel_tol=max(quad.rel_tol, 1e-9)),
+            )
+            return inner
+
+        val, _ = integrate_circle(per_angle, kinks=self.support_kinks(), spec=quad)
+        return val
 
 
 @dataclass(frozen=True)
-class Rectangle:
+class Rectangle(PlanarPolytope):
     """Axis-aligned rectangle [-h1, h1] x [-h2, h2]."""
 
     h1: float
@@ -57,16 +301,80 @@ class Rectangle:
             raise InvalidShapeError("rectangle half-widths must be positive")
 
     @property
-    def dim(self) -> int:
-        return 2
-
-    @property
     def is_unit_square(self) -> bool:
         return self.h1 == 1.0 and self.h2 == 1.0
 
+    @cached_property
+    def geometry(self) -> ShapeGeometry:
+        return ShapeGeometry(
+            volume=4.0 * self.h1 * self.h2, perimeter=4.0 * (self.h1 + self.h2),
+            support_radius=2.0 * math.hypot(self.h1, self.h2), dim=2,
+        )
+
+    @cached_property
+    def difference_body(self) -> np.ndarray:
+        a, b = 2.0 * self.h1, 2.0 * self.h2
+        return np.array([[a, b], [-a, b], [-a, -b], [a, -b]])
+
+    edge_directions = ((1.0, 0.0), (0.0, 1.0))
+
+    def covariance(self, y, quad):
+        gx = max(0.0, 2.0 * self.h1 - abs(y[0]))
+        gy = max(0.0, 2.0 * self.h2 - abs(y[1]))
+        return gx * gy
+
+    def covariance_integral(self, quad):
+        acc = 1.0
+        for h in (self.h1, self.h2):
+            val, _ = integrate_1d(
+                lambda y, _h=h: max(0.0, 2.0 * _h - abs(y)), -2.0 * h, 2.0 * h, quad,
+                points=[0.0],
+            )
+            acc *= val
+        return acc
+
+    def directional_variation(self, u):
+        return 4.0 * (self.h2 * abs(u[0]) + self.h1 * abs(u[1]))
+
+    def contains(self, pts):
+        return (np.abs(pts[:, 0]) <= self.h1) & (np.abs(pts[:, 1]) <= self.h2)
+
+    def sample(self, rng, n):
+        x = rng.uniform(-self.h1, self.h1, n)
+        y = rng.uniform(-self.h2, self.h2, n)
+        return np.column_stack([x, y])
+
+    def gamma(self, s, quad):
+        if not self.is_unit_square:
+            return super().gamma(s, quad)
+        # gamma_Q(2*sqrt(2)*s) for the square [-1,1]^2, from the sector split
+        if s <= 1.0 / SQRT2:
+            return 4.0 * SQRT2 * s
+        c = 1.0 / (SQRT2 * s)
+        tstar = math.acos(min(1.0, c))
+        st, ct = math.sin(tstar), math.cos(tstar)
+        sector = (
+            2.0 * (st + 1.0 - ct)
+            - SQRT2 * tstar / s
+            + 2.0 * SQRT2 * s * (0.25 - 0.5 * st * st)
+        )
+        return 8.0 * sector
+
+    def gamma_weighted_closed_form(self):
+        if self.is_unit_square:
+            return 2.0 * SQRT2 * (math.pi - 8.0) + 8.0 * math.log(2.0 * (3.0 + 2.0 * SQRT2))
+        return None
+
+    def closed_form_constant(self):
+        if self.is_unit_square:
+            return 4.0 / math.pi * (
+                2.0 * (SQRT2 - 1.0) + math.log(16.0 / (3.0 + 2.0 * SQRT2))
+            )
+        return None
+
 
 @dataclass(frozen=True)
-class ConvexPolygon:
+class ConvexPolygon(PlanarPolytope):
     """Convex polygon with counterclockwise vertices; collinear points dropped."""
 
     vertices: tuple = field()
@@ -102,33 +410,131 @@ class ConvexPolygon:
                 )
         object.__setattr__(self, "vertices", tuple(tuple(p) for p in kept))
 
-    @property
-    def dim(self) -> int:
-        return 2
-
+    @cached_property
     def vertex_array(self) -> np.ndarray:
-        return np.array(self.vertices, dtype=float)
+        verts = np.array(self.vertices, dtype=float)
+        verts.flags.writeable = False
+        return verts
+
+    @cached_property
+    def edge_directions(self) -> np.ndarray:
+        return np.roll(self.vertex_array, -1, axis=0) - self.vertex_array
+
+    @cached_property
+    def geometry(self) -> ShapeGeometry:
+        verts = self.vertex_array
+        per = float(np.sum(np.linalg.norm(self.edge_directions, axis=1)))
+        diam = max(
+            float(np.linalg.norm(verts[i] - verts[j]))
+            for i in range(len(verts))
+            for j in range(i + 1, len(verts))
+        )
+        return ShapeGeometry(
+            volume=_polygon_area(verts), perimeter=per, support_radius=diam, dim=2
+        )
+
+    @cached_property
+    def difference_body(self) -> np.ndarray:
+        verts = self.vertex_array
+        diffs = (verts[:, None, :] - verts[None, :, :]).reshape(-1, 2)
+        return _convex_hull(diffs)
+
+    def covariance(self, y, quad):
+        return _polygon_intersection_area(self.vertex_array, y)
+
+    def directional_variation(self, u):
+        edges = self.edge_directions
+        # outward normal of a CCW edge (dx, dy) is (dy, -dx); |n.u|*len folds
+        # the edge length into the unnormalized normal
+        return float(np.sum(np.abs(edges[:, 1] * u[0] - edges[:, 0] * u[1])))
+
+    def contains(self, pts):
+        verts = self.vertex_array
+        inside = np.ones(len(pts), dtype=bool)
+        n = len(verts)
+        for i in range(n):
+            a, b = verts[i], verts[(i + 1) % n]
+            cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
+            inside &= cross >= 0.0
+        return inside
+
+    def sample(self, rng, n):
+        """Rejection sampling from the bounding box, with a cap on the draws."""
+        verts = self.vertex_array
+        lo, hi = verts.min(axis=0), verts.max(axis=0)
+        box_area = float(np.prod(hi - lo))
+        area = self.geometry.volume
+        out = np.empty((n, 2))
+        filled = 0
+        drawn = 0
+        cap = REJECTION_CAP_FACTOR * max(1, math.ceil(n * box_area / area))
+        while filled < n:
+            m = max(n - filled, 1024)
+            pts = rng.uniform(lo, hi, (m, 2))
+            sel = pts[self.contains(pts)][: n - filled]
+            out[filled : filled + len(sel)] = sel
+            filled += len(sel)
+            drawn += m
+            if drawn > cap:
+                raise SamplingError("rejection sampling cap exceeded")
+        return out
+
+    def closed_form_constant(self):
+        # the unit square in polygon representation shares the closed form
+        if len(self.vertices) == 4 and np.allclose(
+            sorted(self.vertices), [(-1, -1), (-1, 1), (1, -1), (1, 1)], atol=1e-12
+        ):
+            return Rectangle(1.0, 1.0).closed_form_constant()
+        return None
 
 
 @dataclass(frozen=True)
-class Interval:
+class Interval(Shape):
     a: float
     b: float
+
+    gamma_vanishes = True
 
     def __post_init__(self):
         if not self.a < self.b:
             raise InvalidShapeError("interval requires a < b")
 
     @property
-    def dim(self) -> int:
-        return 1
-
-    @property
     def length(self) -> float:
         return self.b - self.a
 
+    @cached_property
+    def geometry(self) -> ShapeGeometry:
+        return ShapeGeometry(volume=self.length, perimeter=2.0, support_radius=self.length, dim=1)
 
-Shape = Union[UnitBall, Rectangle, ConvexPolygon, Interval]
+    def covariance(self, y, quad):
+        return max(0.0, self.length - abs(float(y[0])))
+
+    def radial_profile(self, quad):
+        return lambda r: max(0.0, self.length - r)
+
+    def covariance_integral(self, quad):
+        ell = self.length
+        val, _ = integrate_1d(lambda y: max(0.0, ell - abs(y)), -ell, ell, quad)
+        return val
+
+    def directional_variation(self, u):
+        return 2.0
+
+    def contains(self, pts):
+        return (pts[:, 0] >= self.a) & (pts[:, 0] <= self.b)
+
+    def sample(self, rng, n):
+        return rng.uniform(self.a, self.b, (n, 1))
+
+    def gamma(self, s, quad):
+        return 0.0
+
+    def gamma_weighted_closed_form(self):
+        return 0.0
+
+    def closed_form_constant(self):
+        return 2.0 / math.pi * (1.0 + math.log(self.length))
 
 
 def shape_from_json(obj: dict) -> Shape:
@@ -149,59 +555,13 @@ def shape_from_json(obj: dict) -> Shape:
 
 
 # ---------------------------------------------------------------------------
-# Exact geometry
+# Entry points: check the arguments, then ask the shape
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShapeGeometry:
-    volume: float
-    perimeter: float
-    support_radius: float
-    dim: int
-
-
-def _polygon_area(verts: np.ndarray) -> float:
-    x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
 
 def geometry(shape: Shape) -> ShapeGeometry:
     """Closed-form volume, perimeter, and support radius (= diameter)."""
-    if isinstance(shape, UnitBall):
-        return ShapeGeometry(
-            volume=kernel.unit_ball_volume(shape.d),
-            perimeter=kernel.unit_sphere_area(shape.d),
-            support_radius=2.0,
-            dim=shape.d,
-        )
-    if isinstance(shape, Rectangle):
-        return ShapeGeometry(
-            volume=4.0 * shape.h1 * shape.h2,
-            perimeter=4.0 * (shape.h1 + shape.h2),
-            support_radius=2.0 * math.hypot(shape.h1, shape.h2),
-            dim=2,
-        )
-    if isinstance(shape, ConvexPolygon):
-        verts = shape.vertex_array()
-        per = float(np.sum(np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)))
-        diam = max(
-            float(np.linalg.norm(verts[i] - verts[j]))
-            for i in range(len(verts))
-            for j in range(i + 1, len(verts))
-        )
-        return ShapeGeometry(
-            volume=_polygon_area(verts), perimeter=per, support_radius=diam, dim=2
-        )
-    if isinstance(shape, Interval):
-        return ShapeGeometry(
-            volume=shape.length, perimeter=2.0, support_radius=shape.length, dim=1
-        )
-    raise InvalidShapeError(f"unsupported shape {shape!r}")
+    return shape.geometry
 
-
-# ---------------------------------------------------------------------------
-# Directional variation and the perimeter identity
-# ---------------------------------------------------------------------------
 
 def _check_unit(u, dim: int) -> np.ndarray:
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -214,22 +574,50 @@ def _check_unit(u, dim: int) -> np.ndarray:
 
 def directional_variation(shape: Shape, u) -> float:
     """Total variation of the indicator in direction u (twice the shadow width)."""
-    geo = geometry(shape)
-    u = _check_unit(u, geo.dim)
-    if isinstance(shape, UnitBall):
-        return 2.0 * kernel.unit_ball_volume(shape.d - 1) if shape.d >= 2 else 2.0
-    if isinstance(shape, Rectangle):
-        return 4.0 * (shape.h2 * abs(u[0]) + shape.h1 * abs(u[1]))
-    if isinstance(shape, ConvexPolygon):
-        verts = shape.vertex_array()
-        edges = np.roll(verts, -1, axis=0) - verts
-        # outward normal of a CCW edge (dx, dy) is (dy, -dx); |n.u|*len folds
-        # the edge length into the unnormalized normal
-        return float(np.sum(np.abs(edges[:, 1] * u[0] - edges[:, 0] * u[1])))
-    if isinstance(shape, Interval):
-        return 2.0
-    raise InvalidShapeError(f"unsupported shape {shape!r}")
+    return shape.directional_variation(_check_unit(u, shape.dim))
 
+
+def covariance(shape: Shape, y, quad: QuadSpec = QuadSpec()) -> float:
+    """Set covariance g(y) = |Omega intersect (Omega + y)|."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.shape != (shape.dim,):
+        raise DimensionMismatchError(f"point has shape {y.shape}, shape has dimension {shape.dim}")
+    return shape.covariance(y, quad)
+
+
+def covariance_integral(shape: Shape, quad: QuadSpec = QuadSpec()) -> float:
+    """Integral of g over its support; equals |Omega|^2."""
+    return shape.covariance_integral(quad)
+
+
+def support_kinks(shape: Shape) -> list:
+    """Angles where circle integrands for this shape lose smoothness."""
+    return shape.support_kinks()
+
+
+def support_radius_at(shape: Shape, theta: float) -> float:
+    """Distance from the origin to the support boundary in direction theta."""
+    return shape.support_radius_at(theta)
+
+
+def gamma(shape: Shape, s: float, quad: QuadSpec = QuadSpec()) -> float:
+    """gamma(ell * s): spherical deficit between V_u/2 and the covariance slope."""
+    if not 0.0 < s <= 1.0:
+        raise DomainError(f"s must lie in (0, 1], got {s}")
+    value = shape.gamma(s, quad)
+    if value < -1e-8:
+        raise QuadratureError(f"gamma({s}) = {value} < 0 violates the slope bound")
+    return value
+
+
+def gamma_weighted_closed_form(shape: Shape) -> Optional[float]:
+    """Known closed-form values of the s^-1-weighted gamma integral."""
+    return shape.gamma_weighted_closed_form()
+
+
+# ---------------------------------------------------------------------------
+# The perimeter identity and the weighted gamma integral
+# ---------------------------------------------------------------------------
 
 def perimeter_from_variations(shape: Shape, quad: QuadSpec = QuadSpec()) -> float:
     """Recover Per via the spherical average of directional variations."""
@@ -247,321 +635,6 @@ def perimeter_from_variations(shape: Shape, quad: QuadSpec = QuadSpec()) -> floa
     raise DomainError("perimeter_from_variations supports dim 2 and 3 only")
 
 
-# ---------------------------------------------------------------------------
-# Two-ball intersection helper
-# ---------------------------------------------------------------------------
-
-def theta_integral(d: int, z: float, quad: QuadSpec = QuadSpec()) -> float:
-    """Theta(z) = integral over (0, arcsin z) of sin^(d-2) * cos^2."""
-    if not 0.0 <= z <= 1.0:
-        raise DomainError(f"z must lie in [0, 1], got {z}")
-    if d < 2:
-        raise DomainError("theta_integral requires d >= 2")
-    if d == 2:
-        return 0.5 * (math.asin(z) + z * math.sqrt(max(0.0, 1.0 - z * z)))
-    if d == 3:
-        return (1.0 - (1.0 - z * z) ** 1.5) / 3.0
-    if z == 0.0:
-        return 0.0
-    val, _ = integrate_1d(
-        lambda th: math.sin(th) ** (d - 2) * math.cos(th) ** 2, 0.0, math.asin(z), quad
-    )
-    return val
-
-
-# ---------------------------------------------------------------------------
-# Covariance evaluators
-# ---------------------------------------------------------------------------
-
-def _clip_halfplane(poly: list, a: np.ndarray, b: np.ndarray) -> list:
-    """Keep the part of poly on the left of the directed line a -> b."""
-    out = []
-    n = len(poly)
-    d = b - a
-    for i in range(n):
-        p, q = poly[i], poly[(i + 1) % n]
-        sp = d[0] * (p[1] - a[1]) - d[1] * (p[0] - a[0])
-        sq = d[0] * (q[1] - a[1]) - d[1] * (q[0] - a[0])
-        if sp >= 0:
-            out.append(p)
-        if (sp > 0 > sq) or (sp < 0 < sq):
-            t = sp / (sp - sq)
-            out.append(p + t * (q - p))
-    return out
-
-
-def _polygon_intersection_area(verts: np.ndarray, offset: np.ndarray) -> float:
-    """Area of P intersected with P + offset via half-plane clipping."""
-    poly = [v.copy() for v in verts]
-    shifted = verts + offset
-    n = len(shifted)
-    for i in range(n):
-        poly = _clip_halfplane(poly, shifted[i], shifted[(i + 1) % n])
-        if len(poly) < 3:
-            return 0.0
-    area = _polygon_area(np.array(poly))
-    return area if area > 1e-14 else 0.0
-
-
-def ball_covariance_radial(d: int, r: float, quad: QuadSpec = QuadSpec()) -> float:
-    """g_B(r e) for the unit ball in R^d, zero for r >= 2."""
-    if r < 0:
-        raise DomainError("radius must be nonnegative")
-    if r >= 2.0:
-        return 0.0
-    s = r / 2.0
-    z = math.sqrt(max(0.0, 1.0 - s * s))
-    if d == 1:
-        return 2.0 - r
-    return (
-        2.0 * kernel.unit_sphere_area(d - 1) * theta_integral(d, z, quad)
-        - 2.0 * s * kernel.unit_ball_volume(d - 1) * z ** (d - 1)
-    )
-
-
-def covariance(shape: Shape, y, quad: QuadSpec = QuadSpec()) -> float:
-    """Set covariance g(y) = |Omega intersect (Omega + y)|."""
-    geo = geometry(shape)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (geo.dim,):
-        raise DimensionMismatchError(
-            f"point has shape {y.shape}, shape has dimension {geo.dim}"
-        )
-    if isinstance(shape, UnitBall):
-        return ball_covariance_radial(shape.d, float(np.linalg.norm(y)), quad)
-    if isinstance(shape, Rectangle):
-        gx = max(0.0, 2.0 * shape.h1 - abs(y[0]))
-        gy = max(0.0, 2.0 * shape.h2 - abs(y[1]))
-        return gx * gy
-    if isinstance(shape, ConvexPolygon):
-        return _polygon_intersection_area(shape.vertex_array(), y)
-    if isinstance(shape, Interval):
-        return max(0.0, shape.length - abs(float(y[0])))
-    raise InvalidShapeError(f"unsupported shape {shape!r}")
-
-
-@dataclass(frozen=True)
-class CovarianceProfile:
-    shape: Shape
-    eval: Callable[[object], float]
-    support_radius: float
-    closed_form: bool
-
-
-def covariance_profile(shape: Shape, quad: QuadSpec = QuadSpec()) -> CovarianceProfile:
-    geo = geometry(shape)
-    return CovarianceProfile(
-        shape=shape,
-        eval=lambda y: covariance(shape, y, quad),
-        support_radius=geo.support_radius,
-        closed_form=not isinstance(shape, ConvexPolygon),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Support geometry in polar form (2-D shapes)
-# ---------------------------------------------------------------------------
-
-def _difference_body(shape: Shape) -> np.ndarray:
-    """Vertices (CCW) of the covariance support, the difference body of Omega."""
-    if isinstance(shape, Rectangle):
-        a, b = 2.0 * shape.h1, 2.0 * shape.h2
-        return np.array([[a, b], [-a, b], [-a, -b], [a, -b]])
-    if isinstance(shape, ConvexPolygon):
-        verts = shape.vertex_array()
-        diffs = (verts[:, None, :] - verts[None, :, :]).reshape(-1, 2)
-        return _convex_hull(diffs)
-    raise InvalidShapeError("difference body defined for 2-D polytopes only")
-
-
-def _convex_hull(points: np.ndarray) -> np.ndarray:
-    pts = sorted({(float(p[0]), float(p[1])) for p in points})
-    if len(pts) < 3:
-        raise InvalidShapeError("degenerate point set for hull")
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 1e-14:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    return np.array(lower[:-1] + upper[:-1])
-
-
-def support_kinks(shape: Shape) -> list:
-    """Angles where circle integrands for this shape lose smoothness.
-
-    Covers both the corners of the covariance support (difference body)
-    and the edge directions of the shape itself, where the piecewise
-    structure of g along rays changes.
-    """
-    if isinstance(shape, UnitBall) or isinstance(shape, Interval):
-        return []
-    body = _difference_body(shape)
-    angles = {math.atan2(v[1], v[0]) % (2.0 * math.pi) for v in body}
-    if isinstance(shape, Rectangle):
-        edges = np.array([[1.0, 0.0], [0.0, 1.0]])
-    else:
-        verts = shape.vertex_array()
-        edges = np.roll(verts, -1, axis=0) - verts
-    for e in edges:
-        a = math.atan2(e[1], e[0])
-        angles.add(a % (2.0 * math.pi))
-        angles.add((a + math.pi) % (2.0 * math.pi))
-    return sorted(angles)
-
-
-def support_radius_at(shape: Shape, theta: float) -> float:
-    """Distance from the origin to the support boundary in direction theta."""
-    if isinstance(shape, UnitBall):
-        return 2.0
-    if isinstance(shape, Interval):
-        return shape.length
-    u = np.array([math.cos(theta), math.sin(theta)])
-    body = _difference_body(shape)
-    n = len(body)
-    r_min = math.inf
-    for i in range(n):
-        a, b = body[i], body[(i + 1) % n]
-        edge = b - a
-        normal = np.array([edge[1], -edge[0]])  # outward for CCW
-        c = float(np.dot(normal, a))
-        du = float(np.dot(normal, u))
-        if du > 1e-15:
-            r_min = min(r_min, c / du)
-    if not math.isfinite(r_min):
-        raise QuadratureError(f"no support boundary in direction {theta}")
-    return r_min
-
-
-def _circle_crossing_kinks(shape: Shape, r: float) -> list:
-    """Angles where the circle of radius r crosses the support boundary."""
-    if isinstance(shape, (UnitBall, Interval)):
-        return []
-    body = _difference_body(shape)
-    angles = []
-    n = len(body)
-    for i in range(n):
-        a, b = body[i], body[(i + 1) % n]
-        d = b - a
-        # |a + t d|^2 = r^2
-        aa = float(np.dot(d, d))
-        bb = 2.0 * float(np.dot(a, d))
-        cc = float(np.dot(a, a)) - r * r
-        disc = bb * bb - 4 * aa * cc
-        if disc < 0:
-            continue
-        sq = math.sqrt(disc)
-        for t in ((-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)):
-            if 0.0 <= t <= 1.0:
-                p = a + t * d
-                angles.append(math.atan2(p[1], p[0]) % (2.0 * math.pi))
-    return angles
-
-
-# ---------------------------------------------------------------------------
-# gamma and its weighted integral
-# ---------------------------------------------------------------------------
-
-def _asin_over_x_minus_one(x: float) -> float:
-    """(arcsin x)/x - 1, series-stabilized for small x."""
-    if x < 1e-3:
-        x2 = x * x
-        return x2 * (1.0 / 6.0 + x2 * (3.0 / 40.0 + x2 * 15.0 / 336.0))
-    return math.asin(x) / x - 1.0
-
-
-def _gamma_ball(d: int, s: float, quad: QuadSpec) -> float:
-    """gamma_B(2s) for the unit ball in R^d."""
-    if d == 2:
-        # 2*pi*(2 - sqrt(1-s^2) - arcsin(s)/s) with the two near-cancelling
-        # pairs rewritten: 2 - sqrt(1-s^2) = 1 + s^2/(1+sqrt(1-s^2)) and
-        # arcsin(s)/s = 1 + series, so the 1's drop out exactly.
-        root = math.sqrt(max(0.0, 1.0 - s * s))
-        return 2.0 * math.pi * (s * s / (1.0 + root) - _asin_over_x_minus_one(s))
-    if d == 3:
-        return (4.0 / 3.0) * math.pi**2 * s * s
-    a_d = kernel.unit_sphere_area(d)
-    w_dm1 = kernel.unit_ball_volume(d - 1)
-    a_dm1 = kernel.unit_sphere_area(d - 1)
-    one_minus = -math.expm1(0.5 * (d - 1) * math.log1p(-s * s))
-    # (Theta(1) - Theta(sqrt(1-s^2)))/s as an integral over the small cap
-    cap, _ = integrate_1d(
-        lambda ph: math.cos(ph) ** (d - 2) * math.sin(ph) ** 2, 0.0, math.asin(s), quad
-    )
-    return a_d * (w_dm1 * one_minus - a_dm1 * cap / s)
-
-
-def _gamma_unit_square(s: float) -> float:
-    """gamma_Q(2*sqrt(2)*s) for the square [-1,1]^2, from the sector split."""
-    if s <= 1.0 / SQRT2:
-        return 4.0 * SQRT2 * s
-    c = 1.0 / (SQRT2 * s)
-    tstar = math.acos(min(1.0, c))
-    st, ct = math.sin(tstar), math.cos(tstar)
-    sector = (
-        2.0 * (st + 1.0 - ct)
-        - SQRT2 * tstar / s
-        + 2.0 * SQRT2 * s * (0.25 - 0.5 * st * st)
-    )
-    return 8.0 * sector
-
-
-def _gamma_generic_2d(shape: Shape, s: float, quad: QuadSpec) -> float:
-    geo = geometry(shape)
-    ell = geo.support_radius
-    r = ell * s
-
-    def deficit(theta):
-        u = (math.cos(theta), math.sin(theta))
-        vu = directional_variation(shape, u)
-        g0 = geo.volume
-        gy = covariance(shape, np.array(u) * r, quad)
-        return vu / 2.0 - (g0 - gy) / r
-
-    kinks = support_kinks(shape) + _circle_crossing_kinks(shape, r)
-    value, _ = integrate_circle(deficit, kinks=kinks, spec=quad)
-    return value
-
-
-def gamma(shape: Shape, s: float, quad: QuadSpec = QuadSpec()) -> float:
-    """gamma(ell * s): spherical deficit between V_u/2 and the covariance slope."""
-    if not 0.0 < s <= 1.0:
-        raise DomainError(f"s must lie in (0, 1], got {s}")
-    if isinstance(shape, UnitBall):
-        value = _gamma_ball(shape.d, s, quad)
-    elif isinstance(shape, Interval):
-        value = 0.0
-    elif isinstance(shape, Rectangle) and shape.is_unit_square:
-        value = _gamma_unit_square(s)
-    else:
-        value = _gamma_generic_2d(shape, s, quad)
-    if value < -1e-8:
-        raise QuadratureError(f"gamma({s}) = {value} < 0 violates the slope bound")
-    return value
-
-
-def gamma_weighted_closed_form(shape: Shape) -> Optional[float]:
-    """Known closed-form values of the s^-1-weighted gamma integral."""
-    if isinstance(shape, UnitBall) and shape.d == 2:
-        return math.pi * (math.pi - 4.0 * math.log(2.0))
-    if isinstance(shape, UnitBall) and shape.d == 3:
-        return 2.0 * math.pi**2 / 3.0
-    if isinstance(shape, Rectangle) and shape.is_unit_square:
-        return 2.0 * SQRT2 * (math.pi - 8.0) + 8.0 * math.log(2.0 * (3.0 + 2.0 * SQRT2))
-    if isinstance(shape, Interval):
-        return 0.0
-    return None
-
-
 def gamma_weighted_integral(shape: Shape, quad: QuadSpec = QuadSpec(), max_k: int = 48):
     """Integral over (0, 1] of gamma(ell*s)/s by dyadic panels.
 
@@ -569,7 +642,7 @@ def gamma_weighted_integral(shape: Shape, quad: QuadSpec = QuadSpec(), max_k: in
     smallest scale up; the integrable flag records whether the dyadic
     contributions decay geometrically (the class-W diagnostic).
     """
-    if isinstance(shape, Interval):
+    if shape.gamma_vanishes:
         return 0.0, True, 0.0
 
     def integrand(s):
@@ -604,22 +677,107 @@ def gamma_weighted_integral(shape: Shape, quad: QuadSpec = QuadSpec(), max_k: in
     return value, integrable, err
 
 
-@dataclass(frozen=True)
-class GammaProfile:
-    shape: Shape
-    eval: Callable[[float], float]
-    weighted_integral: float
-    integrable: bool
+# ---------------------------------------------------------------------------
+# Geometry helpers
+# ---------------------------------------------------------------------------
+
+def _polygon_area(verts: np.ndarray) -> float:
+    x, y = verts[:, 0], verts[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def gamma_profile(shape: Shape, quad: QuadSpec = QuadSpec()) -> GammaProfile:
-    value, integrable, _ = gamma_weighted_integral(shape, quad)
-    return GammaProfile(
-        shape=shape,
-        eval=lambda s: gamma(shape, s, quad),
-        weighted_integral=value,
-        integrable=integrable,
+def _clip_halfplane(poly: list, a: np.ndarray, b: np.ndarray) -> list:
+    """Keep the part of poly on the left of the directed line a -> b."""
+    out = []
+    n = len(poly)
+    d = b - a
+    for i in range(n):
+        p, q = poly[i], poly[(i + 1) % n]
+        sp = d[0] * (p[1] - a[1]) - d[1] * (p[0] - a[0])
+        sq = d[0] * (q[1] - a[1]) - d[1] * (q[0] - a[0])
+        if sp >= 0:
+            out.append(p)
+        if (sp > 0 > sq) or (sp < 0 < sq):
+            t = sp / (sp - sq)
+            out.append(p + t * (q - p))
+    return out
+
+
+def _polygon_intersection_area(verts: np.ndarray, offset: np.ndarray) -> float:
+    """Area of P intersected with P + offset via half-plane clipping."""
+    poly = [v.copy() for v in verts]
+    shifted = verts + offset
+    n = len(shifted)
+    for i in range(n):
+        poly = _clip_halfplane(poly, shifted[i], shifted[(i + 1) % n])
+        if len(poly) < 3:
+            return 0.0
+    area = _polygon_area(np.array(poly))
+    return area if area > 1e-14 else 0.0
+
+
+def _convex_hull(points: np.ndarray) -> np.ndarray:
+    pts = sorted({(float(p[0]), float(p[1])) for p in points})
+    if len(pts) < 3:
+        raise InvalidShapeError("degenerate point set for hull")
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 1e-14:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    lower = half(pts)
+    upper = half(reversed(pts))
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def theta_integral(d: int, z: float, quad: QuadSpec = QuadSpec()) -> float:
+    """Theta(z) = integral over (0, arcsin z) of sin^(d-2) * cos^2."""
+    if not 0.0 <= z <= 1.0:
+        raise DomainError(f"z must lie in [0, 1], got {z}")
+    if d < 2:
+        raise DomainError("theta_integral requires d >= 2")
+    if d == 2:
+        return 0.5 * (math.asin(z) + z * math.sqrt(max(0.0, 1.0 - z * z)))
+    if d == 3:
+        return (1.0 - (1.0 - z * z) ** 1.5) / 3.0
+    if z == 0.0:
+        return 0.0
+    val, _ = integrate_1d(
+        lambda th: math.sin(th) ** (d - 2) * math.cos(th) ** 2, 0.0, math.asin(z), quad
     )
+    return val
+
+
+def ball_covariance_radial(d: int, r: float, quad: QuadSpec = QuadSpec()) -> float:
+    """g_B(r e) for the unit ball in R^d, zero for r >= 2."""
+    if r < 0:
+        raise DomainError("radius must be nonnegative")
+    if r >= 2.0:
+        return 0.0
+    s = r / 2.0
+    z = math.sqrt(max(0.0, 1.0 - s * s))
+    if d == 1:
+        return 2.0 - r
+    return (
+        2.0 * kernel.unit_sphere_area(d - 1) * theta_integral(d, z, quad)
+        - 2.0 * s * kernel.unit_ball_volume(d - 1) * z ** (d - 1)
+    )
+
+
+def _asin_over_x_minus_one(x: float) -> float:
+    """(arcsin x)/x - 1, series-stabilized for small x."""
+    if x < 1e-3:
+        x2 = x * x
+        return x2 * (1.0 / 6.0 + x2 * (3.0 / 40.0 + x2 * 15.0 / 336.0))
+    return math.asin(x) / x - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -673,58 +831,12 @@ class CovarianceReport:
         return all(c.passed for c in self.checks)
 
 
-def covariance_integral(shape: Shape, quad: QuadSpec = QuadSpec()) -> float:
-    """Integral of g over its support; equals |Omega|^2."""
-    geo = geometry(shape)
-    if isinstance(shape, UnitBall):
-        val, _ = integrate_1d(
-            lambda r: r ** (shape.d - 1) * ball_covariance_radial(shape.d, r, quad),
-            0.0,
-            2.0,
-            quad,
-        )
-        return kernel.unit_sphere_area(shape.d) * val
-    if isinstance(shape, Interval):
-        val, _ = integrate_1d(
-            lambda y: max(0.0, shape.length - abs(y)),
-            -shape.length,
-            shape.length,
-            quad,
-        )
-        return val
-    if isinstance(shape, Rectangle):
-        acc = 1.0
-        for h in (shape.h1, shape.h2):
-            val, _ = integrate_1d(
-                lambda y, _h=h: max(0.0, 2.0 * _h - abs(y)), -2.0 * h, 2.0 * h, quad,
-                points=[0.0],
-            )
-            acc *= val
-        return acc
-    # polygon: polar integration over the difference body
-    def per_angle(theta):
-        rb = support_radius_at(shape, theta)
-        inner, _ = integrate_1d(
-            lambda r: r * covariance(
-                shape, np.array([r * math.cos(theta), r * math.sin(theta)]), quad
-            ),
-            0.0,
-            rb,
-            QuadSpec(abs_tol=max(quad.abs_tol, 1e-9), rel_tol=max(quad.rel_tol, 1e-9)),
-        )
-        return inner
-
-    val, _ = integrate_circle(per_angle, kinks=support_kinks(shape), spec=quad)
-    return val
-
-
 def _random_unit(rng, dim):
     while True:
         v = rng.standard_normal(dim)
         n = np.linalg.norm(v)
         if n > 1e-12:
-            v = v / n
-            return v / np.linalg.norm(v)
+            return v / n
 
 
 def covariance_self_checks(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from heatcov import (
+    ConvexPolygon,
     F_limit,
     Interval,
     QuadSpec,
@@ -200,6 +201,21 @@ class TestThirdTerm:
 
     def test_interval_closed_form(self):
         assert closed_form_constant(Interval(0.0, math.e)) == pytest.approx(4.0 / math.pi)
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+            [(1, 0), (0.5, 0.8), (-0.5, 0.8), (-1, 0), (-0.5, -0.8), (0.5, -0.8)],
+        ],
+        ids=["triangle", "hexagon"],
+    )
+    def test_polygon_without_closed_form(self, vertices):
+        assert closed_form_constant(ConvexPolygon(vertices)) is None
+
+    def test_square_polygon_shares_rectangle_constant(self):
+        square = ConvexPolygon([(1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0)])
+        assert closed_form_constant(square) == closed_form_constant(Rectangle(1.0, 1.0))
 
     def test_D_error_decreasing(self, quad):
         for shape, c in ((UnitBall(2), BALL2_C), (Rectangle(1.0, 1.0), SQUARE_C)):

@@ -11,11 +11,9 @@ from heatcov import (
     Rectangle,
     UnitBall,
     covariance,
-    covariance_profile,
     covariance_self_checks,
     directional_variation,
     gamma,
-    gamma_profile,
     gamma_weighted_closed_form,
     gamma_weighted_integral,
     geometry,
@@ -206,12 +204,6 @@ class TestCovariance:
         if math.hypot(y1, y2) >= geo.support_radius:
             assert g == 0.0
 
-    def test_profile(self):
-        prof = covariance_profile(UnitBall(2))
-        assert prof.closed_form
-        assert prof.support_radius == 2.0
-        assert prof.eval((0.0, 0.0)) == pytest.approx(math.pi)
-
 
 def _square_gamma_oracle(s):
     """Fixed-grid deficit integral over 2^16 angles (independent of gamma())."""
@@ -280,11 +272,6 @@ class TestGammaWeightedIntegral:
         expected = 2.0 * SQRT2 * (math.pi - 8.0) + 8.0 * math.log(2.0 * (3.0 + 2.0 * SQRT2))
         assert value == pytest.approx(expected, abs=1e-8)
         assert gamma_weighted_closed_form(Rectangle(1.0, 1.0)) == pytest.approx(expected)
-
-    def test_profile(self, quad):
-        prof = gamma_profile(UnitBall(3), quad)
-        assert prof.integrable
-        assert prof.eval(0.5) == pytest.approx(math.pi**2 / 3.0)
 
 
 class TestSquareITerms:
