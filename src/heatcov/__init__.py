@@ -51,7 +51,6 @@ from .shapes import (
     perimeter_from_variations,
     shape_from_json,
     square_I_terms,
-    theta_integral,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

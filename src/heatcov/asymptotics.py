@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,11 +19,6 @@ from .shapes import (
     support_kinks,
     support_radius_at,
 )
-
-
-@lru_cache(maxsize=None)
-def _tanh_deficit(d: int) -> float:
-    return kernel.tanh_deficit(d)
 
 
 def _check_t(t: float) -> float:
@@ -54,7 +48,7 @@ def heat_content(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> float:
     """H(t): mass kept by Omega under the Poisson kernel, clamped to [0, |Omega|]."""
     t = _check_t(t)
     geo = geometry(shape)
-    gbar = shape.radial_profile(quad)
+    gbar = shape.radial_profile()
     if gbar is not None:
         value = _radial_heat_content(geo.dim, geo.support_radius, gbar, t, quad)
     else:
@@ -66,7 +60,7 @@ def heat_content(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> float:
             ct, st = math.cos(theta), math.sin(theta)
 
             def f(r):
-                g = shapes.covariance(shape, np.array([r * ct, r * st]), quad)
+                g = shapes.covariance(shape, np.array([r * ct, r * st]))
                 return r * g * (t * t + r * r) ** -1.5
 
             pts = [p for p in (t, 4 * t, 16 * t, 64 * t, 256 * t) if p < rb]
@@ -82,21 +76,20 @@ def heat_content(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> float:
 # phi, Psi/F, R
 # ---------------------------------------------------------------------------
 
-def phi_over_t(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> float:
-    """phi(t)/t without cancellation: (A_d k_d / t) * int_0^{t/ell} (1+u^2)^-(d+1)/2 du."""
+def phi_over_t(shape: Shape, t: float) -> float:
+    """phi(t)/t = (A_d k_d / t) * int_0^{atan(t/ell)} cos^(d-1), without cancellation."""
     t = _check_t(t)
     geo = geometry(shape)
     d = geo.dim
-    upper = t / geo.support_radius
-    val, _ = integrate_1d(
-        lambda u: (1.0 + u * u) ** (-(d + 1) / 2.0), 0.0, upper, quad
-    )
-    return kernel.unit_sphere_area(d) * kernel.kappa(d) * val / t
+    hyp = math.hypot(t, geo.support_radius)
+    # int_0^a cos^(d-1) = sin a - M_{d-1}, with sin a = t/hyp
+    cos_int_over_t = 1.0 / hyp - kernel.cos_power_deficit(d - 1, t / hyp) / t
+    return kernel.unit_sphere_area(d) * kernel.kappa(d) * cos_int_over_t
 
 
-def phi(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> float:
+def phi(shape: Shape, t: float) -> float:
     """phi(t): kernel mass beyond the support radius."""
-    return phi_over_t(shape, t, quad) * t
+    return phi_over_t(shape, t) * t
 
 
 def phi_slope(shape: Shape) -> float:
@@ -106,35 +99,23 @@ def phi_slope(shape: Shape) -> float:
     return kernel.unit_sphere_area(d) * kernel.kappa(d) / geo.support_radius
 
 
-def _tanh_deficit_partial(d: int, theta_max: float, quad: QuadSpec) -> float:
-    """Integral of tanh^d - 1 on (0, theta_max)."""
-    if kernel.tanh_deficit_tail_bound(d, theta_max) < 1e-16:
-        return _tanh_deficit(d)
+def psi_F(shape: Shape, t: float):
+    """(Psi(t), F(t)) with Psi = ln(1/t) + F.
 
-    def f(theta):
-        q = 2.0 / (math.exp(2.0 * theta) + 1.0)
-        if q >= 1.0:
-            return -1.0
-        return math.expm1(d * math.log1p(-q))
-
-    val, _ = integrate_1d(f, 0.0, theta_max, quad)
-    return val
-
-
-def psi_F(shape: Shape, t: float, quad: QuadSpec = QuadSpec()):
-    """(Psi(t), F(t)) with Psi = ln(1/t) + F."""
+    F(t) = ln(ell + sqrt(ell^2 + t^2)) + J_d(ell / sqrt(ell^2 + t^2)), the
+    second term being the tanh deficit truncated at asinh(ell / t).
+    """
     t = _check_t(t)
     geo = geometry(shape)
-    d = geo.dim
     ell = geo.support_radius
-    theta_max = math.asinh(ell / t)
-    f_val = math.log(ell + math.hypot(ell, t)) + _tanh_deficit_partial(d, theta_max, quad)
+    hyp = math.hypot(ell, t)
+    f_val = math.log(ell + hyp) + kernel.tanh_deficit(geo.dim, ell / hyp)
     return math.log(1.0 / t) + f_val, f_val
 
 
 def F_limit(shape: Shape) -> float:
     geo = geometry(shape)
-    return math.log(2.0 * geo.support_radius) + _tanh_deficit(geo.dim)
+    return math.log(2.0 * geo.support_radius) + kernel.tanh_deficit(geo.dim)
 
 
 def big_R(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> float:
@@ -176,18 +157,24 @@ class ExpansionBreakdown:
     D: float
 
 
+def _quotient(shape: Shape, t: float, quad: QuadSpec):
+    """(phi/t, Psi, F, R, D) at t, where D = |Omega| phi/t + (Per/pi) F - R -> C."""
+    geo = geometry(shape)
+    pot = phi_over_t(shape, t)
+    psi, f_val = psi_F(shape, t)
+    r = big_R(shape, t, quad)
+    return pot, psi, f_val, r, geo.volume * pot + geo.perimeter / math.pi * f_val - r
+
+
 def decomposition(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> ExpansionBreakdown:
     """All pieces of |Omega| - H = |Omega| phi + (Per/pi) t Psi - t R at one t."""
     t = _check_t(t)
     geo = geometry(shape)
     h = heat_content(shape, t, quad)
-    pot = phi_over_t(shape, t, quad)
-    psi, f_val = psi_F(shape, t, quad)
-    r = big_R(shape, t, quad)
+    pot, psi, f_val, r, d_val = _quotient(shape, t, quad)
     residual = (geo.volume - h) - (
         geo.volume * pot * t + geo.perimeter / math.pi * t * psi - t * r
     )
-    d_val = geo.volume * pot + geo.perimeter / math.pi * f_val - r
     return ExpansionBreakdown(
         t=t, H=h, phi=pot * t, psi=psi, F=f_val, R=r, residual=residual, D=d_val
     )
@@ -219,13 +206,12 @@ def third_term(
 ) -> ThirdTermReport:
     """Assemble the third-term constant three ways: formula, closed form, limit."""
     geo = geometry(shape)
-    d = geo.dim
-    ell = geo.support_radius
     gamma_int, _, _ = gamma_weighted_integral(shape, quad)
-    j_d = _tanh_deficit(d)
-    c_formula = kernel.kappa(d) * (
-        geo.volume * kernel.unit_sphere_area(d) / ell - gamma_int
-    ) + geo.perimeter / math.pi * (math.log(2.0 * ell) + j_d)
+    f_lim, slope = F_limit(shape), phi_slope(shape)
+    # C = |Omega| lim phi/t + (Per/pi) lim F - lim R, where lim R = kappa_d * gamma_int
+    c_formula = (
+        geo.volume * slope + geo.perimeter / math.pi * f_lim - kernel.kappa(geo.dim) * gamma_int
+    )
     c_closed = closed_form_constant(shape)
     if c_closed is not None and abs(c_formula - c_closed) > 1e-6:
         raise InconsistentConstantError(
@@ -234,12 +220,7 @@ def third_term(
     ts = list(t_grid) if t_grid is not None else default_t_grid()
     if len(ts) < 4 or any(a <= b for a, b in zip(ts, ts[1:])):
         raise DomainError("t_grid must be strictly decreasing with >= 4 points")
-    samples = []
-    for t in ts:
-        pot = phi_over_t(shape, t, quad)
-        _, f_val = psi_F(shape, t, quad)
-        r = big_R(shape, t, quad)
-        samples.append((t, geo.volume * pot + geo.perimeter / math.pi * f_val - r))
+    samples = [(t, _quotient(shape, t, quad)[-1]) for t in ts]
     fit = extrapolate_limit(samples)
     return ThirdTermReport(
         C_formula=c_formula,
@@ -247,9 +228,5 @@ def third_term(
         C_extrapolated=fit.C,
         extrapolation_err=fit.err_estimate,
         observed_order=fit.observed_order,
-        pieces={
-            "gamma_integral": gamma_int,
-            "F_limit": F_limit(shape),
-            "phi_slope": phi_slope(shape),
-        },
+        pieces={"gamma_integral": gamma_int, "F_limit": f_lim, "phi_slope": slope},
     )

@@ -93,7 +93,7 @@ def cmd_constants(args) -> int:
 def cmd_covariance(args) -> int:
     shape = _resolve_shape(args)
     y = [float(v) for v in args.point.split(",")]
-    g = covariance(shape, y, _quad_from(args))
+    g = covariance(shape, y)
     print(_fmt(g))
     return EXIT_OK
 
@@ -232,17 +232,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="heatcov", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shape_flags(p):
+    def add_shape_flags(p, tol=True):
         p.add_argument("--shape", choices=sorted(NAMED_SHAPES))
         p.add_argument("--shape-file", help="path to a JSON shape description")
-        p.add_argument("--tol", type=float, help="quadrature tolerance override")
+        if tol:
+            p.add_argument("--tol", type=float, help="quadrature tolerance override")
 
     p = sub.add_parser("constants", help="kernel constants for a dimension")
     p.add_argument("--dim", type=int, default=2)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("covariance", help="evaluate g(y) at a point")
-    add_shape_flags(p)
+    add_shape_flags(p, tol=False)
     p.add_argument("--point", required=True, help="comma-separated coordinates")
     p.set_defaults(func=cmd_covariance)
 

@@ -25,10 +25,6 @@ class QuadratureError(HeatcovError, RuntimeError):
     """Quadrature failed to reach the requested tolerance."""
 
 
-class ToleranceNotMetError(HeatcovError, RuntimeError):
-    """Analytic tail bound exceeds the requested tolerance."""
-
-
 class DivergenceSuspectedError(HeatcovError, RuntimeError):
     """Dyadic contributions of a singular integral fail to decay."""
 

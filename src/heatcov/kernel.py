@@ -1,7 +1,8 @@
 """Dimension constants, Poisson (Cauchy) kernel, and the universal 1-D integrals.
 
 Everything here is a pure function of the dimension ``d`` and, for the
-kernel itself, of the evaluation point.  The gamma function is only ever
+kernel and the 1-D integrals, of one point or upper limit.  The 1-D
+integrals are exact recurrences, not quadratures.  The gamma function is only ever
 needed at integer and half-integer arguments, so it is computed by exact
 recursion from Gamma(1) = 1 and Gamma(1/2) = sqrt(pi) instead of a
 general-purpose approximation.
@@ -11,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ToleranceNotMetError
+from .errors import DomainError
 
 MAX_DIM = 16
 
@@ -40,12 +41,14 @@ def gamma_half_integer(x: float) -> float:
     return (x - 1.0) * gamma_half_integer(x - 1.0)
 
 
+@lru_cache(maxsize=None, typed=True)
 def kappa(d: int) -> float:
     """Normalizing constant of the d-dimensional Cauchy density."""
     d = _check_dim(d)
     return gamma_half_integer((d + 1) / 2) / math.pi ** ((d + 1) / 2)
 
 
+@lru_cache(maxsize=None, typed=True)
 def unit_ball_volume(d: int) -> float:
     d = _check_dim(d)
     return math.pi ** (d / 2) / gamma_half_integer(1 + d / 2)
@@ -68,50 +71,51 @@ def poisson_kernel(d: int, t: float, x) -> float:
     return kappa(d) * t / (t * t + r2) ** ((d + 1) / 2)
 
 
-# Truncation point for the tanh-deficit integral; the tail beyond
-# theta_star is below 1e-18 for every supported dimension.
-def _theta_star(d: int) -> float:
-    return 25.0 + d
+def tanh_deficit(d: int, x: float = 1.0) -> float:
+    """J_d(x) = integral over (0, atanh x) of tanh^d - 1; J_d(1) is J_d.
 
-
-def tanh_deficit_tail_bound(d: int, theta: float) -> float:
-    """Upper bound on |integral over (theta, inf) of tanh^d - 1|."""
-    return sum(comb(d, j) * 2**j * math.exp(-2 * j * theta) / (2 * j) for j in range(1, d + 1))
-
-
-def tanh_deficit_bound(d: int) -> float:
-    """A-priori bound on |J_d|: sum_j C(d,j) 2^j / (2j)."""
-    return sum(comb(d, j) * 2**j / (2 * j) for j in range(1, d + 1))
-
-
-def tanh_deficit(d: int, tol: float = 1e-12) -> float:
-    """J_d = integral over (0, inf) of tanh^d(theta) - 1.
-
-    Expands tanh^d(theta) - 1 = sum_j C(d,j) (-2)^j / (e^{2 theta}+1)^j and
-    integrates each term adaptively on [0, theta_star], adding nothing for
-    the tail, which is bounded analytically and must stay below ``tol``.
+    With y = tanh(theta) this is -int_0^x (1 - y^d)/(1 - y^2) dy, so
+    J_1(x) = -log1p(x), J_2(x) = -x and J_d(x) = J_{d-2}(x) - x^(d-1)/(d-1).
+    Every term is negative, so nothing cancels.
     """
     d = _check_dim(d)
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    theta_star = _theta_star(d)
-    tail = tanh_deficit_tail_bound(d, theta_star)
-    if tail > tol:
-        raise ToleranceNotMetError(
-            f"tail bound {tail:.3e} beyond theta={theta_star} exceeds tol={tol:.3e}"
-        )
-    from .quadrature import QuadSpec, integrate_1d
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"x must lie in [0, 1], got {x}")
+    total = -math.log1p(x) if d % 2 else -x
+    for k in range(3 if d % 2 else 4, d + 1, 2):
+        total -= x ** (k - 1) / (k - 1)
+    return total
 
-    spec = QuadSpec(abs_tol=min(tol / max(d, 1), 1e-12), rel_tol=1e-14)
-    total = 0.0
-    for j in range(1, d + 1):
-        coeff = comb(d, j) * (-2.0) ** j
 
-        def term(theta, _j=j):
-            return 1.0 / (math.exp(2.0 * theta) + 1.0) ** _j
+def cos_power_deficit(n: int, s: float) -> float:
+    """M_n = integral over (0, a) of cos - cos^n, where a = asin(s) in [0, pi/2].
 
-        val, _ = integrate_1d(term, 0.0, theta_star, spec)
-        total += coeff * val
+    The reduction K_n = cos^(n-1) a sin a / n + (n-1)/n K_{n-2} for
+    K_n = int_0^a cos^n turns into M_n = s (1 - c^(n-1)) / n + (n-1)/n M_{n-2}
+    with c = cos a.  1 - c^(n-1) is carried as a sum of nonnegative terms
+    (1 - c = s^2/(1+c), 1 - c^(k+2) = (1 - c^k) + c^k s^2), and the only
+    negative term, M_0 = s - a, is a series, so M_n keeps its relative
+    accuracy as s -> 0.
+    """
+    c = math.sqrt((1.0 - s) * (1.0 + s))
+    if n % 2:  # start from M_1 = 0, carrying 1 - c^2 and c^2
+        m, one_minus, ck, first = 0.0, s * s, c * c, 3
+    else:  # start from M_0 = s - a, carrying 1 - c and c
+        m, one_minus, ck, first = -_a_minus_sin(math.asin(s)), s * s / (1.0 + c), c, 2
+    for k in range(first, n + 1, 2):
+        m = s * one_minus / k + (k - 1) / k * m
+        one_minus += ck * s * s
+        ck *= c * c
+    return m
+
+
+def _a_minus_sin(a: float) -> float:
+    """a - sin(a) by its Taylor series, free of cancellation on [0, pi/2]."""
+    term, total, k = a**3 / 6.0, 0.0, 3
+    while total + term != total:
+        total += term
+        k += 2
+        term *= -a * a / ((k - 1) * k)
     return total
 
 
@@ -126,12 +130,12 @@ class KernelConstants:
     tanh_deficit: float
 
     @classmethod
-    def for_dim(cls, d: int, tol: float = 1e-12) -> "KernelConstants":
+    def for_dim(cls, d: int) -> "KernelConstants":
         d = _check_dim(d)
         return cls(
             d=d,
             kappa=kappa(d),
             ball_volume=unit_ball_volume(d),
             sphere_area=unit_sphere_area(d),
-            tanh_deficit=tanh_deficit(d, tol),
+            tanh_deficit=tanh_deficit(d),
         )

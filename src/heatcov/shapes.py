@@ -57,9 +57,6 @@ class Shape(ABC):
     a direction is a unit vector and a point has the shape's dimension.
     """
 
-    # gamma is identically zero (1-D sets), so R(t) and its limit vanish
-    gamma_vanishes = False
-
     @property
     @abstractmethod
     def geometry(self) -> ShapeGeometry:
@@ -69,8 +66,13 @@ class Shape(ABC):
     def dim(self) -> int:
         return self.geometry.dim
 
+    @property
+    def gamma_vanishes(self) -> bool:
+        """gamma is identically zero (1-D sets), so R(t) and its limit vanish."""
+        return self.dim == 1
+
     @abstractmethod
-    def covariance(self, y: np.ndarray, quad: QuadSpec) -> float:
+    def covariance(self, y: np.ndarray) -> float:
         """Set covariance g(y) = |Omega intersect (Omega + y)|."""
 
     @abstractmethod
@@ -93,7 +95,7 @@ class Shape(ABC):
     def gamma(self, s: float, quad: QuadSpec) -> float:
         """gamma(ell * s) for s in (0, 1]."""
 
-    def radial_profile(self, quad: QuadSpec) -> Optional[Callable[[float], float]]:
+    def radial_profile(self) -> Optional[Callable[[float], float]]:
         """g as a function of |y| when g is radial, else None."""
         return None
 
@@ -129,15 +131,15 @@ class UnitBall(Shape):
             support_radius=2.0, dim=self.d,
         )
 
-    def covariance(self, y, quad):
-        return ball_covariance_radial(self.d, float(np.linalg.norm(y)), quad)
+    def covariance(self, y):
+        return ball_covariance_radial(self.d, float(np.linalg.norm(y)))
 
-    def radial_profile(self, quad):
-        return lambda r: ball_covariance_radial(self.d, r, quad)
+    def radial_profile(self):
+        return lambda r: ball_covariance_radial(self.d, r)
 
     def covariance_integral(self, quad):
         val, _ = integrate_1d(
-            lambda r: r ** (self.d - 1) * ball_covariance_radial(self.d, r, quad), 0.0, 2.0, quad
+            lambda r: r ** (self.d - 1) * ball_covariance_radial(self.d, r), 0.0, 2.0, quad
         )
         return kernel.unit_sphere_area(self.d) * val
 
@@ -154,25 +156,12 @@ class UnitBall(Shape):
         return v * r[:, None]
 
     def gamma(self, s, quad):
-        """gamma_B(2s) for the unit ball in R^d."""
+        """gamma_B(2s) = A_d w_{d-1} / s * int_0^{asin s} (cos - cos^d)."""
+        if self.gamma_vanishes:
+            return 0.0
         d = self.d
-        if d == 2:
-            # 2*pi*(2 - sqrt(1-s^2) - arcsin(s)/s) with the two near-cancelling
-            # pairs rewritten: 2 - sqrt(1-s^2) = 1 + s^2/(1+sqrt(1-s^2)) and
-            # arcsin(s)/s = 1 + series, so the 1's drop out exactly.
-            root = math.sqrt(max(0.0, 1.0 - s * s))
-            return 2.0 * math.pi * (s * s / (1.0 + root) - _asin_over_x_minus_one(s))
-        if d == 3:
-            return (4.0 / 3.0) * math.pi**2 * s * s
-        a_d = kernel.unit_sphere_area(d)
         w_dm1 = kernel.unit_ball_volume(d - 1)
-        a_dm1 = kernel.unit_sphere_area(d - 1)
-        one_minus = -math.expm1(0.5 * (d - 1) * math.log1p(-s * s))
-        # (Theta(1) - Theta(sqrt(1-s^2)))/s as an integral over the small cap
-        cap, _ = integrate_1d(
-            lambda ph: math.cos(ph) ** (d - 2) * math.sin(ph) ** 2, 0.0, math.asin(s), quad
-        )
-        return a_d * (w_dm1 * one_minus - a_dm1 * cap / s)
+        return kernel.unit_sphere_area(d) * w_dm1 * kernel.cos_power_deficit(d, s) / s
 
     def gamma_weighted_closed_form(self):
         if self.d == 2:
@@ -264,7 +253,7 @@ class PlanarPolytope(Shape):
             u = (math.cos(theta), math.sin(theta))
             vu = directional_variation(self, u)
             g0 = geo.volume
-            gy = covariance(self, np.array(u) * r, quad)
+            gy = covariance(self, np.array(u) * r)
             return vu / 2.0 - (g0 - gy) / r
 
         kinks = self.support_kinks() + self._circle_crossing_kinks(r)
@@ -275,10 +264,9 @@ class PlanarPolytope(Shape):
         # polar integration over the difference body
         def per_angle(theta):
             rb = support_radius_at(self, theta)
+            u = np.array([math.cos(theta), math.sin(theta)])
             inner, _ = integrate_1d(
-                lambda r: r * covariance(
-                    self, np.array([r * math.cos(theta), r * math.sin(theta)]), quad
-                ),
+                lambda r: r * covariance(self, r * u),
                 0.0,
                 rb,
                 QuadSpec(abs_tol=max(quad.abs_tol, 1e-9), rel_tol=max(quad.rel_tol, 1e-9)),
@@ -318,7 +306,7 @@ class Rectangle(PlanarPolytope):
 
     edge_directions = ((1.0, 0.0), (0.0, 1.0))
 
-    def covariance(self, y, quad):
+    def covariance(self, y):
         gx = max(0.0, 2.0 * self.h1 - abs(y[0]))
         gy = max(0.0, 2.0 * self.h2 - abs(y[1]))
         return gx * gy
@@ -439,7 +427,7 @@ class ConvexPolygon(PlanarPolytope):
         diffs = (verts[:, None, :] - verts[None, :, :]).reshape(-1, 2)
         return _convex_hull(diffs)
 
-    def covariance(self, y, quad):
+    def covariance(self, y):
         return _polygon_intersection_area(self.vertex_array, y)
 
     def directional_variation(self, u):
@@ -493,8 +481,6 @@ class Interval(Shape):
     a: float
     b: float
 
-    gamma_vanishes = True
-
     def __post_init__(self):
         if not self.a < self.b:
             raise InvalidShapeError("interval requires a < b")
@@ -507,10 +493,10 @@ class Interval(Shape):
     def geometry(self) -> ShapeGeometry:
         return ShapeGeometry(volume=self.length, perimeter=2.0, support_radius=self.length, dim=1)
 
-    def covariance(self, y, quad):
+    def covariance(self, y):
         return max(0.0, self.length - abs(float(y[0])))
 
-    def radial_profile(self, quad):
+    def radial_profile(self):
         return lambda r: max(0.0, self.length - r)
 
     def covariance_integral(self, quad):
@@ -577,12 +563,12 @@ def directional_variation(shape: Shape, u) -> float:
     return shape.directional_variation(_check_unit(u, shape.dim))
 
 
-def covariance(shape: Shape, y, quad: QuadSpec = QuadSpec()) -> float:
+def covariance(shape: Shape, y) -> float:
     """Set covariance g(y) = |Omega intersect (Omega + y)|."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (shape.dim,):
         raise DimensionMismatchError(f"point has shape {y.shape}, shape has dimension {shape.dim}")
-    return shape.covariance(y, quad)
+    return shape.covariance(y)
 
 
 def covariance_integral(shape: Shape, quad: QuadSpec = QuadSpec()) -> float:
@@ -738,46 +724,22 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def theta_integral(d: int, z: float, quad: QuadSpec = QuadSpec()) -> float:
-    """Theta(z) = integral over (0, arcsin z) of sin^(d-2) * cos^2."""
-    if not 0.0 <= z <= 1.0:
-        raise DomainError(f"z must lie in [0, 1], got {z}")
-    if d < 2:
-        raise DomainError("theta_integral requires d >= 2")
-    if d == 2:
-        return 0.5 * (math.asin(z) + z * math.sqrt(max(0.0, 1.0 - z * z)))
-    if d == 3:
-        return (1.0 - (1.0 - z * z) ** 1.5) / 3.0
-    if z == 0.0:
-        return 0.0
-    val, _ = integrate_1d(
-        lambda th: math.sin(th) ** (d - 2) * math.cos(th) ** 2, 0.0, math.asin(z), quad
-    )
-    return val
+def ball_covariance_radial(d: int, r: float) -> float:
+    """g_B(r e) for the unit ball in R^d, zero for r >= 2.
 
-
-def ball_covariance_radial(d: int, r: float, quad: QuadSpec = QuadSpec()) -> float:
-    """g_B(r e) for the unit ball in R^d, zero for r >= 2."""
+    Two caps of height 1 - s, s = r/2, give g_B(2s) = 2 w_{d-1} int_{asin s}^{pi/2} cos^d
+    = w_d - 2 w_{d-1} (s - M_d) with M_d = int_0^{asin s} (cos - cos^d).
+    """
     if r < 0:
         raise DomainError("radius must be nonnegative")
     if r >= 2.0:
         return 0.0
-    s = r / 2.0
-    z = math.sqrt(max(0.0, 1.0 - s * s))
     if d == 1:
         return 2.0 - r
-    return (
-        2.0 * kernel.unit_sphere_area(d - 1) * theta_integral(d, z, quad)
-        - 2.0 * s * kernel.unit_ball_volume(d - 1) * z ** (d - 1)
-    )
-
-
-def _asin_over_x_minus_one(x: float) -> float:
-    """(arcsin x)/x - 1, series-stabilized for small x."""
-    if x < 1e-3:
-        x2 = x * x
-        return x2 * (1.0 / 6.0 + x2 * (3.0 / 40.0 + x2 * 15.0 / 336.0))
-    return math.asin(x) / x - 1.0
+    s = r / 2.0
+    cap_gap = s - kernel.cos_power_deficit(d, s)
+    # near r = 2 the difference is rounding noise of either sign
+    return max(0.0, kernel.unit_ball_volume(d) - 2.0 * kernel.unit_ball_volume(d - 1) * cap_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -854,15 +816,15 @@ def covariance_self_checks(
     witness_b, witness_s = "", ""
     for _ in range(n_probes):
         y = (rng.uniform(-1.2, 1.2, size=geo.dim)) * ell
-        g = covariance(shape, y, quad)
+        g = covariance(shape, y)
         if not -1e-12 <= g <= vol + 1e-9:
             bounds_ok, witness_b = False, f"g({y}) = {g}"
-        gm = covariance(shape, -y, quad)
+        gm = covariance(shape, -y)
         if abs(g - gm) > 1e-9:
             sym_ok, witness_s = False, f"g({y}) = {g} vs g(-y) = {gm}"
     checks.append(CheckResult("bounds 0 <= g <= g(0)", bounds_ok, witness_b))
     checks.append(CheckResult("symmetry g(y) = g(-y)", sym_ok, witness_s))
-    g0 = covariance(shape, np.zeros(geo.dim), quad)
+    g0 = covariance(shape, np.zeros(geo.dim))
     checks.append(
         CheckResult("g(0) = |Omega|", abs(g0 - vol) < 1e-10, f"g(0) = {g0}, |Omega| = {vol}")
     )
@@ -879,7 +841,7 @@ def covariance_self_checks(
     for _ in range(n_probes):
         u = _random_unit(rng, geo.dim)
         r = ell * rng.uniform(1.0, 3.0)
-        g = covariance(shape, u * r, quad)
+        g = covariance(shape, u * r)
         if g != 0.0:
             supp_ok, witness = False, f"g({u * r}) = {g}"
     checks.append(CheckResult("support within |y| < ell", supp_ok, witness))
@@ -889,8 +851,8 @@ def covariance_self_checks(
     for _ in range(10):
         u = _random_unit(rng, geo.dim)
         vu2 = directional_variation(shape, u) / 2.0
-        q4 = (g0 - covariance(shape, u * 1e-4, quad)) / 1e-4
-        q5 = (g0 - covariance(shape, u * 1e-5, quad)) / 1e-5
+        q4 = (g0 - covariance(shape, u * 1e-4)) / 1e-4
+        q5 = (g0 - covariance(shape, u * 1e-5)) / 1e-5
         if abs(q4 / q5 - 1.0) > 1e-2 or abs(q5 - vu2) > 1e-2 * max(1.0, vu2):
             lip_ok, witness = False, f"u = {u}: q(1e-4) = {q4}, q(1e-5) = {q5}, V_u/2 = {vu2}"
     checks.append(CheckResult("slope (g(0)-g(ru))/r -> V_u/2", lip_ok, witness))

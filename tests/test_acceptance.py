@@ -156,7 +156,7 @@ def test_criterion_8_monte_carlo_agreement():
         ell = geometry(shape).support_radius
         for i in range(20):
             y = rng.uniform(-0.45 * ell, 0.45 * ell, 2)
-            ref = covariance(shape, y, QUAD)
+            ref = covariance(shape, y)
             est = mc_covariance(shape, y, n=200_000, seed=3000 + i)
             worst_z = max(worst_z, abs(est.mean - ref) / est.stderr)
     report(8, worst_z <= 3.0, f"max |z| {worst_z:.2f} (req <= 3 standard errors)")

@@ -18,10 +18,12 @@ from heatcov import (
     geometry,
     heat_content,
     integrate_1d,
+    kappa,
     phi,
     phi_slope,
     psi_F,
     third_term,
+    unit_sphere_area,
 )
 from heatcov.asymptotics import phi_over_t
 from heatcov.errors import DomainError
@@ -79,10 +81,10 @@ class TestHeatContent:
 
 
 class TestPhi:
-    def test_monotone_vanishing(self, quad):
+    def test_monotone_vanishing(self):
         shape = UnitBall(2)
         ts = [2.0**-k for k in range(1, 12)]
-        vals = [phi(shape, t, quad) for t in ts]
+        vals = [phi(shape, t) for t in ts]
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-3
         assert all(0.0 <= v <= 1.0 for v in vals)
@@ -91,16 +93,23 @@ class TestPhi:
         assert phi_slope(UnitBall(2)) == pytest.approx(0.5)
         assert phi_slope(Rectangle(1.0, 1.0)) == pytest.approx(1.0 / (2.0 * SQRT2))
 
-    def test_slope_is_limit(self, quad):
+    def test_slope_is_limit(self):
         shape = Rectangle(1.0, 1.0)
-        assert phi_over_t(shape, 1e-8, quad) == pytest.approx(phi_slope(shape), rel=1e-10)
+        assert phi_over_t(shape, 1e-8) == pytest.approx(phi_slope(shape), rel=1e-10)
 
-    def test_closed_form_d2(self, quad):
+    def test_closed_form_d2(self):
         # for d = 2 the tail integral is elementary: phi = t / sqrt(t^2 + ell^2)
         for t in (0.5, 0.05):
-            assert phi(UnitBall(2), t, quad) == pytest.approx(
-                t / math.hypot(t, 2.0), abs=1e-12
-            )
+            assert phi(UnitBall(2), t) == pytest.approx(t / math.hypot(t, 2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 3, 4, 16])
+    def test_against_fixed_grid_oracle(self, d):
+        # phi(t)/t = (A_d kappa_d / t) * int_0^{t/ell} (1+u^2)^-(d+1)/2 du, Simpson
+        shape = UnitBall(d)
+        pref = unit_sphere_area(d) * kappa(d)
+        for t in (1e-3, 0.4, 30.0):
+            oracle = simpson(lambda u: (1.0 + u * u) ** (-(d + 1) / 2.0), 0.0, t / 2.0, n=1 << 12)
+            assert phi_over_t(shape, t) == pytest.approx(pref * oracle / t, rel=1e-10)
 
 
 class TestPsiF:
@@ -115,9 +124,18 @@ class TestPsiF:
                 quad,
                 points=[1.0, 10.0],
             )
-            psi, f_val = psi_F(shape, t, quad)
+            psi, f_val = psi_F(shape, t)
             assert psi == pytest.approx(direct, abs=1e-9)
             assert psi == pytest.approx(math.log(1.0 / t) + f_val, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 16])
+    def test_finite_t_against_fixed_grid_oracle(self, d):
+        # F(t) = ln(ell + sqrt(ell^2 + t^2)) + int_0^{asinh(ell/t)} (tanh^d - 1)
+        ell = 2.0
+        for t in (0.05, 0.7, 5.0):
+            tail = simpson(lambda th: math.tanh(th) ** d - 1.0, 0.0, math.asinh(ell / t), n=1 << 12)
+            _, f_val = psi_F(UnitBall(d), t)
+            assert f_val == pytest.approx(math.log(ell + math.hypot(ell, t)) + tail, abs=1e-10)
 
     def test_limits(self):
         assert F_limit(UnitBall(2)) == pytest.approx(math.log(4.0) - 1.0, abs=1e-10)
@@ -223,11 +241,23 @@ class TestThirdTerm:
             errs = []
             for k in range(4, 15):
                 t = 2.0**-k
-                pot = phi_over_t(shape, t, quad)
-                _, f_val = psi_F(shape, t, quad)
+                pot = phi_over_t(shape, t)
+                _, f_val = psi_F(shape, t)
                 r = big_R(shape, t, quad)
                 errs.append(abs(geo.volume * pot + geo.perimeter / math.pi * f_val - r - c))
             assert all(a > b for a, b in zip(errs, errs[1:]))
+
+    def test_unit_ball_d1_is_the_interval(self):
+        # UnitBall(1) is (-1, 1): gamma vanishes, and every route agrees with Interval
+        ball, interval = UnitBall(1), Interval(-1.0, 1.0)
+        rb, ri = third_term(ball), third_term(interval)
+        assert rb.C_formula == pytest.approx(ri.C_formula, abs=1e-12)
+        assert rb.C_extrapolated == pytest.approx(ri.C_extrapolated, abs=1e-12)
+        assert rb.C_formula == pytest.approx(closed_form_constant(interval), abs=1e-12)
+        for t in (1e-3, 0.1, 2.0):
+            d_ball, d_interval = decomposition(ball, t).D, decomposition(interval, t).D
+            assert d_ball == pytest.approx(d_interval, abs=1e-12)
+            assert heat_content(ball, t) == pytest.approx(heat_content(interval, t), abs=1e-12)
 
     def test_bad_grid_rejected(self, quad):
         with pytest.raises(DomainError):

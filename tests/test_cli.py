@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,13 @@ class TestConstants:
         assert payload["d"] == 2
         assert payload["kappa"] == pytest.approx(1.0 / (2.0 * math.pi))
         assert payload["tanh_deficit"] == pytest.approx(-1.0, abs=1e-10)
+
+    def test_d16(self, capsys):
+        # J_16 = -(1 + 1/3 + ... + 1/15) = -2.0218004218004...
+        code, out, _ = run_cli(["constants", "--dim", "16"], capsys)
+        assert code == 0
+        exact = -sum(Fraction(1, k) for k in range(1, 16, 2))
+        assert json.loads(out)["tanh_deficit"] == pytest.approx(float(exact), rel=1e-15)
 
     def test_bad_dim_exits_3(self, capsys):
         code, _, _ = run_cli(["constants", "--dim", "0"], capsys)

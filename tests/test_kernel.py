@@ -15,8 +15,7 @@ from heatcov import (
     unit_ball_volume,
     unit_sphere_area,
 )
-from heatcov.errors import DomainError, ToleranceNotMetError
-from heatcov.kernel import tanh_deficit_bound
+from heatcov.errors import DomainError
 
 from conftest import simpson
 
@@ -103,28 +102,32 @@ class TestTanhDeficit:
         assert tanh_deficit(2) == pytest.approx(-1.0, abs=1e-10)
         assert tanh_deficit(3) == pytest.approx(-math.log(2.0) - 0.5, abs=1e-10)
 
-    def test_d4_against_fixed_grid_oracle(self):
-        # independent oracle: Simpson on [0, 40] of tanh^4 - 1 plus a tail
-        # bounded below 1e-12 analytically
-        oracle = simpson(lambda th: math.tanh(th) ** 4 - 1.0, 0.0, 40.0, n=1 << 16)
-        assert tanh_deficit(4) == pytest.approx(oracle, abs=1e-9)
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_against_fixed_grid_oracle(self, d):
+        # independent oracle: Simpson on [0, 40] of tanh^d - 1; the tail beyond
+        # 40 is below d * 2 e^-80.  A binomial form overflowed for d >= 11.
+        oracle = simpson(lambda th: math.tanh(th) ** d - 1.0, 0.0, 40.0, n=1 << 16)
+        assert tanh_deficit(d) == pytest.approx(oracle, abs=1e-9)
+
+    def test_recursion(self):
+        # J_1 = -ln 2, J_2 = -1, J_d = J_{d-2} - 1/(d-1)
+        expected = {1: -math.log(2.0), 2: -1.0}
+        for d in range(3, 17):
+            expected[d] = expected[d - 2] - 1.0 / (d - 1)
+        for d in range(1, 17):
+            assert tanh_deficit(d) == pytest.approx(expected[d], abs=1e-14)
 
     def test_bound(self):
-        for d in range(1, 9):
+        for d in range(1, 17):
             j = tanh_deficit(d)
             assert j < 0.0
-            assert abs(j) <= tanh_deficit_bound(d)
+            assert abs(j) <= 1.0 + math.log(d)
 
-    def test_tolerance_error(self):
+    def test_domain(self):
         with pytest.raises(DomainError):
-            tanh_deficit(2, tol=-1.0)
-
-    def test_tail_bound_failure(self):
-        from heatcov.kernel import tanh_deficit_tail_bound
-
-        with pytest.raises(ToleranceNotMetError):
-            # an impossible tolerance triggers the tail-bound guard
-            tanh_deficit(8, tol=tanh_deficit_tail_bound(8, 33.0) / 10.0)
+            tanh_deficit(2, 1.5)
+        with pytest.raises(DomainError):
+            tanh_deficit(17)
 
 
 def test_kernel_constants_bundle():

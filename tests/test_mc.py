@@ -113,8 +113,8 @@ class TestMcCovariance:
         ],
         ids=["ball2", "rect", "triangle", "interval"],
     )
-    def test_matches_quadrature(self, shape, y, seed, quad):
-        ref = covariance(shape, y, quad)
+    def test_matches_quadrature(self, shape, y, seed):
+        ref = covariance(shape, y)
         est = mc_covariance(shape, y, n=500_000, seed=seed)
         assert abs(est.mean - ref) <= 3.0 * est.stderr
 

@@ -20,7 +20,6 @@ from heatcov import (
     perimeter_from_variations,
     shape_from_json,
     square_I_terms,
-    theta_integral,
     unit_ball_volume,
     unit_sphere_area,
 )
@@ -30,6 +29,8 @@ from heatcov.errors import (
     InvalidShapeError,
     NonUnitVectorError,
 )
+
+from conftest import gauss_legendre
 
 SQRT2 = math.sqrt(2.0)
 
@@ -141,24 +142,6 @@ class TestPerimeterIdentity:
         )
 
 
-class TestThetaIntegral:
-    def test_closed_values(self):
-        assert theta_integral(2, 1.0) == pytest.approx(math.pi / 4.0)
-        assert theta_integral(3, 1.0) == pytest.approx(1.0 / 3.0)
-        assert theta_integral(2, 0.0) == 0.0
-
-    @pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
-    def test_theta_one_identity(self, d):
-        expected = unit_ball_volume(d) / (2.0 * unit_sphere_area(d - 1))
-        assert theta_integral(d, 1.0) == pytest.approx(expected, rel=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            theta_integral(2, 1.5)
-        with pytest.raises(DomainError):
-            theta_integral(1, 0.5)
-
-
 class TestCovariance:
     def test_ball2_formula(self):
         for s in (0.1, 0.4, 0.75, 0.99):
@@ -203,6 +186,60 @@ class TestCovariance:
         assert g == pytest.approx(covariance(r, (-y1, -y2)), rel=1e-14)
         if math.hypot(y1, y2) >= geo.support_radius:
             assert g == 0.0
+
+
+def _ball_constants(d):
+    """(A_d, w_{d-1}) from math.gamma, independent of heatcov.kernel."""
+    a_d = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
+    return a_d, math.pi ** ((d - 1) / 2) / math.gamma((d + 1) / 2)
+
+
+def _ball_gamma_oracle(d, s):
+    """gamma_B(2s) = A_d w_{d-1} / s * int_0^s [1 - (1-x^2)^((d-1)/2)] dx, with x = sin(p)."""
+    a_d, w_dm1 = _ball_constants(d)
+    m = 0.5 * (d - 1)
+    inner = gauss_legendre(
+        lambda p: -np.expm1(m * np.log1p(-np.sin(p) ** 2)) * np.cos(p), 0.0, math.asin(s)
+    )
+    return a_d * w_dm1 * inner / s
+
+
+def _ball_covariance_oracle(d, r):
+    """g_B(r) = two caps of height 1 - r/2 = 2 w_{d-1} int_{asin(r/2)}^{pi/2} cos^d."""
+    _, w_dm1 = _ball_constants(d)
+    return 2.0 * w_dm1 * gauss_legendre(lambda p: np.cos(p) ** d, math.asin(r / 2.0), math.pi / 2)
+
+
+class TestBall:
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_against_gauss_legendre_oracle(self, d):
+        ball = UnitBall(d)
+        for s in (1e-3, 0.1, 0.5, 0.9, 1.0):
+            assert gamma(ball, s) == pytest.approx(_ball_gamma_oracle(d, s), rel=1e-12)
+        for r in (0.0, 0.02, 0.7, 1.5, 1.98):
+            assert covariance(ball, [r] + [0.0] * (d - 1)) == pytest.approx(
+                _ball_covariance_oracle(d, r), abs=1e-13
+            )
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_gamma_at_one_is_the_wallis_value(self, d):
+        # gamma_B(2) = A_d w_{d-1} (1 - int_0^{pi/2} cos^d), which used to raise for d >= 4
+        a_d, w_dm1 = _ball_constants(d)
+        wallis = math.sqrt(math.pi) * math.gamma((d + 1) / 2) / (2.0 * math.gamma(d / 2 + 1))
+        assert gamma(UnitBall(d), 1.0) == pytest.approx(a_d * w_dm1 * (1.0 - wallis), rel=1e-12)
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_gamma_small_s_keeps_relative_accuracy(self, d):
+        # gamma_B(2s) = A_d w_{d-1} (d-1) s^2 / 6 + O(s^4)
+        a_d, w_dm1 = _ball_constants(d)
+        s = 2.0**-40
+        assert gamma(UnitBall(d), s) / (s * s) == pytest.approx(
+            a_d * w_dm1 * (d - 1) / 6.0, rel=1e-12
+        )
+
+    def test_d1_gamma_vanishes(self):
+        assert UnitBall(1).gamma_vanishes
+        assert gamma(UnitBall(1), 1.0) == 0.0
 
 
 def _square_gamma_oracle(s):
