@@ -17,7 +17,7 @@ from .asymptotics import (
     default_t_grid,
     third_term,
 )
-from .errors import HeatcovError
+from .errors import HeatcovError, InvalidShapeError
 from .kernel import KernelConstants
 from .quadrature import QuadSpec
 from .shapes import (
@@ -280,8 +280,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        raise exc
+    except InvalidShapeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except HeatcovError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

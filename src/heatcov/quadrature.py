@@ -1,4 +1,4 @@
-"""Numerical substrate: adaptive 1-D quadrature, circle/sphere rules, limit fits."""
+"""Numerical substrate: one adaptive quadrature rule (also over circle and sphere), limit fits."""
 
 from __future__ import annotations
 
@@ -14,24 +14,15 @@ from .errors import ExtrapolationError, QuadratureError
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerances and rule orders governing all integrations."""
+    """Tolerances and the panel budget governing all integrations."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 10_000
-    sphere_polar_order: int = 64
-    sphere_azimuth_order: int = 128
-    circle_points_per_sector: int = 64
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if min(
-            self.sphere_polar_order,
-            self.sphere_azimuth_order,
-            self.circle_points_per_sector,
-        ) < 8:
-            raise ValueError("rule orders must be at least 8")
 
 
 # Gauss-Kronrod 7/15 pair on [-1, 1]: (node, Gauss weight, Kronrod weight);
@@ -108,74 +99,37 @@ def integrate_1d(
             counter += 1
 
 
-def _gauss_panel_value(f, lo, hi, n):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    acc = 0.0
-    for x, w in zip(nodes, weights):
-        fx = f(mid + half * x)
-        if not math.isfinite(fx):
-            raise QuadratureError(f"non-finite integrand sample at angle {mid + half * x}")
-        acc += w * fx
-    return half * acc
-
-
 def integrate_circle(
-    f: Callable[[float], float],
-    kinks: Sequence[float] = (),
-    spec: QuadSpec = QuadSpec(),
+    f: Callable[[float], float], kinks: Sequence[float] = (), spec: QuadSpec = QuadSpec()
 ):
-    """Integrate f(theta) over (0, 2*pi] by composite Gauss panels.
+    """Integrate f(theta) over [0, 2*pi] with ``integrate_1d``.
 
-    Panels are split at the listed kink angles so that |cos|/|sin|-type
-    creases never cross a panel.  The error estimate comes from doubling
-    the per-panel order.
+    The kink angles, taken mod 2*pi, seed the panels so that |cos|/|sin|-type
+    creases never cross one.
     """
-    edges = sorted({0.0, 2.0 * math.pi, *(k % (2.0 * math.pi) for k in kinks)})
-    edges = [e for e in edges if 0.0 <= e <= 2.0 * math.pi]
-    if edges[0] > 0.0:
-        edges.insert(0, 0.0)
-    if edges[-1] < 2.0 * math.pi:
-        edges.append(2.0 * math.pi)
-    n = spec.circle_points_per_sector
-    value = 0.0
-    err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo < 1e-14:
-            continue
-        coarse = _gauss_panel_value(f, lo, hi, n)
-        fine = _gauss_panel_value(f, lo, hi, 2 * n)
-        value += fine
-        err += abs(fine - coarse)
-    return value, err
+    two_pi = 2.0 * math.pi
+    return integrate_1d(f, 0.0, two_pi, spec, points=[k % two_pi for k in kinks])
 
 
 def integrate_sphere(f, spec: QuadSpec = QuadSpec()):
-    """Integrate f(u) over the unit sphere in R^3 (product rule).
+    """Integrate f(u) over the unit sphere in R^3 with nested ``integrate_1d``.
 
-    Gauss-Legendre in the polar cosine crossed with a uniform azimuth
-    grid; the error estimate compares against the order-doubled rule.
+    The outer integral runs over the polar cosine, the inner one over the
+    azimuth; the error estimate adds the outer one to twice the largest inner one.
     """
+    inner_errs = []
 
-    def product_rule(n_polar, n_azimuth):
-        mu, w_mu = np.polynomial.legendre.leggauss(n_polar)
-        phis = 2.0 * math.pi * (np.arange(n_azimuth) + 0.5) / n_azimuth
-        w_phi = 2.0 * math.pi / n_azimuth
-        acc = 0.0
-        for m, wm in zip(mu, w_mu):
-            s = math.sqrt(max(0.0, 1.0 - m * m))
-            for phi in phis:
-                u = np.array([s * math.cos(phi), s * math.sin(phi), m])
-                fu = f(u)
-                if not math.isfinite(fu):
-                    raise QuadratureError("non-finite integrand sample on the sphere")
-                acc += wm * w_phi * fu
-        return acc
+    def ring(m):
+        s = math.sqrt(max(0.0, 1.0 - m * m))
+        val, err = integrate_1d(
+            lambda phi: f(np.array([s * math.cos(phi), s * math.sin(phi), m])),
+            0.0, 2.0 * math.pi, spec,
+        )
+        inner_errs.append(err)
+        return val
 
-    coarse = product_rule(spec.sphere_polar_order, spec.sphere_azimuth_order)
-    fine = product_rule(2 * spec.sphere_polar_order, 2 * spec.sphere_azimuth_order)
-    return fine, abs(fine - coarse)
+    value, err = integrate_1d(ring, -1.0, 1.0, spec)
+    return value, err + 2.0 * max(inner_errs)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -121,8 +122,9 @@ class UnitBall(Shape):
     d: int
 
     def __post_init__(self):
-        if not 1 <= self.d <= kernel.MAX_DIM:
-            raise InvalidShapeError(f"ball dimension must be in [1, {kernel.MAX_DIM}]")
+        d = self.d
+        if isinstance(d, bool) or not isinstance(d, Integral) or not 1 <= d <= kernel.MAX_DIM:
+            raise InvalidShapeError(f"ball dimension must be an integer in [1, {kernel.MAX_DIM}]")
 
     @cached_property
     def geometry(self) -> ShapeGeometry:
@@ -179,22 +181,44 @@ class UnitBall(Shape):
 
 
 class PlanarPolytope(Shape):
-    """A convex polygon: supplies its difference body and edge directions.
+    """A convex polygon: supplies its vertices, derives the rest.
 
     The covariance support is the difference body Omega - Omega.  Along
-    rays, g is piecewise smooth; its pieces change at the corner angles of
-    that body and at the edge directions of the shape itself.
+    rays, g is piecewise quadratic; its pieces change at the corner angles
+    of that body, at the edge directions of the shape itself, and at radii
+    no smaller than ``first_breakpoint``.
     """
 
     @property
     @abstractmethod
+    def vertex_array(self) -> np.ndarray:
+        """The vertices in counterclockwise order, as a read-only (n, 2) array."""
+
+    @cached_property
+    def edge_directions(self) -> np.ndarray:
+        """The edge vectors v_{i+1} - v_i."""
+        return np.roll(self.vertex_array, -1, axis=0) - self.vertex_array
+
+    @cached_property
     def difference_body(self) -> np.ndarray:
         """Vertices (CCW) of the covariance support, the difference body of Omega."""
+        verts = self.vertex_array
+        return _convex_hull((verts[:, None, :] - verts[None, :, :]).reshape(-1, 2))
 
-    @property
-    @abstractmethod
-    def edge_directions(self) -> np.ndarray:
-        """One vector along each edge of the shape (length is irrelevant)."""
+    @cached_property
+    def first_breakpoint(self) -> float:
+        """r_1: the least distance from a vertex to an edge not incident to it.
+
+        P and P + r u change combinatorial type only when a vertex of one crosses
+        an edge of the other, so g is quadratic in r on [0, r_1] along every ray.
+        """
+        verts, edges = self.vertex_array, self.edge_directions
+        n = len(verts)
+        rel = verts[None, :, :] - verts[:, None, :]  # [j, i] = v_i - v_j
+        foot = np.einsum("jik,jk->ji", rel, edges) / np.einsum("jk,jk->j", edges, edges)[:, None]
+        dist = np.linalg.norm(rel - np.clip(foot, 0.0, 1.0)[..., None] * edges[:, None, :], axis=2)
+        j, i = np.indices((n, n))
+        return float(dist[(i != j) & (i != (j + 1) % n)].min())
 
     def support_kinks(self):
         angles = {math.atan2(v[1], v[0]) % (2.0 * math.pi) for v in self.difference_body}
@@ -222,39 +246,47 @@ class PlanarPolytope(Shape):
         return r_min
 
     def _circle_crossing_kinks(self, r: float) -> list:
-        """Angles where the circle of radius r crosses the support boundary."""
-        body = self.difference_body
+        """Angles where the circle of radius r crosses a segment edge_j - v_i or v_i - edge_j.
+
+        On those segments a vertex of one copy meets an edge of the other,
+        so g(r u) changes its formula there; the support boundary is among them.
+        """
+        verts, edges = self.vertex_array, self.edge_directions
+        # segment [i n + j] = edge_j - v_i runs from v_j - v_i along e_j
+        a = (verts[None, :, :] - verts[:, None, :]).reshape(-1, 2)
+        d = np.tile(edges, (len(verts), 1))
+        # |a + t d|^2 = r^2 with 0 <= t <= 1
+        aa, bb = np.sum(d * d, axis=1), 2.0 * np.sum(a * d, axis=1)
+        disc = bb * bb - 4.0 * aa * (np.sum(a * a, axis=1) - r * r)
+        sq = np.sqrt(np.maximum(disc, 0.0))
         angles = []
-        n = len(body)
-        for i in range(n):
-            a, b = body[i], body[(i + 1) % n]
-            d = b - a
-            # |a + t d|^2 = r^2
-            aa = float(np.dot(d, d))
-            bb = 2.0 * float(np.dot(a, d))
-            cc = float(np.dot(a, a)) - r * r
-            disc = bb * bb - 4 * aa * cc
-            if disc < 0:
-                continue
-            sq = math.sqrt(disc)
-            for t in ((-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)):
-                if 0.0 <= t <= 1.0:
-                    p = a + t * d
-                    angles.append(math.atan2(p[1], p[0]) % (2.0 * math.pi))
+        for t in ((-bb - sq) / (2.0 * aa), (-bb + sq) / (2.0 * aa)):
+            p = (a + t[:, None] * d)[(disc >= 0.0) & (0.0 <= t) & (t <= 1.0)]
+            p = np.concatenate([p, -p])  # v_i - edge_j is the mirror image
+            angles += (np.arctan2(p[:, 1], p[:, 0]) % (2.0 * math.pi)).tolist()
         return angles
 
     def gamma(self, s, quad):
-        """The deficit V_u/2 - (g(0) - g(r u))/r integrated over the circle."""
-        geo = self.geometry
-        ell = geo.support_radius
-        r = ell * s
+        """The deficit V_u/2 - (g(0) - g(r u))/r integrated over the circle.
+
+        On [0, r_1] the deficit is r q(u) along every ray, so gamma is
+        linear there; below r_0 = r_1/2 it is scaled from gamma(r_0), which
+        keeps the cancellation in g(0) - g(r u) out of small r.
+        """
+        r = self.geometry.support_radius * s
+        r0 = 0.5 * self.first_breakpoint
+        if r < r0:
+            return r / r0 * self._deficit_integral(r0, quad)
+        return self._deficit_integral(r, quad)
+
+    @lru_cache(maxsize=4096)
+    def _deficit_integral(self, r, quad):
+        g0 = self.geometry.volume
 
         def deficit(theta):
             u = (math.cos(theta), math.sin(theta))
-            vu = directional_variation(self, u)
-            g0 = geo.volume
             gy = covariance(self, np.array(u) * r)
-            return vu / 2.0 - (g0 - gy) / r
+            return directional_variation(self, u) / 2.0 - (g0 - gy) / r
 
         kinks = self.support_kinks() + self._circle_crossing_kinks(r)
         value, _ = integrate_circle(deficit, kinks=kinks, spec=quad)
@@ -285,8 +317,8 @@ class Rectangle(PlanarPolytope):
     h2: float
 
     def __post_init__(self):
-        if self.h1 <= 0 or self.h2 <= 0:
-            raise InvalidShapeError("rectangle half-widths must be positive")
+        if not (0.0 < self.h1 < math.inf and 0.0 < self.h2 < math.inf):
+            raise InvalidShapeError("rectangle half-widths must be positive and finite")
 
     @property
     def is_unit_square(self) -> bool:
@@ -300,26 +332,16 @@ class Rectangle(PlanarPolytope):
         )
 
     @cached_property
-    def difference_body(self) -> np.ndarray:
-        a, b = 2.0 * self.h1, 2.0 * self.h2
-        return np.array([[a, b], [-a, b], [-a, -b], [a, -b]])
-
-    edge_directions = ((1.0, 0.0), (0.0, 1.0))
+    def vertex_array(self) -> np.ndarray:
+        h1, h2 = self.h1, self.h2
+        verts = np.array([[h1, -h2], [h1, h2], [-h1, h2], [-h1, -h2]], dtype=float)
+        verts.flags.writeable = False
+        return verts
 
     def covariance(self, y):
         gx = max(0.0, 2.0 * self.h1 - abs(y[0]))
         gy = max(0.0, 2.0 * self.h2 - abs(y[1]))
         return gx * gy
-
-    def covariance_integral(self, quad):
-        acc = 1.0
-        for h in (self.h1, self.h2):
-            val, _ = integrate_1d(
-                lambda y, _h=h: max(0.0, 2.0 * _h - abs(y)), -2.0 * h, 2.0 * h, quad,
-                points=[0.0],
-            )
-            acc *= val
-        return acc
 
     def directional_variation(self, u):
         return 4.0 * (self.h2 * abs(u[0]) + self.h1 * abs(u[1]))
@@ -368,34 +390,24 @@ class ConvexPolygon(PlanarPolytope):
     vertices: tuple = field()
 
     def __init__(self, vertices: Sequence[Sequence[float]]):
-        pts = [np.asarray(v, dtype=float) for v in vertices]
+        try:
+            pts = np.asarray(vertices, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidShapeError("polygon vertices must be a list of 2-D points") from None
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise InvalidShapeError("polygon vertices must be 2-D points")
         if len(pts) < 3:
             raise InvalidShapeError("polygon needs at least 3 vertices")
-        for p in pts:
-            if p.shape != (2,):
-                raise InvalidShapeError("polygon vertices must be 2-D points")
-        for i, p in enumerate(pts):
-            q = pts[(i + 1) % len(pts)]
-            if np.linalg.norm(p - q) < 1e-12:
-                raise InvalidShapeError(f"repeated vertex near {p}")
+        if not np.all(np.isfinite(pts)):
+            raise InvalidShapeError("polygon vertices must be finite")
+        if np.any(np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1) < 1e-12):
+            raise InvalidShapeError("polygon has a repeated vertex")
         # drop collinear vertices, then demand strict convexity and CCW order
-        kept = []
-        n = len(pts)
-        for i in range(n):
-            a, b, c = pts[i - 1], pts[i], pts[(i + 1) % n]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if abs(cross) > 1e-12:
-                kept.append(b)
+        kept = pts[np.abs(_turns(pts)) > 1e-12]
         if len(kept) < 3:
             raise InvalidShapeError("polygon is degenerate after removing collinear points")
-        n = len(kept)
-        for i in range(n):
-            a, b, c = kept[i - 1], kept[i], kept[(i + 1) % n]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if cross <= 0:
-                raise InvalidShapeError(
-                    "polygon must be convex with counterclockwise orientation"
-                )
+        if np.any(_turns(kept) <= 0):
+            raise InvalidShapeError("polygon must be convex with counterclockwise orientation")
         object.__setattr__(self, "vertices", tuple(tuple(p) for p in kept))
 
     @cached_property
@@ -403,10 +415,6 @@ class ConvexPolygon(PlanarPolytope):
         verts = np.array(self.vertices, dtype=float)
         verts.flags.writeable = False
         return verts
-
-    @cached_property
-    def edge_directions(self) -> np.ndarray:
-        return np.roll(self.vertex_array, -1, axis=0) - self.vertex_array
 
     @cached_property
     def geometry(self) -> ShapeGeometry:
@@ -420,12 +428,6 @@ class ConvexPolygon(PlanarPolytope):
         return ShapeGeometry(
             volume=_polygon_area(verts), perimeter=per, support_radius=diam, dim=2
         )
-
-    @cached_property
-    def difference_body(self) -> np.ndarray:
-        verts = self.vertex_array
-        diffs = (verts[:, None, :] - verts[None, :, :]).reshape(-1, 2)
-        return _convex_hull(diffs)
 
     def covariance(self, y):
         return _polygon_intersection_area(self.vertex_array, y)
@@ -482,8 +484,8 @@ class Interval(Shape):
     b: float
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise InvalidShapeError("interval requires a < b")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise InvalidShapeError("interval requires finite a < b")
 
     @property
     def length(self) -> float:
@@ -523,20 +525,33 @@ class Interval(Shape):
         return 2.0 / math.pi * (1.0 + math.log(self.length))
 
 
-def shape_from_json(obj: dict) -> Shape:
-    """Build a shape from the CLI's JSON object format."""
+def _real(x) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise InvalidShapeError(f"expected a number, got {x!r}")
+    return float(x)
+
+
+def shape_from_json(obj) -> Shape:
+    """Build a shape from the CLI's JSON object format, or raise InvalidShapeError."""
+    if not isinstance(obj, dict):
+        raise InvalidShapeError(f"a shape must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if kind == "ball":
-        return UnitBall(int(obj["dim"]))
-    if kind == "rectangle":
-        hw = obj["half_widths"]
-        if len(hw) != 2:
-            raise InvalidShapeError("rectangle needs exactly two half-widths")
-        return Rectangle(float(hw[0]), float(hw[1]))
-    if kind == "polygon":
-        return ConvexPolygon(obj["vertices"])
-    if kind == "interval":
-        return Interval(float(obj["a"]), float(obj["b"]))
+    try:
+        if kind == "ball":
+            return UnitBall(obj["dim"])
+        if kind == "rectangle":
+            hw = [_real(h) for h in obj["half_widths"]]
+            if len(hw) != 2:
+                raise InvalidShapeError("rectangle needs exactly two half-widths")
+            return Rectangle(*hw)
+        if kind == "polygon":
+            return ConvexPolygon(obj["vertices"])
+        if kind == "interval":
+            return Interval(_real(obj["a"]), _real(obj["b"]))
+    except KeyError as exc:
+        raise InvalidShapeError(f"{kind} shape needs the key {exc}") from None
+    except TypeError as exc:
+        raise InvalidShapeError(f"malformed {kind} shape: {exc}") from None
     raise InvalidShapeError(f"unknown shape kind {kind!r}")
 
 
@@ -670,6 +685,12 @@ def gamma_weighted_integral(shape: Shape, quad: QuadSpec = QuadSpec(), max_k: in
 def _polygon_area(verts: np.ndarray) -> float:
     x, y = verts[:, 0], verts[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _turns(pts: np.ndarray) -> np.ndarray:
+    """(b - a) x (c - a) at each vertex b of a closed polyline, a and c its neighbours."""
+    a, c = np.roll(pts, 1, axis=0), np.roll(pts, -1, axis=0)
+    return (pts[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (pts[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
 
 
 def _clip_halfplane(poly: list, a: np.ndarray, b: np.ndarray) -> list:

@@ -15,6 +15,7 @@ from heatcov import (
     closed_form_constant,
     decomposition,
     default_t_grid,
+    gamma,
     geometry,
     heat_content,
     integrate_1d,
@@ -262,3 +263,41 @@ class TestThirdTerm:
     def test_bad_grid_rejected(self, quad):
         with pytest.raises(DomainError):
             third_term(UnitBall(2), quad, t_grid=[0.1, 0.2, 0.05, 0.01])
+
+
+SQUARE_CORNERS = [(1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0)]
+
+
+def _rotated_square(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return ConvexPolygon([(c * x - s * y, s * x + c * y) for x, y in SQUARE_CORNERS])
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("angle", [0.3, 0.7])
+    def test_rotation(self, angle, quad):
+        rotated, square = _rotated_square(angle), Rectangle(1.0, 1.0)
+        for s in (0.1, 0.3, 0.6, 0.9, 1.0):
+            assert gamma(rotated, s, quad) == pytest.approx(gamma(square, s, quad), abs=1e-12)
+        for t in (0.05, 0.5, 3.0):
+            assert heat_content(rotated, t, quad) == pytest.approx(
+                heat_content(square, t, quad), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_scaling_formula(self, lam, quad):
+        # C_{lam Q} = lam (C_Q + Per_Q ln(lam) / pi), through the generic polygon gamma
+        report = third_term(Rectangle(lam, lam), quad, t_grid=default_t_grid(4, 10))
+        assert report.C_closed is None
+        expected = lam * (SQUARE_C + 8.0 * math.log(lam) / math.pi)
+        assert report.C_formula == pytest.approx(expected, abs=1e-8)
+
+    def test_scaled_square_routes_agree(self, quad):
+        report = third_term(Rectangle(2.0, 2.0), quad)
+        assert abs(report.C_extrapolated - report.C_formula) <= 1e-6
+
+    def test_triangle_routes_agree(self, quad):
+        # no closed form: the formula and the extrapolated limit check each other
+        report = third_term(ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]), quad)
+        assert report.C_closed is None
+        assert abs(report.C_extrapolated - report.C_formula) <= 1e-6

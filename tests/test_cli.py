@@ -54,6 +54,36 @@ class TestCovariance:
         assert float(out) == pytest.approx(1.5, abs=1e-12)
 
 
+class TestShapeFile:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "rectangle"},
+            [1, 2],
+            {"kind": "rectangle", "half_widths": 5},
+            {"kind": "ball", "dim": 2.7},
+            {"kind": "rectangle", "half_widths": [math.nan, 1.0]},
+            {"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, math.nan], [0, 1]]},
+        ],
+        ids=["missing-key", "not-an-object", "wrong-type", "non-integer-dim",
+             "nan-half-width", "nan-vertex"],
+    )
+    def test_invalid_shape_exits_2(self, doc, tmp_path, capsys):
+        f = tmp_path / "shape.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run_cli(["covariance", "--shape-file", str(f), "--point", "0,0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_triangle_heat_content(self, tmp_path, capsys):
+        f = tmp_path / "triangle.json"
+        f.write_text(json.dumps({"kind": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]}))
+        code, out, _ = run_cli(["heat-content", "--shape-file", str(f), "--t", "0.1"], capsys)
+        assert code == 0
+        assert 0.0 < float(out) < 0.5
+
+
 class TestExpansion:
     def test_ball2_row(self, capsys):
         code, out, _ = run_cli(["expansion", "--shape", "ball2", "--t", "0.01"], capsys)

@@ -86,6 +86,16 @@ class TestIntegrateCircle:
         val, err = integrate_circle(lambda th: math.cos(3 * th) ** 2, spec=quad)
         assert abs(val - math.pi) <= max(10.0 * err, 1e-12)
 
+    def test_kinks(self, quad):
+        # |cos - 0.3| creases at +-acos(0.3): found adaptively when unlisted,
+        # and integrated to rounding when listed
+        a = math.acos(0.3)
+        exact = 4.0 * math.sin(a) + 0.6 * math.pi - 1.2 * a
+        val, _ = integrate_circle(lambda th: abs(math.cos(th) - 0.3), spec=quad)
+        assert val == pytest.approx(exact, abs=1e-6)
+        val, _ = integrate_circle(lambda th: abs(math.cos(th) - 0.3), kinks=[a, -a], spec=quad)
+        assert val == pytest.approx(exact, abs=1e-12)
+
 
 class TestIntegrateSphere:
     def test_constant(self, quad):
@@ -104,6 +114,11 @@ class TestIntegrateSphere:
         val, err = integrate_sphere(lambda u: math.exp(u[0]), quad)
         # closed form: 4*pi*sinh(1)
         assert abs(val - 4.0 * math.pi * math.sinh(1.0)) <= max(10.0 * err, 1e-10)
+
+    def test_polar_kink(self, quad):
+        # 2 pi * int_{-1}^{1} |m - 0.3| dm = 2 pi (0.7^2 + 1.3^2) / 2
+        val, _ = integrate_sphere(lambda u: abs(u[2] - 0.3), quad)
+        assert val == pytest.approx(2.0 * math.pi * (0.245 + 0.845), abs=1e-8)
 
 
 class TestExtrapolateLimit:

@@ -63,6 +63,58 @@ class TestShapeConstruction:
         with pytest.raises(InvalidShapeError):
             Interval(1.0, 1.0)
 
+    @pytest.mark.parametrize("h1, h2", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0)])
+    def test_rectangle_rejects_nonfinite(self, h1, h2):
+        with pytest.raises(InvalidShapeError):
+            Rectangle(h1, h2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_polygon_rejects_nonfinite(self, bad):
+        # a NaN used to drop its vertex and both neighbours silently
+        with pytest.raises(InvalidShapeError):
+            ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (1.0, bad), (0.0, 1.0)])
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "rectangle"},
+            {"kind": "polygon"},
+            {"kind": "interval", "a": 0},
+            {"kind": "ball"},
+        ],
+        ids=["rectangle", "polygon", "interval", "ball"],
+    )
+    def test_from_json_missing_key(self, doc):
+        with pytest.raises(InvalidShapeError):
+            shape_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "rectangle", "half_widths": 5},
+            {"kind": "rectangle", "half_widths": ["1", "2"]},
+            {"kind": "polygon", "vertices": 5},
+            {"kind": "polygon", "vertices": [["a", 0], [1, 0], [0, 1]]},
+            {"kind": "polygon", "vertices": [[0, 0], [1, 0, 2], [0, 1]]},
+            {"kind": "interval", "a": "0", "b": 1},
+        ],
+        ids=["hw-number", "hw-strings", "vertices-number", "vertex-string", "ragged", "a-string"],
+    )
+    def test_from_json_wrong_type(self, doc):
+        with pytest.raises(InvalidShapeError):
+            shape_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [[1, 2], "ball", None, 3.0])
+    def test_from_json_not_an_object(self, doc):
+        with pytest.raises(InvalidShapeError):
+            shape_from_json(doc)
+
+    @pytest.mark.parametrize("dim", [2.7, 2.0, "3", True])
+    def test_from_json_non_integer_dim(self, dim):
+        # "dim": 2.7 used to become UnitBall(2)
+        with pytest.raises(InvalidShapeError):
+            shape_from_json({"kind": "ball", "dim": dim})
+
     def test_from_json(self):
         assert shape_from_json({"kind": "ball", "dim": 3}) == UnitBall(3)
         assert shape_from_json({"kind": "rectangle", "half_widths": [1, 2]}) == Rectangle(1.0, 2.0)
@@ -290,6 +342,52 @@ class TestGamma:
         rng = np.random.default_rng(d)
         for s in rng.uniform(1e-6, 1.0, 1000):
             assert gamma(UnitBall(d), float(s)) <= bound * s * s + 1e-12
+
+
+class TestPolygonGamma:
+    def test_first_breakpoint(self):
+        assert Rectangle(1.0, 1.0).first_breakpoint == pytest.approx(2.0, rel=1e-15)
+        assert Rectangle(1.5, 0.5).first_breakpoint == pytest.approx(1.0, rel=1e-15)
+        # the triangle's shortest height
+        assert TRIANGLE.first_breakpoint == pytest.approx(1.0 / SQRT2, rel=1e-15)
+
+    def test_rectangle_is_its_corner_polygon(self):
+        rect = Rectangle(1.5, 0.5)
+        poly = ConvexPolygon(rect.vertex_array)
+        np.testing.assert_array_equal(rect.difference_body, poly.difference_body)
+        np.testing.assert_array_equal(rect.edge_directions, poly.edge_directions)
+        assert rect.first_breakpoint == poly.first_breakpoint
+
+    def test_first_breakpoint_is_where_gamma_stops_being_linear(self):
+        # a vertex's nearest non-incident edge line is met outside the edge,
+        # so r_1 exceeds the least vertex-to-line distance (0.52)
+        hexagon = ConvexPolygon(
+            [(math.cos(k * math.pi / 3), 0.6 * math.sin(k * math.pi / 3)) for k in range(6)]
+        )
+        r1, ell = hexagon.first_breakpoint, geometry(hexagon).support_radius
+        assert r1 == pytest.approx(0.72111, abs=1e-5)
+        slope = gamma(hexagon, 0.5 * r1 / ell) / (0.5 * r1)
+        for f in (0.7, 1.0):
+            assert gamma(hexagon, f * r1 / ell) / (f * r1) == pytest.approx(slope, rel=1e-12)
+        assert gamma(hexagon, 1.3 * r1 / ell) / (1.3 * r1) > (1.0 + 1e-3) * slope
+
+    def test_integer_rectangle(self):
+        rect = Rectangle(2, 1)
+        assert rect.vertex_array.dtype == float
+        assert gamma(rect, 0.5) == pytest.approx(gamma(ConvexPolygon(rect.vertex_array), 0.5))
+
+    def test_rectangle_gamma_is_exactly_linear(self):
+        # g = (3 - r|cos|)(1 - r|sin|) is quadratic for r <= 1, so gamma(r) = 2r
+        rect = Rectangle(1.5, 0.5)
+        ell = geometry(rect).support_radius
+        for k in range(2, 41):
+            s = 2.0**-k
+            assert gamma(rect, s) == pytest.approx(2.0 * ell * s, rel=1e-12)
+
+    def test_triangle_gamma_over_s_is_constant(self):
+        slopes = [gamma(TRIANGLE, 2.0**-k) * 2.0**k for k in range(8, 41)]
+        assert max(slopes) - min(slopes) <= 1e-12 * abs(slopes[0])
+        assert slopes[0] > 0.0
 
 
 class TestGammaWeightedIntegral:
