@@ -6,19 +6,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import kernel, shapes
 from .errors import DomainError, InconsistentConstantError
-from .quadrature import QuadSpec, extrapolate_limit, integrate_1d, integrate_circle
-from .shapes import (
-    Shape,
-    gamma,
-    gamma_weighted_integral,
-    geometry,
-    support_kinks,
-    support_radius_at,
-)
+from .quadrature import QuadSpec, extrapolate_limit, integrate_1d
+from .shapes import Shape, gamma, gamma_weighted_integral, geometry
 
 
 def _check_t(t: float) -> float:
@@ -52,23 +43,11 @@ def heat_content(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> float:
     if gbar is not None:
         value = _radial_heat_content(geo.dim, geo.support_radius, gbar, t, quad)
     else:
-        # 2-D polar sectors: the integrand is smooth within each sector
-        kap = kernel.kappa(2)
-
-        def per_angle(theta):
-            rb = support_radius_at(shape, theta)
-            ct, st = math.cos(theta), math.sin(theta)
-
-            def f(r):
-                g = shapes.covariance(shape, np.array([r * ct, r * st]))
-                return r * g * (t * t + r * r) ** -1.5
-
-            pts = [p for p in (t, 4 * t, 16 * t, 64 * t, 256 * t) if p < rb]
-            inner, _ = integrate_1d(f, 0.0, rb, quad, points=pts)
-            return inner
-
-        outer, _ = integrate_circle(per_angle, kinks=support_kinks(shape), spec=quad)
-        value = kap * t * outer
+        # 2-D polar sectors: the integrand is smooth within each sector; the
+        # kernel factor peaks at the scale of t, so seed the radial panels there
+        seeds = (t, 4 * t, 16 * t, 64 * t, 256 * t)
+        outer = shapes.polar_integral(shape, lambda r: (t * t + r * r) ** -1.5, quad, quad, seeds)
+        value = kernel.kappa(2) * t * outer
     return min(max(value, 0.0), geo.volume)
 
 

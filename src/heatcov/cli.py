@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     except InvalidShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except HeatcovError as exc:
+    except (HeatcovError, ArithmeticError) as exc:  # overflow, zero division, FloatingPointError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (OSError, ValueError) as exc:

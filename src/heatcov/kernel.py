@@ -87,7 +87,7 @@ def tanh_deficit(d: int, x: float = 1.0) -> float:
     return total
 
 
-def cos_power_deficit(n: int, s: float) -> float:
+def cos_power_deficit(n: int, s):
     """M_n = integral over (0, a) of cos - cos^n, where a = asin(s) in [0, pi/2].
 
     The reduction K_n = cos^(n-1) a sin a / n + (n-1)/n K_{n-2} for
@@ -95,24 +95,25 @@ def cos_power_deficit(n: int, s: float) -> float:
     with c = cos a.  1 - c^(n-1) is carried as a sum of nonnegative terms
     (1 - c = s^2/(1+c), 1 - c^(k+2) = (1 - c^k) + c^k s^2), and the only
     negative term, M_0 = s - a, is a series, so M_n keeps its relative
-    accuracy as s -> 0.
+    accuracy as s -> 0.  s may be a float or an array; so is the result.
     """
-    c = math.sqrt((1.0 - s) * (1.0 + s))
+    s = np.asarray(s, dtype=float)
+    c = np.sqrt((1.0 - s) * (1.0 + s))
     if n % 2:  # start from M_1 = 0, carrying 1 - c^2 and c^2
-        m, one_minus, ck, first = 0.0, s * s, c * c, 3
+        m, one_minus, ck, first = np.zeros_like(s), s * s, c * c, 3
     else:  # start from M_0 = s - a, carrying 1 - c and c
-        m, one_minus, ck, first = -_a_minus_sin(math.asin(s)), s * s / (1.0 + c), c, 2
+        m, one_minus, ck, first = -_a_minus_sin(np.arcsin(s)), s * s / (1.0 + c), c, 2
     for k in range(first, n + 1, 2):
         m = s * one_minus / k + (k - 1) / k * m
         one_minus += ck * s * s
-        ck *= c * c
-    return m
+        ck = ck * (c * c)  # not in place: ck may be c itself
+    return float(m) if m.ndim == 0 else m
 
 
-def _a_minus_sin(a: float) -> float:
+def _a_minus_sin(a: np.ndarray) -> np.ndarray:
     """a - sin(a) by its Taylor series, free of cancellation on [0, pi/2]."""
-    term, total, k = a**3 / 6.0, 0.0, 3
-    while total + term != total:
+    term, total, k = a**3 / 6.0, np.zeros_like(a), 3
+    while np.any(total + term != total):
         total += term
         k += 2
         term *= -a * a / ((k - 1) * k)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -27,7 +26,7 @@ class QuadSpec:
 
 # Gauss-Kronrod 7/15 pair on [-1, 1]: (node, Gauss weight, Kronrod weight);
 # Gauss weight is zero on Kronrod-only nodes.
-_GK15 = (
+_GK15 = np.array([
     (0.991455371120813, 0.0, 0.022935322010529),
     (0.949107912342759, 0.129484966168870, 0.063092092629979),
     (0.864864423359769, 0.0, 0.104790010322250),
@@ -36,29 +35,34 @@ _GK15 = (
     (0.405845151377397, 0.381830050505119, 0.190350578064785),
     (0.207784955007898, 0.0, 0.204432940075298),
     (0.0, 0.417959183673469, 0.209482141084728),
-)
+])
+# all 15 nodes, -x before +x from the outside in and then 0, with their (Gauss, Kronrod) weights
+_NODES = np.append(np.outer(_GK15[:-1, 0], (-1.0, 1.0)).ravel(), 0.0)
+_WEIGHTS = np.vstack([np.repeat(_GK15[:-1, 1:], 2, axis=0), _GK15[-1, 1:]])
 
 
-def _gk_panel(f: Callable[[float], float], a: float, b: float):
-    """One G7/K15 application on [a, b]; returns (K15 value, error estimate)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    g = 0.0
-    k = 0.0
-    for x, wg, wk in _GK15:
-        for xi in ((mid - half * x, mid + half * x) if x > 0.0 else (mid,)):
-            fx = f(xi)
-            if not math.isfinite(fx):
-                raise QuadratureError(f"non-finite integrand sample f({xi!r}) = {fx!r}")
-            g += wg * fx
-            k += wk * fx
-    diff = half * abs(k - g)
-    err = min(diff, (200.0 * diff) ** 1.5)
-    return half * k, err
+def _gk_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
+    """G7/K15 on every panel [lo_i, hi_i] with one call of f on all (panels, 15) nodes.
+
+    Returns (K15 values, error estimates) as arrays.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = mid[:, None] + half[:, None] * _NODES
+    fx = np.reshape(f(x.ravel()), x.shape)
+    g, k = (fx @ _WEIGHTS).T
+    if not math.isfinite(k.sum()):
+        bad = ~np.isfinite(fx)
+        if bad.any():
+            xi, fi = float(x[bad][0]), float(fx[bad][0])
+            raise QuadratureError(f"non-finite integrand sample f({xi!r}) = {fi!r}")
+        raise QuadratureError("Kronrod sum overflows on a panel")
+    diff = half * np.abs(k - g)
+    return half * k, np.minimum(diff, (200.0 * diff) ** 1.5)
 
 
 def integrate_1d(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     spec: QuadSpec = QuadSpec(),
@@ -66,41 +70,45 @@ def integrate_1d(
 ):
     """Adaptive Gauss-Kronrod integration of f on [a, b].
 
-    ``points`` lists interior breakpoints used to seed the initial panels
-    (endpoint singular scales, support kinks).  Returns (value, err) with
+    f maps a 1-D array of nodes to the array of its values there; each round
+    of refinement is one call.  ``points`` lists interior breakpoints used to
+    seed the initial panels (endpoint singular scales, support kinks).  A
+    round splits the panels of largest error whose errors add up to the
+    excess over the tolerance.  Returns (value, err) with
     err <= max(abs_tol, rel_tol * |value|) or raises QuadratureError.
     """
     if not a < b:
         raise QuadratureError(f"need a < b, got [{a}, {b}]")
-    edges = sorted({a, b, *(p for p in points if a < p < b)})
-    heap = []
-    counter = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _gk_panel(f, lo, hi)
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
-        counter += 1
+    edges = np.array(sorted({a, b, *(p for p in points if a < p < b)}), dtype=float)
+    panels = np.column_stack([edges[:-1], edges[1:], *_gk_panels(f, edges[:-1], edges[1:])])
+    count = len(panels)  # panels made so far; rows are lo, hi, value, error in creation order
     while True:
-        total = math.fsum(item[4] for item in heap)
-        total_err = math.fsum(item[5] for item in heap)
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
+        total, total_err = math.fsum(panels[:, 2]), math.fsum(panels[:, 3])
+        excess = total_err - max(spec.abs_tol, spec.rel_tol * abs(total))
+        if excess <= 0.0:
             return total, total_err
-        if counter >= spec.max_subdivisions:
+        if count >= spec.max_subdivisions:
             raise QuadratureError(
                 f"max subdivisions ({spec.max_subdivisions}) exceeded; "
                 f"err={total_err:.3e} value={total:.6e}"
             )
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
+        # largest errors first, ties in creation order, within the panel budget
+        order = np.argsort(-panels[:, 3], kind="stable")
+        need = int(np.searchsorted(np.cumsum(panels[order, 3]), excess)) + 1
+        split = order[: min(need, (spec.max_subdivisions - count + 1) // 2)]
+        lo, hi = panels[split, 0], panels[split, 1]
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            raise QuadratureError(f"panel [{lo}, {hi}] cannot be split further")
-        for sub in ((lo, mid), (mid, hi)):
-            val, err = _gk_panel(f, *sub)
-            heapq.heappush(heap, (-err, counter, sub[0], sub[1], val, err))
-            counter += 1
+        stuck = (mid <= lo) | (mid >= hi)
+        if stuck.any():
+            raise QuadratureError(f"panel [{lo[stuck][0]}, {hi[stuck][0]}] cannot be split further")
+        new_lo, new_hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
+        new = np.column_stack([new_lo, new_hi, *_gk_panels(f, new_lo, new_hi)])
+        panels = np.concatenate([np.delete(panels, split, axis=0), new])
+        count += len(new)
 
 
 def integrate_circle(
-    f: Callable[[float], float], kinks: Sequence[float] = (), spec: QuadSpec = QuadSpec()
+    f: Callable[[np.ndarray], np.ndarray], kinks: Sequence[float] = (), spec: QuadSpec = QuadSpec()
 ):
     """Integrate f(theta) over [0, 2*pi] with ``integrate_1d``.
 
@@ -111,22 +119,25 @@ def integrate_circle(
     return integrate_1d(f, 0.0, two_pi, spec, points=[k % two_pi for k in kinks])
 
 
-def integrate_sphere(f, spec: QuadSpec = QuadSpec()):
+def integrate_sphere(f: Callable[[np.ndarray], np.ndarray], spec: QuadSpec = QuadSpec()):
     """Integrate f(u) over the unit sphere in R^3 with nested ``integrate_1d``.
 
-    The outer integral runs over the polar cosine, the inner one over the
-    azimuth; the error estimate adds the outer one to twice the largest inner one.
+    f maps an (n, 3) array of unit vectors to n values.  The outer integral
+    runs over the polar cosine, one azimuth integral per node; the error
+    estimate adds the outer one to twice the largest inner one.
     """
     inner_errs = []
 
-    def ring(m):
-        s = math.sqrt(max(0.0, 1.0 - m * m))
-        val, err = integrate_1d(
-            lambda phi: f(np.array([s * math.cos(phi), s * math.sin(phi), m])),
-            0.0, 2.0 * math.pi, spec,
-        )
-        inner_errs.append(err)
-        return val
+    def ring(ms):
+        values = np.empty(len(ms))
+        for i, m in enumerate(ms):
+            s = math.sqrt(max(0.0, 1.0 - m * m))
+
+            def azimuth(phi):
+                return f(np.column_stack([s * np.cos(phi), s * np.sin(phi), np.full_like(phi, m)]))
+            values[i], err = integrate_1d(azimuth, 0.0, 2.0 * math.pi, spec)
+            inner_errs.append(err)
+        return values
 
     value, err = integrate_1d(ring, -1.0, 1.0, spec)
     return value, err + 2.0 * max(inner_errs)

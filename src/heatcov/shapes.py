@@ -36,6 +36,8 @@ from .quadrature import QuadSpec, integrate_1d, integrate_circle, integrate_sphe
 
 SQRT2 = math.sqrt(2.0)
 REJECTION_CAP_FACTOR = 1000
+# points x edges^2 per chunk of the batched polygon covariance, bounding its temporaries
+_PAIR_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -73,16 +75,16 @@ class Shape(ABC):
         return self.dim == 1
 
     @abstractmethod
-    def covariance(self, y: np.ndarray) -> float:
-        """Set covariance g(y) = |Omega intersect (Omega + y)|."""
+    def covariance(self, ys: np.ndarray) -> np.ndarray:
+        """Set covariance g(y) = |Omega intersect (Omega + y)| at the rows of an (n, dim) array."""
 
     @abstractmethod
     def covariance_integral(self, quad: QuadSpec) -> float:
         """Integral of g over its support; equals |Omega|^2."""
 
     @abstractmethod
-    def directional_variation(self, u: np.ndarray) -> float:
-        """Total variation of the indicator in direction u."""
+    def directional_variation(self, us: np.ndarray) -> np.ndarray:
+        """Total variation of the indicator in each direction, the rows of an (n, dim) array."""
 
     @abstractmethod
     def contains(self, pts: np.ndarray) -> np.ndarray:
@@ -93,11 +95,11 @@ class Shape(ABC):
         """n points drawn uniformly from the shape, as an (n, dim) array."""
 
     @abstractmethod
-    def gamma(self, s: float, quad: QuadSpec) -> float:
-        """gamma(ell * s) for s in (0, 1]."""
+    def gamma(self, s: np.ndarray, quad: QuadSpec) -> np.ndarray:
+        """gamma(ell * s) for each s in (0, 1] of a 1-D array."""
 
-    def radial_profile(self) -> Optional[Callable[[float], float]]:
-        """g as a function of |y| when g is radial, else None."""
+    def radial_profile(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+        """g as a function of |y|, mapping an array of radii to values, when g is radial."""
         return None
 
     def support_kinks(self) -> list:
@@ -133,8 +135,8 @@ class UnitBall(Shape):
             support_radius=2.0, dim=self.d,
         )
 
-    def covariance(self, y):
-        return ball_covariance_radial(self.d, float(np.linalg.norm(y)))
+    def covariance(self, ys):
+        return ball_covariance_radial(self.d, np.linalg.norm(ys, axis=1))
 
     def radial_profile(self):
         return lambda r: ball_covariance_radial(self.d, r)
@@ -145,8 +147,8 @@ class UnitBall(Shape):
         )
         return kernel.unit_sphere_area(self.d) * val
 
-    def directional_variation(self, u):
-        return 2.0 * kernel.unit_ball_volume(self.d - 1) if self.d >= 2 else 2.0
+    def directional_variation(self, us):
+        return np.full(len(us), 2.0 * kernel.unit_ball_volume(self.d - 1) if self.d >= 2 else 2.0)
 
     def contains(self, pts):
         return np.einsum("ij,ij->i", pts, pts) <= 1.0
@@ -160,7 +162,7 @@ class UnitBall(Shape):
     def gamma(self, s, quad):
         """gamma_B(2s) = A_d w_{d-1} / s * int_0^{asin s} (cos - cos^d)."""
         if self.gamma_vanishes:
-            return 0.0
+            return np.zeros_like(s)
         d = self.d
         w_dm1 = kernel.unit_ball_volume(d - 1)
         return kernel.unit_sphere_area(d) * w_dm1 * kernel.cos_power_deficit(d, s) / s
@@ -275,38 +277,24 @@ class PlanarPolytope(Shape):
         """
         r = self.geometry.support_radius * s
         r0 = 0.5 * self.first_breakpoint
-        if r < r0:
-            return r / r0 * self._deficit_integral(r0, quad)
-        return self._deficit_integral(r, quad)
+        deficit = np.array([self._deficit_integral(float(x), quad) for x in np.maximum(r, r0)])
+        return np.where(r < r0, r / r0 * deficit, deficit)
 
     @lru_cache(maxsize=4096)
     def _deficit_integral(self, r, quad):
         g0 = self.geometry.volume
 
         def deficit(theta):
-            u = (math.cos(theta), math.sin(theta))
-            gy = covariance(self, np.array(u) * r)
-            return directional_variation(self, u) / 2.0 - (g0 - gy) / r
+            u = np.column_stack([np.cos(theta), np.sin(theta)])
+            return directional_variation(self, u) / 2.0 - (g0 - covariance(self, u * r)) / r
 
         kinks = self.support_kinks() + self._circle_crossing_kinks(r)
         value, _ = integrate_circle(deficit, kinks=kinks, spec=quad)
         return value
 
     def covariance_integral(self, quad):
-        # polar integration over the difference body
-        def per_angle(theta):
-            rb = support_radius_at(self, theta)
-            u = np.array([math.cos(theta), math.sin(theta)])
-            inner, _ = integrate_1d(
-                lambda r: r * covariance(self, r * u),
-                0.0,
-                rb,
-                QuadSpec(abs_tol=max(quad.abs_tol, 1e-9), rel_tol=max(quad.rel_tol, 1e-9)),
-            )
-            return inner
-
-        val, _ = integrate_circle(per_angle, kinks=self.support_kinks(), spec=quad)
-        return val
+        inner = QuadSpec(abs_tol=max(quad.abs_tol, 1e-9), rel_tol=max(quad.rel_tol, 1e-9))
+        return polar_integral(self, lambda r: 1.0, quad, inner)
 
 
 @dataclass(frozen=True)
@@ -338,13 +326,13 @@ class Rectangle(PlanarPolytope):
         verts.flags.writeable = False
         return verts
 
-    def covariance(self, y):
-        gx = max(0.0, 2.0 * self.h1 - abs(y[0]))
-        gy = max(0.0, 2.0 * self.h2 - abs(y[1]))
+    def covariance(self, ys):
+        gx = np.maximum(0.0, 2.0 * self.h1 - np.abs(ys[:, 0]))
+        gy = np.maximum(0.0, 2.0 * self.h2 - np.abs(ys[:, 1]))
         return gx * gy
 
-    def directional_variation(self, u):
-        return 4.0 * (self.h2 * abs(u[0]) + self.h1 * abs(u[1]))
+    def directional_variation(self, us):
+        return 4.0 * (self.h2 * np.abs(us[:, 0]) + self.h1 * np.abs(us[:, 1]))
 
     def contains(self, pts):
         return (np.abs(pts[:, 0]) <= self.h1) & (np.abs(pts[:, 1]) <= self.h2)
@@ -357,12 +345,10 @@ class Rectangle(PlanarPolytope):
     def gamma(self, s, quad):
         if not self.is_unit_square:
             return super().gamma(s, quad)
-        # gamma_Q(2*sqrt(2)*s) for the square [-1,1]^2, from the sector split
-        if s <= 1.0 / SQRT2:
-            return 4.0 * SQRT2 * s
-        c = 1.0 / (SQRT2 * s)
-        tstar = math.acos(min(1.0, c))
-        st, ct = math.sin(tstar), math.cos(tstar)
+        # gamma_Q(2*sqrt(2)*s) for the square [-1,1]^2, from the sector split; for
+        # s <= 1/sqrt(2), tstar = 0 and it is exactly the linear law 4 sqrt(2) s
+        tstar = np.arccos(np.minimum(1.0, 1.0 / (SQRT2 * s)))
+        st, ct = np.sin(tstar), np.cos(tstar)
         sector = (
             2.0 * (st + 1.0 - ct)
             - SQRT2 * tstar / s
@@ -429,14 +415,56 @@ class ConvexPolygon(PlanarPolytope):
             volume=_polygon_area(verts), perimeter=per, support_radius=diam, dim=2
         )
 
-    def covariance(self, y):
-        return _polygon_intersection_area(self.vertex_array, y)
+    @cached_property
+    def _pair_tables(self):
+        """Per edge pair [i, j]: v_j - v_i, e_j x e_i, which pairs are parallel and which of
+        those point the same way, and per edge the tie rules of ``covariance``."""
+        verts, edges = self.vertex_array, self.edge_directions
+        diff = verts[None, :, :] - verts[:, None, :]
+        den = edges[None, :, 0] * edges[:, None, 1] - edges[None, :, 1] * edges[:, None, 0]
+        lengths = np.linalg.norm(edges, axis=1)
+        par = np.abs(den) <= 1e-13 * lengths[:, None] * lengths  # sin(angle) <= 1e-13
+        same = edges @ edges.T > 0.0
+        tau = np.where(edges[:, 1] != 0.0, edges[:, 1], -edges[:, 0])
+        return (diff[..., 0], diff[..., 1], np.where(par, 1.0, den), ~par & (den > 0.0),
+                ~par & (den < 0.0), par, same, tau > 0.0, tau < 0.0, _boundary_terms(verts))
 
-    def directional_variation(self, u):
+    def covariance(self, ys):
+        """Area of P and P + y by Green's theorem, in coordinates relative to vertex 0.
+
+        Each edge of either copy counts the part inside the other copy, a
+        Cyrus-Beck parameter interval; a piece a + t e, t in [t0, t1], adds
+        (t1 - t0) (a x e) / 2.  Edge i of P and edge j of P + y on parallel
+        lines are both decided by h = e_i x (v_j + y - v_i), so opposite edges
+        on one line count together and cancel.  Where h = 0 the copy is taken
+        as shifted by (eps, eps^2): with tau(e) = e_y, or -e_x where e_y = 0,
+        a shared edge e counts once, for P if tau(e) > 0 and for P + y if not.
+        """
+        dx, dy, den, pos, neg, par, same, tie_p, tie_q, c = self._pair_tables
+        ex, ey = self.edge_directions[:, 0], self.edge_directions[:, 1]
+        out = np.empty(len(ys))
+        step = max(1, _PAIR_ENTRIES // len(ex) ** 2)
+        for k in range(0, len(ys), step):
+            y = ys[k : k + step]
+            big_x, big_y = dx + y[:, :1, None], dy + y[:, 1:, None]  # [m, i, j] = v_j + y - v_i
+            r_p = (ex * big_y - ey * big_x) / den  # (e_j x D) / (e_j x e_i), bounds on edge i of P
+            h = ex[:, None] * big_y - ey[:, None] * big_x  # e_i x D: P + y is inside edge i's line
+            r_q = h / den  # bounds on edge j of P + y
+            len_p = np.where(neg, r_p, 1.0).min(axis=2) - np.where(pos, r_p, 0.0).max(axis=2)
+            len_q = np.where(pos, r_q, 1.0).min(axis=1) - np.where(neg, r_q, 0.0).max(axis=1)
+            out_q = (h < 0.0) | ((h == 0.0) & ~tie_q[:, None])  # where the lines are parallel
+            out_p = np.where(same, (h > 0.0) | ((h == 0.0) & ~tie_p), out_q)
+            len_p = np.where((par & out_p).any(axis=2), 0.0, np.maximum(len_p, 0.0))
+            len_q = np.where((par & out_q).any(axis=1), 0.0, np.maximum(len_q, 0.0))
+            y_cross_e = y[:, :1] * ey - y[:, 1:] * ex
+            out[k : k + step] = 0.5 * np.sum(len_p * c + len_q * (c + y_cross_e), axis=1)
+        return np.where(out > 1e-14, out, 0.0)
+
+    def directional_variation(self, us):
         edges = self.edge_directions
         # outward normal of a CCW edge (dx, dy) is (dy, -dx); |n.u|*len folds
         # the edge length into the unnormalized normal
-        return float(np.sum(np.abs(edges[:, 1] * u[0] - edges[:, 0] * u[1])))
+        return np.sum(np.abs(edges[:, 1] * us[:, :1] - edges[:, 0] * us[:, 1:]), axis=1)
 
     def contains(self, pts):
         verts = self.vertex_array
@@ -495,19 +523,19 @@ class Interval(Shape):
     def geometry(self) -> ShapeGeometry:
         return ShapeGeometry(volume=self.length, perimeter=2.0, support_radius=self.length, dim=1)
 
-    def covariance(self, y):
-        return max(0.0, self.length - abs(float(y[0])))
+    def covariance(self, ys):
+        return np.maximum(0.0, self.length - np.abs(ys[:, 0]))
 
     def radial_profile(self):
-        return lambda r: max(0.0, self.length - r)
+        return lambda r: np.maximum(0.0, self.length - r)
 
     def covariance_integral(self, quad):
         ell = self.length
-        val, _ = integrate_1d(lambda y: max(0.0, ell - abs(y)), -ell, ell, quad)
+        val, _ = integrate_1d(lambda y: np.maximum(0.0, ell - np.abs(y)), -ell, ell, quad)
         return val
 
-    def directional_variation(self, u):
-        return 2.0
+    def directional_variation(self, us):
+        return np.full(len(us), 2.0)
 
     def contains(self, pts):
         return (pts[:, 0] >= self.a) & (pts[:, 0] <= self.b)
@@ -516,7 +544,7 @@ class Interval(Shape):
         return rng.uniform(self.a, self.b, (n, 1))
 
     def gamma(self, s, quad):
-        return 0.0
+        return np.zeros_like(s)
 
     def gamma_weighted_closed_form(self):
         return 0.0
@@ -564,26 +592,35 @@ def geometry(shape: Shape) -> ShapeGeometry:
     return shape.geometry
 
 
-def _check_unit(u, dim: int) -> np.ndarray:
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if u.shape != (dim,):
-        raise DimensionMismatchError(f"direction must have dimension {dim}")
-    if abs(np.linalg.norm(u) - 1.0) > 1e-12:
-        raise NonUnitVectorError(f"|u| = {np.linalg.norm(u)} is not 1")
-    return u
+def _rows(x, dim: int, what: str):
+    """(x as an (n, dim) array, whether x was a single point)."""
+    x = np.asarray(x, dtype=float)
+    rows = x.reshape(1, -1) if x.ndim <= 1 else x
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise DimensionMismatchError(f"{what} has shape {x.shape}, shape has dimension {dim}")
+    if not np.isfinite(rows).all():
+        raise DomainError(f"{what} must be finite, got {x}")
+    return rows, x.ndim <= 1
 
 
-def directional_variation(shape: Shape, u) -> float:
-    """Total variation of the indicator in direction u (twice the shadow width)."""
-    return shape.directional_variation(_check_unit(u, shape.dim))
+def directional_variation(shape: Shape, u):
+    """Total variation of the indicator (twice the shadow width) in one unit direction u,
+    a float, or in each row of an (n, dim) array."""
+    us, single = _rows(u, shape.dim, "direction")
+    norms = np.linalg.norm(us, axis=1)
+    worst = norms[np.argmax(np.abs(norms - 1.0))]
+    if abs(worst - 1.0) > 1e-12:
+        raise NonUnitVectorError(f"|u| = {worst} is not 1")
+    values = shape.directional_variation(us)
+    return float(values[0]) if single else values
 
 
-def covariance(shape: Shape, y) -> float:
-    """Set covariance g(y) = |Omega intersect (Omega + y)|."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (shape.dim,):
-        raise DimensionMismatchError(f"point has shape {y.shape}, shape has dimension {shape.dim}")
-    return shape.covariance(y)
+def covariance(shape: Shape, y):
+    """Set covariance g(y) = |Omega intersect (Omega + y)| at one point, a float, or at
+    each row of an (n, dim) array."""
+    ys, single = _rows(y, shape.dim, "point")
+    values = shape.covariance(ys)
+    return float(values[0]) if single else values
 
 
 def covariance_integral(shape: Shape, quad: QuadSpec = QuadSpec()) -> float:
@@ -601,13 +638,39 @@ def support_radius_at(shape: Shape, theta: float) -> float:
     return shape.support_radius_at(theta)
 
 
-def gamma(shape: Shape, s: float, quad: QuadSpec = QuadSpec()) -> float:
-    """gamma(ell * s): spherical deficit between V_u/2 and the covariance slope."""
-    if not 0.0 < s <= 1.0:
+def gamma(shape: Shape, s, quad: QuadSpec = QuadSpec()):
+    """gamma(ell * s): spherical deficit between V_u/2 and the covariance slope, for
+    one s in (0, 1], a float, or for each s of a 1-D array."""
+    ss = np.asarray(s, dtype=float)
+    single, ss = ss.ndim == 0, ss.reshape(-1)
+    if not np.all((0.0 < ss) & (ss <= 1.0)):
         raise DomainError(f"s must lie in (0, 1], got {s}")
-    value = shape.gamma(s, quad)
-    if value < -1e-8:
-        raise QuadratureError(f"gamma({s}) = {value} < 0 violates the slope bound")
+    values = shape.gamma(ss, quad)
+    i = np.argmin(values)
+    if values[i] < -1e-8:
+        raise QuadratureError(f"gamma({ss[i]}) = {values[i]} < 0 violates the slope bound")
+    return float(values[0]) if single else values
+
+
+def polar_integral(shape: Shape, weight, quad: QuadSpec, inner: QuadSpec, seeds=()) -> float:
+    """Integral over the plane of g(y) weight(|y|) for a 2-D shape, in polar coordinates.
+
+    A circle integral, with panels at the support kinks, of radial integrals
+    up to the support boundary, each seeded at the ``seeds`` below it; the
+    outer integrand runs one vectorised radial integral per angle node.
+    """
+    def per_angle(thetas):
+        out = np.empty(len(thetas))
+        for i, theta in enumerate(thetas):
+            rb = support_radius_at(shape, theta)
+            u = np.array([math.cos(theta), math.sin(theta)])
+            out[i], _ = integrate_1d(
+                lambda r: r * covariance(shape, r[:, None] * u) * weight(r),
+                0.0, rb, inner, points=[p for p in seeds if p < rb],
+            )
+        return out
+
+    value, _ = integrate_circle(per_angle, kinks=support_kinks(shape), spec=quad)
     return value
 
 
@@ -625,7 +688,7 @@ def perimeter_from_variations(shape: Shape, quad: QuadSpec = QuadSpec()) -> floa
     geo = geometry(shape)
     if geo.dim == 2:
         value, _ = integrate_circle(
-            lambda th: directional_variation(shape, (math.cos(th), math.sin(th))),
+            lambda th: directional_variation(shape, np.column_stack([np.cos(th), np.sin(th)])),
             kinks=support_kinks(shape),
             spec=quad,
         )
@@ -682,45 +745,21 @@ def gamma_weighted_integral(shape: Shape, quad: QuadSpec = QuadSpec(), max_k: in
 # Geometry helpers
 # ---------------------------------------------------------------------------
 
+def _boundary_terms(verts: np.ndarray) -> np.ndarray:
+    """(v_i - v_0) x e_i: twice the signed area of the triangle v_0, v_i, v_{i+1}."""
+    rel, edges = verts - verts[0], np.roll(verts, -1, axis=0) - verts
+    return rel[:, 0] * edges[:, 1] - rel[:, 1] * edges[:, 0]
+
+
 def _polygon_area(verts: np.ndarray) -> float:
-    x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    """Shoelace area in coordinates relative to vertex 0, so a translation changes nothing."""
+    return 0.5 * float(np.sum(_boundary_terms(verts)))
 
 
 def _turns(pts: np.ndarray) -> np.ndarray:
     """(b - a) x (c - a) at each vertex b of a closed polyline, a and c its neighbours."""
     a, c = np.roll(pts, 1, axis=0), np.roll(pts, -1, axis=0)
     return (pts[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (pts[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-
-
-def _clip_halfplane(poly: list, a: np.ndarray, b: np.ndarray) -> list:
-    """Keep the part of poly on the left of the directed line a -> b."""
-    out = []
-    n = len(poly)
-    d = b - a
-    for i in range(n):
-        p, q = poly[i], poly[(i + 1) % n]
-        sp = d[0] * (p[1] - a[1]) - d[1] * (p[0] - a[0])
-        sq = d[0] * (q[1] - a[1]) - d[1] * (q[0] - a[0])
-        if sp >= 0:
-            out.append(p)
-        if (sp > 0 > sq) or (sp < 0 < sq):
-            t = sp / (sp - sq)
-            out.append(p + t * (q - p))
-    return out
-
-
-def _polygon_intersection_area(verts: np.ndarray, offset: np.ndarray) -> float:
-    """Area of P intersected with P + offset via half-plane clipping."""
-    poly = [v.copy() for v in verts]
-    shifted = verts + offset
-    n = len(shifted)
-    for i in range(n):
-        poly = _clip_halfplane(poly, shifted[i], shifted[(i + 1) % n])
-        if len(poly) < 3:
-            return 0.0
-    area = _polygon_area(np.array(poly))
-    return area if area > 1e-14 else 0.0
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -745,32 +784,31 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
-def ball_covariance_radial(d: int, r: float) -> float:
-    """g_B(r e) for the unit ball in R^d, zero for r >= 2.
+def ball_covariance_radial(d: int, r: np.ndarray) -> np.ndarray:
+    """g_B(r e) for the unit ball in R^d at an array of radii, zero for r >= 2.
 
     Two caps of height 1 - s, s = r/2, give g_B(2s) = 2 w_{d-1} int_{asin s}^{pi/2} cos^d
     = w_d - 2 w_{d-1} (s - M_d) with M_d = int_0^{asin s} (cos - cos^d).
     """
-    if r < 0:
+    if np.any(r < 0):
         raise DomainError("radius must be nonnegative")
-    if r >= 2.0:
-        return 0.0
     if d == 1:
-        return 2.0 - r
-    s = r / 2.0
+        return np.maximum(0.0, 2.0 - r)
+    s = np.minimum(r, 2.0) / 2.0
     cap_gap = s - kernel.cos_power_deficit(d, s)
     # near r = 2 the difference is rounding noise of either sign
-    return max(0.0, kernel.unit_ball_volume(d) - 2.0 * kernel.unit_ball_volume(d - 1) * cap_gap)
+    g = np.maximum(0.0, kernel.unit_ball_volume(d) - 2.0 * kernel.unit_ball_volume(d - 1) * cap_gap)
+    return np.where(r >= 2.0, 0.0, g)
 
 
 # ---------------------------------------------------------------------------
 # The square's eight sector integrals
 # ---------------------------------------------------------------------------
 
-def _eta(i: int, theta: float) -> float:
+def _eta(i: int, theta: np.ndarray) -> np.ndarray:
     if i in (0, 3, 4, 7):
-        return 2.0 / abs(math.cos(theta))
-    return 2.0 / abs(math.sin(theta))
+        return 2.0 / np.abs(np.cos(theta))
+    return 2.0 / np.abs(np.sin(theta))
 
 
 def square_I_terms(quad: QuadSpec = QuadSpec()) -> list:
@@ -781,10 +819,10 @@ def square_I_terms(quad: QuadSpec = QuadSpec()) -> list:
 
         def integrand(theta, _i=i):
             eta = _eta(_i, theta)
-            ac, as_ = abs(math.cos(theta)), abs(math.sin(theta))
+            ac, as_ = np.abs(np.cos(theta)), np.abs(np.sin(theta))
             return (
                 ac * as_ * eta
-                + 2.0 * (ac + as_) * math.log(2.0 * SQRT2 / eta)
+                + 2.0 * (ac + as_) * np.log(2.0 * SQRT2 / eta)
                 + SQRT2 * (1.0 - 2.0 * SQRT2 / eta)
             )
 

@@ -13,6 +13,7 @@ from heatcov import (
     UnitBall,
     big_R,
     closed_form_constant,
+    covariance,
     decomposition,
     default_t_grid,
     gamma,
@@ -295,6 +296,34 @@ class TestMetamorphic:
     def test_scaled_square_routes_agree(self, quad):
         report = third_term(Rectangle(2.0, 2.0), quad)
         assert abs(report.C_extrapolated - report.C_formula) <= 1e-6
+
+    @pytest.mark.parametrize("shift", [(3.7, -1.2), (1e3, -1e3), (1e6, -1e6)])
+    def test_translation(self, shift, quad):
+        # areas are summed relative to vertex 0, so a far copy adds no rounding
+        corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+        triangle = ConvexPolygon(corners)
+        moved = ConvexPolygon([(x + shift[0], y + shift[1]) for x, y in corners])
+        ys = np.random.default_rng(8).uniform(-1.5, 1.5, (200, 2))
+        np.testing.assert_allclose(
+            covariance(moved, ys), covariance(triangle, ys), rtol=0.0, atol=1e-12
+        )
+        for s in (2.0**-8, 0.3, 0.7):
+            assert gamma(moved, s, quad) == pytest.approx(gamma(triangle, s, quad), abs=1e-10)
+        assert heat_content(moved, 0.05, quad) == pytest.approx(
+            heat_content(triangle, 0.05, quad), abs=1e-10
+        )
+
+    def test_thin_quadrilateral_small_t(self, quad):
+        # |Omega| - H = (Per/pi) t ln(1/t) + C t + o(t) at t = 1e-6, on a 50:1 sliver
+        quadrilateral = ConvexPolygon([(0.0, 0.0), (5.0, 0.0), (5.1, 0.2), (0.0, 0.1)])
+        geo, t = geometry(quadrilateral), 1e-6
+        c_formula = (
+            geo.volume * phi_slope(quadrilateral)
+            + geo.perimeter / math.pi * F_limit(quadrilateral)
+            - R_limit(quadrilateral, quad)
+        )
+        expansion = geo.volume - geo.perimeter / math.pi * t * math.log(1.0 / t) - c_formula * t
+        assert abs(heat_content(quadrilateral, t, quad) - expansion) <= 1e-4 * t
 
     def test_triangle_routes_agree(self, quad):
         # no closed form: the formula and the extrapolated limit check each other

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from heatcov import cli
 from heatcov.cli import main
 
 
@@ -35,6 +36,18 @@ class TestConstants:
         code, _, _ = run_cli(["constants", "--dim", "0"], capsys)
         assert code == 3
 
+    def test_arithmetic_fault_exits_3(self, capsys, monkeypatch):
+        # a ZeroDivisionError used to print a traceback and exit 1 (verification failure)
+        def divide(args):
+            return 1.0 / 0.0
+
+        monkeypatch.setattr(cli, "cmd_constants", divide)
+        code, out, err = run_cli(["constants", "--dim", "2"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: ")
+        assert "Traceback" not in err
+
 
 class TestCovariance:
     def test_ball2_origin(self, capsys):
@@ -52,6 +65,13 @@ class TestCovariance:
         )
         assert code == 0
         assert float(out) == pytest.approx(1.5, abs=1e-12)
+
+    def test_non_finite_point_exits_3(self, capsys):
+        # used to print 0 for the square and exit 0
+        code, out, err = run_cli(["covariance", "--shape", "square", "--point", "nan,0"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: point must be finite")
 
 
 class TestShapeFile:

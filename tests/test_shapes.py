@@ -172,6 +172,32 @@ class TestDirectionalVariation:
             directional_variation(UnitBall(2), (1.0, 1.0))
 
 
+BATCH_SHAPES = [UnitBall(1), UnitBall(2), UnitBall(5), Rectangle(1.0, 1.0), Rectangle(1.5, 0.5),
+                TRIANGLE, Interval(-0.5, 2.0)]
+
+
+@pytest.mark.parametrize(
+    "shape", BATCH_SHAPES, ids=["ball1", "ball2", "ball5", "square", "rect", "triangle", "interval"]
+)
+def test_batch_matches_single_points(shape, quad):
+    # (n, d) in, n values out; one point in, a float out
+    rng = np.random.default_rng(4)
+    ell = geometry(shape).support_radius
+    ys = rng.uniform(-1.2 * ell, 1.2 * ell, (9, shape.dim))
+    us = rng.standard_normal((9, shape.dim))
+    us /= np.linalg.norm(us, axis=1)[:, None]
+    ss = np.array([2.0**-30, 0.01, 0.3, 0.8, 1.0])
+    for batch, one, args in (
+        (covariance(shape, ys), covariance, ys),
+        (directional_variation(shape, us), directional_variation, us),
+        (gamma(shape, ss, quad), lambda sh, s: gamma(sh, s, quad), ss),
+    ):
+        assert batch.shape == (len(args),)
+        singles = [one(shape, a) for a in args]
+        assert all(isinstance(v, float) for v in singles)
+        np.testing.assert_array_equal(batch, singles)
+
+
 class TestPerimeterIdentity:
     def test_ball2(self, quad):
         assert perimeter_from_variations(UnitBall(2), quad) == pytest.approx(
