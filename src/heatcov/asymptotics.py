@@ -6,10 +6,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import kernel, shapes
+from . import kernel
 from .errors import DomainError, InconsistentConstantError
-from .quadrature import QuadSpec, extrapolate_limit, integrate_1d
-from .shapes import Shape, gamma, gamma_weighted_integral, geometry
+from .quadrature import QuadSpec, extrapolate_limit
+from .shapes import Shape, gamma_weighted_integral, geometry
 
 
 def _check_t(t: float) -> float:
@@ -22,33 +22,10 @@ def _check_t(t: float) -> float:
 # Heat content
 # ---------------------------------------------------------------------------
 
-def _radial_heat_content(d: int, ell: float, gbar, t: float, quad: QuadSpec) -> float:
-    """H = A_d kappa_d t * integral of r^(d-1) gbar(r) (t^2+r^2)^(-(d+1)/2)."""
-    pref = kernel.unit_sphere_area(d) * kernel.kappa(d) * t
-
-    def f(r):
-        return r ** (d - 1) * gbar(r) * (t * t + r * r) ** (-(d + 1) / 2.0)
-
-    # the kernel factor peaks at the scale of t; seed panels there
-    pts = [p for p in (t, 4 * t, 16 * t, 64 * t, 256 * t) if p < ell]
-    val, _ = integrate_1d(f, 0.0, ell, quad, points=pts)
-    return pref * val
-
-
 def heat_content(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> float:
     """H(t): mass kept by Omega under the Poisson kernel, clamped to [0, |Omega|]."""
     t = _check_t(t)
-    geo = geometry(shape)
-    gbar = shape.radial_profile()
-    if gbar is not None:
-        value = _radial_heat_content(geo.dim, geo.support_radius, gbar, t, quad)
-    else:
-        # 2-D polar sectors: the integrand is smooth within each sector; the
-        # kernel factor peaks at the scale of t, so seed the radial panels there
-        seeds = (t, 4 * t, 16 * t, 64 * t, 256 * t)
-        outer = shapes.polar_integral(shape, lambda r: (t * t + r * r) ** -1.5, quad, quad, seeds)
-        value = kernel.kappa(2) * t * outer
-    return min(max(value, 0.0), geo.volume)
+    return min(max(shape.heat_content(t, quad), 0.0), geometry(shape).volume)
 
 
 # ---------------------------------------------------------------------------
@@ -100,19 +77,7 @@ def F_limit(shape: Shape) -> float:
 def big_R(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> float:
     """R(t) = ell^(d+1) kappa_d * int_0^1 s^d gamma(ell s) (t^2 + ell^2 s^2)^-(d+1)/2 ds."""
     t = _check_t(t)
-    geo = geometry(shape)
-    d = geo.dim
-    ell = geo.support_radius
-    if shape.gamma_vanishes:
-        return 0.0
-    pref = ell ** (d + 1) * kernel.kappa(d)
-
-    def f(s):
-        return s**d * gamma(shape, s, quad) * (t * t + ell * ell * s * s) ** (-(d + 1) / 2.0)
-
-    pts = sorted({2.0**-k for k in range(1, 24)} | {min(1.0, t / ell)} - {1.0})
-    val, _ = integrate_1d(f, 0.0, 1.0, quad, points=pts)
-    return pref * val
+    return 0.0 if shape.gamma_vanishes else shape.big_R(t, quad)
 
 
 def R_limit(shape: Shape, quad: QuadSpec = QuadSpec()) -> float:

@@ -35,7 +35,3 @@ class ExtrapolationError(HeatcovError, RuntimeError):
 
 class InconsistentConstantError(HeatcovError, RuntimeError):
     """Formula-assembled constant disagrees with its closed form."""
-
-
-class SamplingError(HeatcovError, RuntimeError):
-    """Rejection sampling exceeded its retry cap."""

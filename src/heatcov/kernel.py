@@ -1,7 +1,8 @@
 """Dimension constants, Poisson (Cauchy) kernel, and the universal 1-D integrals.
 
 Everything here is a pure function of the dimension ``d`` and, for the
-kernel and the 1-D integrals, of one point or upper limit.  The 1-D
+kernel and the 1-D integrals, of one point or upper limit (or, for the means
+of asinh that the polygon chord integrals sum, of an interval).  The 1-D
 integrals are exact recurrences, not quadratures.  The gamma function is only ever
 needed at integer and half-integer arguments, so it is computed by exact
 recursion from Gamma(1) = 1 and Gamma(1/2) = sqrt(pi) instead of a
@@ -118,6 +119,40 @@ def _a_minus_sin(a: np.ndarray) -> np.ndarray:
         k += 2
         term *= -a * a / ((k - 1) * k)
     return total
+
+
+def asinh_mean(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """Mean of asinh over [a0, a1], 0 <= a0 <= a1, without cancellation.
+
+    It is asinh a1 + a0 (asinh a1 - asinh a0)/(a1 - a0) - (a1 + a0)/(s1 + s0) with
+    s = sqrt(1 + a^2), and asinh a1 - asinh a0 = asinh((a1 - a0) q) with
+    q = (a1 + a0)/(a1 s0 + a0 s1).
+    """
+    s0, s1 = np.sqrt(1.0 + a0 * a0), np.sqrt(1.0 + a1 * a1)
+    q = (a1 + a0) / (a1 * s0 + a0 * s1)
+    dq = (a1 - a0) * q
+    slope = np.where(dq > 0.0, np.arcsinh(dq) / dq, 1.0) * q
+    return np.arcsinh(a1) + np.where(a0 > 0.0, a0 * slope, 0.0) - (a1 + a0) / (s1 + s0)
+
+
+# z - asinh z = sum over k >= 1 of _ASINH_SERIES[k - 1] z^(2k+1)
+_ASINH_SERIES = [(-1) ** (k + 1) * math.comb(2 * k, k) / 4**k / (2 * k + 1) for k in range(1, 15)]
+
+
+def z_minus_asinh_mean(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """Mean of z - asinh z over [a0, a1], 0 <= a0 <= a1.
+
+    Where a1 <= 1/4 the difference cancels, so it is summed as a series: the mean
+    of z^p over the piece is h_p / (p + 1), h_p = sum of a1^i a0^(p - i), a sum of
+    nonnegative terms.
+    """
+    series, h, power = np.zeros_like(a1), np.ones_like(a1), np.ones_like(a1)
+    for p in range(1, 2 * len(_ASINH_SERIES) + 2):
+        power = power * a1
+        h = power + a0 * h
+        if p >= 3 and p % 2:
+            series += _ASINH_SERIES[(p - 3) // 2] * h / (p + 1)
+    return np.where(a1 <= 0.25, series, 0.5 * (a0 + a1) - asinh_mean(a0, a1))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from numbers import Integral
 from typing import Callable, Optional, Sequence
 
@@ -30,13 +30,12 @@ from .errors import (
     InvalidShapeError,
     NonUnitVectorError,
     QuadratureError,
-    SamplingError,
 )
 from .quadrature import QuadSpec, integrate_1d, integrate_circle, integrate_sphere
 
 SQRT2 = math.sqrt(2.0)
-REJECTION_CAP_FACTOR = 1000
-# points x edges^2 per chunk of the batched polygon covariance, bounding its temporaries
+# points x edges^2 per chunk of the batched polygon covariance and chord table, bounding
+# their temporaries
 _PAIR_ENTRIES = 1 << 16
 
 
@@ -78,9 +77,12 @@ class Shape(ABC):
     def covariance(self, ys: np.ndarray) -> np.ndarray:
         """Set covariance g(y) = |Omega intersect (Omega + y)| at the rows of an (n, dim) array."""
 
-    @abstractmethod
     def covariance_integral(self, quad: QuadSpec) -> float:
-        """Integral of g over its support; equals |Omega|^2."""
+        """Integral of g over its support; equals |Omega|^2.  The default integrates the
+        radial profile gbar: A_d int_0^ell r^(d-1) gbar(r) dr."""
+        d, gbar = self.dim, self.radial_profile()
+        val, _ = integrate_1d(lambda r: r ** (d - 1) * gbar(r), 0.0, self.geometry.support_radius, quad)
+        return kernel.unit_sphere_area(d) * val
 
     @abstractmethod
     def directional_variation(self, us: np.ndarray) -> np.ndarray:
@@ -101,6 +103,62 @@ class Shape(ABC):
     def radial_profile(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
         """g as a function of |y|, mapping an array of radii to values, when g is radial."""
         return None
+
+    def heat_content(self, t: float, quad: QuadSpec) -> float:
+        """H(t), unclamped.  The default integrates the radial profile gbar:
+        A_d kappa_d t * int_0^ell r^(d-1) gbar(r) (t^2+r^2)^(-(d+1)/2) dr."""
+        d, ell, gbar = self.dim, self.geometry.support_radius, self.radial_profile()
+
+        def f(r):
+            return r ** (d - 1) * gbar(r) * (t * t + r * r) ** (-(d + 1) / 2.0)
+
+        # the kernel factor peaks at the scale of t; seed panels there
+        pts = [p for p in (t, 4 * t, 16 * t, 64 * t, 256 * t) if p < ell]
+        val, _ = integrate_1d(f, 0.0, ell, quad, points=pts)
+        return kernel.unit_sphere_area(d) * kernel.kappa(d) * t * val
+
+    def big_R(self, t: float, quad: QuadSpec) -> float:
+        """R(t) = ell^(d+1) kappa_d * int_0^1 s^d gamma(ell s) (t^2 + ell^2 s^2)^-(d+1)/2 ds."""
+        d, ell = self.dim, self.geometry.support_radius
+
+        def f(s):
+            return s**d * gamma(self, s, quad) * (t * t + ell * ell * s * s) ** (-(d + 1) / 2.0)
+
+        pts = sorted({2.0**-k for k in range(1, 24)} | {min(1.0, t / ell)} - {1.0})
+        val, _ = integrate_1d(f, 0.0, 1.0, quad, points=pts)
+        return ell ** (d + 1) * kernel.kappa(d) * val
+
+    def gamma_weighted_integral(self, quad: QuadSpec) -> tuple:
+        """(value, integrable, err) of int_0^1 gamma(ell s)/s ds.  The default sums
+        dyadic panels from the smallest scale up; the integrable flag records whether
+        their contributions decay geometrically (the class-W diagnostic)."""
+        contributions = []
+        errors = []
+        for k in range(49):  # dyadic panels down to [2^-49, 2^-48]
+            lo, hi = 2.0 ** (-k - 1), 2.0 ** (-k)
+            val, err = integrate_1d(lambda s: gamma(self, s, quad) / s, lo, hi, quad)
+            contributions.append(val)
+            errors.append(err)
+            if k >= 4 and abs(val) < 1e-3 * quad.abs_tol:
+                break
+        ratios = [
+            abs(contributions[i + 1]) / abs(contributions[i])
+            for i in range(len(contributions) - 1)
+            if abs(contributions[i]) > 0
+        ]
+        tail_ratios = ratios[-4:] if len(ratios) >= 4 else ratios
+        growing = sum(1 for r in ratios[-3:] if r >= 1.0)
+        last = abs(contributions[-1])
+        if growing >= 3 and last > quad.abs_tol:
+            raise DivergenceSuspectedError(
+                "dyadic contributions of s^-1 * gamma fail to decay"
+            )
+        integrable = bool(tail_ratios) and max(tail_ratios) < 0.95
+        r_tail = min(max(tail_ratios, default=0.0), 0.9)
+        truncation = last * r_tail / (1.0 - r_tail)
+        value = math.fsum(reversed(contributions))
+        err = math.fsum(errors) + truncation
+        return value, integrable, err
 
     def support_kinks(self) -> list:
         """Angles where circle integrands for this shape lose smoothness."""
@@ -141,12 +199,6 @@ class UnitBall(Shape):
     def radial_profile(self):
         return lambda r: ball_covariance_radial(self.d, r)
 
-    def covariance_integral(self, quad):
-        val, _ = integrate_1d(
-            lambda r: r ** (self.d - 1) * ball_covariance_radial(self.d, r), 0.0, 2.0, quad
-        )
-        return kernel.unit_sphere_area(self.d) * val
-
     def directional_variation(self, us):
         return np.full(len(us), 2.0 * kernel.unit_ball_volume(self.d - 1) if self.d >= 2 else 2.0)
 
@@ -183,12 +235,17 @@ class UnitBall(Shape):
 
 
 class PlanarPolytope(Shape):
-    """A convex polygon: supplies its vertices, derives the rest.
+    """A convex polygon: supplies its vertices, derives the rest from its chords.
 
-    The covariance support is the difference body Omega - Omega.  Along
-    rays, g is piecewise quadratic; its pieces change at the corner angles
-    of that body, at the edge directions of the shape itself, and at radii
-    no smaller than ``first_breakpoint``.
+    For u = (cos theta, sin theta) and n = (-sin theta, cos theta), the chord
+    length c(x) of the line x n + R u is linear between the offsets x of the
+    vertices (``chord_table``).  With ell the diameter, every quantity of the
+    expansion is then one theta-integral over [0, pi) of closed-form sums over
+    the linear pieces of c (``_chord_integral``):
+    g(r u) = int (c - r)_+ dx, |Omega| - H(t) = (t/pi) int int asinh(c/t),
+    gamma(r) = (2/r) int int (r - c)_+, int g = (1/3) int int c^3,
+    R(t) = (1/pi) int int [asinh(ell/t) - asinh(c/t) - (ell - c)/sqrt(t^2 + ell^2)]
+    and int_0^1 gamma(ell s)/s ds = 2 int int [ln(ell/c) - 1 + c/ell].
     """
 
     @property
@@ -202,56 +259,75 @@ class PlanarPolytope(Shape):
         return np.roll(self.vertex_array, -1, axis=0) - self.vertex_array
 
     @cached_property
-    def difference_body(self) -> np.ndarray:
-        """Vertices (CCW) of the covariance support, the difference body of Omega."""
-        verts = self.vertex_array
-        return _convex_hull((verts[:, None, :] - verts[None, :, :]).reshape(-1, 2))
+    def _order_changes(self) -> list:
+        """Directions of v_j - v_i in [0, pi), where the order of the vertex offsets changes.
 
-    @cached_property
-    def first_breakpoint(self) -> float:
-        """r_1: the least distance from a vertex to an edge not incident to it.
-
-        P and P + r u change combinatorial type only when a vertex of one crosses
-        an edge of the other, so g is quadratic in r on [0, r_1] along every ray.
+        Between two of them every chord-table integrand is analytic in theta.
+        They are rounded to 12 decimals, so that a regular polygon's equal
+        directions give n seeds, not n(n - 1)/2.
         """
-        verts, edges = self.vertex_array, self.edge_directions
-        n = len(verts)
-        rel = verts[None, :, :] - verts[:, None, :]  # [j, i] = v_i - v_j
-        foot = np.einsum("jik,jk->ji", rel, edges) / np.einsum("jk,jk->j", edges, edges)[:, None]
-        dist = np.linalg.norm(rel - np.clip(foot, 0.0, 1.0)[..., None] * edges[:, None, :], axis=2)
-        j, i = np.indices((n, n))
-        return float(dist[(i != j) & (i != (j + 1) % n)].min())
+        i, j = np.triu_indices(len(self.vertex_array), 1)
+        d = self.vertex_array[j] - self.vertex_array[i]
+        return sorted(set(np.round(np.arctan2(d[:, 1], d[:, 0]) % math.pi, 12).tolist()))
+
+    def chord_table(self, thetas) -> tuple:
+        """Vertex offsets and chord lengths for each direction theta of a 1-D array.
+
+        Returns (x, c) as (m, n) arrays: row i holds the offsets of the vertices
+        along n, relative to vertex 0 and sorted, and the lengths of the chords
+        in direction u through them; c is linear in between.  A chord spans the
+        points where its line meets the boundary: the vertices at its offset and
+        the edges whose ends lie strictly on either side.  So the chords at the
+        two extreme offsets are exactly 0, or the length of an edge parallel to u.
+        """
+        thetas = np.asarray(thetas, dtype=float).reshape(-1)
+        rel = self.vertex_array - self.vertex_array[0]
+        cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+        along, off = rel[:, 0] * cos + rel[:, 1] * sin, rel[:, 1] * cos - rel[:, 0] * sin
+        c = np.empty_like(off)
+        step = max(1, _PAIR_ENTRIES // len(rel) ** 2)
+        for k in range(0, len(thetas), step):
+            a, p = along[k : k + step, None, :], off[k : k + step, None, :]  # [m, ., edge j]
+            x = off[k : k + step, :, None]  # [m, vertex i, .]: the chord through v_i
+            a1, p1 = np.roll(a, -1, axis=2), np.roll(p, -1, axis=2)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                at = a + (x - p) / (p1 - p) * (a1 - a)
+            cross = (x - p) * (x - p1) < 0.0
+            top = np.maximum(np.where(cross, at, -np.inf).max(axis=2), np.where(x == p, a, -np.inf).max(axis=2))
+            bottom = np.minimum(np.where(cross, at, np.inf).min(axis=2), np.where(x == p, a, np.inf).min(axis=2))
+            c[k : k + step] = top - bottom
+        order = np.argsort(off, axis=1)
+        return np.take_along_axis(off, order, axis=1), np.take_along_axis(c, order, axis=1)
+
+    def _chord_integral(self, mean, quad: QuadSpec, seeds=()) -> tuple:
+        """(value, err) of int_0^pi sum over the pieces of c of width * mean(lo, hi) dtheta.
+
+        mean(lo, hi) is the mean of a function of c over a piece on which c runs
+        linearly between lo <= hi; the panels are seeded where the offsets change
+        order and at ``seeds``.
+        """
+        def per_direction(thetas):
+            x, c = self.chord_table(thetas)
+            lo, hi = np.minimum(c[:, :-1], c[:, 1:]), np.maximum(c[:, :-1], c[:, 1:])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.sum(np.diff(x, axis=1) * mean(lo, hi), axis=1)
+
+        return integrate_1d(per_direction, 0.0, math.pi, quad, points=[*self._order_changes, *seeds])
 
     def support_kinks(self):
-        angles = {math.atan2(v[1], v[0]) % (2.0 * math.pi) for v in self.difference_body}
-        for e in self.edge_directions:
-            a = math.atan2(e[1], e[0])
-            angles.add(a % (2.0 * math.pi))
-            angles.add((a + math.pi) % (2.0 * math.pi))
-        return sorted(angles)
+        """Edge directions and their opposites, where |e_j x u| creases."""
+        a = np.arctan2(self.edge_directions[:, 1], self.edge_directions[:, 0])
+        return sorted(np.concatenate([a, a + math.pi]) % (2.0 * math.pi))
 
     def support_radius_at(self, theta):
-        u = np.array([math.cos(theta), math.sin(theta)])
-        body = self.difference_body
-        n = len(body)
-        r_min = math.inf
-        for i in range(n):
-            a, b = body[i], body[(i + 1) % n]
-            edge = b - a
-            normal = np.array([edge[1], -edge[0]])  # outward for CCW
-            c = float(np.dot(normal, a))
-            du = float(np.dot(normal, u))
-            if du > 1e-15:
-                r_min = min(r_min, c / du)
-        if not math.isfinite(r_min):
-            raise QuadratureError(f"no support boundary in direction {theta}")
-        return r_min
+        """The longest chord in direction theta."""
+        return float(self.chord_table([theta])[1].max())
 
     def _circle_crossing_kinks(self, r: float) -> list:
         """Angles where the circle of radius r crosses a segment edge_j - v_i or v_i - edge_j.
 
-        On those segments a vertex of one copy meets an edge of the other,
-        so g(r u) changes its formula there; the support boundary is among them.
+        On those segments a vertex of one copy meets an edge of the other, so
+        there the chord through a vertex has length r.
         """
         verts, edges = self.vertex_array, self.edge_directions
         # segment [i n + j] = edge_j - v_i runs from v_j - v_i along e_j
@@ -264,37 +340,61 @@ class PlanarPolytope(Shape):
         angles = []
         for t in ((-bb - sq) / (2.0 * aa), (-bb + sq) / (2.0 * aa)):
             p = (a + t[:, None] * d)[(disc >= 0.0) & (0.0 <= t) & (t <= 1.0)]
-            p = np.concatenate([p, -p])  # v_i - edge_j is the mirror image
-            angles += (np.arctan2(p[:, 1], p[:, 0]) % (2.0 * math.pi)).tolist()
+            angles += (np.arctan2(p[:, 1], p[:, 0]) % math.pi).tolist()
         return angles
 
     def gamma(self, s, quad):
-        """The deficit V_u/2 - (g(0) - g(r u))/r integrated over the circle.
+        """gamma(r) = 2 r int int (r - c)_+ / r^2, one theta-integral per r.
 
-        On [0, r_1] the deficit is r q(u) along every ray, so gamma is
-        linear there; below r_0 = r_1/2 it is scaled from gamma(r_0), which
-        keeps the cancellation in g(0) - g(r u) out of small r.
+        Below the shortest chord through a non-extreme vertex only the end
+        pieces, where c rises from 0, contribute, each w / (2 c_1) whatever r:
+        so gamma is exactly linear there.
         """
-        r = self.geometry.support_radius * s
-        r0 = 0.5 * self.first_breakpoint
-        deficit = np.array([self._deficit_integral(float(x), quad) for x in np.maximum(r, r0)])
-        return np.where(r < r0, r / r0 * deficit, deficit)
+        out = np.empty(len(s))
+        for i, r in enumerate(self.geometry.support_radius * s):
 
-    @lru_cache(maxsize=4096)
-    def _deficit_integral(self, r, quad):
-        g0 = self.geometry.volume
+            def mean(lo, hi, r=r):
+                part = ((r - lo) / r) ** 2 / (2.0 * (hi - lo))
+                return np.where(hi <= r, (1.0 - (lo + hi) / (2.0 * r)) / r, np.where(lo < r, part, 0.0))
 
-        def deficit(theta):
-            u = np.column_stack([np.cos(theta), np.sin(theta)])
-            return directional_variation(self, u) / 2.0 - (g0 - covariance(self, u * r)) / r
+            value, _ = self._chord_integral(mean, quad, seeds=self._circle_crossing_kinks(r))
+            out[i] = 2.0 * r * value
+        return out
 
-        kinks = self.support_kinks() + self._circle_crossing_kinks(r)
-        value, _ = integrate_circle(deficit, kinks=kinks, spec=quad)
-        return value
+    def heat_content(self, t, quad):
+        """|Omega| - (t/pi) int int asinh(c/t) for t below the diameter, else, free of
+        that cancellation, (1/pi) int int (c - t asinh(c/t))."""
+        if t < self.geometry.support_radius:
+            value, _ = self._chord_integral(lambda lo, hi: kernel.asinh_mean(lo / t, hi / t), quad)
+            return self.geometry.volume - t / math.pi * value
+        value, _ = self._chord_integral(lambda lo, hi: t * kernel.z_minus_asinh_mean(lo / t, hi / t), quad)
+        return value / math.pi
+
+    def big_R(self, t, quad):
+        ell = self.geometry.support_radius
+        a_ell, s_ell = math.asinh(ell / t), math.hypot(t, ell)
+
+        def mean(lo, hi):
+            return a_ell - kernel.asinh_mean(lo / t, hi / t) - (ell - 0.5 * (lo + hi)) / s_ell
+
+        value, _ = self._chord_integral(mean, quad)
+        return value / math.pi
+
+    def gamma_weighted_integral(self, quad):
+        ell = self.geometry.support_radius
+
+        def mean(lo, hi):
+            # the mean of ln c is ln hi - 1 + log1p(z)/z with z = (hi - lo)/lo, or ln hi - 1 if lo = 0
+            z = (hi - lo) / lo
+            log_ratio = np.where(lo > 0.0, np.where(z > 0.0, np.log1p(z) / z, 1.0), 0.0)
+            return np.log(ell / hi) - log_ratio + 0.5 * (lo + hi) / ell
+
+        value, err = self._chord_integral(mean, quad)
+        return 2.0 * value, True, 2.0 * err
 
     def covariance_integral(self, quad):
-        inner = QuadSpec(abs_tol=max(quad.abs_tol, 1e-9), rel_tol=max(quad.rel_tol, 1e-9))
-        return polar_integral(self, lambda r: 1.0, quad, inner)
+        value, _ = self._chord_integral(lambda lo, hi: (lo + hi) * (lo * lo + hi * hi) / 4.0, quad)
+        return value / 3.0
 
 
 @dataclass(frozen=True)
@@ -342,20 +442,6 @@ class Rectangle(PlanarPolytope):
         y = rng.uniform(-self.h2, self.h2, n)
         return np.column_stack([x, y])
 
-    def gamma(self, s, quad):
-        if not self.is_unit_square:
-            return super().gamma(s, quad)
-        # gamma_Q(2*sqrt(2)*s) for the square [-1,1]^2, from the sector split; for
-        # s <= 1/sqrt(2), tstar = 0 and it is exactly the linear law 4 sqrt(2) s
-        tstar = np.arccos(np.minimum(1.0, 1.0 / (SQRT2 * s)))
-        st, ct = np.sin(tstar), np.cos(tstar)
-        sector = (
-            2.0 * (st + 1.0 - ct)
-            - SQRT2 * tstar / s
-            + 2.0 * SQRT2 * s * (0.25 - 0.5 * st * st)
-        )
-        return 8.0 * sector
-
     def gamma_weighted_closed_form(self):
         if self.is_unit_square:
             return 2.0 * SQRT2 * (math.pi - 8.0) + 8.0 * math.log(2.0 * (3.0 + 2.0 * SQRT2))
@@ -386,10 +472,12 @@ class ConvexPolygon(PlanarPolytope):
             raise InvalidShapeError("polygon needs at least 3 vertices")
         if not np.all(np.isfinite(pts)):
             raise InvalidShapeError("polygon vertices must be finite")
-        if np.any(np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1) < 1e-12):
+        # tolerances relative to the diameter, so that a scaled copy is valid when the shape is
+        diam = _diameter(pts)
+        if np.any(np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1) <= 1e-12 * diam):
             raise InvalidShapeError("polygon has a repeated vertex")
         # drop collinear vertices, then demand strict convexity and CCW order
-        kept = pts[np.abs(_turns(pts)) > 1e-12]
+        kept = pts[np.abs(_turns(pts)) > 1e-12 * diam * diam]
         if len(kept) < 3:
             raise InvalidShapeError("polygon is degenerate after removing collinear points")
         if np.any(_turns(kept) <= 0):
@@ -406,13 +494,8 @@ class ConvexPolygon(PlanarPolytope):
     def geometry(self) -> ShapeGeometry:
         verts = self.vertex_array
         per = float(np.sum(np.linalg.norm(self.edge_directions, axis=1)))
-        diam = max(
-            float(np.linalg.norm(verts[i] - verts[j]))
-            for i in range(len(verts))
-            for j in range(i + 1, len(verts))
-        )
         return ShapeGeometry(
-            volume=_polygon_area(verts), perimeter=per, support_radius=diam, dim=2
+            volume=_polygon_area(verts), perimeter=per, support_radius=_diameter(verts), dim=2
         )
 
     @cached_property
@@ -458,7 +541,7 @@ class ConvexPolygon(PlanarPolytope):
             len_q = np.where((par & out_q).any(axis=1), 0.0, np.maximum(len_q, 0.0))
             y_cross_e = y[:, :1] * ey - y[:, 1:] * ex
             out[k : k + step] = 0.5 * np.sum(len_p * c + len_q * (c + y_cross_e), axis=1)
-        return np.where(out > 1e-14, out, 0.0)
+        return np.where(out > 1e-14 * self.geometry.volume, out, 0.0)
 
     def directional_variation(self, us):
         edges = self.edge_directions
@@ -477,24 +560,26 @@ class ConvexPolygon(PlanarPolytope):
         return inside
 
     def sample(self, rng, n):
-        """Rejection sampling from the bounding box, with a cap on the draws."""
+        """Triangle fan from vertex 0: a triangle drawn by area, then a uniform point in it.
+
+        Where the first draw falls within its triangle's share of the area is
+        the first barycentric draw.
+        """
         verts = self.vertex_array
-        lo, hi = verts.min(axis=0), verts.max(axis=0)
-        box_area = float(np.prod(hi - lo))
-        area = self.geometry.volume
+        rel = verts - verts[0]
+        twice_area = _boundary_terms(verts)[1:-1]  # triangles v_0, v_i, v_{i+1}
+        start = np.concatenate([[0.0], np.cumsum(twice_area)])
+        draws = rng.random((2, n))
+        u, v = draws
+        u *= start[-1]
+        k = np.searchsorted(start[1:-1], u, side="right")
+        u -= start[k]
+        u /= twice_area[k]
+        fold = u + v > 1.0
+        u[fold], v[fold] = 1.0 - u[fold], 1.0 - v[fold]
         out = np.empty((n, 2))
-        filled = 0
-        drawn = 0
-        cap = REJECTION_CAP_FACTOR * max(1, math.ceil(n * box_area / area))
-        while filled < n:
-            m = max(n - filled, 1024)
-            pts = rng.uniform(lo, hi, (m, 2))
-            sel = pts[self.contains(pts)][: n - filled]
-            out[filled : filled + len(sel)] = sel
-            filled += len(sel)
-            drawn += m
-            if drawn > cap:
-                raise SamplingError("rejection sampling cap exceeded")
+        for axis in (0, 1):
+            out[:, axis] = verts[0, axis] + rel[k + 1, axis] * u + rel[k + 2, axis] * v
         return out
 
     def closed_form_constant(self):
@@ -528,11 +613,6 @@ class Interval(Shape):
 
     def radial_profile(self):
         return lambda r: np.maximum(0.0, self.length - r)
-
-    def covariance_integral(self, quad):
-        ell = self.length
-        val, _ = integrate_1d(lambda y: np.maximum(0.0, ell - np.abs(y)), -ell, ell, quad)
-        return val
 
     def directional_variation(self, us):
         return np.full(len(us), 2.0)
@@ -628,11 +708,6 @@ def covariance_integral(shape: Shape, quad: QuadSpec = QuadSpec()) -> float:
     return shape.covariance_integral(quad)
 
 
-def support_kinks(shape: Shape) -> list:
-    """Angles where circle integrands for this shape lose smoothness."""
-    return shape.support_kinks()
-
-
 def support_radius_at(shape: Shape, theta: float) -> float:
     """Distance from the origin to the support boundary in direction theta."""
     return shape.support_radius_at(theta)
@@ -652,28 +727,6 @@ def gamma(shape: Shape, s, quad: QuadSpec = QuadSpec()):
     return float(values[0]) if single else values
 
 
-def polar_integral(shape: Shape, weight, quad: QuadSpec, inner: QuadSpec, seeds=()) -> float:
-    """Integral over the plane of g(y) weight(|y|) for a 2-D shape, in polar coordinates.
-
-    A circle integral, with panels at the support kinks, of radial integrals
-    up to the support boundary, each seeded at the ``seeds`` below it; the
-    outer integrand runs one vectorised radial integral per angle node.
-    """
-    def per_angle(thetas):
-        out = np.empty(len(thetas))
-        for i, theta in enumerate(thetas):
-            rb = support_radius_at(shape, theta)
-            u = np.array([math.cos(theta), math.sin(theta)])
-            out[i], _ = integrate_1d(
-                lambda r: r * covariance(shape, r[:, None] * u) * weight(r),
-                0.0, rb, inner, points=[p for p in seeds if p < rb],
-            )
-        return out
-
-    value, _ = integrate_circle(per_angle, kinks=support_kinks(shape), spec=quad)
-    return value
-
-
 def gamma_weighted_closed_form(shape: Shape) -> Optional[float]:
     """Known closed-form values of the s^-1-weighted gamma integral."""
     return shape.gamma_weighted_closed_form()
@@ -689,7 +742,7 @@ def perimeter_from_variations(shape: Shape, quad: QuadSpec = QuadSpec()) -> floa
     if geo.dim == 2:
         value, _ = integrate_circle(
             lambda th: directional_variation(shape, np.column_stack([np.cos(th), np.sin(th)])),
-            kinks=support_kinks(shape),
+            kinks=shape.support_kinks(),
             spec=quad,
         )
         return value / (2.0 * kernel.unit_ball_volume(1))
@@ -699,46 +752,14 @@ def perimeter_from_variations(shape: Shape, quad: QuadSpec = QuadSpec()) -> floa
     raise DomainError("perimeter_from_variations supports dim 2 and 3 only")
 
 
-def gamma_weighted_integral(shape: Shape, quad: QuadSpec = QuadSpec(), max_k: int = 48):
-    """Integral over (0, 1] of gamma(ell*s)/s by dyadic panels.
+def gamma_weighted_integral(shape: Shape, quad: QuadSpec = QuadSpec()):
+    """Integral over (0, 1] of gamma(ell*s)/s, as (value, integrable, err_estimate).
 
-    Returns (value, integrable, err_estimate).  Panels are summed from the
-    smallest scale up; the integrable flag records whether the dyadic
-    contributions decay geometrically (the class-W diagnostic).
+    The integrable flag records whether the integral converges (class W).
     """
     if shape.gamma_vanishes:
         return 0.0, True, 0.0
-
-    def integrand(s):
-        return gamma(shape, s, quad) / s
-
-    contributions = []
-    errors = []
-    for k in range(max_k + 1):
-        lo, hi = 2.0 ** (-k - 1), 2.0 ** (-k)
-        val, err = integrate_1d(integrand, lo, hi, quad)
-        contributions.append(val)
-        errors.append(err)
-        if k >= 4 and abs(val) < 1e-3 * quad.abs_tol:
-            break
-    ratios = [
-        abs(contributions[i + 1]) / abs(contributions[i])
-        for i in range(len(contributions) - 1)
-        if abs(contributions[i]) > 0
-    ]
-    tail_ratios = ratios[-4:] if len(ratios) >= 4 else ratios
-    growing = sum(1 for r in ratios[-3:] if r >= 1.0)
-    last = abs(contributions[-1])
-    if growing >= 3 and last > quad.abs_tol:
-        raise DivergenceSuspectedError(
-            "dyadic contributions of s^-1 * gamma fail to decay"
-        )
-    integrable = bool(tail_ratios) and max(tail_ratios) < 0.95
-    r_tail = min(max(tail_ratios, default=0.0), 0.9)
-    truncation = last * r_tail / (1.0 - r_tail)
-    value = math.fsum(reversed(contributions))
-    err = math.fsum(errors) + truncation
-    return value, integrable, err
+    return shape.gamma_weighted_integral(quad)
 
 
 # ---------------------------------------------------------------------------
@@ -756,32 +777,14 @@ def _polygon_area(verts: np.ndarray) -> float:
     return 0.5 * float(np.sum(_boundary_terms(verts)))
 
 
+def _diameter(pts: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)))
+
+
 def _turns(pts: np.ndarray) -> np.ndarray:
     """(b - a) x (c - a) at each vertex b of a closed polyline, a and c its neighbours."""
     a, c = np.roll(pts, 1, axis=0), np.roll(pts, -1, axis=0)
     return (pts[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (pts[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-
-
-def _convex_hull(points: np.ndarray) -> np.ndarray:
-    pts = sorted({(float(p[0]), float(p[1])) for p in points})
-    if len(pts) < 3:
-        raise InvalidShapeError("degenerate point set for hull")
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 1e-14:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    return np.array(lower[:-1] + upper[:-1])
 
 
 def ball_covariance_radial(d: int, r: np.ndarray) -> np.ndarray:

@@ -1,37 +1,32 @@
 """Outputs pinned against recorded values and an independent reference.
 
 The CSV files under ``data/`` were written by the sweep of the scalar-integrand
-code this package replaced; the polygon covariance is checked against the
-half-plane clipping it replaced (``conftest.clipped_intersection_area``) on the
-polygons the benchmark generates.
+code this package replaced, except the R, residual and D columns of the
+square's, which were written by the chord engine (the scalar code's R was
+1.7e-11 off; ``test_square_R_from_closed_form_gamma`` checks the new values);
+the polygon covariance is checked against the half-plane clipping it replaced
+(``conftest.clipped_intersection_area``) on the polygons the benchmark generates.
 """
 
 import csv
-import importlib.util
 import io
-import random
-import sys
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heatcov import ConvexPolygon
+from heatcov import kappa
 from heatcov.cli import main
 
-from conftest import clipped_intersection_area
+from conftest import benchmark_polygons, clipped_intersection_area, gauss_legendre, square_gamma
 
 HERE = Path(__file__).resolve().parent
 
 
-def _benchmark_jobs():
-    """perfbench/jobs.py, the benchmark's seeded input generator, as a module."""
-    path = HERE.parent / "perfbench" / "jobs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
+def _recorded(shape):
+    with open(HERE / "data" / f"sweep-{shape}.csv", newline="") as fh:
+        return list(csv.reader(fh))
 
 
 @pytest.mark.parametrize("shape", ["square", "ball2", "ball3"])
@@ -40,13 +35,30 @@ def test_sweep_matches_recorded_csv(shape, capsys):
             "--format", "csv"]
     assert main(argv) == 0
     got = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    with open(HERE / "data" / f"sweep-{shape}.csv", newline="") as fh:
-        want = list(csv.reader(fh))
+    want = _recorded(shape)
     assert got[0] == want[0]
     assert len(got) == len(want)
     for row_got, row_want in zip(got[1:], want[1:]):
         for column, a, b in zip(want[0], row_got, row_want):
             assert abs(float(a) - float(b)) <= 1e-13, (column, a, b)
+
+
+def test_square_R_from_closed_form_gamma():
+    # R(t) = ell^3 kappa_2 int_0^1 s^2 gamma(ell s) (t^2 + ell^2 s^2)^-3/2 ds on dyadic
+    # panels, graded toward s = 1/sqrt(2), where gamma has a square-root kink
+    ell, kink = 2.0 * math.sqrt(2.0), 1.0 / math.sqrt(2.0)
+    rows = _recorded("square")
+    header = rows[0]
+    edges = sorted({2.0**-k for k in range(80) if 2.0**-k < kink}
+                   | {kink + (f - kink) * 2.0**-k for k in range(60) for f in (kink / 2.0, 1.0)})
+    for row in rows[1:]:
+        t, want = float(row[header.index("t")]), float(row[header.index("R")])
+
+        def f(s):
+            return s * s * square_gamma(s) * (t * t + ell * ell * s * s) ** -1.5
+
+        value = sum(gauss_legendre(f, a, b) for a, b in zip(edges, edges[1:]))
+        assert abs(ell**3 * kappa(2) * value - want) <= 1e-13, (t, want)
 
 
 def _offsets(poly, rng):
@@ -68,8 +80,7 @@ def _offsets(poly, rng):
 @pytest.mark.parametrize("seed", range(1, 21))
 def test_polygon_covariance_matches_clipping(seed):
     rng = np.random.default_rng(seed)
-    for spec in _benchmark_jobs().polygon_shapes(random.Random(f"polygons:{seed}")):
-        poly = ConvexPolygon(spec.params[0])
+    for poly in benchmark_polygons(seed):
         ys = _offsets(poly, rng)
         want = [clipped_intersection_area(poly.vertex_array, y) for y in ys]
         np.testing.assert_allclose(poly.covariance(ys), want, rtol=0.0, atol=1e-13)

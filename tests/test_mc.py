@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -87,6 +88,23 @@ class TestMcHeatContent:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             mc_heat_content(UnitBall(2), 0.1, n=10, seed=1)
+
+    def test_sliver_samples_exactly(self, quad):
+        # 1/20000 of its bounding box: rejection sampling from the box took 7.3 s here
+        sliver = ConvexPolygon([(0.0, 0.0), (1.0, 1.0), (1.0 - 1e-4, 1.0)])
+        start = time.perf_counter()
+        est = mc_heat_content(sliver, 1e-5, n=4096, seed=3)
+        assert time.perf_counter() - start <= 1.0
+        assert abs(est.mean - heat_content(sliver, 1e-5, quad)) <= 4.0 * est.stderr
+
+    def test_polygon_samples_are_uniform(self):
+        # the fraction of fan samples in the triangle x > y is its share of the area
+        pentagon = ConvexPolygon([(0.0, 0.0), (2.0, 0.0), (2.5, 1.0), (1.0, 2.0), (-0.5, 1.0)])
+        pts = pentagon.sample(np.random.default_rng(4), 200_000)
+        assert np.all(pentagon.contains(pts))
+        share = ConvexPolygon([(0.0, 0.0), (2.0, 0.0), (2.5, 1.0), (1.6, 1.6)]).geometry.volume
+        p = share / pentagon.geometry.volume
+        assert abs(np.mean(pts[:, 0] > pts[:, 1]) - p) <= 4.0 * math.sqrt(p * (1.0 - p) / len(pts))
 
 
 class TestMcCovariance:

@@ -17,6 +17,7 @@ from heatcov import (
     gamma_weighted_closed_form,
     gamma_weighted_integral,
     geometry,
+    heat_content,
     perimeter_from_variations,
     shape_from_json,
     square_I_terms,
@@ -30,7 +31,7 @@ from heatcov.errors import (
     NonUnitVectorError,
 )
 
-from conftest import gauss_legendre
+from conftest import benchmark_polygons, first_breakpoint, gauss_legendre
 
 SQRT2 = math.sqrt(2.0)
 
@@ -123,6 +124,46 @@ class TestShapeConstruction:
         assert geometry(poly).volume == pytest.approx(0.5)
         with pytest.raises(InvalidShapeError):
             shape_from_json({"kind": "blob"})
+
+
+class TestScaleFree:
+    """Tolerances relative to the diameter: a scaled copy is valid exactly when the shape is."""
+
+    VALID = [
+        [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+        benchmark_polygons(1)[1].vertices,
+        [(0.0, 0.0), (1.0, 0.0), (2.0, 1e-13), (0.0, 1.0)],  # (1, 0) is collinear and dropped
+    ]
+    INVALID = [
+        [(0.0, 0.0), (1.0, 0.0), (1.0 + 1e-13, 0.0), (0.0, 1.0)],  # a repeated vertex
+        [(0.0, 0.0), (1.0, 0.0), (2.0, 1e-13)],  # collinear
+        [(0, 0), (2, 0), (1, 0.5), (2, 2), (0, 2)],  # not convex
+    ]
+
+    @pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
+    def test_scaled_copy_is_valid_exactly_when_shape_is(self, lam):
+        for verts in self.VALID:
+            poly = ConvexPolygon(np.asarray(verts, dtype=float))
+            assert len(ConvexPolygon(lam * poly.vertex_array).vertices) == len(poly.vertices)
+            assert len(ConvexPolygon(lam * np.asarray(verts, dtype=float)).vertices) == len(poly.vertices)
+        for verts in self.INVALID:
+            with pytest.raises(InvalidShapeError):
+                ConvexPolygon(lam * np.asarray(verts, dtype=float))
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e6])
+    def test_scaled_covariance_and_heat_content(self, lam, quad):
+        for verts in self.VALID[:2]:
+            poly = ConvexPolygon(verts)
+            scaled = ConvexPolygon(lam * poly.vertex_array)
+            assert covariance(scaled, [0.0, 0.0]) == pytest.approx(geometry(scaled).volume, rel=1e-14)
+            # g_{lam Omega}(lam y) = lam^2 g_Omega(y), also where g is a tiny part of the area
+            ys = np.concatenate([np.random.default_rng(5).uniform(-1.5, 1.5, (200, 2)), 0.98 * poly.edge_directions])
+            np.testing.assert_allclose(covariance(scaled, lam * ys), lam**2 * covariance(poly, ys), rtol=1e-9, atol=0.0)
+            assert geometry(scaled).volume == pytest.approx(lam**2 * geometry(poly).volume, rel=1e-14)
+            for t in (1e-3, 0.1, 2.0):
+                assert heat_content(scaled, lam * t, quad) == pytest.approx(
+                    lam**2 * heat_content(poly, t, quad), rel=1e-12
+                )
 
 
 class TestGeometry:
@@ -370,19 +411,29 @@ class TestGamma:
             assert gamma(UnitBall(d), float(s)) <= bound * s * s + 1e-12
 
 
+def _linear_up_to(shape, r1):
+    """gamma(r)/r at 1.3 r_1 over its value on [0, r_1], where it must be constant."""
+    ell = geometry(shape).support_radius
+    slope = gamma(shape, 0.5 * r1 / ell) / (0.5 * r1)
+    for f in (0.7, 1.0):
+        assert gamma(shape, f * r1 / ell) / (f * r1) == pytest.approx(slope, rel=1e-12)
+    return gamma(shape, 1.3 * r1 / ell) / (1.3 * r1) / slope
+
+
 class TestPolygonGamma:
     def test_first_breakpoint(self):
-        assert Rectangle(1.0, 1.0).first_breakpoint == pytest.approx(2.0, rel=1e-15)
-        assert Rectangle(1.5, 0.5).first_breakpoint == pytest.approx(1.0, rel=1e-15)
-        # the triangle's shortest height
-        assert TRIANGLE.first_breakpoint == pytest.approx(1.0 / SQRT2, rel=1e-15)
+        # r_1 is the shorter side of a rectangle and the triangle's shortest height
+        for shape, r1 in [(Rectangle(1.0, 1.0), 2.0), (Rectangle(1.5, 0.5), 1.0), (TRIANGLE, 1.0 / SQRT2)]:
+            assert first_breakpoint(shape) == pytest.approx(r1, rel=1e-15)
+            assert abs(_linear_up_to(shape, r1) - 1.0) > 1e-3
 
     def test_rectangle_is_its_corner_polygon(self):
         rect = Rectangle(1.5, 0.5)
         poly = ConvexPolygon(rect.vertex_array)
-        np.testing.assert_array_equal(rect.difference_body, poly.difference_body)
         np.testing.assert_array_equal(rect.edge_directions, poly.edge_directions)
-        assert rect.first_breakpoint == poly.first_breakpoint
+        thetas = np.linspace(0.0, math.pi, 7)
+        for a, b in zip(rect.chord_table(thetas), poly.chord_table(thetas)):
+            np.testing.assert_array_equal(a, b)
 
     def test_first_breakpoint_is_where_gamma_stops_being_linear(self):
         # a vertex's nearest non-incident edge line is met outside the edge,
@@ -390,12 +441,9 @@ class TestPolygonGamma:
         hexagon = ConvexPolygon(
             [(math.cos(k * math.pi / 3), 0.6 * math.sin(k * math.pi / 3)) for k in range(6)]
         )
-        r1, ell = hexagon.first_breakpoint, geometry(hexagon).support_radius
+        r1 = first_breakpoint(hexagon)
         assert r1 == pytest.approx(0.72111, abs=1e-5)
-        slope = gamma(hexagon, 0.5 * r1 / ell) / (0.5 * r1)
-        for f in (0.7, 1.0):
-            assert gamma(hexagon, f * r1 / ell) / (f * r1) == pytest.approx(slope, rel=1e-12)
-        assert gamma(hexagon, 1.3 * r1 / ell) / (1.3 * r1) > (1.0 + 1e-3) * slope
+        assert _linear_up_to(hexagon, r1) > 1.0 + 1e-3
 
     def test_integer_rectangle(self):
         rect = Rectangle(2, 1)
