@@ -13,8 +13,8 @@ from .shapes import Shape, gamma_weighted_integral, geometry
 
 
 def _check_t(t: float) -> float:
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     return float(t)
 
 

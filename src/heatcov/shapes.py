@@ -209,7 +209,8 @@ class UnitBall(Shape):
         v = rng.standard_normal((n, self.d))
         v /= np.linalg.norm(v, axis=1)[:, None]
         r = rng.random(n) ** (1.0 / self.d)
-        return v * r[:, None]
+        v *= r[:, None]
+        return v
 
     def gamma(self, s, quad):
         """gamma_B(2s) = A_d w_{d-1} / s * int_0^{asin s} (cos - cos^d)."""
@@ -552,11 +553,17 @@ class ConvexPolygon(PlanarPolytope):
     def contains(self, pts):
         verts = self.vertex_array
         inside = np.ones(len(pts), dtype=bool)
+        cross, term, ok = np.empty(len(pts)), np.empty(len(pts)), np.empty(len(pts), dtype=bool)
         n = len(verts)
         for i in range(n):
             a, b = verts[i], verts[(i + 1) % n]
-            cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
-            inside &= cross >= 0.0
+            # cross = (b - a) x (p - a), in buffers reused across edges
+            np.subtract(pts[:, 1], a[1], out=cross)
+            cross *= b[0] - a[0]
+            np.subtract(pts[:, 0], a[0], out=term)
+            term *= b[1] - a[1]
+            cross -= term
+            inside &= np.greater_equal(cross, 0.0, out=ok)
         return inside
 
     def sample(self, rng, n):
@@ -565,22 +572,36 @@ class ConvexPolygon(PlanarPolytope):
         Where the first draw falls within its triangle's share of the area is
         the first barycentric draw.
         """
-        verts = self.vertex_array
-        rel = verts - verts[0]
-        twice_area = _boundary_terms(verts)[1:-1]  # triangles v_0, v_i, v_{i+1}
-        start = np.concatenate([[0.0], np.cumsum(twice_area)])
-        draws = rng.random((2, n))
-        u, v = draws
+        rel, twice_area, start = self._fan
+        u, v = rng.random((2, n))
         u *= start[-1]
         k = np.searchsorted(start[1:-1], u, side="right")
-        u -= start[k]
-        u /= twice_area[k]
-        fold = u + v > 1.0
-        u[fold], v[fold] = 1.0 - u[fold], 1.0 - v[fold]
-        out = np.empty((n, 2))
-        for axis in (0, 1):
-            out[:, axis] = verts[0, axis] + rel[k + 1, axis] * u + rel[k + 2, axis] * v
-        return out
+        out = np.empty((2, n))  # returned transposed: contiguous rows suit take(out=)
+        x, y = out  # scratch until the coordinates are written
+        u -= np.take(start, k, out=x, mode="clip")
+        u /= np.take(twice_area, k, out=x, mode="clip")
+        fold = np.add(u, v, out=x) > 1.0
+        np.subtract(1.0, u, out=u, where=fold)
+        np.subtract(1.0, v, out=v, where=fold)
+        del fold
+        # each coordinate is (v_0 + (v_{k+1} - v_0) u) + (v_{k+2} - v_0) v; the last term goes
+        # to scratch: the y row before it is written, then u once y is done with it
+        for axis, scratch in ((0, y), (1, u)):
+            coord = out[axis]
+            np.take(rel[1:, axis], k, out=coord, mode="clip")
+            coord *= u
+            coord += self.vertex_array[0, axis]
+            np.take(rel[2:, axis], k, out=scratch, mode="clip")
+            scratch *= v
+            coord += scratch
+        return out.T
+
+    @cached_property
+    def _fan(self) -> tuple:
+        """(v_i - v_0, twice the areas of the fan triangles v_0 v_i v_{i+1}, their running sums)."""
+        verts = self.vertex_array
+        twice_area = _boundary_terms(verts)[1:-1]
+        return verts - verts[0], twice_area, np.concatenate([[0.0], np.cumsum(twice_area)])
 
     def closed_form_constant(self):
         # the unit square in polygon representation shares the closed form
@@ -866,7 +887,11 @@ def _random_unit(rng, dim):
 def covariance_self_checks(
     shape: Shape, quad: QuadSpec = QuadSpec(), seed: int = 0, n_probes: int = 200
 ) -> CovarianceReport:
-    """Randomized verification of the covariance properties (a)-(e)."""
+    """Randomized verification of the covariance properties (a)-(e).
+
+    Probe radii are fractions of the diameter and tolerances fractions of the
+    volume (or of V_u), so a scaled copy of a shape passes when the shape does.
+    """
     rng = np.random.default_rng(seed)
     geo = geometry(shape)
     ell = geo.support_radius
@@ -879,16 +904,16 @@ def covariance_self_checks(
     for _ in range(n_probes):
         y = (rng.uniform(-1.2, 1.2, size=geo.dim)) * ell
         g = covariance(shape, y)
-        if not -1e-12 <= g <= vol + 1e-9:
+        if not -1e-12 * vol <= g <= vol * (1.0 + 1e-9):
             bounds_ok, witness_b = False, f"g({y}) = {g}"
         gm = covariance(shape, -y)
-        if abs(g - gm) > 1e-9:
+        if abs(g - gm) > 1e-9 * vol:
             sym_ok, witness_s = False, f"g({y}) = {g} vs g(-y) = {gm}"
     checks.append(CheckResult("bounds 0 <= g <= g(0)", bounds_ok, witness_b))
     checks.append(CheckResult("symmetry g(y) = g(-y)", sym_ok, witness_s))
     g0 = covariance(shape, np.zeros(geo.dim))
     checks.append(
-        CheckResult("g(0) = |Omega|", abs(g0 - vol) < 1e-10, f"g(0) = {g0}, |Omega| = {vol}")
+        CheckResult("g(0) = |Omega|", abs(g0 - vol) < 1e-10 * vol, f"g(0) = {g0}, |Omega| = {vol}")
     )
 
     # (c) total integral
@@ -908,15 +933,16 @@ def covariance_self_checks(
             supp_ok, witness = False, f"g({u * r}) = {g}"
     checks.append(CheckResult("support within |y| < ell", supp_ok, witness))
 
-    # Lipschitz slope: difference quotients approach V_u / 2
+    # Lipschitz slope: difference quotients at r = 1e-4 ell and 1e-5 ell approach V_u / 2
     lip_ok, witness = True, ""
+    r4, r5 = 1e-4 * ell, 1e-5 * ell
     for _ in range(10):
         u = _random_unit(rng, geo.dim)
         vu2 = directional_variation(shape, u) / 2.0
-        q4 = (g0 - covariance(shape, u * 1e-4)) / 1e-4
-        q5 = (g0 - covariance(shape, u * 1e-5)) / 1e-5
-        if abs(q4 / q5 - 1.0) > 1e-2 or abs(q5 - vu2) > 1e-2 * max(1.0, vu2):
-            lip_ok, witness = False, f"u = {u}: q(1e-4) = {q4}, q(1e-5) = {q5}, V_u/2 = {vu2}"
+        q4 = (g0 - covariance(shape, u * r4)) / r4
+        q5 = (g0 - covariance(shape, u * r5)) / r5
+        if abs(q4 / q5 - 1.0) > 1e-2 or abs(q5 - vu2) > 1e-2 * vu2:
+            lip_ok, witness = False, f"u = {u}: q(1e-4 ell) = {q4}, q(1e-5 ell) = {q5}, V_u/2 = {vu2}"
     checks.append(CheckResult("slope (g(0)-g(ru))/r -> V_u/2", lip_ok, witness))
 
     return CovarianceReport(shape=shape, checks=tuple(checks))

@@ -70,6 +70,12 @@ class TestHeatContent:
         with pytest.raises(DomainError):
             heat_content(UnitBall(2), 0.0, quad)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_nonfinite_t(self, t, quad):
+        # t = inf used to return nan on the ball
+        with pytest.raises(DomainError):
+            heat_content(UnitBall(2), t, quad)
+
     def test_square_polar_vs_identity(self, quad):
         # H from direct polar quadrature vs H solved from the decomposition
         q = Rectangle(1.0, 1.0)

@@ -1,4 +1,7 @@
+import inspect
 import math
+import sys
+import threading
 import time
 
 import numpy as np
@@ -15,9 +18,36 @@ from heatcov import (
     mc_heat_content,
     sample_cauchy,
 )
+from heatcov import asymptotics, kernel, mc, quadrature, shapes
+from heatcov.errors import DimensionMismatchError, DomainError
 from heatcov.mc import _block_rng
 
 TRIANGLE = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+HEXAGON = ConvexPolygon([(1.0, 0.0), (0.5, 0.8), (-0.5, 0.8), (-1.0, 0.0), (-0.5, -0.8), (0.5, -0.8)])
+RECT = Rectangle(1.3, 0.6)
+PARTIAL = 3 * (1 << 16) + 17  # three full blocks and a partial one
+
+# float.hex of estimates made by the serial block loop that preceded the concurrent one
+GOLDEN = [
+    (mc_heat_content, UnitBall(1), 0.1, 200_000, 1, "0x1.bf4bc6a7ef9dbp+0"),
+    (mc_heat_content, UnitBall(3), 0.1, 200_000, 2, "0x1.7df82b5f62bc7p+1"),
+    (mc_heat_content, UnitBall(10), 0.05, 200_000, 3, "0x1.8760f76ed9868p+0"),
+    (mc_heat_content, UnitBall(16), 0.02, 200_000, 4, "0x1.5069ce7914ae1p-3"),
+    (mc_heat_content, RECT, 0.1, 200_000, 5, "0x1.30e09e3ae90a2p+1"),
+    (mc_heat_content, TRIANGLE, 0.05, 200_000, 6, "0x1.6d013a92a3055p-2"),
+    (mc_heat_content, HEXAGON, 0.1, 200_000, 7, "0x1.d328b6d86ec17p+0"),
+    (mc_heat_content, Interval(0.0, 1.7), 0.1, 200_000, 8, "0x1.747008a697aeep+0"),
+    (mc_covariance, UnitBall(4), [0.3, -0.2, 0.1, 0.4], 200_000, 9, "0x1.5ca9f5f870798p+1"),
+    (mc_covariance, UnitBall(8), [0.2] * 8, 200_000, 10, "0x1.9f9a0b1260822p+0"),
+    (mc_covariance, RECT, [0.7, 0.2], 200_000, 11, "0x1.e63ea8b23b511p+0"),
+    (mc_covariance, TRIANGLE, [0.2, 0.1], 200_000, 12, "0x1.f5dcc63f14120p-3"),
+    (mc_heat_content, TRIANGLE, 0.05, PARTIAL, 13, "0x1.6d19eb17cbce8p-2"),
+]
+GOLDEN_IDS = [
+    "heat-ball1", "heat-ball3", "heat-ball10", "heat-ball16", "heat-rect", "heat-triangle",
+    "heat-hexagon", "heat-interval", "cov-ball4", "cov-ball8", "cov-rect", "cov-triangle",
+    "heat-triangle-partial-block",
+]
 
 
 class TestSampleCauchy:
@@ -50,6 +80,37 @@ class TestSampleCauchy:
     def test_shape(self):
         rng = np.random.default_rng(7)
         assert sample_cauchy(3, rng, 17).shape == (17, 3)
+
+    def test_zero_denominators_are_redrawn(self):
+        class ZeroFirstG0:
+            """A generator whose first g0 draw holds zeros in every third row."""
+
+            def __init__(self):
+                self.rng = np.random.default_rng(8)
+                self.draws = 0
+
+            def standard_normal(self, size):
+                self.draws += 1
+                out = self.rng.standard_normal(size)
+                if self.draws == 2:
+                    out[::3] = 0.0
+                return out
+
+        rng = ZeroFirstG0()
+        w = sample_cauchy(3, rng, 100)
+        assert w.shape == (100, 3)
+        assert np.all(np.isfinite(w))
+        assert rng.draws == 4  # one redraw of g and g0 for the 34 zero rows
+
+        # the fill loop the in-place version replaced, as the reference
+        ref_rng, out, filled = ZeroFirstG0(), np.empty((100, 3)), 0
+        while filled < 100:
+            g = ref_rng.standard_normal((100 - filled, 3))
+            g0 = ref_rng.standard_normal(100 - filled)
+            ok = g0 != 0.0
+            out[filled : filled + ok.sum()] = g[ok] / np.abs(g0[ok])[:, None]
+            filled += ok.sum()
+        assert np.array_equal(w, out)
 
 
 class TestMcHeatContent:
@@ -89,6 +150,21 @@ class TestMcHeatContent:
         with pytest.raises(ValueError):
             mc_heat_content(UnitBall(2), 0.1, n=10, seed=1)
 
+    @pytest.mark.parametrize("t", [-0.1, 0.0, math.nan, math.inf])
+    def test_rejects_nonpositive_or_nonfinite_t(self, t):
+        with pytest.raises(DomainError):
+            mc_heat_content(UnitBall(2), t, n=10_000, seed=1)
+
+    @pytest.mark.parametrize("n", [999, 10_000.0, "10000", True])
+    def test_rejects_bad_n(self, n):
+        with pytest.raises(DomainError):
+            mc_heat_content(UnitBall(2), 0.1, n=n, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5, None])
+    def test_rejects_seed_outside_uint64(self, seed):
+        with pytest.raises(DomainError):
+            mc_heat_content(UnitBall(2), 0.1, n=10_000, seed=seed)
+
     def test_sliver_samples_exactly(self, quad):
         # 1/20000 of its bounding box: rejection sampling from the box took 7.3 s here
         sliver = ConvexPolygon([(0.0, 0.0), (1.0, 1.0), (1.0 - 1e-4, 1.0)])
@@ -116,6 +192,19 @@ class TestMcCovariance:
     def test_far_shift_is_zero(self):
         est = mc_covariance(UnitBall(2), [2.5, 0.0], n=10_000, seed=3)
         assert est.mean == 0.0
+
+    def test_rejects_scalar_shift(self):
+        # a scalar used to broadcast to (0.5, 0.5, 0.5)
+        with pytest.raises(DimensionMismatchError):
+            mc_covariance(UnitBall(3), 0.5, n=10_000, seed=3)
+
+    def test_rejects_several_shifts(self):
+        with pytest.raises(DimensionMismatchError):
+            mc_covariance(UnitBall(2), [[0.1, 0.0], [0.2, 0.0]], n=10_000, seed=3)
+
+    def test_rejects_nan_shift(self):
+        with pytest.raises(DomainError):
+            mc_covariance(UnitBall(2), [math.nan, 0.0], n=10_000, seed=3)
 
     def test_ball3_midpoint(self):
         est = mc_covariance(UnitBall(3), [0.0, 0.0, 1.0], n=1_000_000, seed=21)
@@ -158,3 +247,78 @@ def test_block_rng_streams_differ():
     c = _block_rng(1, 0).random(4)
     assert not np.allclose(a, b)
     assert not np.allclose(a, c)
+
+
+class TestConcurrentBlocks:
+    @pytest.mark.parametrize("estimator,shape,arg,n,seed,expected", GOLDEN, ids=GOLDEN_IDS)
+    def test_golden_estimates(self, estimator, shape, arg, n, seed, expected):
+        assert estimator(shape, arg, n=n, seed=seed).mean.hex() == expected
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("case", [0, 3, 5, 10, 12], ids=lambda i: GOLDEN_IDS[i])
+    def test_cpu_count_does_not_change_the_estimate(self, monkeypatch, cpus, case):
+        estimator, shape, arg, n, seed, expected = GOLDEN[case]
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+        assert estimator(shape, arg, n=n, seed=seed).mean.hex() == expected
+
+    def test_more_threads_than_cores_with_fast_switching(self, monkeypatch):
+        # a block lost or counted twice by the shared claim would change the estimate
+        shape, n = Interval(0.0, 1.7), 24 * mc.BLOCK_SIZE + 5
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
+        serial = mc_heat_content(shape, 0.1, n=n, seed=3)
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            assert mc_heat_content(shape, 0.1, n=n, seed=3) == serial
+            assert time.perf_counter() - start < 30.0
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_block_error_reaches_the_caller(self, monkeypatch, cpus):
+        local = threading.local()
+
+        class FailsOnBlock2(Rectangle):
+            # a block's sample and contains run on one thread; the block is the Philox key
+            def sample(self, rng, n):
+                local.block = int(rng.bit_generator.state["state"]["key"][1])
+                return super().sample(rng, n)
+
+            def contains(self, pts):
+                if local.block == 2:
+                    raise RuntimeError("contains failed on block 2")
+                return super().contains(pts)
+
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block 2"):
+            mc_heat_content(FailsOnBlock2(1.0, 1.0), 0.1, n=10 * mc.BLOCK_SIZE, seed=1)
+        assert threading.active_count() == before
+
+    def test_blocks_call_no_public_function_off_the_calling_thread(self, monkeypatch):
+        # tracers that rebind the public functions, as the benchmark's does, keep one frame stack
+        caller, callers = threading.current_thread(), set()
+        modules = (asymptotics, kernel, mc, quadrature, shapes)
+
+        def recorded(fn):
+            def wrapper(*args, **kwargs):
+                callers.add(threading.current_thread())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        public = {
+            fn for mod in modules for name, fn in vars(mod).items()
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and not name.startswith("_")
+            and fn is not mc.sample_cauchy
+        }
+        for mod in modules:
+            for name, fn in list(vars(mod).items()):
+                if inspect.isfunction(fn) and fn in public:
+                    monkeypatch.setattr(mod, name, recorded(fn))
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 4)
+        for shape in (UnitBall(3), RECT, HEXAGON, Interval(0.0, 1.7)):
+            mc.mc_heat_content(shape, 0.1, n=PARTIAL, seed=1)
+            mc.mc_covariance(shape, [0.1] * shape.dim, n=PARTIAL, seed=2)
+        assert callers == {caller}

@@ -517,3 +517,15 @@ class TestSelfChecks:
         report = covariance_self_checks(shape, quad, seed=123)
         failing = [c for c in report.checks if not c.passed]
         assert not failing, failing
+
+    @pytest.mark.parametrize("lam", [1e-6, 1e6])
+    @pytest.mark.parametrize("kind", ["triangle", "square"])
+    def test_scaled_copies_pass(self, kind, lam, quad):
+        # probe radii and tolerances follow the diameter and the volume
+        if kind == "triangle":
+            shape = ConvexPolygon([(0.0, 0.0), (lam, 0.0), (0.0, lam)])
+        else:
+            shape = Rectangle(lam, lam)
+        report = covariance_self_checks(shape, quad, n_probes=50)
+        failing = [c for c in report.checks if not c.passed]
+        assert not failing, failing
