@@ -8,14 +8,9 @@ from typing import Optional, Sequence
 
 from . import kernel
 from .errors import DomainError, InconsistentConstantError
+from .kernel import _check_t
 from .quadrature import QuadSpec, extrapolate_limit
 from .shapes import Shape, gamma_weighted_integral, geometry
-
-
-def _check_t(t: float) -> float:
-    if not 0 < t < math.inf:
-        raise DomainError(f"t must be positive and finite, got {t}")
-    return float(t)
 
 
 # ---------------------------------------------------------------------------

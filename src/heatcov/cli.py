@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -228,7 +229,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; each subcommand X runs ``cmd_X``."""
     parser = argparse.ArgumentParser(prog="heatcov", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -240,28 +243,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="kernel constants for a dimension")
     p.add_argument("--dim", type=int, default=2)
-    p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("covariance", help="evaluate g(y) at a point")
     add_shape_flags(p, tol=False)
     p.add_argument("--point", required=True, help="comma-separated coordinates")
-    p.set_defaults(func=cmd_covariance)
 
     p = sub.add_parser("heat-content", help="evaluate H(t)")
     add_shape_flags(p)
     p.add_argument("--t", type=float, required=True)
-    p.set_defaults(func=cmd_heat_content)
 
     p = sub.add_parser("expansion", help="full decomposition at one t")
     add_shape_flags(p)
     p.add_argument("--t", type=float, required=True)
-    p.set_defaults(func=cmd_expansion)
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("target", choices=["ball2", "ball3", "square", "interval", "all"])
     p.add_argument("--shape-file", help="override the interval shape")
     p.add_argument("--tol", type=float)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="tabulate the decomposition over a t grid")
     add_shape_flags(p)
@@ -270,16 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, so that a replaced cmd_X takes effect
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except InvalidShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

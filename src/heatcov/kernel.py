@@ -60,11 +60,16 @@ def unit_sphere_area(d: int) -> float:
     return d * unit_ball_volume(d)
 
 
+def _check_t(t: float) -> float:
+    if not 0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
+    return float(t)
+
+
 def poisson_kernel(d: int, t: float, x) -> float:
     """p_t(x) = kappa_d * t / (t^2 + |x|^2)^((d+1)/2)."""
     d = _check_dim(d)
-    if t <= 0:
-        raise DomainError(f"t must be positive, got {t}")
+    t = _check_t(t)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (d,):
         raise DomainError(f"x must be a vector of length {d}, got shape {x.shape}")
@@ -96,29 +101,37 @@ def cos_power_deficit(n: int, s):
     with c = cos a.  1 - c^(n-1) is carried as a sum of nonnegative terms
     (1 - c = s^2/(1+c), 1 - c^(k+2) = (1 - c^k) + c^k s^2), and the only
     negative term, M_0 = s - a, is a series, so M_n keeps its relative
-    accuracy as s -> 0.  s may be a float or an array; so is the result.
+    accuracy as s -> 0.  s may be a float or an array; so is the result.  A
+    float runs the recurrence in scalar arithmetic, with the same result bits.
     """
     s = np.asarray(s, dtype=float)
+    if s.ndim == 0:
+        s = s[()]
     c = np.sqrt((1.0 - s) * (1.0 + s))
     if n % 2:  # start from M_1 = 0, carrying 1 - c^2 and c^2
-        m, one_minus, ck, first = np.zeros_like(s), s * s, c * c, 3
+        m, one_minus, ck, first = 0.0 * s, s * s, c * c, 3
     else:  # start from M_0 = s - a, carrying 1 - c and c
         m, one_minus, ck, first = -_a_minus_sin(np.arcsin(s)), s * s / (1.0 + c), c, 2
     for k in range(first, n + 1, 2):
         m = s * one_minus / k + (k - 1) / k * m
         one_minus += ck * s * s
         ck = ck * (c * c)  # not in place: ck may be c itself
-    return float(m) if m.ndim == 0 else m
+    return float(m) if np.ndim(m) == 0 else m
 
 
-def _a_minus_sin(a: np.ndarray) -> np.ndarray:
-    """a - sin(a) by its Taylor series, free of cancellation on [0, pi/2]."""
-    term, total, k = a**3 / 6.0, np.zeros_like(a), 3
-    while np.any(total + term != total):
-        total += term
-        k += 2
-        term *= -a * a / ((k - 1) * k)
-    return total
+# a - sin a = a^3/6 - a^5 sum over j of _SIN_SERIES[j] (-a^2)^j; on [0, pi/2] the
+# first term left out is 3e-23 of the sum
+_SIN_SERIES = [1.0 / math.factorial(2 * j + 5) for j in range(11)]
+
+
+def _a_minus_sin(a):
+    """a - sin(a) by its Taylor series in Horner form, free of cancellation on [0, pi/2]."""
+    x = a * a
+    tail = _SIN_SERIES[-1]
+    for coef in reversed(_SIN_SERIES[:-1]):
+        tail = coef - x * tail
+    cube = a * x
+    return cube / 6.0 - cube * x * tail
 
 
 def asinh_mean(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:

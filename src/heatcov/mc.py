@@ -22,8 +22,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .asymptotics import _check_t
 from .errors import DimensionMismatchError, DomainError
+from .kernel import _check_t
 from .shapes import Shape, _rows, geometry
 
 BLOCK_SIZE = 1 << 16

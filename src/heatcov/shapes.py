@@ -106,14 +106,19 @@ class Shape(ABC):
 
     def heat_content(self, t: float, quad: QuadSpec) -> float:
         """H(t), unclamped.  The default integrates the radial profile gbar:
-        A_d kappa_d t * int_0^ell r^(d-1) gbar(r) (t^2+r^2)^(-(d+1)/2) dr."""
+        A_d kappa_d t * int_0^ell r^(d-1) gbar(r) (t^2+r^2)^(-(d+1)/2) dr,
+        on panels seeded at every t 4^k below ell."""
         d, ell, gbar = self.dim, self.geometry.support_radius, self.radial_profile()
 
         def f(r):
             return r ** (d - 1) * gbar(r) * (t * t + r * r) ** (-(d + 1) / 2.0)
 
-        # the kernel factor peaks at the scale of t; seed panels there
-        pts = [p for p in (t, 4 * t, 16 * t, 64 * t, 256 * t) if p < ell]
+        # the kernel factor turns over at r ~ t and decays as a power beyond it: a
+        # ladder of scales from t up to ell resolves that layer before the first round
+        pts, p = [], t
+        while p < ell:
+            pts.append(p)
+            p *= 4.0
         val, _ = integrate_1d(f, 0.0, ell, quad, points=pts)
         return kernel.unit_sphere_area(d) * kernel.kappa(d) * t * val
 

@@ -48,6 +48,12 @@ class TestConstants:
         assert err.startswith("numerical failure: ")
         assert "Traceback" not in err
 
+    def test_parser_is_built_once_and_handlers_are_found_per_call(self, capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        assert run_cli(["constants", "--dim", "2"], capsys)[0] == 0
+        monkeypatch.setattr(cli, "cmd_constants", lambda args: 7)
+        assert run_cli(["constants", "--dim", "2"], capsys)[0] == 7
+
 
 class TestCovariance:
     def test_ball2_origin(self, capsys):

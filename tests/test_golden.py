@@ -3,7 +3,10 @@
 The CSV files under ``data/`` were written by the sweep of the scalar-integrand
 code this package replaced, except the R, residual and D columns of the
 square's, which were written by the chord engine (the scalar code's R was
-1.7e-11 off; ``test_square_R_from_closed_form_gamma`` checks the new values);
+1.7e-11 off; ``test_square_R_from_closed_form_gamma`` checks the new values) and the
+H and residual cells of the disc's two smallest t, which were written by the radial
+quadrature seeded at every t 4^k (the old cells were 5.7e-13 and 6.5e-13 off;
+``test_ball2_H_against_reference`` checks the new values);
 the polygon covariance is checked against the half-plane clipping it replaced
 (``conftest.clipped_intersection_area``) on the polygons the benchmark generates.
 """
@@ -59,6 +62,25 @@ def test_square_R_from_closed_form_gamma():
 
         value = sum(gauss_legendre(f, a, b) for a, b in zip(edges, edges[1:]))
         assert abs(ell**3 * kappa(2) * value - want) <= 1e-13, (t, want)
+
+
+def test_ball2_H_against_reference():
+    # H(t) = t int_0^2 r g(r) (t^2 + r^2)^-3/2 dr with g(r) = 2 acos(r/2) - (r/2) sqrt(4 - r^2),
+    # on panels graded geometrically toward r = 0 from t and toward r = 2, where
+    # g ~ (2 - r)^(3/2); the two smallest t of the sweep
+    rows = _recorded("ball2")
+    header = rows[0]
+    for row in rows[-2:]:
+        t, want = float(row[header.index("t")]), float(row[header.index("H")])
+
+        def f(r):
+            g = 2.0 * np.arccos(r / 2.0) - 0.5 * r * np.sqrt(4.0 - r * r)
+            return r * g * (t * t + r * r) ** -1.5
+
+        edges = sorted({0.0, 2.0} | {t * 2.0**k for k in range(-60, 60) if t * 2.0**k < 1.0}
+                       | {2.0 - 2.0**-k for k in range(60)})
+        value = t * sum(gauss_legendre(f, a, b) for a, b in zip(edges, edges[1:]))
+        assert abs(value - want) <= 3e-13, (t, want, value)
 
 
 def _offsets(poly, rng):

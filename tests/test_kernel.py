@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from heatcov import (
     unit_sphere_area,
 )
 from heatcov.errors import DomainError
+from heatcov.kernel import _a_minus_sin, cos_power_deficit
 
 from conftest import simpson
 
@@ -69,6 +71,11 @@ class TestPoissonKernel:
     def test_rejects_nonpositive_t(self):
         with pytest.raises(DomainError):
             poisson_kernel(2, 0.0, [0.0, 0.0])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejects_non_finite_and_nonpositive_t(self, t):
+        with pytest.raises(DomainError):
+            poisson_kernel(2, t, [0.1, 0.2])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -128,6 +135,36 @@ class TestTanhDeficit:
             tanh_deficit(2, 1.5)
         with pytest.raises(DomainError):
             tanh_deficit(17)
+
+
+def _a_minus_sin_loop(a):
+    """a - sin(a), summing Taylor terms until none changes the sum: the reference."""
+    term, total, k = a**3 / 6.0, np.zeros_like(a), 3
+    while np.any(total + term != total):
+        total += term
+        k += 2
+        term *= -a * a / ((k - 1) * k)
+    return total
+
+
+class TestCosPowerDeficit:
+    @pytest.mark.parametrize("n", range(17))
+    def test_float_matches_array(self, n):
+        for s in [0.0, 1e-300, 1e-8, *np.linspace(0.0, 1.0, 41)[1:]]:
+            got = cos_power_deficit(n, float(s))
+            assert type(got) is float
+            assert got == cos_power_deficit(n, np.array([s]))[0], (n, s)
+
+    def test_series_at_small_angles(self):
+        # for a <= 1e-4 the first term left out, a^7/5040, is below 1.2e-19 of a^3/6, so
+        # a^3/6 - a^5/120 rounded once is the reference; a^2, a^3 and a^3/6 each round
+        a = np.geomspace(1e-100, 1e-4, 2001)
+        want = [float(Fraction(v) ** 3 / 6 - Fraction(v) ** 5 / 120) for v in a]
+        np.testing.assert_allclose(_a_minus_sin(a), want, rtol=2.0 * np.finfo(float).eps, atol=0.0)
+
+    def test_series_matches_term_by_term_sum(self):
+        a = np.linspace(0.0, math.pi / 2.0, 2001)[1:]
+        np.testing.assert_allclose(_a_minus_sin(a), _a_minus_sin_loop(a), rtol=1e-15, atol=0.0)
 
 
 def test_kernel_constants_bundle():

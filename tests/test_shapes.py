@@ -24,6 +24,7 @@ from heatcov import (
     unit_ball_volume,
     unit_sphere_area,
 )
+from heatcov import shapes
 from heatcov.errors import (
     DimensionMismatchError,
     DomainError,
@@ -359,6 +360,31 @@ class TestBall:
     def test_d1_gamma_vanishes(self):
         assert UnitBall(1).gamma_vanishes
         assert gamma(UnitBall(1), 1.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "shape", [*(UnitBall(d) for d in (1, 2, 3, 6, 10, 16)), Interval(0.0, 0.7)], ids=repr
+)
+def test_radial_heat_content_takes_few_rounds(shape, quad, monkeypatch):
+    # panels seeded at every t 4^k below ell resolve the layer at r ~ t before the first
+    # round, at every t
+    integrate = shapes.integrate_1d
+    rounds = []
+
+    def counting(f, *args, **kwargs):
+        rounds.append(0)
+
+        def g(x):
+            rounds[-1] += 1
+            return f(x)
+
+        return integrate(g, *args, **kwargs)
+
+    monkeypatch.setattr(shapes, "integrate_1d", counting)
+    for t in (1e-9, 1e-6, 1e-3, 1.0, 1e3):
+        shape.heat_content(t, quad)
+    assert len(rounds) == 5
+    assert max(rounds) <= 5, rounds
 
 
 def _square_gamma_oracle(s):
