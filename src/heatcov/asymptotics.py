@@ -76,7 +76,7 @@ def big_R(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> float:
 
 
 def R_limit(shape: Shape, quad: QuadSpec = QuadSpec()) -> float:
-    value, _, _ = gamma_weighted_integral(shape, quad)
+    value, _ = gamma_weighted_integral(shape, quad)
     return kernel.kappa(geometry(shape).dim) * value
 
 
@@ -145,7 +145,7 @@ def third_term(
 ) -> ThirdTermReport:
     """Assemble the third-term constant three ways: formula, closed form, limit."""
     geo = geometry(shape)
-    gamma_int, _, _ = gamma_weighted_integral(shape, quad)
+    gamma_int, _ = gamma_weighted_integral(shape, quad)
     f_lim, slope = F_limit(shape), phi_slope(shape)
     # C = |Omega| lim phi/t + (Per/pi) lim F - lim R, where lim R = kappa_d * gamma_int
     c_formula = (

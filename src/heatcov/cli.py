@@ -54,13 +54,12 @@ def _fmt(x: float) -> str:
 
 
 def _resolve_shape(args) -> Shape:
-    if getattr(args, "shape_file", None):
+    if args.shape_file:
         with open(args.shape_file) as fh:
             return shape_from_json(json.load(fh))
-    name = getattr(args, "shape", None)
-    if name in NAMED_SHAPES:
-        return NAMED_SHAPES[name]()
-    raise SystemExit(EXIT_USAGE)
+    if args.shape:
+        return NAMED_SHAPES[args.shape]()
+    raise InvalidShapeError(f"{args.command} needs --shape or --shape-file")
 
 
 def _quad_from(args) -> QuadSpec:
@@ -202,7 +201,7 @@ def _verify_one(name: str, shape: Shape, quad: QuadSpec, lines: list) -> bool:
         check("|I2 - closed form|", abs(terms[2] - i2), 1e-8)
         for i in range(4):
             check(f"|I{i} - I{i + 4}|", abs(terms[i] - terms[i + 4]), 1e-8)
-        value, _, _ = gamma_weighted_integral(shape, quad)
+        value, _ = gamma_weighted_integral(shape, quad)
         check("|sum I_i - gamma integral|", abs(sum(terms) - value), 1e-8)
     return ok
 
@@ -215,10 +214,11 @@ def cmd_verify(args) -> int:
         "square": Rectangle(1.0, 1.0),
         "interval": Interval(0.0, 1.0),
     }
-    if getattr(args, "shape_file", None) and args.target == "interval":
+    if args.shape_file:
         shape = _resolve_shape(args)
-        if isinstance(shape, Interval):
-            targets["interval"] = shape
+        if args.target != "interval" or not isinstance(shape, Interval):
+            raise InvalidShapeError("verify --shape-file takes an interval, with target interval")
+        targets["interval"] = shape
     selected = targets if args.target == "all" else {args.target: targets[args.target]}
     lines = []
     all_ok = True
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("target", choices=["ball2", "ball3", "square", "interval", "all"])
-    p.add_argument("--shape-file", help="override the interval shape")
+    p.add_argument("--shape-file", help="an interval shape file, with target interval")
     p.add_argument("--tol", type=float)
 
     p = sub.add_parser("sweep", help="tabulate the decomposition over a t grid")

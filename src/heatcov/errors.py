@@ -25,10 +25,6 @@ class QuadratureError(HeatcovError, RuntimeError):
     """Quadrature failed to reach the requested tolerance."""
 
 
-class DivergenceSuspectedError(HeatcovError, RuntimeError):
-    """Dyadic contributions of a singular integral fail to decay."""
-
-
 class ExtrapolationError(HeatcovError, RuntimeError):
     """Limit extrapolation is ill-conditioned."""
 

@@ -25,7 +25,6 @@ import numpy as np
 from . import kernel
 from .errors import (
     DimensionMismatchError,
-    DivergenceSuspectedError,
     DomainError,
     InvalidShapeError,
     NonUnitVectorError,
@@ -134,36 +133,9 @@ class Shape(ABC):
         return ell ** (d + 1) * kernel.kappa(d) * val
 
     def gamma_weighted_integral(self, quad: QuadSpec) -> tuple:
-        """(value, integrable, err) of int_0^1 gamma(ell s)/s ds.  The default sums
-        dyadic panels from the smallest scale up; the integrable flag records whether
-        their contributions decay geometrically (the class-W diagnostic)."""
-        contributions = []
-        errors = []
-        for k in range(49):  # dyadic panels down to [2^-49, 2^-48]
-            lo, hi = 2.0 ** (-k - 1), 2.0 ** (-k)
-            val, err = integrate_1d(lambda s: gamma(self, s, quad) / s, lo, hi, quad)
-            contributions.append(val)
-            errors.append(err)
-            if k >= 4 and abs(val) < 1e-3 * quad.abs_tol:
-                break
-        ratios = [
-            abs(contributions[i + 1]) / abs(contributions[i])
-            for i in range(len(contributions) - 1)
-            if abs(contributions[i]) > 0
-        ]
-        tail_ratios = ratios[-4:] if len(ratios) >= 4 else ratios
-        growing = sum(1 for r in ratios[-3:] if r >= 1.0)
-        last = abs(contributions[-1])
-        if growing >= 3 and last > quad.abs_tol:
-            raise DivergenceSuspectedError(
-                "dyadic contributions of s^-1 * gamma fail to decay"
-            )
-        integrable = bool(tail_ratios) and max(tail_ratios) < 0.95
-        r_tail = min(max(tail_ratios, default=0.0), 0.9)
-        truncation = last * r_tail / (1.0 - r_tail)
-        value = math.fsum(reversed(contributions))
-        err = math.fsum(errors) + truncation
-        return value, integrable, err
+        """(value, err) of int_0^1 gamma(ell s)/s ds, the class-W integral.  The default is
+        one integrate_1d over [0, 1], which raises QuadratureError if the integral diverges."""
+        return integrate_1d(lambda s: gamma(self, s, quad) / s, 0.0, 1.0, quad)
 
     def support_kinks(self) -> list:
         """Angles where circle integrands for this shape lose smoothness."""
@@ -396,7 +368,7 @@ class PlanarPolytope(Shape):
             return np.log(ell / hi) - log_ratio + 0.5 * (lo + hi) / ell
 
         value, err = self._chord_integral(mean, quad)
-        return 2.0 * value, True, 2.0 * err
+        return 2.0 * value, 2.0 * err
 
     def covariance_integral(self, quad):
         value, _ = self._chord_integral(lambda lo, hi: (lo + hi) * (lo * lo + hi * hi) / 4.0, quad)
@@ -779,12 +751,9 @@ def perimeter_from_variations(shape: Shape, quad: QuadSpec = QuadSpec()) -> floa
 
 
 def gamma_weighted_integral(shape: Shape, quad: QuadSpec = QuadSpec()):
-    """Integral over (0, 1] of gamma(ell*s)/s, as (value, integrable, err_estimate).
-
-    The integrable flag records whether the integral converges (class W).
-    """
+    """Integral over (0, 1] of gamma(ell*s)/s, as (value, err_estimate)."""
     if shape.gamma_vanishes:
-        return 0.0, True, 0.0
+        return 0.0, 0.0
     return shape.gamma_weighted_integral(quad)
 
 

@@ -132,6 +132,30 @@ class TestVerify:
             run_cli(["verify", "nonsense"], capsys)
         assert exc.value.code == 2
 
+    def test_interval_shape_file(self, tmp_path, capsys):
+        f = tmp_path / "interval.json"
+        f.write_text(json.dumps({"kind": "interval", "a": 0, "b": 2}))
+        code, out, _ = run_cli(["verify", "interval", "--shape-file", str(f)], capsys)
+        assert code == 0
+        assert out.endswith("RESULT: PASS\n")
+
+    @pytest.mark.parametrize(
+        "target, doc",
+        [
+            ("all", {"kind": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]}),
+            ("interval", {"kind": "ball", "dim": 2}),
+        ],
+        ids=["all-triangle", "interval-ball2"],
+    )
+    def test_shape_file_other_than_an_interval_exits_2(self, target, doc, tmp_path, capsys):
+        # verify checks only the built-in shapes and an interval given by file
+        f = tmp_path / "shape.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run_cli(["verify", target, "--shape-file", str(f)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: verify --shape-file")
+
 
 class TestSweep:
     def test_csv_deterministic(self, tmp_path, capsys):
@@ -204,6 +228,12 @@ class TestSweep:
 
 
 def test_no_shape_exits_usage(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["covariance", "--point", "0,0"], capsys)
-    assert exc.value.code == 2
+    for argv in (
+        ["covariance", "--point", "0,0"],
+        ["heat-content", "--t", "0.1"],
+        ["sweep", "--t-min", "0.1", "--t-max", "0.5", "--count", "2"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {argv[0]} needs --shape or --shape-file\n"

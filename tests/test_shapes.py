@@ -30,6 +30,7 @@ from heatcov.errors import (
     DomainError,
     InvalidShapeError,
     NonUnitVectorError,
+    QuadratureError,
 )
 
 from conftest import benchmark_polygons, first_breakpoint, gauss_legendre
@@ -362,12 +363,8 @@ class TestBall:
         assert gamma(UnitBall(1), 1.0) == 0.0
 
 
-@pytest.mark.parametrize(
-    "shape", [*(UnitBall(d) for d in (1, 2, 3, 6, 10, 16)), Interval(0.0, 0.7)], ids=repr
-)
-def test_radial_heat_content_takes_few_rounds(shape, quad, monkeypatch):
-    # panels seeded at every t 4^k below ell resolve the layer at r ~ t before the first
-    # round, at every t
+def _count_integrand_calls(monkeypatch):
+    """Patch shapes.integrate_1d to count its calls; returns one integrand-call count per call."""
     integrate = shapes.integrate_1d
     rounds = []
 
@@ -381,6 +378,16 @@ def test_radial_heat_content_takes_few_rounds(shape, quad, monkeypatch):
         return integrate(g, *args, **kwargs)
 
     monkeypatch.setattr(shapes, "integrate_1d", counting)
+    return rounds
+
+
+@pytest.mark.parametrize(
+    "shape", [*(UnitBall(d) for d in (1, 2, 3, 6, 10, 16)), Interval(0.0, 0.7)], ids=repr
+)
+def test_radial_heat_content_takes_few_rounds(shape, quad, monkeypatch):
+    # panels seeded at every t 4^k below ell resolve the layer at r ~ t before the first
+    # round, at every t
+    rounds = _count_integrand_calls(monkeypatch)
     for t in (1e-9, 1e-6, 1e-3, 1.0, 1e3):
         shape.heat_content(t, quad)
     assert len(rounds) == 5
@@ -492,18 +499,45 @@ class TestPolygonGamma:
 
 class TestGammaWeightedIntegral:
     def test_ball2(self, quad):
-        value, integrable, err = gamma_weighted_integral(UnitBall(2), quad)
-        assert integrable
+        value, _ = gamma_weighted_integral(UnitBall(2), quad)
         assert value == pytest.approx(math.pi * (math.pi - 4.0 * math.log(2.0)), abs=1e-8)
 
     def test_ball3(self, quad):
-        value, integrable, _ = gamma_weighted_integral(UnitBall(3), quad)
-        assert integrable
+        value, _ = gamma_weighted_integral(UnitBall(3), quad)
         assert value == pytest.approx(2.0 * math.pi**2 / 3.0, abs=1e-8)
 
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_ball_against_reference(self, d, quad):
+        # Fubini on M_d(s)/s^2 with x = sin(p): int_0^1 gamma_B(2s)/s ds =
+        # A_d w_{d-1} int_0^{pi/2} (1 - cos^{d-1} p)(1 - sin p) cos p / sin p dp
+        a_d, w_dm1 = _ball_constants(d)
+
+        def f(p):
+            cos, sin = np.cos(p), np.sin(p)
+            return -np.expm1((d - 1) * np.log(cos)) * (1.0 - sin) * cos / sin
+
+        want = a_d * w_dm1 * gauss_legendre(f, 0.0, 0.5 * math.pi, n=96)
+        value, _ = gamma_weighted_integral(UnitBall(d), quad)
+        assert value == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_ball_takes_one_quadrature_call(self, d, quad, monkeypatch):
+        rounds = _count_integrand_calls(monkeypatch)
+        gamma_weighted_integral(UnitBall(d), quad)
+        assert len(rounds) == 1
+        assert rounds[0] <= 8, rounds
+
+    def test_divergent_integrand_raises(self, quad):
+        class FlatGamma(UnitBall):
+            # gamma(ell s) = 1 makes int_0^1 gamma/s ds diverge at 0
+            def gamma(self, s, quad):
+                return np.ones_like(s)
+
+        with np.errstate(all="ignore"), pytest.raises(QuadratureError):
+            gamma_weighted_integral(FlatGamma(2), quad)
+
     def test_square(self, quad):
-        value, integrable, _ = gamma_weighted_integral(Rectangle(1.0, 1.0), quad)
-        assert integrable
+        value, _ = gamma_weighted_integral(Rectangle(1.0, 1.0), quad)
         expected = 2.0 * SQRT2 * (math.pi - 8.0) + 8.0 * math.log(2.0 * (3.0 + 2.0 * SQRT2))
         assert value == pytest.approx(expected, abs=1e-8)
         assert gamma_weighted_closed_form(Rectangle(1.0, 1.0)) == pytest.approx(expected)
@@ -529,7 +563,7 @@ class TestSquareITerms:
 
     def test_sum_matches_weighted_integral(self, quad):
         terms = square_I_terms(quad)
-        value, _, _ = gamma_weighted_integral(Rectangle(1.0, 1.0), quad)
+        value, _ = gamma_weighted_integral(Rectangle(1.0, 1.0), quad)
         assert sum(terms) == pytest.approx(value, abs=1e-8)
 
 
