@@ -49,16 +49,19 @@ def _gk_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nda
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _NODES
-    fx = np.reshape(f(x.ravel()), x.shape)
-    g, k = (fx @ _WEIGHTS).T
-    if not math.isfinite(k.sum()):
+    with np.errstate(all="ignore"):  # a non-finite sum raises below; an infinite (200 diff)^1.5 is harmless
+        fx = np.reshape(f(x.ravel()), x.shape)
+        g, k = (fx @ _WEIGHTS).T
+        total, diff = k.sum(), half * np.abs(k - g)
+        err = np.minimum(diff, (200.0 * diff) ** 1.5)
+    if not math.isfinite(total):
         bad = ~np.isfinite(fx)
         if bad.any():
             xi, fi = float(x[bad][0]), float(fx[bad][0])
-            raise QuadratureError(f"non-finite integrand sample f({xi!r}) = {fi!r}")
+            raise QuadratureError(f"non-finite integrand sample f({xi!r}) = {fi!r}: "
+                                  "the integral probably diverges there")
         raise QuadratureError("Kronrod sum overflows on a panel")
-    diff = half * np.abs(k - g)
-    return half * k, np.minimum(diff, (200.0 * diff) ** 1.5)
+    return half * k, err
 
 
 def integrate_1d(

@@ -1,13 +1,16 @@
+import functools
 import importlib.util
 import math
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heatcov import ConvexPolygon, QuadSpec, integrate_1d
+from heatcov.shapes import _PAIR_ENTRIES, _boundary_terms
 
 
 @pytest.fixture(scope="session")
@@ -72,7 +75,7 @@ def _clip_halfplane(poly: list, a: np.ndarray, b: np.ndarray) -> list:
 
 
 def clipped_intersection_area(verts: np.ndarray, offset: np.ndarray) -> float:
-    """Area of P and P + offset by half-plane clipping: the batched covariance's reference."""
+    """Area of P and P + offset by half-plane clipping: a reference for the polygon covariance."""
     poly = [v.copy() for v in verts]
     shifted = verts + offset
     n = len(shifted)
@@ -83,6 +86,69 @@ def clipped_intersection_area(verts: np.ndarray, offset: np.ndarray) -> float:
     x, y = np.array(poly).T
     area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
     return area if area > 1e-14 else 0.0
+
+
+def exact_intersection_area(verts, offset) -> float:
+    """Area of P and P + offset by half-plane clipping in rational arithmetic: exact
+    for the float inputs, up to the final rounding."""
+    to_exact = np.vectorize(Fraction, otypes=[object])
+    verts, offset = to_exact(np.asarray(verts, dtype=float)), to_exact(np.asarray(offset, dtype=float))
+    poly, shifted = list(verts), verts + offset
+    n = len(shifted)
+    for i in range(n):
+        poly = _clip_halfplane(poly, shifted[i], shifted[(i + 1) % n])
+        if len(poly) < 3:
+            return 0.0
+    return float(sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(poly, poly[1:] + poly[:1])) / 2)
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_tables(poly):
+    """Per edge pair [i, j]: v_j - v_i, e_j x e_i, which pairs are parallel and which of
+    those point the same way, and per edge the tie rules of ``green_covariance``."""
+    verts, edges = poly.vertex_array, poly.edge_directions
+    diff = verts[None, :, :] - verts[:, None, :]
+    den = edges[None, :, 0] * edges[:, None, 1] - edges[None, :, 1] * edges[:, None, 0]
+    lengths = np.linalg.norm(edges, axis=1)
+    par = np.abs(den) <= 1e-13 * lengths[:, None] * lengths  # sin(angle) <= 1e-13
+    same = edges @ edges.T > 0.0
+    tau = np.where(edges[:, 1] != 0.0, edges[:, 1], -edges[:, 0])
+    return (diff[..., 0], diff[..., 1], np.where(par, 1.0, den), ~par & (den > 0.0),
+            ~par & (den < 0.0), par, same, tau > 0.0, tau < 0.0, _boundary_terms(verts))
+
+
+def green_covariance(poly, ys) -> np.ndarray:
+    """Area of P and P + y for each row y of an (m, 2) array, by Green's theorem in
+    coordinates relative to vertex 0: the reference for the chord-walk covariance.
+
+    Each edge of either copy counts the part inside the other copy, a
+    Cyrus-Beck parameter interval; a piece a + t e, t in [t0, t1], adds
+    (t1 - t0) (a x e) / 2.  Edge i of P and edge j of P + y on parallel
+    lines are both decided by h = e_i x (v_j + y - v_i), so opposite edges
+    on one line count together and cancel.  Where h = 0 the copy is taken
+    as shifted by (eps, eps^2): with tau(e) = e_y, or -e_x where e_y = 0,
+    a shared edge e counts once, for P if tau(e) > 0 and for P + y if not.
+    """
+    ys = np.asarray(ys, dtype=float).reshape(-1, 2)
+    dx, dy, den, pos, neg, par, same, tie_p, tie_q, c = _pair_tables(poly)
+    ex, ey = poly.edge_directions[:, 0], poly.edge_directions[:, 1]
+    out = np.empty(len(ys))
+    step = max(1, _PAIR_ENTRIES // len(ex) ** 2)
+    for k in range(0, len(ys), step):
+        y = ys[k : k + step]
+        big_x, big_y = dx + y[:, :1, None], dy + y[:, 1:, None]  # [m, i, j] = v_j + y - v_i
+        r_p = (ex * big_y - ey * big_x) / den  # (e_j x D) / (e_j x e_i), bounds on edge i of P
+        h = ex[:, None] * big_y - ey[:, None] * big_x  # e_i x D: P + y is inside edge i's line
+        r_q = h / den  # bounds on edge j of P + y
+        len_p = np.where(neg, r_p, 1.0).min(axis=2) - np.where(pos, r_p, 0.0).max(axis=2)
+        len_q = np.where(pos, r_q, 1.0).min(axis=1) - np.where(neg, r_q, 0.0).max(axis=1)
+        out_q = (h < 0.0) | ((h == 0.0) & ~tie_q[:, None])  # where the lines are parallel
+        out_p = np.where(same, (h > 0.0) | ((h == 0.0) & ~tie_p), out_q)
+        len_p = np.where((par & out_p).any(axis=2), 0.0, np.maximum(len_p, 0.0))
+        len_q = np.where((par & out_q).any(axis=1), 0.0, np.maximum(len_q, 0.0))
+        y_cross_e = y[:, :1] * ey - y[:, 1:] * ex
+        out[k : k + step] = 0.5 * np.sum(len_p * c + len_q * (c + y_cross_e), axis=1)
+    return np.where(out > 1e-14 * poly.geometry.volume, out, 0.0)
 
 
 def first_breakpoint(poly) -> float:
@@ -102,8 +168,8 @@ def first_breakpoint(poly) -> float:
 
 def polar_reference(poly, f, seeds=()) -> float:
     """Integral over the plane, in polar coordinates up to the diameter, of f(r, g, V_u/2)
-    where g(rs) maps radii to the Green's-theorem covariance at rs u: the reference for
-    the chord-table integrals.
+    where g(rs) maps radii to the Green's-theorem covariance at rs u (``green_covariance``):
+    the reference for the chord-table integrals.
 
     Along a ray g is quadratic between the radii where the ray crosses a segment
     edge_j - v_i or v_i - edge_j (a vertex of one copy meets an edge of the
@@ -128,7 +194,7 @@ def polar_reference(poly, f, seeds=()) -> float:
             breaks = r[(0.0 <= s) & (s <= 1.0) & (r > 0.0) & (r < ell)]
             half_v = poly.directional_variation(u[None, :])[0] / 2.0
             out[k], _ = integrate_1d(
-                lambda r: f(r, lambda rs: poly.covariance(rs[:, None] * u), half_v),
+                lambda r: f(r, lambda rs: green_covariance(poly, rs[:, None] * u), half_v),
                 0.0, ell, spec, points=[*breaks, *seeds],
             )
         return out

@@ -1,8 +1,9 @@
 """The chord-length engine of ``PlanarPolytope`` against independent references.
 
-``conftest.polar_reference`` integrates the Green's-theorem covariance in polar
-coordinates, as the package computed these quantities before the engine; the
-unit square's gamma and its weighted integral have closed forms.
+``conftest.polar_reference`` integrates the Green's-theorem covariance
+(``conftest.green_covariance``) in polar coordinates, as the package computed
+these quantities before the engine; the unit square's gamma and its weighted
+integral have closed forms.
 """
 
 import math
@@ -21,7 +22,7 @@ from heatcov import (
 )
 from heatcov.shapes import support_radius_at
 
-from conftest import benchmark_polygons, first_breakpoint, polar_reference, square_gamma
+from conftest import benchmark_polygons, first_breakpoint, green_covariance, polar_reference, square_gamma
 
 TRIANGLE = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 THIN_QUADRILATERAL = ConvexPolygon([(0.0, 0.0), (5.0, 0.0), (5.1, 0.2), (0.0, 0.1)])
@@ -67,7 +68,7 @@ class TestChordTable:
         for theta, r in zip(rng.uniform(0.0, math.pi, 50), rng.uniform(0.0, ell, 50)):
             u = np.array([[math.cos(theta), math.sin(theta)]])
             assert _chord_covariance(poly, theta, r) == pytest.approx(
-                poly.covariance(r * u)[0], abs=1e-13 * poly.geometry.volume
+                green_covariance(poly, r * u)[0], abs=1e-13 * poly.geometry.volume
             )
 
 

@@ -7,8 +7,9 @@ square's, which were written by the chord engine (the scalar code's R was
 H and residual cells of the disc's two smallest t, which were written by the radial
 quadrature seeded at every t 4^k (the old cells were 5.7e-13 and 6.5e-13 off;
 ``test_ball2_H_against_reference`` checks the new values);
-the polygon covariance is checked against the half-plane clipping it replaced
-(``conftest.clipped_intersection_area``) on the polygons the benchmark generates.
+the polygon covariance is checked against half-plane clipping
+(``conftest.clipped_intersection_area``) and Green's theorem
+(``conftest.green_covariance``) on the polygons the benchmark generates.
 """
 
 import csv
@@ -22,7 +23,13 @@ import pytest
 from heatcov import kappa
 from heatcov.cli import main
 
-from conftest import benchmark_polygons, clipped_intersection_area, gauss_legendre, square_gamma
+from conftest import (
+    benchmark_polygons,
+    clipped_intersection_area,
+    gauss_legendre,
+    green_covariance,
+    square_gamma,
+)
 
 HERE = Path(__file__).resolve().parent
 
@@ -104,5 +111,7 @@ def test_polygon_covariance_matches_clipping(seed):
     rng = np.random.default_rng(seed)
     for poly in benchmark_polygons(seed):
         ys = _offsets(poly, rng)
+        got = poly.covariance(ys)
         want = [clipped_intersection_area(poly.vertex_array, y) for y in ys]
-        np.testing.assert_allclose(poly.covariance(ys), want, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(got, green_covariance(poly, ys), rtol=0.0, atol=1e-13)

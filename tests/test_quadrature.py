@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,15 @@ class TestIntegrate1d:
 
         with pytest.raises(QuadratureError, match="non-finite integrand sample"):
             integrate_1d(f, 0.4999999, 0.5000001, quad)
+
+    def test_warns_nothing_and_names_a_divergence(self, quad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError, match="probably diverges there"):
+                integrate_1d(lambda s: 1.0 / s, 0.0, 1.0, quad)
+            # a finite integral near the top of the float range, whose first error estimates overflow
+            value, _ = integrate_1d(lambda x: 1e300 * (2.0 + np.sin(30.0 * x)), 0.0, 3.0, quad)
+            assert value == pytest.approx(1e300 * (6.0 + (1.0 - math.cos(90.0)) / 30.0), rel=1e-10)
 
     def test_one_call_per_round(self):
         # a round evaluates the 15 nodes of all its panels in one call, and the

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heatcov import (
@@ -33,7 +33,13 @@ from heatcov.errors import (
     QuadratureError,
 )
 
-from conftest import benchmark_polygons, first_breakpoint, gauss_legendre
+from conftest import (
+    benchmark_polygons,
+    exact_intersection_area,
+    first_breakpoint,
+    gauss_legendre,
+    green_covariance,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -309,6 +315,102 @@ class TestCovariance:
             assert g == 0.0
 
 
+def _hull(pts):
+    """Convex hull, counterclockwise, by the monotone chain."""
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1]) <= (
+                out[-1][1] - out[-2][1]
+            ) * (p[0] - out[-2][0]):
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    pts = sorted(set(pts))
+    return half(pts) + half(pts[::-1])
+
+
+@st.composite
+def _convex_polygons(draw):
+    """The hull of 3-40 points: a triangle inscribed in the unit circle and up to 37
+    points at radius 1/2 to 1, squeezed by an aspect ratio down to 1e-3, rotated, and
+    scaled and moved by lambda in [1e-6, 1e6]."""
+    polar = [(0.0, 1.0), (2.0 * math.pi / 3.0, 1.0), (4.0 * math.pi / 3.0, 1.0)]
+    polar += draw(st.lists(st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.5, 1.0)), max_size=37))
+    aspect, angle = 10.0 ** draw(st.floats(-3.0, 0.0)), draw(st.floats(0.0, math.pi))
+    lam, (mx, my) = 10.0 ** draw(st.floats(-6.0, 6.0)), draw(st.tuples(st.floats(-5, 5), st.floats(-5, 5)))
+    c, s = math.cos(angle), math.sin(angle)
+    pts = [(rho * math.cos(phi), aspect * rho * math.sin(phi)) for phi, rho in polar]
+    pts = [(lam * (c * x - s * y + mx), lam * (s * x + c * y + my)) for x, y in pts]
+    try:
+        return ConvexPolygon(_hull(pts))
+    except InvalidShapeError:  # two hull points closer than 1e-12 diameters
+        assume(False)
+
+
+def _tolerance(poly):
+    """1e-13 |Omega|, but not below 1e-14 ell^2: the vertex coordinates relative to vertex 0
+    carry rounding of order eps ell, so any area of a thin polygon carries eps ell^2."""
+    geo = poly.geometry
+    return 1e-13 * max(geo.volume, 0.1 * geo.support_radius**2)
+
+
+# points rho ell (cos theta, sin theta) on random rays, rho in [0, 1.1] (subnormal ones too)
+_RAYS = st.lists(st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 1.1)), min_size=1, max_size=8)
+
+
+def _ray_points(poly, rays):
+    ell = poly.geometry.support_radius
+    return [(rho * ell * math.cos(theta), rho * ell * math.sin(theta)) for theta, rho in rays]
+
+
+class TestPolygonCovarianceProperties:
+    """The chord-walk covariance of random convex polygons, thin, tiny and huge ones too."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        poly=_convex_polygons(),
+        rays=_RAYS,
+        pairs=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), min_size=1, max_size=3),
+        edges=st.lists(
+            st.tuples(st.integers(0, 39), st.sampled_from([-1.0, -0.5, 0.25, 1.0])), min_size=1, max_size=3
+        ),
+    )
+    # a subnormal point: u = y / |y| must still be a unit vector
+    @example(poly=TRIANGLE, rays=[(1.0, 5e-324)], pairs=[(0, 0)], edges=[(0, -1.0)])
+    def test_matches_references(self, poly, rays, pairs, edges):
+        # random rays against Green's theorem; vertex differences and edge multiples, where
+        # edges of the two copies meet or share a line, against exact rational clipping
+        # (Green's theorem misses there by up to 1e-11 |Omega| on thin polygons)
+        tol, n = _tolerance(poly), len(poly.vertices)
+        ys = np.array(_ray_points(poly, rays))
+        np.testing.assert_allclose(poly.covariance(ys), green_covariance(poly, ys), rtol=0.0, atol=tol)
+        verts, dirs = poly.vertex_array, poly.edge_directions
+        ys = np.array([verts[i % n] - verts[j % n] for i, j in pairs] + [k * dirs[i % n] for i, k in edges])
+        want = [exact_intersection_area(verts, y) for y in ys]
+        np.testing.assert_allclose(poly.covariance(ys), want, rtol=0.0, atol=tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        poly=_convex_polygons(),
+        rays=_RAYS,
+        pairs=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=4),
+        shift=st.integers(1, 39),
+    )
+    def test_symmetry_bounds_batch_and_shift(self, poly, rays, pairs, shift):
+        tol, vol, n = _tolerance(poly), poly.geometry.volume, len(poly.vertices)
+        verts = poly.vertex_array
+        ys = np.array(_ray_points(poly, rays) + [verts[i % n] - verts[j % n] for i, j in pairs])
+        g = poly.covariance(ys)
+        np.testing.assert_allclose(g, poly.covariance(-ys), rtol=0.0, atol=tol)
+        assert np.all((0.0 <= g) & (g <= vol + tol))
+        assert covariance(poly, [0.0, 0.0]) == vol
+        np.testing.assert_array_equal(g, [covariance(poly, y) for y in ys])
+        shifted = ConvexPolygon(np.roll(verts, shift % n, axis=0))
+        np.testing.assert_allclose(shifted.covariance(ys), g, rtol=0.0, atol=tol)
+
+
 def _ball_constants(d):
     """(A_d, w_{d-1}) from math.gamma, independent of heatcov.kernel."""
     a_d = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
@@ -570,8 +672,10 @@ class TestSquareITerms:
 class TestSelfChecks:
     @pytest.mark.parametrize(
         "shape",
-        [UnitBall(2), Rectangle(1.0, 1.0), TRIANGLE, Interval(0.0, 1.0)],
-        ids=["ball2", "square", "triangle", "interval"],
+        [UnitBall(2), Rectangle(1.0, 1.0), TRIANGLE, Interval(0.0, 1.0), *benchmark_polygons(1),
+         ConvexPolygon([(0.0, 0.0), (5.0, 0.0), (5.1, 0.2), (0.0, 0.1)]),
+         ConvexPolygon([(math.cos(math.pi * k / 20), math.sin(math.pi * k / 20)) for k in range(40)])],
+        ids=["ball2", "square", "triangle", "interval", "triangle-1", "hexagon-1", "rotrect-1", "thin", "40-gon"],
     )
     def test_all_pass(self, shape, quad):
         report = covariance_self_checks(shape, quad, seed=123)
