@@ -1,5 +1,21 @@
 """Seeded Monte Carlo estimators used only to cross-check the quadrature pipeline.
 
+H(t) = |Omega| P(X + t W in Omega) and g(y) = |Omega| P(X - y in Omega), X
+uniform on Omega and W ~ p_1.  Each block of n draws is one call of a shape
+method, ``heat_hits(rng, n, t)`` or ``shift_hits(rng, n, y)``, which returns
+the block's hit count.  The generic ``Shape`` methods draw X with ``sample``,
+W with ``sample_cauchy`` (d + 1 normals a draw) and test ``contains``.
+
+The unit ball overrides both with its two rotation invariants, so a draw
+costs the same in every d.  Rotate X onto e_1: X = r e_1 with r = U^(1/d),
+and W = (G_1, G_perp)/|g_0| with G and g_0 standard normal, so
+X + t W is in the ball iff (r + t G_1/|g_0|)^2 + t^2 |G_perp|^2/g_0^2 <= 1.
+For g, rotate y onto |y| e_1 instead: X = r Theta with Theta_1 = G_1/|G|, so
+X - y is in the ball iff (r Theta_1 - |y|)^2 + r^2 (1 - Theta_1^2) <= 1.
+A draw takes U, G_1, |G_perp|^2 ~ chi^2_(d-1) (2 standard_gamma((d-1)/2),
+one squared normal in d = 2, zero in d = 1) and, for H, g_0; a zero g_0 or
+G is redrawn.  Every other shape takes the generic methods.
+
 Sampling is counter-based (Philox keyed by seed and block index), so the
 estimate for a given (inputs, seed, n) is bit-identical no matter how the
 blocks are scheduled: block hit counts are integers and their sum is
@@ -8,8 +24,10 @@ on the calling thread plus helper threads, which NumPy's random draws and
 array loops let run in parallel.  Estimates are therefore the same for any
 schedule and CPU count, and memory grows by one block's temporaries per CPU.
 
-Block code touches only shape methods, ``_block_rng`` and ``sample_cauchy``;
-argument checks and ``geometry`` run on the calling thread.
+Block code runs off the calling thread, so it may call only the shape's own
+methods, ``_block_rng`` and ``sample_cauchy``, never a public module function
+(``geometry``, ``covariance``, ...) that a tracer may rebind; argument checks
+and ``geometry`` run on the calling thread.
 """
 
 from __future__ import annotations
@@ -23,7 +41,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .kernel import _check_t
+from .kernel import _check_t, sample_cauchy  # noqa: F401  (re-exported)
 from .shapes import Shape, _rows, geometry
 
 BLOCK_SIZE = 1 << 16
@@ -41,19 +59,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
-def sample_cauchy(d: int, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-    """Draw n vectors with density p_1 via the ratio-of-normals representation."""
-    g = rng.standard_normal((n, d))
-    g0 = rng.standard_normal(n)
-    while not g0.all():  # a zero g0 (possible in floating point): redraw its rows
-        ok = g0 != 0.0
-        more = n - int(np.sum(ok))
-        g = np.concatenate([g[ok], rng.standard_normal((more, d))])
-        g0 = np.concatenate([g0[ok], rng.standard_normal(more)])
-    g /= np.abs(g0, out=g0)[:, None]
-    return g
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -61,8 +66,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _estimate(shape: Shape, n: int, seed: int, move) -> McEstimate:
-    """|Omega| P(move(X, rng) in Omega) for X uniform on Omega, one stream per block."""
+def _estimate(shape: Shape, n: int, seed: int, block_hits) -> McEstimate:
+    """|Omega| times the fraction of hits, block_hits(rng, size) counting one block's."""
     if isinstance(n, bool) or not isinstance(n, Integral) or n < 1000:
         raise DomainError(f"n must be an integer >= 1000, got {n!r}")
     if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 1 << 64:
@@ -81,10 +86,7 @@ def _estimate(shape: Shape, n: int, seed: int, move) -> McEstimate:
                     block = next(claimed, None)
                 if block is None:
                     break
-                rng = _block_rng(seed, block)
-                size = min(BLOCK_SIZE, n - block * BLOCK_SIZE)
-                # no name holds the block's arrays, so each is freed once the next step is done
-                hits += int(np.count_nonzero(shape.contains(move(shape.sample(rng, size), rng))))
+                hits += block_hits(_block_rng(seed, block), min(BLOCK_SIZE, n - block * BLOCK_SIZE))
         except BaseException as exc:
             failures.append(exc)
         counts.append(hits)
@@ -110,14 +112,7 @@ def _estimate(shape: Shape, n: int, seed: int, move) -> McEstimate:
 def mc_heat_content(shape: Shape, t: float, n: int, seed: int) -> McEstimate:
     """Estimate H(t) = |Omega| P(X + t W in Omega), X uniform on Omega, W ~ p_1."""
     t = _check_t(t)
-
-    def move(x, rng):
-        w = sample_cauchy(shape.dim, rng, len(x))
-        w *= t
-        w += x
-        return w
-
-    return _estimate(shape, n, seed, move)
+    return _estimate(shape, n, seed, lambda rng, size: shape.heat_hits(rng, size, t))
 
 
 def mc_covariance(shape: Shape, y, n: int, seed: int) -> McEstimate:
@@ -126,9 +121,4 @@ def mc_covariance(shape: Shape, y, n: int, seed: int) -> McEstimate:
     if len(ys) != 1:
         raise DimensionMismatchError(f"mc_covariance takes one point, got {len(ys)}")
     y = ys[0]
-
-    def move(x, rng):
-        x -= y
-        return x
-
-    return _estimate(shape, n, seed, move)
+    return _estimate(shape, n, seed, lambda rng, size: shape.shift_hits(rng, size, y))

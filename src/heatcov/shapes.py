@@ -94,6 +94,21 @@ class Shape(ABC):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n points drawn uniformly from the shape, as an (n, dim) array."""
 
+    def heat_hits(self, rng: np.random.Generator, n: int, t: float) -> int:
+        """How many of n draws of X + t W land in the shape, X uniform on it and W ~ p_1."""
+        x = self.sample(rng, n)
+        w = kernel.sample_cauchy(self.dim, rng, n)
+        w *= t
+        w += x
+        del x  # freed before contains makes its own temporaries
+        return int(np.count_nonzero(self.contains(w)))
+
+    def shift_hits(self, rng: np.random.Generator, n: int, y: np.ndarray) -> int:
+        """How many of n draws of X - y land in the shape, X uniform on it."""
+        x = self.sample(rng, n)
+        x -= y
+        return int(np.count_nonzero(self.contains(x)))
+
     @abstractmethod
     def gamma(self, s: np.ndarray, quad: QuadSpec) -> np.ndarray:
         """gamma(ell * s) for each s in (0, 1] of a 1-D array."""
@@ -187,6 +202,41 @@ class UnitBall(Shape):
         r = rng.random(n) ** (1.0 / self.d)
         v *= r[:, None]
         return v
+
+    # The ball is rotation invariant, so a block draws only the two invariants of each
+    # sample instead of d-vectors: see heatcov.mc.
+
+    def _split_normal(self, rng, n):
+        """G_1 and |G_perp|^2 ~ chi^2_(d-1) of n standard normal d-vectors G = (G_1, G_perp)."""
+        g1 = rng.standard_normal(n)
+        if self.d == 1:
+            return g1, np.zeros(n)
+        if self.d == 2:  # a gamma draw at shape 1/2 is slow
+            return g1, np.square(rng.standard_normal(n))
+        return g1, 2.0 * rng.standard_gamma((self.d - 1) / 2.0, n)
+
+    def heat_hits(self, rng, n, t):
+        # X = r e_1 and W = G/|g_0|: (r + t G_1/|g_0|)^2 + t^2 |G_perp|^2/g_0^2 <= 1, times g_0^2
+        r = rng.random(n) ** (1.0 / self.d)
+        g1, perp2 = self._split_normal(rng, n)
+        g0 = np.abs(rng.standard_normal(n))
+        while not g0.all():  # a zero g0 (possible in floating point): redraw it
+            zero = g0 == 0.0
+            g0[zero] = np.abs(rng.standard_normal(int(np.count_nonzero(zero))))
+        a = r * g0 + t * g1
+        return int(np.count_nonzero(a * a + t * t * perp2 <= g0 * g0))
+
+    def shift_hits(self, rng, n, y):
+        # y = |y| e_1 and X = r G/|G|; 1 - Theta_1^2 is |G_perp|^2/|G|^2, free of cancellation
+        r = rng.random(n) ** (1.0 / self.d)
+        g1, perp2 = self._split_normal(rng, n)
+        norm2 = g1 * g1 + perp2
+        while not norm2.all():  # a zero G (possible in floating point): redraw its rows
+            zero = norm2 == 0.0
+            g1[zero], perp2[zero] = self._split_normal(rng, int(np.count_nonzero(zero)))
+            norm2 = g1 * g1 + perp2
+        along = r * g1 / np.sqrt(norm2) - float(np.linalg.norm(y))
+        return int(np.count_nonzero(along * along + r * r * perp2 / norm2 <= 1.0))
 
     def gamma(self, s, quad):
         """gamma_B(2s) = A_d w_{d-1} / s * int_0^{asin s} (cos - cos^d)."""

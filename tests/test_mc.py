@@ -11,6 +11,7 @@ from heatcov import (
     ConvexPolygon,
     Interval,
     Rectangle,
+    Shape,
     UnitBall,
     covariance,
     heat_content,
@@ -21,24 +22,27 @@ from heatcov import (
 from heatcov import asymptotics, kernel, mc, quadrature, shapes
 from heatcov.errors import DimensionMismatchError, DomainError
 from heatcov.mc import _block_rng
+from heatcov.shapes import ball_covariance_radial
 
 TRIANGLE = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 HEXAGON = ConvexPolygon([(1.0, 0.0), (0.5, 0.8), (-0.5, 0.8), (-1.0, 0.0), (-0.5, -0.8), (0.5, -0.8)])
 RECT = Rectangle(1.3, 0.6)
 PARTIAL = 3 * (1 << 16) + 17  # three full blocks and a partial one
 
-# float.hex of estimates made by the serial block loop that preceded the concurrent one
+# float.hex of estimates.  The non-ball values were made by the serial block loop that
+# preceded the concurrent one; the ball values by a one-CPU run of the blocks that draw
+# only the ball's two rotation invariants (UnitBall.heat_hits and shift_hits)
 GOLDEN = [
-    (mc_heat_content, UnitBall(1), 0.1, 200_000, 1, "0x1.bf4bc6a7ef9dbp+0"),
-    (mc_heat_content, UnitBall(3), 0.1, 200_000, 2, "0x1.7df82b5f62bc7p+1"),
-    (mc_heat_content, UnitBall(10), 0.05, 200_000, 3, "0x1.8760f76ed9868p+0"),
-    (mc_heat_content, UnitBall(16), 0.02, 200_000, 4, "0x1.5069ce7914ae1p-3"),
+    (mc_heat_content, UnitBall(1), 0.1, 200_000, 1, "0x1.be74d1633482cp+0"),
+    (mc_heat_content, UnitBall(3), 0.1, 200_000, 2, "0x1.7f118c843fa00p+1"),
+    (mc_heat_content, UnitBall(10), 0.05, 200_000, 3, "0x1.8845187bf86dcp+0"),
+    (mc_heat_content, UnitBall(16), 0.02, 200_000, 4, "0x1.51488260935bep-3"),
     (mc_heat_content, RECT, 0.1, 200_000, 5, "0x1.30e09e3ae90a2p+1"),
     (mc_heat_content, TRIANGLE, 0.05, 200_000, 6, "0x1.6d013a92a3055p-2"),
     (mc_heat_content, HEXAGON, 0.1, 200_000, 7, "0x1.d328b6d86ec17p+0"),
     (mc_heat_content, Interval(0.0, 1.7), 0.1, 200_000, 8, "0x1.747008a697aeep+0"),
-    (mc_covariance, UnitBall(4), [0.3, -0.2, 0.1, 0.4], 200_000, 9, "0x1.5ca9f5f870798p+1"),
-    (mc_covariance, UnitBall(8), [0.2] * 8, 200_000, 10, "0x1.9f9a0b1260822p+0"),
+    (mc_covariance, UnitBall(4), [0.3, -0.2, 0.1, 0.4], 200_000, 9, "0x1.5d3b7e7ac4990p+1"),
+    (mc_covariance, UnitBall(8), [0.2] * 8, 200_000, 10, "0x1.9e7ec3143339ep+0"),
     (mc_covariance, RECT, [0.7, 0.2], 200_000, 11, "0x1.e63ea8b23b511p+0"),
     (mc_covariance, TRIANGLE, [0.2, 0.1], 200_000, 12, "0x1.f5dcc63f14120p-3"),
     (mc_heat_content, TRIANGLE, 0.05, PARTIAL, 13, "0x1.6d19eb17cbce8p-2"),
@@ -226,6 +230,99 @@ class TestMcCovariance:
         assert abs(est.mean - ref) <= 3.0 * est.stderr
 
 
+class ZeroNormals:
+    """A generator whose standard_normal draws numbered in `which` hold zeros in every third entry."""
+
+    def __init__(self, which):
+        self.rng = np.random.default_rng(8)
+        self.which = which
+        self.normals = 0
+
+    def random(self, n):
+        return self.rng.random(n)
+
+    def standard_gamma(self, shape, n):
+        return self.rng.standard_gamma(shape, n)
+
+    def standard_normal(self, n):
+        self.normals += 1
+        out = self.rng.standard_normal(n)
+        if self.normals in self.which:
+            out[::3] = 0.0
+        return out
+
+
+class TestBallInvariants:
+    """UnitBall's blocks draw two rotation invariants; Shape's generic blocks draw d-vectors."""
+
+    N = 20_000
+    TS = (0.02, 0.2, 2.0)
+    SHIFTS = (0.0, 0.3, 1.0, 1.9, 2.0, 2.5)
+
+    def _generic(self, ball, method, arg, seed):
+        """(mean, stderr) of the generic path: Shape's block method called on the ball."""
+        p = method(ball, _block_rng(seed, 0), self.N, arg) / self.N
+        vol = ball.geometry.volume
+        return vol * p, vol * math.sqrt(p * (1.0 - p) / self.N)
+
+    def _assert_agree(self, est, generic, ref, vol):
+        combined = math.hypot(est.stderr, generic[1])
+        assert abs(est.mean - generic[0]) <= 5.0 * combined
+        # the binomial stderr at the reference value, positive where every sample misses
+        p = ref / vol
+        assert abs(est.mean - ref) <= 5.0 * vol * math.sqrt(max(p * (1.0 - p), 0.0) / self.N) + 1e-12 * vol
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_heat_content(self, d, quad):
+        ball = UnitBall(d)
+        for i, t in enumerate(self.TS):
+            est = mc_heat_content(ball, t, n=self.N, seed=100 * d + i)
+            generic = self._generic(ball, Shape.heat_hits, t, 100 * d + i + 50)
+            self._assert_agree(est, generic, heat_content(ball, t, quad), ball.geometry.volume)
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_covariance(self, d):
+        ball = UnitBall(d)
+        u = np.random.default_rng(d).standard_normal(d)
+        u /= np.linalg.norm(u)
+        for i, s in enumerate(self.SHIFTS):
+            est = mc_covariance(ball, s * u, n=self.N, seed=200 * d + i)
+            generic = self._generic(ball, Shape.shift_hits, s * u, 200 * d + i + 50)
+            ref = float(ball_covariance_radial(d, np.array([s]))[0])
+            self._assert_agree(est, generic, ref, ball.geometry.volume)
+
+    def test_heat_zero_denominators_are_redrawn(self):
+        # draws: U, G_1, the gamma, g_0 (zeros in every third entry), then the redraw of g_0
+        n, t = 100, 0.7
+        rng = ZeroNormals({2})
+        hits = UnitBall(3).heat_hits(rng, n, t)
+        assert rng.normals == 3
+
+        ref = np.random.default_rng(8)
+        r = ref.random(n) ** (1.0 / 3.0)
+        w = np.column_stack([ref.standard_normal(n), np.sqrt(2.0 * ref.standard_gamma(1.0, n))])
+        g0 = ref.standard_normal(n)
+        g0[::3] = ref.standard_normal(len(g0[::3]))
+        x = np.column_stack([r, np.zeros(n)]) + t * w / np.abs(g0)[:, None]
+        assert hits == np.count_nonzero(np.einsum("ij,ij->i", x, x) <= 1.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_shift_zero_denominators_are_redrawn(self, d):
+        # G = 0 on every third row: G_1 (and in d = 2 the second normal) holds zeros there
+        n, y = 100, np.full(d, 0.4)
+        rng = ZeroNormals(set(range(1, d + 1)))
+        hits = UnitBall(d).shift_hits(rng, n, y)
+        assert rng.normals == 2 * d
+
+        ref = np.random.default_rng(8)
+        r = ref.random(n) ** (1.0 / d)
+        g = np.column_stack([ref.standard_normal(n) for _ in range(d)])
+        g[::3] = np.column_stack([ref.standard_normal(len(g[::3])) for _ in range(d)])
+        x = r[:, None] * g / np.linalg.norm(g, axis=1)[:, None]
+        x[:, 0] -= np.linalg.norm(y)
+        assert hits == np.count_nonzero(np.einsum("ij,ij->i", x, x) <= 1.0)
+
+
 class TestCalibration:
     def test_coverage_across_seeds(self, quad):
         # over many seeds, the 2-sigma interval should cover the truth ~95%
@@ -255,7 +352,7 @@ class TestConcurrentBlocks:
         assert estimator(shape, arg, n=n, seed=seed).mean.hex() == expected
 
     @pytest.mark.parametrize("cpus", [1, 3])
-    @pytest.mark.parametrize("case", [0, 3, 5, 10, 12], ids=lambda i: GOLDEN_IDS[i])
+    @pytest.mark.parametrize("case", [0, 1, 2, 3, 5, 8, 9, 10, 12], ids=lambda i: GOLDEN_IDS[i])
     def test_cpu_count_does_not_change_the_estimate(self, monkeypatch, cpus, case):
         estimator, shape, arg, n, seed, expected = GOLDEN[case]
         monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
@@ -318,7 +415,7 @@ class TestConcurrentBlocks:
                 if inspect.isfunction(fn) and fn in public:
                     monkeypatch.setattr(mod, name, recorded(fn))
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 4)
-        for shape in (UnitBall(3), RECT, HEXAGON, Interval(0.0, 1.7)):
+        for shape in (UnitBall(2), UnitBall(3), UnitBall(16), RECT, HEXAGON, Interval(0.0, 1.7)):
             mc.mc_heat_content(shape, 0.1, n=PARTIAL, seed=1)
             mc.mc_covariance(shape, [0.1] * shape.dim, n=PARTIAL, seed=2)
         assert callers == {caller}

@@ -59,6 +59,33 @@ class TestIntegrate1d:
             value, _ = integrate_1d(lambda x: 1e300 * (2.0 + np.sin(30.0 * x)), 0.0, 3.0, quad)
             assert value == pytest.approx(1e300 * (6.0 + (1.0 - math.cos(90.0)) / 30.0), rel=1e-10)
 
+    @pytest.mark.parametrize("f,a,b", [
+        (lambda s: 1.0 / s, 0.0, 1.0),
+        (lambda s: 1.0 / (1.0 - s), 0.0, 1.0),
+        (lambda s: s**-1.5, 0.0, 1.0),
+        (lambda s: 1.0 / np.cos(s), 0.0, math.pi / 2),
+    ], ids=["1/s", "1/(1-s)", "s^-1.5", "sec"])
+    def test_divergence_raises_within_a_bounded_count(self, f, a, b, quad):
+        # each round splits only the panel at the singularity; 1/s took 1018 rounds and
+        # 30 525 evaluations before a bisected node underflowed
+        sizes = []
+
+        def counted(x):
+            sizes.append(len(x))
+            return f(x)
+
+        with pytest.raises(QuadratureError, match="has not fallen in 16 rounds"):
+            integrate_1d(counted, a, b, quad)
+        assert len(sizes) <= 20
+        assert sum(sizes) <= 600
+
+    def test_slow_integrable_singularity_still_converges(self, quad):
+        # s^-0.95 cuts the error estimate by 3.4 % a round, over 549 rounds; the value is
+        # off by 7.9e-8, 42 times the error estimate, so the check is on the value
+        value, err = integrate_1d(lambda s: s**-0.95, 0.0, 1.0, quad)
+        assert value == pytest.approx(20.0, rel=1e-8)
+        assert err <= 1e-10 * value
+
     def test_one_call_per_round(self):
         # a round evaluates the 15 nodes of all its panels in one call, and the
         # batches split the same panels as splitting the worst one at a time
