@@ -4,7 +4,21 @@ H(t) = |Omega| P(X + t W in Omega) and g(y) = |Omega| P(X - y in Omega), X
 uniform on Omega and W ~ p_1.  Each block of n draws is one call of a shape
 method, ``heat_hits(rng, n, t)`` or ``shift_hits(rng, n, y)``, which returns
 the block's hit count.  The generic ``Shape`` methods draw X with ``sample``,
-W with ``sample_cauchy`` (d + 1 normals a draw) and test ``contains``.
+W with ``sample_cauchy`` (d + 1 normals a draw) and test ``contains``; the
+tests hold every faster block to them.
+
+In d <= 2, p_1 and the uniform law on a triangle have exact inverse-CDF or
+spacing samplers, so the blocks of polygons, rectangles and intervals draw
+only uniforms and work on one contiguous row per coordinate:
+
+- d = 1: W = tan(pi (U - 1/2)), the Cauchy law: P(|W| <= r) = (2/pi) atan r.
+- d = 2: P(|W| > r) = (1 + r^2)^(-1/2), so |W| = sqrt(1 - U^2)/U for U in
+  (0, 1]; the direction is ((1 - s^2), 2 s)/(1 + s^2), s = tan(pi (V - 1/2)).
+- X on a convex polygon: one multinomial draw splits the block over the fan
+  triangles by area, and a point of a triangle has the barycentric
+  coordinates (1 - b, b - a, a), a <= b the min and max of two uniforms.
+  Containment is one half-plane test e . p <= c per edge.  A rectangle draws
+  X as two uniform rows, an interval as one.
 
 The unit ball overrides both with its two rotation invariants, so a draw
 costs the same in every d.  Rotate X onto e_1: X = r e_1 with r = U^(1/d),
@@ -14,20 +28,24 @@ For g, rotate y onto |y| e_1 instead: X = r Theta with Theta_1 = G_1/|G|, so
 X - y is in the ball iff (r Theta_1 - |y|)^2 + r^2 (1 - Theta_1^2) <= 1.
 A draw takes U, G_1, |G_perp|^2 ~ chi^2_(d-1) (2 standard_gamma((d-1)/2),
 one squared normal in d = 2, zero in d = 1) and, for H, g_0; a zero g_0 or
-G is redrawn.  Every other shape takes the generic methods.
+G is redrawn.  The interval's covariance block is the generic one.
 
-Sampling is counter-based (Philox keyed by seed and block index), so the
-estimate for a given (inputs, seed, n) is bit-identical no matter how the
-blocks are scheduled: block hit counts are integers and their sum is
-order-invariant.  The blocks run concurrently, one in flight per usable CPU:
-on the calling thread plus helper threads, which NumPy's random draws and
-array loops let run in parallel.  Estimates are therefore the same for any
-schedule and CPU count, and memory grows by one block's temporaries per CPU.
+Each block draws from its own SFC64 stream, seeded by
+SeedSequence((seed, block)), so the estimate for a given (inputs, seed, n)
+is bit-identical no matter how the blocks are scheduled: block hit counts
+are integers and their sum is order-invariant.  The blocks run
+concurrently, one in flight per usable CPU: on the calling thread plus
+helper threads, which NumPy's random draws and array loops let run in
+parallel.  Estimates are therefore the same for any schedule and CPU count,
+and memory grows by one block's temporaries per CPU: at most four rows of
+BLOCK_SIZE floats and two of booleans (2.2 MB) for a polygon, five rows
+(2.6 MB) for a ball.
 
 Block code runs off the calling thread, so it may call only the shape's own
-methods, ``_block_rng`` and ``sample_cauchy``, never a public module function
-(``geometry``, ``covariance``, ...) that a tracer may rebind; argument checks
-and ``geometry`` run on the calling thread.
+methods, the private samplers of ``shapes``, ``_block_rng`` and
+``sample_cauchy``, never a public module function (``geometry``,
+``covariance``, ...) that a tracer may rebind; argument checks and
+``geometry`` run on the calling thread.
 """
 
 from __future__ import annotations
@@ -56,7 +74,7 @@ class McEstimate:
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block))))
 
 
 def _usable_cpus() -> int:

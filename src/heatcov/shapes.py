@@ -92,10 +92,20 @@ class Shape(ABC):
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n points drawn uniformly from the shape, as an (n, dim) array."""
+        """n points drawn uniformly from the shape, as an (n, dim) array.
+
+        Each point is uniform, but the rows need not come in random order: a
+        convex polygon returns them grouped by fan triangle
+        (``ConvexPolygon._sample_rows``).
+        """
 
     def heat_hits(self, rng: np.random.Generator, n: int, t: float) -> int:
-        """How many of n draws of X + t W land in the shape, X uniform on it and W ~ p_1."""
+        """How many of n draws of X + t W land in the shape, X uniform on it and W ~ p_1.
+
+        This generic block draws W with ``kernel.sample_cauchy``; polygons,
+        rectangles and intervals override it with uniform-only steps and keep
+        it as their reference.
+        """
         x = self.sample(rng, n)
         w = kernel.sample_cauchy(self.dim, rng, n)
         w *= t
@@ -223,8 +233,15 @@ class UnitBall(Shape):
         while not g0.all():  # a zero g0 (possible in floating point): redraw it
             zero = g0 == 0.0
             g0[zero] = np.abs(rng.standard_normal(int(np.count_nonzero(zero))))
-        a = r * g0 + t * g1
-        return int(np.count_nonzero(a * a + t * t * perp2 <= g0 * g0))
+        # in place, in the order of (r g0 + t G_1)^2 + (t^2 |G_perp|^2) <= g0^2
+        r *= g0
+        g1 *= t
+        r += g1
+        r *= r
+        perp2 *= t * t
+        r += perp2
+        g0 *= g0
+        return int(np.count_nonzero(r <= g0))
 
     def shift_hits(self, rng, n, y):
         # y = |y| e_1 and X = r G/|G|; 1 - Theta_1^2 is |G_perp|^2/|G|^2, free of cancellation
@@ -235,8 +252,16 @@ class UnitBall(Shape):
             zero = norm2 == 0.0
             g1[zero], perp2[zero] = self._split_normal(rng, int(np.count_nonzero(zero)))
             norm2 = g1 * g1 + perp2
-        along = r * g1 / np.sqrt(norm2) - float(np.linalg.norm(y))
-        return int(np.count_nonzero(along * along + r * r * perp2 / norm2 <= 1.0))
+        # in place, in the order of (r G_1/|G| - |y|)^2 + r^2 |G_perp|^2/|G|^2 <= 1
+        g1 *= r
+        g1 /= np.sqrt(norm2)
+        g1 -= float(np.linalg.norm(y))
+        g1 *= g1
+        r *= r
+        r *= perp2
+        r /= norm2
+        g1 += r
+        return int(np.count_nonzero(g1 <= 1.0))
 
     def gamma(self, s, quad):
         """gamma_B(2s) = A_d w_{d-1} / s * int_0^{asin s} (cos - cos^d)."""
@@ -279,6 +304,19 @@ class PlanarPolytope(Shape):
     @abstractmethod
     def vertex_array(self) -> np.ndarray:
         """The vertices in counterclockwise order, as a read-only (n, 2) array."""
+
+    @abstractmethod
+    def _sample_rows(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n points drawn uniformly from the shape, as a (2, n) array of coordinate rows."""
+
+    def sample(self, rng, n):
+        return self._sample_rows(rng, n).T
+
+    def heat_hits(self, rng, n, t):
+        # contains reads the rows of xy as the columns of xy.T, so nothing is copied
+        xy = self._sample_rows(rng, n)
+        _add_planar_step(rng, xy, t)
+        return int(np.count_nonzero(self.contains(xy.T)))
 
     @cached_property
     def edge_directions(self) -> np.ndarray:
@@ -464,10 +502,12 @@ class Rectangle(PlanarPolytope):
     def contains(self, pts):
         return (np.abs(pts[:, 0]) <= self.h1) & (np.abs(pts[:, 1]) <= self.h2)
 
-    def sample(self, rng, n):
-        x = rng.uniform(-self.h1, self.h1, n)
-        y = rng.uniform(-self.h2, self.h2, n)
-        return np.column_stack([x, y])
+    def _sample_rows(self, rng, n):
+        xy = rng.random((2, n))
+        for row, h in zip(xy, (self.h1, self.h2)):
+            row *= 2.0 * h
+            row -= h
+        return xy
 
     def gamma_weighted_closed_form(self):
         if self.is_unit_square:
@@ -585,57 +625,58 @@ class ConvexPolygon(PlanarPolytope):
         return np.sum(np.abs(edges[:, 1] * us[:, :1] - edges[:, 0] * us[:, 1:]), axis=1)
 
     def contains(self, pts):
-        verts = self.vertex_array
+        x, y = pts[:, 0], pts[:, 1]
         inside = np.ones(len(pts), dtype=bool)
-        cross, term, ok = np.empty(len(pts)), np.empty(len(pts)), np.empty(len(pts), dtype=bool)
-        n = len(verts)
-        for i in range(n):
-            a, b = verts[i], verts[(i + 1) % n]
-            # cross = (b - a) x (p - a), in buffers reused across edges
-            np.subtract(pts[:, 1], a[1], out=cross)
-            cross *= b[0] - a[0]
-            np.subtract(pts[:, 0], a[0], out=term)
-            term *= b[1] - a[1]
-            cross -= term
-            inside &= np.greater_equal(cross, 0.0, out=ok)
+        lhs, term, ok = np.empty(len(pts)), np.empty(len(pts)), np.empty(len(pts), dtype=bool)
+        for ex, ey, c in self._half_planes:  # buffers reused across edges
+            np.multiply(x, ex, out=lhs)
+            lhs += np.multiply(y, ey, out=term)
+            inside &= np.less_equal(lhs, c, out=ok)
         return inside
 
-    def sample(self, rng, n):
-        """Triangle fan from vertex 0: a triangle drawn by area, then a uniform point in it.
+    @cached_property
+    def _half_planes(self) -> list:
+        """(e_x, e_y, c) per edge, e = (dy, -dx) the outward normal of the edge (dx, dy) from
+        v: a point p is inside iff e . p <= c = e . v for every edge."""
+        verts, edges = self.vertex_array, self.edge_directions
+        ex, ey = edges[:, 1], -edges[:, 0]
+        return np.column_stack([ex, ey, ex * verts[:, 0] + ey * verts[:, 1]]).tolist()
 
-        Where the first draw falls within its triangle's share of the area is
-        the first barycentric draw.
+    def _sample_rows(self, rng, n):
+        """Triangle fan from vertex 0, the rows grouped by triangle.
+
+        One multinomial draw splits the n points over the triangles
+        v_0 v_i v_{i+1} by area, which is the law of labelling each point on
+        its own.  A point is then v_0 + b (v_i - v_0) + a (v_{i+1} - v_i), a <= b
+        the order statistics of two uniforms: its barycentric coordinates
+        (1 - b, b - a, a) are the spacings of two uniforms, uniform on the simplex.
         """
-        rel, twice_area, start = self._fan
-        u, v = rng.random((2, n))
-        u *= start[-1]
-        k = np.searchsorted(start[1:-1], u, side="right")
-        out = np.empty((2, n))  # returned transposed: contiguous rows suit take(out=)
-        x, y = out  # scratch until the coordinates are written
-        u -= np.take(start, k, out=x, mode="clip")
-        u /= np.take(twice_area, k, out=x, mode="clip")
-        fold = np.add(u, v, out=x) > 1.0
-        np.subtract(1.0, u, out=u, where=fold)
-        np.subtract(1.0, v, out=v, where=fold)
-        del fold
-        # each coordinate is (v_0 + (v_{k+1} - v_0) u) + (v_{k+2} - v_0) v; the last term goes
-        # to scratch: the y row before it is written, then u once y is done with it
-        for axis, scratch in ((0, y), (1, u)):
-            coord = out[axis]
-            np.take(rel[1:, axis], k, out=coord, mode="clip")
-            coord *= u
-            coord += self.vertex_array[0, axis]
-            np.take(rel[2:, axis], k, out=scratch, mode="clip")
-            scratch *= v
-            coord += scratch
-        return out.T
+        shares, legs = self._fan
+        counts = rng.multinomial(n, shares).tolist()
+        xy = rng.random((2, n))
+        x, y = xy  # the order statistics until each triangle's segment is written
+        b = np.maximum(x, y)
+        np.minimum(x, y, out=x)
+        start = 0
+        for (px, py, ex, ey), m in zip(legs, counts):
+            a, bs, ys = x[start : start + m], b[start : start + m], y[start : start + m]
+            start += m
+            np.multiply(a, ey, out=ys)
+            ys += bs * py
+            a *= ex  # x last, over a
+            a += bs * px
+        x += self.vertex_array[0, 0]
+        y += self.vertex_array[0, 1]
+        return xy
 
     @cached_property
     def _fan(self) -> tuple:
-        """(v_i - v_0, twice the areas of the fan triangles v_0 v_i v_{i+1}, their running sums)."""
+        """(the area shares of the fan triangles v_0 v_i v_{i+1}, and per triangle the
+        legs v_i - v_0 and v_{i+1} - v_i as [px, py, ex, ey])."""
         verts = self.vertex_array
         twice_area = _boundary_terms(verts)[1:-1]
-        return verts - verts[0], twice_area, np.concatenate([[0.0], np.cumsum(twice_area)])
+        legs = np.column_stack([verts[1:-1] - verts[0], self.edge_directions[1:-1]])
+        return twice_area / math.fsum(twice_area), legs.tolist()
 
     def closed_form_constant(self):
         # the unit square in polygon representation shares the closed form
@@ -677,6 +718,11 @@ class Interval(Shape):
 
     def sample(self, rng, n):
         return rng.uniform(self.a, self.b, (n, 1))
+
+    def heat_hits(self, rng, n, t):
+        x = self.sample(rng, n)
+        _add_line_step(rng, x[:, 0], t)
+        return int(np.count_nonzero(self.contains(x)))
 
     def gamma(self, s, quad):
         return np.zeros_like(s)
@@ -825,8 +871,76 @@ def _boundary_terms(verts: np.ndarray) -> np.ndarray:
 
 
 def _polygon_area(verts: np.ndarray) -> float:
-    """Shoelace area in coordinates relative to vertex 0, so a translation changes nothing."""
-    return 0.5 * float(np.sum(_boundary_terms(verts)))
+    """Shoelace area of the float vertices, correctly rounded.
+
+    Each product x_i y_j is split without error into its rounded value and
+    its rounding error (Dekker's two-product), and fsum adds the 4n parts
+    exactly, so neither the choice of vertex 0 nor a translation changes a bit.
+    """
+    x, y = verts[:, 0], verts[:, 1]
+    parts = [*_two_product(x, np.roll(y, -1)), *_two_product(-np.roll(x, -1), y)]
+    return 0.5 * math.fsum(np.concatenate(parts).tolist())
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(p, e) with p = a * b rounded and p + e = a * b exactly, barring over- and underflow."""
+    def split(v):  # v = hi + lo, each with at most 26 significant bits
+        c = 134217729.0 * v  # 2^27 + 1
+        hi = c - (c - v)
+        return hi, v - hi
+
+    p = a * b
+    (a_hi, a_lo), (b_hi, b_lo) = split(a), split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+# ---------------------------------------------------------------------------
+# The Monte Carlo step tW, W ~ p_1, from uniforms only (d <= 2)
+# ---------------------------------------------------------------------------
+
+def _add_line_step(rng: np.random.Generator, x: np.ndarray, t: float) -> None:
+    """Add t W to the row x in place: in d = 1, p_1 is the Cauchy law, W = tan(pi (U - 1/2))."""
+    w = rng.random(len(x))
+    w -= 0.5
+    w *= math.pi
+    np.tan(w, out=w)
+    w *= t
+    x += w
+
+
+def _add_planar_step(rng: np.random.Generator, xy: np.ndarray, t: float) -> None:
+    """Add t W to the coordinate rows xy of a (2, n) array in place, W ~ p_1 in d = 2.
+
+    P(|W| > r) = (1 + r^2)^(-1/2), so |W| = sqrt(1 - U^2)/U for U uniform on
+    (0, 1].  U = 1 - v, v = rng.random(), is exact, and 1 - U^2 = v (1 + U)
+    keeps its digits at small v.  The direction is (cos 2 phi, sin 2 phi), phi
+    uniform on [-pi/2, pi/2): with s = tan phi, ((1 - s^2), 2 s)/(1 + s^2).
+    |s| <= 1.7e16, so s^2 does not overflow.  Each half of the columns takes
+    three scratch half-rows, so the step holds less than the sampler before it.
+    """
+    halves = np.empty((3, -(-xy.shape[1] // 2)))
+    for x, y in np.array_split(xy, 2, axis=1):
+        step, u, scratch = halves[:, : len(x)]
+        rng.random(out=step)
+        np.subtract(1.0, step, out=u)
+        np.add(u, 1.0, out=scratch)
+        step *= scratch
+        np.sqrt(step, out=step)
+        step /= u
+        step *= t  # t |W|
+        s = rng.random(out=u)
+        s -= 0.5
+        s *= math.pi
+        np.tan(s, out=s)
+        np.multiply(s, s, out=scratch)
+        scratch += 1.0
+        step /= scratch  # k = t |W| / (1 + s^2)
+        np.subtract(2.0, scratch, out=scratch)
+        scratch *= step
+        x += scratch  # k (1 - s^2)
+        s *= step
+        s *= 2.0
+        y += s  # 2 k s
 
 
 def _diameter(pts: np.ndarray) -> float:

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from heatcov import ConvexPolygon, QuadSpec, integrate_1d
+from heatcov.errors import InvalidShapeError
 from heatcov.shapes import _PAIR_ENTRIES, _boundary_terms
 
 
@@ -74,6 +77,15 @@ def _clip_halfplane(poly: list, a: np.ndarray, b: np.ndarray) -> list:
     return out
 
 
+def area_left_of(verts: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Area of the part of the polygon on the left of the directed line a -> b."""
+    poly = _clip_halfplane([v.copy() for v in verts], a, b)
+    if len(poly) < 3:
+        return 0.0
+    x, y = np.array(poly).T
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
 def clipped_intersection_area(verts: np.ndarray, offset: np.ndarray) -> float:
     """Area of P and P + offset by half-plane clipping: a reference for the polygon covariance."""
     poly = [v.copy() for v in verts]
@@ -86,6 +98,41 @@ def clipped_intersection_area(verts: np.ndarray, offset: np.ndarray) -> float:
     x, y = np.array(poly).T
     area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
     return area if area > 1e-14 else 0.0
+
+
+def hull(pts):
+    """Convex hull, counterclockwise, by the monotone chain."""
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1]) <= (
+                out[-1][1] - out[-2][1]
+            ) * (p[0] - out[-2][0]):
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    pts = sorted(set(pts))
+    return half(pts) + half(pts[::-1])
+
+
+@st.composite
+def convex_polygons(draw, log_scale=6.0):
+    """The hull of 3-40 points: a triangle inscribed in the unit circle and up to 37
+    points at radius 1/2 to 1, squeezed by an aspect ratio down to 1e-3, rotated, and
+    scaled and moved by lambda in [10^-log_scale, 10^log_scale]."""
+    polar = [(0.0, 1.0), (2.0 * math.pi / 3.0, 1.0), (4.0 * math.pi / 3.0, 1.0)]
+    polar += draw(st.lists(st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.5, 1.0)), max_size=37))
+    aspect, angle = 10.0 ** draw(st.floats(-3.0, 0.0)), draw(st.floats(0.0, math.pi))
+    lam = 10.0 ** draw(st.floats(-log_scale, log_scale))
+    mx, my = draw(st.tuples(st.floats(-5, 5), st.floats(-5, 5)))
+    c, s = math.cos(angle), math.sin(angle)
+    pts = [(rho * math.cos(phi), aspect * rho * math.sin(phi)) for phi, rho in polar]
+    pts = [(lam * (c * x - s * y + mx), lam * (s * x + c * y + my)) for x, y in pts]
+    try:
+        return ConvexPolygon(hull(pts))
+    except InvalidShapeError:  # two hull points closer than 1e-12 diameters
+        assume(False)
 
 
 def exact_intersection_area(verts, offset) -> float:
