@@ -2,10 +2,10 @@
 
 H(t) = |Omega| P(X + t W in Omega) and g(y) = |Omega| P(X - y in Omega), X
 uniform on Omega and W ~ p_1.  Each block of n draws is one call of a shape
-method, ``heat_hits(rng, n, t)`` or ``shift_hits(rng, n, y)``, which returns
-the block's hit count.  The generic ``Shape`` methods draw X with ``sample``,
-W with ``sample_cauchy`` (d + 1 normals a draw) and test ``contains``; the
-tests hold every faster block to them.
+method, ``heat_hits(rng, n, t, work)`` or ``shift_hits(rng, n, y, work)``,
+which returns the block's hit count.  The generic ``Shape`` methods draw X
+with ``sample``, W with ``sample_cauchy`` (d + 1 normals a draw) and test
+``contains``; the tests hold every faster block to them.
 
 In d <= 2, p_1 and the uniform law on a triangle have exact inverse-CDF or
 spacing samplers, so the blocks of polygons, rectangles and intervals draw
@@ -18,7 +18,7 @@ only uniforms and work on one contiguous row per coordinate:
   triangles by area, and a point of a triangle has the barycentric
   coordinates (1 - b, b - a, a), a <= b the min and max of two uniforms.
   Containment is one half-plane test e . p <= c per edge.  A rectangle draws
-  X as two uniform rows, an interval as one.
+  X as two uniform rows, an interval as one, a + (b - a) U.
 
 The unit ball overrides both with its two rotation invariants, so a draw
 costs the same in every d.  Rotate X onto e_1: X = r e_1 with r = U^(1/d),
@@ -28,7 +28,7 @@ For g, rotate y onto |y| e_1 instead: X = r Theta with Theta_1 = G_1/|G|, so
 X - y is in the ball iff (r Theta_1 - |y|)^2 + r^2 (1 - Theta_1^2) <= 1.
 A draw takes U, G_1, |G_perp|^2 ~ chi^2_(d-1) (2 standard_gamma((d-1)/2),
 one squared normal in d = 2, zero in d = 1) and, for H, g_0; a zero g_0 or
-G is redrawn.  The interval's covariance block is the generic one.
+G is redrawn.
 
 Each block draws from its own SFC64 stream, seeded by
 SeedSequence((seed, block)), so the estimate for a given (inputs, seed, n)
@@ -36,16 +36,21 @@ is bit-identical no matter how the blocks are scheduled: block hit counts
 are integers and their sum is order-invariant.  The blocks run
 concurrently, one in flight per usable CPU: on the calling thread plus
 helper threads, which NumPy's random draws and array loops let run in
-parallel.  Estimates are therefore the same for any schedule and CPU count,
-and memory grows by one block's temporaries per CPU: at most four rows of
-BLOCK_SIZE floats and two of booleans (2.2 MB) for a polygon, five rows
-(2.6 MB) for a ball.
+parallel.  Estimates are therefore the same for any schedule and CPU count.
+
+A block allocates nothing of its size: each worker takes a workspace of
+WORK_ROWS = 4 float rows of BLOCK_SIZE columns (2 MiB) from a pool and gives
+it back when it finishes, also on error.  The pool keeps one per usable CPU,
+so that later blocks write into resident memory instead of faulting in zero
+pages.  Blocks draw with ``out=``, compute in place and write boolean results
+into the bytes of a spent row.  A ball block uses 4 rows, a planar one 3 (x,
+y, a half row of the step's t |W| and two chunk rows), an interval one 2.
 
 Block code runs off the calling thread, so it may call only the shape's own
 methods, the private samplers of ``shapes``, ``_block_rng`` and
 ``sample_cauchy``, never a public module function (``geometry``,
-``covariance``, ...) that a tracer may rebind; argument checks and
-``geometry`` run on the calling thread.
+``covariance``, ...) that a tracer may rebind; argument checks, ``geometry``
+and the first import of numpy.random run on the calling thread.
 """
 
 from __future__ import annotations
@@ -60,9 +65,26 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .kernel import _check_t, sample_cauchy  # noqa: F401  (re-exported)
-from .shapes import Shape, _rows, geometry
+from .shapes import WORK_ROWS, Shape, _rows, geometry
 
 BLOCK_SIZE = 1 << 16
+
+_pool: list = []  # workspaces of finished workers, resident for the next estimate
+_pool_lock = threading.Lock()
+
+
+def _take_workspace() -> np.ndarray:
+    with _pool_lock:
+        if _pool:
+            return _pool.pop()
+    return np.empty((WORK_ROWS, BLOCK_SIZE))
+
+
+def _return_workspace(work: np.ndarray, keep: int) -> None:
+    """Pool work, keeping at most keep workspaces."""
+    with _pool_lock:
+        _pool.append(work)
+        del _pool[keep:]
 
 
 @dataclass(frozen=True)
@@ -85,13 +107,17 @@ def _usable_cpus() -> int:
 
 
 def _estimate(shape: Shape, n: int, seed: int, block_hits) -> McEstimate:
-    """|Omega| times the fraction of hits, block_hits(rng, size) counting one block's."""
+    """|Omega| times the fraction of hits, block_hits(rng, size, work) counting one block's."""
     if isinstance(n, bool) or not isinstance(n, Integral) or n < 1000:
         raise DomainError(f"n must be an integer >= 1000, got {n!r}")
     if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 1 << 64:
         raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     vol = geometry(shape).volume
+    # NumPy imports numpy.random on first use: on this thread, so that its modules do not
+    # settle in the malloc arena of a helper thread
+    import numpy.random  # noqa: F401
     n_blocks = -(-n // BLOCK_SIZE)
+    cpus = _usable_cpus()
     lock = threading.Lock()
     claimed = iter(range(n_blocks))
     counts, failures = [], []  # list.append is atomic
@@ -99,18 +125,22 @@ def _estimate(shape: Shape, n: int, seed: int, block_hits) -> McEstimate:
     def work():
         hits = 0
         try:
-            while not failures:
-                with lock:
-                    block = next(claimed, None)
-                if block is None:
-                    break
-                hits += block_hits(_block_rng(seed, block), min(BLOCK_SIZE, n - block * BLOCK_SIZE))
+            workspace = _take_workspace()
+            try:
+                while not failures:
+                    with lock:
+                        block = next(claimed, None)
+                    if block is None:
+                        break
+                    size = min(BLOCK_SIZE, n - block * BLOCK_SIZE)
+                    hits += block_hits(_block_rng(seed, block), size, workspace)
+            finally:
+                _return_workspace(workspace, cpus)
         except BaseException as exc:
             failures.append(exc)
         counts.append(hits)
 
-    helpers = [threading.Thread(target=work, daemon=True)
-               for _ in range(min(_usable_cpus(), n_blocks) - 1)]
+    helpers = [threading.Thread(target=work, daemon=True) for _ in range(min(cpus, n_blocks) - 1)]
     for helper in helpers:
         helper.start()
     work()
@@ -130,7 +160,7 @@ def _estimate(shape: Shape, n: int, seed: int, block_hits) -> McEstimate:
 def mc_heat_content(shape: Shape, t: float, n: int, seed: int) -> McEstimate:
     """Estimate H(t) = |Omega| P(X + t W in Omega), X uniform on Omega, W ~ p_1."""
     t = _check_t(t)
-    return _estimate(shape, n, seed, lambda rng, size: shape.heat_hits(rng, size, t))
+    return _estimate(shape, n, seed, lambda rng, size, work: shape.heat_hits(rng, size, t, work))
 
 
 def mc_covariance(shape: Shape, y, n: int, seed: int) -> McEstimate:
@@ -139,4 +169,4 @@ def mc_covariance(shape: Shape, y, n: int, seed: int) -> McEstimate:
     if len(ys) != 1:
         raise DimensionMismatchError(f"mc_covariance takes one point, got {len(ys)}")
     y = ys[0]
-    return _estimate(shape, n, seed, lambda rng, size: shape.shift_hits(rng, size, y))
+    return _estimate(shape, n, seed, lambda rng, size, work: shape.shift_hits(rng, size, y, work))

@@ -33,6 +33,8 @@ from .errors import (
 from .quadrature import QuadSpec, integrate_1d, integrate_circle, integrate_sphere
 
 SQRT2 = math.sqrt(2.0)
+WORK_ROWS = 4  # float rows of a Monte Carlo block's workspace
+_CHUNK = 1 << 14  # columns per chunk of a planar block
 # directions x vertices^2 per chunk of the chord table, bounding its temporaries
 _PAIR_ENTRIES = 1 << 16
 
@@ -99,12 +101,13 @@ class Shape(ABC):
         (``ConvexPolygon._sample_rows``).
         """
 
-    def heat_hits(self, rng: np.random.Generator, n: int, t: float) -> int:
+    def heat_hits(self, rng: np.random.Generator, n: int, t: float, work: Optional[np.ndarray] = None) -> int:
         """How many of n draws of X + t W land in the shape, X uniform on it and W ~ p_1.
 
-        This generic block draws W with ``kernel.sample_cauchy``; polygons,
-        rectangles and intervals override it with uniform-only steps and keep
-        it as their reference.
+        work, a C-contiguous float array of WORK_ROWS rows of at least max(n, 2)
+        columns, is scratch that a block may overwrite.  This generic block
+        allocates instead, draws W with ``kernel.sample_cauchy``, and is the
+        reference that the tests hold the other blocks to.
         """
         x = self.sample(rng, n)
         w = kernel.sample_cauchy(self.dim, rng, n)
@@ -113,8 +116,10 @@ class Shape(ABC):
         del x  # freed before contains makes its own temporaries
         return int(np.count_nonzero(self.contains(w)))
 
-    def shift_hits(self, rng: np.random.Generator, n: int, y: np.ndarray) -> int:
-        """How many of n draws of X - y land in the shape, X uniform on it."""
+    def shift_hits(
+        self, rng: np.random.Generator, n: int, y: np.ndarray, work: Optional[np.ndarray] = None
+    ) -> int:
+        """How many of n draws of X - y land in the shape, X uniform on it; see ``heat_hits``."""
         x = self.sample(rng, n)
         x -= y
         return int(np.count_nonzero(self.contains(x)))
@@ -195,7 +200,10 @@ class UnitBall(Shape):
         )
 
     def covariance(self, ys):
-        return ball_covariance_radial(self.d, np.linalg.norm(ys, axis=1))
+        r = np.linalg.norm(ys, axis=1)
+        if len(r) == 1:
+            return np.array([ball_covariance_radial(self.d, float(r[0]))])
+        return ball_covariance_radial(self.d, r)
 
     def radial_profile(self):
         return lambda r: ball_covariance_radial(self.d, r)
@@ -216,20 +224,24 @@ class UnitBall(Shape):
     # The ball is rotation invariant, so a block draws only the two invariants of each
     # sample instead of d-vectors: see heatcov.mc.
 
-    def _split_normal(self, rng, n):
-        """G_1 and |G_perp|^2 ~ chi^2_(d-1) of n standard normal d-vectors G = (G_1, G_perp)."""
-        g1 = rng.standard_normal(n)
+    def _split_normal(self, rng, g1, perp2):
+        """Draw G_1 and |G_perp|^2 ~ chi^2_(d-1) of normal d-vectors G into the rows g1, perp2."""
+        rng.standard_normal(out=g1)
         if self.d == 1:
-            return g1, np.zeros(n)
-        if self.d == 2:  # a gamma draw at shape 1/2 is slow
-            return g1, np.square(rng.standard_normal(n))
-        return g1, 2.0 * rng.standard_gamma((self.d - 1) / 2.0, n)
+            perp2.fill(0.0)
+        elif self.d == 2:  # a gamma draw at shape 1/2 is slow
+            np.square(rng.standard_normal(out=perp2), out=perp2)
+        else:
+            rng.standard_gamma((self.d - 1) / 2.0, out=perp2)
+            perp2 *= 2.0
 
-    def heat_hits(self, rng, n, t):
+    def heat_hits(self, rng, n, t, work):
         # X = r e_1 and W = G/|g_0|: (r + t G_1/|g_0|)^2 + t^2 |G_perp|^2/g_0^2 <= 1, times g_0^2
-        r = rng.random(n) ** (1.0 / self.d)
-        g1, perp2 = self._split_normal(rng, n)
-        g0 = np.abs(rng.standard_normal(n))
+        r, g1, perp2, g0 = work[:, :n]
+        rng.random(out=r)
+        r **= 1.0 / self.d
+        self._split_normal(rng, g1, perp2)
+        np.abs(rng.standard_normal(out=g0), out=g0)
         while not g0.all():  # a zero g0 (possible in floating point): redraw it
             zero = g0 == 0.0
             g0[zero] = np.abs(rng.standard_normal(int(np.count_nonzero(zero))))
@@ -241,27 +253,34 @@ class UnitBall(Shape):
         perp2 *= t * t
         r += perp2
         g0 *= g0
-        return int(np.count_nonzero(r <= g0))
+        return int(np.count_nonzero(np.less_equal(r, g0, out=g1.view(bool)[:n])))
 
-    def shift_hits(self, rng, n, y):
+    def shift_hits(self, rng, n, y, work):
         # y = |y| e_1 and X = r G/|G|; 1 - Theta_1^2 is |G_perp|^2/|G|^2, free of cancellation
-        r = rng.random(n) ** (1.0 / self.d)
-        g1, perp2 = self._split_normal(rng, n)
-        norm2 = g1 * g1 + perp2
+        r, g1, perp2, norm2 = work[:, :n]
+        rng.random(out=r)
+        r **= 1.0 / self.d
+        self._split_normal(rng, g1, perp2)
+        np.multiply(g1, g1, out=norm2)
+        norm2 += perp2
         while not norm2.all():  # a zero G (possible in floating point): redraw its rows
             zero = norm2 == 0.0
-            g1[zero], perp2[zero] = self._split_normal(rng, int(np.count_nonzero(zero)))
-            norm2 = g1 * g1 + perp2
-        # in place, in the order of (r G_1/|G| - |y|)^2 + r^2 |G_perp|^2/|G|^2 <= 1
+            more = np.empty((2, int(np.count_nonzero(zero))))
+            self._split_normal(rng, *more)
+            g1[zero], perp2[zero] = more
+            np.multiply(g1, g1, out=norm2)
+            norm2 += perp2
+        # in place, in the order of (r G_1/|G| - |y|)^2 + r^2 |G_perp|^2/|G|^2 <= 1, the
+        # second term first so that |G| can overwrite |G|^2
         g1 *= r
-        g1 /= np.sqrt(norm2)
-        g1 -= float(np.linalg.norm(y))
-        g1 *= g1
         r *= r
         r *= perp2
         r /= norm2
+        g1 /= np.sqrt(norm2, out=norm2)
+        g1 -= float(np.linalg.norm(y))
+        g1 *= g1
         g1 += r
-        return int(np.count_nonzero(g1 <= 1.0))
+        return int(np.count_nonzero(np.less_equal(g1, 1.0, out=perp2.view(bool)[:n])))
 
     def gamma(self, s, quad):
         """gamma_B(2s) = A_d w_{d-1} / s * int_0^{asin s} (cos - cos^d)."""
@@ -306,17 +325,42 @@ class PlanarPolytope(Shape):
         """The vertices in counterclockwise order, as a read-only (n, 2) array."""
 
     @abstractmethod
-    def _sample_rows(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n points drawn uniformly from the shape, as a (2, n) array of coordinate rows."""
+    def _sample_rows(self, rng: np.random.Generator, work: np.ndarray, n: int) -> None:
+        """Draw n uniform points into the rows work[0, :n], work[1, :n] of a workspace,
+        overwriting at most the scratch of ``_planar_scratch`` besides."""
+
+    @abstractmethod
+    def _inside(self, x: np.ndarray, y: np.ndarray, scratch) -> np.ndarray:
+        """Membership mask of the points (x, y), in the bytes of scratch, three float rows
+        of len(x) that it overwrites."""
+
+    def contains(self, pts):
+        return self._inside(pts[:, 0], pts[:, 1], np.empty((3, len(pts))))
 
     def sample(self, rng, n):
-        return self._sample_rows(rng, n).T
+        work = np.empty((WORK_ROWS, max(n, 2)))
+        self._sample_rows(rng, work, n)
+        return work[:2, :n].T
 
-    def heat_hits(self, rng, n, t):
-        # contains reads the rows of xy as the columns of xy.T, so nothing is copied
-        xy = self._sample_rows(rng, n)
-        _add_planar_step(rng, xy, t)
-        return int(np.count_nonzero(self.contains(xy.T)))
+    def heat_hits(self, rng, n, t, work):
+        self._sample_rows(rng, work, n)
+        _add_planar_step(rng, work[:2, :n], t, _planar_scratch(work, n))
+        return self._count_inside(work, n)
+
+    def shift_hits(self, rng, n, y, work):
+        self._sample_rows(rng, work, n)
+        for row, shift in zip(work[:2, :n], y):
+            row -= shift
+        return self._count_inside(work, n)
+
+    def _count_inside(self, work, n):
+        """How many points of the rows work[:2, :n] lie in the shape, a chunk at a time."""
+        (x, y), (half, one, two), hits = work[:2, :n], _planar_scratch(work, n), 0
+        for lo in range(0, n, len(one)):
+            m = min(len(one), n - lo)
+            inside = self._inside(x[lo : lo + m], y[lo : lo + m], (half[:m], one[:m], two[:m]))
+            hits += int(np.count_nonzero(inside))
+        return hits
 
     @cached_property
     def edge_directions(self) -> np.ndarray:
@@ -499,15 +543,18 @@ class Rectangle(PlanarPolytope):
     def directional_variation(self, us):
         return 4.0 * (self.h2 * np.abs(us[:, 0]) + self.h1 * np.abs(us[:, 1]))
 
-    def contains(self, pts):
-        return (np.abs(pts[:, 0]) <= self.h1) & (np.abs(pts[:, 1]) <= self.h2)
+    def _inside(self, x, y, scratch):
+        absolute, spare, mask = scratch
+        inside, ok = mask.view(bool)[: len(x)], spare.view(bool)[: len(x)]
+        np.less_equal(np.abs(x, out=absolute), self.h1, out=inside)
+        inside &= np.less_equal(np.abs(y, out=absolute), self.h2, out=ok)
+        return inside
 
-    def _sample_rows(self, rng, n):
-        xy = rng.random((2, n))
-        for row, h in zip(xy, (self.h1, self.h2)):
+    def _sample_rows(self, rng, work, n):
+        for row, h in zip(work[:2, :n], (self.h1, self.h2)):
+            rng.random(out=row)
             row *= 2.0 * h
             row -= h
-        return xy
 
     def gamma_weighted_closed_form(self):
         if self.is_unit_square:
@@ -624,14 +671,14 @@ class ConvexPolygon(PlanarPolytope):
         # the edge length into the unnormalized normal
         return np.sum(np.abs(edges[:, 1] * us[:, :1] - edges[:, 0] * us[:, 1:]), axis=1)
 
-    def contains(self, pts):
-        x, y = pts[:, 0], pts[:, 1]
-        inside = np.ones(len(pts), dtype=bool)
-        lhs, term, ok = np.empty(len(pts)), np.empty(len(pts)), np.empty(len(pts), dtype=bool)
-        for ex, ey, c in self._half_planes:  # buffers reused across edges
+    def _inside(self, x, y, scratch):
+        lhs, term, mask = scratch
+        inside, ok = mask.view(bool)[: len(x)], term.view(bool)[: len(x)]
+        inside.fill(True)
+        for ex, ey, c in self._half_planes:
             np.multiply(x, ex, out=lhs)
             lhs += np.multiply(y, ey, out=term)
-            inside &= np.less_equal(lhs, c, out=ok)
+            inside &= np.less_equal(lhs, c, out=ok)  # in the bytes of term, spent by then
         return inside
 
     @cached_property
@@ -642,7 +689,7 @@ class ConvexPolygon(PlanarPolytope):
         ex, ey = edges[:, 1], -edges[:, 0]
         return np.column_stack([ex, ey, ex * verts[:, 0] + ey * verts[:, 1]]).tolist()
 
-    def _sample_rows(self, rng, n):
+    def _sample_rows(self, rng, work, n):
         """Triangle fan from vertex 0, the rows grouped by triangle.
 
         One multinomial draw splits the n points over the triangles
@@ -650,24 +697,29 @@ class ConvexPolygon(PlanarPolytope):
         its own.  A point is then v_0 + b (v_i - v_0) + a (v_{i+1} - v_i), a <= b
         the order statistics of two uniforms: its barycentric coordinates
         (1 - b, b - a, a) are the spacings of two uniforms, uniform on the simplex.
+        A segment is written a chunk at a time, b and b p_y in the chunk rows.
         """
         shares, legs = self._fan
         counts = rng.multinomial(n, shares).tolist()
-        xy = rng.random((2, n))
-        x, y = xy  # the order statistics until each triangle's segment is written
-        b = np.maximum(x, y)
-        np.minimum(x, y, out=x)
+        x, y = work[:2, :n]
+        rng.random(out=x)
+        rng.random(out=y)
+        _, b, product = _planar_scratch(work, n)
         start = 0
         for (px, py, ex, ey), m in zip(legs, counts):
-            a, bs, ys = x[start : start + m], b[start : start + m], y[start : start + m]
+            for lo in range(start, start + m, len(b)):
+                hi = min(lo + len(b), start + m)
+                a, ys, bs = x[lo:hi], y[lo:hi], b[: hi - lo]
+                np.maximum(a, ys, out=bs)
+                np.minimum(a, ys, out=a)  # the order statistics a <= b of the two uniforms
+                np.multiply(a, ey, out=ys)
+                ys += np.multiply(bs, py, out=product[: hi - lo])
+                a *= ex  # x last, over a
+                bs *= px
+                a += bs
             start += m
-            np.multiply(a, ey, out=ys)
-            ys += bs * py
-            a *= ex  # x last, over a
-            a += bs * px
         x += self.vertex_array[0, 0]
         y += self.vertex_array[0, 1]
-        return xy
 
     @cached_property
     def _fan(self) -> tuple:
@@ -714,15 +766,36 @@ class Interval(Shape):
         return np.full(len(us), 2.0)
 
     def contains(self, pts):
-        return (pts[:, 0] >= self.a) & (pts[:, 0] <= self.b)
+        return self._inside(pts[:, 0], np.empty(len(pts)))
+
+    def _inside(self, x, spare):
+        """Membership mask of the row x, in the bytes of the float row spare."""
+        m = len(x)
+        inside, ok = spare.view(bool)[:m], spare.view(bool)[m : 2 * m]
+        np.greater_equal(x, self.a, out=inside)
+        inside &= np.less_equal(x, self.b, out=ok)
+        return inside
 
     def sample(self, rng, n):
         return rng.uniform(self.a, self.b, (n, 1))
 
-    def heat_hits(self, rng, n, t):
-        x = self.sample(rng, n)
-        _add_line_step(rng, x[:, 0], t)
-        return int(np.count_nonzero(self.contains(x)))
+    def _sample_row(self, rng, x):
+        """Fill the row x as ``sample`` does, with a + (b - a) U."""
+        rng.random(out=x)
+        x *= self.b - self.a
+        x += self.a
+
+    def heat_hits(self, rng, n, t, work):
+        x, spare = work[:2, :n]
+        self._sample_row(rng, x)
+        _add_line_step(rng, x, t, spare)
+        return int(np.count_nonzero(self._inside(x, spare)))
+
+    def shift_hits(self, rng, n, y, work):
+        x, spare = work[:2, :n]
+        self._sample_row(rng, x)
+        x -= y[0]
+        return int(np.count_nonzero(self._inside(x, spare)))
 
     def gamma(self, s, quad):
         return np.zeros_like(s)
@@ -898,9 +971,10 @@ def _two_product(a: np.ndarray, b: np.ndarray) -> tuple:
 # The Monte Carlo step tW, W ~ p_1, from uniforms only (d <= 2)
 # ---------------------------------------------------------------------------
 
-def _add_line_step(rng: np.random.Generator, x: np.ndarray, t: float) -> None:
-    """Add t W to the row x in place: in d = 1, p_1 is the Cauchy law, W = tan(pi (U - 1/2))."""
-    w = rng.random(len(x))
+def _add_line_step(rng: np.random.Generator, x: np.ndarray, t: float, w: np.ndarray) -> None:
+    """Add t W to the row x in place, drawing into the row w: in d = 1, p_1 is the Cauchy
+    law, W = tan(pi (U - 1/2))."""
+    rng.random(out=w)
     w -= 0.5
     w *= math.pi
     np.tan(w, out=w)
@@ -908,39 +982,53 @@ def _add_line_step(rng: np.random.Generator, x: np.ndarray, t: float) -> None:
     x += w
 
 
-def _add_planar_step(rng: np.random.Generator, xy: np.ndarray, t: float) -> None:
+def _planar_scratch(work: np.ndarray, n: int) -> tuple:
+    """A half row of ceil(n/2) floats and two chunk rows over the rows work[2:] of a
+    workspace: with x and y, a planar block uses 3 rows of it."""
+    h = -(-n // 2)
+    c = min(_CHUNK, max(h, 1))
+    flat = work[2:].reshape(-1)
+    return flat[:h], flat[h : h + c], flat[h + c : h + 2 * c]
+
+
+def _add_planar_step(rng: np.random.Generator, xy: np.ndarray, t: float, rows: tuple) -> None:
     """Add t W to the coordinate rows xy of a (2, n) array in place, W ~ p_1 in d = 2.
 
     P(|W| > r) = (1 + r^2)^(-1/2), so |W| = sqrt(1 - U^2)/U for U uniform on
     (0, 1].  U = 1 - v, v = rng.random(), is exact, and 1 - U^2 = v (1 + U)
     keeps its digits at small v.  The direction is (cos 2 phi, sin 2 phi), phi
     uniform on [-pi/2, pi/2): with s = tan phi, ((1 - s^2), 2 s)/(1 + s^2).
-    |s| <= 1.7e16, so s^2 does not overflow.  Each half of the columns takes
-    three scratch half-rows, so the step holds less than the sampler before it.
+    |s| <= 1.7e16, so s^2 does not overflow.  Each half of the columns draws
+    its v into the half row of rows (``_planar_scratch``), then its directions,
+    and works a chunk at a time on the chunk rows.
     """
-    halves = np.empty((3, -(-xy.shape[1] // 2)))
+    half, one, two = rows
     for x, y in np.array_split(xy, 2, axis=1):
-        step, u, scratch = halves[:, : len(x)]
-        rng.random(out=step)
-        np.subtract(1.0, step, out=u)
-        np.add(u, 1.0, out=scratch)
-        step *= scratch
-        np.sqrt(step, out=step)
-        step /= u
-        step *= t  # t |W|
-        s = rng.random(out=u)
-        s -= 0.5
-        s *= math.pi
-        np.tan(s, out=s)
-        np.multiply(s, s, out=scratch)
-        scratch += 1.0
-        step /= scratch  # k = t |W| / (1 + s^2)
-        np.subtract(2.0, scratch, out=scratch)
-        scratch *= step
-        x += scratch  # k (1 - s^2)
-        s *= step
-        s *= 2.0
-        y += s  # 2 k s
+        step = rng.random(out=half[: len(x)])
+        for lo in range(0, len(x), len(one)):
+            v = step[lo : lo + len(one)]
+            u, scratch = one[: len(v)], two[: len(v)]
+            np.subtract(1.0, v, out=u)
+            np.add(u, 1.0, out=scratch)
+            v *= scratch
+            np.sqrt(v, out=v)
+            v /= u
+            v *= t  # t |W|
+        for lo in range(0, len(x), len(one)):
+            k = step[lo : lo + len(one)]
+            s, scratch = rng.random(out=one[: len(k)]), two[: len(k)]
+            s -= 0.5
+            s *= math.pi
+            np.tan(s, out=s)
+            np.multiply(s, s, out=scratch)
+            scratch += 1.0
+            k /= scratch  # k = t |W| / (1 + s^2)
+            np.subtract(2.0, scratch, out=scratch)
+            scratch *= k
+            x[lo : lo + len(k)] += scratch  # k (1 - s^2)
+            s *= k
+            s *= 2.0
+            y[lo : lo + len(k)] += s  # 2 k s
 
 
 def _diameter(pts: np.ndarray) -> float:
@@ -953,13 +1041,16 @@ def _turns(pts: np.ndarray) -> np.ndarray:
     return (pts[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (pts[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
 
 
-def ball_covariance_radial(d: int, r: np.ndarray) -> np.ndarray:
-    """g_B(r e) for the unit ball in R^d at an array of radii, zero for r >= 2.
+def ball_covariance_radial(d: int, r):
+    """g_B(r e) for the unit ball in R^d at a radius r, a float, or at an array of radii,
+    zero for r >= 2; the result is a float or an array too.  A float runs the scalar
+    recurrence of ``kernel.cos_power_deficit``, several times faster than a 1-element
+    array, with the same bits.
 
     Two caps of height 1 - s, s = r/2, give g_B(2s) = 2 w_{d-1} int_{asin s}^{pi/2} cos^d
     = w_d - 2 w_{d-1} (s - M_d) with M_d = int_0^{asin s} (cos - cos^d).
     """
-    if np.any(r < 0):
+    if (np.asarray(r) < 0).any():
         raise DomainError("radius must be nonnegative")
     if d == 1:
         return np.maximum(0.0, 2.0 - r)
@@ -967,7 +1058,7 @@ def ball_covariance_radial(d: int, r: np.ndarray) -> np.ndarray:
     cap_gap = s - kernel.cos_power_deficit(d, s)
     # near r = 2 the difference is rounding noise of either sign
     g = np.maximum(0.0, kernel.unit_ball_volume(d) - 2.0 * kernel.unit_ball_volume(d - 1) * cap_gap)
-    return np.where(r >= 2.0, 0.0, g)
+    return np.where(r >= 2.0, 0.0, g)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,12 +132,17 @@ class TestUniformSteps:
     N = 400_000
 
     @staticmethod
+    def _step(rng, xy, t):
+        n = xy.shape[1]
+        shapes._add_planar_step(rng, xy, t, shapes._planar_scratch(np.empty((shapes.WORK_ROWS, n)), n))
+
+    @staticmethod
     def _assert_share(hits, p):
         assert abs(np.mean(hits) - p) <= 5.0 * math.sqrt(p * (1.0 - p) / len(hits))
 
     def _planar(self, seed):
         w = np.zeros((2, self.N))
-        shapes._add_planar_step(np.random.default_rng(seed), w, 1.0)
+        self._step(np.random.default_rng(seed), w, 1.0)
         return w
 
     @pytest.mark.parametrize("r", [0.01, 0.3, 1.0, 3.0, 100.0])
@@ -171,15 +177,15 @@ class TestUniformSteps:
     def test_planar_step_adds_t_w(self):
         xy = np.random.default_rng(5).random((2, 1000))
         moved, w = xy.copy(), np.zeros_like(xy)
-        shapes._add_planar_step(np.random.default_rng(6), moved, 0.3)
-        shapes._add_planar_step(np.random.default_rng(6), w, 1.0)
+        self._step(np.random.default_rng(6), moved, 0.3)
+        self._step(np.random.default_rng(6), w, 1.0)
         np.testing.assert_allclose(moved - xy, 0.3 * w, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("r", [0.01, 0.5, 1.0, 10.0, 1000.0])
     def test_line(self, r):
         # in d = 1, P(|W| <= r) = (2/pi) atan r, and W is symmetric
         w = np.zeros(self.N)
-        shapes._add_line_step(np.random.default_rng(7), w, 1.0)
+        shapes._add_line_step(np.random.default_rng(7), w, 1.0, np.empty(self.N))
         self._assert_share(np.abs(w) <= r, 2.0 / math.pi * math.atan(r))
         self._assert_share(w > 0.0, 0.5)
 
@@ -327,15 +333,15 @@ class ZeroNormals:
         self.which = which
         self.normals = 0
 
-    def random(self, n):
-        return self.rng.random(n)
+    def random(self, size=None, out=None):
+        return self.rng.random(size, out=out)
 
-    def standard_gamma(self, shape, n):
-        return self.rng.standard_gamma(shape, n)
+    def standard_gamma(self, shape, size=None, out=None):
+        return self.rng.standard_gamma(shape, size, out=out)
 
-    def standard_normal(self, n):
+    def standard_normal(self, size=None, out=None):
         self.normals += 1
-        out = self.rng.standard_normal(n)
+        out = self.rng.standard_normal(size, out=out)
         if self.normals in self.which:
             out[::3] = 0.0
         return out
@@ -384,7 +390,7 @@ class TestBallInvariants:
         # draws: U, G_1, the gamma, g_0 (zeros in every third entry), then the redraw of g_0
         n, t = 100, 0.7
         rng = ZeroNormals({2})
-        hits = UnitBall(3).heat_hits(rng, n, t)
+        hits = UnitBall(3).heat_hits(rng, n, t, np.empty((shapes.WORK_ROWS, n)))
         assert rng.normals == 3
 
         ref = np.random.default_rng(8)
@@ -400,7 +406,7 @@ class TestBallInvariants:
         # G = 0 on every third row: G_1 (and in d = 2 the second normal) holds zeros there
         n, y = 100, np.full(d, 0.4)
         rng = ZeroNormals(set(range(1, d + 1)))
-        hits = UnitBall(d).shift_hits(rng, n, y)
+        hits = UnitBall(d).shift_hits(rng, n, y, np.empty((shapes.WORK_ROWS, n)))
         assert rng.normals == 2 * d
 
         ref = np.random.default_rng(8)
@@ -449,6 +455,18 @@ class TestPlanarBlocks:
         ref = covariance(poly, y)
         est = mc_covariance(poly, y, n=self.N, seed=seed)
         assert abs(est.mean - ref) <= 5.0 * self._sigma(ref, vol, self.N)
+
+    @pytest.mark.parametrize(
+        "shape", [RECT, TRIANGLE, HEXAGON, GON40, Interval(0.0, 1.7)],
+        ids=["rect", "triangle", "hexagon", "40-gon", "interval"],
+    )
+    def test_shift_blocks_count_as_the_generic_block(self, shape):
+        # both draw X with the shape's own sampler, so one stream gives one count, at sizes that
+        # end inside a chunk, on a chunk boundary and in a full block
+        work, y = np.empty((shapes.WORK_ROWS, mc.BLOCK_SIZE)), np.full(shape.dim, 0.3)
+        for n in (1, 2, 1001, 2 * shapes._CHUNK, mc.BLOCK_SIZE):
+            expected = Shape.shift_hits(shape, _block_rng(5, n), n, y)
+            assert shape.shift_hits(_block_rng(5, n), n, y, work) == expected, n
 
 
 class TestCalibration:
@@ -506,22 +524,81 @@ class TestConcurrentBlocks:
         local = threading.local()
 
         class FailsOnBlock2(Rectangle):
-            # a block's _sample_rows and contains run on one thread; the block is the second
+            # a block's _sample_rows and _inside run on one thread; the block is the second
             # entropy word of the seed sequence of its stream
-            def _sample_rows(self, rng, n):
+            def _sample_rows(self, rng, work, n):
                 local.block = rng.bit_generator.seed_seq.entropy[1]
-                return super()._sample_rows(rng, n)
+                return super()._sample_rows(rng, work, n)
 
-            def contains(self, pts):
+            def _inside(self, x, y, scratch):
                 if local.block == 2:
-                    raise RuntimeError("contains failed on block 2")
-                return super().contains(pts)
+                    raise RuntimeError("_inside failed on block 2")
+                return super()._inside(x, y, scratch)
 
         monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(mc, "_pool", [])
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="block 2"):
             mc_heat_content(FailsOnBlock2(1.0, 1.0), 0.1, n=10 * mc.BLOCK_SIZE, seed=1)
         assert threading.active_count() == before
+        # the workers gave their workspaces back, the failed one too (on one CPU it is the
+        # only worker; a worker that starts late may reuse one that another gave back), and
+        # the next estimate overwrites what the failed blocks left there
+        assert 1 <= len(mc._pool) <= cpus
+        estimator, shape, arg, n, seed, expected = GOLDEN[GOLDEN_IDS.index("heat-rect")]
+        assert estimator(shape, arg, n=n, seed=seed).mean.hex() == expected
+
+    def test_pool_keeps_one_workspace_per_cpu(self, monkeypatch):
+        spare = [np.empty((shapes.WORK_ROWS, mc.BLOCK_SIZE)) for _ in range(3)]
+        monkeypatch.setattr(mc, "_pool", spare)
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
+        mc_heat_content(RECT, 0.1, n=2 * mc.BLOCK_SIZE, seed=1)
+        assert len(mc._pool) == 1
+
+    def test_two_callers_at_once_get_the_golden_estimates(self, monkeypatch):
+        # two user threads take workspaces from the one pool at the same time, with more
+        # workers than cores and fast switching
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+        found = [{}, {}]
+
+        def run(order, out):
+            for case in order:
+                estimator, shape, arg, n, seed, _ = GOLDEN[case]
+                out[case] = estimator(shape, arg, n=n, seed=seed).mean.hex()
+
+        cases = list(range(len(GOLDEN)))
+        callers = [threading.Thread(target=run, args=(order, out), daemon=True)
+                   for order, out in zip((cases, cases[::-1]), found)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        golden = {case: GOLDEN[case][-1] for case in cases}
+        assert found == [golden, golden]
+
+    @pytest.mark.parametrize(
+        "shape", [UnitBall(1), UnitBall(2), UnitBall(3), UnitBall(16), RECT, TRIANGLE, GON40, Interval(0.0, 1.7)],
+        ids=["ball1", "ball2", "ball3", "ball16", "rect", "triangle", "40-gon", "interval"],
+    )
+    def test_blocks_allocate_less_than_a_row(self, monkeypatch, shape):
+        # after a warm-up, a block draws and computes in a pooled workspace: a full block
+        # allocates less than one boolean row of BLOCK_SIZE bytes
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
+        for estimator, arg in ((mc_heat_content, 0.1), (mc_covariance, [0.1] * shape.dim)):
+            estimator(shape, arg, n=mc.BLOCK_SIZE, seed=1)
+            tracemalloc.start()
+            try:
+                estimator(shape, arg, n=mc.BLOCK_SIZE, seed=2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < mc.BLOCK_SIZE, estimator.__name__
 
     def test_blocks_call_no_public_function_off_the_calling_thread(self, monkeypatch):
         # tracers that rebind the public functions, as the benchmark's does, keep one frame stack

@@ -442,6 +442,18 @@ class TestBall:
             a_d * w_dm1 * (d - 1) / 6.0, rel=1e-12
         )
 
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_single_point_covariance_has_the_batch_bits(self, d):
+        # one point runs cos_power_deficit's scalar recurrence, a batch its array loop
+        rng = np.random.default_rng(d)
+        us = rng.standard_normal((300, d))
+        us /= np.linalg.norm(us, axis=1)[:, None]
+        radii = np.concatenate([[0.0, 2.0**-40, 1e-8, 1.0, 2.0 - 1e-12, 2.0, 2.2], rng.uniform(0.0, 2.2, 293)])
+        ys = radii[:, None] * us
+        batch = covariance(UnitBall(d), ys)
+        singles = [covariance(UnitBall(d), y) for y in ys]
+        assert [v.hex() for v in singles] == [float(v).hex() for v in batch]
+
     def test_d1_gamma_vanishes(self):
         assert UnitBall(1).gamma_vanishes
         assert gamma(UnitBall(1), 1.0) == 0.0
