@@ -8,6 +8,7 @@ from .asymptotics import (
     big_R,
     closed_form_constant,
     decomposition,
+    decompositions,
     default_t_grid,
     F_limit,
     heat_content,

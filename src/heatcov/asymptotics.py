@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import kernel
 from .errors import DomainError, InconsistentConstantError
 from .kernel import _check_t
@@ -14,13 +16,53 @@ from .shapes import Shape, gamma_weighted_integral, geometry
 
 
 # ---------------------------------------------------------------------------
-# Heat content
+# Heat content and R on a t grid, in one pass over the chords
 # ---------------------------------------------------------------------------
+
+def _heat_and_R(shape: Shape, ts: Sequence[float], quad: QuadSpec, heat: bool = True, big_r: bool = True):
+    """(H, R) at each t of ts, as arrays, from one ``line_integral`` of the chord kernels.
+
+    H is clamped to [0, |Omega|]; either is None unless asked for, and R vanishes where
+    gamma does.
+    """
+    geo = geometry(shape)
+    ts = np.array(ts, dtype=float)
+    h, r = None, (np.zeros(len(ts)) if big_r else None)
+    big_r = big_r and not shape.gamma_vanishes
+    if not (heat or big_r):
+        return h, r
+
+    # from the least width and the diameter up, H and R fall like t^-d and t^-(d+1), so the
+    # absolute tolerance would swallow them: there the H columns, now H itself, are divided
+    # by their lower bound kappa_d t |Omega|^2 (t^2 + ell^2)^(-(d+1)/2) and the R columns
+    # scaled by (t/ell)^(d+1)
+    d, ell = geo.dim, geo.support_radius
+    width = min(shape.min_width, ell) if d == 2 else ell  # in other dimensions the direct form needs c <= t
+    kernels, scale = kernel.chord_kernels(d, ts, ell, heat, big_r, width), None
+    direct = ts >= width
+    if float(ts.max()) >= width:
+        h_scale = np.where(direct, np.hypot(ts, ell) ** (d + 1) / (kernel.kappa(d) * ts * geo.volume**2), 1.0)
+        scale = np.concatenate([h_scale] * heat + [np.where(ts >= ell, (ts / ell) ** (d + 1), 1.0)] * big_r)
+
+    def mean(lo, hi):
+        return kernels(lo, hi) if scale is None else kernels(lo, hi) * scale
+
+    value, _ = shape.line_integral(mean, quad, seeds=shape.scale_seeds(ts))
+    if scale is not None:
+        value = value / scale
+    if heat:
+        # below the least width the kernel is the deficit |Omega| - H, from it up H itself
+        h = np.where(direct, value[: len(ts)], geo.volume - value[: len(ts)])
+        h = np.minimum(np.maximum(h, 0.0), geo.volume)
+    if big_r:
+        r = value[-len(ts):]
+    return h, r
+
 
 def heat_content(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> float:
     """H(t): mass kept by Omega under the Poisson kernel, clamped to [0, |Omega|]."""
     t = _check_t(t)
-    return min(max(shape.heat_content(t, quad), 0.0), geometry(shape).volume)
+    return float(_heat_and_R(shape, [t], quad, big_r=False)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +114,7 @@ def F_limit(shape: Shape) -> float:
 def big_R(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> float:
     """R(t) = ell^(d+1) kappa_d * int_0^1 s^d gamma(ell s) (t^2 + ell^2 s^2)^-(d+1)/2 ds."""
     t = _check_t(t)
-    return 0.0 if shape.gamma_vanishes else shape.big_R(t, quad)
+    return float(_heat_and_R(shape, [t], quad, heat=False)[1][0])
 
 
 def R_limit(shape: Shape, quad: QuadSpec = QuadSpec()) -> float:
@@ -96,27 +138,36 @@ class ExpansionBreakdown:
     D: float
 
 
-def _quotient(shape: Shape, t: float, quad: QuadSpec):
-    """(phi/t, Psi, F, R, D) at t, where D = |Omega| phi/t + (Per/pi) F - R -> C."""
+def _quotient(shape: Shape, t: float, r: float):
+    """(phi/t, Psi, F, D) at t, where D = |Omega| phi/t + (Per/pi) F - R -> C."""
     geo = geometry(shape)
     pot = phi_over_t(shape, t)
     psi, f_val = psi_F(shape, t)
-    r = big_R(shape, t, quad)
-    return pot, psi, f_val, r, geo.volume * pot + geo.perimeter / math.pi * f_val - r
+    return pot, psi, f_val, geo.volume * pot + geo.perimeter / math.pi * f_val - r
+
+
+def decompositions(shape: Shape, ts: Sequence[float], quad: QuadSpec = QuadSpec()) -> list:
+    """``decomposition`` at each t of ts, with H and R from one pass over the chords."""
+    ts = [_check_t(t) for t in ts]
+    if not ts:
+        return []
+    geo = geometry(shape)
+    hs, rs = _heat_and_R(shape, ts, quad)
+    rows = []
+    for t, h, r in zip(ts, hs.tolist(), rs.tolist()):
+        pot, psi, f_val, d_val = _quotient(shape, t, r)
+        residual = (geo.volume - h) - (
+            geo.volume * pot * t + geo.perimeter / math.pi * t * psi - t * r
+        )
+        rows.append(ExpansionBreakdown(
+            t=t, H=h, phi=pot * t, psi=psi, F=f_val, R=r, residual=residual, D=d_val
+        ))
+    return rows
 
 
 def decomposition(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> ExpansionBreakdown:
     """All pieces of |Omega| - H = |Omega| phi + (Per/pi) t Psi - t R at one t."""
-    t = _check_t(t)
-    geo = geometry(shape)
-    h = heat_content(shape, t, quad)
-    pot, psi, f_val, r, d_val = _quotient(shape, t, quad)
-    residual = (geo.volume - h) - (
-        geo.volume * pot * t + geo.perimeter / math.pi * t * psi - t * r
-    )
-    return ExpansionBreakdown(
-        t=t, H=h, phi=pot * t, psi=psi, F=f_val, R=r, residual=residual, D=d_val
-    )
+    return decompositions(shape, [t], quad)[0]
 
 
 def closed_form_constant(shape: Shape) -> Optional[float]:
@@ -156,10 +207,11 @@ def third_term(
         raise InconsistentConstantError(
             f"formula constant {c_formula!r} vs closed form {c_closed!r}"
         )
-    ts = list(t_grid) if t_grid is not None else default_t_grid()
+    ts = [_check_t(t) for t in t_grid] if t_grid is not None else default_t_grid()
     if len(ts) < 4 or any(a <= b for a, b in zip(ts, ts[1:])):
         raise DomainError("t_grid must be strictly decreasing with >= 4 points")
-    samples = [(t, _quotient(shape, t, quad)[-1]) for t in ts]
+    _, rs = _heat_and_R(shape, ts, quad, heat=False)
+    samples = [(t, _quotient(shape, t, r)[-1]) for t, r in zip(ts, rs.tolist())]
     fit = extrapolate_limit(samples)
     return ThirdTermReport(
         C_formula=c_formula,

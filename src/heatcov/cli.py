@@ -15,6 +15,7 @@ from . import __version__
 from .asymptotics import (
     closed_form_constant,
     decomposition,
+    decompositions,
     default_t_grid,
     third_term,
 )
@@ -133,10 +134,7 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     # geometric grid, largest t first so the last row is nearest the limit
     ts = np.geomspace(args.t_max, args.t_min, args.count)
-    rows = []
-    for t in ts:
-        bd = decomposition(shape, float(t), quad)
-        rows.append({c: getattr(bd, c) for c in COLUMNS})
+    rows = [{c: getattr(bd, c) for c in COLUMNS} for bd in decompositions(shape, ts.tolist(), quad)]
     if args.format == "csv":
         _write(_rows_to_csv(rows), args.out)
     else:
@@ -168,7 +166,7 @@ def _verify_one(name: str, shape: Shape, quad: QuadSpec, lines: list) -> bool:
     if shape.gamma_vanishes:
         # no gamma integral to check: compare the finite-t quotient D(t) with C
         target = closed_form_constant(shape)
-        ds = [decomposition(shape, 2.0**-k, quad).D for k in range(6, 11)]
+        ds = [bd.D for bd in decompositions(shape, [2.0**-k for k in range(6, 11)], quad)]
         check("|D(2^-10) - C|", abs(ds[-1] - target), 0.02)
         errs = [abs(d - target) for d in ds]
         trend = 0.0 if all(a > b for a, b in zip(errs, errs[1:])) else 1.0
@@ -185,9 +183,8 @@ def _verify_one(name: str, shape: Shape, quad: QuadSpec, lines: list) -> bool:
             abs(report.pieces["gamma_integral"] - gamma_closed),
             1e-8,
         )
-    for t in (1e-1, 1e-2, 1e-3):
-        bd = decomposition(shape, t, quad)
-        check(f"|residual| at t={t}", abs(bd.residual), 1e-7)
+    for bd in decompositions(shape, [1e-1, 1e-2, 1e-3], quad):
+        check(f"|residual| at t={bd.t}", abs(bd.residual), 1e-7)
     if shape == Rectangle(1.0, 1.0):
         terms = square_I_terms(quad)
         i0 = 2.0 * math.log(2.0 + SQRT2) + SQRT2 / 4.0 * (math.pi - 8.0)

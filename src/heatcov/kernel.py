@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -158,7 +159,7 @@ def asinh_mean(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     s0, s1 = np.sqrt(1.0 + a0 * a0), np.sqrt(1.0 + a1 * a1)
     q = (a1 + a0) / (a1 * s0 + a0 * s1)
     dq = (a1 - a0) * q
-    slope = np.where(dq > 0.0, np.arcsinh(dq) / dq, 1.0) * q
+    slope = np.divide(np.arcsinh(dq), dq, out=np.ones_like(dq), where=dq > 0.0) * q
     return np.arcsinh(a1) + np.where(a0 > 0.0, a0 * slope, 0.0) - (a1 + a0) / (s1 + s0)
 
 
@@ -180,6 +181,147 @@ def z_minus_asinh_mean(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
         if p >= 3 and p % 2:
             series += _ASINH_SERIES[(p - 3) // 2] * h / (p + 1)
     return np.where(a1 <= 0.25, series, 0.5 * (a0 + a1) - asinh_mean(a0, a1))
+
+
+# ---------------------------------------------------------------------------
+# The chord kernels of H and R
+# ---------------------------------------------------------------------------
+# With A = atan(c/t), sin A = X, every kernel is built from
+#   T_n = int_0^A sin^(n+1)/cos = sum over k = n+2, n+4, ... of X^k / k,
+#   S_n = int_0^A sin^n and I_n = int_0^(pi/2 - A) cos^n = S_n(pi/2) - S_n.
+# Below the diameter (t < ell) T_n and I_n are recurrences; from it up, where c <= t and
+# X^2 <= 1/2, T_n and S_n are series with terms enough for the largest X^2.
+
+@lru_cache(maxsize=None)
+def _series(first: int, central: bool) -> np.ndarray:
+    """Coefficients b_j / (first + 2j), j < 60, with b_j = 1 or C(2j, j)/4^j."""
+    b = np.cumprod([1.0] + [(2 * j - 1) / (2 * j) if central else 1.0 for j in range(1, 60)])
+    return b / (first + 2.0 * np.arange(60))
+
+
+def _power_series(coef: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """sum over j of coef[j] x2^j for x2 <= 1/2, a sum of positive terms, to as many terms as
+    max(x2)^j needs to fall below 2^-56."""
+    top = float(x2.max(initial=0.0))
+    terms = min(len(coef), math.ceil(56.0 * math.log(2.0) / -math.log(top))) if top > 0.0 else 1
+    return x2[..., None] ** np.arange(terms) @ coef[:terms]
+
+
+@lru_cache(maxsize=None)
+def _recurrence_terms(n: int) -> tuple:
+    """The unrolled recurrences of T_n and I_n: (k, 1/k) over k = n, n-2, ... >= 1 for
+    T_n = T_(n mod 2) - sum of sin^k A / k, and (k - 1, w_k, W) over k = n, n-2, ... >= 2
+    for I_n = cos A sum of w_k sin^(k-1) A + W I_(n mod 2)."""
+    ks = np.arange(n, 0, -2, dtype=float)
+    js = np.arange(n, 1, -2, dtype=float)
+    ratios = np.cumprod(np.concatenate([[1.0], (js - 1.0) / js]))  # products over j > k, then all
+    return ks, 1.0 / ks, js - 1.0, ratios[:-1] / js, ratios[-1]
+
+
+def _tan_sin_integral(n: int, x: np.ndarray, sin: np.ndarray, series: bool) -> np.ndarray:
+    """T_n(A) at arrays x = tan A and sin = sin A.
+
+    T_0 = ln sec A or T_1 = asinh(tan A) - sin A starts the recurrence
+    T_n = T_(n-2) - sin^n A / n, unrolled, which keeps absolute accuracy only: where
+    relative accuracy is needed, at sin A <= 1/sqrt(2), T_n is its series in sin A, as
+    ``_a_minus_sin`` does it.
+    """
+    if series and n:
+        return sin ** (n + 2) * _power_series(_series(n + 2, False), sin * sin)
+    base = np.arcsinh(x) if n % 2 else 0.5 * np.log1p(x * x)
+    if n == 0:
+        return base
+    ks, inverse = _recurrence_terms(n)[:2]
+    return base - sin[..., None] ** ks @ inverse
+
+
+def _sin_power_integral(n: int, x: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """S_n(A) = int_0^A sin^n at arrays x = tan A <= 1 and sin = sin A, by its series in
+    sin A; S_0 = A."""
+    if n == 0:
+        return np.arctan(x)
+    return sin ** (n + 1) * _power_series(_series(n + 1, True), sin * sin)
+
+
+def _cos_power_integral(n: int, x: np.ndarray, sin: np.ndarray, cos: np.ndarray) -> np.ndarray:
+    """I_n(A) = int_0^B cos^n, B = pi/2 - A, at arrays x = tan A, sin A and cos A, by the
+    reduction I_n = cos^(n-1) B sin B / n + (n-1)/n I_(n-2) from I_0 = B, I_1 = sin B,
+    unrolled: a sum of positive terms that keeps its digits as B -> 0."""
+    base = cos if n % 2 else np.arctan2(1.0, x)
+    if n < 2:
+        return base
+    _, _, powers, weights, last = _recurrence_terms(n)
+    return cos * (sin[..., None] ** powers @ weights) + last * base
+
+
+def chord_kernels(d: int, ts, ell: float, heat: bool = True, big_r: bool = True, width: float = math.inf) -> Callable:
+    """The chord means of the H and R kernels, one column per t, for ``Shape.line_integral``.
+
+    Over the lines of a convex set of diameter ell (README, *The chord measure*), with
+    A = atan(c/t): |Omega| - H(t) = int int kappa_d [t T_(d-1)(A) + c I_(d-1)(A)] below
+    the least width of the set; from it up, free of that cancellation, H(t) = int int
+    kappa_d [c S_(d-1)(A) - t T_(d-1)(A)]; and R(t) = int int kappa_d [T_(d-1)(A_ell) - T_(d-1)(A)
+    - (c/t)(S_(d-1)(A_ell) - S_(d-1)(A))], the S difference taken as I(A) - I(A_ell) for
+    t < ell.  In d = 2 these are exact means over a piece on which c runs linearly, through
+    ``asinh_mean`` and G(z) = z - asinh z (``z_minus_asinh_mean``), with R written from ell
+    up as kappa_2 [G(c/t) - G(ell/t) + G'(ell/t)(ell - c)/t]; in other dimensions a piece is
+    one chord, lo = hi, and the width must be the diameter.  Returns mean(lo, hi): an array of the
+    shape of lo with a last axis of len(ts) H columns (if heat), then len(ts) R columns (if
+    big_r).
+    """
+    ts = np.asarray(ts, dtype=float)
+    kap, n, width = kappa(d), d - 1, min(width, ell)
+
+    def parts(x, below):
+        """(T_n, I_n) below the diameter, (T_n, S_n) from it up, at tan A = x, for d != 2."""
+        root = np.sqrt(1.0 + x * x)
+        sin = x / root
+        tee = _tan_sin_integral(n, x, sin, not below)
+        return tee, _cos_power_integral(n, x, sin, 1.0 / root) if below else _sin_power_integral(n, x, sin)
+
+    # the columns in three groups: below the width, from it to the diameter, from that up
+    side = [(t >= width) + (t >= ell) for t in ts.tolist()]
+    sides = [cols for cols in ([i for i, k in enumerate(side) if k == g] for g in range(3)) if cols]
+    groups = []  # (t, ell/t, whether H is direct, whether t < ell, the terms at c = ell)
+    for cols in sides:
+        t = ts[cols]
+        x_ell, below = ell / t, t[0] < ell
+        root = np.sqrt(1.0 + x_ell * x_ell)
+        if d != 2:
+            at_ell = parts(x_ell, below)
+        elif below:
+            at_ell = np.arcsinh(x_ell), 1.0 / root
+        else:
+            at_ell = z_minus_asinh_mean(x_ell, x_ell), x_ell * x_ell / (root * (1.0 + root))  # G, G'
+        groups.append((t, x_ell, t[0] >= width, below, at_ell))
+    # put the columns back in the order of ts
+    order = None if len(sides) < 2 else np.argsort(sum(sides, []))
+    if order is not None and heat and big_r:
+        order = np.concatenate([order, order + len(ts)])
+
+    def mean(lo, hi):
+        lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
+        h_cols, r_cols = [], []
+        for t, x_ell, direct, below, (first, second) in groups:
+            x = hi / t
+            if d == 2:
+                m = asinh_mean(lo / t, x) if below else None
+                g = z_minus_asinh_mean(lo / t, x) if direct else None
+                h_cols.append(t * (g if direct else m))
+                if big_r:
+                    x_mean = 0.5 * (lo + hi) / t
+                    r_cols.append(first - m - (x_ell - x_mean) * second if below
+                                  else g - first + second * (x_ell - x_mean))
+            else:
+                tee, rest = parts(x, below)
+                h_cols.append(t * tee + hi * rest if below else hi * rest - t * tee)
+                if big_r:
+                    r_cols.append(first - tee - x * (rest - second if below else second - rest))
+        cols = h_cols * heat + r_cols * big_r
+        out = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
+        return kap * (out if order is None else out[..., order])
+
+    return mean
 
 
 @dataclass(frozen=True)

@@ -48,24 +48,31 @@ _STALL_ROUNDS = 16
 def _gk_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
     """G7/K15 on every panel [lo_i, hi_i] with one call of f on all (panels, 15) nodes.
 
-    Returns (K15 values, error estimates) as arrays.
+    Returns (K15 values, error estimates), each a (panels, columns) array, and
+    whether f returned one value per node rather than a row of columns.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _NODES
     with np.errstate(all="ignore"):  # a non-finite sum raises below; an infinite (200 diff)^1.5 is harmless
-        fx = np.reshape(f(x.ravel()), x.shape)
-        g, k = (fx @ _WEIGHTS).T
-        total, diff = k.sum(), half * np.abs(k - g)
+        fx = np.asarray(f(x.ravel()))
+        single = fx.ndim == 1
+        fx = np.reshape(fx, (*x.shape, -1))
+        if single:  # the product of a one-valued f, with its bits from before columns
+            g, k = (fx[:, :, 0] @ _WEIGHTS).T[:, :, None]
+        else:
+            gk = np.swapaxes(fx, 1, 2) @ _WEIGHTS
+            g, k = gk[..., 0], gk[..., 1]
+        total, diff = k.sum(), half[:, None] * np.abs(k - g)
         err = np.minimum(diff, (200.0 * diff) ** 1.5)
     if not math.isfinite(total):
-        bad = ~np.isfinite(fx)
-        if bad.any():
-            xi, fi = float(x[bad][0]), float(fx[bad][0])
-            raise QuadratureError(f"non-finite integrand sample f({xi!r}) = {fi!r}: "
+        bad = np.argwhere(~np.isfinite(fx))
+        if len(bad):
+            p, q, j = bad[0]
+            raise QuadratureError(f"non-finite integrand sample f({float(x[p, q])!r}) = {float(fx[p, q, j])!r}: "
                                   "the integral probably diverges there")
         raise QuadratureError("Kronrod sum overflows on a panel")
-    return half * k, err
+    return half[:, None] * k, err, single
 
 
 def integrate_1d(
@@ -77,51 +84,64 @@ def integrate_1d(
 ):
     """Adaptive Gauss-Kronrod integration of f on [a, b].
 
-    f maps a 1-D array of nodes to the array of its values there; each round
+    f maps a 1-D array of n nodes to the array of its n values there, or to
+    an (n, m) array: m integrands, the columns, share every node.  Each round
     of refinement is one call.  ``points`` lists interior breakpoints used to
-    seed the initial panels (endpoint singular scales, support kinks).  A
-    round splits the panels of largest error whose errors add up to the
-    excess over the tolerance.  Returns (value, err) with
-    err <= max(abs_tol, rel_tol * |value|) or raises QuadratureError, also
-    once 16 rounds in a row each cut the error estimate by less than 1 %.
+    seed the initial panels (endpoint singular scales, support kinks).  Column j
+    has converged once its error estimate err_j <= max(abs_tol, rel_tol *
+    |value_j|).  A round ranks the panels by their largest column error divided
+    by that column's tolerance, and splits the first ones until they cover the
+    excess of the worst column.  Returns (value, err), floats for a one-valued
+    f and arrays of m for columns, once every column has converged; raises
+    QuadratureError when the panel budget runs out and once 16 rounds in a row
+    each cut no open column's error estimate by 1 % or more.
     """
     if not a < b:
         raise QuadratureError(f"need a < b, got [{a}, {b}]")
     edges = np.array(sorted({a, b, *(p for p in points if a < p < b)}), dtype=float)
-    panels = np.column_stack([edges[:-1], edges[1:], *_gk_panels(f, edges[:-1], edges[1:])])
-    count = len(panels)  # panels made so far; rows are lo, hi, value, error in creation order
-    last_err, stalled = math.inf, 0
+    lo, hi = edges[:-1], edges[1:]
+    val, err, single = _gk_panels(f, lo, hi)
+    count = len(lo)  # panels made so far; rows are in creation order
+    last_err, stalled = [math.inf] * val.shape[1], 0
     while True:
-        total, total_err = math.fsum(panels[:, 2]), math.fsum(panels[:, 3])
-        excess = total_err - max(spec.abs_tol, spec.rel_tol * abs(total))
-        if excess <= 0.0:
-            return total, total_err
-        stalled = stalled + 1 if total_err >= 0.99 * last_err else 0
+        totals = [math.fsum(col) for col in val.T.tolist()]
+        errs = [math.fsum(col) for col in err.T.tolist()]
+        tols = [max(spec.abs_tol, spec.rel_tol * abs(v)) for v in totals]
+        if all(e <= t for e, t in zip(errs, tols)):
+            return (totals[0], errs[0]) if single else (np.array(totals), np.array(errs))
+        worst = max(range(len(errs)), key=lambda j: errs[j] / tols[j])
+        fell = any(e < 0.99 * last for e, t, last in zip(errs, tols, last_err) if e > t)
+        stalled = 0 if fell else stalled + 1
         if stalled >= _STALL_ROUNDS:
-            lo, hi = panels[np.argmax(panels[:, 3]), :2].tolist()
+            at = np.argmax(err[:, worst])
             raise QuadratureError(
-                f"error estimate {total_err:.3e} has not fallen in {stalled} rounds, the largest "
-                f"on [{lo!r}, {hi!r}]: the integral probably diverges there"
+                f"error estimate {errs[worst]:.3e} has not fallen in {stalled} rounds, the largest "
+                f"on [{float(lo[at])!r}, {float(hi[at])!r}]: the integral probably diverges there"
             )
-        last_err = total_err
+        last_err = errs
         if count >= spec.max_subdivisions:
             raise QuadratureError(
                 f"max subdivisions ({spec.max_subdivisions}) exceeded; "
-                f"err={total_err:.3e} value={total:.6e}"
+                f"err={errs[worst]:.3e} value={totals[worst]:.6e}"
             )
-        # largest errors first, ties in creation order, within the panel budget
-        order = np.argsort(-panels[:, 3], kind="stable")
-        need = int(np.searchsorted(np.cumsum(panels[order, 3]), excess)) + 1
+        # largest scaled errors first, ties in creation order, within the panel budget; the
+        # worst column's scale is 1, so a one-valued f splits by its own errors
+        score = err[:, 0] if single else np.max(err * (tols[worst] / np.array(tols)), axis=1)
+        order = np.argsort(-score, kind="stable")
+        need = int(np.searchsorted(np.cumsum(score[order]), errs[worst] - tols[worst])) + 1
         split = order[: min(need, (spec.max_subdivisions - count + 1) // 2)]
-        lo, hi = panels[split, 0], panels[split, 1]
-        mid = 0.5 * (lo + hi)
-        stuck = (mid <= lo) | (mid >= hi)
+        s_lo, s_hi = lo[split], hi[split]
+        mid = 0.5 * (s_lo + s_hi)
+        stuck = (mid <= s_lo) | (mid >= s_hi)
         if stuck.any():
-            raise QuadratureError(f"panel [{lo[stuck][0]}, {hi[stuck][0]}] cannot be split further")
-        new_lo, new_hi = np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel()
-        new = np.column_stack([new_lo, new_hi, *_gk_panels(f, new_lo, new_hi)])
-        panels = np.concatenate([np.delete(panels, split, axis=0), new])
-        count += len(new)
+            raise QuadratureError(f"panel [{s_lo[stuck][0]}, {s_hi[stuck][0]}] cannot be split further")
+        new_lo, new_hi = np.column_stack([s_lo, mid]).ravel(), np.column_stack([mid, s_hi]).ravel()
+        new_val, new_err, _ = _gk_panels(f, new_lo, new_hi)
+        keep = np.ones(len(lo), dtype=bool)
+        keep[split] = False
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        val, err = np.concatenate([val[keep], new_val]), np.concatenate([err[keep], new_err])
+        count += len(new_lo)
 
 
 def integrate_circle(

@@ -69,6 +69,12 @@ class Shape(ABC):
         return self.geometry.dim
 
     @property
+    def min_width(self) -> float:
+        """The least width of the shape over all directions; the diameter, for a ball or an
+        interval."""
+        return self.geometry.support_radius
+
+    @property
     def gamma_vanishes(self) -> bool:
         """gamma is identically zero (1-D sets), so R(t) and its limit vanish."""
         return self.dim == 1
@@ -77,12 +83,34 @@ class Shape(ABC):
     def covariance(self, ys: np.ndarray) -> np.ndarray:
         """Set covariance g(y) = |Omega intersect (Omega + y)| at the rows of an (n, dim) array."""
 
+    @abstractmethod
+    def line_integral(self, mean: Callable, quad: QuadSpec, seeds: Sequence[float] = ()) -> tuple:
+        """(value, err) of the integral of k(c) over the lines through the shape.
+
+        c is the length of the chord the line cuts, and the lines in direction u are
+        weighted by dsigma(u) dx over S^(d-1) x u^perp, so each line counts twice (as u
+        and -u).  The chords come in pieces on which c runs linearly between lo <= hi
+        (a single chord has lo = hi), and mean(lo, hi) is the mean of k over a piece:
+        an array of the shape of lo, or with one more axis of columns, in which case
+        value and err are arrays of columns.  ``seeds`` are points of the shape's own
+        line parameter where k changes scale or creases (see ``scale_seeds``).
+        """
+
+    def scale_seeds(self, ts: Sequence[float]) -> list:
+        """Seeds of ``line_integral`` where a chord is t 4^k long, for the kernels of H and R
+        at each t of ts; none where the chord means resolve every scale of c exactly."""
+        return []
+
     def covariance_integral(self, quad: QuadSpec) -> float:
-        """Integral of g over its support; equals |Omega|^2.  The default integrates the
-        radial profile gbar: A_d int_0^ell r^(d-1) gbar(r) dr."""
-        d, gbar = self.dim, self.radial_profile()
-        val, _ = integrate_1d(lambda r: r ** (d - 1) * gbar(r), 0.0, self.geometry.support_radius, quad)
-        return kernel.unit_sphere_area(d) * val
+        """Integral of g over its support; equals |Omega|^2: the line integral of
+        c^(d+1) / (d (d+1)), whose mean over a piece is a sum of lo^i hi^(d+1-i)."""
+        d = self.dim
+
+        def mean(lo, hi):
+            return sum(lo**i * hi ** (d + 1 - i) for i in range(d + 2)) / ((d + 2) * d * (d + 1))
+
+        value, _ = self.line_integral(mean, quad)
+        return value
 
     @abstractmethod
     def directional_variation(self, us: np.ndarray) -> np.ndarray:
@@ -128,39 +156,6 @@ class Shape(ABC):
     def gamma(self, s: np.ndarray, quad: QuadSpec) -> np.ndarray:
         """gamma(ell * s) for each s in (0, 1] of a 1-D array."""
 
-    def radial_profile(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-        """g as a function of |y|, mapping an array of radii to values, when g is radial."""
-        return None
-
-    def heat_content(self, t: float, quad: QuadSpec) -> float:
-        """H(t), unclamped.  The default integrates the radial profile gbar:
-        A_d kappa_d t * int_0^ell r^(d-1) gbar(r) (t^2+r^2)^(-(d+1)/2) dr,
-        on panels seeded at every t 4^k below ell."""
-        d, ell, gbar = self.dim, self.geometry.support_radius, self.radial_profile()
-
-        def f(r):
-            return r ** (d - 1) * gbar(r) * (t * t + r * r) ** (-(d + 1) / 2.0)
-
-        # the kernel factor turns over at r ~ t and decays as a power beyond it: a
-        # ladder of scales from t up to ell resolves that layer before the first round
-        pts, p = [], t
-        while p < ell:
-            pts.append(p)
-            p *= 4.0
-        val, _ = integrate_1d(f, 0.0, ell, quad, points=pts)
-        return kernel.unit_sphere_area(d) * kernel.kappa(d) * t * val
-
-    def big_R(self, t: float, quad: QuadSpec) -> float:
-        """R(t) = ell^(d+1) kappa_d * int_0^1 s^d gamma(ell s) (t^2 + ell^2 s^2)^-(d+1)/2 ds."""
-        d, ell = self.dim, self.geometry.support_radius
-
-        def f(s):
-            return s**d * gamma(self, s, quad) * (t * t + ell * ell * s * s) ** (-(d + 1) / 2.0)
-
-        pts = sorted({2.0**-k for k in range(1, 24)} | {min(1.0, t / ell)} - {1.0})
-        val, _ = integrate_1d(f, 0.0, 1.0, quad, points=pts)
-        return ell ** (d + 1) * kernel.kappa(d) * val
-
     def gamma_weighted_integral(self, quad: QuadSpec) -> tuple:
         """(value, err) of int_0^1 gamma(ell s)/s ds, the class-W integral.  The default is
         one integrate_1d over [0, 1], which raises QuadratureError if the integral diverges."""
@@ -205,8 +200,36 @@ class UnitBall(Shape):
             return np.array([ball_covariance_radial(self.d, float(r[0]))])
         return ball_covariance_radial(self.d, r)
 
-    def radial_profile(self):
-        return lambda r: ball_covariance_radial(self.d, r)
+    def line_integral(self, mean, quad, seeds=()):
+        """Over psi in [0, pi/2]: the lines at distance cos psi from the centre cut chords
+        c = 2 sin psi, with weight A_d A_(d-1) cos^(d-2) psi sin psi dpsi.  In d = 1, the one
+        chord of length 2."""
+        d = self.d
+        if d == 1:
+            return _one_chord(mean, 2.0)
+        weight = kernel.unit_sphere_area(d) * kernel.unit_sphere_area(d - 1)
+
+        def per_angle(psi):
+            sin = np.sin(psi)
+            c = 2.0 * sin[:, None]
+            return _piece_sum((weight * np.cos(psi) ** (d - 2) * sin)[:, None], mean(c, c))
+
+        return integrate_1d(per_angle, 0.0, 0.5 * math.pi, quad, points=seeds)
+
+    def scale_seeds(self, ts):
+        """The kernels of H and R turn over at c ~ t and decay as powers beyond it: a
+        ladder of chords t 4^k up to the diameter resolves that layer before the first round.
+        The weight and the kernels peak inside (0, pi/2), most sharply in high d, so the
+        quarters psi = k pi/8 are seeds too."""
+        if self.d == 1:
+            return []
+        seeds = {k * math.pi / 8.0 for k in (1, 2, 3)}
+        for t in ts:
+            c = float(t)
+            while c < 2.0:
+                seeds.add(math.asin(0.5 * c))
+                c *= 4.0
+        return sorted(seeds)
 
     def directional_variation(self, us):
         return np.full(len(us), 2.0 * kernel.unit_ball_volume(self.d - 1) if self.d >= 2 else 2.0)
@@ -310,13 +333,13 @@ class PlanarPolytope(Shape):
 
     For u = (cos theta, sin theta) and n = (-sin theta, cos theta), the chord
     length c(x) of the line x n + R u is linear between the offsets x of the
-    vertices (``chord_table``).  With ell the diameter, every quantity of the
-    expansion is then one theta-integral over [0, pi) of closed-form sums over
-    the linear pieces of c (``_chord_integral``):
-    g(r u) = int (c - r)_+ dx, |Omega| - H(t) = (t/pi) int int asinh(c/t),
-    gamma(r) = (2/r) int int (r - c)_+, int g = (1/3) int int c^3,
-    R(t) = (1/pi) int int [asinh(ell/t) - asinh(c/t) - (ell - c)/sqrt(t^2 + ell^2)]
-    and int_0^1 gamma(ell s)/s ds = 2 int int [ln(ell/c) - 1 + c/ell].
+    vertices (``chord_table``).  So ``line_integral`` is one theta-integral over
+    [0, pi), doubled for -u, of closed-form sums over the linear pieces of c;
+    with ell the diameter and int int that measure: g(r u) = int (c - r)_+ dx,
+    |Omega| - H(t) = (t/2pi) int int asinh(c/t), gamma(r) = (1/r) int int (r - c)_+,
+    int g = (1/6) int int c^3, R(t) = (1/2pi) int int [asinh(ell/t) - asinh(c/t)
+    - (ell - c)/sqrt(t^2 + ell^2)] and int_0^1 gamma(ell s)/s ds = int int [ln(ell/c) - 1 + c/ell]
+    (the d = 2 kernels of ``kernel.chord_kernels``).
     """
 
     @property
@@ -361,6 +384,14 @@ class PlanarPolytope(Shape):
             inside = self._inside(x[lo : lo + m], y[lo : lo + m], (half[:m], one[:m], two[:m]))
             hits += int(np.count_nonzero(inside))
         return hits
+
+    @cached_property
+    def min_width(self) -> float:
+        """The least over the edges of the greatest distance of a vertex from the edge's line."""
+        verts, edges = self.vertex_array, self.edge_directions
+        rel = verts[None, :, :] - verts[:, None, :]  # [edge i, vertex j]: v_j - v_i
+        heights = np.abs(rel[..., 0] * edges[:, None, 1] - rel[..., 1] * edges[:, None, 0]).max(axis=1)
+        return float(np.min(heights / np.hypot(edges[:, 0], edges[:, 1])))
 
     @cached_property
     def edge_directions(self) -> np.ndarray:
@@ -408,20 +439,20 @@ class PlanarPolytope(Shape):
         order = np.argsort(off, axis=1)
         return np.take_along_axis(off, order, axis=1), np.take_along_axis(c, order, axis=1)
 
-    def _chord_integral(self, mean, quad: QuadSpec, seeds=()) -> tuple:
-        """(value, err) of int_0^pi sum over the pieces of c of width * mean(lo, hi) dtheta.
+    def line_integral(self, mean, quad, seeds=()):
+        """Twice int_0^pi sum over the pieces of c of width * mean(lo, hi) dtheta.
 
-        mean(lo, hi) is the mean of a function of c over a piece on which c runs
-        linearly between lo <= hi; the panels are seeded where the offsets change
-        order and at ``seeds``.
+        The panels are seeded where the offsets change order and at the angles
+        ``seeds``.
         """
         def per_direction(thetas):
             x, c = self.chord_table(thetas)
             lo, hi = np.minimum(c[:, :-1], c[:, 1:]), np.maximum(c[:, :-1], c[:, 1:])
             with np.errstate(divide="ignore", invalid="ignore"):
-                return np.sum(np.diff(x, axis=1) * mean(lo, hi), axis=1)
+                return _piece_sum(np.diff(x, axis=1), mean(lo, hi))
 
-        return integrate_1d(per_direction, 0.0, math.pi, quad, points=[*self._order_changes, *seeds])
+        value, err = integrate_1d(per_direction, 0.0, math.pi, quad, points=[*self._order_changes, *seeds])
+        return 2.0 * value, 2.0 * err
 
     def support_kinks(self):
         """Edge directions and their opposites, where |e_j x u| creases."""
@@ -466,28 +497,9 @@ class PlanarPolytope(Shape):
                 part = ((r - lo) / r) ** 2 / (2.0 * (hi - lo))
                 return np.where(hi <= r, (1.0 - (lo + hi) / (2.0 * r)) / r, np.where(lo < r, part, 0.0))
 
-            value, _ = self._chord_integral(mean, quad, seeds=self._circle_crossing_kinks(r))
-            out[i] = 2.0 * r * value
+            value, _ = self.line_integral(mean, quad, seeds=self._circle_crossing_kinks(r))
+            out[i] = r * value
         return out
-
-    def heat_content(self, t, quad):
-        """|Omega| - (t/pi) int int asinh(c/t) for t below the diameter, else, free of
-        that cancellation, (1/pi) int int (c - t asinh(c/t))."""
-        if t < self.geometry.support_radius:
-            value, _ = self._chord_integral(lambda lo, hi: kernel.asinh_mean(lo / t, hi / t), quad)
-            return self.geometry.volume - t / math.pi * value
-        value, _ = self._chord_integral(lambda lo, hi: t * kernel.z_minus_asinh_mean(lo / t, hi / t), quad)
-        return value / math.pi
-
-    def big_R(self, t, quad):
-        ell = self.geometry.support_radius
-        a_ell, s_ell = math.asinh(ell / t), math.hypot(t, ell)
-
-        def mean(lo, hi):
-            return a_ell - kernel.asinh_mean(lo / t, hi / t) - (ell - 0.5 * (lo + hi)) / s_ell
-
-        value, _ = self._chord_integral(mean, quad)
-        return value / math.pi
 
     def gamma_weighted_integral(self, quad):
         ell = self.geometry.support_radius
@@ -498,12 +510,7 @@ class PlanarPolytope(Shape):
             log_ratio = np.where(lo > 0.0, np.where(z > 0.0, np.log1p(z) / z, 1.0), 0.0)
             return np.log(ell / hi) - log_ratio + 0.5 * (lo + hi) / ell
 
-        value, err = self._chord_integral(mean, quad)
-        return 2.0 * value, 2.0 * err
-
-    def covariance_integral(self, quad):
-        value, _ = self._chord_integral(lambda lo, hi: (lo + hi) * (lo * lo + hi * hi) / 4.0, quad)
-        return value / 3.0
+        return self.line_integral(mean, quad)
 
 
 @dataclass(frozen=True)
@@ -613,23 +620,34 @@ class ConvexPolygon(PlanarPolytope):
         )
 
     @cached_property
-    def _relative_vertices(self) -> list:
-        """The vertices relative to vertex 0, as a list of float pairs."""
-        return (self.vertex_array - self.vertex_array[0]).tolist()
+    def _chord_tables(self) -> tuple:
+        """For the covariance walk, as lists: the vertices relative to the least of them (by
+        x, then y), the edges e_j = v_(j+1) - v_j, and for each vertex i and edge j the
+        cross products (v_i - v_j) x e_j and (v_i - v_(j+1)) x e_j."""
+        pts = self.vertex_array.tolist()
+        ends = pts[1:] + pts[:1]
+        edges = [(qx - px, qy - py) for (px, py), (qx, qy) in zip(pts, ends)]
+        areas = [[((vx - px) * ey - (vy - py) * ex, (vx - qx) * ey - (vy - qy) * ex)
+                  for (px, py), (qx, qy), (ex, ey) in zip(pts, ends, edges)] for vx, vy in pts]
+        ox, oy = min(pts)
+        return [(x - ox, y - oy) for x, y in pts], edges, areas
 
     def covariance(self, ys):
         """g(r u) = int (c_u(x) - r)_+ dx (see ``chord_table``), a point at a time in floats.
 
-        The offsets s of the vertices along u^perp and their heights a along u
-        split the boundary, at the least and the greatest offset, into an upper
-        chain (counterclockwise) and a lower one (clockwise).  Walking both at
-        once, c is the difference of their heights, linear between the merged
-        offsets, and each piece of positive width adds its width times the mean
-        of (c - r)_+; an edge parallel to u is a piece of zero width and adds
-        nothing.  O(n) per point; g(0) = |Omega| exactly.
+        The offsets s of the vertices along u^perp split the boundary, at the least
+        and the greatest offset, into an upper chain (counterclockwise) and a lower
+        one (clockwise).  Walking both at once, c is linear between the merged
+        offsets, and each piece of positive width adds its width times the mean of
+        (c - r)_+; an edge parallel to u is a piece of zero width and adds nothing.
+        The chord through a vertex v to the edge pq of the other chain is
+        |(v - m) x (q - p)| / |u x (q - p)|, m the end of the edge nearer in offset: on a
+        thin polygon it keeps its digits where heights measured from one origin would
+        cancel.  O(n) per point; g(0) = |Omega| exactly.
         """
-        vol, ell, rel = self.geometry.volume, self.geometry.support_radius, self._relative_vertices
-        n, out = len(rel), []
+        vol, ell = self.geometry.volume, self.geometry.support_radius
+        rel, edges, areas = self._chord_tables
+        n, out, cycle = len(rel), [], [*range(len(rel))] * 2
         for y0, y1 in ys.tolist():
             m = max(abs(y0), abs(y1))  # y / m first, so that u is a unit vector for subnormal y
             h = math.hypot(y0 / m, y1 / m) if m else 1.0
@@ -638,26 +656,35 @@ class ConvexPolygon(PlanarPolytope):
                 out.append(vol if r == 0.0 else 0.0)
                 continue
             ux, uy = y0 / m / h, y1 / m / h
-            s = [ux * py - uy * px for px, py in rel] * 2
-            a = [ux * px + uy * py for px, py in rel] * 2
+            s = [ux * py - uy * px for px, py in rel]
             i0, i1 = s.index(min(s)), s.index(max(s))
             k = (i1 - i0) % n  # edges on the upper chain
-            su, au = s[i0 : i0 + k + 1], a[i0 : i0 + k + 1]
-            sl, al = s[i1 : i1 + n - k + 1][::-1], a[i1 : i1 + n - k + 1][::-1]
+            s += s
+            up, low = cycle[i0 : i0 + k + 1], cycle[i1 : i1 + n - k + 1][::-1]
+            su, sl = s[i0 : i0 + k + 1], s[i1 : i1 + n - k + 1][::-1]
             total, x, i, j, c = 0.0, su[0], 1, 1, None
             while x < su[-1]:
                 while su[i] <= x:  # skip pieces of zero (or, by rounding, negative) width
                     i += 1
                 while sl[j] <= x:
                     j += 1
-                s0, s1, a0, a1 = su[i - 1], su[i], au[i - 1], au[i]
-                t0, t1, b0, b1 = sl[j - 1], sl[j], al[j - 1], al[j]
-                if c is None:  # the chord at the least offset, where s0 = t0 = x
-                    c = a0 - b0
+                s0, s1, t0, t1 = su[i - 1], su[i], sl[j - 1], sl[j]
+                if c is None:  # the chord at the least offset, between two vertices at s0 = t0 = x
+                    (ax, ay), (bx, by) = rel[up[i - 1]], rel[low[j - 1]]
+                    c = abs(ux * (ax - bx) + uy * (ay - by)) if up[i - 1] != low[j - 1] else 0.0
+                # a vertex of one chain across an edge of the other, from the edge's nearer end:
+                # the lower chain runs along its edges backwards
                 if s1 <= t1:
-                    z, c1 = s1, a1 - (b1 if t1 == s1 else b0 + (b1 - b0) * ((s1 - t0) / (t1 - t0)))
+                    z, v, e, end = s1, up[i], low[j], s1 - t0 <= t1 - s1
                 else:
-                    z, c1 = t1, a0 + (a1 - a0) * ((t1 - s0) / (s1 - s0)) - b1
+                    z, v, e, end = t1, low[j], up[i - 1], t1 - s0 > s1 - t1
+                ex, ey = edges[e]
+                den = ux * ey - uy * ex  # nonzero on a piece of positive width, barring rounding
+                if den:
+                    c1 = abs(areas[v][e][end] / den)
+                else:
+                    (vx, vy), (px, py) = rel[v], rel[(e + end) % n]
+                    c1 = abs(ux * (vx - px) + uy * (vy - py))
                 lo, hi = (c, c1) if c <= c1 else (c1, c)
                 if hi > r:
                     total += (z - x) * (0.5 * (lo + hi) - r if lo >= r else (hi - r) ** 2 / (2.0 * (hi - lo)))
@@ -759,8 +786,9 @@ class Interval(Shape):
     def covariance(self, ys):
         return np.maximum(0.0, self.length - np.abs(ys[:, 0]))
 
-    def radial_profile(self):
-        return lambda r: np.maximum(0.0, self.length - r)
+    def line_integral(self, mean, quad, seeds=()):
+        """The one chord, of length b - a."""
+        return _one_chord(mean, self.length)
 
     def directional_variation(self, us):
         return np.full(len(us), 2.0)
@@ -936,6 +964,19 @@ def gamma_weighted_integral(shape: Shape, quad: QuadSpec = QuadSpec()):
 # ---------------------------------------------------------------------------
 # Geometry helpers
 # ---------------------------------------------------------------------------
+
+def _piece_sum(weights: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 of the (nodes, pieces) weights times the piece means, which may
+    carry a last axis of columns."""
+    return np.sum(weights.reshape(weights.shape + (1,) * (means.ndim - 2)) * means, axis=1)
+
+
+def _one_chord(mean: Callable, length: float) -> tuple:
+    """(value, err) of ``line_integral`` on a 1-D set: its one chord, as u and as -u."""
+    c = np.array([[length]])
+    value = 2.0 * mean(c, c)[0, 0]
+    return (float(value), 0.0) if np.ndim(value) == 0 else (value, np.zeros_like(value))
+
 
 def _boundary_terms(verts: np.ndarray) -> np.ndarray:
     """(v_i - v_0) x e_i: twice the signed area of the triangle v_0, v_i, v_{i+1}."""

@@ -38,6 +38,57 @@ def gauss_legendre(f, a, b, n=48):
     return float(half * np.dot(w, f(0.5 * (a + b) + half * x)))
 
 
+def gauss_legendre_each(f, a, b, n=48):
+    """gauss_legendre on [a_i, b_i] for each element of the broadcast arrays a and b."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    half = 0.5 * (b - a)
+    return half * (f((0.5 * (a + b))[..., None] + half[..., None] * x) @ w)
+
+
+def graded_gauss_legendre(f, t, n=48):
+    """int_0^2 f on panels graded geometrically toward r = 0 from t and toward r = 2, where a
+    ball's covariance and gamma vanish like a power of 2 - r."""
+    edges = np.array(sorted({0.0, 2.0} | {t * 2.0**k for k in range(-60, 60) if t * 2.0**k < 1.0}
+                            | {2.0 - 2.0**-k for k in range(60)}))
+    return float(np.sum(gauss_legendre_each(f, edges[:-1], edges[1:], n)))
+
+
+def ball_constants(d):
+    """(A_d, w_{d-1}, kappa_d) from math.gamma, independent of heatcov.kernel."""
+    a_d = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
+    kappa = math.gamma((d + 1) / 2) / math.pi ** ((d + 1) / 2)
+    return a_d, math.pi ** ((d - 1) / 2) / math.gamma((d + 1) / 2), kappa
+
+
+def ball_gamma_oracle(d, s):
+    """gamma_B(2s) = A_d w_{d-1} / s * int_0^s [1 - (1-x^2)^((d-1)/2)] dx, with x = sin(p),
+    at a float or at each element of an array s."""
+    a_d, w_dm1, _ = ball_constants(d)
+    m = 0.5 * (d - 1)
+    inner = gauss_legendre_each(
+        lambda p: -np.expm1(m * np.log1p(-np.sin(p) ** 2)) * np.cos(p), 0.0, np.arcsin(s)
+    )
+    return a_d * w_dm1 * inner / s
+
+
+def ball_covariance_oracle(d, r):
+    """g_B(r) = two caps of height 1 - r/2 = 2 w_{d-1} int_{asin(r/2)}^{pi/2} cos^d, at a float
+    or at each element of an array r."""
+    _, w_dm1, _ = ball_constants(d)
+    return 2.0 * w_dm1 * gauss_legendre_each(lambda p: np.cos(p) ** d, np.arcsin(r / 2.0), 0.5 * math.pi)
+
+
+def ball_reference(d, t):
+    """(H(t), R(t)) of the unit ball in R^d, d >= 2, by graded Gauss-Legendre over r of the
+    radial forms A_d kappa_d t int r^(d-1) g_B(r) (t^2 + r^2)^-(d+1)/2 and
+    kappa_d int r^d gamma_B(r) (t^2 + r^2)^-(d+1)/2, with the oracles above."""
+    a_d, _, kappa = ball_constants(d)
+    h = graded_gauss_legendre(lambda r: r ** (d - 1) * ball_covariance_oracle(d, r) * (t * t + r * r) ** (-(d + 1) / 2), t)
+    r = graded_gauss_legendre(lambda r: r**d * ball_gamma_oracle(d, r / 2.0) * (t * t + r * r) ** (-(d + 1) / 2), t)
+    return a_d * kappa * t * h, kappa * r
+
+
 SQRT2 = math.sqrt(2.0)
 
 

@@ -15,6 +15,7 @@ from heatcov import (
     closed_form_constant,
     covariance,
     decomposition,
+    decompositions,
     default_t_grid,
     gamma,
     geometry,
@@ -30,7 +31,7 @@ from heatcov import (
 from heatcov.asymptotics import phi_over_t
 from heatcov.errors import DomainError
 
-from conftest import simpson
+from conftest import ball_constants, ball_reference, simpson
 
 SQRT2 = math.sqrt(2.0)
 
@@ -197,6 +198,18 @@ class TestDecomposition:
         assert abs(bd.residual) < 1e-10
 
 
+@pytest.mark.parametrize("shape", [UnitBall(3), UnitBall(2), Rectangle(1.0, 1.5), Interval(0.0, 0.7)], ids=repr)
+def test_grid_pass_matches_single_t(shape, quad):
+    # one pass over an unsorted grid on both sides of the diameter gives each t's own values
+    ts = [3.0, 0.5, 10.0, 1e-3, 0.05]
+    for bd, t in zip(decompositions(shape, ts, quad), ts):
+        single = decomposition(shape, t, quad)
+        assert bd.t == t
+        assert bd.H == pytest.approx(single.H, rel=1e-12)
+        assert bd.R == pytest.approx(single.R, rel=1e-12, abs=0.0)
+        assert bd.D == pytest.approx(single.D, rel=1e-12)
+
+
 class TestThirdTerm:
     def test_constant_assembly_collapses(self):
         # direct arithmetic: the assembled pieces reduce to the closed-form values
@@ -270,6 +283,50 @@ class TestThirdTerm:
     def test_bad_grid_rejected(self, quad):
         with pytest.raises(DomainError):
             third_term(UnitBall(2), quad, t_grid=[0.1, 0.2, 0.05, 0.01])
+
+
+def _ball_constant(d):
+    """C of the unit ball in R^d in closed form: C = (Per/pi)(1 + ln 2 + J_d) + kappa_d Lambda,
+    Lambda = A_d [w_(d-1) ln 2 - A_(d-1) (psi((d+1)/2) - psi(1)) / (2 (d-1))], with the
+    digamma difference a harmonic sum (plus -2 ln 2 at half-integers) and J_d by its recursion."""
+    a_d, w_dm1, kap = ball_constants(d)
+    a_dm1 = (d - 1) * w_dm1
+    m = (d + 1) // 2
+    if d % 2:
+        digamma = sum(1.0 / k for k in range(1, m))
+    else:
+        digamma = -2.0 * math.log(2.0) + sum(2.0 / (2 * k - 1) for k in range(1, d // 2 + 1))
+    j = [0.0, -math.log(2.0), -1.0]
+    for k in range(3, d + 1):
+        j.append(j[k - 2] - 1.0 / (k - 1))
+    lam = a_d * (w_dm1 * math.log(2.0) - a_dm1 * digamma / (2.0 * (d - 1)))
+    return a_d / math.pi * (1.0 + math.log(2.0) + j[d]) + kap * lam
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_ball_constant_closed_form(d, quad):
+    c = _ball_constant(d)
+    if d == 2:
+        assert c == pytest.approx(BALL2_C, abs=1e-13)
+    if d == 3:
+        assert c == pytest.approx(BALL3_C, abs=1e-13)
+    report = third_term(UnitBall(d), quad)
+    assert abs(report.C_formula - c) <= 1e-12
+    assert abs(report.C_extrapolated - c) <= report.extrapolation_err
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_ball_H_and_R_against_graded_reference(d, quad):
+    # the chord pass against the radial forms of H and R, by graded Gauss-Legendre with the
+    # covariance and gamma oracles; d = 1 is the interval (-1, 1), whose R vanishes
+    for t in (1e-9, 1e-6, 1e-3, 0.05, 0.5, 2.0, 10.0, 1e3):
+        bd = decomposition(UnitBall(d), t, quad)
+        if d == 1:
+            want_h, want_r = 2.0 / math.pi * (2.0 * math.atan(2.0 / t) - 0.5 * t * math.log1p(4.0 / t**2)), 0.0
+        else:
+            want_h, want_r = ball_reference(d, t)
+        assert bd.H == pytest.approx(want_h, rel=1e-11, abs=0.0), t
+        assert bd.R == pytest.approx(want_r, rel=1e-11, abs=0.0), t
 
 
 SQUARE_CORNERS = [(1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0)]

@@ -13,6 +13,7 @@ import pytest
 
 from heatcov import (
     ConvexPolygon,
+    QuadSpec,
     Rectangle,
     big_R,
     gamma,
@@ -131,3 +132,25 @@ def test_regular_40gon_scaling(t, lam, quad):
     poly = _regular(40)
     scaled = ConvexPolygon(lam * poly.vertex_array)
     assert heat_content(scaled, lam * t, quad) == pytest.approx(lam**2 * heat_content(poly, t, quad), rel=1e-10)
+
+
+SLIVER = ConvexPolygon([(0.0, 0.0), (1.0, 1.0), (1.0 - 1e-4, 1.0)])
+
+
+def test_min_width():
+    assert Rectangle(1.0, 0.3).min_width == pytest.approx(0.6, rel=1e-15)
+    assert TRIANGLE.min_width == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert SLIVER.min_width == pytest.approx(1e-4 * math.sqrt(0.5), rel=1e-9)
+
+
+@pytest.mark.parametrize("poly", [SLIVER, Rectangle(1e-3, 1.0)], ids=["sliver", "thin-rectangle"])
+def test_thin_polygon_from_its_width_up(poly, quad):
+    # from the least width up H is far below |Omega|, so it is summed as itself, not as
+    # |Omega| - (t/2pi) int int asinh(c/t): that deficit form gave the sliver H(0.5) = 2.3e-10
+    # for 9.3e-10, and a reported error that hid it
+    tight = QuadSpec(abs_tol=1e-20, rel_tol=1e-13)
+    for t in (0.5, 1.0, 3.0, 30.0, 1e3):
+        assert heat_content(poly, t, quad) == pytest.approx(heat_content(poly, t, tight), rel=1e-9), t
+        if t >= poly.geometry.support_radius:  # R from the diameter up, scaled to its size
+            assert big_R(poly, t, quad) == pytest.approx(big_R(poly, t, tight), rel=1e-9), t
+

@@ -4,9 +4,10 @@ The CSV files under ``data/`` were written by the sweep of the scalar-integrand
 code this package replaced, except the R, residual and D columns of the
 square's, which were written by the chord engine (the scalar code's R was
 1.7e-11 off; ``test_square_R_from_closed_form_gamma`` checks the new values) and the
-H and residual cells of the disc's two smallest t, which were written by the radial
-quadrature seeded at every t 4^k (the old cells were 5.7e-13 and 6.5e-13 off;
-``test_ball2_H_against_reference`` checks the new values);
+H, R, residual and D cells of the disc's, which were written by the chord pass over
+the disc's line measure (the radial quadrature's H was up to 2.1e-12 off and its R
+5.6e-12; ``test_ball2_H_against_reference`` and ``test_ball_R_from_closed_form_gamma``
+check the new values, and ``test_ball3_H_against_reference`` the 3-ball's);
 the polygon covariance is checked against half-plane clipping
 (``conftest.clipped_intersection_area``) and Green's theorem
 (``conftest.green_covariance``) on the polygons the benchmark generates.
@@ -24,9 +25,11 @@ from heatcov import kappa
 from heatcov.cli import main
 
 from conftest import (
+    ball_gamma_oracle,
     benchmark_polygons,
     clipped_intersection_area,
     gauss_legendre,
+    graded_gauss_legendre,
     green_covariance,
     square_gamma,
 )
@@ -71,23 +74,45 @@ def test_square_R_from_closed_form_gamma():
         assert abs(ell**3 * kappa(2) * value - want) <= 1e-13, (t, want)
 
 
+def _ball_rows(shape):
+    rows = _recorded(shape)
+    header = rows[0]
+    return [(float(row[header.index("t")]), float(row[header.index("H")]), float(row[header.index("R")]))
+            for row in rows[1:]]
+
+
 def test_ball2_H_against_reference():
     # H(t) = t int_0^2 r g(r) (t^2 + r^2)^-3/2 dr with g(r) = 2 acos(r/2) - (r/2) sqrt(4 - r^2),
     # on panels graded geometrically toward r = 0 from t and toward r = 2, where
-    # g ~ (2 - r)^(3/2); the two smallest t of the sweep
-    rows = _recorded("ball2")
-    header = rows[0]
-    for row in rows[-2:]:
-        t, want = float(row[header.index("t")]), float(row[header.index("H")])
+    # g ~ (2 - r)^(3/2); every row of the sweep
+    for t, want, _ in _ball_rows("ball2"):
 
         def f(r):
             g = 2.0 * np.arccos(r / 2.0) - 0.5 * r * np.sqrt(4.0 - r * r)
             return r * g * (t * t + r * r) ** -1.5
 
-        edges = sorted({0.0, 2.0} | {t * 2.0**k for k in range(-60, 60) if t * 2.0**k < 1.0}
-                       | {2.0 - 2.0**-k for k in range(60)})
-        value = t * sum(gauss_legendre(f, a, b) for a, b in zip(edges, edges[1:]))
-        assert abs(value - want) <= 3e-13, (t, want, value)
+        value = t * graded_gauss_legendre(f, t)
+        assert abs(value - want) <= 1e-13, (t, want, value)
+
+
+def test_ball3_H_against_reference():
+    # H(t) = (4/pi) t int_0^2 r^2 g(r) (t^2 + r^2)^-2 dr with g(r) = pi (4 + r)(2 - r)^2 / 12
+    for t, want, _ in _ball_rows("ball3"):
+        value = 4.0 / math.pi * t * graded_gauss_legendre(
+            lambda r: r * r * math.pi * (4.0 + r) * (2.0 - r) ** 2 / 12.0 * (t * t + r * r) ** -2.0, t
+        )
+        assert abs(value - want) <= 1e-13, (t, want, value)
+
+
+@pytest.mark.parametrize("shape, d", [("ball2", 2), ("ball3", 3)])
+def test_ball_R_from_closed_form_gamma(shape, d):
+    # R(t) = kappa_d int_0^2 r^d gamma(r) (t^2 + r^2)^-(d+1)/2 dr, gamma from the Gauss-Legendre
+    # oracle of its closed form, on the panels of the H references
+    for t, _, want in _ball_rows(shape):
+        value = kappa(d) * graded_gauss_legendre(
+            lambda r: r**d * ball_gamma_oracle(d, r / 2.0) * (t * t + r * r) ** (-(d + 1) / 2.0), t
+        )
+        assert abs(value - want) <= 1e-13, (t, want, value)
 
 
 def _offsets(poly, rng):

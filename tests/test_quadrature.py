@@ -100,6 +100,22 @@ class TestIntegrate1d:
         assert sum(sizes) == 15 * 1275
         assert len(sizes) == 23
 
+    def test_columns_meet_each_tolerance(self, quad):
+        # integrands of different sizes share the nodes, and each meets its own tolerance: a
+        # column 1e-12 in size is resolved to 1e-10 absolute only, one of order 1 relatively
+        def f(x):
+            return np.column_stack([np.sin(x), 1e-12 * np.cos(x), np.sqrt(x), 1e-3 * np.exp(x)])
+
+        value, err = integrate_1d(f, 0.0, 2.0, quad)
+        want = np.array([1.0 - math.cos(2.0), 1e-12 * math.sin(2.0), 2.0 ** 2.5 / 3.0, 1e-3 * math.expm1(2.0)])
+        assert value.shape == err.shape == (4,)
+        assert np.all(err <= np.maximum(quad.abs_tol, quad.rel_tol * np.abs(value)))
+        np.testing.assert_allclose(value, want, rtol=1e-10, atol=1e-10)
+        # one column of an (n, 1) array: arrays of one, with the value of the one-valued call
+        one, one_err = integrate_1d(lambda x: np.sqrt(x)[:, None], 0.0, 2.0, quad)
+        assert one.shape == one_err.shape == (1,)
+        assert one[0] == pytest.approx(integrate_1d(np.sqrt, 0.0, 2.0, quad)[0], abs=1e-12)
+
     @settings(max_examples=40, deadline=None)
     @given(coeffs=st.lists(st.floats(-5, 5), min_size=1, max_size=6))
     def test_polynomials_exact(self, coeffs):
