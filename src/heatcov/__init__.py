@@ -33,7 +33,6 @@ from .quadrature import (
     extrapolate_limit,
     integrate_1d,
     integrate_circle,
-    integrate_sphere,
 )
 from .shapes import (
     ConvexPolygon,

@@ -205,12 +205,7 @@ def _verify_one(name: str, shape: Shape, quad: QuadSpec, lines: list) -> bool:
 
 def cmd_verify(args) -> int:
     quad = _quad_from(args)
-    targets = {
-        "ball2": UnitBall(2),
-        "ball3": UnitBall(3),
-        "square": Rectangle(1.0, 1.0),
-        "interval": Interval(0.0, 1.0),
-    }
+    targets = {**{name: make() for name, make in NAMED_SHAPES.items()}, "interval": Interval(0.0, 1.0)}
     if args.shape_file:
         shape = _resolve_shape(args)
         if args.target != "interval" or not isinstance(shape, Interval):
@@ -254,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
 
     p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("target", choices=["ball2", "ball3", "square", "interval", "all"])
+    p.add_argument("target", choices=[*NAMED_SHAPES, "interval", "all"])
     p.add_argument("--shape-file", help="an interval shape file, with target interval")
     p.add_argument("--tol", type=float)
 

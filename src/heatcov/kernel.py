@@ -168,19 +168,26 @@ _ASINH_SERIES = [(-1) ** (k + 1) * math.comb(2 * k, k) / 4**k / (2 * k + 1) for 
 
 
 def z_minus_asinh_mean(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """Mean of z - asinh z over [a0, a1], 0 <= a0 <= a1.
+    """Mean of z - asinh z over [a0, a1], 0 <= a0 <= a1, arrays of one shape.
 
     Where a1 <= 1/4 the difference cancels, so it is summed as a series: the mean
     of z^p over the piece is h_p / (p + 1), h_p = sum of a1^i a0^(p - i), a sum of
-    nonnegative terms.
+    nonnegative terms.  Each element takes only its own branch.
     """
-    series, h, power = np.zeros_like(a1), np.ones_like(a1), np.ones_like(a1)
-    for p in range(1, 2 * len(_ASINH_SERIES) + 2):
-        power = power * a1
-        h = power + a0 * h
-        if p >= 3 and p % 2:
-            series += _ASINH_SERIES[(p - 3) // 2] * h / (p + 1)
-    return np.where(a1 <= 0.25, series, 0.5 * (a0 + a1) - asinh_mean(a0, a1))
+    small, out = a1 <= 0.25, np.empty(a1.shape)
+    if small.any():
+        lo, hi = a0[small], a1[small]
+        series, h, power = np.zeros_like(hi), np.ones_like(hi), np.ones_like(hi)
+        for p in range(1, 2 * len(_ASINH_SERIES) + 2):
+            power = power * hi
+            h = power + lo * h
+            if p >= 3 and p % 2:
+                series += _ASINH_SERIES[(p - 3) // 2] * h / (p + 1)
+        out[small] = series
+    if not small.all():
+        lo, hi = a0[~small], a1[~small]
+        out[~small] = 0.5 * (lo + hi) - asinh_mean(lo, hi)
+    return out
 
 
 # ---------------------------------------------------------------------------

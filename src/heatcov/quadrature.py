@@ -1,4 +1,4 @@
-"""Numerical substrate: one adaptive quadrature rule (also over circle and sphere), limit fits."""
+"""Numerical substrate: one adaptive quadrature rule (also over the circle), limit fits."""
 
 from __future__ import annotations
 
@@ -87,7 +87,7 @@ def integrate_1d(
     f maps a 1-D array of n nodes to the array of its n values there, or to
     an (n, m) array: m integrands, the columns, share every node.  Each round
     of refinement is one call.  ``points`` lists interior breakpoints used to
-    seed the initial panels (endpoint singular scales, support kinks).  Column j
+    seed the initial panels (endpoint singular scales, creases).  Column j
     has converged once its error estimate err_j <= max(abs_tol, rel_tol *
     |value_j|).  A round ranks the panels by their largest column error divided
     by that column's tolerance, and splits the first ones until they cover the
@@ -154,30 +154,6 @@ def integrate_circle(
     """
     two_pi = 2.0 * math.pi
     return integrate_1d(f, 0.0, two_pi, spec, points=[k % two_pi for k in kinks])
-
-
-def integrate_sphere(f: Callable[[np.ndarray], np.ndarray], spec: QuadSpec = QuadSpec()):
-    """Integrate f(u) over the unit sphere in R^3 with nested ``integrate_1d``.
-
-    f maps an (n, 3) array of unit vectors to n values.  The outer integral
-    runs over the polar cosine, one azimuth integral per node; the error
-    estimate adds the outer one to twice the largest inner one.
-    """
-    inner_errs = []
-
-    def ring(ms):
-        values = np.empty(len(ms))
-        for i, m in enumerate(ms):
-            s = math.sqrt(max(0.0, 1.0 - m * m))
-
-            def azimuth(phi):
-                return f(np.column_stack([s * np.cos(phi), s * np.sin(phi), np.full_like(phi, m)]))
-            values[i], err = integrate_1d(azimuth, 0.0, 2.0 * math.pi, spec)
-            inner_errs.append(err)
-        return values
-
-    value, err = integrate_1d(ring, -1.0, 1.0, spec)
-    return value, err + 2.0 * max(inner_errs)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .errors import (
     NonUnitVectorError,
     QuadratureError,
 )
-from .quadrature import QuadSpec, integrate_1d, integrate_circle, integrate_sphere
+from .quadrature import QuadSpec, integrate_1d
 
 SQRT2 = math.sqrt(2.0)
 WORK_ROWS = 4  # float rows of a Monte Carlo block's workspace
@@ -160,10 +160,6 @@ class Shape(ABC):
         """(value, err) of int_0^1 gamma(ell s)/s ds, the class-W integral.  The default is
         one integrate_1d over [0, 1], which raises QuadratureError if the integral diverges."""
         return integrate_1d(lambda s: gamma(self, s, quad) / s, 0.0, 1.0, quad)
-
-    def support_kinks(self) -> list:
-        """Angles where circle integrands for this shape lose smoothness."""
-        return []
 
     def support_radius_at(self, theta: float) -> float:
         """Distance from the origin to the support boundary in direction theta."""
@@ -453,11 +449,6 @@ class PlanarPolytope(Shape):
 
         value, err = integrate_1d(per_direction, 0.0, math.pi, quad, points=[*self._order_changes, *seeds])
         return 2.0 * value, 2.0 * err
-
-    def support_kinks(self):
-        """Edge directions and their opposites, where |e_j x u| creases."""
-        a = np.arctan2(self.edge_directions[:, 1], self.edge_directions[:, 0])
-        return sorted(np.concatenate([a, a + math.pi]) % (2.0 * math.pi))
 
     def support_radius_at(self, theta):
         """The longest chord in direction theta."""
@@ -939,19 +930,14 @@ def gamma_weighted_closed_form(shape: Shape) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 def perimeter_from_variations(shape: Shape, quad: QuadSpec = QuadSpec()) -> float:
-    """Recover Per via the spherical average of directional variations."""
-    geo = geometry(shape)
-    if geo.dim == 2:
-        value, _ = integrate_circle(
-            lambda th: directional_variation(shape, np.column_stack([np.cos(th), np.sin(th)])),
-            kinks=shape.support_kinks(),
-            spec=quad,
-        )
-        return value / (2.0 * kernel.unit_ball_volume(1))
-    if geo.dim == 3:
-        value, _ = integrate_sphere(lambda v: directional_variation(shape, v), quad)
-        return value / (2.0 * kernel.unit_ball_volume(2))
-    raise DomainError("perimeter_from_variations supports dim 2 and 3 only")
+    """Recover Per from the spherical mean of the directional variations.
+
+    V_u/2 is the volume of the shadow of the shape on u^perp, the measure of the lines in
+    direction u that meet it, so Cauchy's formula, int V_u/2 dsigma(u) = w_(d-1) Per, is
+    the line integral of k = 1 over w_(d-1) (w_0 = 1), in every dimension.
+    """
+    value, _ = shape.line_integral(lambda lo, hi: np.ones_like(lo), quad)
+    return value / (kernel.unit_ball_volume(shape.dim - 1) if shape.dim > 1 else 1.0)
 
 
 def gamma_weighted_integral(shape: Shape, quad: QuadSpec = QuadSpec()):

@@ -17,7 +17,7 @@ from heatcov import (
     unit_sphere_area,
 )
 from heatcov.errors import DomainError
-from heatcov.kernel import _a_minus_sin, cos_power_deficit
+from heatcov.kernel import _ASINH_SERIES, _a_minus_sin, asinh_mean, cos_power_deficit, z_minus_asinh_mean
 
 from conftest import simpson
 
@@ -165,6 +165,34 @@ class TestCosPowerDeficit:
     def test_series_matches_term_by_term_sum(self):
         a = np.linspace(0.0, math.pi / 2.0, 2001)[1:]
         np.testing.assert_allclose(_a_minus_sin(a), _a_minus_sin_loop(a), rtol=1e-15, atol=0.0)
+
+
+def _z_minus_asinh_mean_unmasked(a0, a1):
+    """Both branches of ``z_minus_asinh_mean`` on every element, then a select: the reference."""
+    series, h, power = np.zeros_like(a1), np.ones_like(a1), np.ones_like(a1)
+    for p in range(1, 2 * len(_ASINH_SERIES) + 2):
+        power = power * a1
+        h = power + a0 * h
+        if p >= 3 and p % 2:
+            series += _ASINH_SERIES[(p - 3) // 2] * h / (p + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a1 <= 0.25, series, 0.5 * (a0 + a1) - asinh_mean(a0, a1))
+
+
+def test_z_minus_asinh_mean_takes_each_branch_with_the_bits_of_both():
+    # the masked branches are elementwise, so they repeat the unmasked bits in either regime
+    rng = np.random.default_rng(5)
+    a1 = np.concatenate([[0.0, 0.25, np.nextafter(0.25, 1.0), 1e-300], rng.uniform(0.0, 0.5, 3600),
+                         rng.uniform(0.0, 0.25, 3600), np.geomspace(1e-8, 1e3, 3600)])
+    for a0 in (np.zeros_like(a1), a1 * rng.random(len(a1)), a1.copy()):
+        want = _z_minus_asinh_mean_unmasked(a0, a1)
+        np.testing.assert_array_equal(z_minus_asinh_mean(a0, a1), want)
+        # the chord kernels pass one column per t
+        cols = np.array([1.0, 3.0])
+        got = z_minus_asinh_mean(a0[:, None] / cols, a1[:, None] / cols)
+        np.testing.assert_array_equal(got, _z_minus_asinh_mean_unmasked(a0[:, None] / cols, a1[:, None] / cols))
+        assert got.shape == (len(a1), 2)
+    assert z_minus_asinh_mean(np.zeros(0), np.zeros(0)).shape == (0,)
 
 
 def test_kernel_constants_bundle():

@@ -11,7 +11,6 @@ from heatcov import (
     extrapolate_limit,
     integrate_1d,
     integrate_circle,
-    integrate_sphere,
 )
 from heatcov.errors import ExtrapolationError, QuadratureError
 
@@ -161,30 +160,6 @@ class TestIntegrateCircle:
         assert val == pytest.approx(exact, abs=1e-6)
         val, _ = integrate_circle(lambda th: np.abs(np.cos(th) - 0.3), kinks=[a, -a], spec=quad)
         assert val == pytest.approx(exact, abs=1e-12)
-
-
-class TestIntegrateSphere:
-    def test_constant(self, quad):
-        val, _ = integrate_sphere(lambda u: np.ones(len(u)), quad)
-        assert val == pytest.approx(4.0 * math.pi, rel=1e-12)
-
-    def test_second_moment(self, quad):
-        val, _ = integrate_sphere(lambda u: u[:, 2] ** 2, quad)
-        assert val == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
-
-    def test_constant_variation(self, quad):
-        val, _ = integrate_sphere(lambda u: np.full(len(u), math.pi), quad)
-        assert val == pytest.approx(4.0 * math.pi**2, rel=1e-12)
-
-    def test_order_doubling_error(self, quad):
-        val, err = integrate_sphere(lambda u: np.exp(u[:, 0]), quad)
-        # closed form: 4*pi*sinh(1)
-        assert abs(val - 4.0 * math.pi * math.sinh(1.0)) <= max(10.0 * err, 1e-10)
-
-    def test_polar_kink(self, quad):
-        # 2 pi * int_{-1}^{1} |m - 0.3| dm = 2 pi (0.7^2 + 1.3^2) / 2
-        val, _ = integrate_sphere(lambda u: np.abs(u[:, 2] - 0.3), quad)
-        assert val == pytest.approx(2.0 * math.pi * (0.245 + 0.845), abs=1e-8)
 
 
 class TestExtrapolateLimit:

@@ -54,6 +54,7 @@ THIN_TRIANGLE = ConvexPolygon([(-416.1468365471424, 909.2974268256817), (207.285
                                (208.86089294479825, -454.28831968068687)])
 SLIVER = ConvexPolygon([(-0.2708798881834609, -0.420267576881343), (-0.26942241768467895, -0.42120340792655375),
                         (0.5403023058681398, 0.8414709848078965)])
+FLAT_SLIVER = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.5, 1e-6)])
 
 
 class TestShapeConstruction:
@@ -229,6 +230,24 @@ class TestDirectionalVariation:
         with pytest.raises(NonUnitVectorError):
             directional_variation(UnitBall(2), (1.0, 1.0))
 
+    @pytest.mark.parametrize("shape", [Rectangle(1.0, 1.0), Rectangle(1.5, 0.5), Rectangle(0.5e-6, 0.5), TRIANGLE,
+                                       FLAT_SLIVER], ids=["square", "rect", "strip", "triangle", "sliver"])
+    def test_half_is_the_shadow_width(self, shape):
+        # V_u/2 is the width of the shadow on u^perp, the spread of the offsets of chord_table
+        thetas = np.random.default_rng(6).uniform(0.0, 2.0 * math.pi, 200)
+        x, _ = shape.chord_table(thetas)
+        half = directional_variation(shape, np.column_stack([np.cos(thetas), np.sin(thetas)])) / 2.0
+        np.testing.assert_allclose(half, x[:, -1] - x[:, 0], rtol=0.0, atol=1e-14 * geometry(shape).support_radius)
+
+    def test_half_is_the_ball_shadow(self):
+        # the shadow of the unit d-ball is the unit (d - 1)-ball, of volume w_0 = 1 for d = 1
+        rng = np.random.default_rng(7)
+        for d in range(1, 17):
+            us = rng.standard_normal((20, d))
+            us /= np.linalg.norm(us, axis=1)[:, None]
+            want = unit_ball_volume(d - 1) if d > 1 else 1.0
+            np.testing.assert_allclose(directional_variation(UnitBall(d), us) / 2.0, want, rtol=1e-15)
+
 
 BATCH_SHAPES = [UnitBall(1), UnitBall(2), UnitBall(5), Rectangle(1.0, 1.0), Rectangle(1.5, 0.5),
                 TRIANGLE, Interval(-0.5, 2.0)]
@@ -257,6 +276,8 @@ def test_batch_matches_single_points(shape, quad):
 
 
 class TestPerimeterIdentity:
+    # Cauchy's formula: one line integral of k = 1 in every dimension; the inputs past the
+    # first of each test hold it within 1e-13 of the closed-form perimeter
     def test_ball2(self, quad):
         assert perimeter_from_variations(UnitBall(2), quad) == pytest.approx(
             2.0 * math.pi, abs=1e-10
@@ -266,16 +287,23 @@ class TestPerimeterIdentity:
         assert perimeter_from_variations(Rectangle(1.0, 1.0), quad) == pytest.approx(
             8.0, abs=1e-8
         )
+        for shape in (Rectangle(0.5e-6, 0.5), Interval(-0.5, 2.0)):
+            assert perimeter_from_variations(shape, quad) == pytest.approx(geometry(shape).perimeter, rel=1e-13)
 
     def test_ball3(self, quad):
         assert perimeter_from_variations(UnitBall(3), quad) == pytest.approx(
             4.0 * math.pi, abs=1e-8
         )
+        for d in range(1, 17):
+            assert perimeter_from_variations(UnitBall(d), quad) == pytest.approx(unit_sphere_area(d), rel=1e-13), d
 
     def test_triangle_matches_geometry(self, quad):
         assert perimeter_from_variations(TRIANGLE, quad) == pytest.approx(
             geometry(TRIANGLE).perimeter, abs=1e-8
         )
+        scaled = [ConvexPolygon(lam * TRIANGLE.vertex_array) for lam in (1e-3, 1e3)]
+        for shape in [FLAT_SLIVER, *scaled]:
+            assert perimeter_from_variations(shape, quad) == pytest.approx(geometry(shape).perimeter, rel=1e-13)
 
 
 class TestCovariance:
