@@ -50,7 +50,6 @@ from .shapes import (
     geometry,
     perimeter_from_variations,
     shape_from_json,
-    square_I_terms,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -20,15 +20,28 @@ only uniforms and work on one contiguous row per coordinate:
   Containment is one half-plane test e . p <= c per edge.  A rectangle draws
   X as two uniform rows, an interval as one, a + (b - a) U.
 
-The unit ball overrides both with its two rotation invariants, so a draw
-costs the same in every d.  Rotate X onto e_1: X = r e_1 with r = U^(1/d),
-and W = (G_1, G_perp)/|g_0| with G and g_0 standard normal, so
-X + t W is in the ball iff (r + t G_1/|g_0|)^2 + t^2 |G_perp|^2/g_0^2 <= 1.
-For g, rotate y onto |y| e_1 instead: X = r Theta with Theta_1 = G_1/|G|, so
-X - y is in the ball iff (r Theta_1 - |y|)^2 + r^2 (1 - Theta_1^2) <= 1.
-A draw takes U, G_1, |G_perp|^2 ~ chi^2_(d-1) (2 standard_gamma((d-1)/2),
-one squared normal in d = 2, zero in d = 1) and, for H, g_0; a zero g_0 or
-G is redrawn.
+The unit ball overrides both with three uniforms a draw in every d, since
+its hit test sees only rotation invariants.  Rotate X onto e_1: X = r e_1,
+r = U_1^(1/d), and W = (G_1, G_perp)/|g_0| with G and g_0 standard normal.
+Write (g_0, G_1) = R (cos psi, sin psi) with R^2 ~ chi^2_2 independent of psi:
+
+- S = W_1 = tan psi is standard Cauchy, S = tan(pi (U_2 - 1/2));
+- B = |G_perp|^2/(|G_perp|^2 + R^2), a ratio of gamma variates, is
+  Beta((d - 1)/2, 1) = U_3^(2/(d - 1)), independent of S (0 in d = 1);
+- |W_perp|^2 = |G_perp|^2/g_0^2 = (1 + S^2) B/(1 - B).
+
+So X + t W is in the ball iff (1 - B)(r + t S)^2 + t^2 B (1 + S^2) <= 1 - B,
+with no division, and a B that rounds to 1 is a miss.  For g, rotate y onto
+|y| e_1 instead: X = r Theta is in the ball shifted by y iff
+r (r - 2|y| Theta_1) <= 1 - |y|^2, and Theta_1 = cos psi sqrt(B'):
+
+- psi = pi U_2 is uniform on [0, pi), so cos^2 psi ~ Beta(1/2, 1/2), with
+  cos psi = (1 - s^2)/(1 + s^2) and s = tan(pi U_2 / 2);
+- B' = 1 - U_3^(2/(d - 2)) ~ Beta(1, (d - 2)/2) for d >= 3, and 1 in d = 2;
+- Beta(1/2, 1/2) Beta(1, (d - 2)/2) = Beta(1/2, (d - 1)/2), the law of
+  Theta_1^2, and cos psi gives Theta_1 its symmetric sign.
+
+In d = 1, Theta_1 = +-1 by the sign of U_2 - 1/2.
 
 Each block draws from its own SFC64 stream, seeded by
 SeedSequence((seed, block)), so the estimate for a given (inputs, seed, n)
@@ -43,7 +56,7 @@ WORK_ROWS = 4 float rows of BLOCK_SIZE columns (2 MiB) from a pool and gives
 it back when it finishes, also on error.  The pool keeps one per usable CPU,
 so that later blocks write into resident memory instead of faulting in zero
 pages.  Blocks draw with ``out=``, compute in place and write boolean results
-into the bytes of a spent row.  A ball block uses 4 rows, a planar one 3 (x,
+into the bytes of a spent row.  A ball block uses 3 rows, a planar one 3 (x,
 y, a half row of the step's t |W| and two chunk rows), an interval one 2.
 
 Block code runs off the calling thread, so it may call only the shape's own

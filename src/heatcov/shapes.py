@@ -240,66 +240,71 @@ class UnitBall(Shape):
         v *= r[:, None]
         return v
 
-    # The ball is rotation invariant, so a block draws only the two invariants of each
-    # sample instead of d-vectors: see heatcov.mc.
+    # The ball is rotation invariant, so a block draws three uniforms a sample, which give
+    # the invariants its hit test sees, instead of d-vectors: see heatcov.mc.
 
-    def _split_normal(self, rng, g1, perp2):
-        """Draw G_1 and |G_perp|^2 ~ chi^2_(d-1) of normal d-vectors G into the rows g1, perp2."""
-        rng.standard_normal(out=g1)
+    def _draw_step(self, rng, s, b):
+        """Draw the invariants of W ~ p_1 into the rows s and b: the standard Cauchy
+        S = W_1 and B ~ Beta((d - 1)/2, 1), with |W_perp|^2 = (1 + S^2) B/(1 - B)."""
+        rng.random(out=s)
+        s -= 0.5
+        s *= math.pi
+        np.tan(s, out=s)
         if self.d == 1:
-            perp2.fill(0.0)
-        elif self.d == 2:  # a gamma draw at shape 1/2 is slow
-            np.square(rng.standard_normal(out=perp2), out=perp2)
+            b.fill(0.0)
         else:
-            rng.standard_gamma((self.d - 1) / 2.0, out=perp2)
-            perp2 *= 2.0
+            rng.random(out=b)
+            b **= 2.0 / (self.d - 1)
+
+    def _draw_axis(self, rng, c, b):
+        """Draw Theta_1, the first coordinate of a uniform unit vector, into the row c, with
+        b as scratch: cos psi sqrt(B') for psi uniform on [0, pi) and B' ~ Beta(1, (d - 2)/2)."""
+        rng.random(out=c)
+        if self.d == 1:
+            c -= 0.5
+            np.copysign(1.0, c, out=c)
+            return
+        c *= 0.5 * math.pi
+        np.tan(c, out=c)  # s = tan(psi/2), cos psi = (1 - s^2)/(1 + s^2)
+        c *= c
+        np.add(c, 1.0, out=b)
+        np.subtract(1.0, c, out=c)
+        c /= b
+        if self.d > 2:
+            rng.random(out=b)
+            b **= 2.0 / (self.d - 2)
+            np.subtract(1.0, b, out=b)
+            c *= np.sqrt(b, out=b)
 
     def heat_hits(self, rng, n, t, work):
-        # X = r e_1 and W = G/|g_0|: (r + t G_1/|g_0|)^2 + t^2 |G_perp|^2/g_0^2 <= 1, times g_0^2
-        r, g1, perp2, g0 = work[:, :n]
+        # X = r e_1: X + t W is in the ball iff (r + t S)^2 + t^2 (1 + S^2) B/(1 - B) <= 1,
+        # tested times 1 - B, so that a B of 1 is a miss
+        r, s, b = work[:3, :n]
         rng.random(out=r)
         r **= 1.0 / self.d
-        self._split_normal(rng, g1, perp2)
-        np.abs(rng.standard_normal(out=g0), out=g0)
-        while not g0.all():  # a zero g0 (possible in floating point): redraw it
-            zero = g0 == 0.0
-            g0[zero] = np.abs(rng.standard_normal(int(np.count_nonzero(zero))))
-        # in place, in the order of (r g0 + t G_1)^2 + (t^2 |G_perp|^2) <= g0^2
-        r *= g0
-        g1 *= t
-        r += g1
+        self._draw_step(rng, s, b)
+        s *= t
+        r += s
         r *= r
-        perp2 *= t * t
-        r += perp2
-        g0 *= g0
-        return int(np.count_nonzero(np.less_equal(r, g0, out=g1.view(bool)[:n])))
+        s *= s
+        s += t * t
+        s *= b
+        np.subtract(1.0, b, out=b)
+        r *= b
+        r += s
+        return int(np.count_nonzero(np.less_equal(r, b, out=s.view(bool)[:n])))
 
     def shift_hits(self, rng, n, y, work):
-        # y = |y| e_1 and X = r G/|G|; 1 - Theta_1^2 is |G_perp|^2/|G|^2, free of cancellation
-        r, g1, perp2, norm2 = work[:, :n]
+        # y = |y| e_1 and X = r Theta: X - y is in the ball iff r (r - 2|y| Theta_1) <= 1 - |y|^2
+        r, c, b = work[:3, :n]
         rng.random(out=r)
         r **= 1.0 / self.d
-        self._split_normal(rng, g1, perp2)
-        np.multiply(g1, g1, out=norm2)
-        norm2 += perp2
-        while not norm2.all():  # a zero G (possible in floating point): redraw its rows
-            zero = norm2 == 0.0
-            more = np.empty((2, int(np.count_nonzero(zero))))
-            self._split_normal(rng, *more)
-            g1[zero], perp2[zero] = more
-            np.multiply(g1, g1, out=norm2)
-            norm2 += perp2
-        # in place, in the order of (r G_1/|G| - |y|)^2 + r^2 |G_perp|^2/|G|^2 <= 1, the
-        # second term first so that |G| can overwrite |G|^2
-        g1 *= r
-        r *= r
-        r *= perp2
-        r /= norm2
-        g1 /= np.sqrt(norm2, out=norm2)
-        g1 -= float(np.linalg.norm(y))
-        g1 *= g1
-        g1 += r
-        return int(np.count_nonzero(np.less_equal(g1, 1.0, out=perp2.view(bool)[:n])))
+        self._draw_axis(rng, c, b)
+        norm = float(np.linalg.norm(y))
+        c *= 2.0 * norm
+        np.subtract(r, c, out=c)
+        c *= r
+        return int(np.count_nonzero(np.less_equal(c, 1.0 - norm * norm, out=b.view(bool)[:n])))
 
     def gamma(self, s, quad):
         """gamma_B(2s) = A_d w_{d-1} / s * int_0^{asin s} (cos - cos^d)."""
@@ -1086,36 +1091,6 @@ def ball_covariance_radial(d: int, r):
     # near r = 2 the difference is rounding noise of either sign
     g = np.maximum(0.0, kernel.unit_ball_volume(d) - 2.0 * kernel.unit_ball_volume(d - 1) * cap_gap)
     return np.where(r >= 2.0, 0.0, g)[()]
-
-
-# ---------------------------------------------------------------------------
-# The square's eight sector integrals
-# ---------------------------------------------------------------------------
-
-def _eta(i: int, theta: np.ndarray) -> np.ndarray:
-    if i in (0, 3, 4, 7):
-        return 2.0 / np.abs(np.cos(theta))
-    return 2.0 / np.abs(np.sin(theta))
-
-
-def square_I_terms(quad: QuadSpec = QuadSpec()) -> list:
-    """The eight sector integrals whose sum is the square's gamma integral."""
-    terms = []
-    for i in range(8):
-        lo, hi = math.pi / 4.0 * i, math.pi / 4.0 * (i + 1)
-
-        def integrand(theta, _i=i):
-            eta = _eta(_i, theta)
-            ac, as_ = np.abs(np.cos(theta)), np.abs(np.sin(theta))
-            return (
-                ac * as_ * eta
-                + 2.0 * (ac + as_) * np.log(2.0 * SQRT2 / eta)
-                + SQRT2 * (1.0 - 2.0 * SQRT2 / eta)
-            )
-
-        val, _ = integrate_1d(integrand, lo, hi, quad)
-        terms.append(val)
-    return terms
 
 
 # ---------------------------------------------------------------------------

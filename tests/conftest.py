@@ -100,6 +100,41 @@ def square_gamma(s):
     return 8.0 * (2.0 * (st + 1.0 - ct) - SQRT2 * tstar / s + 2.0 * SQRT2 * s * (0.25 - 0.5 * st * st))
 
 
+def _eta(i: int, theta: np.ndarray) -> np.ndarray:
+    if i in (0, 3, 4, 7):
+        return 2.0 / np.abs(np.cos(theta))
+    return 2.0 / np.abs(np.sin(theta))
+
+
+def square_I_terms(quad: QuadSpec = QuadSpec()) -> list:
+    """The eight sector integrals of the paper's square derivation, whose sum is the
+    square's gamma integral."""
+    terms = []
+    for i in range(8):
+        lo, hi = math.pi / 4.0 * i, math.pi / 4.0 * (i + 1)
+
+        def integrand(theta, _i=i):
+            eta = _eta(_i, theta)
+            ac, as_ = np.abs(np.cos(theta)), np.abs(np.sin(theta))
+            return (
+                ac * as_ * eta
+                + 2.0 * (ac + as_) * np.log(2.0 * SQRT2 / eta)
+                + SQRT2 * (1.0 - 2.0 * SQRT2 / eta)
+            )
+
+        val, _ = integrate_1d(integrand, lo, hi, quad)
+        terms.append(val)
+    return terms
+
+
+# the closed forms of the sector integrals I_0 and I_2
+SQUARE_I0 = 2.0 * math.log(2.0 + SQRT2) + SQRT2 / 4.0 * (math.pi - 8.0)
+SQUARE_I2 = (
+    2.0 * math.log(2.0) - 2.0 * math.log(2.0 + SQRT2) + 4.0 * math.log(SQRT2 + 1.0)
+    + SQRT2 / 4.0 * (math.pi - 8.0)
+)
+
+
 def benchmark_polygons(seed: int) -> list:
     """The triangle, hexagon and rotated rectangle the benchmark generates for a seed,
     from perfbench/jobs.py loaded as a module."""

@@ -27,11 +27,12 @@ from heatcov import (
     heat_content,
     mc_covariance,
     mc_heat_content,
-    square_I_terms,
     third_term,
     unit_ball_volume,
     unit_sphere_area,
 )
+
+from conftest import SQUARE_I0, SQUARE_I2, square_I_terms
 
 SQRT2 = math.sqrt(2.0)
 QUAD = QuadSpec()
@@ -124,15 +125,8 @@ def test_criterion_6_covariance_properties():
 
 def test_criterion_7_I_terms():
     terms = square_I_terms(QUAD)
-    i0_closed = 2.0 * math.log(2.0 + SQRT2) + SQRT2 / 4.0 * (math.pi - 8.0)
-    i2_closed = (
-        2.0 * math.log(2.0)
-        - 2.0 * math.log(2.0 + SQRT2)
-        + 4.0 * math.log(SQRT2 + 1.0)
-        + SQRT2 / 4.0 * (math.pi - 8.0)
-    )
-    e0 = abs(terms[0] - i0_closed)
-    e2 = abs(terms[2] - i2_closed)
+    e0 = abs(terms[0] - SQUARE_I0)
+    e2 = abs(terms[2] - SQUARE_I2)
     e_sym = max(abs(terms[i] - terms[i + 4]) for i in range(4))
     ok = e0 < 1e-8 and e2 < 1e-8 and e_sym < 1e-8
     report(

@@ -38,20 +38,20 @@ RECT = Rectangle(1.3, 0.6)
 PARTIAL = 3 * (1 << 16) + 17  # three full blocks and a partial one
 
 # float.hex of estimates, made by a one-CPU run on the SFC64 block streams seeded by
-# SeedSequence((seed, block)): the balls' blocks draw their two rotation invariants, the
+# SeedSequence((seed, block)): the balls' blocks draw three uniforms a sample, the
 # rectangle's and polygons' blocks the uniform-only steps and the split fan sampler, and the
 # interval's heat block the 1-D uniform-only step
 GOLDEN = [
-    (mc_heat_content, UnitBall(1), 0.1, 200_000, 1, "0x1.be3dc486ad2ddp+0"),
-    (mc_heat_content, UnitBall(3), 0.1, 200_000, 2, "0x1.7f0ecdc11442ap+1"),
-    (mc_heat_content, UnitBall(10), 0.05, 200_000, 3, "0x1.873eb49443894p+0"),
-    (mc_heat_content, UnitBall(16), 0.02, 200_000, 4, "0x1.51b515a79918ep-3"),
+    (mc_heat_content, UnitBall(1), 0.1, 200_000, 1, "0x1.bf2085b18548bp+0"),
+    (mc_heat_content, UnitBall(3), 0.1, 200_000, 2, "0x1.7ed1b94a8f64fp+1"),
+    (mc_heat_content, UnitBall(10), 0.05, 200_000, 3, "0x1.88a1d9f775857p+0"),
+    (mc_heat_content, UnitBall(16), 0.02, 200_000, 4, "0x1.502418a4355bfp-3"),
     (mc_heat_content, RECT, 0.1, 200_000, 5, "0x1.307a61c5edb58p+1"),
     (mc_heat_content, TRIANGLE, 0.05, 200_000, 6, "0x1.6e3bcd35a8588p-2"),
     (mc_heat_content, HEXAGON, 0.1, 200_000, 7, "0x1.d36f7e3d1cc12p+0"),
     (mc_heat_content, Interval(0.0, 1.7), 0.1, 200_000, 8, "0x1.74f1455219a84p+0"),
-    (mc_covariance, UnitBall(4), [0.3, -0.2, 0.1, 0.4], 200_000, 9, "0x1.5c7a421d5d6f4p+1"),
-    (mc_covariance, UnitBall(8), [0.2] * 8, 200_000, 10, "0x1.9f7f71aecad45p+0"),
+    (mc_covariance, UnitBall(4), [0.3, -0.2, 0.1, 0.4], 200_000, 9, "0x1.5c6a1680a96bcp+1"),
+    (mc_covariance, UnitBall(8), [0.2] * 8, 200_000, 10, "0x1.a0802049626ebp+0"),
     (mc_covariance, RECT, [0.7, 0.2], 200_000, 11, "0x1.e5527e5215768p+0"),
     (mc_covariance, TRIANGLE, [0.2, 0.1], 200_000, 12, "0x1.f40a2877ee4e2p-3"),
     (mc_heat_content, TRIANGLE, 0.05, PARTIAL, 13, "0x1.6c85ee5e63e92p-2"),
@@ -325,30 +325,8 @@ class TestMcCovariance:
         assert abs(est.mean - ref) <= 3.0 * est.stderr
 
 
-class ZeroNormals:
-    """A generator whose standard_normal draws numbered in `which` hold zeros in every third entry."""
-
-    def __init__(self, which):
-        self.rng = np.random.default_rng(8)
-        self.which = which
-        self.normals = 0
-
-    def random(self, size=None, out=None):
-        return self.rng.random(size, out=out)
-
-    def standard_gamma(self, shape, size=None, out=None):
-        return self.rng.standard_gamma(shape, size, out=out)
-
-    def standard_normal(self, size=None, out=None):
-        self.normals += 1
-        out = self.rng.standard_normal(size, out=out)
-        if self.normals in self.which:
-            out[::3] = 0.0
-        return out
-
-
 class TestBallInvariants:
-    """UnitBall's blocks draw two rotation invariants; Shape's generic blocks draw d-vectors."""
+    """UnitBall's blocks draw three uniforms a sample; Shape's generic blocks draw d-vectors."""
 
     N = 20_000
     TS = (0.02, 0.2, 2.0)
@@ -386,36 +364,101 @@ class TestBallInvariants:
             ref = float(ball_covariance_radial(d, np.array([s]))[0])
             self._assert_agree(est, generic, ref, ball.geometry.volume)
 
-    def test_heat_zero_denominators_are_redrawn(self):
-        # draws: U, G_1, the gamma, g_0 (zeros in every third entry), then the redraw of g_0
-        n, t = 100, 0.7
-        rng = ZeroNormals({2})
-        hits = UnitBall(3).heat_hits(rng, n, t, np.empty((shapes.WORK_ROWS, n)))
-        assert rng.normals == 3
+    # the laws of the drawn invariants, each estimated from 400 000 draws within 5 sigma
 
-        ref = np.random.default_rng(8)
-        r = ref.random(n) ** (1.0 / 3.0)
-        w = np.column_stack([ref.standard_normal(n), np.sqrt(2.0 * ref.standard_gamma(1.0, n))])
-        g0 = ref.standard_normal(n)
-        g0[::3] = ref.standard_normal(len(g0[::3]))
-        x = np.column_stack([r, np.zeros(n)]) + t * w / np.abs(g0)[:, None]
+    LAW_N = 400_000
+
+    @staticmethod
+    def _assert_mean(values, mean, var):
+        assert abs(np.mean(values) - mean) <= 5.0 * math.sqrt(var / len(values))
+
+    def _axis(self, d, seed):
+        c, b = np.empty((2, self.LAW_N))
+        UnitBall(d)._draw_axis(np.random.default_rng(seed), c, b)
+        return c
+
+    @pytest.mark.parametrize("rho", [0.01, 0.3, 1.0, 3.0, 100.0])
+    def test_step_radius_in_the_plane(self, rho):
+        # in d = 2, |W|^2 = S^2 + B (1 + S^2)/(1 - B) has P(|W| > rho) = (1 + rho^2)^(-1/2)
+        s, b = np.empty((2, self.LAW_N))
+        UnitBall(2)._draw_step(np.random.default_rng(1), s, b)
+        p = 1.0 / math.sqrt(1.0 + rho * rho)
+        self._assert_mean(s * s + b * (1.0 + s * s) / (1.0 - b) > rho * rho, p, p * (1.0 - p))
+
+    @pytest.mark.parametrize("x", [-0.99, -0.5, -0.1, 0.0, 0.3, 0.8, 0.999])
+    def test_axis_is_uniform_in_three_dimensions(self, x):
+        # Archimedes: the first coordinate of a uniform point of the 2-sphere is uniform on [-1, 1]
+        p = 0.5 * (1.0 + x)
+        self._assert_mean(self._axis(3, 2) <= x, p, p * (1.0 - p))
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_axis_moments(self, d):
+        # E Theta_1^(2k) = (2k - 1)!! / (d (d + 2) ... (d + 2k - 2))
+        def moment(k):
+            return math.prod(2 * i + 1 for i in range(k)) / math.prod(d + 2 * i for i in range(k))
+
+        c2 = np.square(self._axis(d, 3 + d))
+        self._assert_mean(c2, moment(1), moment(2) - moment(1) ** 2)
+        self._assert_mean(c2 * c2, moment(2), moment(4) - moment(2) ** 2)
+
+    class ExtremeUniforms:
+        """A generator whose random rows start with every combination of 0.0, 1/2 and
+        1 - 2^-53 across three rows, then hold ordinary uniforms; it keeps a copy of each row."""
+
+        VALUES = (0.0, 0.5, 1.0 - 2.0**-53)
+
+        def __init__(self):
+            self.rng = np.random.default_rng(8)
+            self.rows = []
+
+        def random(self, out):
+            self.rng.random(out=out)
+            j = len(self.rows)
+            out[:27] = [self.VALUES[(i // 3**j) % 3] for i in range(27)]
+            self.rows.append(out.copy())
+            return out
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 16])
+    @pytest.mark.parametrize("t", [0.05, 0.7])
+    def test_heat_block_at_extreme_uniforms(self, d, t):
+        n, ball, rng = 200, UnitBall(d), self.ExtremeUniforms()
+        with np.errstate(all="raise"):
+            hits = ball.heat_hits(rng, n, t, np.empty((shapes.WORK_ROWS, n)))
+        # X = r e_1 and W = (S, |W_perp|, 0, ..., 0), a B of 1 making |W_perp| infinite
+        u = rng.rows + [np.zeros(n)] * (3 - len(rng.rows))
+        s = np.tan(math.pi * (u[1] - 0.5))
+        b = u[2] ** (2.0 / (d - 1)) if d > 1 else u[2]
+        x = np.zeros((n, d))
+        x[:, 0] = u[0] ** (1.0 / d) + t * s
+        if d > 1:
+            with np.errstate(divide="ignore"):
+                x[:, 1] = t * np.sqrt((1.0 + s * s) * b / (1.0 - b))
         assert hits == np.count_nonzero(np.einsum("ij,ij->i", x, x) <= 1.0)
+        assert 0 < hits < n
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_shift_zero_denominators_are_redrawn(self, d):
-        # G = 0 on every third row: G_1 (and in d = 2 the second normal) holds zeros there
-        n, y = 100, np.full(d, 0.4)
-        rng = ZeroNormals(set(range(1, d + 1)))
-        hits = UnitBall(d).shift_hits(rng, n, y, np.empty((shapes.WORK_ROWS, n)))
-        assert rng.normals == 2 * d
-
-        ref = np.random.default_rng(8)
-        r = ref.random(n) ** (1.0 / d)
-        g = np.column_stack([ref.standard_normal(n) for _ in range(d)])
-        g[::3] = np.column_stack([ref.standard_normal(len(g[::3])) for _ in range(d)])
-        x = r[:, None] * g / np.linalg.norm(g, axis=1)[:, None]
-        x[:, 0] -= np.linalg.norm(y)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 16])
+    @pytest.mark.parametrize("norm", [0.4, 1.5])
+    def test_shift_block_at_extreme_uniforms(self, d, norm):
+        n, ball, rng = 200, UnitBall(d), self.ExtremeUniforms()
+        y = np.zeros(d)
+        y[-1] = norm
+        with np.errstate(all="raise"):
+            hits = ball.shift_hits(rng, n, y, np.empty((shapes.WORK_ROWS, n)))
+        # X = r Theta with Theta = (Theta_1, sqrt(1 - Theta_1^2), 0, ..., 0), turned so that
+        # its first axis is y's
+        u = rng.rows
+        if d == 1:
+            axis = np.where(u[1] < 0.5, -1.0, 1.0)
+        else:
+            axis = np.cos(math.pi * u[1])
+            if d > 2:
+                axis *= np.sqrt(1.0 - u[2] ** (2.0 / (d - 2)))
+        x = np.zeros((n, d))
+        x[:, -1] = u[0] ** (1.0 / d) * axis - norm
+        if d > 1:
+            x[:, 0] = u[0] ** (1.0 / d) * np.sqrt(1.0 - axis * axis)
         assert hits == np.count_nonzero(np.einsum("ij,ij->i", x, x) <= 1.0)
+        assert 0 < hits < n
 
 
 class TestPlanarBlocks:

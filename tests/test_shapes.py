@@ -21,7 +21,6 @@ from heatcov import (
     heat_content,
     perimeter_from_variations,
     shape_from_json,
-    square_I_terms,
     unit_ball_volume,
     unit_sphere_area,
 )
@@ -35,6 +34,8 @@ from heatcov.errors import (
 )
 
 from conftest import (
+    SQUARE_I0,
+    SQUARE_I2,
     ball_constants,
     ball_covariance_oracle,
     ball_gamma_oracle,
@@ -44,6 +45,7 @@ from conftest import (
     first_breakpoint,
     gauss_legendre,
     green_covariance,
+    square_I_terms,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -659,15 +661,8 @@ class TestGammaWeightedIntegral:
 class TestSquareITerms:
     def test_closed_forms(self, quad):
         terms = square_I_terms(quad)
-        i0 = 2.0 * math.log(2.0 + SQRT2) + SQRT2 / 4.0 * (math.pi - 8.0)
-        i2 = (
-            2.0 * math.log(2.0)
-            - 2.0 * math.log(2.0 + SQRT2)
-            + 4.0 * math.log(SQRT2 + 1.0)
-            + SQRT2 / 4.0 * (math.pi - 8.0)
-        )
-        assert terms[0] == pytest.approx(i0, abs=1e-8)
-        assert terms[2] == pytest.approx(i2, abs=1e-8)
+        assert terms[0] == pytest.approx(SQUARE_I0, abs=1e-8)
+        assert terms[2] == pytest.approx(SQUARE_I2, abs=1e-8)
 
     def test_symmetries(self, quad):
         terms = square_I_terms(quad)
