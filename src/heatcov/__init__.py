@@ -26,7 +26,7 @@ from .kernel import (
     unit_ball_volume,
     unit_sphere_area,
 )
-from .mc import McEstimate, mc_covariance, mc_heat_content, sample_cauchy
+from .mc import McEstimate, mc_covariance, mc_heat_content
 from .quadrature import (
     LimitFit,
     QuadSpec,

@@ -6,8 +6,7 @@ of asinh that the polygon chord integrals sum, of an interval).  The 1-D
 integrals are exact recurrences, not quadratures.  The gamma function is only ever
 needed at integer and half-integer arguments, so it is computed by exact
 recursion from Gamma(1) = 1 and Gamma(1/2) = sqrt(pi) instead of a
-general-purpose approximation.  ``sample_cauchy`` draws from the kernel, for
-the Monte Carlo estimators and the shapes' block-hit methods.
+general-purpose approximation.
 """
 
 from __future__ import annotations
@@ -77,19 +76,6 @@ def poisson_kernel(d: int, t: float, x) -> float:
         raise DomainError(f"x must be a vector of length {d}, got shape {x.shape}")
     r2 = float(np.dot(x, x))
     return kappa(d) * t / (t * t + r2) ** ((d + 1) / 2)
-
-
-def sample_cauchy(d: int, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-    """Draw n vectors with density p_1 via the ratio-of-normals representation."""
-    g = rng.standard_normal((n, d))
-    g0 = rng.standard_normal(n)
-    while not g0.all():  # a zero g0 (possible in floating point): redraw its rows
-        ok = g0 != 0.0
-        more = n - int(np.sum(ok))
-        g = np.concatenate([g[ok], rng.standard_normal((more, d))])
-        g0 = np.concatenate([g0[ok], rng.standard_normal(more)])
-    g /= np.abs(g0, out=g0)[:, None]
-    return g
 
 
 def tanh_deficit(d: int, x: float = 1.0) -> float:

@@ -3,9 +3,7 @@
 H(t) = |Omega| P(X + t W in Omega) and g(y) = |Omega| P(X - y in Omega), X
 uniform on Omega and W ~ p_1.  Each block of n draws is one call of a shape
 method, ``heat_hits(rng, n, t, work)`` or ``shift_hits(rng, n, y, work)``,
-which returns the block's hit count.  The generic ``Shape`` methods draw X
-with ``sample``, W with ``sample_cauchy`` (d + 1 normals a draw) and test
-``contains``; the tests hold every faster block to them.
+which returns the block's hit count.
 
 In d <= 2, p_1 and the uniform law on a triangle have exact inverse-CDF or
 spacing samplers, so the blocks of polygons, rectangles and intervals draw
@@ -17,11 +15,13 @@ only uniforms and work on one contiguous row per coordinate:
 - X on a convex polygon: one multinomial draw splits the block over the fan
   triangles by area, and a point of a triangle has the barycentric
   coordinates (1 - b, b - a, a), a <= b the min and max of two uniforms.
-  Containment is one half-plane test e . p <= c per edge.  A rectangle draws
-  X as two uniform rows, an interval as one, a + (b - a) U.
+  Containment is one half-plane test e . p <= c per edge, and for X - y only
+  at the edges with e . y < 0: X is in Omega, so e . (X - y) <= c - e . y
+  holds at the others.  A rectangle draws X as two uniform rows, an interval
+  as one, a + (b - a) U.
 
-The unit ball overrides both with three uniforms a draw in every d, since
-its hit test sees only rotation invariants.  Rotate X onto e_1: X = r e_1,
+The unit ball's blocks draw three uniforms a draw in every d, since its
+hit test sees only rotation invariants.  Rotate X onto e_1: X = r e_1,
 r = U_1^(1/d), and W = (G_1, G_perp)/|g_0| with G and g_0 standard normal.
 Write (g_0, G_1) = R (cos psi, sin psi) with R^2 ~ chi^2_2 independent of psi:
 
@@ -60,10 +60,10 @@ into the bytes of a spent row.  A ball block uses 3 rows, a planar one 3 (x,
 y, a half row of the step's t |W| and two chunk rows), an interval one 2.
 
 Block code runs off the calling thread, so it may call only the shape's own
-methods, the private samplers of ``shapes``, ``_block_rng`` and
-``sample_cauchy``, never a public module function (``geometry``,
-``covariance``, ...) that a tracer may rebind; argument checks, ``geometry``
-and the first import of numpy.random run on the calling thread.
+methods, the private samplers of ``shapes`` and ``_block_rng``, never a
+public module function (``geometry``, ``covariance``, ...) that a tracer may
+rebind; argument checks, ``geometry`` and the first import of numpy.random
+run on the calling thread.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
-from .kernel import _check_t, sample_cauchy  # noqa: F401  (re-exported)
+from .kernel import _check_t
 from .shapes import WORK_ROWS, Shape, _rows, geometry
 
 BLOCK_SIZE = 1 << 16

@@ -83,6 +83,10 @@ class Shape(ABC):
     def covariance(self, ys: np.ndarray) -> np.ndarray:
         """Set covariance g(y) = |Omega intersect (Omega + y)| at the rows of an (n, dim) array."""
 
+    def covariance_at(self, y: list) -> float:
+        """g(y) at one point, a list of floats."""
+        return float(self.covariance(np.array([y]))[0])
+
     @abstractmethod
     def line_integral(self, mean: Callable, quad: QuadSpec, seeds: Sequence[float] = ()) -> tuple:
         """(value, err) of the integral of k(c) over the lines through the shape.
@@ -121,36 +125,16 @@ class Shape(ABC):
         """Membership mask of the rows of an (n, dim) array of points."""
 
     @abstractmethod
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n points drawn uniformly from the shape, as an (n, dim) array.
-
-        Each point is uniform, but the rows need not come in random order: a
-        convex polygon returns them grouped by fan triangle
-        (``ConvexPolygon._sample_rows``).
-        """
-
-    def heat_hits(self, rng: np.random.Generator, n: int, t: float, work: Optional[np.ndarray] = None) -> int:
+    def heat_hits(self, rng: np.random.Generator, n: int, t: float, work: np.ndarray) -> int:
         """How many of n draws of X + t W land in the shape, X uniform on it and W ~ p_1.
 
         work, a C-contiguous float array of WORK_ROWS rows of at least max(n, 2)
-        columns, is scratch that a block may overwrite.  This generic block
-        allocates instead, draws W with ``kernel.sample_cauchy``, and is the
-        reference that the tests hold the other blocks to.
+        columns, is scratch that a block may overwrite.
         """
-        x = self.sample(rng, n)
-        w = kernel.sample_cauchy(self.dim, rng, n)
-        w *= t
-        w += x
-        del x  # freed before contains makes its own temporaries
-        return int(np.count_nonzero(self.contains(w)))
 
-    def shift_hits(
-        self, rng: np.random.Generator, n: int, y: np.ndarray, work: Optional[np.ndarray] = None
-    ) -> int:
+    @abstractmethod
+    def shift_hits(self, rng: np.random.Generator, n: int, y: np.ndarray, work: np.ndarray) -> int:
         """How many of n draws of X - y land in the shape, X uniform on it; see ``heat_hits``."""
-        x = self.sample(rng, n)
-        x -= y
-        return int(np.count_nonzero(self.contains(x)))
 
     @abstractmethod
     def gamma(self, s: np.ndarray, quad: QuadSpec) -> np.ndarray:
@@ -191,10 +175,10 @@ class UnitBall(Shape):
         )
 
     def covariance(self, ys):
-        r = np.linalg.norm(ys, axis=1)
-        if len(r) == 1:
-            return np.array([ball_covariance_radial(self.d, float(r[0]))])
-        return ball_covariance_radial(self.d, r)
+        return ball_covariance_radial(self.d, np.linalg.norm(ys, axis=1))
+
+    def covariance_at(self, y):
+        return float(ball_covariance_radial(self.d, float(np.linalg.norm([y], axis=1)[0])))
 
     def line_integral(self, mean, quad, seeds=()):
         """Over psi in [0, pi/2]: the lines at distance cos psi from the centre cut chords
@@ -233,13 +217,6 @@ class UnitBall(Shape):
     def contains(self, pts):
         return np.einsum("ij,ij->i", pts, pts) <= 1.0
 
-    def sample(self, rng, n):
-        v = rng.standard_normal((n, self.d))
-        v /= np.linalg.norm(v, axis=1)[:, None]
-        r = rng.random(n) ** (1.0 / self.d)
-        v *= r[:, None]
-        return v
-
     # The ball is rotation invariant, so a block draws three uniforms a sample, which give
     # the invariants its hit test sees, instead of d-vectors: see heatcov.mc.
 
@@ -276,9 +253,10 @@ class UnitBall(Shape):
             np.subtract(1.0, b, out=b)
             c *= np.sqrt(b, out=b)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def heat_hits(self, rng, n, t, work):
         # X = r e_1: X + t W is in the ball iff (r + t S)^2 + t^2 (1 + S^2) B/(1 - B) <= 1,
-        # tested times 1 - B, so that a B of 1 is a miss
+        # tested times 1 - B, so that a B of 1 is a miss; so is inf or nan at huge t
         r, s, b = work[:3, :n]
         rng.random(out=r)
         r **= 1.0 / self.d
@@ -353,18 +331,21 @@ class PlanarPolytope(Shape):
         """Draw n uniform points into the rows work[0, :n], work[1, :n] of a workspace,
         overwriting at most the scratch of ``_planar_scratch`` besides."""
 
-    @abstractmethod
-    def _inside(self, x: np.ndarray, y: np.ndarray, scratch) -> np.ndarray:
+    def _inside(self, x, y, scratch, planes=None) -> np.ndarray:
         """Membership mask of the points (x, y), in the bytes of scratch, three float rows
-        of len(x) that it overwrites."""
+        of len(x) that it overwrites: e . p <= c for each (e_x, e_y, c) of ``planes`` (by
+        default ``_half_planes``)."""
+        lhs, term, mask = scratch
+        inside, ok = mask.view(bool)[: len(x)], term.view(bool)[: len(x)]
+        inside.fill(True)
+        for ex, ey, c in self._half_planes if planes is None else planes:
+            np.multiply(x, ex, out=lhs)
+            lhs += np.multiply(y, ey, out=term)
+            inside &= np.less_equal(lhs, c, out=ok)  # in the bytes of term, spent by then
+        return inside
 
     def contains(self, pts):
         return self._inside(pts[:, 0], pts[:, 1], np.empty((3, len(pts))))
-
-    def sample(self, rng, n):
-        work = np.empty((WORK_ROWS, max(n, 2)))
-        self._sample_rows(rng, work, n)
-        return work[:2, :n].T
 
     def heat_hits(self, rng, n, t, work):
         self._sample_rows(rng, work, n)
@@ -372,32 +353,59 @@ class PlanarPolytope(Shape):
         return self._count_inside(work, n)
 
     def shift_hits(self, rng, n, y, work):
+        # X is inside, so X - y can leave only across an edge with e . y < 0
         self._sample_rows(rng, work, n)
         for row, shift in zip(work[:2, :n], y):
             row -= shift
-        return self._count_inside(work, n)
+        y0, y1 = y.tolist()
+        planes = [p for p in self._half_planes if p[0] * y0 + p[1] * y1 < 0.0]
+        return self._count_inside(work, n, planes)
 
-    def _count_inside(self, work, n):
-        """How many points of the rows work[:2, :n] lie in the shape, a chunk at a time."""
+    def _count_inside(self, work, n, *planes):
+        """How many points of the rows work[:2, :n] pass ``_inside``, a chunk at a time."""
         (x, y), (half, one, two), hits = work[:2, :n], _planar_scratch(work, n), 0
         for lo in range(0, n, len(one)):
             m = min(len(one), n - lo)
-            inside = self._inside(x[lo : lo + m], y[lo : lo + m], (half[:m], one[:m], two[:m]))
+            inside = self._inside(x[lo : lo + m], y[lo : lo + m], (half[:m], one[:m], two[:m]), *planes)
             hits += int(np.count_nonzero(inside))
         return hits
 
     @cached_property
     def min_width(self) -> float:
         """The least over the edges of the greatest distance of a vertex from the edge's line."""
-        verts, edges = self.vertex_array, self.edge_directions
-        rel = verts[None, :, :] - verts[:, None, :]  # [edge i, vertex j]: v_j - v_i
-        heights = np.abs(rel[..., 0] * edges[:, None, 1] - rel[..., 1] * edges[:, None, 0]).max(axis=1)
-        return float(np.min(heights / np.hypot(edges[:, 0], edges[:, 1])))
+        n = len(self.vertex_array)
+        return float(self._segments[5].reshape(n, n).max(axis=0).min())  # [vertex i, edge j]
 
     @cached_property
     def edge_directions(self) -> np.ndarray:
         """The edge vectors v_{i+1} - v_i."""
         return np.roll(self.vertex_array, -1, axis=0) - self.vertex_array
+
+    @cached_property
+    def _half_planes(self) -> list:
+        """e = (dy, -dx) is the outward normal of the edge (dx, dy) from v, and c = e . v."""
+        verts, edges = self.vertex_array, self.edge_directions
+        ex, ey = edges[:, 1], -edges[:, 0]
+        return np.column_stack([ex, ey, ex * verts[:, 0] + ey * verts[:, 1]]).tolist()
+
+    @cached_property
+    def _segments(self) -> tuple:
+        """Row i n + j is edge_j - v_i, a + t d for t in [0, 1]: (a, d, |d|^2, whether v_i is
+        off edge j, the t nearest 0, the distance of the line from 0)."""
+        v, n = self.vertex_array, len(self.vertex_array)
+        i, j = np.divmod(np.arange(n * n), n)
+        a, d = v[j] - v[i], self.edge_directions[j]
+        dd = np.sum(d * d, axis=1)
+        h = np.abs(a[:, 0] * d[:, 1] - a[:, 1] * d[:, 0]) / np.sqrt(dd)
+        return a, d, dd, (i != j) & (i != (j + 1) % n), -np.sum(a * d, axis=1) / dd, h
+
+    @cached_property
+    def first_breakpoint(self) -> float:
+        """r_1, the least distance from a vertex to an edge not incident to it: no vertex of
+        Omega or Omega + r u crosses an edge of the other before, so g is quadratic in r on
+        [0, r_1] along every ray."""
+        a, d, _, apart, foot, _ = self._segments
+        return float(np.min(np.hypot(*(a + np.clip(foot, 0.0, 1.0)[:, None] * d)[apart].T)))
 
     @cached_property
     def _order_changes(self) -> list:
@@ -444,13 +452,15 @@ class PlanarPolytope(Shape):
         """Twice int_0^pi sum over the pieces of c of width * mean(lo, hi) dtheta.
 
         The panels are seeded where the offsets change order and at the angles
-        ``seeds``.
+        ``seeds``; mean sees the directions in chunks, to bound its temporaries.
         """
         def per_direction(thetas):
             x, c = self.chord_table(thetas)
-            lo, hi = np.minimum(c[:, :-1], c[:, 1:]), np.maximum(c[:, :-1], c[:, 1:])
+            w, lo, hi = np.diff(x, axis=1), np.minimum(c[:, :-1], c[:, 1:]), np.maximum(c[:, :-1], c[:, 1:])
+            chunks = zip(*(np.array_split(v, 1 + v.size // _PAIR_ENTRIES) for v in (w, lo, hi)))
             with np.errstate(divide="ignore", invalid="ignore"):
-                return _piece_sum(np.diff(x, axis=1), mean(lo, hi))
+                parts = [_piece_sum(a, mean(b, c)) for a, b, c in chunks]
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
         value, err = integrate_1d(per_direction, 0.0, math.pi, quad, points=[*self._order_changes, *seeds])
         return 2.0 * value, 2.0 * err
@@ -459,42 +469,40 @@ class PlanarPolytope(Shape):
         """The longest chord in direction theta."""
         return float(self.chord_table([theta])[1].max())
 
-    def _circle_crossing_kinks(self, r: float) -> list:
-        """Angles where the circle of radius r crosses a segment edge_j - v_i or v_i - edge_j.
-
-        On those segments a vertex of one copy meets an edge of the other, so
-        there the chord through a vertex has length r.
-        """
-        verts, edges = self.vertex_array, self.edge_directions
-        # segment [i n + j] = edge_j - v_i runs from v_j - v_i along e_j
-        a = (verts[None, :, :] - verts[:, None, :]).reshape(-1, 2)
-        d = np.tile(edges, (len(verts), 1))
-        # |a + t d|^2 = r^2 with 0 <= t <= 1
-        aa, bb = np.sum(d * d, axis=1), 2.0 * np.sum(a * d, axis=1)
-        disc = bb * bb - 4.0 * aa * (np.sum(a * a, axis=1) - r * r)
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        angles = []
-        for t in ((-bb - sq) / (2.0 * aa), (-bb + sq) / (2.0 * aa)):
-            p = (a + t[:, None] * d)[(disc >= 0.0) & (0.0 <= t) & (t <= 1.0)]
-            angles += (np.arctan2(p[:, 1], p[:, 0]) % math.pi).tolist()
-        return angles
+    def _circle_crossing_kinks(self, rs) -> list:
+        """Angles mod pi where a circle of radius r in rs crosses a segment of ``_segments``
+        (there the chord through a vertex is r long), less the ``_order_changes``."""
+        a, d, dd, _, foot, h = self._segments
+        r = rs[:, None]
+        half = np.sqrt(np.maximum((r - h) * (r + h), 0.0) / dd)  # |a + t d| = r at foot -+ half
+        ts = (foot - half, foot + half)
+        p = np.concatenate([(a + t[..., None] * d)[(r >= h) & (0.0 <= t) & (t <= 1.0)] for t in ts])
+        angles = np.arctan2(p[:, 1], p[:, 0]) % math.pi
+        return angles[~np.isin(np.round(angles, 12), self._order_changes)].tolist()
 
     def gamma(self, s, quad):
-        """gamma(r) = 2 r int int (r - c)_+ / r^2, one theta-integral per r.
+        """gamma(r) = r int int m_r(c), m_r the mean of (r - c)_+ / r^2 over a piece.
 
-        Below the shortest chord through a non-extreme vertex only the end
-        pieces, where c rises from 0, contribute, each w / (2 c_1) whatever r:
-        so gamma is exactly linear there.
+        Up to r_1 = ``first_breakpoint`` a chord through a non-extreme vertex is at least
+        r long, so only the end pieces, where c rises from 0, reach below r, each with
+        the mean 1/(2 hi): gamma(r) = r Q, Q one line integral kept per QuadSpec.  The
+        r beyond r_1 share one, a column each, seeded at ``_circle_crossing_kinks``.
         """
-        out = np.empty(len(s))
-        for i, r in enumerate(self.geometry.support_radius * s):
+        r = self.geometry.support_radius * s
+        near, slopes = r <= self.first_breakpoint, self.__dict__.setdefault("_gamma_slopes", {})
+        if near.any() and quad not in slopes:
+            slopes[quad], _ = self.line_integral(lambda lo, hi: np.where((lo == 0.0) & (hi > 0.0), 0.5 / hi, 0.0), quad)
+        out = r * slopes.get(quad, 0.0)
+        far = r[~near]
+        if len(far):
 
-            def mean(lo, hi, r=r):
-                part = ((r - lo) / r) ** 2 / (2.0 * (hi - lo))
-                return np.where(hi <= r, (1.0 - (lo + hi) / (2.0 * r)) / r, np.where(lo < r, part, 0.0))
+            def mean(lo, hi):
+                lo, hi = lo[..., None], hi[..., None]
+                part = ((far - lo) / far) ** 2 / (2.0 * (hi - lo))
+                return np.where(hi <= far, (1.0 - (lo + hi) / (2.0 * far)) / far, np.where(lo < far, part, 0.0))
 
-            value, _ = self.line_integral(mean, quad, seeds=self._circle_crossing_kinks(r))
-            out[i] = r * value
+            value, _ = self.line_integral(mean, quad, seeds=self._circle_crossing_kinks(far))
+            out[~near] = far * value
         return out
 
     def gamma_weighted_integral(self, quad):
@@ -543,14 +551,23 @@ class Rectangle(PlanarPolytope):
         gy = np.maximum(0.0, 2.0 * self.h2 - np.abs(ys[:, 1]))
         return gx * gy
 
+    def covariance_at(self, y):
+        return max(0.0, 2.0 * self.h1 - abs(y[0])) * max(0.0, 2.0 * self.h2 - abs(y[1]))
+
     def directional_variation(self, us):
         return 4.0 * (self.h2 * np.abs(us[:, 0]) + self.h1 * np.abs(us[:, 1]))
 
-    def _inside(self, x, y, scratch):
+    def _inside(self, x, y, scratch, planes=None):
         absolute, spare, mask = scratch
         inside, ok = mask.view(bool)[: len(x)], spare.view(bool)[: len(x)]
-        np.less_equal(np.abs(x, out=absolute), self.h1, out=inside)
-        inside &= np.less_equal(np.abs(y, out=absolute), self.h2, out=ok)
+        if planes is None:
+            np.less_equal(np.abs(x, out=absolute), self.h1, out=inside)
+            inside &= np.less_equal(np.abs(y, out=absolute), self.h2, out=ok)
+            return inside
+        inside.fill(True)
+        for ex, ey, _ in planes:
+            row, h = (x, math.copysign(self.h1, ex)) if ex else (y, math.copysign(self.h2, ey))
+            inside &= (np.less_equal if h > 0.0 else np.greater_equal)(row, h, out=ok)
         return inside
 
     def _sample_rows(self, rng, work, n):
@@ -629,7 +646,10 @@ class ConvexPolygon(PlanarPolytope):
         return [(x - ox, y - oy) for x, y in pts], edges, areas
 
     def covariance(self, ys):
-        """g(r u) = int (c_u(x) - r)_+ dx (see ``chord_table``), a point at a time in floats.
+        return np.array([self.covariance_at(y) for y in ys.tolist()])
+
+    def covariance_at(self, y):
+        """g(r u) = int (c_u(x) - r)_+ dx (see ``chord_table``), in floats.
 
         The offsets s of the vertices along u^perp split the boundary, at the least
         and the greatest offset, into an upper chain (counterclockwise) and a lower
@@ -643,74 +663,54 @@ class ConvexPolygon(PlanarPolytope):
         """
         vol, ell = self.geometry.volume, self.geometry.support_radius
         rel, edges, areas = self._chord_tables
-        n, out, cycle = len(rel), [], [*range(len(rel))] * 2
-        for y0, y1 in ys.tolist():
-            m = max(abs(y0), abs(y1))  # y / m first, so that u is a unit vector for subnormal y
-            h = math.hypot(y0 / m, y1 / m) if m else 1.0
-            r = m * h
-            if r == 0.0 or r >= ell:
-                out.append(vol if r == 0.0 else 0.0)
-                continue
-            ux, uy = y0 / m / h, y1 / m / h
-            s = [ux * py - uy * px for px, py in rel]
-            i0, i1 = s.index(min(s)), s.index(max(s))
-            k = (i1 - i0) % n  # edges on the upper chain
-            s += s
-            up, low = cycle[i0 : i0 + k + 1], cycle[i1 : i1 + n - k + 1][::-1]
-            su, sl = s[i0 : i0 + k + 1], s[i1 : i1 + n - k + 1][::-1]
-            total, x, i, j, c = 0.0, su[0], 1, 1, None
-            while x < su[-1]:
-                while su[i] <= x:  # skip pieces of zero (or, by rounding, negative) width
-                    i += 1
-                while sl[j] <= x:
-                    j += 1
-                s0, s1, t0, t1 = su[i - 1], su[i], sl[j - 1], sl[j]
-                if c is None:  # the chord at the least offset, between two vertices at s0 = t0 = x
-                    (ax, ay), (bx, by) = rel[up[i - 1]], rel[low[j - 1]]
-                    c = abs(ux * (ax - bx) + uy * (ay - by)) if up[i - 1] != low[j - 1] else 0.0
-                # a vertex of one chain across an edge of the other, from the edge's nearer end:
-                # the lower chain runs along its edges backwards
-                if s1 <= t1:
-                    z, v, e, end = s1, up[i], low[j], s1 - t0 <= t1 - s1
-                else:
-                    z, v, e, end = t1, low[j], up[i - 1], t1 - s0 > s1 - t1
-                ex, ey = edges[e]
-                den = ux * ey - uy * ex  # nonzero on a piece of positive width, barring rounding
-                if den:
-                    c1 = abs(areas[v][e][end] / den)
-                else:
-                    (vx, vy), (px, py) = rel[v], rel[(e + end) % n]
-                    c1 = abs(ux * (vx - px) + uy * (vy - py))
-                lo, hi = (c, c1) if c <= c1 else (c1, c)
-                if hi > r:
-                    total += (z - x) * (0.5 * (lo + hi) - r if lo >= r else (hi - r) ** 2 / (2.0 * (hi - lo)))
-                x, c = z, c1
-            out.append(total if total > 1e-14 * vol else 0.0)
-        return np.array(out)
+        (y0, y1), n = y, len(rel)
+        m = max(abs(y0), abs(y1))  # y / m first, so that u is a unit vector for subnormal y
+        h = math.hypot(y0 / m, y1 / m) if m else 1.0
+        r = m * h
+        if r == 0.0 or r >= ell:
+            return vol if r == 0.0 else 0.0
+        ux, uy = y0 / m / h, y1 / m / h
+        s = [ux * py - uy * px for px, py in rel]
+        i0, i1 = s.index(min(s)), s.index(max(s))
+        k = (i1 - i0) % n  # edges on the upper chain
+        s += s
+        cycle = [*range(n)] * 2
+        up, low = cycle[i0 : i0 + k + 1], cycle[i1 : i1 + n - k + 1][::-1]
+        su, sl = s[i0 : i0 + k + 1], s[i1 : i1 + n - k + 1][::-1]
+        total, x, i, j, c = 0.0, su[0], 1, 1, None
+        while x < su[-1]:
+            while su[i] <= x:  # skip pieces of zero (or, by rounding, negative) width
+                i += 1
+            while sl[j] <= x:
+                j += 1
+            s0, s1, t0, t1 = su[i - 1], su[i], sl[j - 1], sl[j]
+            if c is None:  # the chord at the least offset, between two vertices at s0 = t0 = x
+                (ax, ay), (bx, by) = rel[up[i - 1]], rel[low[j - 1]]
+                c = abs(ux * (ax - bx) + uy * (ay - by)) if up[i - 1] != low[j - 1] else 0.0
+            # a vertex of one chain across an edge of the other, from the edge's nearer end:
+            # the lower chain runs along its edges backwards
+            if s1 <= t1:
+                z, v, e, end = s1, up[i], low[j], s1 - t0 <= t1 - s1
+            else:
+                z, v, e, end = t1, low[j], up[i - 1], t1 - s0 > s1 - t1
+            ex, ey = edges[e]
+            den = ux * ey - uy * ex  # nonzero on a piece of positive width, barring rounding
+            if den and s1 != t1:
+                c1 = abs(areas[v][e][end] / den)
+            else:  # u along the edge, or v level with its nearer end
+                (vx, vy), (px, py) = rel[v], rel[(e + end) % n]
+                c1 = abs(ux * (vx - px) + uy * (vy - py))
+            lo, hi = (c, c1) if c <= c1 else (c1, c)
+            if hi > r:
+                total += (z - x) * (0.5 * (lo + hi) - r if lo >= r else (hi - r) ** 2 / (2.0 * (hi - lo)))
+            x, c = z, c1
+        return total if total > 1e-14 * vol else 0.0
 
     def directional_variation(self, us):
         edges = self.edge_directions
         # outward normal of a CCW edge (dx, dy) is (dy, -dx); |n.u|*len folds
         # the edge length into the unnormalized normal
         return np.sum(np.abs(edges[:, 1] * us[:, :1] - edges[:, 0] * us[:, 1:]), axis=1)
-
-    def _inside(self, x, y, scratch):
-        lhs, term, mask = scratch
-        inside, ok = mask.view(bool)[: len(x)], term.view(bool)[: len(x)]
-        inside.fill(True)
-        for ex, ey, c in self._half_planes:
-            np.multiply(x, ex, out=lhs)
-            lhs += np.multiply(y, ey, out=term)
-            inside &= np.less_equal(lhs, c, out=ok)  # in the bytes of term, spent by then
-        return inside
-
-    @cached_property
-    def _half_planes(self) -> list:
-        """(e_x, e_y, c) per edge, e = (dy, -dx) the outward normal of the edge (dx, dy) from
-        v: a point p is inside iff e . p <= c = e . v for every edge."""
-        verts, edges = self.vertex_array, self.edge_directions
-        ex, ey = edges[:, 1], -edges[:, 0]
-        return np.column_stack([ex, ey, ex * verts[:, 0] + ey * verts[:, 1]]).tolist()
 
     def _sample_rows(self, rng, work, n):
         """Triangle fan from vertex 0, the rows grouped by triangle.
@@ -800,11 +800,8 @@ class Interval(Shape):
         inside &= np.less_equal(x, self.b, out=ok)
         return inside
 
-    def sample(self, rng, n):
-        return rng.uniform(self.a, self.b, (n, 1))
-
     def _sample_row(self, rng, x):
-        """Fill the row x as ``sample`` does, with a + (b - a) U."""
+        """Fill the row x with uniform draws a + (b - a) U."""
         rng.random(out=x)
         x *= self.b - self.a
         x += self.a
@@ -873,12 +870,13 @@ def geometry(shape: Shape) -> ShapeGeometry:
 def _rows(x, dim: int, what: str):
     """(x as an (n, dim) array, whether x was a single point)."""
     x = np.asarray(x, dtype=float)
-    rows = x.reshape(1, -1) if x.ndim <= 1 else x
+    single = x.ndim <= 1
+    rows = x.reshape(1, -1) if single else x
     if rows.ndim != 2 or rows.shape[1] != dim:
         raise DimensionMismatchError(f"{what} has shape {x.shape}, shape has dimension {dim}")
-    if not np.isfinite(rows).all():
+    if not (all(map(math.isfinite, rows[0].tolist())) if single else np.isfinite(rows).all()):
         raise DomainError(f"{what} must be finite, got {x}")
-    return rows, x.ndim <= 1
+    return rows, single
 
 
 def directional_variation(shape: Shape, u):
@@ -897,8 +895,7 @@ def covariance(shape: Shape, y):
     """Set covariance g(y) = |Omega intersect (Omega + y)| at one point, a float, or at
     each row of an (n, dim) array."""
     ys, single = _rows(y, shape.dim, "point")
-    values = shape.covariance(ys)
-    return float(values[0]) if single else values
+    return shape.covariance_at(ys[0].tolist()) if single else shape.covariance(ys)
 
 
 def covariance_integral(shape: Shape, quad: QuadSpec = QuadSpec()) -> float:

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from heatcov import ConvexPolygon, QuadSpec, integrate_1d
+from heatcov import ConvexPolygon, Interval, QuadSpec, UnitBall, integrate_1d
 from heatcov.errors import InvalidShapeError
-from heatcov.shapes import _PAIR_ENTRIES, _boundary_terms
+from heatcov.shapes import _PAIR_ENTRIES, WORK_ROWS, _boundary_terms
 
 
 @pytest.fixture(scope="session")
@@ -299,6 +299,35 @@ def first_breakpoint(poly) -> float:
     return float(dist[(i != j) & (i != (j + 1) % n)].min())
 
 
+def gamma_per_r(poly, r, quad=QuadSpec()) -> float:
+    """gamma(r) = r int int m_r(c) as one theta-integral of its own, m_r the mean of
+    (r - c)_+ / r^2 over a piece: the general path, at any r, that the polygon gamma takes
+    in one pass.
+
+    The panels are seeded where a chord through a vertex has length r: where the circle
+    of radius r crosses a segment edge_j - v_i, at t = foot -+ sqrt(r^2 - h^2)/|e_j| on
+    it, h the distance of its line, which keeps its digits where a segment passes just
+    outside the circle (on a thin polygon).
+    """
+    verts, edges = poly.vertex_array, poly.edge_directions
+    a = (verts[None, :, :] - verts[:, None, :]).reshape(-1, 2)
+    d = np.tile(edges, (len(verts), 1))
+    dd = np.sum(d * d, axis=1)
+    foot, h = -np.sum(a * d, axis=1) / dd, np.abs(a[:, 0] * d[:, 1] - a[:, 1] * d[:, 0]) / np.sqrt(dd)
+    half = np.sqrt(np.maximum((r - h) * (r + h), 0.0) / dd)
+    seeds = []
+    for t in (foot - half, foot + half):
+        p = (a + t[:, None] * d)[(r >= h) & (0.0 <= t) & (t <= 1.0)]
+        seeds += (np.arctan2(p[:, 1], p[:, 0]) % math.pi).tolist()
+
+    def mean(lo, hi):
+        part = ((r - lo) / r) ** 2 / (2.0 * (hi - lo))
+        return np.where(hi <= r, (1.0 - (lo + hi) / (2.0 * r)) / r, np.where(lo < r, part, 0.0))
+
+    value, _ = poly.line_integral(mean, quad, seeds=seeds)
+    return r * value
+
+
 def polar_reference(poly, f, seeds=()) -> float:
     """Integral over the plane, in polar coordinates up to the diameter, of f(r, g, V_u/2)
     where g(rs) maps radii to the Green's-theorem covariance at rs u (``green_covariance``):
@@ -336,3 +365,50 @@ def polar_reference(poly, f, seeds=()) -> float:
     kinks = np.arctan2(dirs[:, 1], dirs[:, 0]) % (2.0 * math.pi)
     value, _ = integrate_1d(per_angle, 0.0, 2.0 * math.pi, spec, points=kinks.tolist())
     return value
+
+
+# ---------------------------------------------------------------------------
+# Reference Monte Carlo blocks: the point sets and the ratio of normals that
+# the uniform-only blocks of heatcov replaced
+# ---------------------------------------------------------------------------
+
+def sample_cauchy(d, rng, n=1):
+    """n vectors with density p_1: d normals over the absolute value of one more, a draw
+    whose last normal is 0 drawn again."""
+    g = rng.standard_normal((n, d))
+    g0 = rng.standard_normal(n)
+    while not g0.all():
+        ok = g0 != 0.0
+        more = n - int(np.sum(ok))
+        g = np.concatenate([g[ok], rng.standard_normal((more, d))])
+        g0 = np.concatenate([g0[ok], rng.standard_normal(more)])
+    g /= np.abs(g0, out=g0)[:, None]
+    return g
+
+
+def sample(shape, rng, n):
+    """n uniform points of the shape, an (n, dim) array: a ball's as uniform directions
+    times U^(1/d), an interval's as a + (b - a) U, a polygon's from its own fan sampler
+    (each point uniform, the rows grouped by fan triangle)."""
+    if isinstance(shape, UnitBall):
+        v = rng.standard_normal((n, shape.d))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        v *= (rng.random(n) ** (1.0 / shape.d))[:, None]
+        return v
+    if isinstance(shape, Interval):
+        return rng.uniform(shape.a, shape.b, (n, 1))
+    work = np.empty((WORK_ROWS, max(n, 2)))
+    shape._sample_rows(rng, work, n)
+    return work[:2, :n].T
+
+
+def reference_heat_hits(shape, rng, n, t):
+    """How many of n draws of X + t W land in the shape, X from ``sample`` and W from
+    ``sample_cauchy``."""
+    x = sample(shape, rng, n)
+    return int(np.count_nonzero(shape.contains(x + t * sample_cauchy(shape.dim, rng, n))))
+
+
+def reference_shift_hits(shape, rng, n, y):
+    """How many of n draws of X - y land in the shape, X from ``sample``, every edge tested."""
+    return int(np.count_nonzero(shape.contains(sample(shape, rng, n) - y)))

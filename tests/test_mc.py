@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,20 +16,20 @@ from heatcov import (
     QuadSpec,
     Interval,
     Rectangle,
-    Shape,
     UnitBall,
     covariance,
     heat_content,
     mc_covariance,
     mc_heat_content,
-    sample_cauchy,
 )
 from heatcov import asymptotics, kernel, mc, quadrature, shapes
 from heatcov.errors import DimensionMismatchError, DomainError
 from heatcov.mc import _block_rng
 from heatcov.shapes import ball_covariance_radial
 
-from conftest import area_left_of, convex_polygons
+from conftest import (
+    area_left_of, convex_polygons, reference_heat_hits, reference_shift_hits, sample, sample_cauchy
+)
 
 TRIANGLE = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 HEXAGON = ConvexPolygon([(1.0, 0.0), (0.5, 0.8), (-0.5, 0.8), (-1.0, 0.0), (-0.5, -0.8), (0.5, -0.8)])
@@ -254,7 +255,7 @@ class TestMcHeatContent:
     def _assert_uniform(poly):
         # the fraction of fan samples on the left of a line is the area share there, on lines
         # that cut the fan triangles anywhere (x > y on the pentagon among them)
-        pts = poly.sample(np.random.default_rng(4), 200_000)
+        pts = sample(poly, np.random.default_rng(4), 200_000)
         assert np.all(poly.contains(pts))
         verts, vol = poly.vertex_array, poly.geometry.volume
         lines = [((0.0, 0.0), (1.0, 1.0))] + [tuple(np.random.default_rng(k).random((2, 2)) - 0.2) for k in range(6)]
@@ -274,7 +275,7 @@ class TestMcHeatContent:
     def test_regular_40gon_sectors_and_discs(self, k):
         # a sector between vertex 0 and vertex k holds k/40 of the area, a disc of radius
         # r <= cos(pi/40) the share pi r^2 / |Omega|; the fan runs from vertex 0, not the centre
-        pts = GON40.sample(np.random.default_rng(k), 200_000)
+        pts = sample(GON40, np.random.default_rng(k), 200_000)
         angle = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * math.pi)
         radius = k / 40.0
         for hits, p in [(angle < 2.0 * math.pi * k / 40.0, k / 40.0),
@@ -326,14 +327,14 @@ class TestMcCovariance:
 
 
 class TestBallInvariants:
-    """UnitBall's blocks draw three uniforms a sample; Shape's generic blocks draw d-vectors."""
+    """UnitBall's blocks draw three uniforms a sample; the reference blocks draw d-vectors."""
 
     N = 20_000
     TS = (0.02, 0.2, 2.0)
     SHIFTS = (0.0, 0.3, 1.0, 1.9, 2.0, 2.5)
 
     def _generic(self, ball, method, arg, seed):
-        """(mean, stderr) of the generic path: Shape's block method called on the ball."""
+        """(mean, stderr) of the reference block, method, on the ball."""
         p = method(ball, _block_rng(seed, 0), self.N, arg) / self.N
         vol = ball.geometry.volume
         return vol * p, vol * math.sqrt(p * (1.0 - p) / self.N)
@@ -350,7 +351,7 @@ class TestBallInvariants:
         ball = UnitBall(d)
         for i, t in enumerate(self.TS):
             est = mc_heat_content(ball, t, n=self.N, seed=100 * d + i)
-            generic = self._generic(ball, Shape.heat_hits, t, 100 * d + i + 50)
+            generic = self._generic(ball, reference_heat_hits, t, 100 * d + i + 50)
             self._assert_agree(est, generic, heat_content(ball, t, quad), ball.geometry.volume)
 
     @pytest.mark.parametrize("d", range(1, 17))
@@ -360,7 +361,7 @@ class TestBallInvariants:
         u /= np.linalg.norm(u)
         for i, s in enumerate(self.SHIFTS):
             est = mc_covariance(ball, s * u, n=self.N, seed=200 * d + i)
-            generic = self._generic(ball, Shape.shift_hits, s * u, 200 * d + i + 50)
+            generic = self._generic(ball, reference_shift_hits, s * u, 200 * d + i + 50)
             ref = float(ball_covariance_radial(d, np.array([s]))[0])
             self._assert_agree(est, generic, ref, ball.geometry.volume)
 
@@ -436,6 +437,17 @@ class TestBallInvariants:
         assert hits == np.count_nonzero(np.einsum("ij,ij->i", x, x) <= 1.0)
         assert 0 < hits < n
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 16])
+    @pytest.mark.parametrize("t", [1e154, 1e160, 1e300])
+    def test_heat_block_at_huge_t_warns_of_nothing(self, d, t, monkeypatch):
+        # (r + t S)^2 overflows and, where B = 0 (every draw in d = 1), t^2 B is inf 0 = nan:
+        # both are misses, as they should be, and no block prints a RuntimeWarning
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = mc_heat_content(UnitBall(d), t, n=100_000, seed=1)
+        assert est.mean == 0.0
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 16])
     @pytest.mark.parametrize("norm", [0.4, 1.5])
     def test_shift_block_at_extreme_uniforms(self, d, norm):
@@ -463,7 +475,7 @@ class TestBallInvariants:
 
 class TestPlanarBlocks:
     """The uniform-only blocks of polygons against quadrature H, the exact covariance and the
-    generic Shape block, which draws W with sample_cauchy."""
+    reference block, which draws W with sample_cauchy."""
 
     N = 50_000
 
@@ -491,7 +503,7 @@ class TestPlanarBlocks:
         est = mc_heat_content(poly, t, n=self.N, seed=seed)
         sigma = self._sigma(ref, vol, self.N)
         assert abs(est.mean - ref) <= 5.0 * sigma
-        generic = vol * Shape.heat_hits(poly, _block_rng(seed, 1 << 32), self.N, t) / self.N
+        generic = vol * reference_heat_hits(poly, _block_rng(seed, 1 << 32), self.N, t) / self.N
         assert abs(est.mean - generic) <= 5.0 * math.sqrt(2.0) * sigma
 
         y = [rho * ell * math.cos(theta), rho * ell * math.sin(theta)]
@@ -508,8 +520,43 @@ class TestPlanarBlocks:
         # end inside a chunk, on a chunk boundary and in a full block
         work, y = np.empty((shapes.WORK_ROWS, mc.BLOCK_SIZE)), np.full(shape.dim, 0.3)
         for n in (1, 2, 1001, 2 * shapes._CHUNK, mc.BLOCK_SIZE):
-            expected = Shape.shift_hits(shape, _block_rng(5, n), n, y)
+            expected = reference_shift_hits(shape, _block_rng(5, n), n, y)
             assert shape.shift_hits(_block_rng(5, n), n, y, work) == expected, n
+
+    @pytest.mark.parametrize("shape", [RECT, TRIANGLE, HEXAGON, GON40], ids=["rect", "triangle", "hexagon", "40-gon"])
+    def test_shift_blocks_test_only_the_edges_a_shift_can_cross(self, shape):
+        # X is in the shape, so X - y can leave it only across an edge whose outward normal e has
+        # e . y < 0: the block tests those half-planes and no other; y along an edge or an axis
+        # puts e . y = 0 on some edges
+        tested = []
+
+        class Recording(type(shape)):
+            def _inside(self, x, y, scratch, planes=None):
+                tested.append(planes)
+                return super()._inside(x, y, scratch, planes)
+
+        shape = Recording(shape.h1, shape.h2) if isinstance(shape, Rectangle) else Recording(shape.vertices)
+        edges = shape.edge_directions
+        normals = np.column_stack([edges[:, 1], -edges[:, 0]])
+        work, n = np.empty((shapes.WORK_ROWS, mc.BLOCK_SIZE)), 5000
+        for k, y in enumerate([(0.3, 0.3), (-0.2, 0.5), (0.0, -0.4), (0.45, 0.0), *(0.3 * edges[:3])]):
+            y = np.asarray(y, dtype=float)
+            tested.clear()
+            hits = shape.shift_hits(_block_rng(6, k), n, y, work)
+            # e . y rounds to either sign where it is 0 in exact arithmetic (y along an edge), but
+            # not where both its products are 0 (y along an axis of the rectangle)
+            dots, slack = normals @ y, 1e-12 * np.linalg.norm(normals, axis=1) * np.linalg.norm(y)
+            zero = (normals * y == 0.0).all(axis=1)
+            must, may = ({tuple(e) for e in normals[(dots < bound) & ~zero].tolist()} for bound in (-slack, slack))
+            assert tested and all(must <= {tuple(p[:2]) for p in planes} <= may for planes in tested), y
+            assert hits == reference_shift_hits(shape, _block_rng(6, k), n, y), y
+
+    @pytest.mark.parametrize("shape", [RECT, TRIANGLE, HEXAGON, GON40], ids=["rect", "triangle", "hexagon", "40-gon"])
+    def test_zero_shift_hits_every_draw(self, shape):
+        work = np.empty((shapes.WORK_ROWS, mc.BLOCK_SIZE))
+        assert shape.shift_hits(_block_rng(1, 0), mc.BLOCK_SIZE, np.zeros(2), work) == mc.BLOCK_SIZE
+        est = mc_covariance(shape, [0.0, 0.0], n=100_000, seed=2)
+        assert (est.mean, est.stderr) == (shape.geometry.volume, 0.0)
 
 
 class TestCalibration:
@@ -657,7 +704,6 @@ class TestConcurrentBlocks:
         public = {
             fn for mod in modules for name, fn in vars(mod).items()
             if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and not name.startswith("_")
-            and fn is not mc.sample_cauchy
         }
         for mod in modules:
             for name, fn in list(vars(mod).items()):

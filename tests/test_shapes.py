@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from heatcov import (
     ConvexPolygon,
     Interval,
+    QuadSpec,
     Rectangle,
     UnitBall,
     covariance,
@@ -43,6 +44,7 @@ from conftest import (
     convex_polygons,
     exact_intersection_area,
     first_breakpoint,
+    gamma_per_r,
     gauss_legendre,
     green_covariance,
     square_I_terms,
@@ -57,6 +59,10 @@ THIN_TRIANGLE = ConvexPolygon([(-416.1468365471424, 909.2974268256817), (207.285
 SLIVER = ConvexPolygon([(-0.2708798881834609, -0.420267576881343), (-0.26942241768467895, -0.42120340792655375),
                         (0.5403023058681398, 0.8414709848078965)])
 FLAT_SLIVER = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.5, 1e-6)])
+# SLIVER with two more vertices: at y = v_0 - v_3 the walk took the chord from v_0 to v_3, both at
+# one offset, as a quotient of cross products with an edge nearly along u, 7.2e-16 off
+PENTAGON = ConvexPolygon([*SLIVER.vertices[:3], (0.26222446174057096, 0.4100072285288184),
+                          (-0.15247638710741057, -0.23581243095797194)])
 
 
 class TestShapeConstruction:
@@ -400,6 +406,7 @@ class TestPolygonCovarianceProperties:
     @example(poly=TRIANGLE, rays=[(1.0, 5e-324)], pairs=[(0, 0)], edges=[(0, -1.0)])
     # a thin triangle whose chords, as differences of heights above vertex 0, were 1.26e-10 off
     @example(poly=THIN_TRIANGLE, rays=[(0.0, 0.00046967253536933667)], pairs=[(0, 0)], edges=[(0, -1.0)])
+    @example(poly=PENTAGON, rays=[(0.0, 0.0)], pairs=[(0, 3), (3, 0)], edges=[(0, -1.0)])
     def test_matches_references(self, poly, rays, pairs, edges):
         # random rays against Green's theorem; vertex differences and edge multiples, where
         # edges of the two copies meet or share a line, against exact rational clipping
@@ -421,6 +428,7 @@ class TestPolygonCovarianceProperties:
     )
     # a sliver whose covariance moved by 1.05e-13 |Omega| when the vertices were rolled by one
     @example(poly=SLIVER, rays=[(1.0, 0.0625)], pairs=[], shift=1)
+    @example(poly=PENTAGON, rays=[(0.0, 0.0)], pairs=[(0, 3), (3, 0)], shift=1)
     def test_symmetry_bounds_batch_and_shift(self, poly, rays, pairs, shift):
         tol, vol, n = _tolerance(poly), poly.geometry.volume, len(poly.vertices)
         verts = poly.vertex_array
@@ -610,6 +618,67 @@ class TestPolygonGamma:
         slopes = [gamma(TRIANGLE, 2.0**-k) * 2.0**k for k in range(8, 41)]
         assert max(slopes) - min(slopes) <= 1e-12 * abs(slopes[0])
         assert slopes[0] > 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(poly=convex_polygons())
+    @example(poly=SLIVER)
+    @example(poly=FLAT_SLIVER)
+    @example(poly=THIN_TRIANGLE)
+    def test_first_breakpoint_is_the_brute_force_one(self, poly):
+        assert poly.first_breakpoint == pytest.approx(first_breakpoint(poly), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "poly",
+        [*benchmark_polygons(1), *benchmark_polygons(7), Rectangle(1.0, 1.0), Rectangle(1.5, 0.5),
+         Rectangle(0.5e-6, 0.5), TRIANGLE, SLIVER, FLAT_SLIVER, THIN_TRIANGLE, PENTAGON],
+        ids=["triangle-1", "hexagon-1", "rotrect-1", "triangle-7", "hexagon-7", "rotrect-7", "square",
+             "rect", "strip", "triangle", "sliver", "flat-sliver", "thin-triangle", "pentagon"],
+    )
+    def test_linear_gamma_is_the_general_one(self, poly, quad):
+        self._assert_linear_gamma_is_the_general_one(poly, quad)
+
+    @settings(max_examples=15, deadline=None)
+    @given(poly=convex_polygons())
+    def test_linear_gamma_is_the_general_one_on_random_hulls(self, poly):
+        self._assert_linear_gamma_is_the_general_one(poly, QuadSpec())
+
+    @staticmethod
+    def _assert_linear_gamma_is_the_general_one(poly, quad):
+        # gamma = r Q up to r_1 from one cached slope, against a theta-integral of its own at each r
+        ell, r1 = poly.geometry.support_radius, poly.first_breakpoint
+        for r in (r1 * (1.0 - 2.0**-20), 0.5 * r1, ell * 2.0**-32):
+            assert gamma(poly, r / ell, quad) == pytest.approx(gamma_per_r(poly, r, quad), rel=1e-13), r
+        # beyond r_1 the column pass takes over: it is the general path there, and continuous with
+        # the line (gamma leaves it like (r - r_1)^(3/2) on a rectangle, by 1.5e-13 at this r), up
+        # to the quadrature tolerance of the two integrals
+        assert gamma(poly, r1 * (1.0 + 2.0**-20) / ell, quad) == pytest.approx(
+            gamma_per_r(poly, r1 * (1.0 + 2.0**-20), quad), rel=1e-13
+        )
+        below, above = (gamma(poly, r1 * (1.0 + e) / ell, quad) for e in (-(2.0**-30), 2.0**-30))
+        assert above == pytest.approx(below * (1.0 + 2.0**-30) / (1.0 - 2.0**-30), rel=quad.rel_tol)
+
+    def test_small_s_costs_one_integral_per_quad_spec(self, monkeypatch):
+        rounds = _count_integrand_calls(monkeypatch)
+        hexagon = ConvexPolygon(benchmark_polygons(1)[1].vertices)  # a fresh cache
+        s1 = hexagon.first_breakpoint / hexagon.geometry.support_radius
+        gamma(hexagon, 2.0**-8)
+        assert len(rounds) == 1
+        for s in (2.0**-20, [2.0**-32, 0.5 * s1, s1]):
+            gamma(hexagon, s)
+        assert len(rounds) == 1
+        gamma(hexagon, 2.0**-8, QuadSpec(rel_tol=1e-12))
+        assert len(rounds) == 2
+
+    def test_a_batch_beyond_the_first_breakpoint_costs_one_integral(self, monkeypatch):
+        hexagon = benchmark_polygons(1)[1]
+        s1 = hexagon.first_breakpoint / hexagon.geometry.support_radius
+        far = np.linspace(1.01 * s1, 1.0, 7)
+        gamma(hexagon, 0.5 * s1)  # the slope, cached
+        rounds = _count_integrand_calls(monkeypatch)
+        values = gamma(hexagon, np.concatenate([[0.5 * s1], far]))
+        assert len(rounds) == 1
+        ell = hexagon.geometry.support_radius
+        np.testing.assert_allclose(values[1:], [gamma_per_r(hexagon, ell * s) for s in far], rtol=1e-12)
 
 
 class TestGammaWeightedIntegral:
