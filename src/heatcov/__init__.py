@@ -6,7 +6,6 @@ from .asymptotics import (
     ExpansionBreakdown,
     ThirdTermReport,
     big_R,
-    closed_form_constant,
     decomposition,
     decompositions,
     default_t_grid,
@@ -45,7 +44,6 @@ from .shapes import (
     covariance_self_checks,
     directional_variation,
     gamma,
-    gamma_weighted_closed_form,
     gamma_weighted_integral,
     geometry,
     perimeter_from_variations,

@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernel
-from .errors import DomainError, InconsistentConstantError
+from .errors import DomainError
 from .kernel import _check_t
 from .quadrature import QuadSpec, extrapolate_limit
 from .shapes import Shape, gamma_weighted_integral, geometry
@@ -170,15 +170,9 @@ def decomposition(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> Expans
     return decompositions(shape, [t], quad)[0]
 
 
-def closed_form_constant(shape: Shape) -> Optional[float]:
-    """The exact third-term constant, for shapes where a closed form is known."""
-    return shape.closed_form_constant()
-
-
 @dataclass(frozen=True)
 class ThirdTermReport:
     C_formula: float
-    C_closed: Optional[float]
     C_extrapolated: float
     extrapolation_err: float
     observed_order: float
@@ -194,7 +188,8 @@ def third_term(
     quad: QuadSpec = QuadSpec(),
     t_grid: Optional[Sequence[float]] = None,
 ) -> ThirdTermReport:
-    """Assemble the third-term constant three ways: formula, closed form, limit."""
+    """Assemble the third-term constant two ways, which check each other: by the formula
+    from the gamma integral, and as the limit of D(t) on t_grid."""
     geo = geometry(shape)
     gamma_int, _ = gamma_weighted_integral(shape, quad)
     f_lim, slope = F_limit(shape), phi_slope(shape)
@@ -202,11 +197,6 @@ def third_term(
     c_formula = (
         geo.volume * slope + geo.perimeter / math.pi * f_lim - kernel.kappa(geo.dim) * gamma_int
     )
-    c_closed = closed_form_constant(shape)
-    if c_closed is not None and abs(c_formula - c_closed) > 1e-6:
-        raise InconsistentConstantError(
-            f"formula constant {c_formula!r} vs closed form {c_closed!r}"
-        )
     ts = [_check_t(t) for t in t_grid] if t_grid is not None else default_t_grid()
     if len(ts) < 4 or any(a <= b for a, b in zip(ts, ts[1:])):
         raise DomainError("t_grid must be strictly decreasing with >= 4 points")
@@ -215,7 +205,6 @@ def third_term(
     fit = extrapolate_limit(samples)
     return ThirdTermReport(
         C_formula=c_formula,
-        C_closed=c_closed,
         C_extrapolated=fit.C,
         extrapolation_err=fit.err_estimate,
         observed_order=fit.observed_order,

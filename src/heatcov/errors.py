@@ -27,7 +27,3 @@ class QuadratureError(HeatcovError, RuntimeError):
 
 class ExtrapolationError(HeatcovError, RuntimeError):
     """Limit extrapolation is ill-conditioned."""
-
-
-class InconsistentConstantError(HeatcovError, RuntimeError):
-    """Formula-assembled constant disagrees with its closed form."""

@@ -103,21 +103,21 @@ def cos_power_deficit(n: int, s):
     (1 - c = s^2/(1+c), 1 - c^(k+2) = (1 - c^k) + c^k s^2), and the only
     negative term, M_0 = s - a, is a series, so M_n keeps its relative
     accuracy as s -> 0.  s may be a float or an array; so is the result.  A
-    float runs the recurrence in scalar arithmetic, with the same result bits.
+    float runs the recurrence in Python floats with an array's bits (a = np.arcsin(s), not math.asin).
     """
-    s = np.asarray(s, dtype=float)
-    if s.ndim == 0:
-        s = s[()]
-    c = np.sqrt((1.0 - s) * (1.0 + s))
+    scalar = isinstance(s, (int, float))
+    s = float(s) if scalar else np.asarray(s, dtype=float)
+    c = (math.sqrt if scalar else np.sqrt)((1.0 - s) * (1.0 + s))
     if n % 2:  # start from M_1 = 0, carrying 1 - c^2 and c^2
         m, one_minus, ck, first = 0.0 * s, s * s, c * c, 3
     else:  # start from M_0 = s - a, carrying 1 - c and c
-        m, one_minus, ck, first = -_a_minus_sin(np.arcsin(s)), s * s / (1.0 + c), c, 2
+        a = np.arcsin(s)
+        m, one_minus, ck, first = -_a_minus_sin(float(a) if scalar else a), s * s / (1.0 + c), c, 2
     for k in range(first, n + 1, 2):
         m = s * one_minus / k + (k - 1) / k * m
         one_minus += ck * s * s
         ck = ck * (c * c)  # not in place: ck may be c itself
-    return float(m) if np.ndim(m) == 0 else m
+    return m
 
 
 # a - sin a = a^3/6 - a^5 sum over j of _SIN_SERIES[j] (-a^2)^j; on [0, pi/2] the

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,8 +21,12 @@ class QuadSpec:
     max_subdivisions: int = 10_000
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        # written so that nan fails: it compares false with every bound
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise ValueError(f"tolerances must be positive and finite, got {self.abs_tol}, {self.rel_tol}")
+        m = self.max_subdivisions
+        if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
+            raise ValueError(f"max_subdivisions must be an integer >= 1, got {m!r}")
 
 
 # Gauss-Kronrod 7/15 pair on [-1, 1]: (node, Gauss weight, Kronrod weight);

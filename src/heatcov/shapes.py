@@ -18,7 +18,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .errors import (
 )
 from .quadrature import QuadSpec, integrate_1d
 
-SQRT2 = math.sqrt(2.0)
 WORK_ROWS = 4  # float rows of a Monte Carlo block's workspace
 _CHUNK = 1 << 14  # columns per chunk of a planar block
 # directions x vertices^2 per chunk of the chord table, bounding its temporaries
@@ -62,7 +61,7 @@ class Shape(ABC):
     @property
     @abstractmethod
     def geometry(self) -> ShapeGeometry:
-        """Closed-form volume, perimeter, and support radius (= diameter)."""
+        """Exact volume, perimeter, and support radius (= diameter)."""
 
     @property
     def dim(self) -> int:
@@ -80,12 +79,8 @@ class Shape(ABC):
         return self.dim == 1
 
     @abstractmethod
-    def covariance(self, ys: np.ndarray) -> np.ndarray:
-        """Set covariance g(y) = |Omega intersect (Omega + y)| at the rows of an (n, dim) array."""
-
     def covariance_at(self, y: list) -> float:
-        """g(y) at one point, a list of floats."""
-        return float(self.covariance(np.array([y]))[0])
+        """Set covariance g(y) = |Omega intersect (Omega + y)| at one point, a list of floats."""
 
     @abstractmethod
     def line_integral(self, mean: Callable, quad: QuadSpec, seeds: Sequence[float] = ()) -> tuple:
@@ -121,10 +116,6 @@ class Shape(ABC):
         """Total variation of the indicator in each direction, the rows of an (n, dim) array."""
 
     @abstractmethod
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Membership mask of the rows of an (n, dim) array of points."""
-
-    @abstractmethod
     def heat_hits(self, rng: np.random.Generator, n: int, t: float, work: np.ndarray) -> int:
         """How many of n draws of X + t W land in the shape, X uniform on it and W ~ p_1.
 
@@ -149,14 +140,6 @@ class Shape(ABC):
         """Distance from the origin to the support boundary in direction theta."""
         return self.geometry.support_radius
 
-    def gamma_weighted_closed_form(self) -> Optional[float]:
-        """Known closed form of the s^-1-weighted gamma integral."""
-        return None
-
-    def closed_form_constant(self) -> Optional[float]:
-        """Known closed form of the third-term constant C_Omega."""
-        return None
-
 
 @dataclass(frozen=True)
 class UnitBall(Shape):
@@ -174,11 +157,9 @@ class UnitBall(Shape):
             support_radius=2.0, dim=self.d,
         )
 
-    def covariance(self, ys):
-        return ball_covariance_radial(self.d, np.linalg.norm(ys, axis=1))
-
     def covariance_at(self, y):
-        return float(ball_covariance_radial(self.d, float(np.linalg.norm([y], axis=1)[0])))
+        # |y| from NumPy's pairwise sum of squares, the bits of np.linalg.norm
+        return ball_covariance_radial(self.d, math.sqrt(np.add.reduce(np.square(y))))
 
     def line_integral(self, mean, quad, seeds=()):
         """Over psi in [0, pi/2]: the lines at distance cos psi from the centre cut chords
@@ -213,9 +194,6 @@ class UnitBall(Shape):
 
     def directional_variation(self, us):
         return np.full(len(us), 2.0 * kernel.unit_ball_volume(self.d - 1) if self.d >= 2 else 2.0)
-
-    def contains(self, pts):
-        return np.einsum("ij,ij->i", pts, pts) <= 1.0
 
     # The ball is rotation invariant, so a block draws three uniforms a sample, which give
     # the invariants its hit test sees, instead of d-vectors: see heatcov.mc.
@@ -292,20 +270,6 @@ class UnitBall(Shape):
         w_dm1 = kernel.unit_ball_volume(d - 1)
         return kernel.unit_sphere_area(d) * w_dm1 * kernel.cos_power_deficit(d, s) / s
 
-    def gamma_weighted_closed_form(self):
-        if self.d == 2:
-            return math.pi * (math.pi - 4.0 * math.log(2.0))
-        if self.d == 3:
-            return 2.0 * math.pi**2 / 3.0
-        return None
-
-    def closed_form_constant(self):
-        if self.d == 2:
-            return 6.0 * math.log(2.0) - 2.0
-        if self.d == 3:
-            return 4.0 * math.log(2.0)
-        return None
-
 
 class PlanarPolytope(Shape):
     """A convex polygon: supplies its vertices, derives the rest from its chords.
@@ -313,7 +277,7 @@ class PlanarPolytope(Shape):
     For u = (cos theta, sin theta) and n = (-sin theta, cos theta), the chord
     length c(x) of the line x n + R u is linear between the offsets x of the
     vertices (``chord_table``).  So ``line_integral`` is one theta-integral over
-    [0, pi), doubled for -u, of closed-form sums over the linear pieces of c;
+    [0, pi), doubled for -u, of exact sums over the linear pieces of c;
     with ell the diameter and int int that measure: g(r u) = int (c - r)_+ dx,
     |Omega| - H(t) = (t/2pi) int int asinh(c/t), gamma(r) = (1/r) int int (r - c)_+,
     int g = (1/6) int int c^3, R(t) = (1/2pi) int int [asinh(ell/t) - asinh(c/t)
@@ -343,9 +307,6 @@ class PlanarPolytope(Shape):
             lhs += np.multiply(y, ey, out=term)
             inside &= np.less_equal(lhs, c, out=ok)  # in the bytes of term, spent by then
         return inside
-
-    def contains(self, pts):
-        return self._inside(pts[:, 0], pts[:, 1], np.empty((3, len(pts))))
 
     def heat_hits(self, rng, n, t, work):
         self._sample_rows(rng, work, n)
@@ -528,10 +489,6 @@ class Rectangle(PlanarPolytope):
         if not (0.0 < self.h1 < math.inf and 0.0 < self.h2 < math.inf):
             raise InvalidShapeError("rectangle half-widths must be positive and finite")
 
-    @property
-    def is_unit_square(self) -> bool:
-        return self.h1 == 1.0 and self.h2 == 1.0
-
     @cached_property
     def geometry(self) -> ShapeGeometry:
         return ShapeGeometry(
@@ -545,11 +502,6 @@ class Rectangle(PlanarPolytope):
         verts = np.array([[h1, -h2], [h1, h2], [-h1, h2], [-h1, -h2]], dtype=float)
         verts.flags.writeable = False
         return verts
-
-    def covariance(self, ys):
-        gx = np.maximum(0.0, 2.0 * self.h1 - np.abs(ys[:, 0]))
-        gy = np.maximum(0.0, 2.0 * self.h2 - np.abs(ys[:, 1]))
-        return gx * gy
 
     def covariance_at(self, y):
         return max(0.0, 2.0 * self.h1 - abs(y[0])) * max(0.0, 2.0 * self.h2 - abs(y[1]))
@@ -575,18 +527,6 @@ class Rectangle(PlanarPolytope):
             rng.random(out=row)
             row *= 2.0 * h
             row -= h
-
-    def gamma_weighted_closed_form(self):
-        if self.is_unit_square:
-            return 2.0 * SQRT2 * (math.pi - 8.0) + 8.0 * math.log(2.0 * (3.0 + 2.0 * SQRT2))
-        return None
-
-    def closed_form_constant(self):
-        if self.is_unit_square:
-            return 4.0 / math.pi * (
-                2.0 * (SQRT2 - 1.0) + math.log(16.0 / (3.0 + 2.0 * SQRT2))
-            )
-        return None
 
 
 @dataclass(frozen=True)
@@ -644,9 +584,6 @@ class ConvexPolygon(PlanarPolytope):
                   for (px, py), (qx, qy), (ex, ey) in zip(pts, ends, edges)] for vx, vy in pts]
         ox, oy = min(pts)
         return [(x - ox, y - oy) for x, y in pts], edges, areas
-
-    def covariance(self, ys):
-        return np.array([self.covariance_at(y) for y in ys.tolist()])
 
     def covariance_at(self, y):
         """g(r u) = int (c_u(x) - r)_+ dx (see ``chord_table``), in floats.
@@ -753,14 +690,6 @@ class ConvexPolygon(PlanarPolytope):
         legs = np.column_stack([verts[1:-1] - verts[0], self.edge_directions[1:-1]])
         return twice_area / math.fsum(twice_area), legs.tolist()
 
-    def closed_form_constant(self):
-        # the unit square in polygon representation shares the closed form
-        if len(self.vertices) == 4 and np.allclose(
-            sorted(self.vertices), [(-1, -1), (-1, 1), (1, -1), (1, 1)], atol=1e-12
-        ):
-            return Rectangle(1.0, 1.0).closed_form_constant()
-        return None
-
 
 @dataclass(frozen=True)
 class Interval(Shape):
@@ -779,8 +708,8 @@ class Interval(Shape):
     def geometry(self) -> ShapeGeometry:
         return ShapeGeometry(volume=self.length, perimeter=2.0, support_radius=self.length, dim=1)
 
-    def covariance(self, ys):
-        return np.maximum(0.0, self.length - np.abs(ys[:, 0]))
+    def covariance_at(self, y):
+        return max(0.0, self.length - abs(y[0]))
 
     def line_integral(self, mean, quad, seeds=()):
         """The one chord, of length b - a."""
@@ -788,9 +717,6 @@ class Interval(Shape):
 
     def directional_variation(self, us):
         return np.full(len(us), 2.0)
-
-    def contains(self, pts):
-        return self._inside(pts[:, 0], np.empty(len(pts)))
 
     def _inside(self, x, spare):
         """Membership mask of the row x, in the bytes of the float row spare."""
@@ -820,12 +746,6 @@ class Interval(Shape):
 
     def gamma(self, s, quad):
         return np.zeros_like(s)
-
-    def gamma_weighted_closed_form(self):
-        return 0.0
-
-    def closed_form_constant(self):
-        return 2.0 / math.pi * (1.0 + math.log(self.length))
 
 
 def _real(x) -> float:
@@ -863,7 +783,7 @@ def shape_from_json(obj) -> Shape:
 # ---------------------------------------------------------------------------
 
 def geometry(shape: Shape) -> ShapeGeometry:
-    """Closed-form volume, perimeter, and support radius (= diameter)."""
+    """Exact volume, perimeter, and support radius (= diameter)."""
     return shape.geometry
 
 
@@ -895,7 +815,7 @@ def covariance(shape: Shape, y):
     """Set covariance g(y) = |Omega intersect (Omega + y)| at one point, a float, or at
     each row of an (n, dim) array."""
     ys, single = _rows(y, shape.dim, "point")
-    return shape.covariance_at(ys[0].tolist()) if single else shape.covariance(ys)
+    return shape.covariance_at(ys[0].tolist()) if single else np.array([shape.covariance_at(p) for p in ys.tolist()])
 
 
 def covariance_integral(shape: Shape, quad: QuadSpec = QuadSpec()) -> float:
@@ -920,11 +840,6 @@ def gamma(shape: Shape, s, quad: QuadSpec = QuadSpec()):
     if values[i] < -1e-8:
         raise QuadratureError(f"gamma({ss[i]}) = {values[i]} < 0 violates the slope bound")
     return float(values[0]) if single else values
-
-
-def gamma_weighted_closed_form(shape: Shape) -> Optional[float]:
-    """Known closed-form values of the s^-1-weighted gamma integral."""
-    return shape.gamma_weighted_closed_form()
 
 
 # ---------------------------------------------------------------------------
@@ -1070,24 +985,22 @@ def _turns(pts: np.ndarray) -> np.ndarray:
     return (pts[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (pts[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
 
 
-def ball_covariance_radial(d: int, r):
-    """g_B(r e) for the unit ball in R^d at a radius r, a float, or at an array of radii,
-    zero for r >= 2; the result is a float or an array too.  A float runs the scalar
-    recurrence of ``kernel.cos_power_deficit``, several times faster than a 1-element
-    array, with the same bits.
+def ball_covariance_radial(d: int, r: float) -> float:
+    """g_B(r e) for the unit ball in R^d at a radius r, zero for r >= 2, in float arithmetic.
 
     Two caps of height 1 - s, s = r/2, give g_B(2s) = 2 w_{d-1} int_{asin s}^{pi/2} cos^d
     = w_d - 2 w_{d-1} (s - M_d) with M_d = int_0^{asin s} (cos - cos^d).
     """
-    if (np.asarray(r) < 0).any():
+    if r < 0.0:
         raise DomainError("radius must be nonnegative")
+    if r >= 2.0:
+        return 0.0
     if d == 1:
-        return np.maximum(0.0, 2.0 - r)
-    s = np.minimum(r, 2.0) / 2.0
+        return 2.0 - r
+    s = r / 2.0
     cap_gap = s - kernel.cos_power_deficit(d, s)
     # near r = 2 the difference is rounding noise of either sign
-    g = np.maximum(0.0, kernel.unit_ball_volume(d) - 2.0 * kernel.unit_ball_volume(d - 1) * cap_gap)
-    return np.where(r >= 2.0, 0.0, g)[()]
+    return max(0.0, kernel.unit_ball_volume(d) - 2.0 * kernel.unit_ball_volume(d - 1) * cap_gap)
 
 
 # ---------------------------------------------------------------------------

@@ -32,15 +32,9 @@ from heatcov import (
     unit_sphere_area,
 )
 
-from conftest import SQUARE_I0, SQUARE_I2, square_I_terms
+from conftest import BALL2_C, BALL3_C, SQUARE_C, SQUARE_GAMMA, SQUARE_I0, SQUARE_I2, square_I_terms
 
-SQRT2 = math.sqrt(2.0)
 QUAD = QuadSpec()
-
-BALL2_C = 6.0 * math.log(2.0) - 2.0
-BALL3_C = 4.0 * math.log(2.0)
-SQUARE_C = 4.0 / math.pi * (2.0 * (SQRT2 - 1.0) + math.log(16.0 / (3.0 + 2.0 * SQRT2)))
-SQUARE_GAMMA = 2.0 * SQRT2 * (math.pi - 8.0) + 8.0 * math.log(2.0 * (3.0 + 2.0 * SQRT2))
 
 TRIANGLE = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 

@@ -12,7 +12,6 @@ from heatcov import (
     Rectangle,
     UnitBall,
     big_R,
-    closed_form_constant,
     covariance,
     decomposition,
     decompositions,
@@ -31,13 +30,7 @@ from heatcov import (
 from heatcov.asymptotics import phi_over_t
 from heatcov.errors import DomainError
 
-from conftest import ball_constants, ball_reference, simpson
-
-SQRT2 = math.sqrt(2.0)
-
-BALL2_C = 6.0 * math.log(2.0) - 2.0
-BALL3_C = 4.0 * math.log(2.0)
-SQUARE_C = 4.0 / math.pi * (2.0 * (SQRT2 - 1.0) + math.log(16.0 / (3.0 + 2.0 * SQRT2)))
+from conftest import BALL2_C, BALL3_C, SQRT2, SQUARE_C, SQUARE_GAMMA, ball_constant, ball_reference, simpson
 
 
 def interval_heat_content_closed(t):
@@ -221,8 +214,7 @@ class TestThirdTerm:
         ball3 = k3 * (4.0 * math.pi / 3.0 * 4.0 * math.pi / 2.0 - 2.0 * math.pi**2 / 3.0) \
             + 4.0 * (math.log(4.0) - math.log(2.0) - 0.5)
         assert ball3 == pytest.approx(BALL3_C, abs=1e-12)
-        gamma_q = 2.0 * SQRT2 * (math.pi - 8.0) + 8.0 * math.log(2.0 * (3.0 + 2.0 * SQRT2))
-        square = k2 * (4.0 * 2.0 * math.pi / (2.0 * SQRT2) - gamma_q) \
+        square = k2 * (4.0 * 2.0 * math.pi / (2.0 * SQRT2) - SQUARE_GAMMA) \
             + 8.0 / math.pi * (math.log(4.0 * SQRT2) - 1.0)
         assert square == pytest.approx(SQUARE_C, abs=1e-12)
 
@@ -234,12 +226,8 @@ class TestThirdTerm:
     def test_constants(self, shape, expected, quad):
         report = third_term(shape, quad, t_grid=default_t_grid(4, 14))
         assert report.C_formula == pytest.approx(expected, abs=1e-8)
-        assert report.C_closed == pytest.approx(expected, abs=1e-12)
         assert report.C_extrapolated == pytest.approx(expected, abs=1e-4)
         assert report.pieces["phi_slope"] == pytest.approx(phi_slope(shape))
-
-    def test_interval_closed_form(self):
-        assert closed_form_constant(Interval(0.0, math.e)) == pytest.approx(4.0 / math.pi)
 
     @pytest.mark.parametrize(
         "vertices",
@@ -249,12 +237,23 @@ class TestThirdTerm:
         ],
         ids=["triangle", "hexagon"],
     )
-    def test_polygon_without_closed_form(self, vertices):
-        assert closed_form_constant(ConvexPolygon(vertices)) is None
+    def test_polygon_without_closed_form(self, vertices, quad):
+        # nothing to check against but each other: the two routes agree within the fit's error
+        report = third_term(ConvexPolygon(vertices), quad)
+        assert abs(report.C_extrapolated - report.C_formula) <= report.extrapolation_err
 
-    def test_square_polygon_shares_rectangle_constant(self):
+    def test_interval_closed_form(self, quad):
+        # C = (2/pi)(1 + ln L), 4/pi at L = e, with no gamma integral
+        report = third_term(Interval(0.0, math.e), quad)
+        assert report.C_formula == pytest.approx(4.0 / math.pi, abs=1e-12)
+        assert report.C_extrapolated == pytest.approx(4.0 / math.pi, abs=report.extrapolation_err)
+
+    def test_square_polygon_shares_rectangle_constant(self, quad):
+        # the square as a polygon takes the generic path to the paper's constant
         square = ConvexPolygon([(1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0)])
-        assert closed_form_constant(square) == closed_form_constant(Rectangle(1.0, 1.0))
+        report = third_term(square, quad, t_grid=default_t_grid(4, 14))
+        assert report.C_formula == pytest.approx(SQUARE_C, abs=1e-8)
+        assert report.C_extrapolated == pytest.approx(SQUARE_C, abs=1e-4)
 
     def test_D_error_decreasing(self, quad):
         for shape, c in ((UnitBall(2), BALL2_C), (Rectangle(1.0, 1.0), SQUARE_C)):
@@ -274,7 +273,7 @@ class TestThirdTerm:
         rb, ri = third_term(ball), third_term(interval)
         assert rb.C_formula == pytest.approx(ri.C_formula, abs=1e-12)
         assert rb.C_extrapolated == pytest.approx(ri.C_extrapolated, abs=1e-12)
-        assert rb.C_formula == pytest.approx(closed_form_constant(interval), abs=1e-12)
+        assert rb.C_formula == pytest.approx(2.0 / math.pi * (1.0 + math.log(2.0)), abs=1e-12)
         for t in (1e-3, 0.1, 2.0):
             d_ball, d_interval = decomposition(ball, t).D, decomposition(interval, t).D
             assert d_ball == pytest.approx(d_interval, abs=1e-12)
@@ -285,27 +284,9 @@ class TestThirdTerm:
             third_term(UnitBall(2), quad, t_grid=[0.1, 0.2, 0.05, 0.01])
 
 
-def _ball_constant(d):
-    """C of the unit ball in R^d in closed form: C = (Per/pi)(1 + ln 2 + J_d) + kappa_d Lambda,
-    Lambda = A_d [w_(d-1) ln 2 - A_(d-1) (psi((d+1)/2) - psi(1)) / (2 (d-1))], with the
-    digamma difference a harmonic sum (plus -2 ln 2 at half-integers) and J_d by its recursion."""
-    a_d, w_dm1, kap = ball_constants(d)
-    a_dm1 = (d - 1) * w_dm1
-    m = (d + 1) // 2
-    if d % 2:
-        digamma = sum(1.0 / k for k in range(1, m))
-    else:
-        digamma = -2.0 * math.log(2.0) + sum(2.0 / (2 * k - 1) for k in range(1, d // 2 + 1))
-    j = [0.0, -math.log(2.0), -1.0]
-    for k in range(3, d + 1):
-        j.append(j[k - 2] - 1.0 / (k - 1))
-    lam = a_d * (w_dm1 * math.log(2.0) - a_dm1 * digamma / (2.0 * (d - 1)))
-    return a_d / math.pi * (1.0 + math.log(2.0) + j[d]) + kap * lam
-
-
 @pytest.mark.parametrize("d", range(2, 17))
 def test_ball_constant_closed_form(d, quad):
-    c = _ball_constant(d)
+    c = ball_constant(d)
     if d == 2:
         assert c == pytest.approx(BALL2_C, abs=1e-13)
     if d == 3:
@@ -352,7 +333,6 @@ class TestMetamorphic:
     def test_scaling_formula(self, lam, quad):
         # C_{lam Q} = lam (C_Q + Per_Q ln(lam) / pi), through the generic polygon gamma
         report = third_term(Rectangle(lam, lam), quad, t_grid=default_t_grid(4, 10))
-        assert report.C_closed is None
         expected = lam * (SQUARE_C + 8.0 * math.log(lam) / math.pi)
         assert report.C_formula == pytest.approx(expected, abs=1e-8)
 
@@ -391,5 +371,4 @@ class TestMetamorphic:
     def test_triangle_routes_agree(self, quad):
         # no closed form: the formula and the extrapolated limit check each other
         report = third_term(ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]), quad)
-        assert report.C_closed is None
         assert abs(report.C_extrapolated - report.C_formula) <= 1e-6

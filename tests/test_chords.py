@@ -17,13 +17,12 @@ from heatcov import (
     Rectangle,
     big_R,
     gamma,
-    gamma_weighted_closed_form,
     gamma_weighted_integral,
     heat_content,
 )
 from heatcov.shapes import support_radius_at
 
-from conftest import benchmark_polygons, first_breakpoint, green_covariance, polar_reference, square_gamma
+from conftest import SQUARE_GAMMA, benchmark_polygons, first_breakpoint, green_covariance, polar_reference, square_gamma
 
 TRIANGLE = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 THIN_QUADRILATERAL = ConvexPolygon([(0.0, 0.0), (5.0, 0.0), (5.1, 0.2), (0.0, 0.1)])
@@ -111,7 +110,7 @@ class TestUnitSquare:
     def test_gamma_integral_closed_form(self, quad):
         square = Rectangle(1.0, 1.0)
         value, _ = gamma_weighted_integral(square, quad)
-        assert abs(value - gamma_weighted_closed_form(square)) <= 1e-12
+        assert abs(value - SQUARE_GAMMA) <= 1e-12
 
 
 @pytest.mark.parametrize(

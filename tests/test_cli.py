@@ -9,6 +9,8 @@ import pytest
 from heatcov import cli
 from heatcov.cli import main
 
+from conftest import SQUARE_C, SQUARE_GAMMA, ball_constant, ball_gamma_integral
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -139,6 +141,27 @@ class TestVerify:
         assert code == 0
         assert out.endswith("RESULT: PASS\n")
 
+    @pytest.mark.parametrize("a, b", [(0.0, math.e), (-0.5, 2.0)], ids=["length-e", "shifted"])
+    def test_interval_shape_file_of_any_length(self, a, b, tmp_path, capsys):
+        f = tmp_path / "interval.json"
+        f.write_text(json.dumps({"kind": "interval", "a": a, "b": b}))
+        code, out, _ = run_cli(["verify", "interval", "--shape-file", str(f)], capsys)
+        assert code == 0
+        assert "FAIL" not in out
+        assert out.endswith("RESULT: PASS\n")
+
+    def test_closed_forms_match_the_oracles(self):
+        # verify's table against the tests' own oracles: C and the gamma integral of the disc
+        # and the 3-ball, the square's closed forms, and C = (2/pi)(1 + ln L) of an interval
+        assert set(cli.CLOSED_FORMS) == set(cli.NAMED_SHAPES)
+        for name, d in (("ball2", 2), ("ball3", 3)):
+            c, gamma_integral = cli.CLOSED_FORMS[name]
+            assert c == pytest.approx(ball_constant(d), abs=1e-13)
+            assert gamma_integral == pytest.approx(ball_gamma_integral(d), rel=1e-13)
+        assert cli.CLOSED_FORMS["square"] == pytest.approx((SQUARE_C, SQUARE_GAMMA), abs=1e-15)
+        assert cli.interval_constant(math.e) == pytest.approx(4.0 / math.pi, rel=1e-15)
+        assert cli.interval_constant(1.0) == pytest.approx(2.0 / math.pi, rel=1e-15)
+
     @pytest.mark.parametrize(
         "target, doc",
         [
@@ -155,6 +178,16 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: verify --shape-file")
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_tolerance_outside_zero_to_inf_exits_2(self, tol, capsys):
+        # --tol nan used to run 16 rounds and exit 3, --tol inf to print the first round
+        code, out, err = run_cli(["heat-content", "--shape", "square", "--t", "0.1", "--tol", tol], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerances must be positive and finite")
 
 
 class TestSweep:

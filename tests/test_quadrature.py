@@ -127,6 +127,31 @@ class TestIntegrate1d:
         assert abs(val - expected) <= max(err, 1e-12 * (1 + abs(expected)))
 
 
+class TestQuadSpec:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"abs_tol": math.nan}, {"abs_tol": math.inf}, {"rel_tol": math.nan}, {"rel_tol": 0.0}, {"abs_tol": -1e-10}],
+        ids=["abs-nan", "abs-inf", "rel-nan", "rel-zero", "abs-negative"],
+    )
+    def test_rejects_tolerance_outside_zero_to_inf(self, kwargs):
+        # a nan tolerance used to run 16 rounds and report a divergence, an infinite one to
+        # accept the first round as converged
+        with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+            QuadSpec(**kwargs)
+
+    @pytest.mark.parametrize("budget", [0, -3, 2.0, True])
+    def test_rejects_budget_that_is_not_a_positive_integer(self, budget):
+        # 0 used to be accepted and fail only inside integrate_1d
+        with pytest.raises(ValueError, match="max_subdivisions must be an integer >= 1"):
+            QuadSpec(max_subdivisions=budget)
+
+    def test_budget_of_one_panel(self):
+        spec = QuadSpec(max_subdivisions=1)
+        assert integrate_1d(lambda x: x * x, 0.0, 1.0, spec)[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+        with pytest.raises(QuadratureError, match="max subdivisions"):
+            integrate_1d(np.abs, -1.0, 2.0, spec)
+
+
 class TestIntegrateCircle:
     def test_constant(self, quad):
         val, _ = integrate_circle(lambda th: np.ones_like(th), spec=quad)

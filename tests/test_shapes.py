@@ -16,7 +16,6 @@ from heatcov import (
     covariance_self_checks,
     directional_variation,
     gamma,
-    gamma_weighted_closed_form,
     gamma_weighted_integral,
     geometry,
     heat_content,
@@ -35,6 +34,7 @@ from heatcov.errors import (
 )
 
 from conftest import (
+    SQUARE_GAMMA,
     SQUARE_I0,
     SQUARE_I2,
     ball_constants,
@@ -413,11 +413,11 @@ class TestPolygonCovarianceProperties:
         # (Green's theorem misses there by up to 1e-11 |Omega| on thin polygons)
         tol, n = _tolerance(poly), len(poly.vertices)
         ys = np.array(_ray_points(poly, rays))
-        np.testing.assert_allclose(poly.covariance(ys), green_covariance(poly, ys), rtol=0.0, atol=tol)
+        np.testing.assert_allclose(covariance(poly, ys), green_covariance(poly, ys), rtol=0.0, atol=tol)
         verts, dirs = poly.vertex_array, poly.edge_directions
         ys = np.array([verts[i % n] - verts[j % n] for i, j in pairs] + [k * dirs[i % n] for i, k in edges])
         want = [exact_intersection_area(verts, y) for y in ys]
-        np.testing.assert_allclose(poly.covariance(ys), want, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(covariance(poly, ys), want, rtol=0.0, atol=tol)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -433,13 +433,13 @@ class TestPolygonCovarianceProperties:
         tol, vol, n = _tolerance(poly), poly.geometry.volume, len(poly.vertices)
         verts = poly.vertex_array
         ys = np.array(_ray_points(poly, rays) + [verts[i % n] - verts[j % n] for i, j in pairs])
-        g = poly.covariance(ys)
-        np.testing.assert_allclose(g, poly.covariance(-ys), rtol=0.0, atol=tol)
+        g = covariance(poly, ys)
+        np.testing.assert_allclose(g, covariance(poly, -ys), rtol=0.0, atol=tol)
         assert np.all((0.0 <= g) & (g <= vol + tol))
         assert covariance(poly, [0.0, 0.0]) == vol
         np.testing.assert_array_equal(g, [covariance(poly, y) for y in ys])
         shifted = ConvexPolygon(np.roll(verts, shift % n, axis=0))
-        np.testing.assert_allclose(shifted.covariance(ys), g, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(covariance(shifted, ys), g, rtol=0.0, atol=tol)
 
 
 class TestBall:
@@ -471,15 +471,17 @@ class TestBall:
 
     @pytest.mark.parametrize("d", range(2, 17))
     def test_single_point_covariance_has_the_batch_bits(self, d):
-        # one point runs cos_power_deficit's scalar recurrence, a batch its array loop
+        # one point runs the scalar recurrence of cos_power_deficit in floats: against the
+        # vectorised oracle, and a batch of rows gives the same bits
         rng = np.random.default_rng(d)
         us = rng.standard_normal((300, d))
         us /= np.linalg.norm(us, axis=1)[:, None]
         radii = np.concatenate([[0.0, 2.0**-40, 1e-8, 1.0, 2.0 - 1e-12, 2.0, 2.2], rng.uniform(0.0, 2.2, 293)])
         ys = radii[:, None] * us
-        batch = covariance(UnitBall(d), ys)
         singles = [covariance(UnitBall(d), y) for y in ys]
-        assert [v.hex() for v in singles] == [float(v).hex() for v in batch]
+        want = ball_covariance_oracle(d, np.minimum(np.linalg.norm(ys, axis=1), 2.0))
+        np.testing.assert_allclose(singles, want, rtol=0.0, atol=1e-13)
+        assert [v.hex() for v in singles] == [float(v).hex() for v in covariance(UnitBall(d), ys)]
 
     def test_d1_gamma_vanishes(self):
         assert UnitBall(1).gamma_vanishes
@@ -722,9 +724,7 @@ class TestGammaWeightedIntegral:
 
     def test_square(self, quad):
         value, _ = gamma_weighted_integral(Rectangle(1.0, 1.0), quad)
-        expected = 2.0 * SQRT2 * (math.pi - 8.0) + 8.0 * math.log(2.0 * (3.0 + 2.0 * SQRT2))
-        assert value == pytest.approx(expected, abs=1e-8)
-        assert gamma_weighted_closed_form(Rectangle(1.0, 1.0)) == pytest.approx(expected)
+        assert value == pytest.approx(SQUARE_GAMMA, abs=1e-8)
 
 
 class TestSquareITerms:
