@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -80,14 +81,7 @@ def _write(text: str, out: Optional[str]):
 
 def cmd_constants(args) -> int:
     kc = KernelConstants.for_dim(args.dim)
-    payload = {
-        "d": kc.d,
-        "kappa": kc.kappa,
-        "ball_volume": kc.ball_volume,
-        "sphere_area": kc.sphere_area,
-        "tanh_deficit": kc.tanh_deficit,
-    }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(dataclasses.asdict(kc), indent=2))
     return EXIT_OK
 
 

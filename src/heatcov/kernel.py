@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DomainError
 
 MAX_DIM = 16
+MAX_SCALE = 1e150  # the largest ratio diameter / t that the chord kernels accept
 
 
 def _check_dim(d: int) -> int:
@@ -263,6 +264,10 @@ def chord_kernels(d: int, ts, ell: float, heat: bool = True, big_r: bool = True,
     big_r).
     """
     ts = np.asarray(ts, dtype=float)
+    # the kernels square tan A up to ell/t, which overflows from ell/t ~ 1.3e154
+    if ell > MAX_SCALE * float(ts.min()):
+        least = f"{ell / MAX_SCALE:g}, the least supported t ({1 / MAX_SCALE:g} times the diameter)"
+        raise DomainError(f"t = {ts.min():g} is below {least}")
     kap, n, width = kappa(d), d - 1, min(width, ell)
 
     def parts(x, below):

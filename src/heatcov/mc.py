@@ -56,8 +56,9 @@ WORK_ROWS = 4 float rows of BLOCK_SIZE columns (2 MiB) from a pool and gives
 it back when it finishes, also on error.  The pool keeps one per usable CPU,
 so that later blocks write into resident memory instead of faulting in zero
 pages.  Blocks draw with ``out=``, compute in place and write boolean results
-into the bytes of a spent row.  A ball block uses 3 rows, a planar one 3 (x,
-y, a half row of the step's t |W| and two chunk rows), an interval one 2.
+into the bytes of a spent row.  A ball block uses 3 rows, a planar one 3.5 (x,
+y and three half rows, on which it works half of the columns at a time), an
+interval one 2.
 
 Block code runs off the calling thread, so it may call only the shape's own
 methods, the private samplers of ``shapes`` and ``_block_rng``, never a

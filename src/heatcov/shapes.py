@@ -1,7 +1,8 @@
 """Shape descriptors, exact geometry, and set covariance evaluators.
 
 Supported shapes are the unit ball (any dimension up to the package
-guard), axis-aligned rectangles, convex polygons, and 1-D intervals.
+guard), convex polygons, and 1-D intervals; an axis-aligned rectangle is
+the convex polygon of its corners, with exact geometry and covariance.
 All shapes are convex, so the covariance support radius equals the
 diameter exactly.
 
@@ -33,7 +34,6 @@ from .errors import (
 from .quadrature import QuadSpec, integrate_1d
 
 WORK_ROWS = 4  # float rows of a Monte Carlo block's workspace
-_CHUNK = 1 << 14  # columns per chunk of a planar block
 # directions x vertices^2 per chunk of the chord table, bounding its temporaries
 _PAIR_ENTRIES = 1 << 16
 
@@ -99,17 +99,6 @@ class Shape(ABC):
         """Seeds of ``line_integral`` where a chord is t 4^k long, for the kernels of H and R
         at each t of ts; none where the chord means resolve every scale of c exactly."""
         return []
-
-    def covariance_integral(self, quad: QuadSpec) -> float:
-        """Integral of g over its support; equals |Omega|^2: the line integral of
-        c^(d+1) / (d (d+1)), whose mean over a piece is a sum of lo^i hi^(d+1-i)."""
-        d = self.dim
-
-        def mean(lo, hi):
-            return sum(lo**i * hi ** (d + 1 - i) for i in range(d + 2)) / ((d + 2) * d * (d + 1))
-
-        value, _ = self.line_integral(mean, quad)
-        return value
 
     @abstractmethod
     def directional_variation(self, us: np.ndarray) -> np.ndarray:
@@ -271,29 +260,67 @@ class UnitBall(Shape):
         return kernel.unit_sphere_area(d) * w_dm1 * kernel.cos_power_deficit(d, s) / s
 
 
-class PlanarPolytope(Shape):
-    """A convex polygon: supplies its vertices, derives the rest from its chords.
+@dataclass(frozen=True)
+class ConvexPolygon(Shape):
+    """Convex polygon with counterclockwise vertices; collinear points dropped.
 
-    For u = (cos theta, sin theta) and n = (-sin theta, cos theta), the chord
-    length c(x) of the line x n + R u is linear between the offsets x of the
-    vertices (``chord_table``).  So ``line_integral`` is one theta-integral over
-    [0, pi), doubled for -u, of exact sums over the linear pieces of c;
-    with ell the diameter and int int that measure: g(r u) = int (c - r)_+ dx,
+    The rest derives from its chords.  For u = (cos theta, sin theta) and
+    n = (-sin theta, cos theta), the chord length c(x) of the line x n + R u is
+    linear between the offsets x of the vertices (``chord_table``).  So
+    ``line_integral`` is one theta-integral over [0, pi), doubled for -u, of
+    exact sums over the linear pieces of c; with ell the diameter and int int
+    that measure: g(r u) = int (c - r)_+ dx,
     |Omega| - H(t) = (t/2pi) int int asinh(c/t), gamma(r) = (1/r) int int (r - c)_+,
     int g = (1/6) int int c^3, R(t) = (1/2pi) int int [asinh(ell/t) - asinh(c/t)
     - (ell - c)/sqrt(t^2 + ell^2)] and int_0^1 gamma(ell s)/s ds = int int [ln(ell/c) - 1 + c/ell]
     (the d = 2 kernels of ``kernel.chord_kernels``).
     """
 
-    @property
-    @abstractmethod
+    vertices: tuple = field()
+
+    def __init__(self, vertices: Sequence[Sequence[float]]):
+        try:
+            pts = np.asarray(vertices, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidShapeError("polygon vertices must be a list of 2-D points") from None
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise InvalidShapeError("polygon vertices must be 2-D points")
+        if len(pts) < 3:
+            raise InvalidShapeError("polygon needs at least 3 vertices")
+        if not np.all(np.isfinite(pts)):
+            raise InvalidShapeError("polygon vertices must be finite")
+        # tolerances relative to the diameter, so that a scaled copy is valid when the shape is
+        diam = _diameter(pts)
+        if np.any(np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1) <= 1e-12 * diam):
+            raise InvalidShapeError("polygon has a repeated vertex: an edge at most 1e-12 of its diameter long")
+        # drop collinear vertices, then demand strict convexity and CCW order
+        kept = pts[np.abs(_turns(pts)) > 1e-12 * diam * diam]
+        if len(kept) < 3:
+            raise InvalidShapeError("polygon is degenerate after removing collinear points")
+        if np.any(_turns(kept) <= 0):
+            raise InvalidShapeError("polygon must be convex with counterclockwise orientation")
+        object.__setattr__(self, "vertices", tuple(tuple(p) for p in kept))
+
+    @cached_property
     def vertex_array(self) -> np.ndarray:
         """The vertices in counterclockwise order, as a read-only (n, 2) array."""
+        verts = np.array(self.vertices, dtype=float)
+        verts.flags.writeable = False
+        return verts
 
-    @abstractmethod
-    def _sample_rows(self, rng: np.random.Generator, work: np.ndarray, n: int) -> None:
-        """Draw n uniform points into the rows work[0, :n], work[1, :n] of a workspace,
-        overwriting at most the scratch of ``_planar_scratch`` besides."""
+    @cached_property
+    def geometry(self) -> ShapeGeometry:
+        verts = self.vertex_array
+        per = float(np.sum(np.linalg.norm(self.edge_directions, axis=1)))
+        return ShapeGeometry(
+            volume=_polygon_area(verts), perimeter=per, support_radius=_diameter(verts), dim=2
+        )
+
+    def directional_variation(self, us):
+        edges = self.edge_directions
+        # outward normal of a CCW edge (dx, dy) is (dy, -dx); |n.u|*len folds
+        # the edge length into the unnormalized normal
+        return np.sum(np.abs(edges[:, 1] * us[:, :1] - edges[:, 0] * us[:, 1:]), axis=1)
 
     def _inside(self, x, y, scratch, planes=None) -> np.ndarray:
         """Membership mask of the points (x, y), in the bytes of scratch, three float rows
@@ -323,13 +350,55 @@ class PlanarPolytope(Shape):
         return self._count_inside(work, n, planes)
 
     def _count_inside(self, work, n, *planes):
-        """How many points of the rows work[:2, :n] pass ``_inside``, a chunk at a time."""
-        (x, y), (half, one, two), hits = work[:2, :n], _planar_scratch(work, n), 0
-        for lo in range(0, n, len(one)):
-            m = min(len(one), n - lo)
-            inside = self._inside(x[lo : lo + m], y[lo : lo + m], (half[:m], one[:m], two[:m]), *planes)
-            hits += int(np.count_nonzero(inside))
-        return hits
+        """How many points of the rows work[:2, :n] pass ``_inside``, half of them at a time."""
+        scratch = _planar_scratch(work, n)
+        return sum(
+            int(np.count_nonzero(self._inside(x, y, [row[: len(x)] for row in scratch], *planes)))
+            for x, y in np.array_split(work[:2, :n], 2, axis=1)
+        )
+
+    def _sample_rows(self, rng, work, n):
+        """Draw n uniform points into the rows work[0, :n], work[1, :n] of a workspace,
+        overwriting at most the scratch of ``_planar_scratch`` besides: a triangle fan
+        from vertex 0, the rows grouped by triangle.
+
+        One multinomial draw splits the n points over the triangles
+        v_0 v_i v_{i+1} by area, which is the law of labelling each point on
+        its own.  A point is then v_0 + b (v_i - v_0) + a (v_{i+1} - v_i), a <= b
+        the order statistics of two uniforms: its barycentric coordinates
+        (1 - b, b - a, a) are the spacings of two uniforms, uniform on the simplex.
+        A segment is written a half row at a time, b and b p_y in two scratch rows.
+        """
+        shares, legs = self._fan
+        counts = rng.multinomial(n, shares).tolist()
+        x, y = work[:2, :n]
+        rng.random(out=x)
+        rng.random(out=y)
+        _, b, product = _planar_scratch(work, n)
+        start = 0
+        for (px, py, ex, ey), m in zip(legs, counts):
+            for lo in range(start, start + m, len(b)):
+                hi = min(lo + len(b), start + m)
+                a, ys, bs = x[lo:hi], y[lo:hi], b[: hi - lo]
+                np.maximum(a, ys, out=bs)
+                np.minimum(a, ys, out=a)  # the order statistics a <= b of the two uniforms
+                np.multiply(a, ey, out=ys)
+                ys += np.multiply(bs, py, out=product[: hi - lo])
+                a *= ex  # x last, over a
+                bs *= px
+                a += bs
+            start += m
+        x += self.vertex_array[0, 0]
+        y += self.vertex_array[0, 1]
+
+    @cached_property
+    def _fan(self) -> tuple:
+        """(the area shares of the fan triangles v_0 v_i v_{i+1}, and per triangle the
+        legs v_i - v_0 and v_{i+1} - v_i as [px, py, ex, ey])."""
+        verts = self.vertex_array
+        twice_area = _boundary_terms(verts)[1:-1]
+        legs = np.column_stack([verts[1:-1] - verts[0], self.edge_directions[1:-1]])
+        return twice_area / math.fsum(twice_area), legs.tolist()
 
     @cached_property
     def min_width(self) -> float:
@@ -477,101 +546,6 @@ class PlanarPolytope(Shape):
 
         return self.line_integral(mean, quad)
 
-
-@dataclass(frozen=True)
-class Rectangle(PlanarPolytope):
-    """Axis-aligned rectangle [-h1, h1] x [-h2, h2]."""
-
-    h1: float
-    h2: float
-
-    def __post_init__(self):
-        if not (0.0 < self.h1 < math.inf and 0.0 < self.h2 < math.inf):
-            raise InvalidShapeError("rectangle half-widths must be positive and finite")
-
-    @cached_property
-    def geometry(self) -> ShapeGeometry:
-        return ShapeGeometry(
-            volume=4.0 * self.h1 * self.h2, perimeter=4.0 * (self.h1 + self.h2),
-            support_radius=2.0 * math.hypot(self.h1, self.h2), dim=2,
-        )
-
-    @cached_property
-    def vertex_array(self) -> np.ndarray:
-        h1, h2 = self.h1, self.h2
-        verts = np.array([[h1, -h2], [h1, h2], [-h1, h2], [-h1, -h2]], dtype=float)
-        verts.flags.writeable = False
-        return verts
-
-    def covariance_at(self, y):
-        return max(0.0, 2.0 * self.h1 - abs(y[0])) * max(0.0, 2.0 * self.h2 - abs(y[1]))
-
-    def directional_variation(self, us):
-        return 4.0 * (self.h2 * np.abs(us[:, 0]) + self.h1 * np.abs(us[:, 1]))
-
-    def _inside(self, x, y, scratch, planes=None):
-        absolute, spare, mask = scratch
-        inside, ok = mask.view(bool)[: len(x)], spare.view(bool)[: len(x)]
-        if planes is None:
-            np.less_equal(np.abs(x, out=absolute), self.h1, out=inside)
-            inside &= np.less_equal(np.abs(y, out=absolute), self.h2, out=ok)
-            return inside
-        inside.fill(True)
-        for ex, ey, _ in planes:
-            row, h = (x, math.copysign(self.h1, ex)) if ex else (y, math.copysign(self.h2, ey))
-            inside &= (np.less_equal if h > 0.0 else np.greater_equal)(row, h, out=ok)
-        return inside
-
-    def _sample_rows(self, rng, work, n):
-        for row, h in zip(work[:2, :n], (self.h1, self.h2)):
-            rng.random(out=row)
-            row *= 2.0 * h
-            row -= h
-
-
-@dataclass(frozen=True)
-class ConvexPolygon(PlanarPolytope):
-    """Convex polygon with counterclockwise vertices; collinear points dropped."""
-
-    vertices: tuple = field()
-
-    def __init__(self, vertices: Sequence[Sequence[float]]):
-        try:
-            pts = np.asarray(vertices, dtype=float)
-        except (TypeError, ValueError):
-            raise InvalidShapeError("polygon vertices must be a list of 2-D points") from None
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise InvalidShapeError("polygon vertices must be 2-D points")
-        if len(pts) < 3:
-            raise InvalidShapeError("polygon needs at least 3 vertices")
-        if not np.all(np.isfinite(pts)):
-            raise InvalidShapeError("polygon vertices must be finite")
-        # tolerances relative to the diameter, so that a scaled copy is valid when the shape is
-        diam = _diameter(pts)
-        if np.any(np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1) <= 1e-12 * diam):
-            raise InvalidShapeError("polygon has a repeated vertex")
-        # drop collinear vertices, then demand strict convexity and CCW order
-        kept = pts[np.abs(_turns(pts)) > 1e-12 * diam * diam]
-        if len(kept) < 3:
-            raise InvalidShapeError("polygon is degenerate after removing collinear points")
-        if np.any(_turns(kept) <= 0):
-            raise InvalidShapeError("polygon must be convex with counterclockwise orientation")
-        object.__setattr__(self, "vertices", tuple(tuple(p) for p in kept))
-
-    @cached_property
-    def vertex_array(self) -> np.ndarray:
-        verts = np.array(self.vertices, dtype=float)
-        verts.flags.writeable = False
-        return verts
-
-    @cached_property
-    def geometry(self) -> ShapeGeometry:
-        verts = self.vertex_array
-        per = float(np.sum(np.linalg.norm(self.edge_directions, axis=1)))
-        return ShapeGeometry(
-            volume=_polygon_area(verts), perimeter=per, support_radius=_diameter(verts), dim=2
-        )
-
     @cached_property
     def _chord_tables(self) -> tuple:
         """For the covariance walk, as lists: the vertices relative to the least of them (by
@@ -643,52 +617,51 @@ class ConvexPolygon(PlanarPolytope):
             x, c = z, c1
         return total if total > 1e-14 * vol else 0.0
 
-    def directional_variation(self, us):
-        edges = self.edge_directions
-        # outward normal of a CCW edge (dx, dy) is (dy, -dx); |n.u|*len folds
-        # the edge length into the unnormalized normal
-        return np.sum(np.abs(edges[:, 1] * us[:, :1] - edges[:, 0] * us[:, 1:]), axis=1)
 
-    def _sample_rows(self, rng, work, n):
-        """Triangle fan from vertex 0, the rows grouped by triangle.
+@dataclass(frozen=True)
+class Rectangle(ConvexPolygon):
+    """Axis-aligned rectangle [-h1, h1] x [-h2, h2]: the polygon of its four corners, with
+    exact geometry and covariance and a box sampler and membership test."""
 
-        One multinomial draw splits the n points over the triangles
-        v_0 v_i v_{i+1} by area, which is the law of labelling each point on
-        its own.  A point is then v_0 + b (v_i - v_0) + a (v_{i+1} - v_i), a <= b
-        the order statistics of two uniforms: its barycentric coordinates
-        (1 - b, b - a, a) are the spacings of two uniforms, uniform on the simplex.
-        A segment is written a chunk at a time, b and b p_y in the chunk rows.
-        """
-        shares, legs = self._fan
-        counts = rng.multinomial(n, shares).tolist()
-        x, y = work[:2, :n]
-        rng.random(out=x)
-        rng.random(out=y)
-        _, b, product = _planar_scratch(work, n)
-        start = 0
-        for (px, py, ex, ey), m in zip(legs, counts):
-            for lo in range(start, start + m, len(b)):
-                hi = min(lo + len(b), start + m)
-                a, ys, bs = x[lo:hi], y[lo:hi], b[: hi - lo]
-                np.maximum(a, ys, out=bs)
-                np.minimum(a, ys, out=a)  # the order statistics a <= b of the two uniforms
-                np.multiply(a, ey, out=ys)
-                ys += np.multiply(bs, py, out=product[: hi - lo])
-                a *= ex  # x last, over a
-                bs *= px
-                a += bs
-            start += m
-        x += self.vertex_array[0, 0]
-        y += self.vertex_array[0, 1]
+    vertices: tuple = field(repr=False)
+    h1: float
+    h2: float
+
+    def __init__(self, h1: float, h2: float):
+        if not (0.0 < h1 < math.inf and 0.0 < h2 < math.inf):
+            raise InvalidShapeError("rectangle half-widths must be positive and finite")
+        super().__init__([[h1, -h2], [h1, h2], [-h1, h2], [-h1, -h2]])
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "h2", h2)
 
     @cached_property
-    def _fan(self) -> tuple:
-        """(the area shares of the fan triangles v_0 v_i v_{i+1}, and per triangle the
-        legs v_i - v_0 and v_{i+1} - v_i as [px, py, ex, ey])."""
-        verts = self.vertex_array
-        twice_area = _boundary_terms(verts)[1:-1]
-        legs = np.column_stack([verts[1:-1] - verts[0], self.edge_directions[1:-1]])
-        return twice_area / math.fsum(twice_area), legs.tolist()
+    def geometry(self) -> ShapeGeometry:
+        return ShapeGeometry(
+            volume=4.0 * self.h1 * self.h2, perimeter=4.0 * (self.h1 + self.h2),
+            support_radius=2.0 * math.hypot(self.h1, self.h2), dim=2,
+        )
+
+    def covariance_at(self, y):
+        return max(0.0, 2.0 * self.h1 - abs(y[0])) * max(0.0, 2.0 * self.h2 - abs(y[1]))
+
+    def _inside(self, x, y, scratch, planes=None):
+        absolute, spare, mask = scratch
+        inside, ok = mask.view(bool)[: len(x)], spare.view(bool)[: len(x)]
+        if planes is None:
+            np.less_equal(np.abs(x, out=absolute), self.h1, out=inside)
+            inside &= np.less_equal(np.abs(y, out=absolute), self.h2, out=ok)
+            return inside
+        inside.fill(True)
+        for ex, ey, _ in planes:
+            row, h = (x, math.copysign(self.h1, ex)) if ex else (y, math.copysign(self.h2, ey))
+            inside &= (np.less_equal if h > 0.0 else np.greater_equal)(row, h, out=ok)
+        return inside
+
+    def _sample_rows(self, rng, work, n):
+        for row, h in zip(work[:2, :n], (self.h1, self.h2)):
+            rng.random(out=row)
+            row *= 2.0 * h
+            row -= h
 
 
 @dataclass(frozen=True)
@@ -819,8 +792,15 @@ def covariance(shape: Shape, y):
 
 
 def covariance_integral(shape: Shape, quad: QuadSpec = QuadSpec()) -> float:
-    """Integral of g over its support; equals |Omega|^2."""
-    return shape.covariance_integral(quad)
+    """Integral of g over its support; equals |Omega|^2: the line integral of
+    c^(d+1) / (d (d+1)), whose mean over a piece is a sum of lo^i hi^(d+1-i)."""
+    d = shape.dim
+
+    def mean(lo, hi):
+        return sum(lo**i * hi ** (d + 1 - i) for i in range(d + 2)) / ((d + 2) * d * (d + 1))
+
+    value, _ = shape.line_integral(mean, quad)
+    return value
 
 
 def support_radius_at(shape: Shape, theta: float) -> float:
@@ -927,12 +907,11 @@ def _add_line_step(rng: np.random.Generator, x: np.ndarray, t: float, w: np.ndar
 
 
 def _planar_scratch(work: np.ndarray, n: int) -> tuple:
-    """A half row of ceil(n/2) floats and two chunk rows over the rows work[2:] of a
-    workspace: with x and y, a planar block uses 3 rows of it."""
+    """Three half rows of ceil(n/2) floats over the rows work[2:] of a workspace: with x
+    and y, a planar block uses 3.5 rows of it."""
     h = -(-n // 2)
-    c = min(_CHUNK, max(h, 1))
     flat = work[2:].reshape(-1)
-    return flat[:h], flat[h : h + c], flat[h + c : h + 2 * c]
+    return flat[:h], flat[h : 2 * h], flat[2 * h : 3 * h]
 
 
 def _add_planar_step(rng: np.random.Generator, xy: np.ndarray, t: float, rows: tuple) -> None:
@@ -942,37 +921,32 @@ def _add_planar_step(rng: np.random.Generator, xy: np.ndarray, t: float, rows: t
     (0, 1].  U = 1 - v, v = rng.random(), is exact, and 1 - U^2 = v (1 + U)
     keeps its digits at small v.  The direction is (cos 2 phi, sin 2 phi), phi
     uniform on [-pi/2, pi/2): with s = tan phi, ((1 - s^2), 2 s)/(1 + s^2).
-    |s| <= 1.7e16, so s^2 does not overflow.  Each half of the columns draws
-    its v into the half row of rows (``_planar_scratch``), then its directions,
-    and works a chunk at a time on the chunk rows.
+    |s| <= 1.7e16, so s^2 does not overflow.  Each half of the columns works on
+    the three half rows of rows (``_planar_scratch``): it draws its v, then its
+    directions.
     """
-    half, one, two = rows
     for x, y in np.array_split(xy, 2, axis=1):
-        step = rng.random(out=half[: len(x)])
-        for lo in range(0, len(x), len(one)):
-            v = step[lo : lo + len(one)]
-            u, scratch = one[: len(v)], two[: len(v)]
-            np.subtract(1.0, v, out=u)
-            np.add(u, 1.0, out=scratch)
-            v *= scratch
-            np.sqrt(v, out=v)
-            v /= u
-            v *= t  # t |W|
-        for lo in range(0, len(x), len(one)):
-            k = step[lo : lo + len(one)]
-            s, scratch = rng.random(out=one[: len(k)]), two[: len(k)]
-            s -= 0.5
-            s *= math.pi
-            np.tan(s, out=s)
-            np.multiply(s, s, out=scratch)
-            scratch += 1.0
-            k /= scratch  # k = t |W| / (1 + s^2)
-            np.subtract(2.0, scratch, out=scratch)
-            scratch *= k
-            x[lo : lo + len(k)] += scratch  # k (1 - s^2)
-            s *= k
-            s *= 2.0
-            y[lo : lo + len(k)] += s  # 2 k s
+        k, s, scratch = (row[: len(x)] for row in rows)
+        rng.random(out=k)
+        np.subtract(1.0, k, out=s)  # U = 1 - v
+        np.add(s, 1.0, out=scratch)
+        k *= scratch
+        np.sqrt(k, out=k)
+        k /= s
+        k *= t  # t |W|
+        rng.random(out=s)
+        s -= 0.5
+        s *= math.pi
+        np.tan(s, out=s)
+        np.multiply(s, s, out=scratch)
+        scratch += 1.0
+        k /= scratch  # k = t |W| / (1 + s^2)
+        np.subtract(2.0, scratch, out=scratch)
+        scratch *= k
+        x += scratch  # k (1 - s^2)
+        s *= k
+        s *= 2.0
+        y += s  # 2 k s
 
 
 def _diameter(pts: np.ndarray) -> float:

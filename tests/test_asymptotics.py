@@ -70,6 +70,22 @@ class TestHeatContent:
         with pytest.raises(DomainError):
             heat_content(UnitBall(2), t, quad)
 
+    @pytest.mark.parametrize(
+        "shape", [UnitBall(2), Rectangle(1.0, 1.0), ConvexPolygon([(0, 0), (1, 0), (0, 1)]), UnitBall(3), UnitBall(7)],
+        ids=["disc", "square", "triangle", "ball3", "ball7"],
+    )
+    def test_rejects_t_below_the_least_supported(self, shape, quad):
+        # (ell/t)^2 overflowed below t ~ 7e-155 ell: the disc's R(1e-160) read 0.6137 for
+        # 0.18450, and the balls of d = 3 and 7 raised QuadratureError; down to 1e-150 ell,
+        # R is at its limit
+        for t in (1e-160, 1e-300):
+            for f in (heat_content, big_R):
+                with pytest.raises(DomainError, match="least supported t"):
+                    f(shape, t, quad)
+        assert big_R(shape, 1.01e-150 * geometry(shape).support_radius, quad) == pytest.approx(
+            R_limit(shape, quad), rel=1e-12
+        )
+
     def test_square_polar_vs_identity(self, quad):
         # H from direct polar quadrature vs H solved from the decomposition
         q = Rectangle(1.0, 1.0)

@@ -1,4 +1,4 @@
-"""The chord-length engine of ``PlanarPolytope`` against independent references.
+"""The chord-length engine of ``ConvexPolygon`` against independent references.
 
 ``conftest.polar_reference`` integrates the Green's-theorem covariance
 (``conftest.green_covariance``) in polar coordinates, as the package computed
@@ -20,7 +20,7 @@ from heatcov import (
     gamma_weighted_integral,
     heat_content,
 )
-from heatcov.shapes import support_radius_at
+from heatcov.shapes import covariance_integral, support_radius_at
 
 from conftest import SQUARE_GAMMA, benchmark_polygons, first_breakpoint, green_covariance, polar_reference, square_gamma
 
@@ -75,7 +75,7 @@ class TestChordTable:
 @pytest.mark.parametrize("poly", REFERENCE_SHAPES, ids=REFERENCE_IDS + ["thin"])
 def test_matches_polar_reference(poly, quad):
     vol = poly.geometry.volume
-    assert poly.covariance_integral(quad) == pytest.approx(
+    assert covariance_integral(poly, quad) == pytest.approx(
         polar_reference(poly, lambda r, g, v: r * g(r)), abs=1e-10
     )
     for t in (1e-3, 0.1, 2.0):

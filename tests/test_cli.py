@@ -104,6 +104,16 @@ class TestShapeFile:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_thin_rectangle_exits_2(self, tmp_path, capsys):
+        # its corners fail the polygon checks; it used to print H(0.1) = 9.4e-87 and exit 0, where
+        # H is about |Omega|^2 p_0.1(0) = 2.5e-58
+        f = tmp_path / "strip.json"
+        f.write_text(json.dumps({"kind": "rectangle", "half_widths": [1e-30, 1]}))
+        code, out, err = run_cli(["heat-content", "--shape-file", str(f), "--t", "0.1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_triangle_heat_content(self, tmp_path, capsys):
         f = tmp_path / "triangle.json"
         f.write_text(json.dumps({"kind": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]}))

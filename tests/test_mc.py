@@ -516,10 +516,10 @@ class TestPlanarBlocks:
         ids=["rect", "triangle", "hexagon", "40-gon", "interval"],
     )
     def test_shift_blocks_count_as_the_generic_block(self, shape):
-        # both draw X with the shape's own sampler, so one stream gives one count, at sizes that
-        # end inside a chunk, on a chunk boundary and in a full block
+        # both draw X with the shape's own sampler, so one stream gives one count, at sizes whose
+        # halves are empty, of one column, uneven, half a block and a full block
         work, y = np.empty((shapes.WORK_ROWS, mc.BLOCK_SIZE)), np.full(shape.dim, 0.3)
-        for n in (1, 2, 1001, 2 * shapes._CHUNK, mc.BLOCK_SIZE):
+        for n in (1, 2, 1001, 1 << 15, mc.BLOCK_SIZE):
             expected = reference_shift_hits(shape, _block_rng(5, n), n, y)
             assert shape.shift_hits(_block_rng(5, n), n, y, work) == expected, n
 

@@ -12,6 +12,7 @@ from heatcov import (
     QuadSpec,
     Rectangle,
     UnitBall,
+    big_R,
     covariance,
     covariance_self_checks,
     directional_variation,
@@ -94,6 +95,14 @@ class TestShapeConstruction:
     def test_rectangle_rejects_nonfinite(self, h1, h2):
         with pytest.raises(InvalidShapeError):
             Rectangle(h1, h2)
+
+    def test_rectangle_is_held_to_the_polygon_tolerances(self):
+        # the corner polygon of a 1e-30 x 1 strip has sides within 1e-12 of its diameter: its
+        # H(0.1) read 9.4e-87 for about |Omega|^2 p_0.1(0) = 2.5e-58 when rectangles skipped
+        # the polygon's checks
+        assert isinstance(Rectangle(1.0, 1.0), ConvexPolygon)
+        with pytest.raises(InvalidShapeError):
+            Rectangle(1e-30, 1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_polygon_rejects_nonfinite(self, bad):
@@ -585,13 +594,23 @@ class TestPolygonGamma:
             assert first_breakpoint(shape) == pytest.approx(r1, rel=1e-15)
             assert abs(_linear_up_to(shape, r1) - 1.0) > 1e-3
 
-    def test_rectangle_is_its_corner_polygon(self):
-        rect = Rectangle(1.5, 0.5)
-        poly = ConvexPolygon(rect.vertex_array)
-        np.testing.assert_array_equal(rect.edge_directions, poly.edge_directions)
-        thetas = np.linspace(0.0, math.pi, 7)
-        for a, b in zip(rect.chord_table(thetas), poly.chord_table(thetas)):
-            np.testing.assert_array_equal(a, b)
+    def test_rectangle_is_its_corner_polygon(self, quad):
+        # the chords are the polygon's; H, R, gamma and its integral differ at most where the
+        # rectangle's exact area, perimeter and diameter round otherwise than the polygon's
+        s, thetas = np.array([2.0**-20, 0.1, 0.4, 0.7, 1.0]), np.linspace(0.0, math.pi, 7)
+        for h1, h2 in [(1.0, 1.0), (1.5, 0.5)]:
+            rect = Rectangle(h1, h2)
+            poly = ConvexPolygon([(h1, -h2), (h1, h2), (-h1, h2), (-h1, -h2)])
+            np.testing.assert_array_equal(rect.vertex_array, poly.vertex_array)
+            np.testing.assert_array_equal(rect.edge_directions, poly.edge_directions)
+            for a, b in zip(rect.chord_table(thetas), poly.chord_table(thetas)):
+                np.testing.assert_array_equal(a, b)
+            for t in (1e-6, 0.1, 2.0, 50.0):
+                assert heat_content(rect, t, quad) == pytest.approx(heat_content(poly, t, quad), rel=1e-15, abs=0.0)
+                assert big_R(rect, t, quad) == pytest.approx(big_R(poly, t, quad), rel=1e-15, abs=0.0)
+            np.testing.assert_allclose(gamma(rect, s, quad), gamma(poly, s, quad), rtol=1e-15, atol=0.0)
+            value, err = gamma_weighted_integral(rect, quad)
+            assert (value, err) == pytest.approx(gamma_weighted_integral(poly, quad), rel=1e-15, abs=0.0)
 
     def test_first_breakpoint_is_where_gamma_stops_being_linear(self):
         # a vertex's nearest non-incident edge line is met outside the edge,
