@@ -103,7 +103,7 @@ def psi_F(shape: Shape, t: float):
     ell = geo.support_radius
     hyp = math.hypot(ell, t)
     f_val = math.log(ell + hyp) + kernel.tanh_deficit(geo.dim, ell / hyp)
-    return math.log(1.0 / t) + f_val, f_val
+    return -math.log(t) + f_val, f_val
 
 
 def F_limit(shape: Shape) -> float:

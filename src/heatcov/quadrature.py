@@ -63,11 +63,9 @@ def _gk_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nda
         fx = np.asarray(f(x.ravel()))
         single = fx.ndim == 1
         fx = np.reshape(fx, (*x.shape, -1))
-        if single:  # the product of a one-valued f, with its bits from before columns
-            g, k = (fx[:, :, 0] @ _WEIGHTS).T[:, :, None]
-        else:
-            gk = np.swapaxes(fx, 1, 2) @ _WEIGHTS
-            g, k = gk[..., 0], gk[..., 1]
+        # one contiguous (panels, 15) product a column, as for a one-valued f: a (columns, 15)
+        # product a panel would take a column's bits from how many columns share the call
+        g, k = (np.ascontiguousarray(np.moveaxis(fx, 2, 0)) @ _WEIGHTS).T
         total, diff = k.sum(), half[:, None] * np.abs(k - g)
         err = np.minimum(diff, (200.0 * diff) ** 1.5)
     if not math.isfinite(total):

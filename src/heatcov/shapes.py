@@ -34,7 +34,7 @@ from .errors import (
 from .quadrature import QuadSpec, integrate_1d
 
 WORK_ROWS = 4  # float rows of a Monte Carlo block's workspace
-# directions x vertices^2 per chunk of the chord table, bounding its temporaries
+# entries per chunk of the chord pieces that line_integral hands its mean, bounding its temporaries
 _PAIR_ENTRIES = 1 << 16
 
 
@@ -266,7 +266,8 @@ class ConvexPolygon(Shape):
 
     The rest derives from its chords.  For u = (cos theta, sin theta) and
     n = (-sin theta, cos theta), the chord length c(x) of the line x n + R u is
-    linear between the offsets x of the vertices (``chord_table``).  So
+    linear between the offsets x of the vertices, where the two boundary chains
+    between the extreme offsets merge (``chord_table``, ``covariance_at``).  So
     ``line_integral`` is one theta-integral over [0, pi), doubled for -u, of
     exact sums over the linear pieces of c; with ell the diameter and int int
     that measure: g(r u) = int (c - r)_+ dx,
@@ -452,31 +453,31 @@ class ConvexPolygon(Shape):
     def chord_table(self, thetas) -> tuple:
         """Vertex offsets and chord lengths for each direction theta of a 1-D array.
 
-        Returns (x, c) as (m, n) arrays: row i holds the offsets of the vertices
-        along n, relative to vertex 0 and sorted, and the lengths of the chords
-        in direction u through them; c is linear in between.  A chord spans the
-        points where its line meets the boundary: the vertices at its offset and
-        the edges whose ends lie strictly on either side.  So the chords at the
-        two extreme offsets are exactly 0, or the length of an edge parallel to u.
+        Returns (x, c) as (m, n) arrays: row i holds the offsets of the vertices along n,
+        relative to vertex 0 and sorted, and the chord lengths in direction u through them,
+        c linear in between: ``covariance_at``'s walk, merged by a stable sort of each row,
+        so O(n log n).  The extreme chords are exactly 0, or the length of an edge parallel to u.
         """
         thetas = np.asarray(thetas, dtype=float).reshape(-1)
-        rel = self.vertex_array - self.vertex_array[0]
-        cos, sin = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
-        along, off = rel[:, 0] * cos + rel[:, 1] * sin, rel[:, 1] * cos - rel[:, 0] * sin
-        c = np.empty_like(off)
-        step = max(1, _PAIR_ENTRIES // len(rel) ** 2)
-        for k in range(0, len(thetas), step):
-            a, p = along[k : k + step, None, :], off[k : k + step, None, :]  # [m, ., edge j]
-            x = off[k : k + step, :, None]  # [m, vertex i, .]: the chord through v_i
-            a1, p1 = np.roll(a, -1, axis=2), np.roll(p, -1, axis=2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                at = a + (x - p) / (p1 - p) * (a1 - a)
-            cross = (x - p) * (x - p1) < 0.0
-            top = np.maximum(np.where(cross, at, -np.inf).max(axis=2), np.where(x == p, a, -np.inf).max(axis=2))
-            bottom = np.minimum(np.where(cross, at, np.inf).min(axis=2), np.where(x == p, a, np.inf).min(axis=2))
-            c[k : k + step] = top - bottom
-        order = np.argsort(off, axis=1)
-        return np.take_along_axis(off, order, axis=1), np.take_along_axis(c, order, axis=1)
+        rel, (ex, ey), n = self.vertex_array - self.vertex_array[0], self.edge_directions.T, len(self.vertices)
+        cos, sin, rows = np.cos(thetas)[:, None], np.sin(thetas)[:, None], np.arange(len(thetas))[:, None]
+        off = rel[:, 1] * cos - rel[:, 0] * sin
+        order = np.argsort(off, axis=1, kind="stable")
+        x, steps = np.take_along_axis(off, order, axis=1), (order - order[:, :1]) % n
+        up, low = steps <= steps[:, -1:], (steps >= steps[:, -1:]) | (steps == 0)  # the extremes are on both
+        # a vertex's chord ends on the other chain, on the edge from its last vertex sorted at or below
+        # toward greater offsets: the lower chain rises as the index falls, the upper as it rises
+        last_low, last_up = (np.maximum.accumulate(np.where(chain, np.arange(n), 0), axis=1) for chain in (low, up))
+        lower = np.take_along_axis(order, np.where(up, last_low, last_up), axis=1)
+        upper = (lower + np.where(up, -1, 1)) % n
+        edge, near = np.where(up, upper, lower), np.where(x - off[rows, lower] <= off[rows, upper] - x, lower, upper)
+        den, d = cos * ey[edge] - sin * ex[edge], rel[order] - rel[near]
+        with np.errstate(divide="ignore", invalid="ignore"):  # u along the edge, or a vertex level with its nearer end
+            c = np.where((den == 0.0) | (x == off[rows, near]), np.abs(cos * d[..., 0] + sin * d[..., 1]),
+                         np.abs(self._chord_tables[2][order, edge, (near - edge) % n] / den))
+        # a vertex level with an extreme one shares its chord: the edge parallel to u
+        c[:, [0, -1]] = np.where(x[:, [1, -2]] == x[:, [0, -1]], c[:, [1, -2]], c[:, [0, -1]])
+        return x, c
 
     def line_integral(self, mean, quad, seeds=()):
         """Twice int_0^pi sum over the pieces of c of width * mean(lo, hi) dtheta.
@@ -548,16 +549,14 @@ class ConvexPolygon(Shape):
 
     @cached_property
     def _chord_tables(self) -> tuple:
-        """For the covariance walk, as lists: the vertices relative to the least of them (by
-        x, then y), the edges e_j = v_(j+1) - v_j, and for each vertex i and edge j the
-        cross products (v_i - v_j) x e_j and (v_i - v_(j+1)) x e_j."""
-        pts = self.vertex_array.tolist()
-        ends = pts[1:] + pts[:1]
-        edges = [(qx - px, qy - py) for (px, py), (qx, qy) in zip(pts, ends)]
-        areas = [[((vx - px) * ey - (vy - py) * ex, (vx - qx) * ey - (vy - qy) * ex)
-                  for (px, py), (qx, qy), (ex, ey) in zip(pts, ends, edges)] for vx, vy in pts]
+        """For the chord walks: the vertices relative to the least of them (by x, then y) and the
+        edges e_j = v_(j+1) - v_j as lists, and (v_i - v_(j+k)) x e_j as an (n, n, 2) array [i, j, k]."""
+        verts, edges = self.vertex_array, self.edge_directions
+        d = verts[:, None, None, :] - np.stack([verts, np.roll(verts, -1, axis=0)], axis=1)
+        areas = d[..., 0] * edges[:, None, 1] - d[..., 1] * edges[:, None, 0]
+        pts = verts.tolist()
         ox, oy = min(pts)
-        return [(x - ox, y - oy) for x, y in pts], edges, areas
+        return [(x - ox, y - oy) for x, y in pts], edges.tolist(), areas
 
     def covariance_at(self, y):
         """g(r u) = int (c_u(x) - r)_+ dx (see ``chord_table``), in floats.
@@ -601,13 +600,13 @@ class ConvexPolygon(Shape):
             # a vertex of one chain across an edge of the other, from the edge's nearer end:
             # the lower chain runs along its edges backwards
             if s1 <= t1:
-                z, v, e, end = s1, up[i], low[j], s1 - t0 <= t1 - s1
+                z, v, e, end = s1, up[i], low[j], int(s1 - t0 <= t1 - s1)
             else:
-                z, v, e, end = t1, low[j], up[i - 1], t1 - s0 > s1 - t1
+                z, v, e, end = t1, low[j], up[i - 1], int(t1 - s0 > s1 - t1)
             ex, ey = edges[e]
             den = ux * ey - uy * ex  # nonzero on a piece of positive width, barring rounding
             if den and s1 != t1:
-                c1 = abs(areas[v][e][end] / den)
+                c1 = abs(areas.item(v, e, end) / den)
             else:  # u along the edge, or v level with its nearer end
                 (vx, vy), (px, py) = rel[v], rel[(e + end) % n]
                 c1 = abs(ux * (vx - px) + uy * (vy - py))

@@ -146,6 +146,14 @@ class TestPsiF:
             assert psi == pytest.approx(direct, abs=1e-9)
             assert psi == pytest.approx(math.log(1.0 / t) + f_val, abs=1e-12)
 
+    def test_subnormal_t(self):
+        # 1/t overflows below t = 2^-1024; t = m / 2^k exactly, so ln(1/t) = k ln 2 - ln m
+        t = 1e-320
+        m, den = t.as_integer_ratio()
+        psi, f_val = psi_F(UnitBall(2), t)
+        assert f_val == pytest.approx(F_limit(UnitBall(2)), rel=1e-15)
+        assert psi == pytest.approx((den.bit_length() - 1) * math.log(2.0) - math.log(m) + f_val, rel=1e-15)
+
     @pytest.mark.parametrize("d", [1, 2, 7, 16])
     def test_finite_t_against_fixed_grid_oracle(self, d):
         # F(t) = ln(ell + sqrt(ell^2 + t^2)) + int_0^{asinh(ell/t)} (tanh^d - 1)

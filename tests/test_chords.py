@@ -7,6 +7,7 @@ integral have closed forms.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from conftest import SQUARE_GAMMA, benchmark_polygons, first_breakpoint, green_c
 
 TRIANGLE = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 THIN_QUADRILATERAL = ConvexPolygon([(0.0, 0.0), (5.0, 0.0), (5.1, 0.2), (0.0, 0.1)])
+FLAT_TRIANGLE = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.5, 1e-6)])
+ULP = 2.0**-52
 REFERENCE_SHAPES = [p for seed in (1, 2, 3) for p in benchmark_polygons(seed)] + [THIN_QUADRILATERAL]
 REFERENCE_IDS = [f"{k}-{seed}" for seed in (1, 2, 3) for k in ("triangle", "hexagon", "rotrect")]
 
@@ -38,9 +41,34 @@ def _chord_covariance(poly, theta, r):
     """int (c - r)_+ dx from the chord table: c is linear between the offsets."""
     x, c = poly.chord_table([theta])
     w, lo, hi = np.diff(x[0]), np.minimum(c[0, :-1], c[0, 1:]), np.maximum(c[0, :-1], c[0, 1:])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # a piece of zero width has lo = hi at a tie
         part = np.where(lo >= r, 0.5 * (lo + hi) - r, (hi - r) ** 2 / (2.0 * (hi - lo)))
-    return float(np.sum(np.where(hi > r, w * part, 0.0)))
+        return float(np.sum(np.where(hi > r, w * part, 0.0)))
+
+
+def _sorted_vertices(poly, thetas):
+    """The vertex indices in the order of ``chord_table``'s offsets, from the same float offsets."""
+    rel = poly.vertex_array - poly.vertex_array[0]
+    off = rel[:, 1] * np.cos(thetas)[:, None] - rel[:, 0] * np.sin(thetas)[:, None]
+    return np.argsort(off, axis=1, kind="stable")
+
+
+def _exact_chords(poly, theta):
+    """The chord through each vertex v, the length of {t : v + t u in P}, in exact rationals
+    from the float vertices and the float cos theta, sin theta."""
+    ux, uy = Fraction(float(np.cos(theta))), Fraction(float(np.sin(theta)))
+    verts = [(Fraction(x), Fraction(y)) for x, y in poly.vertex_array.tolist()]
+    chords = []
+    for vx, vy in verts:
+        lo, hi = [], []
+        for (px, py), (qx, qy) in zip(verts, verts[1:] + verts[:1]):
+            # inside edge pq: (q - p) x (v + t u - p) >= 0, a bound on t unless u is along pq
+            ex, ey = qx - px, qy - py
+            area, slope = ex * (vy - py) - ey * (vx - px), ex * uy - ey * ux
+            if slope:
+                (lo if slope > 0 else hi).append(-area / slope)
+        chords.append(min(hi) - max(lo))
+    return chords
 
 
 class TestChordTable:
@@ -52,6 +80,45 @@ class TestChordTable:
         x, c = Rectangle(1.5, 0.5).chord_table([0.0])
         np.testing.assert_array_equal(x, [[0.0, 0.0, 1.0, 1.0]])
         np.testing.assert_array_equal(c, [[3.0] * 4])
+
+    @pytest.mark.parametrize("poly", [FLAT_TRIANGLE, THIN_QUADRILATERAL], ids=["flat-triangle", "thin"])
+    def test_thin_chords_to_the_last_bits(self, poly):
+        # each chord is taken from the nearer end of the edge it meets, so it keeps its last bits
+        # where heights measured from one vertex would cancel
+        thetas = np.concatenate([np.linspace(0.0, math.pi, 150, endpoint=False),
+                                 0.5 * math.pi + np.linspace(-1e-5, 1e-5, 50)])
+        _, c = poly.chord_table(thetas)
+        for theta, row, order in zip(thetas, c, _sorted_vertices(poly, thetas)):
+            want = _exact_chords(poly, theta)
+            for got, vertex in zip(row.tolist(), order.tolist()):
+                assert abs(Fraction(got) - want[vertex]) <= 4 * ULP * want[vertex], (theta, vertex)
+
+    @pytest.mark.parametrize(
+        "poly", REFERENCE_SHAPES[:3] + [Rectangle(1.5, 0.5)], ids=REFERENCE_IDS[:3] + ["rectangle"]
+    )
+    def test_ties(self, poly):
+        # on an order change two vertices share an offset: the merge must still pick each chord
+        verts = poly.vertex_array
+        i, j = np.triu_indices(len(verts), 1)
+        exact = np.arctan2(*(verts[j] - verts[i]).T[::-1]) % math.pi  # unrounded: ties in the floats
+        thetas = np.array([*poly._order_changes, *exact, 0.0, 0.5 * math.pi])
+        x, c = poly.chord_table(thetas)
+        assert np.all(np.diff(x, axis=1) >= 0.0)
+        for theta, xs, row, order in zip(thetas, x, c, _sorted_vertices(poly, thetas)):
+            for end, inner in ((0, 1), (-1, -2)):
+                if xs[end] != xs[inner]:
+                    assert row[end] == 0.0, theta
+                else:  # u along the edge of the two extreme vertices
+                    length = math.dist(verts[order[end]], verts[order[inner]])
+                    assert row[end] == pytest.approx(length, rel=4 * ULP), theta
+            longest = row.max()
+            assert longest == support_radius_at(poly, theta)
+            assert abs(Fraction(longest) - max(_exact_chords(poly, theta))) <= 4 * ULP * longest, theta
+            u = np.array([[math.cos(theta), math.sin(theta)]])
+            for r in longest * np.array([0.05, 0.5, 0.95]):
+                assert _chord_covariance(poly, theta, r) == pytest.approx(
+                    green_covariance(poly, r * u)[0], abs=1e-13 * poly.geometry.volume
+                ), (theta, r)
 
     def test_longest_chord_is_the_support_radius(self):
         # the square's chord in direction theta is 2 / max(|cos|, |sin|), the _eta of the paper

@@ -13,6 +13,7 @@ from heatcov import (
     integrate_circle,
 )
 from heatcov.errors import ExtrapolationError, QuadratureError
+from heatcov.quadrature import _gk_panels
 
 
 class TestIntegrate1d:
@@ -114,6 +115,16 @@ class TestIntegrate1d:
         one, one_err = integrate_1d(lambda x: np.sqrt(x)[:, None], 0.0, 2.0, quad)
         assert one.shape == one_err.shape == (1,)
         assert one[0] == pytest.approx(integrate_1d(np.sqrt, 0.0, 2.0, quad)[0], abs=1e-12)
+
+    def test_a_column_keeps_its_bits_beside_others(self):
+        # a column's panel sums are those of the one-valued integrand, whatever shares the
+        # call: a (columns, 15) product a panel gave one column other last bits than two
+        lo = np.linspace(0.0, 2.0, 41)[:-1]
+        one = _gk_panels(np.sin, lo, lo + 0.05)
+        for f in (lambda x: np.sin(x)[:, None], lambda x: np.column_stack([np.sin(x), np.exp(x)]),
+                  lambda x: np.column_stack([np.sin(x), np.cos(x), x * x])):
+            for got, want in zip(_gk_panels(f, lo, lo + 0.05)[:2], one[:2]):
+                np.testing.assert_array_equal(got[:, 0], want[:, 0])
 
     @settings(max_examples=40, deadline=None)
     @given(coeffs=st.lists(st.floats(-5, 5), min_size=1, max_size=6))
