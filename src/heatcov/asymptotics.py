@@ -38,16 +38,13 @@ def _heat_and_R(shape: Shape, ts: Sequence[float], quad: QuadSpec, heat: bool = 
     # scaled by (t/ell)^(d+1)
     d, ell = geo.dim, geo.support_radius
     width = min(shape.min_width, ell) if d == 2 else ell  # in other dimensions the direct form needs c <= t
-    kernels, scale = kernel.chord_kernels(d, ts, ell, heat, big_r, width), None
+    kernels, scale, ts_list = kernel.chord_kernels(d, ts, ell, heat, big_r, width), None, ts.tolist()
     direct = ts >= width
-    if float(ts.max()) >= width:
+    if max(ts_list) >= width:
         h_scale = np.where(direct, np.hypot(ts, ell) ** (d + 1) / (kernel.kappa(d) * ts * geo.volume**2), 1.0)
         scale = np.concatenate([h_scale] * heat + [np.where(ts >= ell, (ts / ell) ** (d + 1), 1.0)] * big_r)
-
-    def mean(lo, hi):
-        return kernels(lo, hi) if scale is None else kernels(lo, hi) * scale
-
-    value, _ = shape.line_integral(mean, quad, seeds=shape.scale_seeds(ts))
+    mean = kernels if scale is None else lambda lo, hi: kernels(lo, hi) * scale
+    value, _ = shape.line_integral(mean, quad, seeds=shape.scale_seeds(ts_list))
     if scale is not None:
         value = value / scale
     if heat:

@@ -183,69 +183,50 @@ def z_minus_asinh_mean(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
 # With A = atan(c/t), sin A = X, every kernel is built from
 #   T_n = int_0^A sin^(n+1)/cos = sum over k = n+2, n+4, ... of X^k / k,
 #   S_n = int_0^A sin^n and I_n = int_0^(pi/2 - A) cos^n = S_n(pi/2) - S_n.
-# Below the diameter (t < ell) T_n and I_n are recurrences; from it up, where c <= t and
-# X^2 <= 1/2, T_n and S_n are series with terms enough for the largest X^2.
+# Below the diameter (t < ell) T_n and I_n are recurrences, whose unrolled sums are polynomials
+# in X^2 summed by Horner's rule; from it up, where c <= t and X^2 <= 1/2, T_n and S_n are
+# series, one power table of X^2 for both, with terms enough for the largest X^2.
 
-@lru_cache(maxsize=None)
-def _series(first: int, central: bool) -> np.ndarray:
-    """Coefficients b_j / (first + 2j), j < 60, with b_j = 1 or C(2j, j)/4^j."""
-    b = np.cumprod([1.0] + [(2 * j - 1) / (2 * j) if central else 1.0 for j in range(1, 60)])
-    return b / (first + 2.0 * np.arange(60))
-
-
-def _power_series(coef: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """sum over j of coef[j] x2^j for x2 <= 1/2, a sum of positive terms, to as many terms as
-    max(x2)^j needs to fall below 2^-56."""
-    top = float(x2.max(initial=0.0))
-    terms = min(len(coef), math.ceil(56.0 * math.log(2.0) / -math.log(top))) if top > 0.0 else 1
-    return x2[..., None] ** np.arange(terms) @ coef[:terms]
+def _horner(coefs: list, x2: np.ndarray) -> np.ndarray:
+    """sum over j of coefs[j] x2^j, for at least two float coefs, by Horner's rule in place
+    on one array of the shape of x2."""
+    acc = coefs[-1] * x2 + coefs[-2]
+    for c in coefs[-3::-1]:
+        acc *= x2
+        acc += c
+    return acc
 
 
 @lru_cache(maxsize=None)
 def _recurrence_terms(n: int) -> tuple:
-    """The unrolled recurrences of T_n and I_n: (k, 1/k) over k = n, n-2, ... >= 1 for
-    T_n = T_(n mod 2) - sum of sin^k A / k, and (k - 1, w_k, W) over k = n, n-2, ... >= 2
-    for I_n = cos A sum of w_k sin^(k-1) A + W I_(n mod 2)."""
-    ks = np.arange(n, 0, -2, dtype=float)
-    js = np.arange(n, 1, -2, dtype=float)
-    ratios = np.cumprod(np.concatenate([[1.0], (js - 1.0) / js]))  # products over j > k, then all
-    return ks, 1.0 / ks, js - 1.0, ratios[:-1] / js, ratios[-1]
+    """The recurrences of T_n and I_n unrolled into ``_horner`` coefficients: with p = 2 - n mod 2,
+    T_n = T_(n mod 2) - X^p sum_j X^(2j)/(p + 2j) over p + 2j <= n, and
+    I_n = cos A X^(3-p) sum_j w_(4-p+2j) X^(2j) + W I_(n mod 2), where
+    w_k = (the product of (j - 1)/j over j = n, n - 2, ..., k + 2)/k and W is that product down to
+    j = 2.  Returns (the T coefficients, the I coefficients, W), the lists padded with zeros to two."""
+    ratio, w = 1.0, {}
+    for k in range(n, 1, -2):
+        w[k] = ratio / k
+        ratio *= (k - 1) / k
+    rows = [(1.0 / k, w.get(k + 2 * (n % 2), 0.0)) for k in range(2 - n % 2, n + 1, 2)]
+    t_coefs, i_coefs = map(list, zip(*rows + [(0.0, 0.0)] * (2 - len(rows))))
+    return t_coefs, i_coefs, ratio
 
 
-def _tan_sin_integral(n: int, x: np.ndarray, sin: np.ndarray, series: bool) -> np.ndarray:
-    """T_n(A) at arrays x = tan A and sin = sin A.
-
-    T_0 = ln sec A or T_1 = asinh(tan A) - sin A starts the recurrence
-    T_n = T_(n-2) - sin^n A / n, unrolled, which keeps absolute accuracy only: where
-    relative accuracy is needed, at sin A <= 1/sqrt(2), T_n is its series in sin A, as
-    ``_a_minus_sin`` does it.
-    """
-    if series and n:
-        return sin ** (n + 2) * _power_series(_series(n + 2, False), sin * sin)
-    base = np.arcsinh(x) if n % 2 else 0.5 * np.log1p(x * x)
-    if n == 0:
-        return base
-    ks, inverse = _recurrence_terms(n)[:2]
-    return base - sin[..., None] ** ks @ inverse
+def _recurrence_sums(n: int, sin: np.ndarray) -> tuple:
+    """(the sum of X^k / k over k = n, n - 2, ... >= 1, the sum of w_k X^(k-1) over
+    k = n, n - 2, ... >= 2) at X = sin A, with the w_k of ``_recurrence_terms``."""
+    x2, (t_coefs, i_coefs, _) = sin * sin, _recurrence_terms(n)
+    low, high = (sin, x2) if n % 2 else (x2, sin)
+    return low * _horner(t_coefs, x2), high * _horner(i_coefs, x2)
 
 
-def _sin_power_integral(n: int, x: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """S_n(A) = int_0^A sin^n at arrays x = tan A <= 1 and sin = sin A, by its series in
-    sin A; S_0 = A."""
-    if n == 0:
-        return np.arctan(x)
-    return sin ** (n + 1) * _power_series(_series(n + 1, True), sin * sin)
-
-
-def _cos_power_integral(n: int, x: np.ndarray, sin: np.ndarray, cos: np.ndarray) -> np.ndarray:
-    """I_n(A) = int_0^B cos^n, B = pi/2 - A, at arrays x = tan A, sin A and cos A, by the
-    reduction I_n = cos^(n-1) B sin B / n + (n-1)/n I_(n-2) from I_0 = B, I_1 = sin B,
-    unrolled: a sum of positive terms that keeps its digits as B -> 0."""
-    base = cos if n % 2 else np.arctan2(1.0, x)
-    if n < 2:
-        return base
-    _, _, powers, weights, last = _recurrence_terms(n)
-    return cos * (sin[..., None] ** powers @ weights) + last * base
+@lru_cache(maxsize=None)
+def _series_terms(n: int) -> np.ndarray:
+    """The series of T_n and S_n, a column each, j < 60: T_n = X^(n+2) sum_j X^(2j)/(n + 2 + 2j)
+    and S_n = X^(n+1) sum_j b_j X^(2j)/(n + 1 + 2j), b_j = C(2j, j)/4^j."""
+    b, two_j = np.cumprod([1.0] + [(2 * j - 1) / (2 * j) for j in range(1, 60)]), 2.0 * np.arange(60)
+    return np.column_stack([1.0 / (n + 2 + two_j), b / (n + 1 + two_j)])
 
 
 def chord_kernels(d: int, ts, ell: float, heat: bool = True, big_r: bool = True, width: float = math.inf) -> Callable:
@@ -258,47 +239,59 @@ def chord_kernels(d: int, ts, ell: float, heat: bool = True, big_r: bool = True,
     - (c/t)(S_(d-1)(A_ell) - S_(d-1)(A))], the S difference taken as I(A) - I(A_ell) for
     t < ell.  In d = 2 these are exact means over a piece on which c runs linearly, through
     ``asinh_mean`` and G(z) = z - asinh z (``z_minus_asinh_mean``), with R written from ell
-    up as kappa_2 [G(c/t) - G(ell/t) + G'(ell/t)(ell - c)/t]; in other dimensions a piece is
-    one chord, lo = hi, and the width must be the diameter.  Returns mean(lo, hi): an array of the
-    shape of lo with a last axis of len(ts) H columns (if heat), then len(ts) R columns (if
-    big_r).
+    up as kappa_2 [G(c/t) - G(ell/t) + G'(ell/t)(ell - c)/t].  In other dimensions a piece is
+    one chord, lo = hi, the width must be the diameter, and below it the sums of T and I are
+    Horner sums in sin^2 A (``_recurrence_terms``).  Returns mean(lo, hi): an array of the shape
+    of lo with a last axis of len(ts) H columns (if heat), then len(ts) R columns (if big_r).
     """
     ts = np.asarray(ts, dtype=float)
     # the kernels square tan A up to ell/t, which overflows from ell/t ~ 1.3e154
-    if ell > MAX_SCALE * float(ts.min()):
+    if ell > MAX_SCALE * min(ts.tolist()):
         least = f"{ell / MAX_SCALE:g}, the least supported t ({1 / MAX_SCALE:g} times the diameter)"
         raise DomainError(f"t = {ts.min():g} is below {least}")
     kap, n, width = kappa(d), d - 1, min(width, ell)
+    last, series = _recurrence_terms(n)[2], _series_terms(n)
 
     def parts(x, below):
-        """(T_n, I_n) below the diameter, (T_n, S_n) from it up, at tan A = x, for d != 2."""
+        """(T_n, I_n) below the diameter, (T_n, S_n) from it up, at tan A = x, for d != 2.  Below, the
+        recurrences start from T_0 = ln sec A or T_1 = asinh(tan A) - sin A (absolute accuracy only)
+        and I_0 = pi/2 - A or I_1 = cos A (positive terms); from it up the series keep relative
+        accuracy, to as many terms as the largest X^2 needs."""
         root = np.sqrt(1.0 + x * x)
         sin = x / root
-        tee = _tan_sin_integral(n, x, sin, not below)
-        return tee, _cos_power_integral(n, x, sin, 1.0 / root) if below else _sin_power_integral(n, x, sin)
+        if below:
+            (tee, rest), cos = _recurrence_sums(n, sin), 1.0 / root
+            base = cos if n % 2 else np.arctan2(1.0, x)
+            return (np.arcsinh(x) if n % 2 else 0.5 * np.log1p(x * x)) - tee, cos * rest + last * base
+        x2, power = sin * sin, sin ** (n + 1)
+        top = float(x2.max(initial=0.0))
+        terms = math.ceil(56.0 * math.log(2.0) / -math.log(top)) if top > 0.0 else 1
+        sums = x2[..., None] ** np.arange(terms) @ series[:terms]
+        return power * sin * sums[..., 0], power * sums[..., 1]
 
     # the columns in three groups: below the width, from it to the diameter, from that up
     side = [(t >= width) + (t >= ell) for t in ts.tolist()]
     sides = [cols for cols in ([i for i, k in enumerate(side) if k == g] for g in range(3)) if cols]
     groups = []  # (t, ell/t, whether H is direct, whether t < ell, the terms at c = ell)
     for cols in sides:
-        t = ts[cols]
-        x_ell, below = ell / t, t[0] < ell
-        root = np.sqrt(1.0 + x_ell * x_ell)
-        if d != 2:
-            at_ell = parts(x_ell, below)
-        elif below:
-            at_ell = np.arcsinh(x_ell), 1.0 / root
-        else:
+        t, k = ts[cols], side[cols[0]]
+        x_ell, below, at_ell = ell / t, k < 2, (None, None)  # d != 2 needs none: see ride
+        if d == 2 and below:
+            at_ell = np.arcsinh(x_ell), 1.0 / np.sqrt(1.0 + x_ell * x_ell)
+        elif d == 2:
+            root = np.sqrt(1.0 + x_ell * x_ell)
             at_ell = z_minus_asinh_mean(x_ell, x_ell), x_ell * x_ell / (root * (1.0 + root))  # G, G'
-        groups.append((t, x_ell, t[0] >= width, below, at_ell))
+        groups.append((t, x_ell, k > 0, below, at_ell))
     # put the columns back in the order of ts
     order = None if len(sides) < 2 else np.argsort(sum(sides, []))
     if order is not None and heat and big_r:
         order = np.concatenate([order, order + len(ts)])
+    ride = big_r and d != 2  # c = ell rides along as a last node: R's terms there need no call of their own
 
     def mean(lo, hi):
         lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
+        if ride:
+            shape, hi = hi.shape[:-1], np.append(hi, ell)[:, None]
         h_cols, r_cols = [], []
         for t, x_ell, direct, below, (first, second) in groups:
             x = hi / t
@@ -313,10 +306,11 @@ def chord_kernels(d: int, ts, ell: float, heat: bool = True, big_r: bool = True,
             else:
                 tee, rest = parts(x, below)
                 h_cols.append(t * tee + hi * rest if below else hi * rest - t * tee)
-                if big_r:
-                    r_cols.append(first - tee - x * (rest - second if below else second - rest))
+                if big_r:  # the last row is c = ell
+                    r_cols.append(tee[-1] - tee - x * (rest - rest[-1] if below else rest[-1] - rest))
         cols = h_cols * heat + r_cols * big_r
         out = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
+        out = out[:-1].reshape(*shape, -1) if ride else out
         return kap * (out if order is None else out[..., order])
 
     return mean

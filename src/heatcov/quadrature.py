@@ -56,17 +56,16 @@ def _gk_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nda
     Returns (K15 values, error estimates), each a (panels, columns) array, and
     whether f returned one value per node rather than a row of columns.
     """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _NODES
+    half = (0.5 * (hi - lo))[:, None]
+    x = (0.5 * (lo + hi))[:, None] + half * _NODES
     with np.errstate(all="ignore"):  # a non-finite sum raises below; an infinite (200 diff)^1.5 is harmless
         fx = np.asarray(f(x.ravel()))
-        single = fx.ndim == 1
-        fx = np.reshape(fx, (*x.shape, -1))
+        single, fx = fx.ndim == 1, fx.reshape(*x.shape, -1)
         # one contiguous (panels, 15) product a column, as for a one-valued f: a (columns, 15)
-        # product a panel would take a column's bits from how many columns share the call
-        g, k = (np.ascontiguousarray(np.moveaxis(fx, 2, 0)) @ _WEIGHTS).T
-        total, diff = k.sum(), half[:, None] * np.abs(k - g)
+        # product a panel would take a column's bits from how many columns share the call.
+        # Plain methods (transpose, copy, sum) keep the round's fixed NumPy cost low
+        g, k = (fx.transpose(2, 0, 1).copy() @ _WEIGHTS).T
+        total, diff = k.sum(), half * np.abs(k - g)
         err = np.minimum(diff, (200.0 * diff) ** 1.5)
     if not math.isfinite(total):
         bad = np.argwhere(~np.isfinite(fx))
@@ -75,7 +74,7 @@ def _gk_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nda
             raise QuadratureError(f"non-finite integrand sample f({float(x[p, q])!r}) = {float(fx[p, q, j])!r}: "
                                   "the integral probably diverges there")
         raise QuadratureError("Kronrod sum overflows on a panel")
-    return half[:, None] * k, err, single
+    return half * k, err, single
 
 
 def integrate_1d(
@@ -138,7 +137,7 @@ def integrate_1d(
         stuck = (mid <= s_lo) | (mid >= s_hi)
         if stuck.any():
             raise QuadratureError(f"panel [{s_lo[stuck][0]}, {s_hi[stuck][0]}] cannot be split further")
-        new_lo, new_hi = np.column_stack([s_lo, mid]).ravel(), np.column_stack([mid, s_hi]).ravel()
+        new_lo, new_hi = np.array([s_lo, mid]).T.ravel(), np.array([mid, s_hi]).T.ravel()
         new_val, new_err, _ = _gk_panels(f, new_lo, new_hi)
         keep = np.ones(len(lo), dtype=bool)
         keep[split] = False

@@ -117,8 +117,9 @@ class Shape(ABC):
         """How many of n draws of X - y land in the shape, X uniform on it; see ``heat_hits``."""
 
     @abstractmethod
-    def gamma(self, s: np.ndarray, quad: QuadSpec) -> np.ndarray:
-        """gamma(ell * s) for each s in (0, 1] of a 1-D array."""
+    def gamma(self, s, quad: QuadSpec):
+        """gamma(ell * s) for s in (0, 1]: a float (or a 0-d array) for a float, as
+        ``kernel.cos_power_deficit`` takes it, or an array for each s of a 1-D array."""
 
     def gamma_weighted_integral(self, quad: QuadSpec) -> tuple:
         """(value, err) of int_0^1 gamma(ell s)/s ds, the class-W integral.  The default is
@@ -159,10 +160,10 @@ class UnitBall(Shape):
             return _one_chord(mean, 2.0)
         weight = kernel.unit_sphere_area(d) * kernel.unit_sphere_area(d - 1)
 
-        def per_angle(psi):
+        def per_angle(psi):  # one piece a node: each row of means times its weight
             sin = np.sin(psi)
-            c = 2.0 * sin[:, None]
-            return _piece_sum((weight * np.cos(psi) ** (d - 2) * sin)[:, None], mean(c, c))
+            c = 2.0 * sin
+            return (mean(c, c).T * (weight * np.cos(psi) ** (d - 2) * sin)).T
 
         return integrate_1d(per_angle, 0.0, 0.5 * math.pi, quad, points=seeds)
 
@@ -252,12 +253,17 @@ class UnitBall(Shape):
         return int(np.count_nonzero(np.less_equal(c, 1.0 - norm * norm, out=b.view(bool)[:n])))
 
     def gamma(self, s, quad):
-        """gamma_B(2s) = A_d w_{d-1} / s * int_0^{asin s} (cos - cos^d)."""
+        """gamma_B(2s) = A_d w_{d-1} / s * int_0^{asin s} (cos - cos^d), in floats for a float s."""
         if self.gamma_vanishes:
-            return np.zeros_like(s)
+            return 0.0 * s
         d = self.d
         w_dm1 = kernel.unit_ball_volume(d - 1)
         return kernel.unit_sphere_area(d) * w_dm1 * kernel.cos_power_deficit(d, s) / s
+
+    def gamma_weighted_integral(self, quad):
+        """Seeds s = 1 - 4^-k, k = 1..4, in even d, where gamma_B(2s) has a (1 - s)^((d+1)/2) term."""
+        seeds = [1.0 - 4.0**-k for k in range(1, 5)] if self.d % 2 == 0 else []
+        return integrate_1d(lambda s: gamma(self, s, quad) / s, 0.0, 1.0, quad, points=seeds)
 
 
 @dataclass(frozen=True)
@@ -519,7 +525,7 @@ class ConvexPolygon(Shape):
         the mean 1/(2 hi): gamma(r) = r Q, Q one line integral kept per QuadSpec.  The
         r beyond r_1 share one, a column each, seeded at ``_circle_crossing_kinks``.
         """
-        r = self.geometry.support_radius * s
+        r = self.geometry.support_radius * np.atleast_1d(s)
         near, slopes = r <= self.first_breakpoint, self.__dict__.setdefault("_gamma_slopes", {})
         if near.any() and quad not in slopes:
             slopes[quad], _ = self.line_integral(lambda lo, hi: np.where((lo == 0.0) & (hi > 0.0), 0.5 / hi, 0.0), quad)
@@ -534,7 +540,7 @@ class ConvexPolygon(Shape):
 
             value, _ = self.line_integral(mean, quad, seeds=self._circle_crossing_kinks(far))
             out[~near] = far * value
-        return out
+        return out.reshape(np.shape(s))
 
     def gamma_weighted_integral(self, quad):
         ell = self.geometry.support_radius
@@ -717,7 +723,7 @@ class Interval(Shape):
         return int(np.count_nonzero(self._inside(x, spare)))
 
     def gamma(self, s, quad):
-        return np.zeros_like(s)
+        return 0.0 * s
 
 
 def _real(x) -> float:
@@ -810,15 +816,15 @@ def support_radius_at(shape: Shape, theta: float) -> float:
 def gamma(shape: Shape, s, quad: QuadSpec = QuadSpec()):
     """gamma(ell * s): spherical deficit between V_u/2 and the covariance slope, for
     one s in (0, 1], a float, or for each s of a 1-D array."""
-    ss = np.asarray(s, dtype=float)
-    single, ss = ss.ndim == 0, ss.reshape(-1)
-    if not np.all((0.0 < ss) & (ss <= 1.0)):
+    single = np.ndim(s) == 0
+    ss = float(s) if single else np.asarray(s, dtype=float).reshape(-1)
+    if not (0.0 < ss <= 1.0 if single else np.all((0.0 < ss) & (ss <= 1.0))):
         raise DomainError(f"s must lie in (0, 1], got {s}")
-    values = shape.gamma(ss, quad)
-    i = np.argmin(values)
-    if values[i] < -1e-8:
-        raise QuadratureError(f"gamma({ss[i]}) = {values[i]} < 0 violates the slope bound")
-    return float(values[0]) if single else values
+    values = shape.gamma(ss, quad)  # a float, or a 0-d array, for one s
+    low, at = (float(values), ss) if single else (values.min(), ss[np.argmin(values)])
+    if low < -1e-8:
+        raise QuadratureError(f"gamma({at}) = {low} < 0 violates the slope bound")
+    return low if single else values
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,14 @@ from heatcov import (
     unit_sphere_area,
 )
 from heatcov.errors import DomainError
-from heatcov.kernel import _ASINH_SERIES, _a_minus_sin, asinh_mean, cos_power_deficit, z_minus_asinh_mean
+from heatcov.kernel import (
+    _ASINH_SERIES,
+    _a_minus_sin,
+    _recurrence_sums,
+    asinh_mean,
+    cos_power_deficit,
+    z_minus_asinh_mean,
+)
 
 from conftest import simpson
 
@@ -165,6 +172,31 @@ class TestCosPowerDeficit:
     def test_series_matches_term_by_term_sum(self):
         a = np.linspace(0.0, math.pi / 2.0, 2001)[1:]
         np.testing.assert_allclose(_a_minus_sin(a), _a_minus_sin_loop(a), rtol=1e-15, atol=0.0)
+
+
+def _recurrence_sums_exact(n, sin):
+    """The sums of the unrolled T_n and I_n recurrences in exact rationals at the float sin A:
+    sum of X^k / k over k = n, n - 2, ... >= 1, and sum of w_k X^(k-1) over k = n, n - 2, ... >= 2
+    with w_k = (the product of (j - 1)/j over j = n, n - 2, ..., k + 2)/k."""
+    x = Fraction(sin)
+    tee = sum(x**k / k for k in range(n, 0, -2))
+    ratio, rest = Fraction(1), Fraction(0)
+    for k in range(n, 1, -2):
+        rest += ratio / k * x ** (k - 1)
+        ratio *= Fraction(k - 1, k)
+    return tee, rest
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_recurrence_sums_are_within_4_ulps_of_exact(n):
+    # Horner in sin^2 A on 200 points of sin A in [0, 1), dense near 0 and near 1; the
+    # transcendental bases T_0, T_1, I_0 and I_1 are not part of the sums
+    sines = np.concatenate([[0.0], np.geomspace(1e-9, 0.5, 100), 1.0 - np.geomspace(1e-12, 0.5, 99)])
+    tee, rest = _recurrence_sums(n, sines)
+    for got, s in zip(zip(tee.tolist(), rest.tolist()), sines.tolist()):
+        for value, want in zip(got, _recurrence_sums_exact(n, s)):
+            ulp = Fraction(float(np.spacing(float(want)))) if want else Fraction(0)
+            assert abs(Fraction(value) - want) <= 4 * ulp, (n, s, value, float(want))
 
 
 def _z_minus_asinh_mean_unmasked(a0, a1):

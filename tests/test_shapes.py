@@ -292,6 +292,18 @@ def test_batch_matches_single_points(shape, quad):
         np.testing.assert_array_equal(batch, singles)
 
 
+@pytest.mark.parametrize("shape", [Rectangle(1.0, 1.0), *benchmark_polygons(1)],
+                         ids=["square", "triangle", "hexagon", "rotated-rectangle"])
+def test_polygon_gamma_of_one_s_matches_the_batch(shape, quad):
+    # one s is a float with the bits of a batch of one; a longer batch refines its far s on
+    # shared panels, so it agrees with single calls within a few ulps
+    ss = np.array([2.0**-30, 0.01, 0.3, 0.5, 0.7, 0.9, 1.0])
+    singles = [gamma(shape, s, quad) for s in ss.tolist()]
+    assert all(type(v) is float for v in singles)
+    assert singles == [float(gamma(shape, ss[i : i + 1], quad)[0]) for i in range(len(ss))]
+    np.testing.assert_allclose(gamma(shape, ss, quad), singles, rtol=4.0 * np.finfo(float).eps, atol=0.0)
+
+
 class TestPerimeterIdentity:
     # Cauchy's formula: one line integral of k = 1 in every dimension; the inputs past the
     # first of each test hold it within 1e-13 of the closed-form perimeter
@@ -495,6 +507,14 @@ class TestBall:
     def test_d1_gamma_vanishes(self):
         assert UnitBall(1).gamma_vanishes
         assert gamma(UnitBall(1), 1.0) == 0.0
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_gamma_of_one_s_is_a_float_with_the_batch_bits(self, d):
+        # one s runs the closed form in Python floats, through cos_power_deficit's float path
+        for s in (2.0**-32, 2.0**-8, 0.3, 0.7, 1.0):
+            one = gamma(UnitBall(d), s)
+            assert type(one) is float
+            assert one.hex() == float(gamma(UnitBall(d), np.array([s]))[0]).hex(), (d, s)
 
 
 def _count_integrand_calls(monkeypatch):
