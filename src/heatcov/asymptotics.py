@@ -20,37 +20,36 @@ from .shapes import Shape, gamma_weighted_integral, geometry
 # ---------------------------------------------------------------------------
 
 def _heat_and_R(shape: Shape, ts: Sequence[float], quad: QuadSpec, heat: bool = True, big_r: bool = True):
-    """(H, R) at each t of ts, as arrays, from one ``line_integral`` of the chord kernels.
+    """(H, R) at each t of ts, as lists, from one ``line_integral`` of the chord kernels.
 
     H is clamped to [0, |Omega|]; either is None unless asked for, and R vanishes where
     gamma does.
     """
     geo = geometry(shape)
-    ts = np.array(ts, dtype=float)
-    h, r = None, (np.zeros(len(ts)) if big_r else None)
+    h, r = None, ([0.0] * len(ts) if big_r else None)
     big_r = big_r and not shape.gamma_vanishes
     if not (heat or big_r):
         return h, r
 
+    d, ell = geo.dim, geo.support_radius
+    width = min(shape.min_width, ell) if d == 2 else ell  # in other dimensions the direct form needs c <= t
+    kernels = mean = kernel.chord_kernels(d, ts, ell, heat, big_r, width)
+    direct = [t >= width for t in ts]
     # from the least width and the diameter up, H and R fall like t^-d and t^-(d+1), so the
     # absolute tolerance would swallow them: there the H columns, now H itself, are divided
     # by their lower bound kappa_d t |Omega|^2 (t^2 + ell^2)^(-(d+1)/2) and the R columns
     # scaled by (t/ell)^(d+1)
-    d, ell = geo.dim, geo.support_radius
-    width = min(shape.min_width, ell) if d == 2 else ell  # in other dimensions the direct form needs c <= t
-    kernels, scale, ts_list = kernel.chord_kernels(d, ts, ell, heat, big_r, width), None, ts.tolist()
-    direct = ts >= width
-    if max(ts_list) >= width:
-        h_scale = np.where(direct, np.hypot(ts, ell) ** (d + 1) / (kernel.kappa(d) * ts * geo.volume**2), 1.0)
-        scale = np.concatenate([h_scale] * heat + [np.where(ts >= ell, (ts / ell) ** (d + 1), 1.0)] * big_r)
-    mean = kernels if scale is None else lambda lo, hi: kernels(lo, hi) * scale
-    value, _ = shape.line_integral(mean, quad, seeds=shape.scale_seeds(ts_list))
-    if scale is not None:
-        value = value / scale
+    if any(direct):
+        t = np.array(ts)
+        h_scale = np.where(direct, np.hypot(t, ell) ** (d + 1) / (kernel.kappa(d) * t * geo.volume**2), 1.0)
+        scale = np.concatenate([h_scale] * heat + [np.where(t >= ell, (t / ell) ** (d + 1), 1.0)] * big_r)
+        mean = lambda lo, hi: kernels(lo, hi) * scale  # noqa: E731
+    value, _ = shape.line_integral(mean, quad, seeds=shape.scale_seeds(ts))
+    value = (value if mean is kernels else value / scale).tolist()
     if heat:
         # below the least width the kernel is the deficit |Omega| - H, from it up H itself
-        h = np.where(direct, value[: len(ts)], geo.volume - value[: len(ts)])
-        h = np.minimum(np.maximum(h, 0.0), geo.volume)
+        vol = geo.volume
+        h = [min(max(v if up else vol - v, 0.0), vol) for v, up in zip(value, direct)]
     if big_r:
         r = value[-len(ts):]
     return h, r
@@ -151,7 +150,7 @@ def decompositions(shape: Shape, ts: Sequence[float], quad: QuadSpec = QuadSpec(
     geo = geometry(shape)
     hs, rs = _heat_and_R(shape, ts, quad)
     rows = []
-    for t, h, r in zip(ts, hs.tolist(), rs.tolist()):
+    for t, h, r in zip(ts, hs, rs):
         pot, psi, f_val, d_val = _quotient(shape, t, r)
         residual = (geo.volume - h) - (
             geo.volume * pot * t + geo.perimeter / math.pi * t * psi - t * r
@@ -198,7 +197,7 @@ def third_term(
     if len(ts) < 4 or any(a <= b for a, b in zip(ts, ts[1:])):
         raise DomainError("t_grid must be strictly decreasing with >= 4 points")
     _, rs = _heat_and_R(shape, ts, quad, heat=False)
-    samples = [(t, _quotient(shape, t, r)[-1]) for t, r in zip(ts, rs.tolist())]
+    samples = [(t, _quotient(shape, t, r)[-1]) for t, r in zip(ts, rs)]
     fit = extrapolate_limit(samples)
     return ThirdTermReport(
         C_formula=c_formula,

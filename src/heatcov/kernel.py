@@ -152,25 +152,30 @@ def asinh_mean(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
 
 # z - asinh z = sum over k >= 1 of _ASINH_SERIES[k - 1] z^(2k+1)
 _ASINH_SERIES = [(-1) ** (k + 1) * math.comb(2 * k, k) / 4**k / (2 * k + 1) for k in range(1, 15)]
+# the mean of z^(2k+1) over [a0, a1] is (a0 + a1) g_k / (2k + 2), g_k = the sum over i + j = k of
+# a1^(2i) a0^(2j); 24 times the series' mean over a0 + a1, less g_1, sums a1^(2i) _ASINH_MEAN[i, j] a0^(2j)
+_ASINH_MEAN = np.array([[24.0 * _ASINH_SERIES[i + j - 1] / (2 * (i + j) + 2) if 2 <= i + j <= 14 else 0.0
+                         for j in range(15)] for i in range(15)])
 
 
 def z_minus_asinh_mean(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     """Mean of z - asinh z over [a0, a1], 0 <= a0 <= a1, arrays of one shape.
 
-    Where a1 <= 1/4 the difference cancels, so it is summed as a series: the mean
-    of z^p over the piece is h_p / (p + 1), h_p = sum of a1^i a0^(p - i), a sum of
-    nonnegative terms.  Each element takes only its own branch.
+    Where a1 <= 1/4 the difference cancels, so it is summed as a series: one table of the
+    powers of a0^2 and a1^2 times the coefficients ``_ASINH_MEAN``, with the leading term
+    (a0 + a1)(a0^2 + a1^2)/24 kept apart.  Each element takes only its own branch.
     """
     small, out = a1 <= 0.25, np.empty(a1.shape)
     if small.any():
         lo, hi = a0[small], a1[small]
-        series, h, power = np.zeros_like(hi), np.ones_like(hi), np.ones_like(hi)
-        for p in range(1, 2 * len(_ASINH_SERIES) + 2):
-            power = power * hi
-            h = power + lo * h
-            if p >= 3 and p % 2:
-                series += _ASINH_SERIES[(p - 3) // 2] * h / (p + 1)
-        out[small] = series
+        n, squares = len(hi), np.concatenate((hi * hi, lo * lo))
+        rows, k = np.empty((15, 2 * n)), 2  # the powers 0..14 of squares, each a product of a few
+        rows[0], rows[1] = 1.0, squares
+        while k < 15:
+            rows[k : 2 * k] = rows[: min(k, 15 - k)] * (rows[k - 1] * squares)
+            k *= 2
+        rest = np.sum(rows[:, :n] * (_ASINH_MEAN @ rows[:, n:]), axis=0)
+        out[small] = (hi + lo) * (squares[:n] + squares[n:] + rest) / 24.0
     if not small.all():
         lo, hi = a0[~small], a1[~small]
         out[~small] = 0.5 * (lo + hi) - asinh_mean(lo, hi)
@@ -178,47 +183,38 @@ def z_minus_asinh_mean(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The chord kernels of H and R
+# The chord kernels of H and R (README, *The chord measure*)
 # ---------------------------------------------------------------------------
-# With A = atan(c/t), sin A = X, every kernel is built from
-#   T_n = int_0^A sin^(n+1)/cos = sum over k = n+2, n+4, ... of X^k / k,
-#   S_n = int_0^A sin^n and I_n = int_0^(pi/2 - A) cos^n = S_n(pi/2) - S_n.
-# Below the diameter (t < ell) T_n and I_n are recurrences, whose unrolled sums are polynomials
-# in X^2 summed by Horner's rule; from it up, where c <= t and X^2 <= 1/2, T_n and S_n are
-# series, one power table of X^2 for both, with terms enough for the largest X^2.
-
-def _horner(coefs: list, x2: np.ndarray) -> np.ndarray:
-    """sum over j of coefs[j] x2^j, for at least two float coefs, by Horner's rule in place
-    on one array of the shape of x2."""
-    acc = coefs[-1] * x2 + coefs[-2]
-    for c in coefs[-3::-1]:
-        acc *= x2
-        acc += c
-    return acc
-
 
 @lru_cache(maxsize=None)
 def _recurrence_terms(n: int) -> tuple:
-    """The recurrences of T_n and I_n unrolled into ``_horner`` coefficients: with p = 2 - n mod 2,
+    """The recurrences of T_n and I_n unrolled into Horner coefficients: with p = 2 - n mod 2,
     T_n = T_(n mod 2) - X^p sum_j X^(2j)/(p + 2j) over p + 2j <= n, and
     I_n = cos A X^(3-p) sum_j w_(4-p+2j) X^(2j) + W I_(n mod 2), where
     w_k = (the product of (j - 1)/j over j = n, n - 2, ..., k + 2)/k and W is that product down to
-    j = 2.  Returns (the T coefficients, the I coefficients, W), the lists padded with zeros to two."""
+    j = 2.  Returns (the T coefficients, the I coefficients, W), the lists [0.0] in d = 1."""
     ratio, w = 1.0, {}
     for k in range(n, 1, -2):
         w[k] = ratio / k
         ratio *= (k - 1) / k
     rows = [(1.0 / k, w.get(k + 2 * (n % 2), 0.0)) for k in range(2 - n % 2, n + 1, 2)]
-    t_coefs, i_coefs = map(list, zip(*rows + [(0.0, 0.0)] * (2 - len(rows))))
+    t_coefs, i_coefs = map(list, zip(*rows or [(0.0, 0.0)]))
     return t_coefs, i_coefs, ratio
 
 
 def _recurrence_sums(n: int, sin: np.ndarray) -> tuple:
     """(the sum of X^k / k over k = n, n - 2, ... >= 1, the sum of w_k X^(k-1) over
-    k = n, n - 2, ... >= 2) at X = sin A, with the w_k of ``_recurrence_terms``."""
-    x2, (t_coefs, i_coefs, _) = sin * sin, _recurrence_terms(n)
+    k = n, n - 2, ... >= 2) at X = sin A, with the w_k of ``_recurrence_terms``: both
+    polynomials in X^2 by Horner's rule, in place, one scalar step at a time."""
+    x2, sums = sin * sin, []
+    for coefs in _recurrence_terms(n)[:2]:
+        acc = coefs[0] if len(coefs) == 1 else coefs[-1] * x2 + coefs[-2]
+        for c in coefs[-3::-1]:
+            acc *= x2
+            acc += c
+        sums.append(acc)
     low, high = (sin, x2) if n % 2 else (x2, sin)
-    return low * _horner(t_coefs, x2), high * _horner(i_coefs, x2)
+    return low * sums[0], high * sums[1]
 
 
 @lru_cache(maxsize=None)
@@ -232,86 +228,86 @@ def _series_terms(n: int) -> np.ndarray:
 def chord_kernels(d: int, ts, ell: float, heat: bool = True, big_r: bool = True, width: float = math.inf) -> Callable:
     """The chord means of the H and R kernels, one column per t, for ``Shape.line_integral``.
 
-    Over the lines of a convex set of diameter ell (README, *The chord measure*), with
-    A = atan(c/t): |Omega| - H(t) = int int kappa_d [t T_(d-1)(A) + c I_(d-1)(A)] below
-    the least width of the set; from it up, free of that cancellation, H(t) = int int
-    kappa_d [c S_(d-1)(A) - t T_(d-1)(A)]; and R(t) = int int kappa_d [T_(d-1)(A_ell) - T_(d-1)(A)
-    - (c/t)(S_(d-1)(A_ell) - S_(d-1)(A))], the S difference taken as I(A) - I(A_ell) for
-    t < ell.  In d = 2 these are exact means over a piece on which c runs linearly, through
-    ``asinh_mean`` and G(z) = z - asinh z (``z_minus_asinh_mean``), with R written from ell
-    up as kappa_2 [G(c/t) - G(ell/t) + G'(ell/t)(ell - c)/t].  In other dimensions a piece is
-    one chord, lo = hi, the width must be the diameter, and below it the sums of T and I are
-    Horner sums in sin^2 A (``_recurrence_terms``).  Returns mean(lo, hi): an array of the shape
-    of lo with a last axis of len(ts) H columns (if heat), then len(ts) R columns (if big_r).
+    With A = atan(c/t), below the least width of the convex set the H kernel is the deficit
+    |Omega| - H, kappa_d [t T_(d-1)(A) + c I_(d-1)(A)], and from it up H itself; R's kernel
+    subtracts its terms at c = ell (README, *The chord measure*).  In d = 2 these are exact
+    means over a piece on which c runs linearly (``asinh_mean``, ``z_minus_asinh_mean``).
+    In other dimensions a piece is one chord, lo = hi, the width must be the diameter, T and I
+    are Horner sums in sin^2 A below it (``_recurrence_sums``) and series from it up.  Returns
+    mean(lo, hi): an array of the shape of lo with a last axis of len(ts) H columns (if heat),
+    then len(ts) R columns (if big_r).
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = [float(t) for t in ts]
     # the kernels square tan A up to ell/t, which overflows from ell/t ~ 1.3e154
-    if ell > MAX_SCALE * min(ts.tolist()):
+    if ell > MAX_SCALE * min(ts):
         least = f"{ell / MAX_SCALE:g}, the least supported t ({1 / MAX_SCALE:g} times the diameter)"
-        raise DomainError(f"t = {ts.min():g} is below {least}")
-    kap, n, width = kappa(d), d - 1, min(width, ell)
+        raise DomainError(f"t = {min(ts):g} is below {least}")
+    kap, n, width, m = kappa(d), d - 1, min(width, ell), len(ts)
     last, series = _recurrence_terms(n)[2], _series_terms(n)
-
-    def parts(x, below):
-        """(T_n, I_n) below the diameter, (T_n, S_n) from it up, at tan A = x, for d != 2.  Below, the
-        recurrences start from T_0 = ln sec A or T_1 = asinh(tan A) - sin A (absolute accuracy only)
-        and I_0 = pi/2 - A or I_1 = cos A (positive terms); from it up the series keep relative
-        accuracy, to as many terms as the largest X^2 needs."""
-        root = np.sqrt(1.0 + x * x)
-        sin = x / root
-        if below:
-            (tee, rest), cos = _recurrence_sums(n, sin), 1.0 / root
-            base = cos if n % 2 else np.arctan2(1.0, x)
-            return (np.arcsinh(x) if n % 2 else 0.5 * np.log1p(x * x)) - tee, cos * rest + last * base
-        x2, power = sin * sin, sin ** (n + 1)
-        top = float(x2.max(initial=0.0))
-        terms = math.ceil(56.0 * math.log(2.0) / -math.log(top)) if top > 0.0 else 1
-        sums = x2[..., None] ** np.arange(terms) @ series[:terms]
-        return power * sin * sums[..., 0], power * sums[..., 1]
-
-    # the columns in three groups: below the width, from it to the diameter, from that up
-    side = [(t >= width) + (t >= ell) for t in ts.tolist()]
-    sides = [cols for cols in ([i for i, k in enumerate(side) if k == g] for g in range(3)) if cols]
-    groups = []  # (t, ell/t, whether H is direct, whether t < ell, the terms at c = ell)
-    for cols in sides:
-        t, k = ts[cols], side[cols[0]]
-        x_ell, below, at_ell = ell / t, k < 2, (None, None)  # d != 2 needs none: see ride
-        if d == 2 and below:
-            at_ell = np.arcsinh(x_ell), 1.0 / np.sqrt(1.0 + x_ell * x_ell)
-        elif d == 2:
+    # the columns in up to three groups, set up here once: below the width, from it to the
+    # diameter, from that up; each is one (nodes, columns) block of every mean call
+    side = [(t >= width) + (t >= ell) for t in ts]
+    order = sorted(range(m), key=side.__getitem__)
+    groups = []  # (t, group, in d = 2 ell/t and the terms at c = ell)
+    for k in sorted(set(side)):
+        t = np.array([ts[j] for j in order if side[j] == k])
+        at_ell = None  # d != 2 needs none: see ride
+        if d == 2:
+            x_ell = ell / t
             root = np.sqrt(1.0 + x_ell * x_ell)
-            at_ell = z_minus_asinh_mean(x_ell, x_ell), x_ell * x_ell / (root * (1.0 + root))  # G, G'
-        groups.append((t, x_ell, k > 0, below, at_ell))
-    # put the columns back in the order of ts
-    order = None if len(sides) < 2 else np.argsort(sum(sides, []))
-    if order is not None and heat and big_r:
-        order = np.concatenate([order, order + len(ts)])
+            at_ell = ((x_ell, np.arcsinh(x_ell), 1.0 / root) if k < 2
+                      else (x_ell, z_minus_asinh_mean(x_ell, x_ell), x_ell * x_ell / (root * (1.0 + root))))  # G, G'
+        groups.append((t, k, at_ell))
+    # the output columns back in the order of ts
+    back = None if order == sorted(order) else np.argsort(order + [j + m for j in order] if heat and big_r else order)
     ride = big_r and d != 2  # c = ell rides along as a last node: R's terms there need no call of their own
 
     def mean(lo, hi):
-        lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
-        if ride:
-            shape, hi = hi.shape[:-1], np.append(hi, ell)[:, None]
+        hi, lo = np.asarray(hi, dtype=float), np.asarray(lo, dtype=float)[..., None]
+        shape, hi = hi.shape, (np.concatenate((hi.ravel(), (ell,))) if ride else hi)[..., None]
         h_cols, r_cols = [], []
-        for t, x_ell, direct, below, (first, second) in groups:
+        for t, k, at_ell in groups:
             x = hi / t
             if d == 2:
-                m = asinh_mean(lo / t, x) if below else None
-                g = z_minus_asinh_mean(lo / t, x) if direct else None
-                h_cols.append(t * (g if direct else m))
+                m_ = asinh_mean(lo / t, x) if k == 0 or k == 1 and big_r else None
+                g = z_minus_asinh_mean(lo / t, x) if k > 0 else None
+                if heat:
+                    h_cols.append(t * (m_ if g is None else g))
                 if big_r:
-                    x_mean = 0.5 * (lo + hi) / t
-                    r_cols.append(first - m - (x_ell - x_mean) * second if below
-                                  else g - first + second * (x_ell - x_mean))
+                    x_ell, first, second = at_ell
+                    gap = x_ell - 0.5 * (lo + hi) / t
+                    r_cols.append(first - m_ - gap * second if k < 2 else g - first + second * gap)
+                continue
+            xx = x * x
+            root = np.sqrt(1.0 + xx)
+            if k < 2:
+                # T_n from T_0 = ln sec A or T_1 = asinh(tan A) - sin A (absolute accuracy only), and
+                # I_n from I_0 = pi/2 - A or I_1 = cos A (positive terms); d = 1 needs only T_0, I_0
+                cos = 1.0 / root
+                tee = np.arcsinh(x) if n % 2 else 0.5 * np.log1p(xx)
+                rest = last * (cos if n % 2 else np.arctan2(1.0, x))
+                if n > 1:
+                    tee_sum, rest_sum = _recurrence_sums(n, x / root)
+                    tee -= tee_sum
+                    rest += rest_sum * cos
             else:
-                tee, rest = parts(x, below)
-                h_cols.append(t * tee + hi * rest if below else hi * rest - t * tee)
-                if big_r:  # the last row is c = ell
-                    r_cols.append(tee[-1] - tee - x * (rest - rest[-1] if below else rest[-1] - rest))
-        cols = h_cols * heat + r_cols * big_r
+                # T_n and S_n as series, to as many terms as the largest X^2 needs
+                sin = x / root
+                x2, power = sin * sin, sin ** (n + 1)
+                top = float(x2.max(initial=0.0))
+                terms = math.ceil(56.0 * math.log(2.0) / -math.log(top)) if top > 0.0 else 1
+                sums = x2[..., None] ** np.arange(terms) @ series[:terms]
+                tee, rest = power * sin * sums[..., 0], power * sums[..., 1]
+            if heat:
+                h_cols.append(t * tee + hi * rest if k < 2 else hi * rest - t * tee)
+            if big_r:  # the last row is c = ell
+                r_cols.append(tee[-1] - tee - x * (rest - rest[-1] if k < 2 else rest[-1] - rest))
+        cols = h_cols + r_cols
         out = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
-        out = out[:-1].reshape(*shape, -1) if ride else out
-        return kap * (out if order is None else out[..., order])
+        out *= kap
+        if back is not None:
+            out = out[..., back]
+        return out[:-1].reshape(*shape, -1) if ride else out
 
     return mean
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable, Sequence
@@ -53,30 +54,30 @@ _STALL_ROUNDS = 16
 def _gk_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
     """G7/K15 on every panel [lo_i, hi_i] with one call of f on all (panels, 15) nodes.
 
-    Returns (K15 values, error estimates), each a (panels, columns) array, and
-    whether f returned one value per node rather than a row of columns.
-    """
-    half = (0.5 * (hi - lo))[:, None]
-    x = (0.5 * (lo + hi))[:, None] + half * _NODES
-    with np.errstate(all="ignore"):  # a non-finite sum raises below; an infinite (200 diff)^1.5 is harmless
-        fx = np.asarray(f(x.ravel()))
-        single, fx = fx.ndim == 1, fx.reshape(*x.shape, -1)
-        # one contiguous (panels, 15) product a column, as for a one-valued f: a (columns, 15)
-        # product a panel would take a column's bits from how many columns share the call.
-        # Plain methods (transpose, copy, sum) keep the round's fixed NumPy cost low
-        g, k = (fx.transpose(2, 0, 1).copy() @ _WEIGHTS).T
-        total, diff = k.sum(), half * np.abs(k - g)
-        err = np.minimum(diff, (200.0 * diff) ** 1.5)
-    if not math.isfinite(total):
+    Returns (K15 values, error estimates), each a (columns, panels) array, and whether f
+    returned one value per node, not a row of columns.  Runs under the caller's errstate."""
+    half = 0.5 * (hi - lo)
+    x = half[:, None] * _NODES
+    x += (0.5 * (lo + hi))[:, None]
+    fx = np.asarray(f(x.ravel()))
+    # one contiguous (panels, 15) product a column, as for a one-valued f: a (columns, 15)
+    # product a panel would take a column's bits from how many columns share the call
+    gk = fx.reshape(len(lo), 15, -1).transpose(2, 0, 1).copy() @ _WEIGHTS
+    k = gk[..., 1]
+    diff = np.abs(k - gk[..., 0])
+    diff *= half
+    if not math.isfinite(k.sum()):
+        fx = fx.reshape(*x.shape, -1)
         bad = np.argwhere(~np.isfinite(fx))
         if len(bad):
             p, q, j = bad[0]
             raise QuadratureError(f"non-finite integrand sample f({float(x[p, q])!r}) = {float(fx[p, q, j])!r}: "
                                   "the integral probably diverges there")
         raise QuadratureError("Kronrod sum overflows on a panel")
-    return half * k, err, single
+    return k * half, np.minimum(diff, (200.0 * diff) ** 1.5), fx.ndim == 1
 
 
+@np.errstate(all="ignore")  # _gk_panels raises on a non-finite sample; an infinite (200 diff)^1.5 is harmless
 def integrate_1d(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -88,34 +89,36 @@ def integrate_1d(
 
     f maps a 1-D array of n nodes to the array of its n values there, or to
     an (n, m) array: m integrands, the columns, share every node.  Each round
-    of refinement is one call.  ``points`` lists interior breakpoints used to
-    seed the initial panels (endpoint singular scales, creases).  Column j
-    has converged once its error estimate err_j <= max(abs_tol, rel_tol *
-    |value_j|).  A round ranks the panels by their largest column error divided
-    by that column's tolerance, and splits the first ones until they cover the
-    excess of the worst column.  Returns (value, err), floats for a one-valued
-    f and arrays of m for columns, once every column has converged; raises
-    QuadratureError when the panel budget runs out and once 16 rounds in a row
-    each cut no open column's error estimate by 1 % or more.
+    of refinement is one call, with NumPy's warnings off, and a few whole-array
+    steps: the nodes, Kronrod sums and error estimates of all its panels.
+    ``points`` lists interior breakpoints used to seed the initial panels
+    (endpoint singular scales, creases).  Column j has converged once its error
+    estimate err_j <= max(abs_tol, rel_tol * |value_j|).  A round ranks the
+    panels by their largest column error divided by that column's tolerance,
+    and splits the first ones until they cover the excess of the worst column.
+    Returns (value, err), floats for a one-valued f and arrays of m for
+    columns, once every column has converged; raises QuadratureError when the
+    panel budget runs out and once 16 rounds in a row each cut no open
+    column's error estimate by 1 % or more.
     """
     if not a < b:
         raise QuadratureError(f"need a < b, got [{a}, {b}]")
-    edges = np.array(sorted({a, b, *(p for p in points if a < p < b)}), dtype=float)
+    edges = np.array(sorted({a, b, *[p for p in points if a < p < b]}))
     lo, hi = edges[:-1], edges[1:]
     val, err, single = _gk_panels(f, lo, hi)
-    count = len(lo)  # panels made so far; rows are in creation order
-    last_err, stalled = [math.inf] * val.shape[1], 0
+    count = len(lo)  # panels made so far, in creation order
+    last_err, stalled, abs_tol, rel_tol = [math.inf] * len(val), 0, spec.abs_tol, spec.rel_tol
     while True:
-        totals = [math.fsum(col) for col in val.T.tolist()]
-        errs = [math.fsum(col) for col in err.T.tolist()]
-        tols = [max(spec.abs_tol, spec.rel_tol * abs(v)) for v in totals]
-        if all(e <= t for e, t in zip(errs, tols)):
+        totals = list(map(math.fsum, val.tolist()))
+        errs = list(map(math.fsum, err.tolist()))
+        tols = [max(abs_tol, rel_tol * abs(v)) for v in totals]
+        if all(map(operator.le, errs, tols)):
             return (totals[0], errs[0]) if single else (np.array(totals), np.array(errs))
         worst = max(range(len(errs)), key=lambda j: errs[j] / tols[j])
         fell = any(e < 0.99 * last for e, t, last in zip(errs, tols, last_err) if e > t)
         stalled = 0 if fell else stalled + 1
         if stalled >= _STALL_ROUNDS:
-            at = np.argmax(err[:, worst])
+            at = np.argmax(err[worst])
             raise QuadratureError(
                 f"error estimate {errs[worst]:.3e} has not fallen in {stalled} rounds, the largest "
                 f"on [{float(lo[at])!r}, {float(hi[at])!r}]: the integral probably diverges there"
@@ -128,9 +131,9 @@ def integrate_1d(
             )
         # largest scaled errors first, ties in creation order, within the panel budget; the
         # worst column's scale is 1, so a one-valued f splits by its own errors
-        score = err[:, 0] if single else np.max(err * (tols[worst] / np.array(tols)), axis=1)
-        order = np.argsort(-score, kind="stable")
-        need = int(np.searchsorted(np.cumsum(score[order]), errs[worst] - tols[worst])) + 1
+        score = err[0] if single else (err * (tols[worst] / np.array(tols))[:, None]).max(0)
+        order = (-score).argsort(kind="stable")
+        need = int(score[order].cumsum().searchsorted(errs[worst] - tols[worst])) + 1
         split = order[: min(need, (spec.max_subdivisions - count + 1) // 2)]
         s_lo, s_hi = lo[split], hi[split]
         mid = 0.5 * (s_lo + s_hi)
@@ -142,7 +145,7 @@ def integrate_1d(
         keep = np.ones(len(lo), dtype=bool)
         keep[split] = False
         lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
-        val, err = np.concatenate([val[keep], new_val]), np.concatenate([err[keep], new_err])
+        val, err = np.concatenate([val[:, keep], new_val], axis=1), np.concatenate([err[:, keep], new_err], axis=1)
         count += len(new_lo)
 
 
@@ -169,13 +172,23 @@ class LimitFit:
     observed_order: float
 
 
-def _lstsq_fit(ts, ds):
-    design = np.column_stack([np.ones_like(ts), ts * np.log(1.0 / ts), ts])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, ds, rcond=None)
-    if rank < 3:
+def _fit(ts: list, us: list, ds: list) -> tuple:
+    """(C, a, b, residuals) of the least-squares fit of ds by C + a u + b t, u = t ln(1/t), by
+    modified Gram-Schmidt on 1 (centring), u, t and ds: as stable as Householder QR."""
+    n = len(ts)
+    means = [math.fsum(col) / n for col in (us, ts, ds)]
+    u, t, d = ([v - mean for v in col] for col, mean in zip((us, ts, ds), means))
+    uu, ut, ud = (math.fsum(map(operator.mul, u, col)) for col in (u, t, d))
+    ut, ud = (ut / uu, ud / uu) if uu > 0.0 else (0.0, 0.0)
+    t, d = [b - ut * a for a, b in zip(u, t)], [b - ud * a for a, b in zip(u, d)]
+    tt, td = (math.fsum(map(operator.mul, t, col)) for col in (t, d))
+    # rank-deficient where u or t keeps at most eps * rows of the largest column norm, sqrt(n)
+    if not min(uu, tt) > (math.ulp(1.0) * n) ** 2 * n:
         raise ExtrapolationError("fit is rank-deficient; t range too narrow")
-    residuals = ds - design @ coeffs
-    return coeffs, residuals
+    slope_t = td / tt
+    slope_u = ud - ut * slope_t
+    c = means[2] - slope_u * means[0] - slope_t * means[1]
+    return c, slope_u, slope_t, [dv - (c + slope_u * uv + slope_t * tv) for tv, uv, dv in zip(ts, us, ds)]
 
 
 def extrapolate_limit(samples: Sequence[tuple[float, float]]) -> LimitFit:
@@ -187,32 +200,22 @@ def extrapolate_limit(samples: Sequence[tuple[float, float]]) -> LimitFit:
     """
     if len(samples) < 4:
         raise ExtrapolationError("need at least 4 samples")
-    ts = np.array([t for t, _ in samples], dtype=float)
-    ds = np.array([v for _, v in samples], dtype=float)
-    if not np.all(np.diff(ts) < 0):
+    ts, ds = [float(t) for t, _ in samples], [float(v) for _, v in samples]
+    if not all(a > b for a, b in zip(ts, ts[1:])):
         raise ExtrapolationError("t values must be strictly decreasing")
-    if np.any(ts >= 1.0):
-        raise ExtrapolationError("all t must be below 1")
+    if not (0.0 < ts[-1] and ts[0] < 1.0 and all(map(math.isfinite, ds))):
+        raise ExtrapolationError("all t must lie in (0, 1), and every sample must be finite")
     n_used = math.ceil(2 * len(samples) / 3)
-    ts_used = ts[-n_used:]
-    ds_used = ds[-n_used:]
+    ts_used, ds_used = ts[-n_used:], ds[-n_used:]
     if ts_used[0] / ts_used[-1] < 2.0:
         raise ExtrapolationError("t range too narrow for a stable fit")
-    coeffs, residuals = _lstsq_fit(ts_used, ds_used)
-    coeffs_drop, _ = _lstsq_fit(ts_used[1:], ds_used[1:])
-    err = float(np.max(np.abs(residuals))) + abs(coeffs[0] - coeffs_drop[0])
+    us = [t * math.log(1.0 / t) for t in ts_used]
+    c, slope_u, slope_t, residuals = _fit(ts_used, us, ds_used)
+    err = max(map(abs, residuals)) + abs(c - _fit(ts_used[1:], us[1:], ds_used[1:])[0])
 
-    c = coeffs[0]
-    errors = np.abs(ds - c)
-    orders = []
-    for k in range(len(ts) - 1):
-        if errors[k] > 0 and errors[k + 1] > 0 and ts[k] != ts[k + 1]:
-            orders.append(math.log(errors[k] / errors[k + 1]) / math.log(ts[k] / ts[k + 1]))
-    observed = float(np.median(orders)) if orders else float("nan")
-    return LimitFit(
-        C=float(c),
-        coeff_tlogt=float(coeffs[1]),
-        coeff_t=float(coeffs[2]),
-        err_estimate=err,
-        observed_order=observed,
-    )
+    errors = [abs(d - c) for d in ds]
+    orders = sorted(math.log(e0 / e1) / math.log(t0 / t1)
+                    for t0, t1, e0, e1 in zip(ts, ts[1:], errors, errors[1:]) if e0 > 0 and e1 > 0)
+    half = len(orders) // 2
+    observed = (orders[half] if len(orders) % 2 else (orders[half - 1] + orders[half]) / 2) if orders else math.nan
+    return LimitFit(C=c, coeff_tlogt=slope_u, coeff_t=slope_t, err_estimate=err, observed_order=observed)

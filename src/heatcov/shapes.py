@@ -158,7 +158,7 @@ class UnitBall(Shape):
         d = self.d
         if d == 1:
             return _one_chord(mean, 2.0)
-        weight = kernel.unit_sphere_area(d) * kernel.unit_sphere_area(d - 1)
+        weight = self.geometry.perimeter * kernel.unit_sphere_area(d - 1)
 
         def per_angle(psi):  # one piece a node: each row of means times its weight
             sin = np.sin(psi)
@@ -792,6 +792,8 @@ def directional_variation(shape: Shape, u):
 def covariance(shape: Shape, y):
     """Set covariance g(y) = |Omega intersect (Omega + y)| at one point, a float, or at
     each row of an (n, dim) array."""
+    if type(y) in (list, tuple) and len(y) == shape.dim and all(type(c) is float and math.isfinite(c) for c in y):
+        return shape.covariance_at(list(y))  # one point of floats needs no array round trip
     ys, single = _rows(y, shape.dim, "point")
     return shape.covariance_at(ys[0].tolist()) if single else np.array([shape.covariance_at(p) for p in ys.tolist()])
 
@@ -818,12 +820,12 @@ def gamma(shape: Shape, s, quad: QuadSpec = QuadSpec()):
     one s in (0, 1], a float, or for each s of a 1-D array."""
     single = np.ndim(s) == 0
     ss = float(s) if single else np.asarray(s, dtype=float).reshape(-1)
-    if not (0.0 < ss <= 1.0 if single else np.all((0.0 < ss) & (ss <= 1.0))):
+    if not (0.0 < ss <= 1.0 if single else ((0.0 < ss) & (ss <= 1.0)).all()):
         raise DomainError(f"s must lie in (0, 1], got {s}")
     values = shape.gamma(ss, quad)  # a float, or a 0-d array, for one s
-    low, at = (float(values), ss) if single else (values.min(), ss[np.argmin(values)])
+    low = float(values) if single else values.min()
     if low < -1e-8:
-        raise QuadratureError(f"gamma({at}) = {low} < 0 violates the slope bound")
+        raise QuadratureError(f"gamma({ss if single else ss[values.argmin()]}) = {low} < 0 violates the slope bound")
     return low if single else values
 
 

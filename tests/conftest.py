@@ -166,15 +166,28 @@ SQUARE_I2 = (
 )
 
 
-def benchmark_polygons(seed: int) -> list:
-    """The triangle, hexagon and rotated rectangle the benchmark generates for a seed,
-    from perfbench/jobs.py loaded as a module."""
+@functools.lru_cache(maxsize=None)
+def _benchmark_jobs():
+    """perfbench/jobs.py, loaded as a module."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"
     spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
     jobs = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = jobs
     spec.loader.exec_module(jobs)
+    return jobs
+
+
+def benchmark_polygons(seed: int) -> list:
+    """The triangle, hexagon and rotated rectangle the benchmark generates for a seed."""
+    jobs = _benchmark_jobs()
     return [ConvexPolygon(s.params[0]) for s in jobs.polygon_shapes(random.Random(f"polygons:{seed}"))]
+
+
+def benchmark_radial_shapes(seed: int) -> list:
+    """The balls d = 1..16 and the three intervals of the benchmark's radial workload for a seed."""
+    jobs = _benchmark_jobs().generate("radial", seed)
+    specs = dict.fromkeys(job.shape for job in jobs if job.op == "third_term")
+    return [UnitBall(s.params[0]) if s.kind == "ball" else Interval(0.0, s.params[0]) for s in specs]
 
 
 def _clip_halfplane(poly: list, a: np.ndarray, b: np.ndarray) -> list:

@@ -8,6 +8,8 @@ H, R, residual and D cells of the disc's, which were written by the chord pass o
 the disc's line measure (the radial quadrature's H was up to 2.1e-12 off and its R
 5.6e-12; ``test_ball2_H_against_reference`` and ``test_ball_R_from_closed_form_gamma``
 check the new values, and ``test_ball3_H_against_reference`` the 3-ball's);
+``decomposition-pins.json`` holds H, R and D of one-t decompositions as float.hex,
+written by the tree whose quadrature round and chord kernels were then rebuilt;
 the polygon covariance is checked against half-plane clipping
 (``conftest.clipped_intersection_area``) and Green's theorem
 (``conftest.green_covariance``) on the polygons the benchmark generates.
@@ -15,13 +17,14 @@ the polygon covariance is checked against half-plane clipping
 
 import csv
 import io
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heatcov import covariance, kappa
+from heatcov import Interval, UnitBall, covariance, decomposition, kappa
 from heatcov.cli import main
 
 from conftest import (
@@ -54,6 +57,20 @@ def test_sweep_matches_recorded_csv(shape, capsys):
     for row_got, row_want in zip(got[1:], want[1:]):
         for column, a, b in zip(want[0], row_got, row_want):
             assert abs(float(a) - float(b)) <= 1e-13, (column, a, b)
+
+
+def test_decomposition_matches_pinned_values():
+    # H, R and D of the one-t radial path at eight t over the documented range, recorded as
+    # float.hex, so that a refactor of the quadrature round or the chord kernels cannot move
+    # them unseen
+    doc = json.loads((HERE / "data" / "decomposition-pins.json").read_text())
+    ts = [float.fromhex(t) for t in doc["ts"]]
+    for name, rows in doc["shapes"].items():
+        shape = Interval(0.0, 1.5) if name == "interval-1.5" else UnitBall(int(name[len("ball"):]))
+        for t, row in zip(ts, rows):
+            got = decomposition(shape, t)
+            for column, want in zip(("H", "R", "D"), map(float.fromhex, row)):
+                assert getattr(got, column) == pytest.approx(want, rel=1e-13, abs=0.0), (name, t, column)
 
 
 def test_square_R_from_closed_form_gamma():

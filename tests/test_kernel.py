@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +19,8 @@ from heatcov import (
 )
 from heatcov.errors import DomainError
 from heatcov.kernel import (
-    _ASINH_SERIES,
     _a_minus_sin,
     _recurrence_sums,
-    asinh_mean,
     cos_power_deficit,
     z_minus_asinh_mean,
 )
@@ -199,30 +198,46 @@ def test_recurrence_sums_are_within_4_ulps_of_exact(n):
             assert abs(Fraction(value) - want) <= 4 * ulp, (n, s, value, float(want))
 
 
-def _z_minus_asinh_mean_unmasked(a0, a1):
-    """Both branches of ``z_minus_asinh_mean`` on every element, then a select: the reference."""
-    series, h, power = np.zeros_like(a1), np.ones_like(a1), np.ones_like(a1)
-    for p in range(1, 2 * len(_ASINH_SERIES) + 2):
-        power = power * a1
-        h = power + a0 * h
-        if p >= 3 and p % 2:
-            series += _ASINH_SERIES[(p - 3) // 2] * h / (p + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(a1 <= 0.25, series, 0.5 * (a0 + a1) - asinh_mean(a0, a1))
+def _z_minus_asinh_mean_mp(a0, a1):
+    """The mean of z - asinh z over [a0, a1] from its antiderivative in mpmath, with 40 digits
+    more than the cancellation of its differences takes."""
+    with mpmath.workdps(40 + 5 * max(0, math.ceil(-math.log10(a1)))):
+        lo, hi = mpmath.mpf(a0), mpmath.mpf(a1)
+        if lo == hi:
+            return hi - mpmath.asinh(hi)
+        antiderivative = lambda z: z * z / 2 - z * mpmath.asinh(z) + mpmath.sqrt(1 + z * z)  # noqa: E731
+        return (antiderivative(hi) - antiderivative(lo)) / (hi - lo)
+
+
+def test_z_minus_asinh_mean_series_within_4_ulps():
+    # the series branch, a1 <= 1/4, on a grid of a1 and of a0/a1, ends and near-ends included
+    a1 = np.concatenate([[1e-300, 1e-100, 1e-8, 1e-3], np.linspace(0.0, 0.25, 61)[1:]])
+    ratio = np.array([0.0, 1e-12, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-9, 1.0])
+    hi, lo = np.repeat(a1, len(ratio)), np.outer(a1, ratio).ravel()
+    got = z_minus_asinh_mean(lo, hi)
+    for a0, a1_, value in zip(lo.tolist(), hi.tolist(), got.tolist()):
+        want = _z_minus_asinh_mean_mp(a0, a1_)
+        ulp = mpmath.mpf(float(np.spacing(float(want))))
+        assert abs(value - want) <= 4 * ulp, (a0, a1_, value, float(want))
+    assert z_minus_asinh_mean(np.zeros(3), np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_z_minus_asinh_mean_takes_each_branch_with_the_bits_of_both():
-    # the masked branches are elementwise, so they repeat the unmasked bits in either regime
+    # the masked branches are elementwise, so a mixed array repeats the bits that each branch
+    # gives on an array of its own elements alone
     rng = np.random.default_rng(5)
     a1 = np.concatenate([[0.0, 0.25, np.nextafter(0.25, 1.0), 1e-300], rng.uniform(0.0, 0.5, 3600),
                          rng.uniform(0.0, 0.25, 3600), np.geomspace(1e-8, 1e3, 3600)])
     for a0 in (np.zeros_like(a1), a1 * rng.random(len(a1)), a1.copy()):
-        want = _z_minus_asinh_mean_unmasked(a0, a1)
+        small = a1 <= 0.25
+        want = np.empty_like(a1)
+        want[small] = z_minus_asinh_mean(a0[small], a1[small])
+        want[~small] = z_minus_asinh_mean(a0[~small], a1[~small])
         np.testing.assert_array_equal(z_minus_asinh_mean(a0, a1), want)
         # the chord kernels pass one column per t
         cols = np.array([1.0, 3.0])
         got = z_minus_asinh_mean(a0[:, None] / cols, a1[:, None] / cols)
-        np.testing.assert_array_equal(got, _z_minus_asinh_mean_unmasked(a0[:, None] / cols, a1[:, None] / cols))
+        np.testing.assert_array_equal(got, np.column_stack([z_minus_asinh_mean(a0 / c, a1 / c) for c in cols]))
         assert got.shape == (len(a1), 2)
     assert z_minus_asinh_mean(np.zeros(0), np.zeros(0)).shape == (0,)
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,12 +9,16 @@ from hypothesis import strategies as st
 
 from heatcov import (
     QuadSpec,
+    asymptotics,
     extrapolate_limit,
     integrate_1d,
     integrate_circle,
+    third_term,
 )
 from heatcov.errors import ExtrapolationError, QuadratureError
 from heatcov.quadrature import _gk_panels
+
+from conftest import benchmark_radial_shapes
 
 
 class TestIntegrate1d:
@@ -124,7 +129,7 @@ class TestIntegrate1d:
         for f in (lambda x: np.sin(x)[:, None], lambda x: np.column_stack([np.sin(x), np.exp(x)]),
                   lambda x: np.column_stack([np.sin(x), np.cos(x), x * x])):
             for got, want in zip(_gk_panels(f, lo, lo + 0.05)[:2], one[:2]):
-                np.testing.assert_array_equal(got[:, 0], want[:, 0])
+                np.testing.assert_array_equal(got[0], want[0])
 
     @settings(max_examples=40, deadline=None)
     @given(coeffs=st.lists(st.floats(-5, 5), min_size=1, max_size=6))
@@ -238,3 +243,103 @@ class TestExtrapolateLimit:
         samples = [(0.100 - 1e-4 * k, 1.0) for k in range(6)]
         with pytest.raises(ExtrapolationError):
             extrapolate_limit(samples)
+
+
+def _lstsq_limit(samples):
+    """(coefficients, rank, err_estimate) of the fit as np.linalg.lstsq makes it, with the
+    design of ``extrapolate_limit``: the reference for its float Gram-Schmidt."""
+    ts, ds = (np.array(col) for col in zip(*samples))
+    n_used = math.ceil(2 * len(samples) / 3)
+
+    def fit(t, d):
+        design = np.column_stack([np.ones_like(t), t * np.array([math.log(1.0 / v) for v in t]), t])
+        coeffs, _, rank, _ = np.linalg.lstsq(design, d, rcond=None)
+        return coeffs, rank, d - design @ coeffs
+
+    coeffs, rank, residuals = fit(ts[-n_used:], ds[-n_used:])
+    drop, rank_drop, _ = fit(ts[-n_used + 1:], ds[-n_used + 1:])
+    return coeffs, min(rank, rank_drop), float(np.max(np.abs(residuals))) + abs(coeffs[0] - drop[0])
+
+
+def _exact_limit(samples):
+    """The least-squares coefficients of the float design in exact rationals."""
+    n_used = math.ceil(2 * len(samples) / 3)
+    rows = [(Fraction(1), Fraction(t * math.log(1.0 / t)), Fraction(t), Fraction(d)) for t, d in samples[-n_used:]]
+    normal = [[sum(r[i] * r[j] for r in rows) for j in range(4)] for i in range(3)]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            f = normal[j][i] / normal[i][i]
+            normal[j] = [a - f * b for a, b in zip(normal[j], normal[i])]
+    x = [Fraction(0)] * 3
+    for i in (2, 1, 0):
+        x[i] = (normal[i][3] - sum(normal[i][j] * x[j] for j in range(i + 1, 3))) / normal[i][i]
+    return [float(v) for v in x]
+
+
+def _observed_order(samples, c):
+    """The median of the observed orders log(e_k / e_(k+1)) / log(t_k / t_(k+1)), e = |D - c|."""
+    orders = [math.log(abs(d0 - c) / abs(d1 - c)) / math.log(t0 / t1)
+              for (t0, d0), (t1, d1) in zip(samples, samples[1:]) if d0 != c and d1 != c]
+    return float(np.median(orders))
+
+
+def _check_fit(samples):
+    coeffs, rank, err = _lstsq_limit(samples)
+    if rank < 3:  # a drop-one fit of two samples, say
+        with pytest.raises(ExtrapolationError, match="rank-deficient"):
+            extrapolate_limit(samples)
+        return
+    fit = extrapolate_limit(samples)
+    # C is well conditioned: lstsq's is within 1e-13 relative.  The t ln(1/t) and t columns
+    # are nearly parallel on a dyadic grid, so lstsq's slopes miss the exact least-squares
+    # solution by up to 2e-9 relative on the radial samples: each coefficient must be as
+    # near that solution as lstsq's, or within 1e-13 relative of it
+    assert fit.C == pytest.approx(coeffs[0], rel=1e-13, abs=0.0)
+    exact = _exact_limit(samples)
+    for got, ref, want in zip([fit.C, fit.coeff_tlogt, fit.coeff_t], coeffs.tolist(), exact):
+        assert abs(got - want) <= max(abs(ref - want), 1e-13 * abs(want)), (got, ref, want)
+    # err_estimate and the orders are differences of numbers of the size of C
+    assert fit.err_estimate == pytest.approx(err, rel=0.0, abs=1e-13 * max(1.0, abs(fit.C)))
+    assert fit.observed_order == pytest.approx(_observed_order(samples, fit.C), rel=1e-13)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fit_of_each_radial_third_term_matches_lstsq(seed, monkeypatch):
+    fits = []
+    monkeypatch.setattr(asymptotics, "extrapolate_limit", lambda s: (fits.append(list(s)), extrapolate_limit(s))[1])
+    for shape in benchmark_radial_shapes(seed):
+        third_term(shape)
+    assert len(fits) == 19 and all(len(s) == 13 for s in fits)
+    for samples in fits:
+        _check_fit(samples)
+
+
+def test_fit_of_random_designs_matches_lstsq():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(4, 20))
+        ts = sorted(set((rng.uniform(0.05, 0.95) * 2.0 ** -rng.uniform(1.0, 14.0, n)).tolist()), reverse=True)
+        if len(ts) < 4 or ts[-math.ceil(2 * len(ts) / 3)] / ts[-1] < 2.0:
+            continue
+        c, a, b = rng.normal(size=3) * 3.0
+        noise = rng.normal(size=len(ts)) * 10.0 ** rng.uniform(-14.0, -6.0)
+        _check_fit([(t, c + a * t * math.log(1.0 / t) + b * t + e) for t, e in zip(ts, noise)])
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-150])
+def test_rank_deficient_fit_raises(scale):
+    # t ln(1/t) and t are below eps of the column of ones, so lstsq finds rank 1
+    samples = [(scale * 2.0**-k, 1.0 + 1e-3 * k) for k in range(13)]
+    assert _lstsq_limit(samples)[1] < 3
+    with pytest.raises(ExtrapolationError, match="rank-deficient"):
+        extrapolate_limit(samples)
+
+
+@pytest.mark.parametrize("samples", [
+    [(0.5, 1.0), (0.25, 1.0), (0.0, 1.0), (-0.1, 1.0)],
+    [(0.5, 1.0), (0.25, math.nan), (0.125, 1.0), (0.0625, 1.0)],
+    [(0.5, 1.0), (0.25, 1.0), (0.125, math.inf), (0.0625, 1.0)],
+], ids=["t <= 0", "nan sample", "inf sample"])
+def test_fit_rejects_non_positive_t_and_non_finite_samples(samples):
+    with pytest.raises(ExtrapolationError):
+        extrapolate_limit(samples)

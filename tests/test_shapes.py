@@ -364,6 +364,23 @@ class TestCovariance:
         with pytest.raises(DimensionMismatchError):
             covariance(UnitBall(2), (1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("kind", [list, tuple, np.array])
+    @pytest.mark.parametrize("shape", [UnitBall(3), TRIANGLE, Rectangle(1.0, 0.5), Interval(0.0, 2.0)], ids=repr)
+    def test_one_point_as_list_tuple_or_array(self, kind, shape):
+        dim = shape.dim
+        with pytest.raises(DimensionMismatchError):
+            covariance(shape, kind([0.1] * (dim + 1)))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="point must be finite"):
+                covariance(shape, kind([0.1] * (dim - 1) + [bad]))
+        # the same bits as a row of the (n, dim) batch, whose path is unchanged
+        rng = np.random.default_rng(dim)
+        ys = rng.uniform(-1.0, 1.0, (20, dim)) * geometry(shape).support_radius
+        batch = covariance(shape, ys)
+        assert [covariance(shape, kind(y)) for y in ys.tolist()] == batch.tolist()
+        # integer coordinates are read as floats
+        assert covariance(shape, kind([1] * dim)) == covariance(shape, np.ones((1, dim)))[0]
+
     @settings(max_examples=50, deadline=None)
     @given(
         h1=st.floats(0.1, 3.0),
