@@ -41,7 +41,6 @@ from .shapes import (
     ShapeGeometry,
     UnitBall,
     covariance,
-    covariance_self_checks,
     directional_variation,
     gamma,
     gamma_weighted_integral,

@@ -253,6 +253,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # NumPy's message names the array it could not allocate
+        detail = " ".join(str(exc).split())
+        print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -225,7 +225,7 @@ def _series_terms(n: int) -> np.ndarray:
     return np.column_stack([1.0 / (n + 2 + two_j), b / (n + 1 + two_j)])
 
 
-def chord_kernels(d: int, ts, ell: float, heat: bool = True, big_r: bool = True, width: float = math.inf) -> Callable:
+def chord_kernels(d: int, ts, ell: float, heat: bool, big_r: bool, width: float) -> Callable:
     """The chord means of the H and R kernels, one column per t, for ``Shape.line_integral``.
 
     With A = atan(c/t), below the least width of the convex set the H kernel is the deficit
@@ -235,14 +235,14 @@ def chord_kernels(d: int, ts, ell: float, heat: bool = True, big_r: bool = True,
     In other dimensions a piece is one chord, lo = hi, the width must be the diameter, T and I
     are Horner sums in sin^2 A below it (``_recurrence_sums``) and series from it up.  Returns
     mean(lo, hi): an array of the shape of lo with a last axis of len(ts) H columns (if heat),
-    then len(ts) R columns (if big_r).
+    then len(ts) R columns (if big_r).  width is the least width, at most ell.
     """
     ts = [float(t) for t in ts]
     # the kernels square tan A up to ell/t, which overflows from ell/t ~ 1.3e154
     if ell > MAX_SCALE * min(ts):
         least = f"{ell / MAX_SCALE:g}, the least supported t ({1 / MAX_SCALE:g} times the diameter)"
         raise DomainError(f"t = {min(ts):g} is below {least}")
-    kap, n, width, m = kappa(d), d - 1, min(width, ell), len(ts)
+    kap, n, m = kappa(d), d - 1, len(ts)
     last, series = _recurrence_terms(n)[2], _series_terms(n)
     # the columns in up to three groups, set up here once: below the width, from it to the
     # diameter, from that up; each is one (nodes, columns) block of every mean call

@@ -54,8 +54,10 @@ class Shape(ABC):
     """A bounded set of finite perimeter, as the package computes with it.
 
     Subclasses implement the abstract members; the rest have defaults for
-    shapes without the structure they describe.  Arguments arrive checked:
-    a direction is a unit vector and a point has the shape's dimension.
+    shapes without the structure they describe.  A shape whose gamma does not
+    vanish also implements ``gamma_weighted_integral(quad)``, the (value, err)
+    of int_0^1 gamma(ell s)/s ds.  Arguments arrive checked: a direction is a
+    unit vector and a point has the shape's dimension.
     """
 
     @property
@@ -120,11 +122,6 @@ class Shape(ABC):
     def gamma(self, s, quad: QuadSpec):
         """gamma(ell * s) for s in (0, 1]: a float (or a 0-d array) for a float, as
         ``kernel.cos_power_deficit`` takes it, or an array for each s of a 1-D array."""
-
-    def gamma_weighted_integral(self, quad: QuadSpec) -> tuple:
-        """(value, err) of int_0^1 gamma(ell s)/s ds, the class-W integral.  The default is
-        one integrate_1d over [0, 1], which raises QuadratureError if the integral diverges."""
-        return integrate_1d(lambda s: gamma(self, s, quad) / s, 0.0, 1.0, quad)
 
     def support_radius_at(self, theta: float) -> float:
         """Distance from the origin to the support boundary in direction theta."""
@@ -792,22 +789,8 @@ def directional_variation(shape: Shape, u):
 def covariance(shape: Shape, y):
     """Set covariance g(y) = |Omega intersect (Omega + y)| at one point, a float, or at
     each row of an (n, dim) array."""
-    if type(y) in (list, tuple) and len(y) == shape.dim and all(type(c) is float and math.isfinite(c) for c in y):
-        return shape.covariance_at(list(y))  # one point of floats needs no array round trip
     ys, single = _rows(y, shape.dim, "point")
     return shape.covariance_at(ys[0].tolist()) if single else np.array([shape.covariance_at(p) for p in ys.tolist()])
-
-
-def covariance_integral(shape: Shape, quad: QuadSpec = QuadSpec()) -> float:
-    """Integral of g over its support; equals |Omega|^2: the line integral of
-    c^(d+1) / (d (d+1)), whose mean over a piece is a sum of lo^i hi^(d+1-i)."""
-    d = shape.dim
-
-    def mean(lo, hi):
-        return sum(lo**i * hi ** (d + 1 - i) for i in range(d + 2)) / ((d + 2) * d * (d + 1))
-
-    value, _ = shape.line_integral(mean, quad)
-    return value
 
 
 def support_radius_at(shape: Shape, theta: float) -> float:
@@ -982,96 +965,3 @@ def ball_covariance_radial(d: int, r: float) -> float:
     cap_gap = s - kernel.cos_power_deficit(d, s)
     # near r = 2 the difference is rounding noise of either sign
     return max(0.0, kernel.unit_ball_volume(d) - 2.0 * kernel.unit_ball_volume(d - 1) * cap_gap)
-
-
-# ---------------------------------------------------------------------------
-# Randomized covariance property checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class CovarianceReport:
-    shape: Shape
-    checks: tuple
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def _random_unit(rng, dim):
-    while True:
-        v = rng.standard_normal(dim)
-        n = np.linalg.norm(v)
-        if n > 1e-12:
-            return v / n
-
-
-def covariance_self_checks(
-    shape: Shape, quad: QuadSpec = QuadSpec(), seed: int = 0, n_probes: int = 200
-) -> CovarianceReport:
-    """Randomized verification of the covariance properties (a)-(e).
-
-    Probe radii are fractions of the diameter and tolerances fractions of the
-    volume (or of V_u), so a scaled copy of a shape passes when the shape does.
-    """
-    rng = np.random.default_rng(seed)
-    geo = geometry(shape)
-    ell = geo.support_radius
-    vol = geo.volume
-    checks = []
-
-    # (a) bounds and (b) symmetry at random probes
-    bounds_ok, sym_ok = True, True
-    witness_b, witness_s = "", ""
-    for _ in range(n_probes):
-        y = (rng.uniform(-1.2, 1.2, size=geo.dim)) * ell
-        g = covariance(shape, y)
-        if not -1e-12 * vol <= g <= vol * (1.0 + 1e-9):
-            bounds_ok, witness_b = False, f"g({y}) = {g}"
-        gm = covariance(shape, -y)
-        if abs(g - gm) > 1e-9 * vol:
-            sym_ok, witness_s = False, f"g({y}) = {g} vs g(-y) = {gm}"
-    checks.append(CheckResult("bounds 0 <= g <= g(0)", bounds_ok, witness_b))
-    checks.append(CheckResult("symmetry g(y) = g(-y)", sym_ok, witness_s))
-    g0 = covariance(shape, np.zeros(geo.dim))
-    checks.append(
-        CheckResult("g(0) = |Omega|", abs(g0 - vol) < 1e-10 * vol, f"g(0) = {g0}, |Omega| = {vol}")
-    )
-
-    # (c) total integral
-    total = covariance_integral(shape, quad)
-    rel = abs(total - vol * vol) / (vol * vol)
-    checks.append(
-        CheckResult("integral of g = |Omega|^2", rel < 1e-6, f"got {total}, rel err {rel:.2e}")
-    )
-
-    # (d) compact support
-    supp_ok, witness = True, ""
-    for _ in range(n_probes):
-        u = _random_unit(rng, geo.dim)
-        r = ell * rng.uniform(1.0, 3.0)
-        g = covariance(shape, u * r)
-        if g != 0.0:
-            supp_ok, witness = False, f"g({u * r}) = {g}"
-    checks.append(CheckResult("support within |y| < ell", supp_ok, witness))
-
-    # Lipschitz slope: difference quotients at r = 1e-4 ell and 1e-5 ell approach V_u / 2
-    lip_ok, witness = True, ""
-    r4, r5 = 1e-4 * ell, 1e-5 * ell
-    for _ in range(10):
-        u = _random_unit(rng, geo.dim)
-        vu2 = directional_variation(shape, u) / 2.0
-        q4 = (g0 - covariance(shape, u * r4)) / r4
-        q5 = (g0 - covariance(shape, u * r5)) / r5
-        if abs(q4 / q5 - 1.0) > 1e-2 or abs(q5 - vu2) > 1e-2 * vu2:
-            lip_ok, witness = False, f"u = {u}: q(1e-4 ell) = {q4}, q(1e-5 ell) = {q5}, V_u/2 = {vu2}"
-    checks.append(CheckResult("slope (g(0)-g(ru))/r -> V_u/2", lip_ok, witness))
-
-    return CovarianceReport(shape=shape, checks=tuple(checks))

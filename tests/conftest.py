@@ -11,7 +11,16 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from heatcov import ConvexPolygon, Interval, QuadSpec, Rectangle, UnitBall, integrate_1d
+from heatcov import (
+    ConvexPolygon,
+    Interval,
+    QuadSpec,
+    Rectangle,
+    UnitBall,
+    covariance,
+    directional_variation,
+    integrate_1d,
+)
 from heatcov.errors import InvalidShapeError
 from heatcov.shapes import _PAIR_ENTRIES, WORK_ROWS, _boundary_terms
 
@@ -166,26 +175,28 @@ SQUARE_I2 = (
 )
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
 @functools.lru_cache(maxsize=None)
-def _benchmark_jobs():
-    """perfbench/jobs.py, loaded as a module."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
-    jobs = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = jobs
-    spec.loader.exec_module(jobs)
-    return jobs
+def perfbench_module(name: str):
+    """perfbench/<name>.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def benchmark_polygons(seed: int) -> list:
     """The triangle, hexagon and rotated rectangle the benchmark generates for a seed."""
-    jobs = _benchmark_jobs()
+    jobs = perfbench_module("jobs")
     return [ConvexPolygon(s.params[0]) for s in jobs.polygon_shapes(random.Random(f"polygons:{seed}"))]
 
 
 def benchmark_radial_shapes(seed: int) -> list:
     """The balls d = 1..16 and the three intervals of the benchmark's radial workload for a seed."""
-    jobs = _benchmark_jobs().generate("radial", seed)
+    jobs = perfbench_module("jobs").generate("radial", seed)
     specs = dict.fromkeys(job.shape for job in jobs if job.op == "third_term")
     return [UnitBall(s.params[0]) if s.kind == "ball" else Interval(0.0, s.params[0]) for s in specs]
 
@@ -370,6 +381,40 @@ def gamma_per_r(poly, r, quad=QuadSpec()) -> float:
 
     value, _ = poly.line_integral(mean, quad, seeds=seeds)
     return r * value
+
+
+def covariance_integral(shape, quad=QuadSpec()) -> float:
+    """int g = |Omega|^2 as the line integral of c^(d+1) / (d (d+1)), whose mean over a piece
+    is a sum of lo^i hi^(d+1-i)."""
+    d = shape.dim
+    value, _ = shape.line_integral(
+        lambda lo, hi: sum(lo**i * hi ** (d + 1 - i) for i in range(d + 2)) / ((d + 2) * d * (d + 1)), quad
+    )
+    return value
+
+
+def assert_covariance_facts(shape, quad, seed=0, n_probes=200):
+    """The facts about g that the expansion rests on, at seeded random probes: 0 <= g <= g(0)
+    = |Omega|, g(-y) = g(y), int g = |Omega|^2, g = 0 beyond the diameter ell, and
+    (g(0) - g(r u))/r -> V_u/2.  Probe radii follow ell and tolerances |Omega| (or V_u), so
+    a scaled copy passes when the shape does."""
+    rng = np.random.default_rng(seed)
+    geo = shape.geometry
+    vol, ell, d = geo.volume, geo.support_radius, geo.dim
+    ys = rng.uniform(-1.2, 1.2, (n_probes, d)) * ell
+    g = covariance(shape, ys)
+    assert np.all((-1e-12 * vol <= g) & (g <= vol * (1.0 + 1e-9))), "0 <= g <= g(0)"
+    np.testing.assert_allclose(covariance(shape, -ys), g, rtol=0.0, atol=1e-9 * vol, err_msg="g(-y) = g(y)")
+    g0 = covariance(shape, np.zeros(d))
+    assert abs(g0 - vol) < 1e-10 * vol, f"g(0) = {g0}, |Omega| = {vol}"
+    assert covariance_integral(shape, quad) == pytest.approx(vol * vol, rel=1e-6), "int g = |Omega|^2"
+    us = rng.standard_normal((n_probes, d))
+    us /= np.linalg.norm(us, axis=1)[:, None]
+    assert np.all(covariance(shape, us * ell * rng.uniform(1.0, 3.0, (n_probes, 1))) == 0.0), "g = 0 beyond ell"
+    # difference quotients at r = 1e-4 ell and 1e-5 ell approach V_u/2
+    q4, q5 = ((g0 - covariance(shape, r * us[:10])) / r for r in (1e-4 * ell, 1e-5 * ell))
+    np.testing.assert_allclose(q4, q5, rtol=1e-2, err_msg="(g(0) - g(r u))/r converges")
+    np.testing.assert_allclose(q5, directional_variation(shape, us[:10]) / 2.0, rtol=1e-2, err_msg="slope V_u/2")
 
 
 def polar_reference(poly, f, seeds=()) -> float:

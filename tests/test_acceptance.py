@@ -18,7 +18,6 @@ from heatcov import (
     Rectangle,
     UnitBall,
     covariance,
-    covariance_self_checks,
     decomposition,
     default_t_grid,
     gamma,
@@ -32,7 +31,16 @@ from heatcov import (
     unit_sphere_area,
 )
 
-from conftest import BALL2_C, BALL3_C, SQUARE_C, SQUARE_GAMMA, SQUARE_I0, SQUARE_I2, square_I_terms
+from conftest import (
+    BALL2_C,
+    BALL3_C,
+    SQUARE_C,
+    SQUARE_GAMMA,
+    SQUARE_I0,
+    SQUARE_I2,
+    assert_covariance_facts,
+    square_I_terms,
+)
 
 QUAD = QuadSpec()
 
@@ -104,10 +112,10 @@ def test_criterion_6_covariance_properties():
     shapes = [UnitBall(2), Rectangle(1.0, 1.0), TRIANGLE, Interval(0.0, 1.0)]
     failures = []
     for shape in shapes:
-        rep = covariance_self_checks(shape, QUAD, seed=17)
-        for c in rep.checks:
-            if not c.passed:
-                failures.append(f"{type(shape).__name__}:{c.name} ({c.detail})")
+        try:
+            assert_covariance_facts(shape, QUAD, seed=17)
+        except AssertionError as exc:
+            failures.append(f"{type(shape).__name__}: {exc}")
     report(
         6,
         not failures,

@@ -21,9 +21,17 @@ from heatcov import (
     gamma_weighted_integral,
     heat_content,
 )
-from heatcov.shapes import covariance_integral, support_radius_at
+from heatcov.shapes import support_radius_at
 
-from conftest import SQUARE_GAMMA, benchmark_polygons, first_breakpoint, green_covariance, polar_reference, square_gamma
+from conftest import (
+    SQUARE_GAMMA,
+    benchmark_polygons,
+    covariance_integral,
+    first_breakpoint,
+    green_covariance,
+    polar_reference,
+    square_gamma,
+)
 
 TRIANGLE = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 THIN_QUADRILATERAL = ConvexPolygon([(0.0, 0.0), (5.0, 0.0), (5.1, 0.2), (0.0, 0.1)])

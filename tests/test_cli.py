@@ -280,3 +280,21 @@ def test_no_shape_exits_usage(capsys):
         assert code == 2
         assert out == ""
         assert err == f"error: {argv[0]} needs --shape or --shape-file\n"
+
+
+@pytest.mark.parametrize(
+    "exc", [MemoryError(), MemoryError("Unable to allocate 445. MiB for an array with shape (298515, 200)")],
+    ids=["bare", "numpy"],
+)
+def test_memory_error_exits_3(exc, capsys, monkeypatch):
+    # a polygon whose chord tables do not fit used to print a traceback and exit 1
+    def allocate(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_heat_content", allocate)
+    code, out, err = run_cli(["heat-content", "--shape", "square", "--t", "0.1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: out of memory")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert str(exc) in err

@@ -14,7 +14,6 @@ from heatcov import (
     UnitBall,
     big_R,
     covariance,
-    covariance_self_checks,
     directional_variation,
     gamma,
     gamma_weighted_integral,
@@ -38,6 +37,7 @@ from conftest import (
     SQUARE_GAMMA,
     SQUARE_I0,
     SQUARE_I2,
+    assert_covariance_facts,
     ball_constants,
     ball_covariance_oracle,
     ball_gamma_oracle,
@@ -801,6 +801,8 @@ class TestSquareITerms:
 
 
 class TestSelfChecks:
+    """The covariance facts of ``conftest.assert_covariance_facts``, on each kind of shape."""
+
     @pytest.mark.parametrize(
         "shape",
         [UnitBall(2), Rectangle(1.0, 1.0), TRIANGLE, Interval(0.0, 1.0), *benchmark_polygons(1),
@@ -809,9 +811,7 @@ class TestSelfChecks:
         ids=["ball2", "square", "triangle", "interval", "triangle-1", "hexagon-1", "rotrect-1", "thin", "40-gon"],
     )
     def test_all_pass(self, shape, quad):
-        report = covariance_self_checks(shape, quad, seed=123)
-        failing = [c for c in report.checks if not c.passed]
-        assert not failing, failing
+        assert_covariance_facts(shape, quad, seed=123)
 
     @pytest.mark.parametrize("lam", [1e-6, 1e6])
     @pytest.mark.parametrize("kind", ["triangle", "square"])
@@ -821,6 +821,4 @@ class TestSelfChecks:
             shape = ConvexPolygon([(0.0, 0.0), (lam, 0.0), (0.0, lam)])
         else:
             shape = Rectangle(lam, lam)
-        report = covariance_self_checks(shape, quad, n_probes=50)
-        failing = [c for c in report.checks if not c.passed]
-        assert not failing, failing
+        assert_covariance_facts(shape, quad, n_probes=50)
