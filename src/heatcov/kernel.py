@@ -82,17 +82,13 @@ def poisson_kernel(d: int, t: float, x) -> float:
 def tanh_deficit(d: int, x: float = 1.0) -> float:
     """J_d(x) = integral over (0, atanh x) of tanh^d - 1; J_d(1) is J_d.
 
-    With y = tanh(theta) this is -int_0^x (1 - y^d)/(1 - y^2) dy, so
-    J_1(x) = -log1p(x), J_2(x) = -x and J_d(x) = J_{d-2}(x) - x^(d-1)/(d-1).
-    Every term is negative, so nothing cancels.
+    With y = tanh(theta) this is -int_0^x (1 - y^d)/(1 - y^2) dy: -log1p(x) in odd d, less the sum
+    of x^k / k over k = d - 1, d - 3, ... >= 1, T_(d-1) of ``_recurrence_sums``.  Nothing cancels.
     """
     d = _check_dim(d)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x}")
-    total = -math.log1p(x) if d % 2 else -x
-    for k in range(3 if d % 2 else 4, d + 1, 2):
-        total -= x ** (k - 1) / (k - 1)
-    return total
+    return -(math.log1p(x) if d % 2 else 0.0) - _recurrence_sums(d - 1, x)[0]
 
 
 def cos_power_deficit(n: int, s):

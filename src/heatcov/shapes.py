@@ -188,10 +188,7 @@ class UnitBall(Shape):
     def _draw_step(self, rng, s, b):
         """Draw the invariants of W ~ p_1 into the rows s and b: the standard Cauchy
         S = W_1 and B ~ Beta((d - 1)/2, 1), with |W_perp|^2 = (1 + S^2) B/(1 - B)."""
-        rng.random(out=s)
-        s -= 0.5
-        s *= math.pi
-        np.tan(s, out=s)
+        _draw_cauchy(rng, s)
         if self.d == 1:
             b.fill(0.0)
         else:
@@ -503,40 +500,46 @@ class ConvexPolygon(Shape):
         """The longest chord in direction theta."""
         return float(self.chord_table([theta])[1].max())
 
-    def _circle_crossing_kinks(self, rs) -> list:
-        """Angles mod pi where a circle of radius r in rs crosses a segment of ``_segments``
+    def _circle_crossing_kinks(self, r: float) -> list:
+        """Angles mod pi where the circle of radius r crosses a segment of ``_segments``
         (there the chord through a vertex is r long), less the ``_order_changes``."""
         a, d, dd, _, foot, h = self._segments
-        r = rs[:, None]
         half = np.sqrt(np.maximum((r - h) * (r + h), 0.0) / dd)  # |a + t d| = r at foot -+ half
         ts = (foot - half, foot + half)
-        p = np.concatenate([(a + t[..., None] * d)[(r >= h) & (0.0 <= t) & (t <= 1.0)] for t in ts])
+        p = np.concatenate([(a + t[:, None] * d)[(r >= h) & (0.0 <= t) & (t <= 1.0)] for t in ts])
         angles = np.arctan2(p[:, 1], p[:, 0]) % math.pi
         return angles[~np.isin(np.round(angles, 12), self._order_changes)].tolist()
 
-    def gamma(self, s, quad):
-        """gamma(r) = r int int m_r(c), m_r the mean of (r - c)_+ / r^2 over a piece.
+    @cached_property
+    def vertex_angle_sum(self) -> float:
+        """The sum over the vertices of 1 + (pi - alpha) cot alpha, alpha the interior angle.
 
-        Up to r_1 = ``first_breakpoint`` a chord through a non-extreme vertex is at least
-        r long, so only the end pieces, where c rises from 0, reach below r, each with
-        the mean 1/(2 hi): gamma(r) = r Q, Q one line integral kept per QuadSpec.  The
-        r beyond r_1 share one, a column each, seeded at ``_circle_crossing_kinks``.
-        """
+        With phi = pi - alpha, the turn from edge e to edge f, a term is 1 - phi cot phi, taken as
+        (2 phi sin^2(phi/2) - (phi - sin phi))/sin phi below pi/2, where that would cancel, and
+        as 1 - phi (e . f)/(e x f) from there up.  e x f and e . f are rounded once from exact
+        products of the coordinates, as rounded edges lose digits at a nearly flat or sharp vertex."""
+        (ax, ay), (bx, by), (cx, cy) = (np.roll(self.vertex_array, -k, axis=0).T for k in (0, 1, 2))
+        cross = _exact_dots([ax, -ay, bx, -by, cx, -cy], [by, bx, cy, cx, ay, ax])  # a x b + b x c + c x a
+        dot = _exact_dots([bx, -bx, -ax, ax, by, -by, -ay, ay], [cx, bx, cx, bx, cy, by, cy, by])
+        phi = np.arctan2(cross, dot)
+        flat = (2.0 * phi * np.sin(0.5 * phi) ** 2 - kernel._a_minus_sin(phi)) / np.sin(phi)
+        return math.fsum(np.where(phi < 0.5 * math.pi, flat, 1.0 - phi * dot / cross).tolist())
+
+    def gamma(self, s, quad):
+        """gamma(r) = r int int m_r(c), m_r the mean of (r - c)_+ / r^2 over a piece: (r/2)
+        ``vertex_angle_sum`` up to r_1 = ``first_breakpoint`` (README, *The chord measure*), and
+        beyond r_1 one line integral for each r, seeded at its ``_circle_crossing_kinks``."""
         r = self.geometry.support_radius * np.atleast_1d(s)
-        near, slopes = r <= self.first_breakpoint, self.__dict__.setdefault("_gamma_slopes", {})
-        if near.any() and quad not in slopes:
-            slopes[quad], _ = self.line_integral(lambda lo, hi: np.where((lo == 0.0) & (hi > 0.0), 0.5 / hi, 0.0), quad)
-        out = r * slopes.get(quad, 0.0)
-        far = r[~near]
-        if len(far):
+        out = r * (0.5 * self.vertex_angle_sum)
+        for i in np.flatnonzero(r > self.first_breakpoint).tolist():
+            far = float(r[i])
 
             def mean(lo, hi):
-                lo, hi = lo[..., None], hi[..., None]
                 part = ((far - lo) / far) ** 2 / (2.0 * (hi - lo))
                 return np.where(hi <= far, (1.0 - (lo + hi) / (2.0 * far)) / far, np.where(lo < far, part, 0.0))
 
             value, _ = self.line_integral(mean, quad, seeds=self._circle_crossing_kinks(far))
-            out[~near] = far * value
+            out[i] = far * value
         return out.reshape(np.shape(s))
 
     def gamma_weighted_integral(self, quad):
@@ -869,6 +872,11 @@ def _polygon_area(verts: np.ndarray) -> float:
     return 0.5 * math.fsum(np.concatenate(parts).tolist())
 
 
+def _exact_dots(p: list, q: list) -> np.ndarray:
+    """The sum over k of p[k][i] q[k][i] for each i, correctly rounded (``_two_product``, fsum)."""
+    return np.array([math.fsum(col) for col in np.concatenate(_two_product(np.array(p), np.array(q))).T.tolist()])
+
+
 def _two_product(a: np.ndarray, b: np.ndarray) -> tuple:
     """(p, e) with p = a * b rounded and p + e = a * b exactly, barring over- and underflow."""
     def split(v):  # v = hi + lo, each with at most 26 significant bits
@@ -885,13 +893,17 @@ def _two_product(a: np.ndarray, b: np.ndarray) -> tuple:
 # The Monte Carlo step tW, W ~ p_1, from uniforms only (d <= 2)
 # ---------------------------------------------------------------------------
 
-def _add_line_step(rng: np.random.Generator, x: np.ndarray, t: float, w: np.ndarray) -> None:
-    """Add t W to the row x in place, drawing into the row w: in d = 1, p_1 is the Cauchy
-    law, W = tan(pi (U - 1/2))."""
+def _draw_cauchy(rng: np.random.Generator, w: np.ndarray) -> None:
+    """Fill the row w with standard Cauchy draws tan(pi (U - 1/2)), U uniform."""
     rng.random(out=w)
     w -= 0.5
     w *= math.pi
     np.tan(w, out=w)
+
+
+def _add_line_step(rng: np.random.Generator, x: np.ndarray, t: float, w: np.ndarray) -> None:
+    """Add t W to the row x in place, drawing into the row w: in d = 1, p_1 is the Cauchy law."""
+    _draw_cauchy(rng, w)
     w *= t
     x += w
 
@@ -924,10 +936,7 @@ def _add_planar_step(rng: np.random.Generator, xy: np.ndarray, t: float, rows: t
         np.sqrt(k, out=k)
         k /= s
         k *= t  # t |W|
-        rng.random(out=s)
-        s -= 0.5
-        s *= math.pi
-        np.tan(s, out=s)
+        _draw_cauchy(rng, s)
         np.multiply(s, s, out=scratch)
         scratch += 1.0
         k /= scratch  # k = t |W| / (1 + s^2)

@@ -9,6 +9,7 @@ integral have closed forms.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -177,10 +178,41 @@ def test_matches_polar_reference(poly, quad):
     assert gamma_weighted_integral(poly, quad)[0] == pytest.approx(want, abs=1e-10)
 
 
+def _vertex_angle_sum_40_digits(poly):
+    """The sum over the vertices b, between a and c, of 1 + (pi - alpha) cot alpha, alpha the
+    angle between a - b and c - b, in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        v = [tuple(map(mpmath.mpf, p)) for p in poly.vertices]
+        total = mpmath.mpf(0)
+        for a, b, c in zip(v[-1:] + v[:-1], v, v[1:] + v[:1]):
+            (px, py), (qx, qy) = (a[0] - b[0], a[1] - b[1]), (c[0] - b[0], c[1] - b[1])
+            alpha = mpmath.atan2(abs(px * qy - py * qx), px * qx + py * qy)
+            total += 1 + (mpmath.pi - alpha) * mpmath.cot(alpha)
+        return float(total)
+
+
+@pytest.mark.parametrize(
+    "poly", [*REFERENCE_SHAPES, FLAT_TRIANGLE, _regular(40), _regular(200)],
+    ids=[*REFERENCE_IDS, "thin", "flat-triangle", "40-gon", "200-gon"],
+)
+def test_vertex_angle_sum_within_4_ulps(poly):
+    # gamma(r) = (r/2) vertex_angle_sum up to r_1, with no quadrature
+    want = _vertex_angle_sum_40_digits(poly)
+    assert abs(poly.vertex_angle_sum - want) <= 4.0 * math.ulp(want)
+
+
 class TestUnitSquare:
     def test_gamma_closed_form(self):
         s = np.concatenate([2.0 ** -np.arange(1, 41), np.linspace(0.05, 1.0, 39)])
         np.testing.assert_allclose(gamma(Rectangle(1.0, 1.0), s), square_gamma(s), rtol=1e-12)
+
+    def test_gamma_is_exactly_two_r_up_to_r1(self):
+        # every interior angle is pi/2, so vertex_angle_sum is 4 and gamma(r) = 2r, r = ell s
+        square = Rectangle(1.0, 1.0)
+        ell = square.geometry.support_radius
+        s = np.concatenate([2.0 ** -np.arange(1, 60), np.linspace(0.01, 0.7, 50)])  # r_1 = 2 = 0.707 ell
+        assert square.vertex_angle_sum == 4.0
+        np.testing.assert_array_equal(gamma(square, s), 2.0 * ell * s)
 
     def test_gamma_integral_closed_form(self, quad):
         square = Rectangle(1.0, 1.0)

@@ -151,12 +151,22 @@ class TestVerify:
         assert code == 0
         assert out.endswith("RESULT: PASS\n")
 
-    @pytest.mark.parametrize("a, b", [(0.0, math.e), (-0.5, 2.0)], ids=["length-e", "shifted"])
-    def test_interval_shape_file_of_any_length(self, a, b, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "doc",
+        [{"kind": "interval", "a": 0.0, "b": 1.0}, {"kind": "interval", "a": 0.0, "b": math.e},
+         {"kind": "interval", "a": -0.5, "b": 2.0}, {"kind": "ball", "dim": 1}],
+        ids=["length-1", "length-e", "shifted", "ball1"],
+    )
+    def test_interval_shape_file_of_any_length(self, doc, tmp_path, capsys):
+        # a 1-D target runs the checks of every target, against C = (2/pi)(1 + ln |Omega|)
+        # and a gamma integral of 0
         f = tmp_path / "interval.json"
-        f.write_text(json.dumps({"kind": "interval", "a": a, "b": b}))
+        f.write_text(json.dumps(doc))
         code, out, _ = run_cli(["verify", "interval", "--shape-file", str(f)], capsys)
         assert code == 0
+        for label in ("|C_formula - C_closed|", "|C_extrapolated - C_closed|", "|gamma integral - closed form|",
+                      "|residual| at t=0.001"):
+            assert f"PASS  interval: {label}  " in out
         assert "FAIL" not in out
         assert out.endswith("RESULT: PASS\n")
 
@@ -181,7 +191,7 @@ class TestVerify:
         ids=["all-triangle", "interval-ball2"],
     )
     def test_shape_file_other_than_an_interval_exits_2(self, target, doc, tmp_path, capsys):
-        # verify checks only the built-in shapes and an interval given by file
+        # verify checks only the built-in shapes and a 1-D shape given by file
         f = tmp_path / "shape.json"
         f.write_text(json.dumps(doc))
         code, out, err = run_cli(["verify", target, "--shape-file", str(f)], capsys)

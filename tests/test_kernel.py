@@ -142,6 +142,28 @@ class TestTanhDeficit:
         with pytest.raises(DomainError):
             tanh_deficit(17)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_low_dimensions_keep_the_recursion_bits(self, d):
+        # J_1 = -log1p(x), J_2 = -x and J_3 = J_1 - x^2/2, as the recursion loop rounded them
+        def loop(x):
+            total = -math.log1p(x) if d % 2 else -x
+            for k in range(3 if d % 2 else 4, d + 1, 2):
+                total -= x ** (k - 1) / (k - 1)
+            return total
+
+        xs = np.linspace(0.0, 1.0, 1001).tolist()
+        assert [tanh_deficit(d, x).hex() for x in xs] == [loop(x).hex() for x in xs]
+
+    @pytest.mark.parametrize("d", range(4, 17))
+    def test_against_mpmath(self, d):
+        # -log1p(x) in odd d, less the sum of x^k / k over k = d - 1, d - 3, ... >= 1
+        xs = np.linspace(0.0, 1.0, 1001).tolist()
+        with mpmath.workdps(40):
+            want = [float(-(mpmath.log1p(x) if d % 2 else 0) - mpmath.fsum(mpmath.mpf(x) ** k / k
+                                                                       for k in range(d - 1, 0, -2)))
+                    for x in xs]
+        np.testing.assert_allclose([tanh_deficit(d, x) for x in xs], want, rtol=1e-15, atol=0.0)
+
 
 def _a_minus_sin_loop(a):
     """a - sin(a), summing Taylor terms until none changes the sum: the reference."""
