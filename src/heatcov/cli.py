@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import decomposition, decompositions, default_t_grid, third_term
-from .errors import HeatcovError, InvalidShapeError
+from .errors import DimensionMismatchError, HeatcovError, InvalidShapeError
 from .kernel import KernelConstants
 from .quadrature import QuadSpec
 from .shapes import Interval, Rectangle, Shape, UnitBall, covariance, shape_from_json
@@ -234,7 +234,7 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except InvalidShapeError as exc:
+    except (InvalidShapeError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (HeatcovError, ArithmeticError) as exc:  # overflow, zero division, FloatingPointError

@@ -46,25 +46,24 @@ In d = 1, Theta_1 = +-1 by the sign of U_2 - 1/2.
 Each block draws from its own SFC64 stream, seeded by
 SeedSequence((seed, block)), so the estimate for a given (inputs, seed, n)
 is bit-identical no matter how the blocks are scheduled: block hit counts
-are integers and their sum is order-invariant.  The blocks run
-concurrently, one in flight per usable CPU: on the calling thread plus
-helper threads, which NumPy's random draws and array loops let run in
-parallel.  Estimates are therefore the same for any schedule and CPU count.
+are integers and their sum is order-invariant.  The blocks of every
+estimate run on one ThreadPoolExecutor of ``_usable_cpus()`` workers, made
+on first use and kept, while the calling thread waits; NumPy's draws and
+array loops run them in parallel.  The idle workers stay, shared by
+concurrent callers.  A block's error reaches the caller, and the blocks
+not yet started are dropped.
 
-A block allocates nothing of its size: each worker takes a workspace of
-WORK_ROWS = 4 float rows of BLOCK_SIZE columns (2 MiB) from a pool and gives
-it back when it finishes, also on error.  The pool keeps one per usable CPU,
-so that later blocks write into resident memory instead of faulting in zero
-pages.  Blocks draw with ``out=``, compute in place and write boolean results
-into the bytes of a spent row.  A ball block uses 3 rows, a planar one 3.5 (x,
+A block allocates nothing of its size: each worker keeps one workspace of
+WORK_ROWS = 4 float rows of BLOCK_SIZE columns (2 MiB) for its lifetime, so
+later blocks write into resident memory instead of faulting in zero pages.
+Blocks draw with ``out=``, compute in place and write boolean results into
+the bytes of a spent row.  A ball block uses 3 rows, a planar one 3.5 (x,
 y and three half rows, on which it works half of the columns at a time), an
 interval one 2.
 
-Block code runs off the calling thread, so it may call only the shape's own
-methods, the private samplers of ``shapes`` and ``_block_rng``, never a
-public module function (``geometry``, ``covariance``, ...) that a tracer may
-rebind; argument checks, ``geometry`` and the first import of numpy.random
-run on the calling thread.
+Blocks run on the workers, so they may call only the shape's own methods,
+the private samplers of ``shapes`` and ``_block_rng``, never a public module
+function (``geometry``, ``covariance``, ...) that a tracer may rebind.
 """
 
 from __future__ import annotations
@@ -83,22 +82,26 @@ from .shapes import WORK_ROWS, Shape, _rows, geometry
 
 BLOCK_SIZE = 1 << 16
 
-_pool: list = []  # workspaces of finished workers, resident for the next estimate
-_pool_lock = threading.Lock()
+_executors: dict = {}  # CPU count -> the ThreadPoolExecutor that runs the blocks
+_executors_lock = threading.Lock()
+_worker = threading.local()  # .work, each worker thread's workspace
 
 
-def _take_workspace() -> np.ndarray:
-    with _pool_lock:
-        if _pool:
-            return _pool.pop()
-    return np.empty((WORK_ROWS, BLOCK_SIZE))
+def _executor(cpus: int):
+    with _executors_lock:
+        if cpus not in _executors:
+            from concurrent.futures import ThreadPoolExecutor  # not at import: it loads logging and queue
+            _executors[cpus] = ThreadPoolExecutor(cpus)
+        return _executors[cpus]
 
 
-def _return_workspace(work: np.ndarray, keep: int) -> None:
-    """Pool work, keeping at most keep workspaces."""
-    with _pool_lock:
-        _pool.append(work)
-        del _pool[keep:]
+def _forget_executors() -> None:
+    global _executors, _executors_lock
+    _executors, _executors_lock = {}, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's worker threads
+    os.register_at_fork(after_in_child=_forget_executors)
 
 
 @dataclass(frozen=True)
@@ -127,42 +130,14 @@ def _estimate(shape: Shape, n: int, seed: int, block_hits) -> McEstimate:
     if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 1 << 64:
         raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     vol = geometry(shape).volume
-    # NumPy imports numpy.random on first use: on this thread, so that its modules do not
-    # settle in the malloc arena of a helper thread
-    import numpy.random  # noqa: F401
-    n_blocks = -(-n // BLOCK_SIZE)
-    cpus = _usable_cpus()
-    lock = threading.Lock()
-    claimed = iter(range(n_blocks))
-    counts, failures = [], []  # list.append is atomic
+    import numpy.random  # noqa: F401  # here, so that its modules settle in this thread's malloc arena
 
-    def work():
-        hits = 0
-        try:
-            workspace = _take_workspace()
-            try:
-                while not failures:
-                    with lock:
-                        block = next(claimed, None)
-                    if block is None:
-                        break
-                    size = min(BLOCK_SIZE, n - block * BLOCK_SIZE)
-                    hits += block_hits(_block_rng(seed, block), size, workspace)
-            finally:
-                _return_workspace(workspace, cpus)
-        except BaseException as exc:
-            failures.append(exc)
-        counts.append(hits)
+    def block(k):
+        if not hasattr(_worker, "work"):
+            _worker.work = np.empty((WORK_ROWS, BLOCK_SIZE))
+        return block_hits(_block_rng(seed, k), min(BLOCK_SIZE, n - k * BLOCK_SIZE), _worker.work)
 
-    helpers = [threading.Thread(target=work, daemon=True) for _ in range(min(cpus, n_blocks) - 1)]
-    for helper in helpers:
-        helper.start()
-    work()
-    for helper in helpers:
-        helper.join()
-    if failures:
-        raise failures[0]
-    p = sum(counts) / n
+    p = sum(_executor(_usable_cpus()).map(block, range(-(-n // BLOCK_SIZE)))) / n
     return McEstimate(
         mean=vol * p,
         stderr=vol * math.sqrt(max(p * (1.0 - p), 0.0) / n),

@@ -483,14 +483,18 @@ class ConvexPolygon(Shape):
         """Twice int_0^pi sum over the pieces of c of width * mean(lo, hi) dtheta.
 
         The panels are seeded where the offsets change order and at the angles
-        ``seeds``; mean sees the directions in chunks, to bound its temporaries.
+        ``seeds``; the chord table and mean see the directions in chunks of at most
+        ``_PAIR_ENTRIES`` entries, so that memory stays bounded on polygons of any size.
         """
+        step = max(1, _PAIR_ENTRIES // len(self.vertices))
+
         def per_direction(thetas):
-            x, c = self.chord_table(thetas)
-            w, lo, hi = np.diff(x, axis=1), np.minimum(c[:, :-1], c[:, 1:]), np.maximum(c[:, :-1], c[:, 1:])
-            chunks = zip(*(np.array_split(v, 1 + v.size // _PAIR_ENTRIES) for v in (w, lo, hi)))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                parts = [_piece_sum(a, mean(b, c)) for a, b, c in chunks]
+            parts = []
+            for rows in np.split(thetas, range(step, len(thetas), step)):
+                x, c = self.chord_table(rows)
+                w, lo, hi = np.diff(x, axis=1), np.minimum(c[:, :-1], c[:, 1:]), np.maximum(c[:, :-1], c[:, 1:])
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    parts.append(_piece_sum(w, mean(lo, hi)))
             return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
         value, err = integrate_1d(per_direction, 0.0, math.pi, quad, points=[*self._order_changes, *seeds])

@@ -1,7 +1,9 @@
 import functools
 import importlib.util
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
+import heatcov
 from heatcov import (
     ConvexPolygon,
     Interval,
@@ -38,6 +41,15 @@ def simpson(f, a, b, n=4096):
     ys = np.array([f(x) for x in xs])
     h = (b - a) / n
     return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
+
+
+def run_python(code: str) -> str:
+    """The stdout of code run by a fresh interpreter that imports this tree's heatcov."""
+    path = [str(Path(heatcov.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 def gauss_legendre(f, a, b, n=48):

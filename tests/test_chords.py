@@ -31,6 +31,7 @@ from conftest import (
     first_breakpoint,
     green_covariance,
     polar_reference,
+    run_python,
     square_gamma,
 )
 
@@ -238,6 +239,23 @@ def test_regular_40gon_scaling(t, lam, quad):
     poly = _regular(40)
     scaled = ConvexPolygon(lam * poly.vertex_array)
     assert heat_content(scaled, lam * t, quad) == pytest.approx(lam**2 * heat_content(poly, t, quad), rel=1e-10)
+
+
+def test_random_80gon_peaks_below_150_mb():
+    # vertices at sorted uniform angles on a 2 x 0.5 ellipse: with each round's chord table
+    # built whole, this H peaked at 555 MB; in chunks of at most _PAIR_ENTRIES entries it
+    # peaks near 45 MB, with the same bits
+    out = run_python(
+        "import math, random, resource\n"
+        "from heatcov import ConvexPolygon, heat_content\n"
+        "rng = random.Random(5)\n"
+        "angles = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(80))\n"
+        "poly = ConvexPolygon([(2.0 * math.cos(a), 0.5 * math.sin(a)) for a in angles])\n"
+        "print(heat_content(poly, 0.1).hex(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    h, kib = out.split()
+    assert h == "0x1.261d1c5f83992p+1"
+    assert int(kib) < 150 * 1024
 
 
 SLIVER = ConvexPolygon([(0.0, 0.0), (1.0, 1.0), (1.0 - 1e-4, 1.0)])

@@ -81,6 +81,14 @@ class TestCovariance:
         assert out == ""
         assert err.startswith("numerical failure: point must be finite")
 
+    @pytest.mark.parametrize("point", ["1,2,3", "0.5"])
+    def test_point_of_the_wrong_dimension_exits_2(self, point, capsys):
+        # a 3-D point for the disc used to print "numerical failure" and exit 3
+        code, out, err = run_cli(["covariance", "--shape", "ball2", f"--point={point}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: point has shape")
+
 
 class TestShapeFile:
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import inspect
 import math
+import multiprocessing
 import sys
 import threading
 import time
@@ -28,7 +29,8 @@ from heatcov.mc import _block_rng
 from heatcov.shapes import ball_covariance_radial
 
 from conftest import (
-    area_left_of, contains, convex_polygons, reference_heat_hits, reference_shift_hits, sample, sample_cauchy
+    area_left_of, contains, convex_polygons, reference_heat_hits, reference_shift_hits, run_python, sample,
+    sample_cauchy,
 )
 
 TRIANGLE = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
@@ -626,27 +628,52 @@ class TestConcurrentBlocks:
                 return super()._inside(x, y, scratch)
 
         monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(mc, "_pool", [])
-        before = threading.active_count()
+        before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="block 2"):
             mc_heat_content(FailsOnBlock2(1.0, 1.0), 0.1, n=10 * mc.BLOCK_SIZE, seed=1)
-        assert threading.active_count() == before
-        # the workers gave their workspaces back, the failed one too (on one CPU it is the
-        # only worker; a worker that starts late may reuse one that another gave back), and
-        # the next estimate overwrites what the failed blocks left there
-        assert 1 <= len(mc._pool) <= cpus
+        # the only threads that may have started are the executor's workers, which stay, and
+        # the next estimate overwrites what the failed blocks left in their workspaces
+        workers = mc._executor(cpus)._threads
+        assert set(threading.enumerate()) - before <= workers and len(workers) <= cpus
         estimator, shape, arg, n, seed, expected = GOLDEN[GOLDEN_IDS.index("heat-rect")]
         assert estimator(shape, arg, n=n, seed=seed).mean.hex() == expected
 
-    def test_pool_keeps_one_workspace_per_cpu(self, monkeypatch):
-        spare = [np.empty((shapes.WORK_ROWS, mc.BLOCK_SIZE)) for _ in range(3)]
-        monkeypatch.setattr(mc, "_pool", spare)
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
-        mc_heat_content(RECT, 0.1, n=2 * mc.BLOCK_SIZE, seed=1)
-        assert len(mc._pool) == 1
+    def test_estimates_start_no_thread_beyond_the_workers(self, monkeypatch):
+        # twenty estimates after the first may start only a worker that the executor did not
+        # need before (it starts one only when none is idle), never more than one per CPU
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+        mc_heat_content(RECT, 0.1, n=PARTIAL, seed=1)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        for seed in range(2, 22):
+            mc_covariance(TRIANGLE, [0.2, 0.1], n=PARTIAL, seed=seed)
+        workers = mc._executor(3)._threads
+        assert set(started) <= workers and len(workers) <= 3
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+    def test_forked_child_repeats_the_golden(self):
+        # the child has none of the parent's worker threads; an executor it inherited would
+        # take its blocks and never run them
+        estimator, shape, arg, n, seed, expected = GOLDEN[GOLDEN_IDS.index("heat-rect")]
+        assert estimator(shape, arg, n=n, seed=seed).mean.hex() == expected
+        ctx = multiprocessing.get_context("fork")
+        found = ctx.Queue()
+        child = ctx.Process(target=lambda: found.put(estimator(shape, arg, n=n, seed=seed).mean.hex()))
+        child.start()
+        try:
+            assert found.get(timeout=60.0) == expected
+        finally:
+            child.join(timeout=10.0)
+            if child.is_alive():
+                child.kill()
+                child.join()
+
+    def test_import_loads_no_executor_module(self):
+        # concurrent.futures loads logging and queue: it is imported on the first estimate
+        assert run_python("import sys, heatcov; print('concurrent.futures' in sys.modules)") == "False\n"
 
     def test_two_callers_at_once_get_the_golden_estimates(self, monkeypatch):
-        # two user threads take workspaces from the one pool at the same time, with more
+        # two user threads hand blocks to the one executor at the same time, with more
         # workers than cores and fast switching
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
         found = [{}, {}]
@@ -677,7 +704,7 @@ class TestConcurrentBlocks:
         ids=["ball1", "ball2", "ball3", "ball16", "rect", "triangle", "40-gon", "interval"],
     )
     def test_blocks_allocate_less_than_a_row(self, monkeypatch, shape):
-        # after a warm-up, a block draws and computes in a pooled workspace: a full block
+        # after a warm-up, a block draws and computes in its worker's workspace: a full block
         # allocates less than one boolean row of BLOCK_SIZE bytes
         monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
         for estimator, arg in ((mc_heat_content, 0.1), (mc_covariance, [0.1] * shape.dim)):
