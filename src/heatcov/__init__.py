@@ -11,16 +11,13 @@ from .asymptotics import (
     default_t_grid,
     F_limit,
     heat_content,
-    phi,
     phi_slope,
     psi_F,
-    R_limit,
     third_term,
 )
 from .kernel import (
     KernelConstants,
     kappa,
-    poisson_kernel,
     tanh_deficit,
     unit_ball_volume,
     unit_sphere_area,
@@ -45,7 +42,6 @@ from .shapes import (
     gamma,
     gamma_weighted_integral,
     geometry,
-    perimeter_from_variations,
     shape_from_json,
 )
 

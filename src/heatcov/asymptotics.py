@@ -76,11 +76,6 @@ def phi_over_t(shape: Shape, t: float) -> float:
     return kernel.unit_sphere_area(d) * kernel.kappa(d) * cos_int_over_t
 
 
-def phi(shape: Shape, t: float) -> float:
-    """phi(t): kernel mass beyond the support radius."""
-    return phi_over_t(shape, t) * t
-
-
 def phi_slope(shape: Shape) -> float:
     """lim phi(t)/t = A_d kappa_d / ell."""
     geo = geometry(shape)
@@ -111,11 +106,6 @@ def big_R(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> float:
     """R(t) = ell^(d+1) kappa_d * int_0^1 s^d gamma(ell s) (t^2 + ell^2 s^2)^-(d+1)/2 ds."""
     t = _check_t(t)
     return float(_heat_and_R(shape, [t], quad, heat=False)[1][0])
-
-
-def R_limit(shape: Shape, quad: QuadSpec = QuadSpec()) -> float:
-    value, _ = gamma_weighted_integral(shape, quad)
-    return kernel.kappa(geometry(shape).dim) * value
 
 
 # ---------------------------------------------------------------------------

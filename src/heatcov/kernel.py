@@ -68,17 +68,6 @@ def _check_t(t: float) -> float:
     return float(t)
 
 
-def poisson_kernel(d: int, t: float, x) -> float:
-    """p_t(x) = kappa_d * t / (t^2 + |x|^2)^((d+1)/2)."""
-    d = _check_dim(d)
-    t = _check_t(t)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (d,):
-        raise DomainError(f"x must be a vector of length {d}, got shape {x.shape}")
-    r2 = float(np.dot(x, x))
-    return kappa(d) * t / (t * t + r2) ** ((d + 1) / 2)
-
-
 def tanh_deficit(d: int, x: float = 1.0) -> float:
     """J_d(x) = integral over (0, atanh x) of tanh^d - 1; J_d(1) is J_d.
 

@@ -44,32 +44,30 @@ r (r - 2|y| Theta_1) <= 1 - |y|^2, and Theta_1 = cos psi sqrt(B'):
 In d = 1, Theta_1 = +-1 by the sign of U_2 - 1/2.
 
 Each block draws from its own SFC64 stream, seeded by
-SeedSequence((seed, block)), so the estimate for a given (inputs, seed, n)
-is bit-identical no matter how the blocks are scheduled: block hit counts
-are integers and their sum is order-invariant.  The blocks of every
-estimate run on one ThreadPoolExecutor of ``_usable_cpus()`` workers, made
-on first use and kept, while the calling thread waits; NumPy's draws and
-array loops run them in parallel.  The idle workers stay, shared by
-concurrent callers.  A block's error reaches the caller, and the blocks
-not yet started are dropped.
+SeedSequence((seed, block)), and returns an integer hit count, so the
+estimate for a given (inputs, seed, n) is bit-identical however the blocks
+are ordered.  The blocks of an estimate run one after another on the
+calling thread; concurrent callers run side by side, each in its own
+workspace.  A block's error reaches the caller, and the blocks after it
+are not run.
 
-A block allocates nothing of its size: each worker keeps one workspace of
-WORK_ROWS = 4 float rows of BLOCK_SIZE columns (2 MiB) for its lifetime, so
-later blocks write into resident memory instead of faulting in zero pages.
-Blocks draw with ``out=``, compute in place and write boolean results into
-the bytes of a spent row.  A ball block uses 3 rows, a planar one 3.5 (x,
-y and three half rows, on which it works half of the columns at a time), an
-interval one 2.
+A block allocates nothing of its size: each calling thread keeps one
+workspace of WORK_ROWS = 4 float rows of BLOCK_SIZE columns (2 MiB) in a
+``threading.local`` from its first estimate on, so later blocks write into
+resident memory instead of faulting in zero pages.  Blocks draw with
+``out=``, compute in place and write boolean results into the bytes of a
+spent row.  A ball block uses 3 rows, a planar one 3.5 (x, y and three half
+rows, on which it works half of the columns at a time), an interval one 2.
 
-Blocks run on the workers, so they may call only the shape's own methods,
-the private samplers of ``shapes`` and ``_block_rng``, never a public module
-function (``geometry``, ``covariance``, ...) that a tracer may rebind.
+Blocks call only the shape's own methods, the private samplers of ``shapes``
+and ``_block_rng``, never a public module function (``geometry``,
+``covariance``, ...) that a tracer may rebind, so that a tracer counts each
+estimate once and not once a block.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 from numbers import Integral
@@ -82,26 +80,7 @@ from .shapes import WORK_ROWS, Shape, _rows, geometry
 
 BLOCK_SIZE = 1 << 16
 
-_executors: dict = {}  # CPU count -> the ThreadPoolExecutor that runs the blocks
-_executors_lock = threading.Lock()
-_worker = threading.local()  # .work, each worker thread's workspace
-
-
-def _executor(cpus: int):
-    with _executors_lock:
-        if cpus not in _executors:
-            from concurrent.futures import ThreadPoolExecutor  # not at import: it loads logging and queue
-            _executors[cpus] = ThreadPoolExecutor(cpus)
-        return _executors[cpus]
-
-
-def _forget_executors() -> None:
-    global _executors, _executors_lock
-    _executors, _executors_lock = {}, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # a forked child has none of the parent's worker threads
-    os.register_at_fork(after_in_child=_forget_executors)
+_caller = threading.local()  # .work, each calling thread's workspace
 
 
 @dataclass(frozen=True)
@@ -116,13 +95,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block))))
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _estimate(shape: Shape, n: int, seed: int, block_hits) -> McEstimate:
     """|Omega| times the fraction of hits, block_hits(rng, size, work) counting one block's."""
     if isinstance(n, bool) or not isinstance(n, Integral) or n < 1000:
@@ -130,14 +102,13 @@ def _estimate(shape: Shape, n: int, seed: int, block_hits) -> McEstimate:
     if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 1 << 64:
         raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     vol = geometry(shape).volume
-    import numpy.random  # noqa: F401  # here, so that its modules settle in this thread's malloc arena
-
-    def block(k):
-        if not hasattr(_worker, "work"):
-            _worker.work = np.empty((WORK_ROWS, BLOCK_SIZE))
-        return block_hits(_block_rng(seed, k), min(BLOCK_SIZE, n - k * BLOCK_SIZE), _worker.work)
-
-    p = sum(_executor(_usable_cpus()).map(block, range(-(-n // BLOCK_SIZE)))) / n
+    if not hasattr(_caller, "work"):
+        _caller.work = np.empty((WORK_ROWS, BLOCK_SIZE))
+    work = _caller.work
+    p = sum(
+        block_hits(_block_rng(seed, k), min(BLOCK_SIZE, n - k * BLOCK_SIZE), work)
+        for k in range(-(-n // BLOCK_SIZE))
+    ) / n
     return McEstimate(
         mean=vol * p,
         stderr=vol * math.sqrt(max(p * (1.0 - p), 0.0) / n),

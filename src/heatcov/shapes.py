@@ -145,6 +145,8 @@ class UnitBall(Shape):
         )
 
     def covariance_at(self, y):
+        if max(map(abs, y)) >= 2.0:  # beyond the diameter, before |y|^2 can overflow
+            return 0.0
         # |y| from NumPy's pairwise sum of squares, the bits of np.linalg.norm
         return ball_covariance_radial(self.d, math.sqrt(np.add.reduce(np.square(y))))
 
@@ -236,6 +238,8 @@ class UnitBall(Shape):
 
     def shift_hits(self, rng, n, y, work):
         # y = |y| e_1 and X = r Theta: X - y is in the ball iff r (r - 2|y| Theta_1) <= 1 - |y|^2
+        if max(map(abs, y)) >= 2.0:  # beyond the diameter, before |y|^2 can overflow
+            return 0
         r, c, b = work[:3, :n]
         rng.random(out=r)
         r **= 1.0 / self.d
@@ -820,19 +824,8 @@ def gamma(shape: Shape, s, quad: QuadSpec = QuadSpec()):
 
 
 # ---------------------------------------------------------------------------
-# The perimeter identity and the weighted gamma integral
+# The weighted gamma integral
 # ---------------------------------------------------------------------------
-
-def perimeter_from_variations(shape: Shape, quad: QuadSpec = QuadSpec()) -> float:
-    """Recover Per from the spherical mean of the directional variations.
-
-    V_u/2 is the volume of the shadow of the shape on u^perp, the measure of the lines in
-    direction u that meet it, so Cauchy's formula, int V_u/2 dsigma(u) = w_(d-1) Per, is
-    the line integral of k = 1 over w_(d-1) (w_0 = 1), in every dimension.
-    """
-    value, _ = shape.line_integral(lambda lo, hi: np.ones_like(lo), quad)
-    return value / (kernel.unit_ball_volume(shape.dim - 1) if shape.dim > 1 else 1.0)
-
 
 def gamma_weighted_integral(shape: Shape, quad: QuadSpec = QuadSpec()):
     """Integral over (0, 1] of gamma(ell*s)/s, as (value, err_estimate)."""

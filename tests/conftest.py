@@ -22,9 +22,14 @@ from heatcov import (
     UnitBall,
     covariance,
     directional_variation,
+    gamma_weighted_integral,
     integrate_1d,
+    kappa,
+    unit_ball_volume,
 )
-from heatcov.errors import InvalidShapeError
+from heatcov.asymptotics import phi_over_t
+from heatcov.errors import DomainError, InvalidShapeError
+from heatcov.kernel import _check_dim, _check_t
 from heatcov.shapes import _PAIR_ENTRIES, WORK_ROWS, _boundary_terms
 
 
@@ -50,6 +55,37 @@ def run_python(code: str) -> str:
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     return run.stdout
+
+
+def poisson_kernel(d: int, t: float, x) -> float:
+    """p_t(x) = kappa_d * t / (t^2 + |x|^2)^((d+1)/2)."""
+    d = _check_dim(d)
+    t = _check_t(t)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (d,):
+        raise DomainError(f"x must be a vector of length {d}, got shape {x.shape}")
+    return kappa(d) * t / (t * t + float(np.dot(x, x))) ** ((d + 1) / 2)
+
+
+def phi(shape, t: float) -> float:
+    """phi(t): kernel mass beyond the support radius."""
+    return phi_over_t(shape, t) * t
+
+
+def R_limit(shape, quad=QuadSpec()) -> float:
+    """lim R(t) as t -> 0: kappa_d times the integral over (0, 1] of gamma(ell s)/s."""
+    return kappa(shape.dim) * gamma_weighted_integral(shape, quad)[0]
+
+
+def perimeter_from_variations(shape, quad=QuadSpec()) -> float:
+    """Per from the spherical mean of the directional variations.
+
+    V_u/2 is the volume of the shadow of the shape on u^perp, the measure of the lines in
+    direction u that meet it, so Cauchy's formula, int V_u/2 dsigma(u) = w_(d-1) Per, is
+    the line integral of k = 1 over w_(d-1) (w_0 = 1), in every dimension.
+    """
+    value = shape.line_integral(lambda lo, hi: np.ones_like(lo), quad)[0]
+    return value / (unit_ball_volume(shape.dim - 1) if shape.dim > 1 else 1.0)
 
 
 def gauss_legendre(f, a, b, n=48):

@@ -8,7 +8,6 @@ from heatcov import (
     F_limit,
     Interval,
     QuadSpec,
-    R_limit,
     Rectangle,
     UnitBall,
     big_R,
@@ -21,7 +20,6 @@ from heatcov import (
     heat_content,
     integrate_1d,
     kappa,
-    phi,
     phi_slope,
     psi_F,
     third_term,
@@ -30,7 +28,9 @@ from heatcov import (
 from heatcov.asymptotics import phi_over_t
 from heatcov.errors import DomainError
 
-from conftest import BALL2_C, BALL3_C, SQRT2, SQUARE_C, SQUARE_GAMMA, ball_constant, ball_reference, simpson
+from conftest import (
+    BALL2_C, BALL3_C, SQRT2, SQUARE_C, SQUARE_GAMMA, R_limit, ball_constant, ball_reference, phi, simpson,
+)
 
 
 def interval_heat_content_closed(t):

@@ -74,6 +74,10 @@ class TestCovariance:
         assert code == 0
         assert float(out) == pytest.approx(1.5, abs=1e-12)
 
+    def test_far_point_prints_zero(self, capsys):
+        # |y|^2 overflowed to inf, which printed 0 after a RuntimeWarning on stderr
+        assert run_cli(["covariance", "--shape", "ball2", "--point=1e200,1e200"], capsys) == (0, "0\n", "")
+
     def test_non_finite_point_exits_3(self, capsys):
         # used to print 0 for the square and exit 0
         code, out, err = run_cli(["covariance", "--shape", "square", "--point", "nan,0"], capsys)

@@ -12,7 +12,6 @@ from heatcov import (
     QuadSpec,
     integrate_1d,
     kappa,
-    poisson_kernel,
     tanh_deficit,
     unit_ball_volume,
     unit_sphere_area,
@@ -25,7 +24,7 @@ from heatcov.kernel import (
     z_minus_asinh_mean,
 )
 
-from conftest import simpson
+from conftest import poisson_kernel, simpson
 
 
 class TestKappa:

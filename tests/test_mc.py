@@ -1,6 +1,8 @@
+import collections
 import inspect
 import math
 import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -295,6 +297,13 @@ class TestMcCovariance:
         est = mc_covariance(UnitBall(2), [2.5, 0.0], n=10_000, seed=3)
         assert est.mean == 0.0
 
+    @pytest.mark.parametrize("d,y", [(1, [1e300]), (2, [1e200, 1e200]), (3, [1e200, 0.0, 0.0]), (16, [2.0] + [0.0] * 15)])
+    def test_ball_shift_beyond_overflow_is_zero(self, d, y):
+        # |y|^2 overflowed above about 1.3e154, and inf * Theta_1 <= -inf then counted every
+        # draw with Theta_1 > 0: the 3-ball read 2.108 +- 0.021
+        est = mc_covariance(UnitBall(d), y, n=10_000, seed=1)
+        assert (est.mean, est.stderr) == (0.0, 0.0)
+
     def test_rejects_scalar_shift(self):
         # a scalar used to broadcast to (0.5, 0.5, 0.5)
         with pytest.raises(DimensionMismatchError):
@@ -441,10 +450,9 @@ class TestBallInvariants:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 16])
     @pytest.mark.parametrize("t", [1e154, 1e160, 1e300])
-    def test_heat_block_at_huge_t_warns_of_nothing(self, d, t, monkeypatch):
+    def test_heat_block_at_huge_t_warns_of_nothing(self, d, t):
         # (r + t S)^2 overflows and, where B = 0 (every draw in d = 1), t^2 B is inf 0 = nan:
         # both are misses, as they should be, and no block prints a RuntimeWarning
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = mc_heat_content(UnitBall(d), t, n=100_000, seed=1)
@@ -584,7 +592,19 @@ def test_block_rng_streams_differ():
     assert not np.allclose(a, c)
 
 
+def _on_fresh_thread(fn):
+    """fn() run by a new thread, which has no workspace yet."""
+    found = []
+    thread = threading.Thread(target=lambda: found.append(fn()), daemon=True)
+    thread.start()
+    thread.join(timeout=60.0)
+    assert not thread.is_alive()
+    return found[0]
+
+
 class TestConcurrentBlocks:
+    # the blocks of an estimate run on the calling thread, in a workspace that the thread keeps;
+    # concurrent callers each run their own
     @pytest.mark.parametrize("estimator,shape,arg,n,seed,expected", GOLDEN, ids=GOLDEN_IDS)
     def test_golden_estimates(self, estimator, shape, arg, n, seed, expected):
         assert estimator(shape, arg, n=n, seed=seed).mean.hex() == expected
@@ -592,68 +612,71 @@ class TestConcurrentBlocks:
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("case", range(len(GOLDEN)), ids=lambda i: GOLDEN_IDS[i])
     def test_cpu_count_does_not_change_the_estimate(self, monkeypatch, cpus, case):
+        # from a fresh thread, while the process reports `cpus` CPUs: nothing sized by the CPU
+        # count may change the bits
         estimator, shape, arg, n, seed, expected = GOLDEN[case]
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
-        assert estimator(shape, arg, n=n, seed=seed).mean.hex() == expected
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert _on_fresh_thread(lambda: estimator(shape, arg, n=n, seed=seed).mean.hex()) == expected
 
-    def test_more_threads_than_cores_with_fast_switching(self, monkeypatch):
-        # a block lost or counted twice by the shared claim would change the estimate
+    def test_more_threads_than_cores_with_fast_switching(self):
+        # six callers of one estimate at once, each in its own workspace: a workspace shared or
+        # written by two callers would change an estimate
         shape, n = Interval(0.0, 1.7), 24 * mc.BLOCK_SIZE + 5
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
         serial = mc_heat_content(shape, 0.1, n=n, seed=3)
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 8)
+        found = []
+        callers = [threading.Thread(target=lambda: found.append(mc_heat_content(shape, 0.1, n=n, seed=3)),
+                                    daemon=True) for _ in range(6)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             start = time.perf_counter()
-            assert mc_heat_content(shape, 0.1, n=n, seed=3) == serial
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=30.0)
             assert time.perf_counter() - start < 30.0
         finally:
             sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert found == [serial] * len(callers)
 
-    @pytest.mark.parametrize("cpus", [1, 4])
-    def test_block_error_reaches_the_caller(self, monkeypatch, cpus):
-        local = threading.local()
+    @pytest.mark.parametrize("failing", [1, 4])
+    def test_block_error_reaches_the_caller(self, failing):
+        seen = []
 
-        class FailsOnBlock2(Rectangle):
-            # a block's _sample_rows and _inside run on one thread; the block is the second
-            # entropy word of the seed sequence of its stream
+        class FailsOnBlock(Rectangle):
+            # the block is the second entropy word of the seed sequence of its stream
             def _sample_rows(self, rng, work, n):
-                local.block = rng.bit_generator.seed_seq.entropy[1]
+                seen.append(rng.bit_generator.seed_seq.entropy[1])
                 return super()._sample_rows(rng, work, n)
 
             def _inside(self, x, y, scratch):
-                if local.block == 2:
-                    raise RuntimeError("_inside failed on block 2")
+                if seen[-1] == failing:
+                    raise RuntimeError(f"_inside failed on block {failing}")
                 return super()._inside(x, y, scratch)
 
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: cpus)
-        before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="block 2"):
-            mc_heat_content(FailsOnBlock2(1.0, 1.0), 0.1, n=10 * mc.BLOCK_SIZE, seed=1)
-        # the only threads that may have started are the executor's workers, which stay, and
-        # the next estimate overwrites what the failed blocks left in their workspaces
-        workers = mc._executor(cpus)._threads
-        assert set(threading.enumerate()) - before <= workers and len(workers) <= cpus
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match=f"block {failing}"):
+            mc_heat_content(FailsOnBlock(1.0, 1.0), 0.1, n=10 * mc.BLOCK_SIZE, seed=1)
+        # the blocks after the failing one do not run, no thread is left behind, and the next
+        # estimate overwrites what the failed block left in the workspace
+        assert seen == list(range(failing + 1))
+        assert threading.enumerate() == before
         estimator, shape, arg, n, seed, expected = GOLDEN[GOLDEN_IDS.index("heat-rect")]
         assert estimator(shape, arg, n=n, seed=seed).mean.hex() == expected
 
-    def test_estimates_start_no_thread_beyond_the_workers(self, monkeypatch):
-        # twenty estimates after the first may start only a worker that the executor did not
-        # need before (it starts one only when none is idle), never more than one per CPU
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
-        mc_heat_content(RECT, 0.1, n=PARTIAL, seed=1)
+    def test_estimates_start_no_thread(self, monkeypatch):
         started, start = [], threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
-        for seed in range(2, 22):
+        before = threading.enumerate()
+        for seed in range(1, 21):
             mc_covariance(TRIANGLE, [0.2, 0.1], n=PARTIAL, seed=seed)
-        workers = mc._executor(3)._threads
-        assert set(started) <= workers and len(workers) <= 3
+        assert started == [] and threading.enumerate() == before
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
     def test_forked_child_repeats_the_golden(self):
-        # the child has none of the parent's worker threads; an executor it inherited would
-        # take its blocks and never run them
+        # the child inherits the forking thread's workspace
         estimator, shape, arg, n, seed, expected = GOLDEN[GOLDEN_IDS.index("heat-rect")]
         assert estimator(shape, arg, n=n, seed=seed).mean.hex() == expected
         ctx = multiprocessing.get_context("fork")
@@ -669,13 +692,17 @@ class TestConcurrentBlocks:
                 child.join()
 
     def test_import_loads_no_executor_module(self):
-        # concurrent.futures loads logging and queue: it is imported on the first estimate
-        assert run_python("import sys, heatcov; print('concurrent.futures' in sys.modules)") == "False\n"
+        # concurrent.futures loads logging and queue: neither the import nor an estimate needs it
+        code = (
+            "import sys, threading, heatcov; loaded = 'concurrent.futures' in sys.modules; "
+            "heatcov.mc_heat_content(heatcov.Rectangle(1.3, 0.6), 0.1, n=100_000, seed=1); "
+            "print(loaded, 'concurrent.futures' in sys.modules, threading.active_count())"
+        )
+        assert run_python(code) == "False False 1\n"
 
-    def test_two_callers_at_once_get_the_golden_estimates(self, monkeypatch):
-        # two user threads hand blocks to the one executor at the same time, with more
-        # workers than cores and fast switching
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+    def test_two_callers_at_once_get_the_golden_estimates(self):
+        # two user threads run every golden estimate at the same time, in opposite orders,
+        # with fast switching
         found = [{}, {}]
 
         def run(order, out):
@@ -703,10 +730,9 @@ class TestConcurrentBlocks:
         "shape", [UnitBall(1), UnitBall(2), UnitBall(3), UnitBall(16), RECT, TRIANGLE, GON40, Interval(0.0, 1.7)],
         ids=["ball1", "ball2", "ball3", "ball16", "rect", "triangle", "40-gon", "interval"],
     )
-    def test_blocks_allocate_less_than_a_row(self, monkeypatch, shape):
-        # after a warm-up, a block draws and computes in its worker's workspace: a full block
+    def test_blocks_allocate_less_than_a_row(self, shape):
+        # after a warm-up, a block draws and computes in its caller's workspace: a full block
         # allocates less than one boolean row of BLOCK_SIZE bytes
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
         for estimator, arg in ((mc_heat_content, 0.1), (mc_covariance, [0.1] * shape.dim)):
             estimator(shape, arg, n=mc.BLOCK_SIZE, seed=1)
             tracemalloc.start()
@@ -717,14 +743,16 @@ class TestConcurrentBlocks:
                 tracemalloc.stop()
             assert peak < mc.BLOCK_SIZE, estimator.__name__
 
-    def test_blocks_call_no_public_function_off_the_calling_thread(self, monkeypatch):
-        # tracers that rebind the public functions, as the benchmark's does, keep one frame stack
-        caller, callers = threading.current_thread(), set()
+    def test_blocks_call_no_public_function(self, monkeypatch):
+        # an estimate of four blocks calls each public function as often as one of one block, so
+        # tracers that rebind them, as the benchmark's does, count estimates and not blocks; the
+        # first estimates fill the shape's cached properties
+        calls = collections.Counter()
         modules = (asymptotics, kernel, mc, quadrature, shapes)
 
         def recorded(fn):
             def wrapper(*args, **kwargs):
-                callers.add(threading.current_thread())
+                calls[fn.__qualname__] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -736,8 +764,12 @@ class TestConcurrentBlocks:
             for name, fn in list(vars(mod).items()):
                 if inspect.isfunction(fn) and fn in public:
                     monkeypatch.setattr(mod, name, recorded(fn))
-        monkeypatch.setattr(mc, "_usable_cpus", lambda: 4)
         for shape in (UnitBall(2), UnitBall(3), UnitBall(16), RECT, HEXAGON, GON40, Interval(0.0, 1.7)):
-            mc.mc_heat_content(shape, 0.1, n=PARTIAL, seed=1)
-            mc.mc_covariance(shape, [0.1] * shape.dim, n=PARTIAL, seed=2)
-        assert callers == {caller}
+            counts = []
+            for n in (PARTIAL, 1000, PARTIAL):
+                calls.clear()
+                mc.mc_heat_content(shape, 0.1, n=n, seed=1)
+                mc.mc_covariance(shape, [0.1] * shape.dim, n=n, seed=2)
+                counts.append(dict(calls))
+            assert counts[1] == counts[2], shape
+            assert counts[1]["mc_heat_content"] == counts[1]["mc_covariance"] == 1

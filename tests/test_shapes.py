@@ -19,7 +19,6 @@ from heatcov import (
     gamma_weighted_integral,
     geometry,
     heat_content,
-    perimeter_from_variations,
     shape_from_json,
     unit_ball_volume,
     unit_sphere_area,
@@ -48,6 +47,7 @@ from conftest import (
     gamma_per_r,
     gauss_legendre,
     green_covariance,
+    perimeter_from_variations,
     square_I_terms,
 )
 
@@ -354,6 +354,13 @@ class TestCovariance:
         assert covariance(UnitBall(3), (0.0, 0.0, 1.0)) == pytest.approx(
             5.0 * math.pi / 12.0, abs=1e-12
         )
+
+    @pytest.mark.parametrize("d,y", [(1, [1e300]), (2, [1e200, 1e200]), (3, [1e200, 1e200, 0.0]), (16, [-2.0] + [0.0] * 15)])
+    def test_ball_beyond_overflow_is_zero(self, d, y):
+        # |y|^2 overflowed above about 1.3e154 and warned; a batch row has the bits of one point
+        assert covariance(UnitBall(d), y) == 0.0
+        near = [1.9] + [0.0] * (d - 1)
+        assert covariance(UnitBall(d), [y, near]).tolist() == [0.0, covariance(UnitBall(d), near)]
 
     def test_polygon_matches_rectangle_closed_form(self):
         rng = np.random.default_rng(2024)
