@@ -31,6 +31,7 @@ from .quadrature import (
     integrate_circle,
 )
 from .shapes import (
+    Ball,
     ConvexPolygon,
     Interval,
     Rectangle,

@@ -38,11 +38,16 @@ def _heat_and_R(shape: Shape, ts: Sequence[float], quad: QuadSpec, heat: bool = 
     # from the least width and the diameter up, H and R fall like t^-d and t^-(d+1), so the
     # absolute tolerance would swallow them: there the H columns, now H itself, are divided
     # by their lower bound kappa_d t |Omega|^2 (t^2 + ell^2)^(-(d+1)/2) and the R columns
-    # scaled by (t/ell)^(d+1)
+    # scaled by (t/ell)^(d+1); on a shape too small or too large for t, a scale leaves the floats
     if any(direct):
         t = np.array(ts)
-        h_scale = np.where(direct, np.hypot(t, ell) ** (d + 1) / (kernel.kappa(d) * t * geo.volume**2), 1.0)
-        scale = np.concatenate([h_scale] * heat + [np.where(t >= ell, (t / ell) ** (d + 1), 1.0)] * big_r)
+        with np.errstate(all="ignore"):  # checked below, before anything is divided by it
+            h_scale = np.where(direct, np.hypot(t, ell) ** (d + 1) / (kernel.kappa(d) * t * np.square(geo.volume)), 1.0)
+            scale = np.concatenate([h_scale] * heat + [np.where(t >= ell, (t / ell) ** (d + 1), 1.0)] * big_r)
+        bad = np.flatnonzero(~(np.isfinite(scale) & (scale > 0.0)))
+        if len(bad):
+            raise DomainError(f"t = {ts[bad[0] % len(ts)]:g} on a shape of diameter {ell:g} puts the scale of "
+                              f"H or R outside the floats")
         mean = lambda lo, hi: kernels(lo, hi) * scale  # noqa: E731
     value, _ = shape.line_integral(mean, quad, seeds=shape.scale_seeds(ts))
     value = (value if mean is kernels else value / scale).tolist()

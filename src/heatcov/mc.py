@@ -5,23 +5,24 @@ uniform on Omega and W ~ p_1.  Each block of n draws is one call of a shape
 method, ``heat_hits(rng, n, t, work)`` or ``shift_hits(rng, n, y, work)``,
 which returns the block's hit count.
 
-In d <= 2, p_1 and the uniform law on a triangle have exact inverse-CDF or
-spacing samplers, so the blocks of polygons, rectangles and intervals draw
-only uniforms and work on one contiguous row per coordinate:
+In the plane, p_1 and the uniform law on a triangle have exact inverse-CDF
+or spacing samplers, so the blocks of polygons and rectangles draw only
+uniforms and work on one contiguous row per coordinate:
 
-- d = 1: W = tan(pi (U - 1/2)), the Cauchy law: P(|W| <= r) = (2/pi) atan r.
-- d = 2: P(|W| > r) = (1 + r^2)^(-1/2), so |W| = sqrt(1 - U^2)/U for U in
-  (0, 1]; the direction is ((1 - s^2), 2 s)/(1 + s^2), s = tan(pi (V - 1/2)).
+- P(|W| > r) = (1 + r^2)^(-1/2), so |W| = sqrt(1 - U^2)/U for U in (0, 1];
+  the direction is ((1 - s^2), 2 s)/(1 + s^2), s = tan(pi (V - 1/2)).
 - X on a convex polygon: one multinomial draw splits the block over the fan
   triangles by area, and a point of a triangle has the barycentric
   coordinates (1 - b, b - a, a), a <= b the min and max of two uniforms.
   Containment is one half-plane test e . p <= c per edge, and for X - y only
   at the edges with e . y < 0: X is in Omega, so e . (X - y) <= c - e . y
-  holds at the others.  A rectangle draws X as two uniform rows, an interval
-  as one, a + (b - a) U.
+  holds at the others.  A rectangle draws X as two uniform rows.
 
-The unit ball's blocks draw three uniforms a draw in every d, since its
-hit test sees only rotation invariants.  Rotate X onto e_1: X = r e_1,
+A ball's blocks draw three uniforms a draw in every d, an interval's (the
+1-ball's) included, since its hit test sees only rotation invariants.  A
+ball of radius rho runs the unit ball B's test at t/rho and y/rho: X/rho is
+uniform on B, and X + t W is in rho B iff X/rho + (t/rho) W is in B.  On B,
+rotate X onto e_1: X = r e_1,
 r = U_1^(1/d), and W = (G_1, G_perp)/|g_0| with G and g_0 standard normal.
 Write (g_0, G_1) = R (cos psi, sin psi) with R^2 ~ chi^2_2 independent of psi:
 
@@ -57,7 +58,7 @@ workspace of WORK_ROWS = 4 float rows of BLOCK_SIZE columns (2 MiB) in a
 resident memory instead of faulting in zero pages.  Blocks draw with
 ``out=``, compute in place and write boolean results into the bytes of a
 spent row.  A ball block uses 3 rows, a planar one 3.5 (x, y and three half
-rows, on which it works half of the columns at a time), an interval one 2.
+rows, on which it works half of the columns at a time).
 
 Blocks call only the shape's own methods, the private samplers of ``shapes``
 and ``_block_rng``, never a public module function (``geometry``,

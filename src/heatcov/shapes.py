@@ -1,8 +1,9 @@
 """Shape descriptors, exact geometry, and set covariance evaluators.
 
-Supported shapes are the unit ball (any dimension up to the package
-guard), convex polygons, and 1-D intervals; an axis-aligned rectangle is
-the convex polygon of its corners, with exact geometry and covariance.
+Supported shapes are balls of any radius (in any dimension up to the
+package guard; an interval is a 1-ball) and convex polygons; an
+axis-aligned rectangle is the convex polygon of its corners, with exact
+geometry and covariance.
 All shapes are convex, so the covariance support radius equals the
 diameter exactly.
 
@@ -18,7 +19,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,8 +72,7 @@ class Shape(ABC):
 
     @property
     def min_width(self) -> float:
-        """The least width of the shape over all directions; the diameter, for a ball or an
-        interval."""
+        """The least width of the shape over all directions; the diameter, for a ball."""
         return self.geometry.support_radius
 
     @property
@@ -129,39 +129,58 @@ class Shape(ABC):
 
 
 @dataclass(frozen=True)
-class UnitBall(Shape):
+class Ball(Shape):
+    """The ball of radius r in R^d.  Every member scales from the unit ball B: with
+    |Omega| = r^d w_d, chords 2r sin psi of weight r^(d-1), g(y) = r^d g_B(y/r) and
+    gamma(2r s) = r^(d-1) gamma_B(2s).  At r = 1 each factor is an exact multiply or divide by
+    1.0.  The ball has no centre, as every quantity heatcov computes is translation invariant:
+    ``Interval(a, b)`` is the 1-ball of radius (b - a)/2."""
+
     d: int
+    radius: float = 1.0
 
     def __post_init__(self):
         d = self.d
         if isinstance(d, bool) or not isinstance(d, Integral) or not 1 <= d <= kernel.MAX_DIM:
             raise InvalidShapeError(f"ball dimension must be an integer in [1, {kernel.MAX_DIM}]")
+        d, r = int(d), _real(self.radius, "the ball radius")
+        try:
+            volume = r**d * kernel.unit_ball_volume(d)
+        except OverflowError:  # r^d beyond the floats
+            volume = math.inf
+        if not (0.0 < 2.0 * r < math.inf and 0.0 < volume < math.inf):
+            raise InvalidShapeError(f"a {d}-ball of radius {r!r} needs a finite positive diameter and volume")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "radius", r)
 
     @cached_property
     def geometry(self) -> ShapeGeometry:
+        d, r = self.d, self.radius
         return ShapeGeometry(
-            volume=kernel.unit_ball_volume(self.d), perimeter=kernel.unit_sphere_area(self.d),
-            support_radius=2.0, dim=self.d,
+            volume=r**d * kernel.unit_ball_volume(d), perimeter=r ** (d - 1) * kernel.unit_sphere_area(d),
+            support_radius=2.0 * r, dim=d,
         )
 
     def covariance_at(self, y):
-        if max(map(abs, y)) >= 2.0:  # beyond the diameter, before |y|^2 can overflow
+        r = self.radius
+        if max(map(abs, y)) >= 2.0 * r:  # beyond the diameter, before |y|^2 can overflow
             return 0.0
-        # |y| from NumPy's pairwise sum of squares, the bits of np.linalg.norm
-        return ball_covariance_radial(self.d, math.sqrt(np.add.reduce(np.square(y))))
+        # |y/r| from NumPy's pairwise sum of squares, the bits of np.linalg.norm
+        norm = math.sqrt(np.add.reduce(np.square(np.divide(y, r))))
+        return r**self.d * ball_covariance_radial(self.d, norm)
 
     def line_integral(self, mean, quad, seeds=()):
-        """Over psi in [0, pi/2]: the lines at distance cos psi from the centre cut chords
-        c = 2 sin psi, with weight A_d A_(d-1) cos^(d-2) psi sin psi dpsi.  In d = 1, the one
-        chord of length 2."""
-        d = self.d
+        """Over psi in [0, pi/2]: the lines at distance r cos psi from the centre cut chords
+        c = 2r sin psi, with weight Per A_(d-1) cos^(d-2) psi sin psi dpsi.  In d = 1, the one
+        chord of length 2r."""
+        d, ell = self.d, self.geometry.support_radius
         if d == 1:
-            return _one_chord(mean, 2.0)
+            return _one_chord(mean, ell)
         weight = self.geometry.perimeter * kernel.unit_sphere_area(d - 1)
 
         def per_angle(psi):  # one piece a node: each row of means times its weight
             sin = np.sin(psi)
-            c = 2.0 * sin
+            c = ell * sin
             return (mean(c, c).T * (weight * np.cos(psi) ** (d - 2) * sin)).T
 
         return integrate_1d(per_angle, 0.0, 0.5 * math.pi, quad, points=seeds)
@@ -173,19 +192,22 @@ class UnitBall(Shape):
         quarters psi = k pi/8 are seeds too."""
         if self.d == 1:
             return []
+        ell = self.geometry.support_radius
         seeds = {k * math.pi / 8.0 for k in (1, 2, 3)}
         for t in ts:
             c = float(t)
-            while c < 2.0:
-                seeds.add(math.asin(0.5 * c))
+            while c < ell:
+                seeds.add(math.asin(c / ell))
                 c *= 4.0
         return sorted(seeds)
 
     def directional_variation(self, us):
-        return np.full(len(us), 2.0 * kernel.unit_ball_volume(self.d - 1) if self.d >= 2 else 2.0)
+        d = self.d
+        return np.full(len(us), 2.0 * kernel.unit_ball_volume(d - 1) * self.radius ** (d - 1) if d >= 2 else 2.0)
 
     # The ball is rotation invariant, so a block draws three uniforms a sample, which give
-    # the invariants its hit test sees, instead of d-vectors: see heatcov.mc.
+    # the invariants its hit test sees, instead of d-vectors, and it runs the unit ball B's
+    # test at t/radius and y/radius: see heatcov.mc.
 
     def _draw_step(self, rng, s, b):
         """Draw the invariants of W ~ p_1 into the rows s and b: the standard Cauchy
@@ -219,8 +241,9 @@ class UnitBall(Shape):
 
     @np.errstate(over="ignore", invalid="ignore")
     def heat_hits(self, rng, n, t, work):
-        # X = r e_1: X + t W is in the ball iff (r + t S)^2 + t^2 (1 + S^2) B/(1 - B) <= 1,
+        # X = r e_1 in B: X + t W is in B iff (r + t S)^2 + t^2 (1 + S^2) B/(1 - B) <= 1,
         # tested times 1 - B, so that a B of 1 is a miss; so is inf or nan at huge t
+        t /= self.radius
         r, s, b = work[:3, :n]
         rng.random(out=r)
         r **= 1.0 / self.d
@@ -237,31 +260,44 @@ class UnitBall(Shape):
         return int(np.count_nonzero(np.less_equal(r, b, out=s.view(bool)[:n])))
 
     def shift_hits(self, rng, n, y, work):
-        # y = |y| e_1 and X = r Theta: X - y is in the ball iff r (r - 2|y| Theta_1) <= 1 - |y|^2
-        if max(map(abs, y)) >= 2.0:  # beyond the diameter, before |y|^2 can overflow
+        # with y for y/radius, y = |y| e_1 and X = r Theta in B: X - y is in B iff r (r - 2|y| Theta_1) <= 1 - |y|^2
+        if max(map(abs, y)) >= 2.0 * self.radius:  # beyond the diameter, before |y|^2 can overflow
             return 0
         r, c, b = work[:3, :n]
         rng.random(out=r)
         r **= 1.0 / self.d
         self._draw_axis(rng, c, b)
-        norm = float(np.linalg.norm(y))
+        norm = float(np.linalg.norm(y / self.radius))
         c *= 2.0 * norm
         np.subtract(r, c, out=c)
         c *= r
         return int(np.count_nonzero(np.less_equal(c, 1.0 - norm * norm, out=b.view(bool)[:n])))
 
     def gamma(self, s, quad):
-        """gamma_B(2s) = A_d w_{d-1} / s * int_0^{asin s} (cos - cos^d), in floats for a float s."""
+        """gamma(2r s) = r^(d-1) gamma_B(2s), with gamma_B(2s) = A_d w_{d-1} / s *
+        int_0^{asin s} (cos - cos^d), in floats for a float s."""
         if self.gamma_vanishes:
             return 0.0 * s
         d = self.d
         w_dm1 = kernel.unit_ball_volume(d - 1)
-        return kernel.unit_sphere_area(d) * w_dm1 * kernel.cos_power_deficit(d, s) / s
+        return self.radius ** (d - 1) * (kernel.unit_sphere_area(d) * w_dm1 * kernel.cos_power_deficit(d, s) / s)
 
     def gamma_weighted_integral(self, quad):
         """Seeds s = 1 - 4^-k, k = 1..4, in even d, where gamma_B(2s) has a (1 - s)^((d+1)/2) term."""
         seeds = [1.0 - 4.0**-k for k in range(1, 5)] if self.d % 2 == 0 else []
         return integrate_1d(lambda s: gamma(self, s, quad) / s, 0.0, 1.0, quad, points=seeds)
+
+
+UnitBall = Ball  # a second name: UnitBall(d) is Ball(d), the unit ball
+
+
+def Interval(a: float, b: float) -> Ball:
+    """The interval [a, b] as the 1-ball of radius (b - a)/2: its one chord, 2 (b - a)/2, is
+    b - a exactly, and nothing heatcov computes depends on where it lies."""
+    a, b = _real(a, "an interval end"), _real(b, "an interval end")
+    if not (-math.inf < a < b < math.inf and b - a < math.inf):
+        raise InvalidShapeError(f"an interval needs finite a < b with a finite length, got [{a!r}, {b!r}]")
+    return Ball(1, (b - a) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -677,66 +713,9 @@ class Rectangle(ConvexPolygon):
             row -= h
 
 
-@dataclass(frozen=True)
-class Interval(Shape):
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not -math.inf < self.a < self.b < math.inf:
-            raise InvalidShapeError("interval requires finite a < b")
-
-    @property
-    def length(self) -> float:
-        return self.b - self.a
-
-    @cached_property
-    def geometry(self) -> ShapeGeometry:
-        return ShapeGeometry(volume=self.length, perimeter=2.0, support_radius=self.length, dim=1)
-
-    def covariance_at(self, y):
-        return max(0.0, self.length - abs(y[0]))
-
-    def line_integral(self, mean, quad, seeds=()):
-        """The one chord, of length b - a."""
-        return _one_chord(mean, self.length)
-
-    def directional_variation(self, us):
-        return np.full(len(us), 2.0)
-
-    def _inside(self, x, spare):
-        """Membership mask of the row x, in the bytes of the float row spare."""
-        m = len(x)
-        inside, ok = spare.view(bool)[:m], spare.view(bool)[m : 2 * m]
-        np.greater_equal(x, self.a, out=inside)
-        inside &= np.less_equal(x, self.b, out=ok)
-        return inside
-
-    def _sample_row(self, rng, x):
-        """Fill the row x with uniform draws a + (b - a) U."""
-        rng.random(out=x)
-        x *= self.b - self.a
-        x += self.a
-
-    def heat_hits(self, rng, n, t, work):
-        x, spare = work[:2, :n]
-        self._sample_row(rng, x)
-        _add_line_step(rng, x, t, spare)
-        return int(np.count_nonzero(self._inside(x, spare)))
-
-    def shift_hits(self, rng, n, y, work):
-        x, spare = work[:2, :n]
-        self._sample_row(rng, x)
-        x -= y[0]
-        return int(np.count_nonzero(self._inside(x, spare)))
-
-    def gamma(self, s, quad):
-        return 0.0 * s
-
-
-def _real(x) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise InvalidShapeError(f"expected a number, got {x!r}")
+def _real(x, what: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, Real):
+        raise InvalidShapeError(f"{what} must be a real number, got {x!r}")
     return float(x)
 
 
@@ -747,16 +726,16 @@ def shape_from_json(obj) -> Shape:
     kind = obj.get("kind")
     try:
         if kind == "ball":
-            return UnitBall(obj["dim"])
+            return Ball(obj["dim"])
         if kind == "rectangle":
-            hw = [_real(h) for h in obj["half_widths"]]
+            hw = [_real(h, "a rectangle half-width") for h in obj["half_widths"]]
             if len(hw) != 2:
                 raise InvalidShapeError("rectangle needs exactly two half-widths")
             return Rectangle(*hw)
         if kind == "polygon":
             return ConvexPolygon(obj["vertices"])
         if kind == "interval":
-            return Interval(_real(obj["a"]), _real(obj["b"]))
+            return Interval(obj["a"], obj["b"])
     except KeyError as exc:
         raise InvalidShapeError(f"{kind} shape needs the key {exc}") from None
     except TypeError as exc:
@@ -896,13 +875,6 @@ def _draw_cauchy(rng: np.random.Generator, w: np.ndarray) -> None:
     w -= 0.5
     w *= math.pi
     np.tan(w, out=w)
-
-
-def _add_line_step(rng: np.random.Generator, x: np.ndarray, t: float, w: np.ndarray) -> None:
-    """Add t W to the row x in place, drawing into the row w: in d = 1, p_1 is the Cauchy law."""
-    _draw_cauchy(rng, w)
-    w *= t
-    x += w
 
 
 def _planar_scratch(work: np.ndarray, n: int) -> tuple:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import heatcov
 from heatcov import (
+    Ball,
     ConvexPolygon,
     Interval,
     QuadSpec,
@@ -525,27 +526,23 @@ def sample_cauchy(d, rng, n=1):
 
 def sample(shape, rng, n):
     """n uniform points of the shape, an (n, dim) array: a ball's as uniform directions
-    times U^(1/d), an interval's as a + (b - a) U, a polygon's from its own fan sampler
-    (each point uniform, the rows grouped by fan triangle)."""
-    if isinstance(shape, UnitBall):
+    times r U^(1/d), a polygon's from its own fan sampler (each point uniform, the rows
+    grouped by fan triangle)."""
+    if isinstance(shape, Ball):
         v = rng.standard_normal((n, shape.d))
         v /= np.linalg.norm(v, axis=1)[:, None]
-        v *= (rng.random(n) ** (1.0 / shape.d))[:, None]
+        v *= (shape.radius * rng.random(n) ** (1.0 / shape.d))[:, None]
         return v
-    if isinstance(shape, Interval):
-        return rng.uniform(shape.a, shape.b, (n, 1))
     work = np.empty((WORK_ROWS, max(n, 2)))
     shape._sample_rows(rng, work, n)
     return work[:2, :n].T
 
 
 def contains(shape, pts):
-    """Membership mask of the rows of an (n, dim) array, from the shape's definition: |x| <= 1,
-    a <= x <= b, |x| <= h1 and |y| <= h2, or on the left of every counterclockwise edge pq."""
-    if isinstance(shape, UnitBall):
-        return np.sum(pts * pts, axis=1) <= 1.0
-    if isinstance(shape, Interval):
-        return (shape.a <= pts[:, 0]) & (pts[:, 0] <= shape.b)
+    """Membership mask of the rows of an (n, dim) array, from the shape's definition: |x| <= r,
+    |x| <= h1 and |y| <= h2, or on the left of every counterclockwise edge pq."""
+    if isinstance(shape, Ball):
+        return np.sum(pts * pts, axis=1) <= shape.radius**2
     x, y = pts.T
     if isinstance(shape, Rectangle):
         return (np.abs(x) <= shape.h1) & (np.abs(y) <= shape.h2)

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from heatcov import (
+    Ball,
     ConvexPolygon,
     F_limit,
     Interval,
@@ -16,6 +18,7 @@ from heatcov import (
     decompositions,
     default_t_grid,
     gamma,
+    gamma_weighted_integral,
     geometry,
     heat_content,
     integrate_1d,
@@ -25,6 +28,7 @@ from heatcov import (
     third_term,
     unit_sphere_area,
 )
+from heatcov import shapes
 from heatcov.asymptotics import phi_over_t
 from heatcov.errors import DomainError
 
@@ -63,6 +67,21 @@ class TestHeatContent:
     def test_rejects_nonpositive_t(self, quad):
         with pytest.raises(DomainError):
             heat_content(UnitBall(2), 0.0, quad)
+
+    @pytest.mark.parametrize(
+        "shape, t",
+        [(Interval(0.0, 1e-160), 1e-9), (Rectangle(1e-100, 1e-100), 1.0), (Ball(3, 1e-100), 0.1),
+         (Ball(2, 1e100), 1e250), (Ball(1, 8e307), 1.7e308)],
+        ids=["interval-1e-160", "square-1e-100", "ball3-1e-100", "ball2-1e100", "ball1-8e307"],
+    )
+    def test_scale_outside_the_floats_is_a_domain_error(self, shape, t, quad):
+        # from the diameter up, H's column is divided by kappa_d t |Omega|^2 (t^2 + ell^2)^(-(d+1)/2),
+        # which left the floats: the interval printed nan with two RuntimeWarnings (which fail this
+        # test), the square raised QuadratureError
+        message = re.escape(f"t = {t:g} on a shape of diameter {geometry(shape).support_radius:g}")
+        for run in (lambda: heat_content(shape, t, quad), lambda: decompositions(shape, [t], quad)):
+            with pytest.raises(DomainError, match=message):
+                run()
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_rejects_nonfinite_t(self, t, quad):
@@ -215,7 +234,10 @@ class TestDecomposition:
         assert abs(bd.residual) < 1e-10
 
 
-@pytest.mark.parametrize("shape", [UnitBall(3), UnitBall(2), Rectangle(1.0, 1.5), Interval(0.0, 0.7)], ids=repr)
+@pytest.mark.parametrize(
+    "shape", [UnitBall(3), UnitBall(2), Rectangle(1.0, 1.5), Interval(0.0, 0.7)],
+    ids=["UnitBall(d=3)", "UnitBall(d=2)", "Rectangle(h1=1.0, h2=1.5)", "Interval(a=0.0, b=0.7)"],
+)
 def test_grid_pass_matches_single_t(shape, quad):
     # one pass over an unsorted grid on both sides of the diameter gives each t's own values
     ts = [3.0, 0.5, 10.0, 1e-3, 0.05]
@@ -292,20 +314,77 @@ class TestThirdTerm:
             assert all(a > b for a, b in zip(errs, errs[1:]))
 
     def test_unit_ball_d1_is_the_interval(self):
-        # UnitBall(1) is (-1, 1): gamma vanishes, and every route agrees with Interval
-        ball, interval = UnitBall(1), Interval(-1.0, 1.0)
-        rb, ri = third_term(ball), third_term(interval)
-        assert rb.C_formula == pytest.approx(ri.C_formula, abs=1e-12)
-        assert rb.C_extrapolated == pytest.approx(ri.C_extrapolated, abs=1e-12)
-        assert rb.C_formula == pytest.approx(2.0 / math.pi * (1.0 + math.log(2.0)), abs=1e-12)
+        # UnitBall(1) is the interval (-1, 1), wherever it lies: gamma vanishes, C is that of
+        # an interval of length 2, and H(t) = 2 H_(0,1)(t/2)
+        ball = UnitBall(1)
+        assert ball == Interval(-1.0, 1.0) == Interval(0.0, 2.0)
+        report = third_term(ball)
+        assert report.C_formula == pytest.approx(2.0 / math.pi * (1.0 + math.log(2.0)), abs=1e-12)
+        assert report.C_extrapolated == pytest.approx(report.C_formula, abs=1e-4)
         for t in (1e-3, 0.1, 2.0):
-            d_ball, d_interval = decomposition(ball, t).D, decomposition(interval, t).D
-            assert d_ball == pytest.approx(d_interval, abs=1e-12)
-            assert heat_content(ball, t) == pytest.approx(heat_content(interval, t), abs=1e-12)
+            assert heat_content(ball, t) == pytest.approx(2.0 * interval_heat_content_closed(t / 2.0), abs=1e-12)
 
     def test_bad_grid_rejected(self, quad):
         with pytest.raises(DomainError):
             third_term(UnitBall(2), quad, t_grid=[0.1, 0.2, 0.05, 0.01])
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 16])
+def test_ball_scaling_laws(d, quad, monkeypatch):
+    # H_{rB}(r t) = r^d H_B(t); R, D and C scale by r^(d-1), D and C less (Per_B/pi) ln r.  Each
+    # side may miss by its reported quadrature error, plus the 50 eps int |f| that QUADPACK
+    # adds for rounding (integrate_1d's estimate has no such floor), over every term a value is
+    # summed from.  R's kernel is (K_ell - K_c)/t, K_c the deficit kernel and K_ell its terms at
+    # c = ell, both positive: its terms integrate to R + 2 (|Omega| - H)/t
+    reported = []
+
+    def recording(*args, **kwargs):
+        value, err = integrate_1d(*args, **kwargs)
+        reported.append((value, err))
+        return value, err
+
+    monkeypatch.setattr(shapes, "integrate_1d", recording)
+    ts = [1e-4, 0.01, 0.5, 1.5, 10.0, 1e3]  # on both sides of the unit diameter 2
+
+    def laws(ball, scale):
+        """Per t, for ball at scale t: (H, R, D) and their error bounds, and (C, its bound)."""
+        geo = geometry(ball)
+        reported.clear()
+        rows = decompositions(ball, [scale * t for t in ts], quad)
+        # one chord pass, H columns then R columns; an interval's one chord needs no quadrature
+        assert len(reported) == (d > 1)
+        raw, err = reported[0] if d > 1 else (np.ones(2 * len(ts)), np.zeros(2 * len(ts)))
+        out = []
+        for j, (t, bd) in enumerate(zip(ts, rows)):
+            # a column below the diameter is the deficit |Omega| - H, and R itself; above it,
+            # H and R times a scale
+            e_h = err[j] if t < 2.0 else err[j] * bd.H / raw[j]
+            e_r = err[len(ts) + j] * abs(bd.R / raw[len(ts) + j]) if d > 1 else 0.0
+            e_r += 50 * EPS * (abs(bd.R) + 2.0 * (geo.volume - bd.H) / bd.t)
+            terms = abs(geo.volume * bd.phi / bd.t) + abs(geo.perimeter * bd.F / math.pi)
+            out.append(((bd.H, e_h + 50 * EPS * geo.volume), (bd.R, e_r), (bd.D, e_r + 50 * EPS * terms)))
+        report = third_term(ball, quad)
+        g_err = gamma_weighted_integral(ball, quad)[1]
+        pieces = report.pieces
+        terms = (abs(geo.volume * pieces["phi_slope"]) + abs(geo.perimeter * pieces["F_limit"] / math.pi)
+                 + abs(kappa(d) * pieces["gamma_integral"]))
+        return out, (report.C_formula, kappa(d) * g_err + 50 * EPS * terms)
+
+    unit, (c_unit, c_err) = laws(UnitBall(d), 1.0)
+    per = geometry(UnitBall(d)).perimeter
+    for r in (1e-6, 1e-3, 0.37, 3.0, 1e3, 1e6):
+        scaled, (c_scaled, c_scaled_err) = laws(Ball(d, r), r)
+        log_term = per * math.log(r) / math.pi
+        for t, ((h, eh), (rr, er), (dd, ed)), ((h1, eh1), (r1, er1), (d1, ed1)) in zip(ts, scaled, unit):
+            assert abs(h - r**d * h1) <= eh + r**d * eh1, (r, t)
+            assert abs(rr - r ** (d - 1) * r1) <= er + r ** (d - 1) * er1, (r, t)
+            d_err = ed + r ** (d - 1) * (ed1 + 50 * EPS * abs(log_term))
+            assert abs(dd - r ** (d - 1) * (d1 + log_term)) <= d_err, (r, t)
+        want = r ** (d - 1) * (c_unit + log_term)
+        assert abs(c_scaled - want) <= c_scaled_err + r ** (d - 1) * (c_err + 50 * EPS * abs(log_term)), r
 
 
 @pytest.mark.parametrize("d", range(2, 17))

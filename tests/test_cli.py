@@ -126,6 +126,23 @@ class TestShapeFile:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_interval_of_infinite_length_exits_2(self, tmp_path, capsys):
+        # it loaded with length inf, and expansion exited 3: "t = 0.5 is below inf"
+        f = tmp_path / "interval.json"
+        f.write_text(json.dumps({"kind": "interval", "a": -1e308, "b": 1e308}))
+        code, out, err = run_cli(["expansion", "--shape-file", str(f), "--t", "0.5"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_tiny_interval_exits_3_without_warnings(self, tmp_path, capsys):
+        # |Omega|^2 underflowed in the scale of H: it printed nan with two RuntimeWarnings and exited 0
+        f = tmp_path / "interval.json"
+        f.write_text(json.dumps({"kind": "interval", "a": 0, "b": 1e-160}))
+        code, out, err = run_cli(["heat-content", "--shape-file", str(f), "--t", "1e-9"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: t = 1e-09 on a shape of diameter 1e-160")
+        assert err.count("\n") == 1 and "Warning" not in err
+
     def test_triangle_heat_content(self, tmp_path, capsys):
         f = tmp_path / "triangle.json"
         f.write_text(json.dumps({"kind": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]}))

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heatcov import (
+    Ball,
     ConvexPolygon,
     Interval,
     QuadSpec,
@@ -159,6 +160,86 @@ class TestShapeConstruction:
         assert geometry(poly).volume == pytest.approx(0.5)
         with pytest.raises(InvalidShapeError):
             shape_from_json({"kind": "blob"})
+
+
+class TestBallOfAnyRadius:
+    """One class for the balls of every radius: the unit ball is Ball(d), an interval the 1-ball."""
+
+    RADII = [1e-6, 1e-3, 0.37, 3.0, 1e3, 1e6]
+    DIMS = [1, 2, 3, 6, 16]
+    EPS = np.finfo(float).eps
+
+    def test_unit_ball_and_interval_are_balls(self):
+        for d in (1, 2, 16):
+            assert UnitBall(d) == Ball(d) == Ball(d, 1) and UnitBall(d).radius == 1.0
+        for a, b in [(0.0, 1.0), (-0.5, 2.0), (0.0, 1.7), (0.3, 1.1), (-1e300, 1e300)]:
+            assert Interval(a, b) == Ball(1, (b - a) / 2.0)
+            assert geometry(Interval(a, b)).volume == b - a  # its one chord, 2 (b - a)/2, is b - a
+        assert shape_from_json({"kind": "interval", "a": -1, "b": 2}) == Ball(1, 1.5)
+
+    @pytest.mark.parametrize(
+        "d, radius",
+        [(16, 1e20), (16, 1e-30), (1, 1e308), (2, 0.0), (2, -1.0), (2, math.nan), (2, math.inf), (2, True), (2, "1"),
+         (2, None)],
+        ids=["volume-overflows", "volume-underflows", "diameter-overflows", "zero", "negative", "nan", "inf", "bool",
+             "string", "none"],
+    )
+    def test_radius_must_give_a_finite_positive_size(self, d, radius):
+        with pytest.raises(InvalidShapeError):
+            Ball(d, radius)
+
+    @pytest.mark.parametrize(
+        "a, b", [("0", "1"), (0, None), (False, 1), (-1e308, 1e308), (0.0, math.inf), (math.nan, 1.0), (2.0, 1.0)]
+    )
+    def test_interval_must_be_finite_and_ordered(self, a, b):
+        with pytest.raises(InvalidShapeError):
+            Interval(a, b)
+        with pytest.raises(InvalidShapeError):
+            shape_from_json({"kind": "interval", "a": a, "b": b})
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_volume_perimeter_and_diameter_scale(self, d):
+        for r in self.RADII:
+            geo = geometry(Ball(d, r))
+            assert geo.volume == pytest.approx(r**d * unit_ball_volume(d), rel=2 * self.EPS, abs=0.0)
+            assert geo.perimeter == pytest.approx(r ** (d - 1) * unit_sphere_area(d), rel=2 * self.EPS, abs=0.0)
+            assert geo.support_radius == 2.0 * r
+
+    # integrate_1d's error estimate, min(diff, (200 diff)^1.5) on a panel, shrinks as the 1.5th
+    # power of the integrand's scale where diff < 200^-3: on these balls the one first-round
+    # panel of the weight cos^14 psi sin psi reports 5e-49 and 2e-26 of the value and misses
+    # by 7.9e-11 of it
+    SMALL_ESTIMATES = {(16, 1e-6), (16, 1e-3)}
+
+    @pytest.mark.parametrize("r", RADII)
+    @pytest.mark.parametrize("d", DIMS)
+    def test_perimeter_through_the_chord_measure(self, d, r, request):
+        # Cauchy's formula: the line integral of 1 is w_(d-1) Per, within its reported error and
+        # the 50 eps int |f| that QUADPACK adds for rounding
+        if (d, r) in self.SMALL_ESTIMATES:
+            request.applymarker(pytest.mark.xfail(
+                strict=True, reason="integrate_1d reports an error that does not scale with the integrand"))
+        value, err = Ball(d, r).line_integral(lambda lo, hi: np.ones_like(lo), QuadSpec())
+        shadow = unit_ball_volume(d - 1) if d > 1 else 1.0
+        assert abs(value - shadow * geometry(Ball(d, r)).perimeter) <= err + 50 * self.EPS * value
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_gamma_scales(self, d):
+        # gamma_{rB}(2r s) = r^(d-1) gamma_B(2s): closed forms, so only rounding separates them
+        ss = np.array([1e-4, 0.01, 0.3, 0.77, 1.0])
+        for r in self.RADII:
+            np.testing.assert_allclose(gamma(Ball(d, r), ss), r ** (d - 1) * gamma(UnitBall(d), ss),
+                                       rtol=4 * self.EPS, atol=0.0)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_covariance_scales(self, d):
+        # g_{rB}(y) = r^d g_B(y/r), to a few rounding errors of |Omega|, on both sides of the diameter
+        ys = np.random.default_rng(d).uniform(-1.2, 1.2, (200, d)) * 2.0
+        for r in self.RADII:
+            vol = geometry(Ball(d, r)).volume
+            np.testing.assert_allclose(covariance(Ball(d, r), r * ys), r**d * covariance(UnitBall(d), ys),
+                                       rtol=0.0, atol=8 * self.EPS * vol)
+            assert_covariance_facts(Ball(d, r), QuadSpec(), seed=d, n_probes=50)
 
 
 class TestScaleFree:
@@ -375,7 +456,10 @@ class TestCovariance:
             covariance(UnitBall(2), (1.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("kind", [list, tuple, np.array])
-    @pytest.mark.parametrize("shape", [UnitBall(3), TRIANGLE, Rectangle(1.0, 0.5), Interval(0.0, 2.0)], ids=repr)
+    @pytest.mark.parametrize(
+        "shape", [UnitBall(3), TRIANGLE, Rectangle(1.0, 0.5), Interval(0.0, 2.0)],
+        ids=["UnitBall(d=3)", repr(TRIANGLE), "Rectangle(h1=1.0, h2=0.5)", "Interval(a=0.0, b=2.0)"],
+    )
     def test_one_point_as_list_tuple_or_array(self, kind, shape):
         dim = shape.dim
         with pytest.raises(DimensionMismatchError):
@@ -563,7 +647,8 @@ def _count_integrand_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "shape", [*(UnitBall(d) for d in (1, 2, 3, 6, 10, 16)), Interval(0.0, 0.7)], ids=repr
+    "shape", [*(UnitBall(d) for d in (1, 2, 3, 6, 10, 16)), Interval(0.0, 0.7)],
+    ids=[*(f"UnitBall(d={d})" for d in (1, 2, 3, 6, 10, 16)), "Interval(a=0.0, b=0.7)"],
 )
 def test_radial_heat_content_takes_few_rounds(shape, quad, monkeypatch):
     # panels seeded where the chord is t 4^k resolve the layer at c ~ t before the first
