@@ -8,9 +8,10 @@ All shapes are convex, so the covariance support radius equals the
 diameter exactly.
 
 Each shape class implements the ``Shape`` protocol and so owns what the
-package knows about it.  The module-level functions of the same names
-(``geometry``, ``covariance``, ``gamma``, ...) check their inputs and then
-ask the shape; the other modules call those functions.
+package computes of it deterministically; its Monte Carlo blocks are in
+``heatcov.mc``.  The module-level functions of the same names (``geometry``,
+``covariance``, ``gamma``, ...) check their inputs and then ask the shape;
+the other modules call those functions.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .errors import (
 )
 from .quadrature import QuadSpec, integrate_1d
 
-WORK_ROWS = 4  # float rows of a Monte Carlo block's workspace
 # entries per chunk of the chord pieces that line_integral hands its mean, bounding its temporaries
 _PAIR_ENTRIES = 1 << 16
 
@@ -105,18 +105,6 @@ class Shape(ABC):
     @abstractmethod
     def directional_variation(self, us: np.ndarray) -> np.ndarray:
         """Total variation of the indicator in each direction, the rows of an (n, dim) array."""
-
-    @abstractmethod
-    def heat_hits(self, rng: np.random.Generator, n: int, t: float, work: np.ndarray) -> int:
-        """How many of n draws of X + t W land in the shape, X uniform on it and W ~ p_1.
-
-        work, a C-contiguous float array of WORK_ROWS rows of at least max(n, 2)
-        columns, is scratch that a block may overwrite.
-        """
-
-    @abstractmethod
-    def shift_hits(self, rng: np.random.Generator, n: int, y: np.ndarray, work: np.ndarray) -> int:
-        """How many of n draws of X - y land in the shape, X uniform on it; see ``heat_hits``."""
 
     @abstractmethod
     def gamma(self, s, quad: QuadSpec):
@@ -204,74 +192,6 @@ class Ball(Shape):
     def directional_variation(self, us):
         d = self.d
         return np.full(len(us), 2.0 * kernel.unit_ball_volume(d - 1) * self.radius ** (d - 1) if d >= 2 else 2.0)
-
-    # The ball is rotation invariant, so a block draws three uniforms a sample, which give
-    # the invariants its hit test sees, instead of d-vectors, and it runs the unit ball B's
-    # test at t/radius and y/radius: see heatcov.mc.
-
-    def _draw_step(self, rng, s, b):
-        """Draw the invariants of W ~ p_1 into the rows s and b: the standard Cauchy
-        S = W_1 and B ~ Beta((d - 1)/2, 1), with |W_perp|^2 = (1 + S^2) B/(1 - B)."""
-        _draw_cauchy(rng, s)
-        if self.d == 1:
-            b.fill(0.0)
-        else:
-            rng.random(out=b)
-            b **= 2.0 / (self.d - 1)
-
-    def _draw_axis(self, rng, c, b):
-        """Draw Theta_1, the first coordinate of a uniform unit vector, into the row c, with
-        b as scratch: cos psi sqrt(B') for psi uniform on [0, pi) and B' ~ Beta(1, (d - 2)/2)."""
-        rng.random(out=c)
-        if self.d == 1:
-            c -= 0.5
-            np.copysign(1.0, c, out=c)
-            return
-        c *= 0.5 * math.pi
-        np.tan(c, out=c)  # s = tan(psi/2), cos psi = (1 - s^2)/(1 + s^2)
-        c *= c
-        np.add(c, 1.0, out=b)
-        np.subtract(1.0, c, out=c)
-        c /= b
-        if self.d > 2:
-            rng.random(out=b)
-            b **= 2.0 / (self.d - 2)
-            np.subtract(1.0, b, out=b)
-            c *= np.sqrt(b, out=b)
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def heat_hits(self, rng, n, t, work):
-        # X = r e_1 in B: X + t W is in B iff (r + t S)^2 + t^2 (1 + S^2) B/(1 - B) <= 1,
-        # tested times 1 - B, so that a B of 1 is a miss; so is inf or nan at huge t
-        t /= self.radius
-        r, s, b = work[:3, :n]
-        rng.random(out=r)
-        r **= 1.0 / self.d
-        self._draw_step(rng, s, b)
-        s *= t
-        r += s
-        r *= r
-        s *= s
-        s += t * t
-        s *= b
-        np.subtract(1.0, b, out=b)
-        r *= b
-        r += s
-        return int(np.count_nonzero(np.less_equal(r, b, out=s.view(bool)[:n])))
-
-    def shift_hits(self, rng, n, y, work):
-        # with y for y/radius, y = |y| e_1 and X = r Theta in B: X - y is in B iff r (r - 2|y| Theta_1) <= 1 - |y|^2
-        if max(map(abs, y)) >= 2.0 * self.radius:  # beyond the diameter, before |y|^2 can overflow
-            return 0
-        r, c, b = work[:3, :n]
-        rng.random(out=r)
-        r **= 1.0 / self.d
-        self._draw_axis(rng, c, b)
-        norm = float(np.linalg.norm(y / self.radius))
-        c *= 2.0 * norm
-        np.subtract(r, c, out=c)
-        c *= r
-        return int(np.count_nonzero(np.less_equal(c, 1.0 - norm * norm, out=b.view(bool)[:n])))
 
     def gamma(self, s, quad):
         """gamma(2r s) = r^(d-1) gamma_B(2s), with gamma_B(2s) = A_d w_{d-1} / s *
@@ -363,84 +283,6 @@ class ConvexPolygon(Shape):
         # the edge length into the unnormalized normal
         return np.sum(np.abs(edges[:, 1] * us[:, :1] - edges[:, 0] * us[:, 1:]), axis=1)
 
-    def _inside(self, x, y, scratch, planes=None) -> np.ndarray:
-        """Membership mask of the points (x, y), in the bytes of scratch, three float rows
-        of len(x) that it overwrites: e . p <= c for each (e_x, e_y, c) of ``planes`` (by
-        default ``_half_planes``)."""
-        lhs, term, mask = scratch
-        inside, ok = mask.view(bool)[: len(x)], term.view(bool)[: len(x)]
-        inside.fill(True)
-        for ex, ey, c in self._half_planes if planes is None else planes:
-            np.multiply(x, ex, out=lhs)
-            lhs += np.multiply(y, ey, out=term)
-            inside &= np.less_equal(lhs, c, out=ok)  # in the bytes of term, spent by then
-        return inside
-
-    def heat_hits(self, rng, n, t, work):
-        self._sample_rows(rng, work, n)
-        _add_planar_step(rng, work[:2, :n], t, _planar_scratch(work, n))
-        return self._count_inside(work, n)
-
-    def shift_hits(self, rng, n, y, work):
-        # X is inside, so X - y can leave only across an edge with e . y < 0
-        self._sample_rows(rng, work, n)
-        for row, shift in zip(work[:2, :n], y):
-            row -= shift
-        y0, y1 = y.tolist()
-        planes = [p for p in self._half_planes if p[0] * y0 + p[1] * y1 < 0.0]
-        return self._count_inside(work, n, planes)
-
-    def _count_inside(self, work, n, *planes):
-        """How many points of the rows work[:2, :n] pass ``_inside``, half of them at a time."""
-        scratch = _planar_scratch(work, n)
-        return sum(
-            int(np.count_nonzero(self._inside(x, y, [row[: len(x)] for row in scratch], *planes)))
-            for x, y in np.array_split(work[:2, :n], 2, axis=1)
-        )
-
-    def _sample_rows(self, rng, work, n):
-        """Draw n uniform points into the rows work[0, :n], work[1, :n] of a workspace,
-        overwriting at most the scratch of ``_planar_scratch`` besides: a triangle fan
-        from vertex 0, the rows grouped by triangle.
-
-        One multinomial draw splits the n points over the triangles
-        v_0 v_i v_{i+1} by area, which is the law of labelling each point on
-        its own.  A point is then v_0 + b (v_i - v_0) + a (v_{i+1} - v_i), a <= b
-        the order statistics of two uniforms: its barycentric coordinates
-        (1 - b, b - a, a) are the spacings of two uniforms, uniform on the simplex.
-        A segment is written a half row at a time, b and b p_y in two scratch rows.
-        """
-        shares, legs = self._fan
-        counts = rng.multinomial(n, shares).tolist()
-        x, y = work[:2, :n]
-        rng.random(out=x)
-        rng.random(out=y)
-        _, b, product = _planar_scratch(work, n)
-        start = 0
-        for (px, py, ex, ey), m in zip(legs, counts):
-            for lo in range(start, start + m, len(b)):
-                hi = min(lo + len(b), start + m)
-                a, ys, bs = x[lo:hi], y[lo:hi], b[: hi - lo]
-                np.maximum(a, ys, out=bs)
-                np.minimum(a, ys, out=a)  # the order statistics a <= b of the two uniforms
-                np.multiply(a, ey, out=ys)
-                ys += np.multiply(bs, py, out=product[: hi - lo])
-                a *= ex  # x last, over a
-                bs *= px
-                a += bs
-            start += m
-        x += self.vertex_array[0, 0]
-        y += self.vertex_array[0, 1]
-
-    @cached_property
-    def _fan(self) -> tuple:
-        """(the area shares of the fan triangles v_0 v_i v_{i+1}, and per triangle the
-        legs v_i - v_0 and v_{i+1} - v_i as [px, py, ex, ey])."""
-        verts = self.vertex_array
-        twice_area = _boundary_terms(verts)[1:-1]
-        legs = np.column_stack([verts[1:-1] - verts[0], self.edge_directions[1:-1]])
-        return twice_area / math.fsum(twice_area), legs.tolist()
-
     @cached_property
     def min_width(self) -> float:
         """The least over the edges of the greatest distance of a vertex from the edge's line."""
@@ -451,13 +293,6 @@ class ConvexPolygon(Shape):
     def edge_directions(self) -> np.ndarray:
         """The edge vectors v_{i+1} - v_i."""
         return np.roll(self.vertex_array, -1, axis=0) - self.vertex_array
-
-    @cached_property
-    def _half_planes(self) -> list:
-        """e = (dy, -dx) is the outward normal of the edge (dx, dy) from v, and c = e . v."""
-        verts, edges = self.vertex_array, self.edge_directions
-        ex, ey = edges[:, 1], -edges[:, 0]
-        return np.column_stack([ex, ey, ex * verts[:, 0] + ey * verts[:, 1]]).tolist()
 
     @cached_property
     def _segments(self) -> tuple:
@@ -670,13 +505,14 @@ class ConvexPolygon(Shape):
 @dataclass(frozen=True)
 class Rectangle(ConvexPolygon):
     """Axis-aligned rectangle [-h1, h1] x [-h2, h2]: the polygon of its four corners, with
-    exact geometry and covariance and a box sampler and membership test."""
+    exact geometry and covariance."""
 
     vertices: tuple = field(repr=False)
     h1: float
     h2: float
 
     def __init__(self, h1: float, h2: float):
+        h1, h2 = _real(h1, "a rectangle half-width"), _real(h2, "a rectangle half-width")
         if not (0.0 < h1 < math.inf and 0.0 < h2 < math.inf):
             raise InvalidShapeError("rectangle half-widths must be positive and finite")
         super().__init__([[h1, -h2], [h1, h2], [-h1, h2], [-h1, -h2]])
@@ -693,25 +529,6 @@ class Rectangle(ConvexPolygon):
     def covariance_at(self, y):
         return max(0.0, 2.0 * self.h1 - abs(y[0])) * max(0.0, 2.0 * self.h2 - abs(y[1]))
 
-    def _inside(self, x, y, scratch, planes=None):
-        absolute, spare, mask = scratch
-        inside, ok = mask.view(bool)[: len(x)], spare.view(bool)[: len(x)]
-        if planes is None:
-            np.less_equal(np.abs(x, out=absolute), self.h1, out=inside)
-            inside &= np.less_equal(np.abs(y, out=absolute), self.h2, out=ok)
-            return inside
-        inside.fill(True)
-        for ex, ey, _ in planes:
-            row, h = (x, math.copysign(self.h1, ex)) if ex else (y, math.copysign(self.h2, ey))
-            inside &= (np.less_equal if h > 0.0 else np.greater_equal)(row, h, out=ok)
-        return inside
-
-    def _sample_rows(self, rng, work, n):
-        for row, h in zip(work[:2, :n], (self.h1, self.h2)):
-            rng.random(out=row)
-            row *= 2.0 * h
-            row -= h
-
 
 def _real(x, what: str) -> float:
     if isinstance(x, bool) or not isinstance(x, Real):
@@ -724,23 +541,26 @@ def shape_from_json(obj) -> Shape:
     if not isinstance(obj, dict):
         raise InvalidShapeError(f"a shape must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
+    reads = {"ball": {"dim"}, "rectangle": {"half_widths"}, "polygon": {"vertices"}, "interval": {"a", "b"}}
+    if not isinstance(kind, str) or kind not in reads:
+        raise InvalidShapeError(f"unknown shape kind {kind!r}")
+    unknown = sorted(obj.keys() - reads[kind] - {"kind"})
+    if unknown:
+        raise InvalidShapeError(f"{kind} shape has the unknown key {unknown[0]!r}")
     try:
         if kind == "ball":
             return Ball(obj["dim"])
         if kind == "rectangle":
-            hw = [_real(h, "a rectangle half-width") for h in obj["half_widths"]]
-            if len(hw) != 2:
+            if len(obj["half_widths"]) != 2:
                 raise InvalidShapeError("rectangle needs exactly two half-widths")
-            return Rectangle(*hw)
+            return Rectangle(*obj["half_widths"])
         if kind == "polygon":
             return ConvexPolygon(obj["vertices"])
-        if kind == "interval":
-            return Interval(obj["a"], obj["b"])
+        return Interval(obj["a"], obj["b"])
     except KeyError as exc:
         raise InvalidShapeError(f"{kind} shape needs the key {exc}") from None
     except TypeError as exc:
         raise InvalidShapeError(f"malformed {kind} shape: {exc}") from None
-    raise InvalidShapeError(f"unknown shape kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -830,12 +650,6 @@ def _one_chord(mean: Callable, length: float) -> tuple:
     return (float(value), 0.0) if np.ndim(value) == 0 else (value, np.zeros_like(value))
 
 
-def _boundary_terms(verts: np.ndarray) -> np.ndarray:
-    """(v_i - v_0) x e_i: twice the signed area of the triangle v_0, v_i, v_{i+1}."""
-    rel, edges = verts - verts[0], np.roll(verts, -1, axis=0) - verts
-    return rel[:, 0] * edges[:, 1] - rel[:, 1] * edges[:, 0]
-
-
 def _polygon_area(verts: np.ndarray) -> float:
     """Shoelace area of the float vertices, correctly rounded.
 
@@ -863,58 +677,6 @@ def _two_product(a: np.ndarray, b: np.ndarray) -> tuple:
     p = a * b
     (a_hi, a_lo), (b_hi, b_lo) = split(a), split(b)
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-# ---------------------------------------------------------------------------
-# The Monte Carlo step tW, W ~ p_1, from uniforms only (d <= 2)
-# ---------------------------------------------------------------------------
-
-def _draw_cauchy(rng: np.random.Generator, w: np.ndarray) -> None:
-    """Fill the row w with standard Cauchy draws tan(pi (U - 1/2)), U uniform."""
-    rng.random(out=w)
-    w -= 0.5
-    w *= math.pi
-    np.tan(w, out=w)
-
-
-def _planar_scratch(work: np.ndarray, n: int) -> tuple:
-    """Three half rows of ceil(n/2) floats over the rows work[2:] of a workspace: with x
-    and y, a planar block uses 3.5 rows of it."""
-    h = -(-n // 2)
-    flat = work[2:].reshape(-1)
-    return flat[:h], flat[h : 2 * h], flat[2 * h : 3 * h]
-
-
-def _add_planar_step(rng: np.random.Generator, xy: np.ndarray, t: float, rows: tuple) -> None:
-    """Add t W to the coordinate rows xy of a (2, n) array in place, W ~ p_1 in d = 2.
-
-    P(|W| > r) = (1 + r^2)^(-1/2), so |W| = sqrt(1 - U^2)/U for U uniform on
-    (0, 1].  U = 1 - v, v = rng.random(), is exact, and 1 - U^2 = v (1 + U)
-    keeps its digits at small v.  The direction is (cos 2 phi, sin 2 phi), phi
-    uniform on [-pi/2, pi/2): with s = tan phi, ((1 - s^2), 2 s)/(1 + s^2).
-    |s| <= 1.7e16, so s^2 does not overflow.  Each half of the columns works on
-    the three half rows of rows (``_planar_scratch``): it draws its v, then its
-    directions.
-    """
-    for x, y in np.array_split(xy, 2, axis=1):
-        k, s, scratch = (row[: len(x)] for row in rows)
-        rng.random(out=k)
-        np.subtract(1.0, k, out=s)  # U = 1 - v
-        np.add(s, 1.0, out=scratch)
-        k *= scratch
-        np.sqrt(k, out=k)
-        k /= s
-        k *= t  # t |W|
-        _draw_cauchy(rng, s)
-        np.multiply(s, s, out=scratch)
-        scratch += 1.0
-        k /= scratch  # k = t |W| / (1 + s^2)
-        np.subtract(2.0, scratch, out=scratch)
-        scratch *= k
-        x += scratch  # k (1 - s^2)
-        s *= k
-        s *= 2.0
-        y += s  # 2 k s
 
 
 def _diameter(pts: np.ndarray) -> float:

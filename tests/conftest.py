@@ -31,7 +31,8 @@ from heatcov import (
 from heatcov.asymptotics import phi_over_t
 from heatcov.errors import DomainError, InvalidShapeError
 from heatcov.kernel import _check_dim, _check_t
-from heatcov.shapes import _PAIR_ENTRIES, WORK_ROWS, _boundary_terms
+from heatcov.mc import WORK_ROWS, _blocks, _boundary_terms
+from heatcov.shapes import _PAIR_ENTRIES
 
 
 @pytest.fixture(scope="session")
@@ -526,15 +527,15 @@ def sample_cauchy(d, rng, n=1):
 
 def sample(shape, rng, n):
     """n uniform points of the shape, an (n, dim) array: a ball's as uniform directions
-    times r U^(1/d), a polygon's from its own fan sampler (each point uniform, the rows
-    grouped by fan triangle)."""
+    times r U^(1/d), a polygon's from its Monte Carlo sampler (a rectangle's two uniform rows,
+    or else its fan: each point uniform, the rows grouped by fan triangle)."""
     if isinstance(shape, Ball):
         v = rng.standard_normal((n, shape.d))
         v /= np.linalg.norm(v, axis=1)[:, None]
         v *= (shape.radius * rng.random(n) ** (1.0 / shape.d))[:, None]
         return v
     work = np.empty((WORK_ROWS, max(n, 2)))
-    shape._sample_rows(rng, work, n)
+    _blocks(shape)._sample_rows(rng, work, n)
     return work[:2, :n].T
 
 

@@ -104,9 +104,11 @@ class TestShapeFile:
             {"kind": "ball", "dim": 2.7},
             {"kind": "rectangle", "half_widths": [math.nan, 1.0]},
             {"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, math.nan], [0, 1]]},
+            {"kind": "rectangle", "half_widths": [True, 1.0]},
+            {"kind": "ball", "dim": 2, "radius": 3},
         ],
         ids=["missing-key", "not-an-object", "wrong-type", "non-integer-dim",
-             "nan-half-width", "nan-vertex"],
+             "nan-half-width", "nan-vertex", "bool-half-width", "unknown-key"],
     )
     def test_invalid_shape_exits_2(self, doc, tmp_path, capsys):
         f = tmp_path / "shape.json"

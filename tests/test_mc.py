@@ -22,14 +22,16 @@ from heatcov import (
     Rectangle,
     UnitBall,
     covariance,
+    decomposition,
     heat_content,
     mc_covariance,
     mc_heat_content,
+    third_term,
 )
 from heatcov import asymptotics, kernel, mc, quadrature, shapes
 from heatcov.errors import DimensionMismatchError, DomainError
 from heatcov.mc import _block_rng
-from heatcov.shapes import ball_covariance_radial
+from heatcov.shapes import Shape, ball_covariance_radial
 
 from conftest import (
     area_left_of, contains, convex_polygons, reference_heat_hits, reference_shift_hits, run_python, sample,
@@ -140,7 +142,7 @@ class TestUniformSteps:
     @staticmethod
     def _step(rng, xy, t):
         n = xy.shape[1]
-        shapes._add_planar_step(rng, xy, t, shapes._planar_scratch(np.empty((shapes.WORK_ROWS, n)), n))
+        mc._add_planar_step(rng, xy, t, mc._planar_scratch(np.empty((mc.WORK_ROWS, n)), n))
 
     @staticmethod
     def _assert_share(hits, p):
@@ -191,7 +193,7 @@ class TestUniformSteps:
     def test_line(self, r):
         # in d = 1, W is standard Cauchy: P(|W| <= r) = (2/pi) atan r, and W is symmetric
         w = np.empty(self.N)
-        shapes._draw_cauchy(np.random.default_rng(7), w)
+        mc._draw_cauchy(np.random.default_rng(7), w)
         self._assert_share(np.abs(w) <= r, 2.0 / math.pi * math.atan(r))
         self._assert_share(w > 0.0, 0.5)
 
@@ -405,14 +407,14 @@ class TestBallInvariants:
 
     def _axis(self, d, seed):
         c, b = np.empty((2, self.LAW_N))
-        UnitBall(d)._draw_axis(np.random.default_rng(seed), c, b)
+        mc._blocks(UnitBall(d))._draw_axis(np.random.default_rng(seed), c, b)
         return c
 
     @pytest.mark.parametrize("rho", [0.01, 0.3, 1.0, 3.0, 100.0])
     def test_step_radius_in_the_plane(self, rho):
         # in d = 2, |W|^2 = S^2 + B (1 + S^2)/(1 - B) has P(|W| > rho) = (1 + rho^2)^(-1/2)
         s, b = np.empty((2, self.LAW_N))
-        UnitBall(2)._draw_step(np.random.default_rng(1), s, b)
+        mc._blocks(UnitBall(2))._draw_step(np.random.default_rng(1), s, b)
         p = 1.0 / math.sqrt(1.0 + rho * rho)
         self._assert_mean(s * s + b * (1.0 + s * s) / (1.0 - b) > rho * rho, p, p * (1.0 - p))
 
@@ -454,7 +456,7 @@ class TestBallInvariants:
     def test_heat_block_at_extreme_uniforms(self, d, t):
         n, ball, rng = 200, UnitBall(d), self.ExtremeUniforms()
         with np.errstate(all="raise"):
-            hits = ball.heat_hits(rng, n, t, np.empty((shapes.WORK_ROWS, n)))
+            hits = mc._blocks(ball).heat_hits(rng, n, t, np.empty((mc.WORK_ROWS, n)))
         # X = r e_1 and W = (S, |W_perp|, 0, ..., 0), a B of 1 making |W_perp| infinite
         u = rng.rows + [np.zeros(n)] * (3 - len(rng.rows))
         s = np.tan(math.pi * (u[1] - 0.5))
@@ -484,7 +486,7 @@ class TestBallInvariants:
         y = np.zeros(d)
         y[-1] = norm
         with np.errstate(all="raise"):
-            hits = ball.shift_hits(rng, n, y, np.empty((shapes.WORK_ROWS, n)))
+            hits = mc._blocks(ball).shift_hits(rng, n, y, np.empty((mc.WORK_ROWS, n)))
         # X = r Theta with Theta = (Theta_1, sqrt(1 - Theta_1^2), 0, ..., 0), turned so that
         # its first axis is y's
         u = rng.rows
@@ -544,31 +546,31 @@ class TestPlanarBlocks:
     def test_shift_blocks_count_as_the_generic_block(self, shape):
         # both draw X with the shape's own sampler, so one stream gives one count, at sizes whose
         # halves are empty, of one column, uneven, half a block and a full block
-        work, y = np.empty((shapes.WORK_ROWS, mc.BLOCK_SIZE)), np.full(shape.dim, 0.3)
+        work, y = np.empty((mc.WORK_ROWS, mc.BLOCK_SIZE)), np.full(shape.dim, 0.3)
         for n in (1, 2, 1001, 1 << 15, mc.BLOCK_SIZE):
             expected = reference_shift_hits(shape, _block_rng(5, n), n, y)
-            assert shape.shift_hits(_block_rng(5, n), n, y, work) == expected, n
+            assert mc._blocks(shape).shift_hits(_block_rng(5, n), n, y, work) == expected, n
 
     @pytest.mark.parametrize("shape", [RECT, TRIANGLE, HEXAGON, GON40], ids=["rect", "triangle", "hexagon", "40-gon"])
-    def test_shift_blocks_test_only_the_edges_a_shift_can_cross(self, shape):
+    def test_shift_blocks_test_only_the_edges_a_shift_can_cross(self, monkeypatch, shape):
         # X is in the shape, so X - y can leave it only across an edge whose outward normal e has
         # e . y < 0: the block tests those half-planes and no other; y along an edge or an axis
         # puts e . y = 0 on some edges
-        tested = []
+        tested, blocks = [], mc._blocks(shape)
+        inside = type(blocks)._inside
 
-        class Recording(type(shape)):
-            def _inside(self, x, y, scratch, planes=None):
-                tested.append(planes)
-                return super()._inside(x, y, scratch, planes)
+        def recording(self, x, y, scratch, planes=None):
+            tested.append(planes)
+            return inside(self, x, y, scratch, planes)
 
-        shape = Recording(shape.h1, shape.h2) if isinstance(shape, Rectangle) else Recording(shape.vertices)
+        monkeypatch.setattr(type(blocks), "_inside", recording)
         edges = shape.edge_directions
         normals = np.column_stack([edges[:, 1], -edges[:, 0]])
-        work, n = np.empty((shapes.WORK_ROWS, mc.BLOCK_SIZE)), 5000
+        work, n = np.empty((mc.WORK_ROWS, mc.BLOCK_SIZE)), 5000
         for k, y in enumerate([(0.3, 0.3), (-0.2, 0.5), (0.0, -0.4), (0.45, 0.0), *(0.3 * edges[:3])]):
             y = np.asarray(y, dtype=float)
             tested.clear()
-            hits = shape.shift_hits(_block_rng(6, k), n, y, work)
+            hits = blocks.shift_hits(_block_rng(6, k), n, y, work)
             # e . y rounds to either sign where it is 0 in exact arithmetic (y along an edge), but
             # not where both its products are 0 (y along an axis of the rectangle)
             dots, slack = normals @ y, 1e-12 * np.linalg.norm(normals, axis=1) * np.linalg.norm(y)
@@ -579,8 +581,8 @@ class TestPlanarBlocks:
 
     @pytest.mark.parametrize("shape", [RECT, TRIANGLE, HEXAGON, GON40], ids=["rect", "triangle", "hexagon", "40-gon"])
     def test_zero_shift_hits_every_draw(self, shape):
-        work = np.empty((shapes.WORK_ROWS, mc.BLOCK_SIZE))
-        assert shape.shift_hits(_block_rng(1, 0), mc.BLOCK_SIZE, np.zeros(2), work) == mc.BLOCK_SIZE
+        work = np.empty((mc.WORK_ROWS, mc.BLOCK_SIZE))
+        assert mc._blocks(shape).shift_hits(_block_rng(1, 0), mc.BLOCK_SIZE, np.zeros(2), work) == mc.BLOCK_SIZE
         est = mc_covariance(shape, [0.0, 0.0], n=100_000, seed=2)
         assert (est.mean, est.stderr) == (shape.geometry.volume, 0.0)
 
@@ -598,6 +600,54 @@ class TestCalibration:
             if abs(est.mean - ref) <= 2.0 * est.stderr:
                 covered += 1
         assert covered >= 0.90 * len(seeds)
+
+
+class Disc(Shape):
+    """A shape class with no Monte Carlo blocks: the unit disc's deterministic members, delegated.
+    Besides the five abstract members, it delegates the two optional ones that a ball overrides, so
+    that its panels, and so its bits, are the disc's (third_term needs gamma_weighted_integral)."""
+
+    disc = Ball(2)
+    geometry = property(lambda self: self.disc.geometry)
+
+    def covariance_at(self, y):
+        return self.disc.covariance_at(y)
+
+    def line_integral(self, mean, quad, seeds=()):
+        return self.disc.line_integral(mean, quad, seeds)
+
+    def directional_variation(self, us):
+        return self.disc.directional_variation(us)
+
+    def gamma(self, s, quad):
+        return self.disc.gamma(s, quad)
+
+    def scale_seeds(self, ts):
+        return self.disc.scale_seeds(ts)
+
+    def gamma_weighted_integral(self, quad):
+        return self.disc.gamma_weighted_integral(quad)
+
+
+class TestShapeWithoutMonteCarlo:
+    def test_the_protocol_asks_for_no_sampler(self):
+        assert Shape.__abstractmethods__ == {"geometry", "covariance_at", "line_integral", "directional_variation",
+                                             "gamma"}
+        assert Disc().dim == 2
+
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 5.0])
+    def test_deterministic_values_are_the_disc_bits(self, t, quad):
+        assert heat_content(Disc(), t, quad) == heat_content(Disc.disc, t, quad)
+        assert decomposition(Disc(), t, quad) == decomposition(Disc.disc, t, quad)
+
+    def test_third_term_is_the_disc_bits(self, quad):
+        assert third_term(Disc(), quad) == third_term(Disc.disc, quad)
+
+    @pytest.mark.parametrize("estimator,arg", [(mc_heat_content, 0.1), (mc_covariance, [0.1, 0.2])],
+                             ids=["heat", "covariance"])
+    def test_estimates_raise_domain_error(self, estimator, arg):
+        with pytest.raises(DomainError, match="Disc has no Monte Carlo sampler"):
+            estimator(Disc(), arg, n=10_000, seed=1)
 
 
 def test_block_rng_streams_differ():
@@ -658,23 +708,24 @@ class TestConcurrentBlocks:
         assert found == [serial] * len(callers)
 
     @pytest.mark.parametrize("failing", [1, 4])
-    def test_block_error_reaches_the_caller(self, failing):
-        seen = []
+    def test_block_error_reaches_the_caller(self, monkeypatch, failing):
+        seen, (sample_rows, inside) = [], (mc._BoxBlocks._sample_rows, mc._BoxBlocks._inside)
 
-        class FailsOnBlock(Rectangle):
+        def recording(self, rng, work, n):
             # the block is the second entropy word of the seed sequence of its stream
-            def _sample_rows(self, rng, work, n):
-                seen.append(rng.bit_generator.seed_seq.entropy[1])
-                return super()._sample_rows(rng, work, n)
+            seen.append(rng.bit_generator.seed_seq.entropy[1])
+            return sample_rows(self, rng, work, n)
 
-            def _inside(self, x, y, scratch):
-                if seen[-1] == failing:
-                    raise RuntimeError(f"_inside failed on block {failing}")
-                return super()._inside(x, y, scratch)
+        def fails_on_block(self, x, y, scratch):
+            if seen[-1] == failing:
+                raise RuntimeError(f"_inside failed on block {failing}")
+            return inside(self, x, y, scratch)
 
         before = threading.enumerate()
-        with pytest.raises(RuntimeError, match=f"block {failing}"):
-            mc_heat_content(FailsOnBlock(1.0, 1.0), 0.1, n=10 * mc.BLOCK_SIZE, seed=1)
+        with monkeypatch.context() as patch, pytest.raises(RuntimeError, match=f"block {failing}"):
+            patch.setattr(mc._BoxBlocks, "_sample_rows", recording)
+            patch.setattr(mc._BoxBlocks, "_inside", fails_on_block)
+            mc_heat_content(Rectangle(1.0, 1.0), 0.1, n=10 * mc.BLOCK_SIZE, seed=1)
         # the blocks after the failing one do not run, no thread is left behind, and the next
         # estimate overwrites what the failed block left in the workspace
         assert seen == list(range(failing + 1))

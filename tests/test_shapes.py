@@ -97,6 +97,16 @@ class TestShapeConstruction:
         with pytest.raises(InvalidShapeError):
             Rectangle(h1, h2)
 
+    @pytest.mark.parametrize("h1, h2", [("1", 1.0), (True, 1.0), (1.0, None), (1.0, False)])
+    def test_rectangle_half_widths_are_real_numbers(self, h1, h2):
+        # '1' raised TypeError, and True built Rectangle(h1=True, h2=1.0)
+        with pytest.raises(InvalidShapeError, match="half-width must be a real number"):
+            Rectangle(h1, h2)
+
+    def test_rectangle_stores_float_half_widths(self):
+        rect = Rectangle(1, np.float64(2.0))
+        assert (type(rect.h1), type(rect.h2)) == (float, float) and rect == Rectangle(1.0, 2.0)
+
     def test_rectangle_is_held_to_the_polygon_tolerances(self):
         # the corner polygon of a 1e-30 x 1 strip has sides within 1e-12 of its diameter: its
         # H(0.1) read 9.4e-87 for about |Omega|^2 p_0.1(0) = 2.5e-58 when rectangles skipped
@@ -139,6 +149,27 @@ class TestShapeConstruction:
     )
     def test_from_json_wrong_type(self, doc):
         with pytest.raises(InvalidShapeError):
+            shape_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"kind": "ball", "dim": 2, "radius": 3}, "radius"),
+            ({"kind": "rectangle", "half_widths": [1, 2], "center": [0, 0]}, "center"),
+            ({"kind": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]], "closed": True}, "closed"),
+            ({"kind": "interval", "a": 0, "b": 1, "dim": 1}, "dim"),
+        ],
+        ids=["ball-radius", "rectangle-center", "polygon-closed", "interval-dim"],
+    )
+    def test_from_json_rejects_keys_it_does_not_read(self, doc, key):
+        # {"kind": "ball", "dim": 2, "radius": 3} used to build the unit disc
+        with pytest.raises(InvalidShapeError, match=f"unknown key '{key}'"):
+            shape_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [{"kind": ["ball"], "dim": 2}, {"dim": 2}], ids=["unhashable", "missing"])
+    def test_from_json_unknown_kind(self, doc):
+        # the kind is looked up in a dict of the keys each kind reads: a list must not raise TypeError
+        with pytest.raises(InvalidShapeError, match="unknown shape kind"):
             shape_from_json(doc)
 
     @pytest.mark.parametrize("doc", [[1, 2], "ball", None, 3.0])
