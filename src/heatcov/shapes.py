@@ -54,11 +54,10 @@ class ShapeGeometry:
 class Shape(ABC):
     """A bounded set of finite perimeter, as the package computes with it.
 
-    Subclasses implement the abstract members; the rest have defaults for
-    shapes without the structure they describe.  A shape whose gamma does not
-    vanish also implements ``gamma_weighted_integral(quad)``, the (value, err)
-    of int_0^1 gamma(ell s)/s ds.  Arguments arrive checked: a direction is a
-    unit vector and a point has the shape's dimension.
+    Subclasses implement the abstract members; the rest have defaults that
+    hold for any such set, and a shape overrides one where its structure gives
+    a sharper or cheaper form.  Arguments arrive checked: a direction is a unit
+    vector and a point has the shape's dimension.
     """
 
     @property
@@ -114,6 +113,14 @@ class Shape(ABC):
     def support_radius_at(self, theta: float) -> float:
         """Distance from the origin to the support boundary in direction theta."""
         return self.geometry.support_radius
+
+    def gamma_weighted_integral(self, quad: QuadSpec) -> tuple:
+        """(value, err) of int_0^1 gamma(ell s)/s ds, (0, 0) where gamma vanishes; seeded in even d
+        at s = 1 - 4^-k, k = 1..4, where a ball's gamma(ell s) has a (1 - s)^((d+1)/2) term."""
+        if self.gamma_vanishes:
+            return 0.0, 0.0
+        seeds = [1.0 - 4.0**-k for k in range(1, 5)] if self.dim % 2 == 0 else []
+        return integrate_1d(lambda s: gamma(self, s, quad) / s, 0.0, 1.0, quad, points=seeds)
 
 
 @dataclass(frozen=True)
@@ -201,11 +208,6 @@ class Ball(Shape):
         d = self.d
         w_dm1 = kernel.unit_ball_volume(d - 1)
         return self.radius ** (d - 1) * (kernel.unit_sphere_area(d) * w_dm1 * kernel.cos_power_deficit(d, s) / s)
-
-    def gamma_weighted_integral(self, quad):
-        """Seeds s = 1 - 4^-k, k = 1..4, in even d, where gamma_B(2s) has a (1 - s)^((d+1)/2) term."""
-        seeds = [1.0 - 4.0**-k for k in range(1, 5)] if self.d % 2 == 0 else []
-        return integrate_1d(lambda s: gamma(self, s, quad) / s, 0.0, 1.0, quad, points=seeds)
 
 
 UnitBall = Ball  # a second name: UnitBall(d) is Ball(d), the unit ball
@@ -622,14 +624,8 @@ def gamma(shape: Shape, s, quad: QuadSpec = QuadSpec()):
     return low if single else values
 
 
-# ---------------------------------------------------------------------------
-# The weighted gamma integral
-# ---------------------------------------------------------------------------
-
 def gamma_weighted_integral(shape: Shape, quad: QuadSpec = QuadSpec()):
     """Integral over (0, 1] of gamma(ell*s)/s, as (value, err_estimate)."""
-    if shape.gamma_vanishes:
-        return 0.0, 0.0
     return shape.gamma_weighted_integral(quad)
 
 

@@ -241,6 +241,7 @@ class TestDecomposition:
 def test_grid_pass_matches_single_t(shape, quad):
     # one pass over an unsorted grid on both sides of the diameter gives each t's own values
     ts = [3.0, 0.5, 10.0, 1e-3, 0.05]
+    assert decompositions(shape, [], quad) == []
     for bd, t in zip(decompositions(shape, ts, quad), ts):
         single = decomposition(shape, t, quad)
         assert bd.t == t

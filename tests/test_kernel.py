@@ -21,6 +21,7 @@ from heatcov.kernel import (
     _a_minus_sin,
     _recurrence_sums,
     cos_power_deficit,
+    gamma_half_integer,
     z_minus_asinh_mean,
 )
 
@@ -38,6 +39,8 @@ class TestKappa:
             kappa(0)
         with pytest.raises(DomainError):
             kappa(17)
+        with pytest.raises(DomainError, match="dimension must be an integer"):
+            kappa(2.0)
 
     def test_kappa_wd_identity(self):
         # kappa_d * w_{d-1} = 1/pi for d >= 2
@@ -61,6 +64,8 @@ class TestBallConstants:
     def test_domain(self):
         with pytest.raises(DomainError):
             unit_ball_volume(0)
+        with pytest.raises(DomainError, match="positive half-integer"):
+            gamma_half_integer(0.3)
 
 
 class TestPoissonKernel:

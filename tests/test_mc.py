@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import inspect
 import math
 import multiprocessing
@@ -21,15 +22,17 @@ from heatcov import (
     Interval,
     Rectangle,
     UnitBall,
+    big_R,
     covariance,
     decomposition,
+    gamma_weighted_integral,
     heat_content,
     mc_covariance,
     mc_heat_content,
     third_term,
 )
 from heatcov import asymptotics, kernel, mc, quadrature, shapes
-from heatcov.errors import DimensionMismatchError, DomainError
+from heatcov.errors import DimensionMismatchError, DomainError, QuadratureError
 from heatcov.mc import _block_rng
 from heatcov.shapes import Shape, ball_covariance_radial
 
@@ -602,10 +605,9 @@ class TestCalibration:
         assert covered >= 0.90 * len(seeds)
 
 
-class Disc(Shape):
-    """A shape class with no Monte Carlo blocks: the unit disc's deterministic members, delegated.
-    Besides the five abstract members, it delegates the two optional ones that a ball overrides, so
-    that its panels, and so its bits, are the disc's (third_term needs gamma_weighted_integral)."""
+class BareDisc(Shape):
+    """A shape class that writes only the five abstract members, the unit disc's, delegated: every
+    other member is the ``Shape`` default, and it has no Monte Carlo blocks."""
 
     disc = Ball(2)
     geometry = property(lambda self: self.disc.geometry)
@@ -622,11 +624,13 @@ class Disc(Shape):
     def gamma(self, s, quad):
         return self.disc.gamma(s, quad)
 
+
+class Disc(BareDisc):
+    """The bare disc with the disc's ``scale_seeds``, so that its panels, and so its bits, are the
+    disc's; its gamma_weighted_integral is the ``Shape`` default, as the disc's is."""
+
     def scale_seeds(self, ts):
         return self.disc.scale_seeds(ts)
-
-    def gamma_weighted_integral(self, quad):
-        return self.disc.gamma_weighted_integral(quad)
 
 
 class TestShapeWithoutMonteCarlo:
@@ -648,6 +652,50 @@ class TestShapeWithoutMonteCarlo:
     def test_estimates_raise_domain_error(self, estimator, arg):
         with pytest.raises(DomainError, match="Disc has no Monte Carlo sampler"):
             estimator(Disc(), arg, n=10_000, seed=1)
+
+
+class TestBareShape:
+    """Every entry point runs on a shape of the five abstract members alone."""
+
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 5.0])
+    def test_heat_content_R_and_decomposition_are_the_disc_values(self, t, quad):
+        # without the disc's scale seeds the panels, and so the last bits, differ
+        bare, disc = BareDisc(), BareDisc.disc
+        assert heat_content(bare, t, quad) == pytest.approx(heat_content(disc, t, quad), rel=1e-10)
+        assert big_R(bare, t, quad) == pytest.approx(big_R(disc, t, quad), rel=1e-10)
+        assert dataclasses.astuple(decomposition(bare, t, quad)) == pytest.approx(
+            dataclasses.astuple(decomposition(disc, t, quad)), rel=1e-10, abs=1e-12)
+
+    def test_third_term_takes_the_default_gamma_integral(self, quad):
+        # the disc's gamma integral is the default too: the same panels, so the same bits
+        bare, disc = BareDisc(), BareDisc.disc
+        assert gamma_weighted_integral(bare, quad) == gamma_weighted_integral(disc, quad)
+        report = third_term(bare, quad)
+        assert report.C_formula == third_term(disc, quad).C_formula
+        assert abs(report.C_extrapolated - (6.0 * math.log(2.0) - 2.0)) <= report.extrapolation_err
+
+    def test_pointwise_members_are_the_disc_bits(self, quad):
+        bare, disc = BareDisc(), BareDisc.disc
+        ss = np.array([1e-3, 0.4, 1.0])
+        assert np.array_equal(shapes.gamma(bare, ss, quad), shapes.gamma(disc, ss, quad))
+        assert covariance(bare, [0.3, -0.2]) == covariance(disc, [0.3, -0.2])
+        assert shapes.directional_variation(bare, [0.6, 0.8]) == 4.0
+        assert shapes.support_radius_at(bare, 0.7) == 2.0
+
+    @pytest.mark.parametrize("estimator,arg", [(mc_heat_content, 0.1), (mc_covariance, [0.1, 0.2])],
+                             ids=["heat", "covariance"])
+    def test_estimates_raise_domain_error(self, estimator, arg):
+        with pytest.raises(DomainError, match="^BareDisc has no Monte Carlo sampler"):
+            estimator(BareDisc(), arg, n=10_000, seed=1)
+
+    @pytest.mark.parametrize("s", [0.5, [0.2, 0.5]], ids=["float", "array"])
+    def test_negative_gamma_breaks_the_slope_bound(self, s, quad):
+        class Sunken(BareDisc):
+            def gamma(self, s, quad):
+                return -1e-6 + 0.0 * s
+
+        with pytest.raises(QuadratureError, match="violates the slope bound"):
+            shapes.gamma(Sunken(), s, quad)
 
 
 def test_block_rng_streams_differ():

@@ -55,6 +55,15 @@ class TestIntegrate1d:
         with pytest.raises(QuadratureError, match="non-finite integrand sample"):
             integrate_1d(f, 0.4999999, 0.5000001, quad)
 
+    @pytest.mark.parametrize("f,a,b,match", [
+        (lambda x: x, 1.0, 1.0, "need a < b"),
+        (lambda x: np.full_like(x, 1e308), 0.0, 10.0, "Kronrod sum overflows"),
+    ], ids=["empty", "overflow"])
+    def test_raises_on_an_empty_interval_and_an_overflowing_sum(self, f, a, b, match, quad):
+        # every sample of the overflowing integrand is finite; its Kronrod sum, 2e308, is not
+        with pytest.raises(QuadratureError, match=match):
+            integrate_1d(f, a, b, quad)
+
     def test_warns_nothing_and_names_a_divergence(self, quad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -80,6 +80,10 @@ class TestShapeConstruction:
         with pytest.raises(InvalidShapeError):
             ConvexPolygon([(0, 0), (0, 0), (1, 0), (0, 1)])
 
+    def test_rejects_two_vertices(self):
+        with pytest.raises(InvalidShapeError, match="at least 3 vertices"):
+            ConvexPolygon([(0, 0), (1, 0)])
+
     def test_drops_collinear(self):
         p = ConvexPolygon([(0, 0), (0.5, 0.0), (1, 0), (0, 1)])
         assert len(p.vertices) == 3
@@ -235,6 +239,7 @@ class TestBallOfAnyRadius:
             assert geo.volume == pytest.approx(r**d * unit_ball_volume(d), rel=2 * self.EPS, abs=0.0)
             assert geo.perimeter == pytest.approx(r ** (d - 1) * unit_sphere_area(d), rel=2 * self.EPS, abs=0.0)
             assert geo.support_radius == 2.0 * r
+            assert shapes.support_radius_at(Ball(d, r), 0.7) == 2.0 * r  # the Shape default
 
     # integrate_1d's error estimate, min(diff, (200 diff)^1.5) on a panel, shrinks as the 1.5th
     # power of the integrand's scale where diff < 200^-3: on these balls the one first-round
@@ -473,6 +478,10 @@ class TestCovariance:
         assert covariance(UnitBall(d), y) == 0.0
         near = [1.9] + [0.0] * (d - 1)
         assert covariance(UnitBall(d), [y, near]).tolist() == [0.0, covariance(UnitBall(d), near)]
+
+    def test_ball_radial_rejects_a_negative_radius(self):
+        with pytest.raises(DomainError, match="radius must be nonnegative"):
+            shapes.ball_covariance_radial(3, -0.1)
 
     def test_polygon_matches_rectangle_closed_form(self):
         rng = np.random.default_rng(2024)
