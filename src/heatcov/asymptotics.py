@@ -182,7 +182,7 @@ def third_term(
     """Assemble the third-term constant two ways, which check each other: by the formula
     from the gamma integral, and as the limit of D(t) on t_grid."""
     geo = geometry(shape)
-    gamma_int, _ = gamma_weighted_integral(shape, quad)
+    gamma_int, gamma_err = gamma_weighted_integral(shape, quad)
     f_lim, slope = F_limit(shape), phi_slope(shape)
     # C = |Omega| lim phi/t + (Per/pi) lim F - lim R, where lim R = kappa_d * gamma_int
     c_formula = (
@@ -199,5 +199,5 @@ def third_term(
         C_extrapolated=fit.C,
         extrapolation_err=fit.err_estimate,
         observed_order=fit.observed_order,
-        pieces={"gamma_integral": gamma_int, "F_limit": f_lim, "phi_slope": slope},
+        pieces={"gamma_integral": gamma_int, "gamma_integral_err": gamma_err, "F_limit": f_lim, "phi_slope": slope},
     )

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .asymptotics import decomposition, decompositions, default_t_grid, third_term
+from .asymptotics import decomposition, decompositions, default_t_grid, heat_content, third_term
 from .errors import DimensionMismatchError, HeatcovError, InvalidShapeError
 from .kernel import KernelConstants
 from .quadrature import QuadSpec
@@ -94,8 +94,6 @@ def cmd_covariance(args) -> int:
 
 
 def cmd_heat_content(args) -> int:
-    from .asymptotics import heat_content
-
     shape = _resolve_shape(args)
     print(_fmt(heat_content(shape, args.t, _quad_from(args))))
     return EXIT_OK

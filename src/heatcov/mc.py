@@ -12,12 +12,12 @@ uniforms and work on one contiguous row per coordinate:
 
 - P(|W| > r) = (1 + r^2)^(-1/2), so |W| = sqrt(1 - U^2)/U for U in (0, 1];
   the direction is ((1 - s^2), 2 s)/(1 + s^2), s = tan(pi (V - 1/2)).
-- X on a convex polygon: one multinomial draw splits the block over the fan
-  triangles by area, and a point of a triangle has the barycentric coordinates
-  (1 - b, b - a, a), the spacings of two uniforms a <= b, uniform on the simplex.
-  Containment is one half-plane test e . p <= c per edge, and for X - y only
-  at the edges with e . y < 0: X is in Omega, so e . (X - y) <= c - e . y
-  holds at the others.  A rectangle draws X as two uniform rows.
+- X on a convex polygon: one multinomial draw splits the block over the fan triangles
+  by area, twice (v_i - v_0) x e_i = -cross[0, i, 0] of the polygon's vertex-pair table,
+  and a point of a triangle has the barycentric coordinates (1 - b, b - a, a), the
+  spacings of two uniforms a <= b, uniform on the simplex.  Containment is one half-plane
+  test e . p <= c per edge, and for X - y only at the edges with e . y < 0: X is in Omega,
+  so e . (X - y) <= c - e . y holds at the others.  A rectangle draws X as two uniform rows.
 
 A ball's blocks draw three uniforms a draw in every d, an interval's (the
 1-ball's) included, since its hit test sees only rotation invariants.  A
@@ -215,12 +215,12 @@ class _PolygonBlocks:
     """The fan sampler and half-plane test of a convex polygon, with the tables they read."""
 
     def __init__(self, poly: ConvexPolygon):
-        verts, edges = poly.vertex_array, poly.edge_directions
+        verts, edges, (_, diff, cross) = poly.vertex_array, poly.edge_directions, poly._pairs
         ex, ey = edges[:, 1], -edges[:, 0]  # e = (dy, -dx) is the outward normal of the edge (dx, dy) from v
         self._half_planes = np.column_stack([ex, ey, ex * verts[:, 0] + ey * verts[:, 1]]).tolist()  # [e, e . v]
-        # the area shares of the fan triangles v_0 v_i v_{i+1}, per triangle the legs v_i - v_0 and v_{i+1} - v_i
-        twice_area = _boundary_terms(verts)[1:-1]
-        legs = np.column_stack([verts[1:-1] - verts[0], edges[1:-1]]).tolist()  # [px, py, ex, ey]
+        # fan triangles v_0 v_i v_{i+1}: area shares by -cross[0, i, 0] = (v_i - v_0) x e_i, legs diff[i, 0] and e_i
+        twice_area = -cross[0, 1:-1, 0]
+        legs = np.column_stack([diff[1:-1, 0], edges[1:-1]]).tolist()  # [px, py, ex, ey]
         self._fan, self.origin = (twice_area / math.fsum(twice_area), legs), verts[0]
 
     def _inside(self, x, y, scratch, planes=None) -> np.ndarray:
@@ -313,12 +313,6 @@ class _BoxBlocks(_PolygonBlocks):
             rng.random(out=row)
             row *= 2.0 * h
             row -= h
-
-
-def _boundary_terms(verts: np.ndarray) -> np.ndarray:
-    """(v_i - v_0) x e_i: twice the signed area of the triangle v_0, v_i, v_{i+1}."""
-    rel, edges = verts - verts[0], np.roll(verts, -1, axis=0) - verts
-    return rel[:, 0] * edges[:, 1] - rel[:, 1] * edges[:, 0]
 
 
 def _draw_cauchy(rng: np.random.Generator, w: np.ndarray) -> None:

@@ -226,13 +226,14 @@ def Interval(a: float, b: float) -> Ball:
 class ConvexPolygon(Shape):
     """Convex polygon with counterclockwise vertices; collinear points dropped.
 
-    The rest derives from its chords.  For u = (cos theta, sin theta) and
-    n = (-sin theta, cos theta), the chord length c(x) of the line x n + R u is
-    linear between the offsets x of the vertices, where the two boundary chains
-    between the extreme offsets merge (``chord_table``, ``covariance_at``).  So
-    ``line_integral`` is one theta-integral over [0, pi), doubled for -u, of
-    exact sums over the linear pieces of c; with ell the diameter and int int
-    that measure: g(r u) = int (c - r)_+ dx,
+    Every table of vertex pairs reads the one pair table ``_pairs`` (the successor index, v_i - v_j
+    and (v_i - v_(j+k)) x e_j): the diameter, ``min_width``, ``first_breakpoint``, the seed
+    directions, the chord walks and ``heatcov.mc``'s fan areas.  The rest derives from its chords.
+    For u = (cos theta, sin theta) and n = (-sin theta, cos theta), the chord length c(x) of the
+    line x n + R u is linear between the offsets x of the vertices, where the two boundary chains
+    between the extreme offsets merge (``chord_table``, ``covariance_at``).  So ``line_integral``
+    is one theta-integral over [0, pi), doubled for -u, of exact sums over the linear pieces of c;
+    with ell the diameter and int int that measure: g(r u) = int (c - r)_+ dx,
     |Omega| - H(t) = (t/2pi) int int asinh(c/t), gamma(r) = (1/r) int int (r - c)_+,
     int g = (1/6) int int c^3, R(t) = (1/2pi) int int [asinh(ell/t) - asinh(c/t)
     - (ell - c)/sqrt(t^2 + ell^2)] and int_0^1 gamma(ell s)/s ds = int int [ln(ell/c) - 1 + c/ell]
@@ -253,8 +254,8 @@ class ConvexPolygon(Shape):
         if not np.all(np.isfinite(pts)):
             raise InvalidShapeError("polygon vertices must be finite")
         # tolerances relative to the diameter, so that a scaled copy is valid when the shape is
-        diam = _diameter(pts)
-        if np.any(np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1) <= 1e-12 * diam):
+        diam = _diameter(pts[:, None, :] - pts)
+        if np.any(np.linalg.norm(pts - pts[_successor(len(pts))], axis=1) <= 1e-12 * diam):
             raise InvalidShapeError("polygon has a repeated vertex: an edge at most 1e-12 of its diameter long")
         # drop collinear vertices, then demand strict convexity and CCW order
         kept = pts[np.abs(_turns(pts)) > 1e-12 * diam * diam]
@@ -273,11 +274,8 @@ class ConvexPolygon(Shape):
 
     @cached_property
     def geometry(self) -> ShapeGeometry:
-        verts = self.vertex_array
         per = float(np.sum(np.linalg.norm(self.edge_directions, axis=1)))
-        return ShapeGeometry(
-            volume=_polygon_area(verts), perimeter=per, support_radius=_diameter(verts), dim=2
-        )
+        return ShapeGeometry(_polygon_area(self.vertex_array), per, _diameter(self._pairs[1]), dim=2)
 
     def directional_variation(self, us):
         edges = self.edge_directions
@@ -288,32 +286,41 @@ class ConvexPolygon(Shape):
     @cached_property
     def min_width(self) -> float:
         """The least over the edges of the greatest distance of a vertex from the edge's line."""
-        n = len(self.vertex_array)
-        return float(self._segments[5].reshape(n, n).max(axis=0).min())  # [vertex i, edge j]
+        return float(self._segments[2].max(axis=0).min())  # [vertex i, edge j]
 
     @cached_property
     def edge_directions(self) -> np.ndarray:
-        """The edge vectors v_{i+1} - v_i."""
-        return np.roll(self.vertex_array, -1, axis=0) - self.vertex_array
+        """The edge vectors e_j = v_(j+1) - v_j."""
+        return self.vertex_array[_successor(len(self.vertices))] - self.vertex_array
+
+    @cached_property
+    def _pairs(self) -> tuple:
+        """The vertex-pair table that every pair table of the polygon reads: the successor index
+        nxt, diff[i, j] = v_i - v_j and cross[i, j, k] = (v_i - v_(j+k)) x e_j, both (n, n, 2)."""
+        verts, (ex, ey), n = self.vertex_array, self.edge_directions.T, len(self.vertices)
+        nxt, diff, cross = _successor(n), verts[:, None, :] - verts, np.empty((n, n, 2))
+        for k, cols in enumerate((slice(None), nxt)):  # one (n, n) temporary at a time
+            np.multiply(diff[:, cols, 0], ey, out=cross[..., k])
+            cross[..., k] -= diff[:, cols, 1] * ex
+        return nxt, diff, cross
 
     @cached_property
     def _segments(self) -> tuple:
-        """Row i n + j is edge_j - v_i, a + t d for t in [0, 1]: (a, d, |d|^2, whether v_i is
-        off edge j, the t nearest 0, the distance of the line from 0)."""
-        v, n = self.vertex_array, len(self.vertex_array)
-        i, j = np.divmod(np.arange(n * n), n)
-        a, d = v[j] - v[i], self.edge_directions[j]
-        dd = np.sum(d * d, axis=1)
-        h = np.abs(a[:, 0] * d[:, 1] - a[:, 1] * d[:, 0]) / np.sqrt(dd)
-        return a, d, dd, (i != j) & (i != (j + 1) % n), -np.sum(a * d, axis=1) / dd, h
+        """Entry [i, j] is for edge_j - v_i, a + t d for t in [0, 1] with a = v_j - v_i = diff[j, i] and
+        d = e_j: (|d|^2 per edge, the t nearest 0, the distance |cross[i, j, 0]| / |d| of the line from 0)."""
+        (ax, ay), (dx, dy) = self._pairs[1].T, self.edge_directions.T
+        dd = dx * dx + dy * dy
+        return dd, -(ax * dx + ay * dy) / dd, np.abs(self._pairs[2][..., 0]) / np.sqrt(dd)
 
     @cached_property
     def first_breakpoint(self) -> float:
         """r_1, the least distance from a vertex to an edge not incident to it: no vertex of
         Omega or Omega + r u crosses an edge of the other before, so g is quadratic in r on
         [0, r_1] along every ray."""
-        a, d, _, apart, foot, _ = self._segments
-        return float(np.min(np.hypot(*(a + np.clip(foot, 0.0, 1.0)[:, None] * d)[apart].T)))
+        (nxt, diff, _), t, (dx, dy) = self._pairs, np.clip(self._segments[1], 0.0, 1.0), self.edge_directions.T
+        dist, i = np.hypot(diff[..., 0].T + t * dx, diff[..., 1].T + t * dy), np.arange(len(nxt))
+        dist[i, i] = dist[nxt, i] = np.inf  # v_i is on the edges i and i - 1
+        return float(dist.min())
 
     @cached_property
     def _order_changes(self) -> list:
@@ -323,8 +330,7 @@ class ConvexPolygon(Shape):
         They are rounded to 12 decimals, so that a regular polygon's equal
         directions give n seeds, not n(n - 1)/2.
         """
-        i, j = np.triu_indices(len(self.vertex_array), 1)
-        d = self.vertex_array[j] - self.vertex_array[i]
+        d = self._pairs[1][np.tril_indices(len(self.vertices), -1)]  # v_j - v_i for i < j
         return sorted(set(np.round(np.arctan2(d[:, 1], d[:, 0]) % math.pi, 12).tolist()))
 
     def chord_table(self, thetas) -> tuple:
@@ -336,7 +342,7 @@ class ConvexPolygon(Shape):
         so O(n log n).  The extreme chords are exactly 0, or the length of an edge parallel to u.
         """
         thetas = np.asarray(thetas, dtype=float).reshape(-1)
-        rel, (ex, ey), n = self.vertex_array - self.vertex_array[0], self.edge_directions.T, len(self.vertices)
+        rel, (ex, ey), n = self._pairs[1][:, 0], self.edge_directions.T, len(self.vertices)  # v_i - v_0
         cos, sin, rows = np.cos(thetas)[:, None], np.sin(thetas)[:, None], np.arange(len(thetas))[:, None]
         off = rel[:, 1] * cos - rel[:, 0] * sin
         order = np.argsort(off, axis=1, kind="stable")
@@ -351,7 +357,7 @@ class ConvexPolygon(Shape):
         den, d = cos * ey[edge] - sin * ex[edge], rel[order] - rel[near]
         with np.errstate(divide="ignore", invalid="ignore"):  # u along the edge, or a vertex level with its nearer end
             c = np.where((den == 0.0) | (x == off[rows, near]), np.abs(cos * d[..., 0] + sin * d[..., 1]),
-                         np.abs(self._chord_tables[2][order, edge, (near - edge) % n] / den))
+                         np.abs(self._pairs[2][order, edge, (near - edge) % n] / den))
         # a vertex level with an extreme one shares its chord: the edge parallel to u
         c[:, [0, -1]] = np.where(x[:, [1, -2]] == x[:, [0, -1]], c[:, [1, -2]], c[:, [0, -1]])
         return x, c
@@ -384,10 +390,10 @@ class ConvexPolygon(Shape):
     def _circle_crossing_kinks(self, r: float) -> list:
         """Angles mod pi where the circle of radius r crosses a segment of ``_segments``
         (there the chord through a vertex is r long), less the ``_order_changes``."""
-        a, d, dd, _, foot, h = self._segments
+        (dd, foot, h), a, d = self._segments, self._pairs[1].transpose(1, 0, 2), self.edge_directions
         half = np.sqrt(np.maximum((r - h) * (r + h), 0.0) / dd)  # |a + t d| = r at foot -+ half
         ts = (foot - half, foot + half)
-        p = np.concatenate([(a + t[:, None] * d)[(r >= h) & (0.0 <= t) & (t <= 1.0)] for t in ts])
+        p = np.concatenate([(a + t[..., None] * d)[(r >= h) & (0.0 <= t) & (t <= 1.0)] for t in ts])
         angles = np.arctan2(p[:, 1], p[:, 0]) % math.pi
         return angles[~np.isin(np.round(angles, 12), self._order_changes)].tolist()
 
@@ -399,7 +405,7 @@ class ConvexPolygon(Shape):
         (2 phi sin^2(phi/2) - (phi - sin phi))/sin phi below pi/2, where that would cancel, and
         as 1 - phi (e . f)/(e x f) from there up.  e x f and e . f are rounded once from exact
         products of the coordinates, as rounded edges lose digits at a nearly flat or sharp vertex."""
-        (ax, ay), (bx, by), (cx, cy) = (np.roll(self.vertex_array, -k, axis=0).T for k in (0, 1, 2))
+        (ax, ay), (bx, by), (cx, cy) = (self.vertex_array[_successor(len(self.vertices), k)].T for k in (0, 1, 2))
         cross = _exact_dots([ax, -ay, bx, -by, cx, -cy], [by, bx, cy, cx, ay, ax])  # a x b + b x c + c x a
         dot = _exact_dots([bx, -bx, -ax, ax, by, -by, -ay, ay], [cx, bx, cx, bx, cy, by, cy, by])
         phi = np.arctan2(cross, dot)
@@ -436,14 +442,9 @@ class ConvexPolygon(Shape):
 
     @cached_property
     def _chord_tables(self) -> tuple:
-        """For the chord walks: the vertices relative to the least of them (by x, then y) and the
-        edges e_j = v_(j+1) - v_j as lists, and (v_i - v_(j+k)) x e_j as an (n, n, 2) array [i, j, k]."""
-        verts, edges = self.vertex_array, self.edge_directions
-        d = verts[:, None, None, :] - np.stack([verts, np.roll(verts, -1, axis=0)], axis=1)
-        areas = d[..., 0] * edges[:, None, 1] - d[..., 1] * edges[:, None, 0]
-        pts = verts.tolist()
-        ox, oy = min(pts)
-        return [(x - ox, y - oy) for x, y in pts], edges.tolist(), areas
+        """The chord walk's lists: the vertices relative to the least of them (by x, then y), and the edges."""
+        pts = self.vertex_array.tolist()
+        return self._pairs[1][:, pts.index(min(pts))].tolist(), self.edge_directions.tolist()
 
     def covariance_at(self, y):
         """g(r u) = int (c_u(x) - r)_+ dx (see ``chord_table``), in floats.
@@ -459,7 +460,7 @@ class ConvexPolygon(Shape):
         cancel.  O(n) per point; g(0) = |Omega| exactly.
         """
         vol, ell = self.geometry.volume, self.geometry.support_radius
-        rel, edges, areas = self._chord_tables
+        (rel, edges), areas = self._chord_tables, self._pairs[2]
         (y0, y1), n = y, len(rel)
         m = max(abs(y0), abs(y1))  # y / m first, so that u is a unit vector for subnormal y
         h = math.hypot(y0 / m, y1 / m) if m else 1.0
@@ -653,9 +654,8 @@ def _polygon_area(verts: np.ndarray) -> float:
     its rounding error (Dekker's two-product), and fsum adds the 4n parts
     exactly, so neither the choice of vertex 0 nor a translation changes a bit.
     """
-    x, y = verts[:, 0], verts[:, 1]
-    parts = [*_two_product(x, np.roll(y, -1)), *_two_product(-np.roll(x, -1), y)]
-    return 0.5 * math.fsum(np.concatenate(parts).tolist())
+    (x, y), nxt = verts.T, _successor(len(verts))
+    return 0.5 * math.fsum(np.concatenate([*_two_product(x, y[nxt]), *_two_product(-x[nxt], y)]).tolist())
 
 
 def _exact_dots(p: list, q: list) -> np.ndarray:
@@ -675,13 +675,19 @@ def _two_product(a: np.ndarray, b: np.ndarray) -> tuple:
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _diameter(pts: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)))
+def _successor(n: int, k: int = 1) -> np.ndarray:
+    """The index of the point k on in a closed polyline of n points: pts[_successor(n, k)] is pts rolled by -k."""
+    return (np.arange(n) + k) % n
+
+
+def _diameter(diff: np.ndarray) -> float:
+    """The greatest |v_i - v_j| of a table of differences diff[i, j] = v_i - v_j, with the bits of np.linalg.norm."""
+    return math.sqrt(float(np.max(diff[..., 0] ** 2 + diff[..., 1] ** 2)))
 
 
 def _turns(pts: np.ndarray) -> np.ndarray:
     """(b - a) x (c - a) at each vertex b of a closed polyline, a and c its neighbours."""
-    a, c = np.roll(pts, 1, axis=0), np.roll(pts, -1, axis=0)
+    a, c = pts[_successor(len(pts), -1)], pts[_successor(len(pts))]
     return (pts[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (pts[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
 
 

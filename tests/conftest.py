@@ -31,7 +31,7 @@ from heatcov import (
 from heatcov.asymptotics import phi_over_t
 from heatcov.errors import DomainError, InvalidShapeError
 from heatcov.kernel import _check_dim, _check_t
-from heatcov.mc import WORK_ROWS, _blocks, _boundary_terms
+from heatcov.mc import WORK_ROWS, _blocks
 from heatcov.shapes import _PAIR_ENTRIES
 
 
@@ -343,7 +343,8 @@ def exact_intersection_area(verts, offset) -> float:
 @functools.lru_cache(maxsize=16)
 def _pair_tables(poly):
     """Per edge pair [i, j]: v_j - v_i, e_j x e_i, which pairs are parallel and which of
-    those point the same way, and per edge the tie rules of ``green_covariance``."""
+    those point the same way, and per edge the tie rules of ``green_covariance`` and
+    (v_i - v_0) x e_i."""
     verts, edges = poly.vertex_array, poly.edge_directions
     diff = verts[None, :, :] - verts[:, None, :]
     den = edges[None, :, 0] * edges[:, None, 1] - edges[None, :, 1] * edges[:, None, 0]
@@ -351,8 +352,9 @@ def _pair_tables(poly):
     par = np.abs(den) <= 1e-13 * lengths[:, None] * lengths  # sin(angle) <= 1e-13
     same = edges @ edges.T > 0.0
     tau = np.where(edges[:, 1] != 0.0, edges[:, 1], -edges[:, 0])
-    return (diff[..., 0], diff[..., 1], np.where(par, 1.0, den), ~par & (den > 0.0),
-            ~par & (den < 0.0), par, same, tau > 0.0, tau < 0.0, _boundary_terms(verts))
+    rel = verts - verts[0]
+    return (diff[..., 0], diff[..., 1], np.where(par, 1.0, den), ~par & (den > 0.0), ~par & (den < 0.0),
+            par, same, tau > 0.0, tau < 0.0, rel[:, 0] * edges[:, 1] - rel[:, 1] * edges[:, 0])
 
 
 def green_covariance(poly, ys) -> np.ndarray:

@@ -277,6 +277,18 @@ class TestThirdTerm:
         assert report.pieces["phi_slope"] == pytest.approx(phi_slope(shape))
 
     @pytest.mark.parametrize(
+        "shape",
+        [UnitBall(2), UnitBall(3), Rectangle(1.0, 1.0), ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])],
+        ids=["ball2", "ball3", "square", "triangle"],
+    )
+    def test_gamma_integral_keeps_its_error_estimate(self, shape, quad):
+        # the gamma integral behind C_formula reports its quadrature error beside its value
+        report = third_term(shape, quad)
+        value, err = gamma_weighted_integral(shape, quad)
+        assert (report.pieces["gamma_integral"], report.pieces["gamma_integral_err"]) == (value, err)
+        assert 0.0 < err < 1e-8
+
+    @pytest.mark.parametrize(
         "vertices",
         [
             [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],

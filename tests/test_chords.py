@@ -258,6 +258,24 @@ def test_random_80gon_peaks_below_150_mb():
     assert int(kib) < 150 * 1024
 
 
+def test_random_2000gon_pair_table_peaks_below_410_mb():
+    # the same ellipse with 2000 vertices: g at one point, min_width and first_breakpoint all read
+    # the one (n, n, 2) vertex-pair table (diff and cross, 64 MB each); when every table built its
+    # own differences these peaked at 502 MB, with the same bits; now about 326 MB
+    out = run_python(
+        "import math, random, resource\n"
+        "from heatcov import ConvexPolygon, covariance\n"
+        "rng = random.Random(5)\n"
+        "angles = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(2000))\n"
+        "poly = ConvexPolygon([(2.0 * math.cos(a), 0.5 * math.sin(a)) for a in angles])\n"
+        "print(covariance(poly, [0.3, -0.2]).hex(), poly.min_width.hex(), poly.first_breakpoint.hex(),\n"
+        "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    *values, kib = out.split()
+    assert values == ["0x1.25984b4db5591p+1", "0x1.ffffd0f55006ep-1", "0x1.58bb347138b6cp-19"]
+    assert int(kib) < 410 * 1024
+
+
 SLIVER = ConvexPolygon([(0.0, 0.0), (1.0, 1.0), (1.0 - 1e-4, 1.0)])
 
 
@@ -265,6 +283,31 @@ def test_min_width():
     assert Rectangle(1.0, 0.3).min_width == pytest.approx(0.6, rel=1e-15)
     assert TRIANGLE.min_width == pytest.approx(math.sqrt(0.5), rel=1e-15)
     assert SLIVER.min_width == pytest.approx(1e-4 * math.sqrt(0.5), rel=1e-9)
+
+
+def _exact_min_width_squared(verts) -> Fraction:
+    """min over edges pq of max over vertices v of ((v - p) x (q - p))^2 / |q - p|^2, exact in the float vertices."""
+    v = [(Fraction(x), Fraction(y)) for x, y in verts]
+    widths = []
+    for (px, py), (qx, qy) in zip(v, v[1:] + v[:1]):
+        ex, ey = qx - px, qy - py
+        widths.append(max(((x - px) * ey - (y - py) * ex) ** 2 for x, y in v) / (ex * ex + ey * ey))
+    return min(widths)
+
+
+def test_min_width_of_random_hulls():
+    # sorted uniform angles on rotated ellipses of aspect 1 down to 1e-6, n = 3..30; the float
+    # cross products (v_i - v_j) x e_j round at a few ulps of diameter x edge, so the width is
+    # held to 4 ulps of the diameter, not of itself: on a 1e-6 sliver that is 1e-10 of the width
+    rng = np.random.default_rng(35)
+    for _ in range(60):
+        n, aspect, rot = int(rng.integers(3, 31)), 10.0 ** rng.uniform(-6.0, 0.0), rng.uniform(0.0, 2.0 * math.pi)
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+        x, y = np.cos(angles), aspect * np.sin(angles)
+        c, s = math.cos(rot), math.sin(rot)
+        poly = ConvexPolygon(np.column_stack([x * c - y * s, x * s + y * c]))
+        want = math.sqrt(_exact_min_width_squared(poly.vertex_array.tolist()))
+        assert abs(poly.min_width - want) <= 4.0 * ULP * poly.geometry.support_radius, (n, aspect, want)
 
 
 @pytest.mark.parametrize("poly", [SLIVER, Rectangle(1e-3, 1.0)], ids=["sliver", "thin-rectangle"])

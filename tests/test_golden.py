@@ -10,6 +10,8 @@ the disc's line measure (the radial quadrature's H was up to 2.1e-12 off and its
 check the new values, and ``test_ball3_H_against_reference`` the 3-ball's);
 ``decomposition-pins.json`` holds H, R and D of one-t decompositions as float.hex,
 written by the tree whose quadrature round and chord kernels were then rebuilt;
+``polygon-pins.json`` holds polygon geometry, widths, H, R, gamma, g and C_formula as
+float.hex, written by the tree whose polygon vertex-pair tables were then merged into one;
 the polygon covariance is checked against half-plane clipping
 (``conftest.clipped_intersection_area``) and Green's theorem
 (``conftest.green_covariance``) on the polygons the benchmark generates.
@@ -24,7 +26,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatcov import Interval, UnitBall, covariance, decomposition, kappa
+from heatcov import (
+    ConvexPolygon,
+    Interval,
+    Rectangle,
+    UnitBall,
+    big_R,
+    covariance,
+    decomposition,
+    gamma,
+    heat_content,
+    kappa,
+    third_term,
+)
 from heatcov.cli import main
 
 from conftest import (
@@ -71,6 +85,41 @@ def test_decomposition_matches_pinned_values():
             got = decomposition(shape, t)
             for column, want in zip(("H", "R", "D"), map(float.fromhex, row)):
                 assert getattr(got, column) == pytest.approx(want, rel=1e-13, abs=0.0), (name, t, column)
+
+
+def _pinned_polygons() -> dict:
+    shapes = {f"benchmark{seed}-{k}": poly for seed in (1, 2, 3) for k, poly in enumerate(benchmark_polygons(seed))}
+    shapes["square"], shapes["rectangle-1.5x0.5"] = Rectangle(1.0, 1.0), Rectangle(1.5, 0.5)
+    shapes["regular-40"] = ConvexPolygon([(math.cos(2 * math.pi * k / 40), math.sin(2 * math.pi * k / 40))
+                                          for k in range(40)])
+    shapes["sliver"] = ConvexPolygon([(0.0, 0.0), (1.0, 1.0), (1.0 - 1e-4, 1.0)])
+    return shapes
+
+
+def test_polygon_outputs_match_pinned_values():
+    # the polygon counterpart of the decomposition pins: every reader of the polygon's vertex
+    # pairs (diameter, min_width, first_breakpoint, the chord tables of H, R and gamma beyond
+    # r_1, the covariance walk and C_formula) recorded as float.hex
+    doc = json.loads((HERE / "data" / "polygon-pins.json").read_text())
+    ts, ss = ([float.fromhex(x) for x in doc[key]] for key in ("ts", "ss"))
+    shapes = _pinned_polygons()
+    assert list(shapes) == list(doc["shapes"])
+    for name, pins in doc["shapes"].items():
+        poly, geo = shapes[name], shapes[name].geometry
+        points = [[float.fromhex(x) for x in p] for p in pins["points"]]
+        got = {
+            "geometry": [geo.volume, geo.perimeter, geo.support_radius],
+            "min_width": [poly.min_width],
+            "first_breakpoint": [poly.first_breakpoint],
+            "H": [heat_content(poly, t) for t in ts],
+            "R": [big_R(poly, t) for t in ts],
+            "gamma": [gamma(poly, s) for s in ss],
+            "g": covariance(poly, points).tolist(),
+            "C_formula": [third_term(poly).C_formula],
+        }
+        for key, values in got.items():
+            want = [float.fromhex(x) for x in (pins[key] if isinstance(pins[key], list) else [pins[key]])]
+            assert values == pytest.approx(want, rel=1e-13, abs=0.0), (name, key)
 
 
 def test_square_R_from_closed_form_gamma():
