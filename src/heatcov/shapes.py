@@ -2,8 +2,8 @@
 
 Supported shapes are balls of any radius (in any dimension up to the
 package guard; an interval is a 1-ball) and convex polygons; an
-axis-aligned rectangle is the convex polygon of its corners, with exact
-geometry and covariance.
+axis-aligned rectangle is the convex polygon of its corners, whose geometry
+is the polygon's, with a closed-form covariance.
 All shapes are convex, so the covariance support radius equals the
 diameter exactly.
 
@@ -253,8 +253,10 @@ class ConvexPolygon(Shape):
             raise InvalidShapeError("polygon needs at least 3 vertices")
         if not np.all(np.isfinite(pts)):
             raise InvalidShapeError("polygon vertices must be finite")
-        # tolerances relative to the diameter, so that a scaled copy is valid when the shape is
-        diam = _diameter(pts[:, None, :] - pts)
+        # tolerances relative to the diameter, so that a scaled copy is valid when the shape is;
+        # a size whose squares leave the floats is rejected there, before any other product
+        with np.errstate(over="ignore"):
+            diam = _diameter(pts[:, None, :] - pts)
         if np.any(np.linalg.norm(pts - pts[_successor(len(pts))], axis=1) <= 1e-12 * diam):
             raise InvalidShapeError("polygon has a repeated vertex: an edge at most 1e-12 of its diameter long")
         # drop collinear vertices, then demand strict convexity and CCW order
@@ -263,6 +265,13 @@ class ConvexPolygon(Shape):
             raise InvalidShapeError("polygon is degenerate after removing collinear points")
         if np.any(_turns(kept) <= 0):
             raise InvalidShapeError("polygon must be convex with counterclockwise orientation")
+        try:  # far from the origin the shoelace's products overflow, and fsum meets inf - inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                area = _polygon_area(kept)
+        except (OverflowError, ValueError):
+            area = math.inf
+        if not 0.0 < area < math.inf:
+            raise InvalidShapeError(f"a polygon of diameter {diam:.6g} and area {area:.6g} needs a finite positive area")
         object.__setattr__(self, "vertices", tuple(tuple(p) for p in kept))
 
     @cached_property
@@ -274,7 +283,7 @@ class ConvexPolygon(Shape):
 
     @cached_property
     def geometry(self) -> ShapeGeometry:
-        per = float(np.sum(np.linalg.norm(self.edge_directions, axis=1)))
+        per = math.fsum(map(math.hypot, *self.edge_directions.T.tolist()))
         return ShapeGeometry(_polygon_area(self.vertex_array), per, _diameter(self._pairs[1]), dim=2)
 
     def directional_variation(self, us):
@@ -507,8 +516,9 @@ class ConvexPolygon(Shape):
 
 @dataclass(frozen=True)
 class Rectangle(ConvexPolygon):
-    """Axis-aligned rectangle [-h1, h1] x [-h2, h2]: the polygon of its four corners, with
-    exact geometry and covariance."""
+    """Axis-aligned rectangle [-h1, h1] x [-h2, h2]: the polygon of its four corners, whose
+    geometry rounds 4 h1 h2, 4 (h1 + h2) and 2 hypot(h1, h2) as those closed forms do, with the
+    closed-form covariance (2 h1 - |y1|)_+ (2 h2 - |y2|)_+."""
 
     vertices: tuple = field(repr=False)
     h1: float
@@ -521,13 +531,6 @@ class Rectangle(ConvexPolygon):
         super().__init__([[h1, -h2], [h1, h2], [-h1, h2], [-h1, -h2]])
         object.__setattr__(self, "h1", h1)
         object.__setattr__(self, "h2", h2)
-
-    @cached_property
-    def geometry(self) -> ShapeGeometry:
-        return ShapeGeometry(
-            volume=4.0 * self.h1 * self.h2, perimeter=4.0 * (self.h1 + self.h2),
-            support_radius=2.0 * math.hypot(self.h1, self.h2), dim=2,
-        )
 
     def covariance_at(self, y):
         return max(0.0, 2.0 * self.h1 - abs(y[0])) * max(0.0, 2.0 * self.h2 - abs(y[1]))
@@ -681,8 +684,15 @@ def _successor(n: int, k: int = 1) -> np.ndarray:
 
 
 def _diameter(diff: np.ndarray) -> float:
-    """The greatest |v_i - v_j| of a table of differences diff[i, j] = v_i - v_j, with the bits of np.linalg.norm."""
-    return math.sqrt(float(np.max(diff[..., 0] ** 2 + diff[..., 1] ** 2)))
+    """The greatest |v_i - v_j| of a table diff[i, j] = v_i - v_j: the greatest math.hypot of the pairs whose
+    squared distance rounds within 1e-15 of the greatest, so that hypot decides a near tie (the diagonals of
+    a rectangle).  A squared distance that overflows, or a greatest one of 0, raises InvalidShapeError."""
+    square = diff[..., 0] ** 2 + diff[..., 1] ** 2
+    top = float(square.max())
+    if not 0.0 < top < math.inf:
+        size = float(np.hypot(diff[..., 0], diff[..., 1]).max())
+        raise InvalidShapeError(f"a polygon of diameter {size:.6g} needs a finite positive squared diameter")
+    return max(map(math.hypot, *diff[square >= top * (1.0 - 1e-15)].T.tolist()))
 
 
 def _turns(pts: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume
@@ -32,7 +33,7 @@ from heatcov.asymptotics import phi_over_t
 from heatcov.errors import DomainError, InvalidShapeError
 from heatcov.kernel import _check_dim, _check_t
 from heatcov.mc import WORK_ROWS, _blocks
-from heatcov.shapes import _PAIR_ENTRIES
+from heatcov.shapes import _PAIR_ENTRIES, ShapeGeometry
 
 
 @pytest.fixture(scope="session")
@@ -188,6 +189,86 @@ def square_gamma(s):
     tstar = np.arccos(np.minimum(1.0, 1.0 / (SQRT2 * s)))
     st, ct = np.sin(tstar), np.cos(tstar)
     return 8.0 * (2.0 * (st + 1.0 - ct) - SQRT2 * tstar / s + 2.0 * SQRT2 * s * (0.25 - 0.5 * st * st))
+
+
+def rectangle_geometry(h1: float, h2: float) -> ShapeGeometry:
+    """The geometry of [-h1, h1] x [-h2, h2] in closed form: 4 h1 h2, 4 (h1 + h2), 2 hypot(h1, h2)."""
+    return ShapeGeometry(volume=4.0 * h1 * h2, perimeter=4.0 * (h1 + h2), support_radius=2.0 * math.hypot(h1, h2), dim=2)
+
+
+# shape files whose size leaves the floats, with the size their message names: the squared
+# diameter overflows (a 1e200 rectangle, triangles with legs 1e160 and 1e200) or underflows to 0
+# (legs 1e-200); the area underflows to 0 (legs 2e-162), or overflows in the shoelace's products
+# of coordinates near 1e165
+POLYGONS_OUTSIDE_THE_FLOATS = [
+    pytest.param({"kind": "rectangle", "half_widths": [1e200, 1e200]},
+                 "diameter 2.82843e+200 needs a finite positive squared diameter", id="rectangle-1e200"),
+    pytest.param({"kind": "polygon", "vertices": [[0, 0], [1e160, 0], [0, 1e160]]},
+                 "diameter 1.41421e+160 needs", id="legs-1e160"),
+    pytest.param({"kind": "polygon", "vertices": [[0, 0], [1e200, 0], [0, 1e200]]},
+                 "diameter 1.41421e+200 needs", id="legs-1e200"),
+    pytest.param({"kind": "polygon", "vertices": [[0, 0], [1e-200, 0], [0, 1e-200]]},
+                 "diameter 1.41421e-200 needs", id="legs-1e-200"),
+    pytest.param({"kind": "polygon", "vertices": [[0, 0], [2e-162, 0], [0, 2e-162]]},
+                 "diameter 2.82843e-162 and area 0 needs a finite positive area", id="legs-2e-162"),
+    pytest.param({"kind": "polygon", "vertices": [[1e165, 1e165], [1.000000000001e165, 1e165],
+                                                  [1e165, 1.000000000001e165]]},
+                 "area inf needs a finite positive area", id="legs-1e153-at-1e165"),
+]
+
+# 20 digits carry both box oracles' floats unchanged from 40 digits on the tested boxes
+BOX_DPS = 20
+
+
+def box_heat_content(h1: float, h2: float, t: float) -> float:
+    """H(t) of [-h1, h1] x [-h2, h2] by Gaussian subordination, in mpmath.
+
+    The Cauchy process is Brownian motion (generator Laplacian) run at a 1/2-stable time
+    s = t^2/(4 x^2) with x^2 Gamma(1/2)-distributed, and the Gaussian heat content of a box is
+    a product over its sides L = 2h of h(L, s) = L erf(L/2 sqrt(s)) - 2 sqrt(s/pi) (1 - e^(-L^2/4s)):
+    H(t) = (2/sqrt(pi)) int_0^inf e^(-x^2) prod_L h(L, t^2/(4 x^2)) dx, whose factors turn over at
+    x = t/L.
+    """
+    with mpmath.workdps(BOX_DPS):
+        t, root_pi = mpmath.mpf(t), mpmath.sqrt(mpmath.pi)
+        sides = [2 * mpmath.mpf(h1), 2 * mpmath.mpf(h2)]
+
+        def integrand(x):
+            out = 2 / root_pi * mpmath.exp(-x * x)
+            for side in sides:
+                z = side * x / t
+                out *= side * mpmath.erf(z) + t / (x * root_pi) * mpmath.expm1(-z * z)
+            return out
+
+        return float(mpmath.quad(integrand, sorted({mpmath.mpf(0), *(t / side for side in sides), 1, mpmath.inf})))
+
+
+def box_constant(h1: float, h2: float) -> float:
+    """C of [-h1, h1] x [-h2, h2] by the Gaussian route, in mpmath: with D(s) = |Omega| - H^G(s)
+    the Gaussian heat-content deficit, C = (Per/2pi)(2 ln 2 - gamma_E) + (1/2 sqrt(pi)) int_0^inf
+    s^(-3/2) (D(s) - Per sqrt(s/pi) 1_(s<1)) ds, here over sigma = sqrt(s).
+
+    Each side L = 2h loses a(sigma) = L - h(L, sigma^2) = L erfc(z) + (2 sigma/sqrt(pi))(1 - e^(-z^2)),
+    z = L/(2 sigma), and D = L1 a2 + L2 a1 - a1 a2.  Below sigma = 1 the Per term is taken out of
+    each a as b = 2 sigma/sqrt(pi) - a = (2 sigma/sqrt(pi)) e^(-z^2) - L erfc(z), exponentially
+    small, so that nothing cancels as sigma -> 0.
+    """
+    with mpmath.workdps(BOX_DPS):
+        l1, l2 = 2 * mpmath.mpf(h1), 2 * mpmath.mpf(h2)
+        root_pi, per = mpmath.sqrt(mpmath.pi), 2 * (l1 + l2)
+
+        def deficits(side, sigma):  # (a, b)
+            z = side / (2 * sigma)
+            tail, near = side * mpmath.erfc(z), 2 * sigma / root_pi
+            return tail - near * mpmath.expm1(-z * z), near * mpmath.exp(-z * z) - tail
+
+        def integrand(sigma):  # 2 sigma^-2 (D - Per sigma/sqrt(pi) 1_(sigma<1))
+            (a1, b1), (a2, b2) = deficits(l1, sigma), deficits(l2, sigma)
+            linear = -l1 * b2 - l2 * b1 if sigma < 1 else l1 * a2 + l2 * a1
+            return 2 * (linear - a1 * a2) / (sigma * sigma)
+
+        integral = mpmath.quad(integrand, sorted({mpmath.mpf(0), l1 / 2, l2 / 2, 1, mpmath.inf}))
+        return float(per / (2 * mpmath.pi) * (2 * mpmath.log(2) - mpmath.euler) + integral / (2 * root_pi))
 
 
 def _eta(i: int, theta: np.ndarray) -> np.ndarray:

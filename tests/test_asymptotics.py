@@ -33,7 +33,8 @@ from heatcov.asymptotics import phi_over_t
 from heatcov.errors import DomainError
 
 from conftest import (
-    BALL2_C, BALL3_C, SQRT2, SQUARE_C, SQUARE_GAMMA, R_limit, ball_constant, ball_reference, phi, simpson,
+    BALL2_C, BALL3_C, SQRT2, SQUARE_C, SQUARE_GAMMA, R_limit, ball_constant, ball_reference, box_constant,
+    box_heat_content, phi, simpson,
 )
 
 
@@ -488,3 +489,26 @@ class TestMetamorphic:
         # no closed form: the formula and the extrapolated limit check each other
         report = third_term(ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]), quad)
         assert abs(report.C_extrapolated - report.C_formula) <= 1e-6
+
+
+class TestBoxOracle:
+    """Rectangles against conftest's box oracles, which take H and C by Gaussian subordination and
+    so share no code with the chord measure."""
+
+    def test_square_constant_is_the_papers(self):
+        assert box_constant(1.0, 1.0) == pytest.approx(SQUARE_C, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("h1, h2", [(1.0, 1.0), (1.5, 0.5)])
+    def test_heat_content(self, h1, h2, quad):
+        # the truncated GK15 weights read smooth integrals up to 3.3e-15 low
+        for t in (1e-3, 0.1, 2.0):
+            assert heat_content(Rectangle(h1, h2), t, quad) == pytest.approx(
+                box_heat_content(h1, h2, t), rel=1e-14, abs=0.0
+            ), t
+
+    @pytest.mark.parametrize("h1, h2", [(1.0, 1.0), (1.5, 0.5), (0.5e-3, 0.5)],
+                             ids=["aspect-1", "aspect-3", "aspect-1e3"])
+    def test_C_formula(self, h1, h2, quad):
+        # aspect 1e3 reads 7.2e-13 relative off; the others within 2.6e-15
+        c = box_constant(h1, h2)
+        assert abs(third_term(Rectangle(h1, h2), quad).C_formula - c) <= 1e-12 * max(1.0, abs(c))

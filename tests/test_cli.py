@@ -9,7 +9,7 @@ import pytest
 from heatcov import cli
 from heatcov.cli import main
 
-from conftest import SQUARE_C, SQUARE_GAMMA, ball_constant, ball_gamma_integral
+from conftest import POLYGONS_OUTSIDE_THE_FLOATS, SQUARE_C, SQUARE_GAMMA, ball_constant, ball_gamma_integral
 
 
 def run_cli(argv, capsys):
@@ -127,6 +127,16 @@ class TestShapeFile:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("doc, size", POLYGONS_OUTSIDE_THE_FLOATS)
+    def test_polygon_outside_the_floats_exits_2_naming_its_size(self, doc, size, tmp_path, capsys):
+        # the first four printed two RuntimeWarnings or none, then "polygon has a repeated vertex"
+        f = tmp_path / "shape.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run_cli(["heat-content", "--shape-file", str(f), "--t", "0.1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: a polygon of diameter ") and size in err
+        assert err.count("\n") == 1 and "Warning" not in err
 
     def test_interval_of_infinite_length_exits_2(self, tmp_path, capsys):
         # it loaded with length inf, and expansion exited 3: "t = 0.5 is below inf"
