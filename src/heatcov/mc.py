@@ -215,13 +215,13 @@ class _PolygonBlocks:
     """The fan sampler and half-plane test of a convex polygon, with the tables they read."""
 
     def __init__(self, poly: ConvexPolygon):
-        verts, edges, (_, diff, cross) = poly.vertex_array, poly.edge_directions, poly._pairs
+        verts, edges = poly.vertex_array, poly.edge_directions
         ex, ey = edges[:, 1], -edges[:, 0]  # e = (dy, -dx) is the outward normal of the edge (dx, dy) from v
         self._half_planes = np.column_stack([ex, ey, ex * verts[:, 0] + ey * verts[:, 1]]).tolist()  # [e, e . v]
-        # fan triangles v_0 v_i v_{i+1}: area shares by -cross[0, i, 0] = (v_i - v_0) x e_i, legs diff[i, 0] and e_i
-        twice_area = -cross[0, 1:-1, 0]
-        legs = np.column_stack([diff[1:-1, 0], edges[1:-1]]).tolist()  # [px, py, ex, ey]
-        self._fan, self.origin = (twice_area / math.fsum(twice_area), legs), verts[0]
+        # fan triangles v_0 v_i v_{i+1}: area shares by (v_i - v_0) x e_i, legs v_i - v_0 and e_i
+        legs = np.column_stack([verts[1:-1] - verts[0], edges[1:-1]])  # [px, py, ex, ey]
+        twice_area = legs[:, 0] * legs[:, 3] - legs[:, 1] * legs[:, 2]
+        self._fan, self.origin = (twice_area / math.fsum(twice_area), legs.tolist()), verts[0]
 
     def _inside(self, x, y, scratch, planes=None) -> np.ndarray:
         """Membership mask of the points (x, y), in the bytes of scratch, three float rows

@@ -133,6 +133,7 @@ class Ball(Shape):
 
     d: int
     radius: float = 1.0
+    geometry: ShapeGeometry = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         d = self.d
@@ -147,14 +148,8 @@ class Ball(Shape):
             raise InvalidShapeError(f"a {d}-ball of radius {r!r} needs a finite positive diameter and volume")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "radius", r)
-
-    @cached_property
-    def geometry(self) -> ShapeGeometry:
-        d, r = self.d, self.radius
-        return ShapeGeometry(
-            volume=r**d * kernel.unit_ball_volume(d), perimeter=r ** (d - 1) * kernel.unit_sphere_area(d),
-            support_radius=2.0 * r, dim=d,
-        )
+        perimeter = r ** (d - 1) * kernel.unit_sphere_area(d)
+        object.__setattr__(self, "geometry", ShapeGeometry(volume, perimeter, support_radius=2.0 * r, dim=d))
 
     def covariance_at(self, y):
         r = self.radius
@@ -226,9 +221,10 @@ def Interval(a: float, b: float) -> Ball:
 class ConvexPolygon(Shape):
     """Convex polygon with counterclockwise vertices; collinear points dropped.
 
-    Every table of vertex pairs reads the one pair table ``_pairs`` (the successor index, v_i - v_j
-    and (v_i - v_(j+k)) x e_j): the diameter, ``min_width``, ``first_breakpoint``, the seed
-    directions, the chord walks and ``heatcov.mc``'s fan areas.  The rest derives from its chords.
+    The constructor stores what it measured: ``vertex_array`` (read-only), ``edge_directions`` and
+    ``geometry``.  The tables behind ``line_integral`` (``min_width``, ``first_breakpoint``, the seed
+    directions, ``chord_table``) read the one pair table ``_pairs`` (the successor index, v_i - v_j and
+    (v_i - v_(j+k)) x e_j); ``covariance_at`` builds none.  The rest derives from its chords.
     For u = (cos theta, sin theta) and n = (-sin theta, cos theta), the chord length c(x) of the
     line x n + R u is linear between the offsets x of the vertices, where the two boundary chains
     between the extreme offsets merge (``chord_table``, ``covariance_at``).  So ``line_integral``
@@ -241,6 +237,7 @@ class ConvexPolygon(Shape):
     """
 
     vertices: tuple = field()
+    geometry: ShapeGeometry = field(init=False, repr=False, compare=False, default=None)
 
     def __init__(self, vertices: Sequence[Sequence[float]]):
         try:
@@ -272,19 +269,14 @@ class ConvexPolygon(Shape):
             area = math.inf
         if not 0.0 < area < math.inf:
             raise InvalidShapeError(f"a polygon of diameter {diam:.6g} and area {area:.6g} needs a finite positive area")
-        object.__setattr__(self, "vertices", tuple(tuple(p) for p in kept))
-
-    @cached_property
-    def vertex_array(self) -> np.ndarray:
-        """The vertices in counterclockwise order, as a read-only (n, 2) array."""
-        verts = np.array(self.vertices, dtype=float)
-        verts.flags.writeable = False
-        return verts
-
-    @cached_property
-    def geometry(self) -> ShapeGeometry:
-        per = math.fsum(map(math.hypot, *self.edge_directions.T.tolist()))
-        return ShapeGeometry(_polygon_area(self.vertex_array), per, _diameter(self._pairs[1]), dim=2)
+        if len(kept) < len(pts):  # a dropped vertex may have been the farthest
+            diam = _diameter(kept[:, None, :] - kept)
+        edges = kept[_successor(len(kept))] - kept  # e_j = v_(j+1) - v_j
+        kept.flags.writeable = edges.flags.writeable = False
+        geo = ShapeGeometry(area, math.fsum(map(math.hypot, *edges.T.tolist())), diam, dim=2)
+        for name, value in [("vertices", tuple(tuple(p) for p in kept)), ("vertex_array", kept),
+                            ("edge_directions", edges), ("geometry", geo)]:
+            object.__setattr__(self, name, value)
 
     def directional_variation(self, us):
         edges = self.edge_directions
@@ -296,11 +288,6 @@ class ConvexPolygon(Shape):
     def min_width(self) -> float:
         """The least over the edges of the greatest distance of a vertex from the edge's line."""
         return float(self._segments[2].max(axis=0).min())  # [vertex i, edge j]
-
-    @cached_property
-    def edge_directions(self) -> np.ndarray:
-        """The edge vectors e_j = v_(j+1) - v_j."""
-        return self.vertex_array[_successor(len(self.vertices))] - self.vertex_array
 
     @cached_property
     def _pairs(self) -> tuple:
@@ -451,9 +438,10 @@ class ConvexPolygon(Shape):
 
     @cached_property
     def _chord_tables(self) -> tuple:
-        """The chord walk's lists: the vertices relative to the least of them (by x, then y), and the edges."""
-        pts = self.vertex_array.tolist()
-        return self._pairs[1][:, pts.index(min(pts))].tolist(), self.edge_directions.tolist()
+        """The chord walk's lists: the vertices, them less the least of them (by x, then y), and the edges."""
+        verts = self.vertex_array
+        pts = verts.tolist()
+        return pts, (verts - verts[pts.index(min(pts))]).tolist(), self.edge_directions.tolist()
 
     def covariance_at(self, y):
         """g(r u) = int (c_u(x) - r)_+ dx (see ``chord_table``), in floats.
@@ -469,7 +457,7 @@ class ConvexPolygon(Shape):
         cancel.  O(n) per point; g(0) = |Omega| exactly.
         """
         vol, ell = self.geometry.volume, self.geometry.support_radius
-        (rel, edges), areas = self._chord_tables, self._pairs[2]
+        pts, rel, edges = self._chord_tables
         (y0, y1), n = y, len(rel)
         m = max(abs(y0), abs(y1))  # y / m first, so that u is a unit vector for subnormal y
         h = math.hypot(y0 / m, y1 / m) if m else 1.0
@@ -502,8 +490,9 @@ class ConvexPolygon(Shape):
                 z, v, e, end = t1, low[j], up[i - 1], int(t1 - s0 > s1 - t1)
             ex, ey = edges[e]
             den = ux * ey - uy * ex  # nonzero on a piece of positive width, barring rounding
-            if den and s1 != t1:
-                c1 = abs(areas.item(v, e, end) / den)
+            if den and s1 != t1:  # (v - m) x e, with the roundings of the pair table's cross
+                (vx, vy), (px, py) = pts[v], pts[(e + end) % n]
+                c1 = abs(((vx - px) * ey - (vy - py) * ex) / den)
             else:  # u along the edge, or v level with its nearer end
                 (vx, vy), (px, py) = rel[v], rel[(e + end) % n]
                 c1 = abs(ux * (vx - px) + uy * (vy - py))

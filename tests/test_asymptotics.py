@@ -506,6 +506,13 @@ class TestBoxOracle:
                 box_heat_content(h1, h2, t), rel=1e-14, abs=0.0
             ), t
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: H of the aspect-1e3 box reads 1.18e-14 low at t = 2")
+    def test_heat_content_of_a_thin_box(self, quad):
+        # at t = 1e-3 and 0.1 this box reads 3.3e-15 and 4.0e-15 low, within the bound
+        assert heat_content(Rectangle(0.5e-3, 0.5), 2.0, quad) == pytest.approx(
+            box_heat_content(0.5e-3, 0.5, 2.0), rel=1e-14, abs=0.0
+        )
+
     @pytest.mark.parametrize("h1, h2", [(1.0, 1.0), (1.5, 0.5), (0.5e-3, 0.5)],
                              ids=["aspect-1", "aspect-3", "aspect-1e3"])
     def test_C_formula(self, h1, h2, quad):

@@ -6,7 +6,9 @@ these quantities before the engine; the unit square's gamma and its weighted
 integral have closed forms.
 """
 
+import json
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -18,6 +20,7 @@ from heatcov import (
     QuadSpec,
     Rectangle,
     big_R,
+    covariance,
     gamma,
     gamma_weighted_integral,
     heat_content,
@@ -258,10 +261,38 @@ def test_random_80gon_peaks_below_150_mb():
     assert int(kib) < 150 * 1024
 
 
+def test_one_point_covariance_builds_no_pair_table():
+    # the constructor stores what it measured, and the O(n) chain walk forms its own cross products
+    poly = ConvexPolygon([(2.0 * math.cos(0.3 * k), 0.5 * math.sin(0.3 * k)) for k in range(20)])
+    assert {"vertex_array", "edge_directions", "geometry"} <= vars(poly).keys()
+    covariance(poly, [0.3, -0.2])
+    assert "_pairs" not in vars(poly)
+
+
+def test_random_2000gon_one_point_covariance_peaks_below_185_mb(tmp_path):
+    # one `heatcov covariance` call on the 2 x 0.5 ellipse with 2000 vertices builds no (n, n, 2)
+    # vertex-pair table: about 153 MB on a 2-core VM, where the walk reading that table peaked at
+    # 208 MB; most of the rest is the constructor's table of the raw points (ROADMAP item 7)
+    rng = random.Random(5)
+    angles = sorted(rng.uniform(0.0, 2.0 * math.pi) for _ in range(2000))
+    path = tmp_path / "gon2000.json"
+    vertices = [[2.0 * math.cos(a), 0.5 * math.sin(a)] for a in angles]
+    path.write_text(json.dumps({"kind": "polygon", "vertices": vertices}))
+    out = run_python(
+        "import resource\n"
+        "from heatcov.cli import main\n"
+        f"code = main(['covariance', '--shape-file', {str(path)!r}, '--point=0.3,-0.2'])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    g, code, kib = out.split()
+    assert (g, code) == ("2.2937101487575053", "0")
+    assert int(kib) < 185 * 1024
+
+
 def test_random_2000gon_pair_table_peaks_below_410_mb():
-    # the same ellipse with 2000 vertices: g at one point, min_width and first_breakpoint all read
-    # the one (n, n, 2) vertex-pair table (diff and cross, 64 MB each); when every table built its
-    # own differences these peaked at 502 MB, with the same bits; now about 326 MB
+    # the same ellipse with 2000 vertices: min_width and first_breakpoint read the one (n, n, 2)
+    # vertex-pair table (diff and cross, 64 MB each), and g at one point reads none; when every
+    # table built its own differences these peaked at 502 MB, with the same bits; now about 326 MB
     out = run_python(
         "import math, random, resource\n"
         "from heatcov import ConvexPolygon, covariance\n"

@@ -385,6 +385,18 @@ class TestGeometry:
                 assert abs(geo.perimeter - per) <= math.ulp(float(per)), (n, aspect, lam)
                 assert abs(geo.support_radius - diam) <= math.ulp(float(diam)), (n, aspect, lam)
 
+    def test_ball_stores_the_geometry_it_validates(self):
+        ball = Ball(3, 0.37)
+        assert vars(ball)["geometry"].volume == 0.37**3 * unit_ball_volume(3)
+
+    def test_dropped_farthest_vertex_leaves_the_diameter(self):
+        # (1 + 5e-8, 0) turns by about 1e-14 <= 1e-12 ell^2 and is dropped as collinear, though it is
+        # the farthest of the given points: the diameter is the kept vertices', not 1 + 5e-8
+        poly = ConvexPolygon([(0, 0), (1, -1e-7), (1 + 5e-8, 0), (1, 1e-7)])
+        assert len(poly.vertices) == 3
+        assert poly.geometry == ConvexPolygon([(0, 0), (1, -1e-7), (1, 1e-7)]).geometry
+        assert poly.geometry.support_radius == math.hypot(1.0, 1e-7) == float.fromhex("0x1.0000000000017p+0")
+
     def test_triangle(self):
         geo = geometry(TRIANGLE)
         assert geo.volume == pytest.approx(0.5)
