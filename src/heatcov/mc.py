@@ -3,21 +3,22 @@
 H(t) = |Omega| P(X + t W in Omega) and g(y) = |Omega| P(X - y in Omega), X
 uniform on Omega and W ~ p_1.  Each block of n draws is one call of
 ``heat_hits`` or ``shift_hits``, which returns its hit count: ``_blocks``
-picks those of the shape's class (``Ball``, ``ConvexPolygon`` or
-``Rectangle``) once an estimate, and any other class raises ``DomainError``.
+picks those of the shape's class (``Ball`` or ``ConvexPolygon``, a box's where
+it has ``half_widths``) once an estimate, and any other class raises ``DomainError``.
 
 In the plane, p_1 and the uniform law on a triangle have exact inverse-CDF
-or spacing samplers, so the blocks of polygons and rectangles draw only
-uniforms and work on one contiguous row per coordinate:
+or spacing samplers, so the blocks of polygons draw only uniforms and work
+on one contiguous row per coordinate:
 
 - P(|W| > r) = (1 + r^2)^(-1/2), so |W| = sqrt(1 - U^2)/U for U in (0, 1];
   the direction is ((1 - s^2), 2 s)/(1 + s^2), s = tan(pi (V - 1/2)).
 - X on a convex polygon: one multinomial draw splits the block over the fan triangles
-  by area, twice (v_i - v_0) x e_i = -cross[0, i, 0] of the polygon's vertex-pair table,
+  by area, twice (v_i - v_0) x e_i of ``vertex_array`` and ``edge_directions``,
   and a point of a triangle has the barycentric coordinates (1 - b, b - a, a), the
   spacings of two uniforms a <= b, uniform on the simplex.  Containment is one half-plane
   test e . p <= c per edge, and for X - y only at the edges with e . y < 0: X is in Omega,
-  so e . (X - y) <= c - e . y holds at the others.  A rectangle draws X as two uniform rows.
+  so e . (X - y) <= c - e . y holds at the others.  A box draws X as two uniform rows on the
+  centred box and tests one bound per axis, which leaves the law of every hit count unchanged.
 
 A ball's blocks draw three uniforms a draw in every d, an interval's (the
 1-ball's) included, since its hit test sees only rotation invariants.  A
@@ -78,7 +79,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .kernel import _check_t
-from .shapes import Ball, ConvexPolygon, Rectangle, Shape, _rows, geometry
+from .shapes import Ball, ConvexPolygon, Shape, _rows, geometry
 
 BLOCK_SIZE = 1 << 16
 WORK_ROWS = 4  # float rows of a block's workspace
@@ -210,7 +211,6 @@ class _BallBlocks:
         return int(np.count_nonzero(np.less_equal(c, 1.0 - norm * norm, out=b.view(bool)[:n])))
 
 
-@_blocks.register(ConvexPolygon)
 class _PolygonBlocks:
     """The fan sampler and half-plane test of a convex polygon, with the tables they read."""
 
@@ -287,13 +287,13 @@ class _PolygonBlocks:
         y += self.origin[1]
 
 
-@_blocks.register(Rectangle)
 class _BoxBlocks(_PolygonBlocks):
-    """A rectangle's blocks draw X as two uniform rows and test one bound per axis."""
+    """A box's blocks draw X as two uniform rows on the centred box and test one bound per axis;
+    of the half-planes they keep the outward normals (dy, -dx), which ``shift_hits`` reads."""
 
-    def __init__(self, rect: Rectangle):
-        super().__init__(rect)
-        self.h1, self.h2 = rect.h1, rect.h2
+    def __init__(self, poly: ConvexPolygon):
+        self.h1, self.h2 = poly.half_widths
+        self._half_planes = [[dy, -dx] for dx, dy in poly.edge_directions.tolist()]
 
     def _inside(self, x, y, scratch, planes=None):
         absolute, spare, mask = scratch
@@ -303,7 +303,7 @@ class _BoxBlocks(_PolygonBlocks):
             inside &= np.less_equal(np.abs(y, out=absolute), self.h2, out=ok)
             return inside
         inside.fill(True)
-        for ex, ey, _ in planes:
+        for ex, ey in planes:
             row, h = (x, math.copysign(self.h1, ex)) if ex else (y, math.copysign(self.h2, ey))
             inside &= (np.less_equal if h > 0.0 else np.greater_equal)(row, h, out=ok)
         return inside
@@ -313,6 +313,9 @@ class _BoxBlocks(_PolygonBlocks):
             rng.random(out=row)
             row *= 2.0 * h
             row -= h
+
+
+_blocks.register(ConvexPolygon, lambda poly: _PolygonBlocks(poly) if poly.half_widths is None else _BoxBlocks(poly))
 
 
 def _draw_cauchy(rng: np.random.Generator, w: np.ndarray) -> None:

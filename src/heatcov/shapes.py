@@ -1,9 +1,9 @@
 """Shape descriptors, exact geometry, and set covariance evaluators.
 
 Supported shapes are balls of any radius (in any dimension up to the
-package guard; an interval is a 1-ball) and convex polygons; an
-axis-aligned rectangle is the convex polygon of its corners, whose geometry
-is the polygon's, with a closed-form covariance.
+package guard; an interval is a 1-ball) and convex polygons; a rectangle
+is the convex polygon of its corners, and every axis-aligned box among the
+polygons has a closed-form covariance.
 All shapes are convex, so the covariance support radius equals the
 diameter exactly.
 
@@ -217,12 +217,21 @@ def Interval(a: float, b: float) -> Ball:
     return Ball(1, (b - a) / 2.0)
 
 
+def Rectangle(h1: float, h2: float) -> ConvexPolygon:
+    """The rectangle [-h1, h1] x [-h2, h2]: the convex polygon of its corners, with ``half_widths`` (h1, h2)."""
+    h1, h2 = _real(h1, "a rectangle half-width"), _real(h2, "a rectangle half-width")
+    if not (0.0 < h1 < math.inf and 0.0 < h2 < math.inf):
+        raise InvalidShapeError("rectangle half-widths must be positive and finite")
+    return ConvexPolygon([[h1, -h2], [h1, h2], [-h1, h2], [-h1, -h2]])
+
+
 @dataclass(frozen=True)
 class ConvexPolygon(Shape):
     """Convex polygon with counterclockwise vertices; collinear points dropped.
 
-    The constructor stores what it measured: ``vertex_array`` (read-only), ``edge_directions`` and
-    ``geometry``.  The tables behind ``line_integral`` (``min_width``, ``first_breakpoint``, the seed
+    The constructor stores what it measured: ``vertex_array`` (read-only), ``edge_directions``,
+    ``geometry`` and ``half_widths``: for an axis-aligned box (four edges, each with an exactly zero x or y
+    component) half the extent of its vertices on each axis, whose g is (2 h1 - |y1|)_+ (2 h2 - |y2|)_+.  The tables behind ``line_integral`` (``min_width``, ``first_breakpoint``, the seed
     directions, ``chord_table``) read the one pair table ``_pairs`` (the successor index, v_i - v_j and
     (v_i - v_(j+k)) x e_j); ``covariance_at`` builds none.  The rest derives from its chords.
     For u = (cos theta, sin theta) and n = (-sin theta, cos theta), the chord length c(x) of the
@@ -238,6 +247,7 @@ class ConvexPolygon(Shape):
 
     vertices: tuple = field()
     geometry: ShapeGeometry = field(init=False, repr=False, compare=False, default=None)
+    half_widths: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __init__(self, vertices: Sequence[Sequence[float]]):
         try:
@@ -274,8 +284,10 @@ class ConvexPolygon(Shape):
         edges = kept[_successor(len(kept))] - kept  # e_j = v_(j+1) - v_j
         kept.flags.writeable = edges.flags.writeable = False
         geo = ShapeGeometry(area, math.fsum(map(math.hypot, *edges.T.tolist())), diam, dim=2)
+        box = len(kept) == 4 and all(dx == 0.0 or dy == 0.0 for dx, dy in edges.tolist())  # dx * dy can underflow
+        half_widths = tuple((0.5 * (kept.max(axis=0) - kept.min(axis=0))).tolist()) if box else None
         for name, value in [("vertices", tuple(tuple(p) for p in kept)), ("vertex_array", kept),
-                            ("edge_directions", edges), ("geometry", geo)]:
+                            ("edge_directions", edges), ("geometry", geo), ("half_widths", half_widths)]:
             object.__setattr__(self, name, value)
 
     def directional_variation(self, us):
@@ -454,8 +466,11 @@ class ConvexPolygon(Shape):
         The chord through a vertex v to the edge pq of the other chain is
         |(v - m) x (q - p)| / |u x (q - p)|, m the end of the edge nearer in offset: on a
         thin polygon it keeps its digits where heights measured from one origin would
-        cancel.  O(n) per point; g(0) = |Omega| exactly.
+        cancel.  O(n) per point; g(0) = |Omega| exactly.  A box takes its closed form.
         """
+        if self.half_widths is not None:
+            (h1, h2), (y0, y1) = self.half_widths, y
+            return max(0.0, 2.0 * h1 - abs(y0)) * max(0.0, 2.0 * h2 - abs(y1))
         vol, ell = self.geometry.volume, self.geometry.support_radius
         pts, rel, edges = self._chord_tables
         (y0, y1), n = y, len(rel)
@@ -501,28 +516,6 @@ class ConvexPolygon(Shape):
                 total += (z - x) * (0.5 * (lo + hi) - r if lo >= r else (hi - r) ** 2 / (2.0 * (hi - lo)))
             x, c = z, c1
         return total if total > 1e-14 * vol else 0.0
-
-
-@dataclass(frozen=True)
-class Rectangle(ConvexPolygon):
-    """Axis-aligned rectangle [-h1, h1] x [-h2, h2]: the polygon of its four corners, whose
-    geometry rounds 4 h1 h2, 4 (h1 + h2) and 2 hypot(h1, h2) as those closed forms do, with the
-    closed-form covariance (2 h1 - |y1|)_+ (2 h2 - |y2|)_+."""
-
-    vertices: tuple = field(repr=False)
-    h1: float
-    h2: float
-
-    def __init__(self, h1: float, h2: float):
-        h1, h2 = _real(h1, "a rectangle half-width"), _real(h2, "a rectangle half-width")
-        if not (0.0 < h1 < math.inf and 0.0 < h2 < math.inf):
-            raise InvalidShapeError("rectangle half-widths must be positive and finite")
-        super().__init__([[h1, -h2], [h1, h2], [-h1, h2], [-h1, -h2]])
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", h2)
-
-    def covariance_at(self, y):
-        return max(0.0, 2.0 * self.h1 - abs(y[0])) * max(0.0, 2.0 * self.h2 - abs(y[1]))
 
 
 def _real(x, what: str) -> float:

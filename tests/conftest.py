@@ -20,7 +20,6 @@ from heatcov import (
     ConvexPolygon,
     Interval,
     QuadSpec,
-    Rectangle,
     UnitBall,
     covariance,
     directional_variation,
@@ -610,8 +609,9 @@ def sample_cauchy(d, rng, n=1):
 
 def sample(shape, rng, n):
     """n uniform points of the shape, an (n, dim) array: a ball's as uniform directions
-    times r U^(1/d), a polygon's from its Monte Carlo sampler (a rectangle's two uniform rows,
-    or else its fan: each point uniform, the rows grouped by fan triangle)."""
+    times r U^(1/d), a polygon's from its Monte Carlo sampler (a box's two uniform rows, on the
+    centred box its blocks test, or else its fan: each point uniform, the rows grouped by fan
+    triangle)."""
     if isinstance(shape, Ball):
         v = rng.standard_normal((n, shape.d))
         v /= np.linalg.norm(v, axis=1)[:, None]
@@ -624,12 +624,11 @@ def sample(shape, rng, n):
 
 def contains(shape, pts):
     """Membership mask of the rows of an (n, dim) array, from the shape's definition: |x| <= r,
-    |x| <= h1 and |y| <= h2, or on the left of every counterclockwise edge pq."""
+    or on the left of every counterclockwise edge pq (on a centred box, the signs of x -+ h1 and
+    y -+ h2, so |x| <= h1 and |y| <= h2 exactly)."""
     if isinstance(shape, Ball):
         return np.sum(pts * pts, axis=1) <= shape.radius**2
     x, y = pts.T
-    if isinstance(shape, Rectangle):
-        return (np.abs(x) <= shape.h1) & (np.abs(y) <= shape.h2)
     inside = np.ones(len(pts), dtype=bool)
     for (px, py), (qx, qy) in zip(shape.vertices, shape.vertices[1:] + shape.vertices[:1]):
         inside &= (qx - px) * (y - py) - (qy - py) * (x - px) >= 0.0

@@ -74,6 +74,16 @@ class TestCovariance:
         assert code == 0
         assert float(out) == pytest.approx(1.5, abs=1e-12)
 
+    def test_square_file_prints_the_bytes_of_the_square(self, tmp_path, capsys):
+        # the corners, in the order Rectangle lists them, given as a polygon file take the box's
+        # closed form, as --shape square does, and the same chord table
+        f = tmp_path / "square.json"
+        f.write_text(json.dumps({"kind": "polygon", "vertices": [[1, -1], [1, 1], [-1, 1], [-1, -1]]}))
+        for argv in (["covariance", "--point=1,1"], ["covariance", "--point=0.3,0.7"], ["heat-content", "--t", "0.1"]):
+            printed = run_cli([*argv, "--shape-file", str(f)], capsys)
+            assert printed == run_cli([*argv, "--shape", "square"], capsys) and printed[0] == 0, argv
+        assert run_cli(["covariance", "--point=1,1", "--shape-file", str(f)], capsys)[1] == "1\n"
+
     def test_far_point_prints_zero(self, capsys):
         # |y|^2 overflowed to inf, which printed 0 after a RuntimeWarning on stderr
         assert run_cli(["covariance", "--shape", "ball2", "--point=1e200,1e200"], capsys) == (0, "0\n", "")

@@ -23,11 +23,14 @@ from heatcov import (
     gamma_weighted_integral,
     geometry,
     heat_content,
+    mc_covariance,
+    mc_heat_content,
     shape_from_json,
+    third_term,
     unit_ball_volume,
     unit_sphere_area,
 )
-from heatcov import shapes
+from heatcov import mc, shapes
 from heatcov.errors import (
     DimensionMismatchError,
     DomainError,
@@ -115,7 +118,8 @@ class TestShapeConstruction:
 
     def test_rectangle_stores_float_half_widths(self):
         rect = Rectangle(1, np.float64(2.0))
-        assert (type(rect.h1), type(rect.h2)) == (float, float) and rect == Rectangle(1.0, 2.0)
+        assert [type(h) for h in rect.half_widths] == [float, float] and rect.half_widths == (1.0, 2.0)
+        assert rect == Rectangle(1.0, 2.0)
 
     def test_rectangle_is_held_to_the_polygon_tolerances(self):
         # the corner polygon of a 1e-30 x 1 strip has sides within 1e-12 of its diameter: its
@@ -522,6 +526,73 @@ class TestPerimeterIdentity:
             assert perimeter_from_variations(shape, quad) == pytest.approx(geometry(shape).perimeter, rel=1e-13)
 
 
+class TestAxisAlignedBoxes:
+    """Every polygon that is an axis-aligned box takes the box's closed-form g and Monte Carlo
+    blocks, whatever built it; ``Rectangle`` is a constructor of the centred one."""
+
+    YS = np.random.default_rng(5).uniform(-3.0, 3.0, (50, 2))
+
+    @staticmethod
+    def _bits(shape, quad):
+        """What heatcov computes of a planar shape, as floats."""
+        return [*covariance(shape, TestAxisAlignedBoxes.YS).tolist(), heat_content(shape, 0.05, quad),
+                big_R(shape, 0.5, quad), *gamma(shape, np.array([0.2, 0.6, 1.0]), quad).tolist(),
+                third_term(shape, quad).C_formula, mc_heat_content(shape, 0.1, n=20_000, seed=3).mean,
+                mc_covariance(shape, [0.7, 0.2], n=20_000, seed=4).mean]
+
+    @pytest.mark.parametrize("h1, h2", [(1.0, 1.0), (1.3, 0.6)])
+    def test_a_rectangle_is_the_polygon_of_its_corners(self, h1, h2, quad):
+        rect = Rectangle(h1, h2)
+        poly = ConvexPolygon(rect.vertices)
+        assert poly == rect and poly.half_widths == rect.half_widths == (h1, h2)
+        assert self._bits(poly, quad) == self._bits(rect, quad)
+
+    def test_rectangle_is_a_constructor(self):
+        with pytest.raises(TypeError):
+            isinstance(SQUARE_POLY, Rectangle)
+        assert type(Rectangle(1.0, 1.0)) is ConvexPolygon and repr(Rectangle(1.0, 1.0)) == repr(SQUARE_POLY)
+        assert set(mc._blocks.registry) == {object, Ball, ConvexPolygon}
+
+    def test_an_off_centre_box_takes_the_closed_form(self):
+        # g is translation invariant, and the box blocks draw on the centred box: [0.5, 3] x [-1.25, 0],
+        # whose extents are exact, has the bits of Rectangle(1.25, 0.625)
+        box, rect = ConvexPolygon([(0.5, -1.25), (3.0, -1.25), (3.0, 0.0), (0.5, 0.0)]), Rectangle(1.25, 0.625)
+        assert box.half_widths == (1.25, 0.625) and box.geometry == rect.geometry
+        assert covariance(box, [1.0, -0.3]) == 1.5 * 0.95
+        assert covariance(box, self.YS).tolist() == covariance(rect, self.YS).tolist()
+        assert type(mc._blocks(box)) is mc._BoxBlocks
+        for estimate, arg in ((mc_heat_content, 0.1), (mc_covariance, [0.7, 0.2])):
+            assert estimate(box, arg, n=20_000, seed=6) == estimate(rect, arg, n=20_000, seed=6)
+
+    def test_a_box_listed_from_another_corner_takes_the_closed_form(self):
+        rect = Rectangle(1.3, 0.6)
+        box = ConvexPolygon(rect.vertices[2:] + rect.vertices[:2])
+        assert box.half_widths == (1.3, 0.6)
+        assert covariance(box, self.YS).tolist() == covariance(rect, self.YS).tolist()
+
+    def test_collinear_points_on_the_sides_leave_a_box(self):
+        box = ConvexPolygon([(1.3, -0.6), (1.3, 0.0), (1.3, 0.6), (0.0, 0.6), (-1.3, 0.6), (-1.3, -0.6), (0.2, -0.6)])
+        assert box == Rectangle(1.3, 0.6) and box.half_widths == (1.3, 0.6)
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [[(math.cos(0.4) * x - math.sin(0.4) * y, math.sin(0.4) * x + math.cos(0.4) * y) for x, y in
+          [(1.3, -0.6), (1.3, 0.6), (-1.3, 0.6), (-1.3, -0.6)]],
+         [(0.0, 0.0), (3.0, 0.0), (2.0, 1.0), (1.0, 1.0)]],
+        ids=["rotated-rectangle", "trapezoid"],
+    )
+    def test_other_quadrilaterals_take_the_walk(self, vertices):
+        poly = ConvexPolygon(vertices)
+        assert len(poly.vertices) == 4 and poly.half_widths is None
+        assert type(mc._blocks(poly)) is mc._PolygonBlocks
+
+    def test_tiny_edge_components_are_not_axis_edges(self):
+        # the edge (-1e-200, -1e-150) is no axis edge, though the product of its components underflows to 0
+        poly = ConvexPolygon([(0.0, 0.0), (1e-150, 0.0), (1e-150, 1e-150), (1e-200, 1e-150)])
+        assert len(poly.vertices) == 4 and poly.edge_directions[3, 0] * poly.edge_directions[3, 1] == 0.0
+        assert poly.half_widths is None
+
+
 class TestCovariance:
     def test_ball2_formula(self):
         for s in (0.1, 0.4, 0.75, 0.99):
@@ -551,11 +622,15 @@ class TestCovariance:
             shapes.ball_covariance_radial(3, -0.1)
 
     def test_polygon_matches_rectangle_closed_form(self):
+        # the chord walk on the square turned by 0.3, at the turned points: a box takes the closed form
+        c, s = math.cos(0.3), math.sin(0.3)
+        turned = ConvexPolygon([(c * x - s * y, s * x + c * y) for x, y in SQUARE_POLY.vertices])
+        assert turned.half_widths is None
         rng = np.random.default_rng(2024)
         for _ in range(1000):
-            y = rng.uniform(-2.4, 2.4, 2)
-            assert covariance(SQUARE_POLY, y) == pytest.approx(
-                covariance(Rectangle(1.0, 1.0), y), abs=1e-10
+            y0, y1 = rng.uniform(-2.4, 2.4, 2)
+            assert covariance(turned, (c * y0 - s * y1, s * y0 + c * y1)) == pytest.approx(
+                covariance(Rectangle(1.0, 1.0), (y0, y1)), abs=1e-10
             )
 
     def test_dimension_mismatch(self):
