@@ -283,7 +283,7 @@ class ConvexPolygon(Shape):
             diam = _diameter(kept[:, None, :] - kept)
         edges = kept[_successor(len(kept))] - kept  # e_j = v_(j+1) - v_j
         kept.flags.writeable = edges.flags.writeable = False
-        geo = ShapeGeometry(area, math.fsum(map(math.hypot, *edges.T.tolist())), diam, dim=2)
+        geo = ShapeGeometry(area, _perimeter(kept, edges), diam, dim=2)
         box = len(kept) == 4 and all(dx == 0.0 or dy == 0.0 for dx, dy in edges.tolist())  # dx * dy can underflow
         half_widths = tuple((0.5 * (kept.max(axis=0) - kept.min(axis=0))).tolist()) if box else None
         for name, value in [("vertices", tuple(tuple(p) for p in kept)), ("vertex_array", kept),
@@ -450,10 +450,11 @@ class ConvexPolygon(Shape):
 
     @cached_property
     def _chord_tables(self) -> tuple:
-        """The chord walk's lists: the vertices, them less the least of them (by x, then y), and the edges."""
+        """The chord walk's six flat lists: the vertices' x and y, the same less the least vertex (by x,
+        then y), and the edges' x and y."""
         verts = self.vertex_array
         pts = verts.tolist()
-        return pts, (verts - verts[pts.index(min(pts))]).tolist(), self.edge_directions.tolist()
+        return (*verts.T.tolist(), *(verts - verts[pts.index(min(pts))]).T.tolist(), *self.edge_directions.T.tolist())
 
     def covariance_at(self, y):
         """g(r u) = int (c_u(x) - r)_+ dx (see ``chord_table``), in floats.
@@ -472,45 +473,39 @@ class ConvexPolygon(Shape):
             (h1, h2), (y0, y1) = self.half_widths, y
             return max(0.0, 2.0 * h1 - abs(y0)) * max(0.0, 2.0 * h2 - abs(y1))
         vol, ell = self.geometry.volume, self.geometry.support_radius
-        pts, rel, edges = self._chord_tables
-        (y0, y1), n = y, len(rel)
+        xs, ys, rxs, rys, exs, eys = self._chord_tables
+        (y0, y1), n = y, len(xs)
         m = max(abs(y0), abs(y1))  # y / m first, so that u is a unit vector for subnormal y
         h = math.hypot(y0 / m, y1 / m) if m else 1.0
         r = m * h
         if r == 0.0 or r >= ell:
             return vol if r == 0.0 else 0.0
         ux, uy = y0 / m / h, y1 / m / h
-        s = [ux * py - uy * px for px, py in rel]
-        i0, i1 = s.index(min(s)), s.index(max(s))
-        k = (i1 - i0) % n  # edges on the upper chain
-        s += s
-        cycle = [*range(n)] * 2
-        up, low = cycle[i0 : i0 + k + 1], cycle[i1 : i1 + n - k + 1][::-1]
-        su, sl = s[i0 : i0 + k + 1], s[i1 : i1 + n - k + 1][::-1]
-        total, x, i, j, c = 0.0, su[0], 1, 1, None
-        while x < su[-1]:
-            while su[i] <= x:  # skip pieces of zero (or, by rounding, negative) width
-                i += 1
-            while sl[j] <= x:
-                j += 1
-            s0, s1, t0, t1 = su[i - 1], su[i], sl[j - 1], sl[j]
+        s = [ux * py - uy * px for px, py in zip(rxs, rys)]
+        # each chain's last two vertices, a0 a1 counterclockwise and b0 b1 clockwise from the least offset
+        a0 = b0 = s.index(min(s))
+        a1, b1, top = (a0 + 1) % n, (a0 - 1) % n, max(s)
+        total, x, c = 0.0, s[a0], None
+        while x < top:
+            while s[a1] <= x:  # skip pieces of zero (or, by rounding, negative) width
+                a0, a1 = a1, (a1 + 1) % n
+            while s[b1] <= x:
+                b0, b1 = b1, (b1 - 1) % n
+            s0, s1, t0, t1 = s[a0], s[a1], s[b0], s[b1]
             if c is None:  # the chord at the least offset, between two vertices at s0 = t0 = x
-                (ax, ay), (bx, by) = rel[up[i - 1]], rel[low[j - 1]]
-                c = abs(ux * (ax - bx) + uy * (ay - by)) if up[i - 1] != low[j - 1] else 0.0
+                c = abs(ux * (rxs[a0] - rxs[b0]) + uy * (rys[a0] - rys[b0])) if a0 != b0 else 0.0
             # a vertex of one chain across an edge of the other, from the edge's nearer end:
             # the lower chain runs along its edges backwards
             if s1 <= t1:
-                z, v, e, end = s1, up[i], low[j], int(s1 - t0 <= t1 - s1)
+                z, v, e, end = s1, a1, b1, int(s1 - t0 <= t1 - s1)
             else:
-                z, v, e, end = t1, low[j], up[i - 1], int(t1 - s0 > s1 - t1)
-            ex, ey = edges[e]
+                z, v, e, end = t1, b1, a0, int(t1 - s0 > s1 - t1)
+            ex, ey, near = exs[e], eys[e], (e + end) % n
             den = ux * ey - uy * ex  # nonzero on a piece of positive width, barring rounding
             if den and s1 != t1:  # (v - m) x e, with the roundings of the pair table's cross
-                (vx, vy), (px, py) = pts[v], pts[(e + end) % n]
-                c1 = abs(((vx - px) * ey - (vy - py) * ex) / den)
+                c1 = abs(((xs[v] - xs[near]) * ey - (ys[v] - ys[near]) * ex) / den)
             else:  # u along the edge, or v level with its nearer end
-                (vx, vy), (px, py) = rel[v], rel[(e + end) % n]
-                c1 = abs(ux * (vx - px) + uy * (vy - py))
+                c1 = abs(ux * (rxs[v] - rxs[near]) + uy * (rys[v] - rys[near]))
             lo, hi = (c, c1) if c <= c1 else (c1, c)
             if hi > r:
                 total += (z - x) * (0.5 * (lo + hi) - r if lo >= r else (hi - r) ** 2 / (2.0 * (hi - lo)))
@@ -641,6 +636,24 @@ def _polygon_area(verts: np.ndarray) -> float:
     """
     (x, y), nxt = verts.T, _successor(len(verts))
     return 0.5 * math.fsum(np.concatenate([*_two_product(x, y[nxt]), *_two_product(-x[nxt], y)]).tolist())
+
+
+def _perimeter(verts: np.ndarray, edges: np.ndarray) -> float:
+    """The sum of the exact lengths |v_(j+1) - v_j| of the float vertices, within half an ulp.
+
+    Each hypot length L of a rounded edge e = (x, y) carries the correction (Q - L^2)/(2L) into
+    fsum, Q = |e + t|^2 = x^2 + y^2 + 2 (x t_x + y t_y) + |t|^2 with t = (v_(j+1) - v_j) - e the
+    TwoSum error of the edge; Q - L^2 is exact before its one rounding (``_exact_dots``).  An edge
+    with a nonzero component below 2^-485, whose square loses bits to underflow, keeps its plain L.
+    """
+    after = verts[_successor(len(verts))]
+    back = edges - after  # TwoSum of v_(j+1) + (-v_j), whose rounded sum is e
+    t = (after - (edges - back)) - (verts + back)
+    (x, y), (tx, ty) = edges.T, t.T
+    lengths = np.array(list(map(math.hypot, x.tolist(), y.tolist())))
+    excess = _exact_dots([x, y, 2.0 * x, 2.0 * y, tx, ty, -lengths], [x, y, tx, ty, tx, ty, lengths])
+    exact = ((np.abs(edges) >= 2.0**-485) | (edges == 0.0)).all(axis=1)
+    return math.fsum([*lengths.tolist(), *np.where(exact, excess / (2.0 * lengths), 0.0).tolist()])
 
 
 def _exact_dots(p: list, q: list) -> np.ndarray:

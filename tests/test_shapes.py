@@ -372,7 +372,8 @@ class TestGeometry:
         # seeded hulls of 3-30 points, aspect down to 1e-6 and scale 1e-6..1e6, against 40-digit
         # mpmath: the perimeter against the exact float vertices, the diameter against the exact
         # lengths of the differences v_i - v_j that it takes, which round once before any length
-        # (against the exact vertices the worst of 2000 such hulls was 0.88 ulp and 0.99 ulp)
+        # (against the exact vertices the worst diameter of 2000 such hulls was 0.99 ulp); the
+        # fsum of rounded hypot lengths read up to 0.88 ulp off here, and 1.22 ulp on a benchmark rectangle
         rng = np.random.default_rng(7)
         with mpmath.workdps(40):
             for _ in range(100):
@@ -386,7 +387,7 @@ class TestGeometry:
                 diffs = (poly.vertex_array[:, None] - poly.vertex_array).reshape(-1, 2).tolist()
                 diam = max(mpmath.hypot(mpmath.mpf(dx), mpmath.mpf(dy)) for dx, dy in diffs)
                 geo = poly.geometry
-                assert abs(geo.perimeter - per) <= math.ulp(float(per)), (n, aspect, lam)
+                assert abs(geo.perimeter - per) <= 0.5 * math.ulp(float(per)), (n, aspect, lam)
                 assert abs(geo.support_radius - diam) <= math.ulp(float(diam)), (n, aspect, lam)
 
     def test_ball_stores_the_geometry_it_validates(self):
