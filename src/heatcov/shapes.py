@@ -230,10 +230,12 @@ class ConvexPolygon(Shape):
     """Convex polygon with counterclockwise vertices; collinear points dropped.
 
     The constructor stores what it measured: ``vertex_array`` (read-only), ``edge_directions``,
-    ``geometry`` and ``half_widths``: for an axis-aligned box (four edges, each with an exactly zero x or y
-    component) half the extent of its vertices on each axis, whose g is (2 h1 - |y1|)_+ (2 h2 - |y2|)_+.  The tables behind ``line_integral`` (``min_width``, ``first_breakpoint``, the seed
-    directions, ``chord_table``) read the one pair table ``_pairs`` (the successor index, v_i - v_j and
-    (v_i - v_(j+k)) x e_j); ``covariance_at`` builds none.  The rest derives from its chords.
+    ``geometry`` and ``half_widths``, for an axis-aligned box (four edges, each with an exactly zero
+    x or y component) half the extent of its vertices on each axis, whose g is the closed form
+    (2 h1 - |y1|)_+ (2 h2 - |y2|)_+, else None.  The tables behind ``line_integral`` (``min_width``,
+    ``first_breakpoint``, the seed directions, ``chord_table``) read the one pair table ``_pairs``
+    (the successor index, v_i - v_j and (v_i - v_(j+k)) x e_j); ``covariance_at`` builds none.
+    The rest derives from its chords.
     For u = (cos theta, sin theta) and n = (-sin theta, cos theta), the chord length c(x) of the
     line x n + R u is linear between the offsets x of the vertices, where the two boundary chains
     between the extreme offsets merge (``chord_table``, ``covariance_at``).  So ``line_integral``
