@@ -49,28 +49,36 @@ In d = 1, Theta_1 = +-1 by the sign of U_2 - 1/2.
 Each block draws from its own SFC64 stream, seeded by
 SeedSequence((seed, block)), and returns an integer hit count, so the
 estimate for a given (inputs, seed, n) is bit-identical however the blocks
-are ordered.  The blocks of an estimate run one after another on the
-calling thread; concurrent callers run side by side, each in its own
-workspace.  A block's error reaches the caller, and the blocks after it
-are not run.
+are ordered or shared out.  They run on lanes = min(usable CPUs, blocks)
+lanes (the process's affinity mask, else os.cpu_count()): lane i runs the
+blocks i, i + lanes, ..., lane 0 on the calling thread and each other on a
+thread started for this estimate and joined before it returns, so one CPU
+or one block starts none.  A block that raises stops every lane before its
+next block, and the caller gets the error of the lowest block that raised
+(a KeyboardInterrupt of the calling thread's, whatever the others raised).
+NumPy's errstate is per thread, so a block that overflows by design (a
+heat block) sets its own.
 
-A block allocates nothing of its size: each calling thread keeps one
-workspace of WORK_ROWS = 4 float rows of BLOCK_SIZE columns (2 MiB) in a
-``threading.local`` from its first estimate on, so later blocks write into
-resident memory instead of faulting in zero pages.  Blocks draw with
+A block allocates nothing of its size: each lane has its own workspace of
+WORK_ROWS = 4 float rows of BLOCK_SIZE columns (2 MiB; one array of 4 MiB
+would take huge pages, resident in full once touched), from a list that
+each calling thread keeps in a ``threading.local``, so later blocks write
+into resident memory instead of faulting in zero pages.  Blocks draw with
 ``out=``, compute in place and write boolean results into the bytes of a
-spent row.  A ball block uses 3 rows, a planar one 3.5 (x, y and three half
-rows, on which it works half of the columns at a time).
+spent row.  A ball block uses 3 rows, a planar one 3.5 (x, y and three
+half rows, on which it works half of the columns at a time).
 
 Blocks call only the private functions of this module, never a public
 module function (``geometry``, ``covariance``, ...) that a tracer may
-rebind, so that a tracer counts each estimate once and not once a block.
+rebind, so that a tracer counts each estimate once and not once a block,
+and a tracer that keeps one frame stack never sees a helper thread.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import threading
 from dataclasses import dataclass
 from numbers import Integral
@@ -84,7 +92,7 @@ from .shapes import Ball, ConvexPolygon, Shape, _rows, geometry
 BLOCK_SIZE = 1 << 16
 WORK_ROWS = 4  # float rows of a block's workspace
 
-_caller = threading.local()  # .work, each calling thread's workspace
+_caller = threading.local()  # .work, each calling thread's list of workspaces, one a lane
 
 
 @dataclass(frozen=True)
@@ -100,20 +108,51 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _estimate(shape: Shape, n: int, seed: int, block_hits, arg) -> McEstimate:
-    """|Omega| times the fraction of hits, block_hits(rng, size, arg, work) counting one block's."""
+    """|Omega| times the fraction of hits, block_hits(rng, size, arg, work) counting one block's; a
+    block_hits of None counts none and runs no block."""
     if isinstance(n, bool) or not isinstance(n, Integral) or n < 1000:
         raise DomainError(f"n must be an integer >= 1000, got {n!r}")
     if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 1 << 64:
         raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     vol = geometry(shape).volume
-    if not hasattr(_caller, "work"):
-        _caller.work = np.empty((WORK_ROWS, BLOCK_SIZE))
-    work = _caller.work
-    p = sum(
-        block_hits(_block_rng(seed, k), min(BLOCK_SIZE, n - k * BLOCK_SIZE), arg, work)
-        for k in range(-(-n // BLOCK_SIZE))
-    ) / n
+    p = (_count_hits(n, seed, block_hits, arg) if block_hits else 0) / n
     return McEstimate(mean=vol * p, stderr=vol * math.sqrt(max(p * (1.0 - p), 0.0) / n), n=n, seed=seed)
+
+
+def _count_hits(n: int, seed: int, block_hits, arg) -> int:
+    """The hits of the blocks of n draws, lane i running the blocks i, i + lanes, ... in its own
+    workspace, lane 0 on the calling thread and each other lane on a thread of its own."""
+    blocks = -(-n // BLOCK_SIZE)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    lanes = min(cpus, blocks)
+    work = vars(_caller).setdefault("work", [])
+    work += [np.empty((WORK_ROWS, BLOCK_SIZE)) for _ in range(len(work), lanes)]
+    hits, failed = [0] * lanes, {}  # failed: the error of each block that raised
+
+    def lane(i):
+        for k in range(i, blocks, lanes):
+            if failed:
+                return
+            try:
+                hits[i] += block_hits(_block_rng(seed, k), min(BLOCK_SIZE, n - k * BLOCK_SIZE), arg, work[i])
+            except BaseException as error:
+                failed[k] = error
+                if not isinstance(error, Exception):  # an interrupt stops every lane, and goes on up now
+                    raise
+
+    helpers = []
+    try:
+        for i in range(1, lanes):
+            helper = threading.Thread(target=lane, args=(i,))
+            helper.start()
+            helpers.append(helper)
+        lane(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[min(failed)]
+    return sum(hits)
 
 
 def mc_heat_content(shape: Shape, t: float, n: int, seed: int) -> McEstimate:
@@ -127,7 +166,10 @@ def mc_covariance(shape: Shape, y, n: int, seed: int) -> McEstimate:
     ys, _ = _rows(y, shape.dim, "point")
     if len(ys) != 1:
         raise DimensionMismatchError(f"mc_covariance takes one point, got {len(ys)}")
-    return _estimate(shape, n, seed, _blocks(shape).shift_hits, ys[0])
+    shift_hits = _blocks(shape).shift_hits
+    # beyond the diameter g is 0, and no block draws: a ball's |y|^2 could overflow, a polygon's X - y
+    far = max(map(abs, ys[0].tolist())) >= shape.geometry.support_radius
+    return _estimate(shape, n, seed, None if far else shift_hits, ys[0])
 
 
 @functools.singledispatch
@@ -198,8 +240,6 @@ class _BallBlocks:
 
     def shift_hits(self, rng, n, y, work):
         # with y for y/radius, y = |y| e_1 and X = r Theta in B: X - y is in B iff r (r - 2|y| Theta_1) <= 1 - |y|^2
-        if max(map(abs, y)) >= 2.0 * self.radius:  # beyond the diameter, before |y|^2 can overflow
-            return 0
         r, c, b = work[:3, :n]
         rng.random(out=r)
         r **= 1.0 / self.d
@@ -236,7 +276,9 @@ class _PolygonBlocks:
             inside &= np.less_equal(lhs, c, out=ok)  # in the bytes of term, spent by then
         return inside
 
+    @np.errstate(over="ignore", invalid="ignore")
     def heat_hits(self, rng, n, t, work):
+        # at huge t, t W overflows to inf and inf - inf is nan: misses, like the ball's
         self._sample_rows(rng, work, n)
         _add_planar_step(rng, work[:2, :n], t, _planar_scratch(work, n))
         return self._count_inside(work, n)

@@ -303,12 +303,23 @@ class TestMcCovariance:
         est = mc_covariance(UnitBall(2), [2.5, 0.0], n=10_000, seed=3)
         assert est.mean == 0.0
 
-    @pytest.mark.parametrize("d,y", [(1, [1e300]), (2, [1e200, 1e200]), (3, [1e200, 0.0, 0.0]), (16, [2.0] + [0.0] * 15)])
-    def test_ball_shift_beyond_overflow_is_zero(self, d, y):
-        # |y|^2 overflowed above about 1.3e154, and inf * Theta_1 <= -inf then counted every
-        # draw with Theta_1 > 0: the 3-ball read 2.108 +- 0.021
-        est = mc_covariance(UnitBall(d), y, n=10_000, seed=1)
+    @pytest.mark.parametrize("shape,y", [
+        (UnitBall(1), [1e300]), (UnitBall(2), [1e200, 1e200]), (UnitBall(3), [1e200, 0.0, 0.0]),
+        (UnitBall(16), [2.0] + [0.0] * 15), (TRIANGLE, [-1e308, -1e308]), (TRIANGLE, [1.5, 0.0]),
+        (Rectangle(1.0, 1.0), [-1e308, -1e308]),
+    ], ids=["ball1", "ball2", "ball3", "ball16", "triangle", "triangle-near", "box"])
+    def test_shift_beyond_the_diameter_draws_nothing(self, monkeypatch, shape, y):
+        # a ball's |y|^2 overflowed above about 1.3e154, and inf * Theta_1 <= -inf then counted every
+        # draw with Theta_1 > 0: the 3-ball read 2.108 +- 0.021; the triangle's X - y overflowed with
+        # a RuntimeWarning.  No block runs, and n and the seed are still checked
+        monkeypatch.setattr(mc, "_block_rng", lambda seed, block: pytest.fail(f"block {block} was drawn"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = mc_covariance(shape, y, n=10_000, seed=1)
         assert (est.mean, est.stderr) == (0.0, 0.0)
+        for n, seed in ((999, 1), (10_000, -1)):
+            with pytest.raises(DomainError):
+                mc_covariance(shape, y, n=n, seed=seed)
 
     def test_rejects_scalar_shift(self):
         # a scalar used to broadcast to (0.5, 0.5, 0.5)
@@ -472,14 +483,19 @@ class TestBallInvariants:
         assert hits == np.count_nonzero(np.einsum("ij,ij->i", x, x) <= 1.0)
         assert 0 < hits < n
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 16])
-    @pytest.mark.parametrize("t", [1e154, 1e160, 1e300])
-    def test_heat_block_at_huge_t_warns_of_nothing(self, d, t):
-        # (r + t S)^2 overflows and, where B = 0 (every draw in d = 1), t^2 B is inf 0 = nan:
-        # both are misses, as they should be, and no block prints a RuntimeWarning
+    @pytest.mark.parametrize("shape,t", [
+        pytest.param(UnitBall(d), t, id=f"{t!r}-{d}") for t in (1e154, 1e160, 1e300) for d in (1, 2, 3, 16)
+    ] + [
+        pytest.param(shape, t, id=f"{t!r}-{name}")
+        for t in (1e305, 1.7e308) for name, shape in (("triangle", TRIANGLE), ("box", Rectangle(1.0, 1.0)))
+    ])
+    def test_heat_block_at_huge_t_warns_of_nothing(self, shape, t):
+        # a ball's (r + t S)^2 overflows and, where B = 0 (every draw in d = 1), t^2 B is inf 0 = nan;
+        # a planar step t W overflows and inf - inf is nan: all are misses, as they should be, and no
+        # block, on any lane, prints a RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est = mc_heat_content(UnitBall(d), t, n=100_000, seed=1)
+            est = mc_heat_content(shape, t, n=100_000, seed=1)
         assert est.mean == 0.0
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 16])
@@ -716,6 +732,34 @@ def _on_fresh_thread(fn):
     return found[0]
 
 
+def _report_cpus(monkeypatch, cpus):
+    """Make the process report `cpus` usable CPUs, through its affinity mask and its CPU count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _patch_box_blocks(monkeypatch, entered, failed):
+    """Make the box blocks run entered(k) as block k starts, and failed(k), which may raise, where
+    they first test containment; the list returned gets each block as it starts."""
+    seen, block, (sample_rows, inside) = [], threading.local(), (mc._BoxBlocks._sample_rows, mc._BoxBlocks._inside)
+
+    def recording(blocks, rng, work, n):
+        # the block is the second entropy word of the seed sequence of its stream; each thread
+        # keeps its own
+        block.k = rng.bit_generator.seed_seq.entropy[1]
+        seen.append(block.k)
+        entered(block.k)
+        return sample_rows(blocks, rng, work, n)
+
+    def failing(blocks, x, y, scratch):
+        failed(block.k)
+        return inside(blocks, x, y, scratch)
+
+    monkeypatch.setattr(mc._BoxBlocks, "_sample_rows", recording)
+    monkeypatch.setattr(mc._BoxBlocks, "_inside", failing)
+    return seen
+
+
 class TestConcurrentBlocks:
     # the blocks of an estimate run on the calling thread, in a workspace that the thread keeps;
     # concurrent callers each run their own
@@ -729,8 +773,7 @@ class TestConcurrentBlocks:
         # from a fresh thread, while the process reports `cpus` CPUs: nothing sized by the CPU
         # count may change the bits
         estimator, shape, arg, n, seed, expected = GOLDEN[case]
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        _report_cpus(monkeypatch, cpus)
         assert _on_fresh_thread(lambda: estimator(shape, arg, n=n, seed=seed).mean.hex()) == expected
 
     def test_more_threads_than_cores_with_fast_switching(self):
@@ -757,22 +800,16 @@ class TestConcurrentBlocks:
 
     @pytest.mark.parametrize("failing", [1, 4])
     def test_block_error_reaches_the_caller(self, monkeypatch, failing):
-        seen, (sample_rows, inside) = [], (mc._BoxBlocks._sample_rows, mc._BoxBlocks._inside)
+        # on one CPU, the blocks run one after another on the calling thread
+        _report_cpus(monkeypatch, 1)
 
-        def recording(self, rng, work, n):
-            # the block is the second entropy word of the seed sequence of its stream
-            seen.append(rng.bit_generator.seed_seq.entropy[1])
-            return sample_rows(self, rng, work, n)
-
-        def fails_on_block(self, x, y, scratch):
-            if seen[-1] == failing:
+        def fails_on_block(k):
+            if k == failing:
                 raise RuntimeError(f"_inside failed on block {failing}")
-            return inside(self, x, y, scratch)
 
         before = threading.enumerate()
         with monkeypatch.context() as patch, pytest.raises(RuntimeError, match=f"block {failing}"):
-            patch.setattr(mc._BoxBlocks, "_sample_rows", recording)
-            patch.setattr(mc._BoxBlocks, "_inside", fails_on_block)
+            seen = _patch_box_blocks(patch, lambda k: None, fails_on_block)
             mc_heat_content(Rectangle(1.0, 1.0), 0.1, n=10 * mc.BLOCK_SIZE, seed=1)
         # the blocks after the failing one do not run, no thread is left behind, and the next
         # estimate overwrites what the failed block left in the workspace
@@ -782,6 +819,8 @@ class TestConcurrentBlocks:
         assert estimator(shape, arg, n=n, seed=seed).mean.hex() == expected
 
     def test_estimates_start_no_thread(self, monkeypatch):
+        # on one CPU
+        _report_cpus(monkeypatch, 1)
         started, start = [], threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
         before = threading.enumerate()
@@ -888,3 +927,92 @@ class TestConcurrentBlocks:
                 counts.append(dict(calls))
             assert counts[1] == counts[2], shape
             assert counts[1]["mc_heat_content"] == counts[1]["mc_covariance"] == 1
+
+
+class TestLanes:
+    # on c CPUs an estimate of b blocks runs on min(c, b) lanes: lane i runs the blocks i, i + lanes,
+    # ..., lane 0 on the calling thread and each other lane on a thread of its own
+    SQUARE = Rectangle(1.0, 1.0)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_a_thread_for_each_lane_beyond_the_callers(self, monkeypatch, cpus):
+        _report_cpus(monkeypatch, cpus)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        before = threading.enumerate()
+        for n in (mc.BLOCK_SIZE + 1, 2 * mc.BLOCK_SIZE, PARTIAL, 10 * mc.BLOCK_SIZE):
+            started.clear()
+            mc_covariance(TRIANGLE, [0.2, 0.1], n=n, seed=1)
+            assert len(started) == min(cpus, -(-n // mc.BLOCK_SIZE)) - 1, n
+            assert threading.enumerate() == before
+        started.clear()
+        for n in (1000, mc.BLOCK_SIZE):  # one block
+            mc_heat_content(TRIANGLE, 0.1, n=n, seed=1)
+        assert started == [] and threading.enumerate() == before
+
+    @pytest.mark.parametrize("cpus,failing", [(2, 1), (2, 5), (3, 4), (3, 8)])
+    def test_no_block_starts_once_a_block_has_failed(self, monkeypatch, cpus, failing):
+        # the failing block is on a helper lane; each other lane waits inside its last block below
+        # the failing one until the failing lane has recorded the error and ended, so the blocks
+        # that run are exactly 0, ..., failing
+        _report_cpus(monkeypatch, cpus)
+        last = {max(range(lane, failing, cpus)) for lane in range(cpus) if lane != failing % cpus}
+        meet, failer = threading.Barrier(cpus, timeout=10.0), []
+
+        def entered(k):
+            if k in last:
+                meet.wait()
+                failer[0].join(timeout=10.0)
+
+        def failed(k):
+            if k == failing:
+                failer.append(threading.current_thread())
+                meet.wait()
+                raise RuntimeError(f"_inside failed on block {k}")
+
+        seen = _patch_box_blocks(monkeypatch, entered, failed)
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match=f"block {failing}$"):
+            mc_heat_content(self.SQUARE, 0.1, n=10 * mc.BLOCK_SIZE, seed=1)
+        assert sorted(seen) == list(range(failing + 1))
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("cpus,failing", [(2, {2, 3}), (2, {0, 1}), (3, {3, 4, 5}), (3, {5, 7})],
+                             ids=["2-2,3", "2-0,1", "3-3,4,5", "3-5,7"])
+    def test_the_lowest_failing_block_raises(self, monkeypatch, cpus, failing):
+        # the failing blocks, each on a lane of its own, all start, and fail together
+        _report_cpus(monkeypatch, cpus)
+        meet = threading.Barrier(len(failing), timeout=10.0)
+
+        def failed(k):
+            if k in failing:
+                meet.wait()
+                raise RuntimeError(f"_inside failed on block {k}")
+
+        seen = _patch_box_blocks(monkeypatch, lambda k: None, failed)
+        before = threading.enumerate()
+        for _ in range(5):
+            seen.clear()
+            meet.reset()
+            with pytest.raises(RuntimeError, match=f"block {min(failing)}$"):
+                mc_heat_content(self.SQUARE, 0.1, n=10 * mc.BLOCK_SIZE, seed=1)
+            assert failing <= set(seen)
+            assert threading.enumerate() == before
+
+    def test_an_interrupt_of_the_caller_goes_on_up(self, monkeypatch):
+        # block 1, on the helper lane, and block 2, on the caller's, fail together: the caller's
+        # KeyboardInterrupt is raised, not the lower block's error, once the helper has stopped
+        _report_cpus(monkeypatch, 2)
+        meet = threading.Barrier(2, timeout=10.0)
+
+        def failed(k):
+            if k in (1, 2):
+                meet.wait()
+                raise KeyboardInterrupt if k == 2 else RuntimeError(f"_inside failed on block {k}")
+
+        seen = _patch_box_blocks(monkeypatch, lambda k: None, failed)
+        before = threading.enumerate()
+        with pytest.raises(KeyboardInterrupt):
+            mc_heat_content(self.SQUARE, 0.1, n=10 * mc.BLOCK_SIZE, seed=1)
+        assert sorted(seen) == [0, 1, 2]
+        assert threading.enumerate() == before
