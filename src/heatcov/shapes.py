@@ -232,10 +232,9 @@ class ConvexPolygon(Shape):
     The constructor stores what it measured: ``vertex_array`` (read-only), ``edge_directions``,
     ``geometry`` and ``half_widths``, for an axis-aligned box (four edges, each with an exactly zero
     x or y component) half the extent of its vertices on each axis, whose g is the closed form
-    (2 h1 - |y1|)_+ (2 h2 - |y2|)_+, else None.  The tables behind ``line_integral`` (``min_width``,
-    ``first_breakpoint``, the seed directions, ``chord_table``) read the one pair table ``_pairs``
-    (the successor index, v_i - v_j and (v_i - v_(j+k)) x e_j); ``covariance_at`` builds none.
-    The rest derives from its chords.
+    (2 h1 - |y1|)_+ (2 h2 - |y2|)_+, else None.  ``min_width``, ``first_breakpoint`` and the seed
+    directions read one cached vertex-pair table, ``_diff`` (v_i - v_j), and form cross products with the
+    edges as they read it; ``chord_table`` and ``covariance_at`` read none.  The rest derives from its chords.
     For u = (cos theta, sin theta) and n = (-sin theta, cos theta), the chord length c(x) of the
     line x n + R u is linear between the offsets x of the vertices, where the two boundary chains
     between the extreme offsets merge (``chord_table``, ``covariance_at``).  So ``line_integral``
@@ -265,11 +264,13 @@ class ConvexPolygon(Shape):
         # tolerances relative to the diameter, so that a scaled copy is valid when the shape is;
         # a size whose squares leave the floats is rejected there, before any other product
         with np.errstate(over="ignore"):
-            diam = _diameter(pts[:, None, :] - pts)
+            raw = pts[:, None, :] - pts
+            diam = _diameter(raw)
         if np.any(np.linalg.norm(pts - pts[_successor(len(pts))], axis=1) <= 1e-12 * diam):
             raise InvalidShapeError("polygon has a repeated vertex: an edge at most 1e-12 of its diameter long")
         # drop collinear vertices, then demand strict convexity and CCW order
-        kept = pts[np.abs(_turns(pts)) > 1e-12 * diam * diam]
+        dropped = np.abs(_turns(pts)) <= 1e-12 * diam * diam
+        kept = pts[~dropped]
         if len(kept) < 3:
             raise InvalidShapeError("polygon is degenerate after removing collinear points")
         if np.any(_turns(kept) <= 0):
@@ -282,7 +283,7 @@ class ConvexPolygon(Shape):
         if not 0.0 < area < math.inf:
             raise InvalidShapeError(f"a polygon of diameter {diam:.6g} and area {area:.6g} needs a finite positive area")
         if len(kept) < len(pts):  # a dropped vertex may have been the farthest
-            diam = _diameter(kept[:, None, :] - kept)
+            diam = _diameter(raw, dropped)
         edges = kept[_successor(len(kept))] - kept  # e_j = v_(j+1) - v_j
         kept.flags.writeable = edges.flags.writeable = False
         geo = ShapeGeometry(area, _perimeter(kept, edges), diam, dim=2)
@@ -304,32 +305,26 @@ class ConvexPolygon(Shape):
         return float(self._segments[2].max(axis=0).min())  # [vertex i, edge j]
 
     @cached_property
-    def _pairs(self) -> tuple:
-        """The vertex-pair table that every pair table of the polygon reads: the successor index
-        nxt, diff[i, j] = v_i - v_j and cross[i, j, k] = (v_i - v_(j+k)) x e_j, both (n, n, 2)."""
-        verts, (ex, ey), n = self.vertex_array, self.edge_directions.T, len(self.vertices)
-        nxt, diff, cross = _successor(n), verts[:, None, :] - verts, np.empty((n, n, 2))
-        for k, cols in enumerate((slice(None), nxt)):  # one (n, n) temporary at a time
-            np.multiply(diff[:, cols, 0], ey, out=cross[..., k])
-            cross[..., k] -= diff[:, cols, 1] * ex
-        return nxt, diff, cross
+    def _diff(self) -> np.ndarray:
+        """The one vertex-pair table of the polygon, (n, n, 2): diff[i, j] = v_i - v_j."""
+        return self.vertex_array[:, None, :] - self.vertex_array
 
     @cached_property
     def _segments(self) -> tuple:
         """Entry [i, j] is for edge_j - v_i, a + t d for t in [0, 1] with a = v_j - v_i = diff[j, i] and
-        d = e_j: (|d|^2 per edge, the t nearest 0, the distance |cross[i, j, 0]| / |d| of the line from 0)."""
-        (ax, ay), (dx, dy) = self._pairs[1].T, self.edge_directions.T
+        d = e_j: (|d|^2 per edge, the t nearest 0, the distance |a x d| / |d| of the line from 0)."""
+        (ax, ay), (dx, dy) = self._diff.T, self.edge_directions.T
         dd = dx * dx + dy * dy
-        return dd, -(ax * dx + ay * dy) / dd, np.abs(self._pairs[2][..., 0]) / np.sqrt(dd)
+        return dd, -(ax * dx + ay * dy) / dd, np.abs(ax * dy - ay * dx) / np.sqrt(dd)
 
     @cached_property
     def first_breakpoint(self) -> float:
         """r_1, the least distance from a vertex to an edge not incident to it: no vertex of
         Omega or Omega + r u crosses an edge of the other before, so g is quadratic in r on
         [0, r_1] along every ray."""
-        (nxt, diff, _), t, (dx, dy) = self._pairs, np.clip(self._segments[1], 0.0, 1.0), self.edge_directions.T
-        dist, i = np.hypot(diff[..., 0].T + t * dx, diff[..., 1].T + t * dy), np.arange(len(nxt))
-        dist[i, i] = dist[nxt, i] = np.inf  # v_i is on the edges i and i - 1
+        diff, t, (dx, dy) = self._diff, np.clip(self._segments[1], 0.0, 1.0), self.edge_directions.T
+        dist, i = np.hypot(diff[..., 0].T + t * dx, diff[..., 1].T + t * dy), np.arange(len(diff))
+        dist[i, i] = dist[_successor(len(i)), i] = np.inf  # v_i is on the edges i and i - 1
         return float(dist.min())
 
     @cached_property
@@ -340,7 +335,7 @@ class ConvexPolygon(Shape):
         They are rounded to 12 decimals, so that a regular polygon's equal
         directions give n seeds, not n(n - 1)/2.
         """
-        d = self._pairs[1][np.tril_indices(len(self.vertices), -1)]  # v_j - v_i for i < j
+        d = self._diff[np.tril_indices(len(self.vertices), -1)]  # v_j - v_i for i < j
         return sorted(set(np.round(np.arctan2(d[:, 1], d[:, 0]) % math.pi, 12).tolist()))
 
     def chord_table(self, thetas) -> tuple:
@@ -352,9 +347,10 @@ class ConvexPolygon(Shape):
         so O(n log n).  The extreme chords are exactly 0, or the length of an edge parallel to u.
         """
         thetas = np.asarray(thetas, dtype=float).reshape(-1)
-        rel, (ex, ey), n = self._pairs[1][:, 0], self.edge_directions.T, len(self.vertices)  # v_i - v_0
+        (xs, ys), (ex, ey), n = self.vertex_array.T, self.edge_directions.T, len(self.vertices)
+        rx, ry = xs - xs[0], ys - ys[0]  # v_i - v_0
         cos, sin, rows = np.cos(thetas)[:, None], np.sin(thetas)[:, None], np.arange(len(thetas))[:, None]
-        off = rel[:, 1] * cos - rel[:, 0] * sin
+        off = ry * cos - rx * sin
         order = np.argsort(off, axis=1, kind="stable")
         x, steps = np.take_along_axis(off, order, axis=1), (order - order[:, :1]) % n
         up, low = steps <= steps[:, -1:], (steps >= steps[:, -1:]) | (steps == 0)  # the extremes are on both
@@ -364,10 +360,10 @@ class ConvexPolygon(Shape):
         lower = np.take_along_axis(order, np.where(up, last_low, last_up), axis=1)
         upper = (lower + np.where(up, -1, 1)) % n
         edge, near = np.where(up, upper, lower), np.where(x - off[rows, lower] <= off[rows, upper] - x, lower, upper)
-        den, d = cos * ey[edge] - sin * ex[edge], rel[order] - rel[near]
+        den, along = cos * ey[edge] - sin * ex[edge], cos * (rx[order] - rx[near]) + sin * (ry[order] - ry[near])
         with np.errstate(divide="ignore", invalid="ignore"):  # u along the edge, or a vertex level with its nearer end
-            c = np.where((den == 0.0) | (x == off[rows, near]), np.abs(cos * d[..., 0] + sin * d[..., 1]),
-                         np.abs(self._pairs[2][order, edge, (near - edge) % n] / den))
+            c = np.where((den == 0.0) | (x == off[rows, near]), np.abs(along),
+                         np.abs(((xs[order] - xs[near]) * ey[edge] - (ys[order] - ys[near]) * ex[edge]) / den))
         # a vertex level with an extreme one shares its chord: the edge parallel to u
         c[:, [0, -1]] = np.where(x[:, [1, -2]] == x[:, [0, -1]], c[:, [1, -2]], c[:, [0, -1]])
         return x, c
@@ -400,7 +396,7 @@ class ConvexPolygon(Shape):
     def _circle_crossing_kinks(self, r: float) -> list:
         """Angles mod pi where the circle of radius r crosses a segment of ``_segments``
         (there the chord through a vertex is r long), less the ``_order_changes``."""
-        (dd, foot, h), a, d = self._segments, self._pairs[1].transpose(1, 0, 2), self.edge_directions
+        (dd, foot, h), a, d = self._segments, self._diff.transpose(1, 0, 2), self.edge_directions
         half = np.sqrt(np.maximum((r - h) * (r + h), 0.0) / dd)  # |a + t d| = r at foot -+ half
         ts = (foot - half, foot + half)
         p = np.concatenate([(a + t[..., None] * d)[(r >= h) & (0.0 <= t) & (t <= 1.0)] for t in ts])
@@ -504,7 +500,7 @@ class ConvexPolygon(Shape):
                 z, v, e, end = t1, b1, a0, int(t1 - s0 > s1 - t1)
             ex, ey, near = exs[e], eys[e], (e + end) % n
             den = ux * ey - uy * ex  # nonzero on a piece of positive width, barring rounding
-            if den and s1 != t1:  # (v - m) x e, with the roundings of the pair table's cross
+            if den and s1 != t1:  # (v - m) x e, with the roundings of chord_table's
                 c1 = abs(((xs[v] - xs[near]) * ey - (ys[v] - ys[near]) * ex) / den)
             else:  # u along the edge, or v level with its nearer end
                 c1 = abs(ux * (rxs[v] - rxs[near]) + uy * (rys[v] - rys[near]))
@@ -574,9 +570,8 @@ def directional_variation(shape: Shape, u):
     a float, or in each row of an (n, dim) array."""
     us, single = _rows(u, shape.dim, "direction")
     norms = np.linalg.norm(us, axis=1)
-    worst = norms[np.argmax(np.abs(norms - 1.0))]
-    if abs(worst - 1.0) > 1e-12:
-        raise NonUnitVectorError(f"|u| = {worst} is not 1")
+    if np.abs(norms - 1.0).max(initial=0.0) > 1e-12:
+        raise NonUnitVectorError(f"|u| = {norms[np.argmax(np.abs(norms - 1.0))]} is not 1")
     values = shape.directional_variation(us)
     return float(values[0]) if single else values
 
@@ -590,6 +585,8 @@ def covariance(shape: Shape, y):
 
 def support_radius_at(shape: Shape, theta: float) -> float:
     """Distance from the origin to the support boundary in direction theta."""
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta}")
     return shape.support_radius_at(theta)
 
 
@@ -601,7 +598,7 @@ def gamma(shape: Shape, s, quad: QuadSpec = QuadSpec()):
     if not (0.0 < ss <= 1.0 if single else ((0.0 < ss) & (ss <= 1.0)).all()):
         raise DomainError(f"s must lie in (0, 1], got {s}")
     values = shape.gamma(ss, quad)  # a float, or a 0-d array, for one s
-    low = float(values) if single else values.min()
+    low = float(values) if single else values.min(initial=0.0)
     if low < -1e-8:
         raise QuadratureError(f"gamma({ss if single else ss[values.argmin()]}) = {low} < 0 violates the slope bound")
     return low if single else values
@@ -680,11 +677,13 @@ def _successor(n: int, k: int = 1) -> np.ndarray:
     return (np.arange(n) + k) % n
 
 
-def _diameter(diff: np.ndarray) -> float:
-    """The greatest |v_i - v_j| of a table diff[i, j] = v_i - v_j: the greatest math.hypot of the pairs whose
-    squared distance rounds within 1e-15 of the greatest, so that hypot decides a near tie (the diagonals of
-    a rectangle).  A squared distance that overflows, or a greatest one of 0, raises InvalidShapeError."""
+def _diameter(diff: np.ndarray, dropped=slice(0)) -> float:
+    """The greatest |v_i - v_j| of a table diff[i, j] = v_i - v_j over the vertices not in ``dropped`` (an index or a
+    mask; none by default): the greatest math.hypot of the pairs whose squared distance rounds within 1e-15 of the
+    greatest, so that hypot decides a near tie (the diagonals of a rectangle).  A squared distance that overflows,
+    or a greatest one of 0, raises InvalidShapeError."""
     square = diff[..., 0] ** 2 + diff[..., 1] ** 2
+    square[dropped] = square[:, dropped] = 0.0
     top = float(square.max())
     if not 0.0 < top < math.inf:
         size = float(np.hypot(diff[..., 0], diff[..., 1]).max())

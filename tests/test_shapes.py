@@ -413,6 +413,30 @@ class TestGeometry:
         assert (geo.volume, geo.perimeter, geo.support_radius) == (1.0, 2.0, 1.0)
 
 
+ONE_OF_EACH = [UnitBall(2), UnitBall(3), Interval(0.0, 2.0), TRIANGLE, Rectangle(1.0, 0.5)]
+ONE_OF_EACH_IDS = ["ball2", "ball3", "interval", "triangle", "rect"]
+
+
+@pytest.mark.parametrize("shape", ONE_OF_EACH, ids=ONE_OF_EACH_IDS)
+def test_support_radius_rejects_a_non_finite_theta(shape):
+    # as covariance rejects a non-finite point: a polygon returned nan, with NumPy warnings at
+    # +-inf, and a ball its diameter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="theta must be finite"):
+                shapes.support_radius_at(shape, theta)
+
+
+@pytest.mark.parametrize("shape", ONE_OF_EACH, ids=ONE_OF_EACH_IDS)
+@pytest.mark.parametrize("entry", [lambda shape: directional_variation(shape, np.zeros((0, shape.dim))),
+                                   lambda shape: gamma(shape, np.array([]))], ids=["directional_variation", "gamma"])
+def test_empty_batch_gives_an_empty_array(entry, shape):
+    # as covariance does: no rows, or no s, in and an empty float array out
+    out = entry(shape)
+    assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == (0,)
+
+
 class TestDirectionalVariation:
     @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 4, 1.9, 4.0])
     def test_square_formula(self, theta):
