@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import kernel
 from .errors import DomainError
 from .kernel import _check_t
@@ -20,44 +18,17 @@ from .shapes import Shape, gamma_weighted_integral, geometry
 # ---------------------------------------------------------------------------
 
 def _heat_and_R(shape: Shape, ts: Sequence[float], quad: QuadSpec, heat: bool = True, big_r: bool = True):
-    """(H, R) at each t of ts, as lists, from one ``line_integral`` of the chord kernels.
+    """(H, R) at each t of ts, as lists, from one ``line_integral`` of the chord kernels, whose
+    columns ``kernel.chord_kernels`` lays out, scales and maps back.
 
     H is clamped to [0, |Omega|]; either is None unless asked for, and R vanishes where
     gamma does.
     """
-    geo = geometry(shape)
-    h, r = None, ([0.0] * len(ts) if big_r else None)
-    big_r = big_r and not shape.gamma_vanishes
-    if not (heat or big_r):
-        return h, r
-
-    d, ell = geo.dim, geo.support_radius
-    width = min(shape.min_width, ell) if d == 2 else ell  # in other dimensions the direct form needs c <= t
-    kernels = mean = kernel.chord_kernels(d, ts, ell, heat, big_r, width)
-    direct = [t >= width for t in ts]
-    # from the least width and the diameter up, H and R fall like t^-d and t^-(d+1), so the
-    # absolute tolerance would swallow them: there the H columns, now H itself, are divided
-    # by their lower bound kappa_d t |Omega|^2 (t^2 + ell^2)^(-(d+1)/2) and the R columns
-    # scaled by (t/ell)^(d+1); on a shape too small or too large for t, a scale leaves the floats
-    if any(direct):
-        t = np.array(ts)
-        with np.errstate(all="ignore"):  # checked below, before anything is divided by it
-            h_scale = np.where(direct, np.hypot(t, ell) ** (d + 1) / (kernel.kappa(d) * t * np.square(geo.volume)), 1.0)
-            scale = np.concatenate([h_scale] * heat + [np.where(t >= ell, (t / ell) ** (d + 1), 1.0)] * big_r)
-        bad = np.flatnonzero(~(np.isfinite(scale) & (scale > 0.0)))
-        if len(bad):
-            raise DomainError(f"t = {ts[bad[0] % len(ts)]:g} on a shape of diameter {ell:g} puts the scale of "
-                              f"H or R outside the floats")
-        mean = lambda lo, hi: kernels(lo, hi) * scale  # noqa: E731
+    if big_r and shape.gamma_vanishes:
+        return (_heat_and_R(shape, ts, quad, big_r=False)[0] if heat else None), [0.0] * len(ts)
+    mean, finish = kernel.chord_kernels(shape, ts, heat, big_r)
     value, _ = shape.line_integral(mean, quad, seeds=shape.scale_seeds(ts))
-    value = (value if mean is kernels else value / scale).tolist()
-    if heat:
-        # below the least width the kernel is the deficit |Omega| - H, from it up H itself
-        vol = geo.volume
-        h = [min(max(v if up else vol - v, 0.0), vol) for v, up in zip(value, direct)]
-    if big_r:
-        r = value[-len(ts):]
-    return h, r
+    return finish(value)
 
 
 def heat_content(shape: Shape, t: float, quad: QuadSpec = QuadSpec()) -> float:

@@ -2,7 +2,8 @@
 
 Everything here is a pure function of the dimension ``d`` and, for the
 kernel and the 1-D integrals, of one point or upper limit (or, for the means
-of asinh that the polygon chord integrals sum, of an interval).  The 1-D
+of asinh that the polygon chord integrals sum, of an interval); the chord
+kernels also read a shape's volume, diameter and least width.  The 1-D
 integrals are exact recurrences, not quadratures.  The gamma function is only ever
 needed at integer and half-integer arguments, so it is computed by exact
 recursion from Gamma(1) = 1 and Gamma(1/2) = sqrt(pi) instead of a
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from numbers import Real
 
 import numpy as np
 
@@ -25,7 +26,7 @@ MAX_SCALE = 1e150  # the largest ratio diameter / t that the chord kernels accep
 
 
 def _check_dim(d: int) -> int:
-    if not isinstance(d, (int, np.integer)):
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
         raise DomainError(f"dimension must be an integer, got {d!r}")
     if d < 1 or d > MAX_DIM:
         raise DomainError(f"dimension must satisfy 1 <= d <= {MAX_DIM}, got {d}")
@@ -63,6 +64,8 @@ def unit_sphere_area(d: int) -> float:
 
 
 def _check_t(t: float) -> float:
+    if isinstance(t, bool) or not isinstance(t, Real):
+        raise DomainError(f"t must be a real number, got {t!r}")
     if not 0 < t < math.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
     return float(t)
@@ -210,58 +213,72 @@ def _series_terms(n: int) -> np.ndarray:
     return np.column_stack([1.0 / (n + 2 + two_j), b / (n + 1 + two_j)])
 
 
-def chord_kernels(d: int, ts, ell: float, heat: bool, big_r: bool, width: float) -> Callable:
-    """The chord means of the H and R kernels, one column per t, for ``Shape.line_integral``.
+def chord_kernels(shape, ts, heat: bool, big_r: bool) -> tuple:
+    """The chord kernels of H and R on shape, one column per t, and the map back from their integrals.
 
-    With A = atan(c/t), below the least width of the convex set the H kernel is the deficit
-    |Omega| - H, kappa_d [t T_(d-1)(A) + c I_(d-1)(A)], and from it up H itself; R's kernel
-    subtracts its terms at c = ell (README, *The chord measure*).  In d = 2 these are exact
-    means over a piece on which c runs linearly (``asinh_mean``, ``z_minus_asinh_mean``).
-    In other dimensions a piece is one chord, lo = hi, the width must be the diameter, T and I
-    are Horner sums in sin^2 A below it (``_recurrence_sums``) and series from it up.  Returns
-    mean(lo, hi): an array of the shape of lo with a last axis of len(ts) H columns (if heat),
-    then len(ts) R columns (if big_r).  width is the least width, at most ell.
+    With A = atan(c/t) and w the least width (``min_width`` in d = 2, else the diameter ell), below w
+    the H kernel is the deficit |Omega| - H, kappa_d [t T_(d-1)(A) + c I_(d-1)(A)], and from w up H
+    itself; R's kernel subtracts its terms at c = ell (README, *The chord measure*).  In d = 2 these are
+    exact means over a piece on which c runs linearly (``asinh_mean``, ``z_minus_asinh_mean``).  In
+    other dimensions a piece is one chord, lo = hi, T and I are Horner sums in sin^2 A below ell
+    (``_recurrence_sums``) and series from it up.  From w and ell up, H and R fall like t^-d and
+    t^-(d+1), which the absolute tolerance would swallow, so there the H columns are divided by their
+    lower bound kappa_d t |Omega|^2 (t^2 + ell^2)^(-(d+1)/2) and the R columns scaled by (t/ell)^(d+1).
+    Returns (mean, finish): mean(lo, hi), for ``Shape.line_integral``, is an array of the shape of lo
+    with a last axis of len(ts) H columns (if heat), then len(ts) R columns (if big_r), in the order of
+    ts; finish(value) unscales the integrated columns and returns (H, R), lists in the order of ts or
+    None where not asked for, H clamped to [0, |Omega|].
     """
-    ts = [float(t) for t in ts]
+    geo, ts = shape.geometry, [float(t) for t in ts]
+    d, ell, vol = geo.dim, geo.support_radius, geo.volume
+    width = min(shape.min_width, ell) if d == 2 else ell  # in other dimensions the direct form needs c <= t
     # the kernels square tan A up to ell/t, which overflows from ell/t ~ 1.3e154
     if ell > MAX_SCALE * min(ts):
         least = f"{ell / MAX_SCALE:g}, the least supported t ({1 / MAX_SCALE:g} times the diameter)"
         raise DomainError(f"t = {min(ts):g} is below {least}")
-    kap, n, m = kappa(d), d - 1, len(ts)
+    kap, n, m, t_all = kappa(d), d - 1, len(ts), np.array(ts)
     last, series = _recurrence_terms(n)[2], _series_terms(n)
     # the columns in up to three groups, set up here once: below the width, from it to the
     # diameter, from that up; each is one (nodes, columns) block of every mean call
-    side = [(t >= width) + (t >= ell) for t in ts]
-    order = sorted(range(m), key=side.__getitem__)
-    groups = []  # (t, group, in d = 2 ell/t and the terms at c = ell)
+    side, scale = [(t >= width) + (t >= ell) for t in ts], 1.0
+    direct = [k > 0 for k in side]
+    if any(direct):  # on a shape too small or too large for t, a scale leaves the floats
+        with np.errstate(all="ignore"):  # checked below, before anything is divided by it
+            h_scale = np.where(direct, np.hypot(t_all, ell) ** (d + 1) / (kap * t_all * np.square(vol)), 1.0)
+            scale = np.concatenate([h_scale] * heat + [np.where(t_all >= ell, (t_all / ell) ** (d + 1), 1.0)] * big_r)
+        bad = np.flatnonzero(~(np.isfinite(scale) & (scale > 0.0)))
+        if len(bad):
+            raise DomainError(f"t = {ts[bad[0] % m]:g} on a shape of diameter {ell:g} puts the scale of "
+                              f"H or R outside the floats")
+    groups = []  # (columns, t, group, in d = 2 ell/t and the terms at c = ell)
     for k in sorted(set(side)):
-        t = np.array([ts[j] for j in order if side[j] == k])
-        at_ell = None  # d != 2 needs none: see ride
+        j = [i for i in range(m) if side[i] == k]
+        cols = slice(j[0], j[-1] + 1) if j[-1] - j[0] == len(j) - 1 else np.array(j)  # a slice where they adjoin
+        t, at_ell = t_all[cols], None  # d != 2 needs no terms at c = ell: see ride
         if d == 2:
             x_ell = ell / t
             root = np.sqrt(1.0 + x_ell * x_ell)
             at_ell = ((x_ell, np.arcsinh(x_ell), 1.0 / root) if k < 2
                       else (x_ell, z_minus_asinh_mean(x_ell, x_ell), x_ell * x_ell / (root * (1.0 + root))))  # G, G'
-        groups.append((t, k, at_ell))
-    # the output columns back in the order of ts
-    back = None if order == sorted(order) else np.argsort(order + [j + m for j in order] if heat and big_r else order)
+        groups.append((cols, t, k, at_ell))
     ride = big_r and d != 2  # c = ell rides along as a last node: R's terms there need no call of their own
 
     def mean(lo, hi):
         hi, lo = np.asarray(hi, dtype=float), np.asarray(lo, dtype=float)[..., None]
-        shape, hi = hi.shape, (np.concatenate((hi.ravel(), (ell,))) if ride else hi)[..., None]
-        h_cols, r_cols = [], []
-        for t, k, at_ell in groups:
+        nodes, hi = hi.shape, (np.concatenate((hi.ravel(), (ell,))) if ride else hi)[..., None]
+        out = np.empty(hi.shape[:-1] + (m * (heat + big_r),))
+        h_out, r_out = out[..., :m], out[..., m * heat:]  # views of the H and the R columns
+        for cols, t, k, at_ell in groups:
             x = hi / t
             if d == 2:
                 m_ = asinh_mean(lo / t, x) if k == 0 or k == 1 and big_r else None
                 g = z_minus_asinh_mean(lo / t, x) if k > 0 else None
                 if heat:
-                    h_cols.append(t * (m_ if g is None else g))
+                    h_out[..., cols] = t * (m_ if g is None else g)
                 if big_r:
                     x_ell, first, second = at_ell
                     gap = x_ell - 0.5 * (lo + hi) / t
-                    r_cols.append(first - m_ - gap * second if k < 2 else g - first + second * gap)
+                    r_out[..., cols] = first - m_ - gap * second if k < 2 else g - first + second * gap
                 continue
             xx = x * x
             root = np.sqrt(1.0 + xx)
@@ -284,17 +301,20 @@ def chord_kernels(d: int, ts, ell: float, heat: bool, big_r: bool, width: float)
                 sums = x2[..., None] ** np.arange(terms) @ series[:terms]
                 tee, rest = power * sin * sums[..., 0], power * sums[..., 1]
             if heat:
-                h_cols.append(t * tee + hi * rest if k < 2 else hi * rest - t * tee)
+                h_out[..., cols] = t * tee + hi * rest if k < 2 else hi * rest - t * tee
             if big_r:  # the last row is c = ell
-                r_cols.append(tee[-1] - tee - x * (rest - rest[-1] if k < 2 else rest[-1] - rest))
-        cols = h_cols + r_cols
-        out = cols[0] if len(cols) == 1 else np.concatenate(cols, axis=-1)
+                r_out[..., cols] = tee[-1] - tee - x * (rest - rest[-1] if k < 2 else rest[-1] - rest)
         out *= kap
-        if back is not None:
-            out = out[..., back]
-        return out[:-1].reshape(*shape, -1) if ride else out
+        out *= scale
+        return out[:-1].reshape(*nodes, -1) if ride else out
 
-    return mean
+    def finish(value):
+        value = (value / scale).tolist()
+        # below the least width the H columns are the deficit |Omega| - H, from it up H itself
+        h = [min(max(v if up else vol - v, 0.0), vol) for v, up in zip(value, direct)] if heat else None
+        return h, (value[-m:] if big_r else None)
+
+    return mean, finish
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,8 +23,9 @@ class QuadSpec:
 
     def __post_init__(self):
         # written so that nan fails: it compares false with every bound
-        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
-            raise ValueError(f"tolerances must be positive and finite, got {self.abs_tol}, {self.rel_tol}")
+        if not all(not isinstance(tol, bool) and isinstance(tol, Real) and 0.0 < tol < math.inf
+                   for tol in (self.abs_tol, self.rel_tol)):
+            raise ValueError(f"tolerances must be positive and finite, got {self.abs_tol!r}, {self.rel_tol!r}")
         m = self.max_subdivisions
         if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
             raise ValueError(f"max_subdivisions must be an integer >= 1, got {m!r}")

@@ -302,7 +302,7 @@ class ConvexPolygon(Shape):
     @cached_property
     def min_width(self) -> float:
         """The least over the edges of the greatest distance of a vertex from the edge's line."""
-        return float(self._segments[2].max(axis=0).min())  # [vertex i, edge j]
+        return float(self._segments[1].max(axis=0).min())  # [vertex i, edge j]
 
     @cached_property
     def _diff(self) -> np.ndarray:
@@ -312,17 +312,22 @@ class ConvexPolygon(Shape):
     @cached_property
     def _segments(self) -> tuple:
         """Entry [i, j] is for edge_j - v_i, a + t d for t in [0, 1] with a = v_j - v_i = diff[j, i] and
-        d = e_j: (|d|^2 per edge, the t nearest 0, the distance |a x d| / |d| of the line from 0)."""
+        d = e_j: (|d|^2 per edge, the distance |a x d| / |d| of the line from 0)."""
         (ax, ay), (dx, dy) = self._diff.T, self.edge_directions.T
         dd = dx * dx + dy * dy
-        return dd, -(ax * dx + ay * dy) / dd, np.abs(ax * dy - ay * dx) / np.sqrt(dd)
+        return dd, np.abs(ax * dy - ay * dx) / np.sqrt(dd)
+
+    def _feet(self) -> np.ndarray:
+        """Entry [i, j] is the t nearest 0 of ``_segments``' a + t d, -(a . d) / |d|^2, formed where read."""
+        (ax, ay), (dx, dy) = self._diff.T, self.edge_directions.T
+        return -(ax * dx + ay * dy) / self._segments[0]
 
     @cached_property
     def first_breakpoint(self) -> float:
         """r_1, the least distance from a vertex to an edge not incident to it: no vertex of
         Omega or Omega + r u crosses an edge of the other before, so g is quadratic in r on
         [0, r_1] along every ray."""
-        diff, t, (dx, dy) = self._diff, np.clip(self._segments[1], 0.0, 1.0), self.edge_directions.T
+        diff, t, (dx, dy) = self._diff, np.clip(self._feet(), 0.0, 1.0), self.edge_directions.T
         dist, i = np.hypot(diff[..., 0].T + t * dx, diff[..., 1].T + t * dy), np.arange(len(diff))
         dist[i, i] = dist[_successor(len(i)), i] = np.inf  # v_i is on the edges i and i - 1
         return float(dist.min())
@@ -396,7 +401,7 @@ class ConvexPolygon(Shape):
     def _circle_crossing_kinks(self, r: float) -> list:
         """Angles mod pi where the circle of radius r crosses a segment of ``_segments``
         (there the chord through a vertex is r long), less the ``_order_changes``."""
-        (dd, foot, h), a, d = self._segments, self._diff.transpose(1, 0, 2), self.edge_directions
+        (dd, h), foot, a, d = self._segments, self._feet(), self._diff.transpose(1, 0, 2), self.edge_directions
         half = np.sqrt(np.maximum((r - h) * (r + h), 0.0) / dd)  # |a + t d| = r at foot -+ half
         ts = (foot - half, foot + half)
         p = np.concatenate([(a + t[..., None] * d)[(r >= h) & (0.0 <= t) & (t <= 1.0)] for t in ts])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -23,13 +24,14 @@ from heatcov import (
     heat_content,
     integrate_1d,
     kappa,
+    mc_heat_content,
     phi_slope,
     psi_F,
     third_term,
     unit_sphere_area,
 )
 from heatcov import shapes
-from heatcov.asymptotics import phi_over_t
+from heatcov.asymptotics import _heat_and_R, phi_over_t
 from heatcov.errors import DomainError
 
 from conftest import (
@@ -89,6 +91,22 @@ class TestHeatContent:
         # t = inf used to return nan on the ball
         with pytest.raises(DomainError):
             heat_content(UnitBall(2), t, quad)
+
+    @pytest.mark.parametrize("t", [True, False, "0.1", None, np.bool_(True)], ids=["True", "False", "str", "None", "np-bool"])
+    def test_rejects_a_t_that_is_no_real_number(self, t, quad):
+        # a bool is an int: heat_content(disc, True) read H(1) = 0.7295116852393728, and "0.1"
+        # raised a bare TypeError from '<'
+        disc = UnitBall(2)
+        for run in (lambda: heat_content(disc, t, quad), lambda: decompositions(disc, [t], quad),
+                    lambda: mc_heat_content(disc, t, n=1000, seed=1)):
+            with pytest.raises(DomainError, match="t must be a real number"):
+                run()
+
+    @pytest.mark.parametrize("t", [np.float64(0.1), np.float32(0.1)], ids=["float64", "float32"])
+    def test_numpy_float_t_is_its_float(self, t, quad):
+        disc = UnitBall(2)
+        assert heat_content(disc, t, quad) == heat_content(disc, float(t), quad)
+        assert decompositions(disc, [t], quad) == decompositions(disc, [float(t)], quad)
 
     @pytest.mark.parametrize(
         "shape", [UnitBall(2), Rectangle(1.0, 1.0), ConvexPolygon([(0, 0), (1, 0), (0, 1)]), UnitBall(3), UnitBall(7)],
@@ -249,6 +267,24 @@ def test_grid_pass_matches_single_t(shape, quad):
         assert bd.H == pytest.approx(single.H, rel=1e-12)
         assert bd.R == pytest.approx(single.R, rel=1e-12, abs=0.0)
         assert bd.D == pytest.approx(single.D, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape", [UnitBall(2), UnitBall(5), Interval(0.0, 0.7), Rectangle(1.0, 1.5), ConvexPolygon([(0, 0), (3, 0), (0, 3)])],
+    ids=["UnitBall(d=2)", "UnitBall(d=5)", "Interval(a=0.0, b=0.7)", "Rectangle(h1=1.0, h2=1.5)", "triangle"],
+)
+def test_grid_order_moves_no_bit(shape, quad):
+    # each t takes its H, R and D from its own column of one pass, wherever it stands in the grid;
+    # the grid reaches below the least width, from it to the diameter (the rectangle's 2 and 3.6,
+    # the triangle's 2.12 and 4.24) and beyond, with two t in a group where the shape has it
+    want = None
+    for grid in itertools.permutations([1e-3, 0.5, 2.5, 3.0, 10.0]):
+        rows = decompositions(shape, grid, quad)
+        r_alone = _heat_and_R(shape, grid, quad, heat=False)[1]  # third_term's grid pass
+        assert [bd.t for bd in rows] == list(grid)
+        got = {t: (bd.H.hex(), bd.R.hex(), bd.D.hex(), r.hex()) for t, bd, r in zip(grid, rows, r_alone)}
+        want = want or got
+        assert got == want, grid
 
 
 class TestThirdTerm:

@@ -270,24 +270,24 @@ def test_one_point_covariance_builds_no_pair_table():
     assert "_diff" not in vars(poly)
 
 
-def _cached_square_tables(poly) -> set:
-    """The names of the cached attributes of poly that hold an array of at least n^2 entries."""
-    n, names = len(poly.vertices), set()
-    for name, value in vars(poly).items():
-        parts = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(a, np.ndarray) and a.size >= n * n for a in parts):
-            names.add(name)
-    return names
+def _cached_square_tables(poly) -> list:
+    """The cached arrays of poly of at least n^2 entries, as the sorted names of their attributes,
+    one name for each array."""
+    n = len(poly.vertices)
+    return sorted(name for name, value in vars(poly).items()
+                  for a in (value if isinstance(value, tuple) else (value,))
+                  if isinstance(a, np.ndarray) and a.size >= n * n)
 
 
 @pytest.mark.parametrize("use, tables", [
-    (lambda poly: poly.chord_table(np.linspace(0.0, math.pi, 7)), set()),
-    (lambda poly: heat_content(poly, 0.1), {"_diff", "_segments"}),
-    (lambda poly: (poly.min_width, poly.first_breakpoint), {"_diff", "_segments"}),
+    (lambda poly: poly.chord_table(np.linspace(0.0, math.pi, 7)), []),
+    (lambda poly: heat_content(poly, 0.1), ["_diff", "_segments"]),
+    (lambda poly: (poly.min_width, poly.first_breakpoint), ["_diff", "_segments"]),
 ], ids=["chord_table", "heat_content", "min_width-first_breakpoint"])
 def test_one_vertex_pair_table(use, tables):
     # every n^2 table reads the one difference table and forms its cross products as it goes;
-    # the chord table reads no n^2 table
+    # the chord table reads no n^2 table, and the feet of first_breakpoint are not cached beside
+    # the distances that min_width, and so every H and R, reads
     poly = ConvexPolygon([(2.0 * math.cos(0.3 * k), 0.5 * math.sin(0.3 * k)) for k in range(20)])
     use(poly)
     assert _cached_square_tables(poly) == tables

@@ -42,6 +42,14 @@ class TestKappa:
         with pytest.raises(DomainError, match="dimension must be an integer"):
             kappa(2.0)
 
+    @pytest.mark.parametrize("d", [True, False])
+    @pytest.mark.parametrize("f", [kappa, unit_ball_volume, unit_sphere_area, tanh_deficit, KernelConstants.for_dim],
+                             ids=["kappa", "unit_ball_volume", "unit_sphere_area", "tanh_deficit", "for_dim"])
+    def test_rejects_a_bool_dimension(self, f, d):
+        # a bool is an int: kappa(True) returned kappa_1 and KernelConstants.for_dim(True) built d = 1
+        with pytest.raises(DomainError, match="dimension must be an integer"):
+            f(d)
+
     def test_kappa_wd_identity(self):
         # kappa_d * w_{d-1} = 1/pi for d >= 2
         for d in range(2, 9):

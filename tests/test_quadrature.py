@@ -164,6 +164,17 @@ class TestQuadSpec:
         with pytest.raises(ValueError, match="tolerances must be positive and finite"):
             QuadSpec(**kwargs)
 
+    @pytest.mark.parametrize("tol", [True, "1e-10", None])
+    @pytest.mark.parametrize("name", ["abs_tol", "rel_tol"])
+    def test_rejects_a_tolerance_that_is_no_real_number(self, name, tol):
+        # True was accepted as 1.0, and a string or None raised a bare TypeError from '<'
+        with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+            QuadSpec(**{name: tol})
+
+    @pytest.mark.parametrize("tol", [np.float64(1e-9), np.float32(1e-9), 1], ids=["float64", "float32", "int"])
+    def test_accepts_a_numpy_or_integer_tolerance(self, tol):
+        assert QuadSpec(abs_tol=tol, rel_tol=tol).abs_tol == tol
+
     @pytest.mark.parametrize("budget", [0, -3, 2.0, True])
     def test_rejects_budget_that_is_not_a_positive_integer(self, budget):
         # 0 used to be accepted and fail only inside integrate_1d
