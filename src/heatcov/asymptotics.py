@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 from . import kernel
 from .errors import DomainError
 from .kernel import _check_t
-from .quadrature import QuadSpec, extrapolate_limit
+from .quadrature import _MIN_SAMPLES, QuadSpec, extrapolate_limit
 from .shapes import Shape, gamma_weighted_integral, geometry
 
 
@@ -160,8 +160,8 @@ def third_term(
         geo.volume * slope + geo.perimeter / math.pi * f_lim - kernel.kappa(geo.dim) * gamma_int
     )
     ts = [_check_t(t) for t in t_grid] if t_grid is not None else default_t_grid()
-    if len(ts) < 4 or any(a <= b for a, b in zip(ts, ts[1:])):
-        raise DomainError("t_grid must be strictly decreasing with >= 4 points")
+    if len(ts) < _MIN_SAMPLES or any(a <= b for a, b in zip(ts, ts[1:])):
+        raise DomainError(f"t_grid must be strictly decreasing with >= {_MIN_SAMPLES} points")
     _, rs = _heat_and_R(shape, ts, quad, heat=False)
     samples = [(t, _quotient(shape, t, r)[-1]) for t, r in zip(ts, rs)]
     fit = extrapolate_limit(samples)

@@ -63,10 +63,15 @@ def unit_sphere_area(d: int) -> float:
     return d * unit_ball_volume(d)
 
 
+def _real(x, what: str, error=DomainError) -> float:
+    """x as a float, or error if x is a bool or no real number."""
+    if isinstance(x, bool) or not isinstance(x, Real):
+        raise error(f"{what} must be a real number, got {x!r}")
+    return float(x)
+
+
 def _check_t(t: float) -> float:
-    if isinstance(t, bool) or not isinstance(t, Real):
-        raise DomainError(f"t must be a real number, got {t!r}")
-    if not 0 < t < math.inf:
+    if not 0 < _real(t, "t") < math.inf:
         raise DomainError(f"t must be positive and finite, got {t}")
     return float(t)
 
@@ -77,7 +82,7 @@ def tanh_deficit(d: int, x: float = 1.0) -> float:
     With y = tanh(theta) this is -int_0^x (1 - y^d)/(1 - y^2) dy: -log1p(x) in odd d, less the sum
     of x^k / k over k = d - 1, d - 3, ... >= 1, T_(d-1) of ``_recurrence_sums``.  Nothing cancels.
     """
-    d = _check_dim(d)
+    d, x = _check_dim(d), _real(x, "x")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x}")
     return -(math.log1p(x) if d % 2 else 0.0) - _recurrence_sums(d - 1, x)[0]

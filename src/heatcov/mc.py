@@ -330,25 +330,24 @@ class _PolygonBlocks:
 
 
 class _BoxBlocks(_PolygonBlocks):
-    """A box's blocks draw X as two uniform rows on the centred box and test one bound per axis;
-    of the half-planes they keep the outward normals (dy, -dx), which ``shift_hits`` reads."""
+    """A box's blocks draw X on the centred box and test |x| <= h1 and |y| <= h2, for X - y too: X is in
+    [-h, h] exactly, and x - y_0 rounds monotonically, so X - y keeps a bound that y moves it away from."""
 
     def __init__(self, poly: ConvexPolygon):
         self.h1, self.h2 = poly.half_widths
-        self._half_planes = [[dy, -dx] for dx, dy in poly.edge_directions.tolist()]
 
-    def _inside(self, x, y, scratch, planes=None):
+    def _inside(self, x, y, scratch):
         absolute, spare, mask = scratch
         inside, ok = mask.view(bool)[: len(x)], spare.view(bool)[: len(x)]
-        if planes is None:
-            np.less_equal(np.abs(x, out=absolute), self.h1, out=inside)
-            inside &= np.less_equal(np.abs(y, out=absolute), self.h2, out=ok)
-            return inside
-        inside.fill(True)
-        for ex, ey in planes:
-            row, h = (x, math.copysign(self.h1, ex)) if ex else (y, math.copysign(self.h2, ey))
-            inside &= (np.less_equal if h > 0.0 else np.greater_equal)(row, h, out=ok)
+        np.less_equal(np.abs(x, out=absolute), self.h1, out=inside)
+        inside &= np.less_equal(np.abs(y, out=absolute), self.h2, out=ok)
         return inside
+
+    def shift_hits(self, rng, n, y, work):
+        self._sample_rows(rng, work, n)
+        for row, shift in zip(work[:2, :n], y):
+            row -= shift
+        return self._count_inside(work, n)
 
     def _sample_rows(self, rng, work, n):
         for row, h in zip(work[:2, :n], (self.h1, self.h2)):

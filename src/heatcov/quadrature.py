@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -15,20 +15,16 @@ from .errors import ExtrapolationError, QuadratureError
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerances and the panel budget governing all integrations."""
+    """The tolerances governing all integrations."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_subdivisions: int = 10_000
 
     def __post_init__(self):
         # written so that nan fails: it compares false with every bound
         if not all(not isinstance(tol, bool) and isinstance(tol, Real) and 0.0 < tol < math.inf
                    for tol in (self.abs_tol, self.rel_tol)):
             raise ValueError(f"tolerances must be positive and finite, got {self.abs_tol!r}, {self.rel_tol!r}")
-        m = self.max_subdivisions
-        if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
-            raise ValueError(f"max_subdivisions must be an integer >= 1, got {m!r}")
 
 
 # Gauss-Kronrod 7/15 pair on [-1, 1]: (node, Gauss weight, Kronrod weight);
@@ -50,6 +46,8 @@ _WEIGHTS = np.vstack([np.repeat(_GK15[:-1, 1:], 2, axis=0), _GK15[-1, 1:]])
 # gives up: an integrable endpoint singularity s^-a that double precision can resolve
 # (a < 0.97) cuts it by 2 % or more a round, while a divergent one leaves it as it is
 _STALL_ROUNDS = 16
+_MAX_PANELS = 10_000  # panels integrate_1d may make in one call before it gives up
+_MIN_SAMPLES = 5  # extrapolate_limit's refit of ceil(2n/3) samples less one needs three, for three unknowns
 
 
 def _gk_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
@@ -98,8 +96,8 @@ def integrate_1d(
     panels by their largest column error divided by that column's tolerance,
     and splits the first ones until they cover the excess of the worst column.
     Returns (value, err), floats for a one-valued f and arrays of m for
-    columns, once every column has converged; raises QuadratureError when the
-    panel budget runs out and once 16 rounds in a row each cut no open
+    columns, once every column has converged; raises QuadratureError once it
+    has made 10 000 panels and once 16 rounds in a row each cut no open
     column's error estimate by 1 % or more.
     """
     if not a < b:
@@ -125,9 +123,9 @@ def integrate_1d(
                 f"on [{float(lo[at])!r}, {float(hi[at])!r}]: the integral probably diverges there"
             )
         last_err = errs
-        if count >= spec.max_subdivisions:
+        if count >= _MAX_PANELS:
             raise QuadratureError(
-                f"max subdivisions ({spec.max_subdivisions}) exceeded; "
+                f"max subdivisions ({_MAX_PANELS}) exceeded; "
                 f"err={errs[worst]:.3e} value={totals[worst]:.6e}"
             )
         # largest scaled errors first, ties in creation order, within the panel budget; the
@@ -135,7 +133,7 @@ def integrate_1d(
         score = err[0] if single else (err * (tols[worst] / np.array(tols))[:, None]).max(0)
         order = (-score).argsort(kind="stable")
         need = int(score[order].cumsum().searchsorted(errs[worst] - tols[worst])) + 1
-        split = order[: min(need, (spec.max_subdivisions - count + 1) // 2)]
+        split = order[: min(need, (_MAX_PANELS - count + 1) // 2)]
         s_lo, s_hi = lo[split], hi[split]
         mid = 0.5 * (s_lo + s_hi)
         stuck = (mid <= s_lo) | (mid >= s_hi)
@@ -199,8 +197,8 @@ def extrapolate_limit(samples: Sequence[tuple[float, float]]) -> LimitFit:
     samples.  The model is an assumption, not a guarantee; err_estimate and
     observed_order report how well the data supports it.
     """
-    if len(samples) < 4:
-        raise ExtrapolationError("need at least 4 samples")
+    if len(samples) < _MIN_SAMPLES:
+        raise ExtrapolationError(f"need at least {_MIN_SAMPLES} samples")
     ts, ds = [float(t) for t, _ in samples], [float(v) for _, v in samples]
     if not all(a > b for a, b in zip(ts, ts[1:])):
         raise ExtrapolationError("t values must be strictly decreasing")

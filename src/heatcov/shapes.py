@@ -20,7 +20,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Integral, Real
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -139,7 +139,7 @@ class Ball(Shape):
         d = self.d
         if isinstance(d, bool) or not isinstance(d, Integral) or not 1 <= d <= kernel.MAX_DIM:
             raise InvalidShapeError(f"ball dimension must be an integer in [1, {kernel.MAX_DIM}]")
-        d, r = int(d), _real(self.radius, "the ball radius")
+        d, r = int(d), kernel._real(self.radius, "the ball radius", InvalidShapeError)
         try:
             volume = r**d * kernel.unit_ball_volume(d)
         except OverflowError:  # r^d beyond the floats
@@ -211,7 +211,7 @@ UnitBall = Ball  # a second name: UnitBall(d) is Ball(d), the unit ball
 def Interval(a: float, b: float) -> Ball:
     """The interval [a, b] as the 1-ball of radius (b - a)/2: its one chord, 2 (b - a)/2, is
     b - a exactly, and nothing heatcov computes depends on where it lies."""
-    a, b = _real(a, "an interval end"), _real(b, "an interval end")
+    a, b = (kernel._real(x, "an interval end", InvalidShapeError) for x in (a, b))
     if not (-math.inf < a < b < math.inf and b - a < math.inf):
         raise InvalidShapeError(f"an interval needs finite a < b with a finite length, got [{a!r}, {b!r}]")
     return Ball(1, (b - a) / 2.0)
@@ -219,7 +219,7 @@ def Interval(a: float, b: float) -> Ball:
 
 def Rectangle(h1: float, h2: float) -> ConvexPolygon:
     """The rectangle [-h1, h1] x [-h2, h2]: the convex polygon of its corners, with ``half_widths`` (h1, h2)."""
-    h1, h2 = _real(h1, "a rectangle half-width"), _real(h2, "a rectangle half-width")
+    h1, h2 = (kernel._real(h, "a rectangle half-width", InvalidShapeError) for h in (h1, h2))
     if not (0.0 < h1 < math.inf and 0.0 < h2 < math.inf):
         raise InvalidShapeError("rectangle half-widths must be positive and finite")
     return ConvexPolygon([[h1, -h2], [h1, h2], [-h1, h2], [-h1, -h2]])
@@ -346,14 +346,14 @@ class ConvexPolygon(Shape):
     def chord_table(self, thetas) -> tuple:
         """Vertex offsets and chord lengths for each direction theta of a 1-D array.
 
-        Returns (x, c) as (m, n) arrays: row i holds the offsets of the vertices along n,
-        relative to vertex 0 and sorted, and the chord lengths in direction u through them,
-        c linear in between: ``covariance_at``'s walk, merged by a stable sort of each row,
-        so O(n log n).  The extreme chords are exactly 0, or the length of an edge parallel to u.
+        Returns (x, c) as (m, n) arrays: row i holds the offsets of the vertices along n, from
+        ``_from_least`` and sorted, and the chord lengths in direction u through them, c linear
+        in between: ``covariance_at``'s walk, merged by a stable sort of each row, so O(n log n).
+        The extreme chords are exactly 0, or the length of an edge parallel to u.
         """
         thetas = np.asarray(thetas, dtype=float).reshape(-1)
         (xs, ys), (ex, ey), n = self.vertex_array.T, self.edge_directions.T, len(self.vertices)
-        rx, ry = xs - xs[0], ys - ys[0]  # v_i - v_0
+        rx, ry = self._from_least.T
         cos, sin, rows = np.cos(thetas)[:, None], np.sin(thetas)[:, None], np.arange(len(thetas))[:, None]
         off = ry * cos - rx * sin
         order = np.argsort(off, axis=1, kind="stable")
@@ -452,12 +452,14 @@ class ConvexPolygon(Shape):
         return self.line_integral(mean, quad)
 
     @cached_property
+    def _from_least(self) -> np.ndarray:
+        """v_i - v_m, m the least vertex by x, then y: the origin of both chord walks' offsets."""
+        return self.vertex_array - self.vertex_array[np.lexsort(self.vertex_array.T[::-1])[0]]
+
+    @cached_property
     def _chord_tables(self) -> tuple:
-        """The chord walk's six flat lists: the vertices' x and y, the same less the least vertex (by x,
-        then y), and the edges' x and y."""
-        verts = self.vertex_array
-        pts = verts.tolist()
-        return (*verts.T.tolist(), *(verts - verts[pts.index(min(pts))]).T.tolist(), *self.edge_directions.T.tolist())
+        """The chord walk's six flat lists: the vertices' x and y, ``_from_least``'s, and the edges' x and y."""
+        return (*self.vertex_array.T.tolist(), *self._from_least.T.tolist(), *self.edge_directions.T.tolist())
 
     def covariance_at(self, y):
         """g(r u) = int (c_u(x) - r)_+ dx (see ``chord_table``), in floats.
@@ -514,12 +516,6 @@ class ConvexPolygon(Shape):
                 total += (z - x) * (0.5 * (lo + hi) - r if lo >= r else (hi - r) ** 2 / (2.0 * (hi - lo)))
             x, c = z, c1
         return total if total > 1e-14 * vol else 0.0
-
-
-def _real(x, what: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, Real):
-        raise InvalidShapeError(f"{what} must be a real number, got {x!r}")
-    return float(x)
 
 
 def shape_from_json(obj) -> Shape:
@@ -590,7 +586,7 @@ def covariance(shape: Shape, y):
 
 def support_radius_at(shape: Shape, theta: float) -> float:
     """Distance from the origin to the support boundary in direction theta."""
-    if not math.isfinite(theta):
+    if not math.isfinite(kernel._real(theta, "theta")):
         raise DomainError(f"theta must be finite, got {theta}")
     return shape.support_radius_at(theta)
 
@@ -599,7 +595,7 @@ def gamma(shape: Shape, s, quad: QuadSpec = QuadSpec()):
     """gamma(ell * s): spherical deficit between V_u/2 and the covariance slope, for
     one s in (0, 1], a float, or for each s of a 1-D array."""
     single = np.ndim(s) == 0
-    ss = float(s) if single else np.asarray(s, dtype=float).reshape(-1)
+    ss = kernel._real(s, "s") if single else np.asarray(s, dtype=float).reshape(-1)
     if not (0.0 < ss <= 1.0 if single else ((0.0 < ss) & (ss <= 1.0)).all()):
         raise DomainError(f"s must lie in (0, 1], got {s}")
     values = shape.gamma(ss, quad)  # a float, or a 0-d array, for one s

@@ -376,7 +376,14 @@ class TestThirdTerm:
 
     def test_bad_grid_rejected(self, quad):
         with pytest.raises(DomainError):
-            third_term(UnitBall(2), quad, t_grid=[0.1, 0.2, 0.05, 0.01])
+            third_term(UnitBall(2), quad, t_grid=[0.1, 0.2, 0.05, 0.01, 0.005])
+
+    def test_a_grid_of_four_t_is_too_few_and_five_fit(self, quad):
+        # every four-point grid used to pass this check and then fail the fit as "rank-deficient"
+        with pytest.raises(DomainError, match=">= 5 points"):
+            third_term(UnitBall(2), quad, t_grid=[0.5, 1e-2, 1e-4, 1e-6])
+        report = third_term(UnitBall(2), quad, t_grid=[0.5, 1e-2, 1e-4, 1e-5, 1e-6])
+        assert abs(report.C_extrapolated - report.C_formula) <= report.extrapolation_err
 
 
 EPS = np.finfo(float).eps

@@ -61,8 +61,10 @@ def _chord_covariance(poly, theta, r):
 
 
 def _sorted_vertices(poly, thetas):
-    """The vertex indices in the order of ``chord_table``'s offsets, from the same float offsets."""
-    rel = poly.vertex_array - poly.vertex_array[0]
+    """The vertex indices in the order of ``chord_table``'s offsets, from the same float offsets:
+    from the least vertex, by x and then y."""
+    pts = poly.vertex_array.tolist()
+    rel = poly.vertex_array - poly.vertex_array[pts.index(min(pts))]
     off = rel[:, 1] * np.cos(thetas)[:, None] - rel[:, 0] * np.sin(thetas)[:, None]
     return np.argsort(off, axis=1, kind="stable")
 
@@ -293,23 +295,28 @@ def test_one_vertex_pair_table(use, tables):
     assert _cached_square_tables(poly) == tables
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 7: chord_table measures the offsets from vertex 0, so a cyclic shift moves R")
 def test_a_cyclic_shift_of_the_vertices_moves_no_bit():
-    # the hexagon of test_mc and a seeded random hull, from each of their vertices: R and the
-    # weighted gamma integral of the hexagon each take two values over its shifts
+    # both chord walks measure the offsets from the least vertex, which no cyclic shift moves: the
+    # hexagon of test_mc, a seeded random hull and seeded hulls of 3 to 8 points away from the
+    # origin each give one set of bits for H, R, gamma, its weighted integral and g from every vertex
     rng = random.Random(2)
     polygons = [[(1.0, 0.0), (0.5, 0.8), (-0.5, 0.8), (-1.0, 0.0), (-0.5, -0.8), (0.5, -0.8)],
                 hull([(rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5)) for _ in range(12)])]
+    for n in range(3, 9):
+        cx, cy = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+        polygons.append(hull([(cx + rng.uniform(-1.0, 1.0), cy + rng.uniform(-1.0, 1.0)) for _ in range(n)]))
     counts = []
     for verts in polygons:
         outputs = set()
         for k in range(len(verts)):
             poly = ConvexPolygon(verts[k:] + verts[:k])
-            values = heat_content(poly, 0.1), big_R(poly, 0.05), gamma(poly, 0.9), gamma_weighted_integral(poly)[0]
+            ell = poly.geometry.support_radius
+            points = 0.3 * ell * np.array([[1.0, 0.0], [0.6, 0.8], [-0.28, 0.96]])
+            values = (heat_content(poly, 0.1 * ell), big_R(poly, 0.05 * ell), gamma(poly, 0.9),
+                      gamma_weighted_integral(poly)[0], *covariance(poly, points))
             outputs.add(tuple(float(v).hex() for v in values))
         counts.append(len(outputs))
-    assert counts == [1, 1]
+    assert counts == [1] * len(polygons)
 
 
 def test_random_2000gon_one_point_covariance_peaks_below_185_mb(tmp_path):

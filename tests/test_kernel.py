@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from heatcov import (
     KernelConstants,
-    QuadSpec,
     integrate_1d,
     kappa,
     tanh_deficit,
@@ -116,7 +115,6 @@ class TestPoissonKernel:
             lambda u: u ** (d - 1) * (1.0 + u * u) ** (-(d + 1) / 2.0),
             0.0,
             1e6,
-            QuadSpec(max_subdivisions=100_000),
             points=[1.0, 10.0, 100.0, 1e3, 1e4, 1e5],
         )
         assert abs(1.0 - pref * val) < 1e-4
@@ -153,6 +151,19 @@ class TestTanhDeficit:
             tanh_deficit(2, 1.5)
         with pytest.raises(DomainError):
             tanh_deficit(17)
+
+    @pytest.mark.parametrize("x", [True, False, "0.5", None, np.bool_(True)])
+    def test_rejects_an_x_that_is_no_real_number(self, x):
+        # True was taken as 1, so J_3(True) returned J_3, and "0.5" raised a bare TypeError
+        with pytest.raises(DomainError, match="x must be a real number"):
+            tanh_deficit(3, x)
+
+    @pytest.mark.parametrize("x", [np.float64(0.3), np.float32(0.3), 1], ids=["float64", "float32", "int"])
+    def test_accepts_a_numpy_or_integer_x_as_its_float(self, x):
+        # a float32 x used to run the sums in float32 and return a float32 J_5 of 7 digits
+        for d in (3, 5, 8):
+            value = tanh_deficit(d, x)
+            assert type(value) is float and value == tanh_deficit(d, float(x))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_low_dimensions_keep_the_recursion_bits(self, d):

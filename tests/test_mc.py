@@ -564,13 +564,16 @@ class TestPlanarBlocks:
     @pytest.mark.parametrize("shape", [RECT, TRIANGLE, HEXAGON, GON40], ids=["rect", "triangle", "hexagon", "40-gon"])
     def test_shift_blocks_count_as_the_generic_block(self, shape):
         # both draw X with the shape's own sampler, so one stream gives one count, at sizes whose
-        # halves are empty, of one column, uneven, half a block and a full block
-        work, y = np.empty((mc.WORK_ROWS, mc.BLOCK_SIZE)), np.full(shape.dim, 0.3)
-        for n in (1, 2, 1001, 1 << 15, mc.BLOCK_SIZE):
-            expected = reference_shift_hits(shape, _block_rng(5, n), n, y)
-            assert mc._blocks(shape).shift_hits(_block_rng(5, n), n, y, work) == expected, n
+        # halves are empty, of one column, uneven, half a block and a full block, and for y off
+        # the axes and on each, with each sign
+        work = np.empty((mc.WORK_ROWS, mc.BLOCK_SIZE))
+        for y in [(0.3, 0.3), (-0.2, 0.5), (0.45, -0.7), (0.0, -0.4), (-0.45, 0.0)]:
+            y = np.array(y)
+            for n in (1, 2, 1001, 1 << 15, mc.BLOCK_SIZE):
+                expected = reference_shift_hits(shape, _block_rng(5, n), n, y)
+                assert mc._blocks(shape).shift_hits(_block_rng(5, n), n, y, work) == expected, (y, n)
 
-    @pytest.mark.parametrize("shape", [RECT, TRIANGLE, HEXAGON, GON40], ids=["rect", "triangle", "hexagon", "40-gon"])
+    @pytest.mark.parametrize("shape", [TRIANGLE, HEXAGON, GON40], ids=["triangle", "hexagon", "40-gon"])
     def test_shift_blocks_test_only_the_edges_a_shift_can_cross(self, monkeypatch, shape):
         # X is in the shape, so X - y can leave it only across an edge whose outward normal e has
         # e . y < 0: the block tests those half-planes and no other; y along an edge or an axis
@@ -591,7 +594,7 @@ class TestPlanarBlocks:
             tested.clear()
             hits = blocks.shift_hits(_block_rng(6, k), n, y, work)
             # e . y rounds to either sign where it is 0 in exact arithmetic (y along an edge), but
-            # not where both its products are 0 (y along an axis of the rectangle)
+            # not where both its products are 0 (y along an axis, at the triangle's legs)
             dots, slack = normals @ y, 1e-12 * np.linalg.norm(normals, axis=1) * np.linalg.norm(y)
             zero = (normals * y == 0.0).all(axis=1)
             must, may = ({tuple(e) for e in normals[(dots < bound) & ~zero].tolist()} for bound in (-slack, slack))

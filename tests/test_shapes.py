@@ -429,6 +429,16 @@ def test_support_radius_rejects_a_non_finite_theta(shape):
 
 
 @pytest.mark.parametrize("shape", ONE_OF_EACH, ids=ONE_OF_EACH_IDS)
+def test_support_radius_rejects_a_theta_that_is_no_real_number(shape):
+    # True was taken as theta = 1, and "0.3" raised a bare TypeError; NumPy floats and ints still pass
+    for theta in (True, "0.3", None, np.bool_(False)):
+        with pytest.raises(DomainError, match="theta must be a real number"):
+            shapes.support_radius_at(shape, theta)
+    for theta in (np.float64(0.3), np.float32(0.3), 1):
+        assert shapes.support_radius_at(shape, theta) == shapes.support_radius_at(shape, float(theta))
+
+
+@pytest.mark.parametrize("shape", ONE_OF_EACH, ids=ONE_OF_EACH_IDS)
 @pytest.mark.parametrize("entry", [lambda shape: directional_variation(shape, np.zeros((0, shape.dim))),
                                    lambda shape: gamma(shape, np.array([]))], ids=["directional_variation", "gamma"])
 def test_empty_batch_gives_an_empty_array(entry, shape):
@@ -895,6 +905,17 @@ class TestGamma:
             gamma(UnitBall(2), 0.0)
         with pytest.raises(DomainError):
             gamma(UnitBall(2), 1.5)
+
+    @pytest.mark.parametrize("s", [True, "0.5", None, np.bool_(True)])
+    def test_rejects_an_s_that_is_no_real_number(self, s):
+        # True was taken as s = 1, so it returned gamma(ell), and "0.5" as 0.5
+        with pytest.raises(DomainError, match="s must be a real number"):
+            gamma(UnitBall(2), s)
+
+    @pytest.mark.parametrize("s", [np.float64(0.5), np.float32(0.5), 1], ids=["float64", "float32", "int"])
+    def test_accepts_a_numpy_or_integer_s(self, s):
+        for shape in (UnitBall(2), TRIANGLE):
+            assert gamma(shape, s) == gamma(shape, float(s))
 
     def test_nonnegative_probes(self, quad):
         rng = np.random.default_rng(7)
