@@ -46,6 +46,8 @@ HEXAGON = ConvexPolygon([(1.0, 0.0), (0.5, 0.8), (-0.5, 0.8), (-1.0, 0.0), (-0.5
 GON40 = ConvexPolygon([(math.cos(math.pi * k / 20), math.sin(math.pi * k / 20)) for k in range(40)])
 PENTAGON = ConvexPolygon([(0.0, 0.0), (2.0, 0.0), (2.5, 1.0), (1.0, 2.0), (-0.5, 1.0)])
 RECT = Rectangle(1.3, 0.6)
+ROTATED_RECT = ConvexPolygon([(math.cos(0.4) * x - math.sin(0.4) * y, math.sin(0.4) * x + math.cos(0.4) * y)
+                              for x, y in [(-1.3, -0.6), (1.3, -0.6), (1.3, 0.6), (-1.3, 0.6)]])  # no half_widths
 PARTIAL = 3 * (1 << 16) + 17  # three full blocks and a partial one
 
 # float.hex of estimates, made by a one-CPU run on the SFC64 block streams seeded by
@@ -66,11 +68,15 @@ GOLDEN = [
     (mc_covariance, RECT, [0.7, 0.2], 200_000, 11, "0x1.e5527e5215768p+0"),
     (mc_covariance, TRIANGLE, [0.2, 0.1], 200_000, 12, "0x1.f40a2877ee4e2p-3"),
     (mc_heat_content, TRIANGLE, 0.05, PARTIAL, 13, "0x1.6c85ee5e63e92p-2"),
+    (mc_heat_content, GON40, 0.05, 200_000, 14, "0x1.5c98d8eeadb3bp+1"),
+    (mc_covariance, GON40, [0.3, -0.2], 200_000, 15, "0x1.346549a9dadb9p+1"),
+    (mc_covariance, HEXAGON, [0.3, -0.2], 200_000, 16, "0x1.c0fe8ab4fa484p+0"),
+    (mc_heat_content, ROTATED_RECT, 0.1, 200_000, 17, "0x1.30ae02dd2a123p+1"),
 ]
 GOLDEN_IDS = [
     "heat-ball1", "heat-ball3", "heat-ball10", "heat-ball16", "heat-rect", "heat-triangle",
     "heat-hexagon", "heat-interval", "cov-ball4", "cov-ball8", "cov-rect", "cov-triangle",
-    "heat-triangle-partial-block",
+    "heat-triangle-partial-block", "heat-40gon", "cov-40gon", "cov-hexagon", "heat-rotated-rect",
 ]
 
 
