@@ -60,13 +60,15 @@ NumPy's errstate is per thread, so a block that overflows by design (a
 heat block) sets its own.
 
 A block allocates nothing of its size: each lane has its own workspace of
-WORK_ROWS = 4 float rows of BLOCK_SIZE columns (2 MiB; one array of 4 MiB
+WORK_ROWS = 5 float rows of BLOCK_SIZE columns (2.5 MiB; one array of 4 MiB
 would take huge pages, resident in full once touched), from a list that
 each calling thread keeps in a ``threading.local``, so later blocks write
 into resident memory instead of faulting in zero pages.  Blocks draw with
 ``out=``, compute in place and write boolean results into the bytes of a
-spent row.  A ball block uses 3 rows, a planar one 3.5 (x, y and three
-half rows, on which it works half of the columns at a time).
+spent row.  A ball block uses 3 rows.  A planar one samples X into rows 0
+and 1 (a fan segment's a, y, b and b p_y in rows 0 to 3 at its columns),
+adds t W over three half rows of rows 2 and 3, and tests whole rows: rows 2
+and 3 hold e . p and a term, row 4's first n bytes the mask.
 
 Blocks call only the private functions of this module, never a public
 module function (``geometry``, ``covariance``, ...) that a tracer may
@@ -90,7 +92,7 @@ from .kernel import _check_t
 from .shapes import Ball, ConvexPolygon, Shape, _rows, geometry
 
 BLOCK_SIZE = 1 << 16
-WORK_ROWS = 4  # float rows of a block's workspace
+WORK_ROWS = 5  # float rows of a block's workspace
 
 _caller = threading.local()  # .work, each calling thread's list of workspaces, one a lane
 
@@ -293,37 +295,31 @@ class _PolygonBlocks:
         return self._count_inside(work, n, planes)
 
     def _count_inside(self, work, n, *planes):
-        """How many points of the rows work[:2, :n] pass ``_inside``, half of them at a time."""
-        scratch = _planar_scratch(work, n)
-        return sum(
-            int(np.count_nonzero(self._inside(x, y, [row[: len(x)] for row in scratch], *planes)))
-            for x, y in np.array_split(work[:2, :n], 2, axis=1)
-        )
+        """How many points of the rows work[:2, :n] pass ``_inside``, with the rows work[2:5, :n] as scratch."""
+        x, y, *scratch = work[:5, :n]
+        return int(np.count_nonzero(self._inside(x, y, scratch, *planes)))
 
     def _sample_rows(self, rng, work, n):
         """Draw n uniform points into the rows work[0, :n], work[1, :n] of a workspace,
-        overwriting at most the scratch of ``_planar_scratch`` besides: from the triangle fan
-        at vertex 0, the rows grouped by triangle, v_0 + b (v_i - v_0) + a (v_{i+1} - v_i) on
-        the triangle v_0 v_i v_{i+1}, a <= b the order statistics of two uniforms.  A segment
-        is written a half row at a time, b and b p_y in two scratch rows."""
+        overwriting at most work[2:4, :n] besides: from the triangle fan at vertex 0, the
+        rows grouped by triangle, v_0 + b (v_i - v_0) + a (v_{i+1} - v_i) on the triangle
+        v_0 v_i v_{i+1}, a <= b the order statistics of two uniforms, b and b p_y in rows 2
+        and 3 at the triangle's columns."""
         shares, legs = self._fan
         counts = rng.multinomial(n, shares).tolist()
         x, y = work[:2, :n]
         rng.random(out=x)
         rng.random(out=y)
-        _, b, product = _planar_scratch(work, n)
         start = 0
         for (px, py, ex, ey), m in zip(legs, counts):
-            for lo in range(start, start + m, len(b)):
-                hi = min(lo + len(b), start + m)
-                a, ys, bs = x[lo:hi], y[lo:hi], b[: hi - lo]
-                np.maximum(a, ys, out=bs)
-                np.minimum(a, ys, out=a)  # the order statistics a <= b of the two uniforms
-                np.multiply(a, ey, out=ys)
-                ys += np.multiply(bs, py, out=product[: hi - lo])
-                a *= ex  # x last, over a
-                bs *= px
-                a += bs
+            a, ys, b, product = work[:4, start : start + m]
+            np.maximum(a, ys, out=b)
+            np.minimum(a, ys, out=a)  # the order statistics a <= b of the two uniforms
+            np.multiply(a, ey, out=ys)
+            ys += np.multiply(b, py, out=product)
+            a *= ex  # x last, over a
+            b *= px
+            a += b
             start += m
         x += self.origin[0]
         y += self.origin[1]
@@ -331,23 +327,20 @@ class _PolygonBlocks:
 
 class _BoxBlocks(_PolygonBlocks):
     """A box's blocks draw X on the centred box and test |x| <= h1 and |y| <= h2, for X - y too: X is in
-    [-h, h] exactly, and x - y_0 rounds monotonically, so X - y keeps a bound that y moves it away from."""
+    [-h, h] exactly, and x - y_0 rounds monotonically, so X - y keeps a bound that y moves it away from.
+    With no half-planes, it takes the polygon's shift blocks, and its bound test ignores their planes."""
+
+    _half_planes = ()
 
     def __init__(self, poly: ConvexPolygon):
         self.h1, self.h2 = poly.half_widths
 
-    def _inside(self, x, y, scratch):
+    def _inside(self, x, y, scratch, planes=None):
         absolute, spare, mask = scratch
         inside, ok = mask.view(bool)[: len(x)], spare.view(bool)[: len(x)]
         np.less_equal(np.abs(x, out=absolute), self.h1, out=inside)
         inside &= np.less_equal(np.abs(y, out=absolute), self.h2, out=ok)
         return inside
-
-    def shift_hits(self, rng, n, y, work):
-        self._sample_rows(rng, work, n)
-        for row, shift in zip(work[:2, :n], y):
-            row -= shift
-        return self._count_inside(work, n)
 
     def _sample_rows(self, rng, work, n):
         for row, h in zip(work[:2, :n], (self.h1, self.h2)):
@@ -368,8 +361,8 @@ def _draw_cauchy(rng: np.random.Generator, w: np.ndarray) -> None:
 
 
 def _planar_scratch(work: np.ndarray, n: int) -> tuple:
-    """Three half rows of ceil(n/2) floats over the rows work[2:] of a workspace: with x
-    and y, a planar block uses 3.5 rows of it."""
+    """Three half rows of ceil(n/2) floats over the rows work[2:] of a workspace, for
+    ``_add_planar_step``."""
     h = -(-n // 2)
     flat = work[2:].reshape(-1)
     return flat[:h], flat[h : 2 * h], flat[2 * h : 3 * h]
