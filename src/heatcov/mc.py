@@ -116,6 +116,7 @@ def _estimate(shape: Shape, n: int, seed: int, block_hits, arg) -> McEstimate:
         raise DomainError(f"n must be an integer >= 1000, got {n!r}")
     if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 1 << 64:
         raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    n, seed = int(n), int(seed)  # a NumPy integer could wrap in the block count, or leak into McEstimate
     vol = geometry(shape).volume
     p = (_count_hits(n, seed, block_hits, arg) if block_hits else 0) / n
     return McEstimate(mean=vol * p, stderr=vol * math.sqrt(max(p * (1.0 - p), 0.0) / n), n=n, seed=seed)

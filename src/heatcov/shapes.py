@@ -595,7 +595,9 @@ def gamma(shape: Shape, s, quad: QuadSpec = QuadSpec()):
     """gamma(ell * s): spherical deficit between V_u/2 and the covariance slope, for
     one s in (0, 1], a float, or for each s of a 1-D array."""
     single = np.ndim(s) == 0
-    ss = kernel._real(s, "s") if single else np.asarray(s, dtype=float).reshape(-1)
+    if np.ndim(s) > 1:
+        raise DimensionMismatchError(f"s has shape {np.shape(s)}, not a float or a 1-D array")
+    ss = kernel._real(s, "s") if single else np.asarray(s, dtype=float)
     if not (0.0 < ss <= 1.0 if single else ((0.0 < ss) & (ss <= 1.0)).all()):
         raise DomainError(f"s must lie in (0, 1], got {s}")
     values = shape.gamma(ss, quad)  # a float, or a 0-d array, for one s

@@ -259,6 +259,16 @@ class TestMcHeatContent:
         with pytest.raises(DomainError):
             mc_heat_content(UnitBall(2), 0.1, n=10_000, seed=seed)
 
+    @pytest.mark.parametrize("n", [np.uint16(5000), np.uint32(70_000), np.uint64(70_000), np.int32(70_000)],
+                             ids=["uint16", "uint32", "uint64", "int32"])
+    def test_numpy_integers_give_the_python_int_estimate(self, n):
+        # an unsigned n overflowed in the block count, and a NumPy n or seed reached McEstimate
+        for seed in (7, np.uint64(7)):
+            est, want = mc_heat_content(TRIANGLE, 0.1, n, seed), mc_heat_content(TRIANGLE, 0.1, int(n), 7)
+            assert (est.mean.hex(), est.stderr.hex(), est.n, est.seed) == (
+                want.mean.hex(), want.stderr.hex(), want.n, want.seed)
+            assert [type(v) for v in (est.mean, est.stderr, est.n, est.seed)] == [float, float, int, int]
+
     def test_sliver_samples_exactly(self, quad):
         # 1/20000 of its bounding box: rejection sampling from the box took 7.3 s here
         sliver = ConvexPolygon([(0.0, 0.0), (1.0, 1.0), (1.0 - 1e-4, 1.0)])

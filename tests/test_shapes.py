@@ -917,6 +917,12 @@ class TestGamma:
         for shape in (UnitBall(2), TRIANGLE):
             assert gamma(shape, s) == gamma(shape, float(s))
 
+    @pytest.mark.parametrize("s", [[[0.5, 0.25]], np.full((2, 2), 0.5)], ids=["1x2", "2x2"])
+    def test_rejects_an_s_of_two_dimensions(self, s):
+        # it was flattened into a 1-D result
+        with pytest.raises(DimensionMismatchError, match=r"s has shape \(\d, 2\)"):
+            gamma(TRIANGLE, s)
+
     def test_nonnegative_probes(self, quad):
         rng = np.random.default_rng(7)
         for shape in (UnitBall(2), UnitBall(3), Rectangle(1.0, 1.0), TRIANGLE):
