@@ -22,7 +22,6 @@ from .kernel import (
     unit_ball_volume,
     unit_sphere_area,
 )
-from .mc import McEstimate, mc_covariance, mc_heat_content
 from .quadrature import (
     LimitFit,
     QuadSpec,

@@ -24,12 +24,11 @@ from heatcov import (
     gamma_weighted_integral,
     geometry,
     heat_content,
-    mc_covariance,
-    mc_heat_content,
     third_term,
     unit_ball_volume,
     unit_sphere_area,
 )
+from heatcov.mc import mc_covariance, mc_heat_content
 
 from conftest import (
     BALL2_C,

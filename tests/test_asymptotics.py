@@ -24,7 +24,6 @@ from heatcov import (
     heat_content,
     integrate_1d,
     kappa,
-    mc_heat_content,
     phi_slope,
     psi_F,
     third_term,
@@ -33,6 +32,7 @@ from heatcov import (
 from heatcov import shapes
 from heatcov.asymptotics import _heat_and_R, phi_over_t
 from heatcov.errors import DomainError
+from heatcov.mc import mc_heat_content
 
 from conftest import (
     BALL2_C, BALL3_C, SQRT2, SQUARE_C, SQUARE_GAMMA, R_limit, ball_constant, ball_reference, box_constant,

@@ -27,13 +27,11 @@ from heatcov import (
     decomposition,
     gamma_weighted_integral,
     heat_content,
-    mc_covariance,
-    mc_heat_content,
     third_term,
 )
 from heatcov import asymptotics, kernel, mc, quadrature, shapes
 from heatcov.errors import DimensionMismatchError, DomainError, QuadratureError
-from heatcov.mc import _block_rng
+from heatcov.mc import _block_rng, mc_covariance, mc_heat_content
 from heatcov.shapes import Shape, ball_covariance_radial
 
 from conftest import (
@@ -865,13 +863,20 @@ class TestConcurrentBlocks:
                 child.join()
 
     def test_import_loads_no_executor_module(self):
-        # concurrent.futures loads logging and queue: neither the import nor an estimate needs it
+        # concurrent.futures loads logging and queue: neither the import nor an estimate needs it;
+        # numpy.random and heatcov.mc load with the first estimate, not with the deterministic CLI
+        commands = ["verify all", "covariance --shape ball3 --point 0.3,0.2,0.1",
+                    "sweep --shape square --t-min 0.01 --t-max 0.1 --count 3"]
         code = (
-            "import sys, threading, heatcov; loaded = 'concurrent.futures' in sys.modules; "
-            "heatcov.mc_heat_content(heatcov.Rectangle(1.3, 0.6), 0.1, n=100_000, seed=1); "
-            "print(loaded, 'concurrent.futures' in sys.modules, threading.active_count())"
+            "import contextlib, io, sys, threading, heatcov; from heatcov import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [cli.main(args.split()) for args in {commands!r}]\n"
+            "loaded = [name in sys.modules for name in ('concurrent.futures', 'numpy.random', 'heatcov.mc')]\n"
+            "from heatcov.mc import mc_heat_content\n"
+            "mc_heat_content(heatcov.Rectangle(1.3, 0.6), 0.1, n=100_000, seed=1)\n"
+            "print(codes, loaded, 'concurrent.futures' in sys.modules, threading.active_count())"
         )
-        assert run_python(code) == "False False 1\n"
+        assert run_python(code) == "[0, 0, 0] [False, False, False] False 1\n"
 
     def test_two_callers_at_once_get_the_golden_estimates(self):
         # two user threads run every golden estimate at the same time, in opposite orders,

@@ -23,8 +23,6 @@ from heatcov import (
     gamma_weighted_integral,
     geometry,
     heat_content,
-    mc_covariance,
-    mc_heat_content,
     shape_from_json,
     third_term,
     unit_ball_volume,
@@ -38,6 +36,7 @@ from heatcov.errors import (
     NonUnitVectorError,
     QuadratureError,
 )
+from heatcov.mc import mc_covariance, mc_heat_content
 
 from conftest import (
     POLYGONS_OUTSIDE_THE_FLOATS,
