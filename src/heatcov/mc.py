@@ -289,8 +289,7 @@ class _PolygonBlocks:
     def shift_hits(self, rng, n, y, work):
         # X is inside, so X - y can leave only across an edge with e . y < 0
         self._sample_rows(rng, work, n)
-        for row, shift in zip(work[:2, :n], y):
-            row -= shift
+        work[:2, :n] -= y[:, None]
         y0, y1 = y.tolist()
         planes = [p for p in self._half_planes if p[0] * y0 + p[1] * y1 < 0.0]
         return self._count_inside(work, n, planes)
