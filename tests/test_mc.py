@@ -261,8 +261,9 @@ class TestMcHeatContent:
                              ids=["uint16", "uint32", "uint64", "int32"])
     def test_numpy_integers_give_the_python_int_estimate(self, n):
         # an unsigned n overflowed in the block count, and a NumPy n or seed reached McEstimate
+        want = mc_heat_content(TRIANGLE, 0.1, int(n), 7)
         for seed in (7, np.uint64(7)):
-            est, want = mc_heat_content(TRIANGLE, 0.1, n, seed), mc_heat_content(TRIANGLE, 0.1, int(n), 7)
+            est = mc_heat_content(TRIANGLE, 0.1, n, seed)
             assert (est.mean.hex(), est.stderr.hex(), est.n, est.seed) == (
                 want.mean.hex(), want.stderr.hex(), want.n, want.seed)
             assert [type(v) for v in (est.mean, est.stderr, est.n, est.seed)] == [float, float, int, int]
