@@ -21,10 +21,10 @@ def _heat_and_R(shape: Shape, ts: Sequence[float], quad: QuadSpec, heat: bool = 
     """(H, R) at each t of ts, as lists, from one ``line_integral`` of the chord kernels, whose
     columns ``kernel.chord_kernels`` lays out, scales and maps back.
 
-    H is clamped to [0, |Omega|]; either is None unless asked for, and R vanishes where
-    gamma does.
+    H is clamped to [0, |Omega|]; either is None unless asked for.  R vanishes on a 1-D set, whose
+    gamma does, and is not integrated there: its far-field scale (t/ell)^2 can leave the floats.
     """
-    if big_r and shape.gamma_vanishes:
+    if big_r and shape.dim == 1:
         return (_heat_and_R(shape, ts, quad, big_r=False)[0] if heat else None), [0.0] * len(ts)
     mean, finish = kernel.chord_kernels(shape, ts, heat, big_r)
     value, _ = shape.line_integral(mean, quad, seeds=shape.scale_seeds(ts))

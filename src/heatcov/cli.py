@@ -57,8 +57,11 @@ def _fmt(x: float) -> str:
 
 def _resolve_shape(args) -> Shape:
     if args.shape_file:
-        with open(args.shape_file) as fh:
-            return shape_from_json(json.load(fh))
+        try:
+            with open(args.shape_file) as fh:
+                return shape_from_json(json.load(fh))
+        except RecursionError:  # json.load's, on a file nested too deeply
+            raise InvalidShapeError(f"{args.shape_file} nests too deeply to be a shape") from None
     if args.shape:
         return NAMED_SHAPES[args.shape]()
     raise InvalidShapeError(f"{args.command} needs --shape or --shape-file")
@@ -121,8 +124,8 @@ def _rows_to_json(rows, meta) -> str:
 def cmd_sweep(args) -> int:
     shape = _resolve_shape(args)
     quad = _quad_from(args)
-    if not (0 < args.t_min < args.t_max) or args.count < 2:
-        print("sweep requires 0 < t-min < t-max and count >= 2", file=sys.stderr)
+    if not (0 < args.t_min < args.t_max < math.inf) or args.count < 2:
+        print("sweep requires 0 < t-min < t-max < inf and count >= 2", file=sys.stderr)
         return EXIT_USAGE
     # geometric grid, largest t first so the last row is nearest the limit
     ts = np.geomspace(args.t_max, args.t_min, args.count)

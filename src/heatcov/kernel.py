@@ -52,10 +52,15 @@ def kappa(d: int) -> float:
     return gamma_half_integer((d + 1) / 2) / math.pi ** ((d + 1) / 2)
 
 
+@lru_cache(maxsize=None)
+def _ball_volume(d: int) -> float:
+    """w_d = pi^(d/2) / Gamma(1 + d/2) for any int d >= 0: w_0 = 1 lets a ball's w_(d-1) hold in d = 1."""
+    return math.pi ** (d / 2) / gamma_half_integer(1 + d / 2)
+
+
 @lru_cache(maxsize=None, typed=True)
 def unit_ball_volume(d: int) -> float:
-    d = _check_dim(d)
-    return math.pi ** (d / 2) / gamma_half_integer(1 + d / 2)
+    return _ball_volume(_check_dim(d))
 
 
 def unit_sphere_area(d: int) -> float:
@@ -67,7 +72,10 @@ def _real(x, what: str, error=DomainError) -> float:
     """x as a float, or error if x is a bool or no real number."""
     if isinstance(x, bool) or not isinstance(x, Real):
         raise error(f"{what} must be a real number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:  # an int beyond the floats, whose repr may itself raise
+        raise error(f"{what} is too large for a float") from None
 
 
 def _check_t(t: float) -> float:
@@ -289,14 +297,13 @@ def chord_kernels(shape, ts, heat: bool, big_r: bool) -> tuple:
             root = np.sqrt(1.0 + xx)
             if k < 2:
                 # T_n from T_0 = ln sec A or T_1 = asinh(tan A) - sin A (absolute accuracy only), and
-                # I_n from I_0 = pi/2 - A or I_1 = cos A (positive terms); d = 1 needs only T_0, I_0
+                # I_n from I_0 = pi/2 - A or I_1 = cos A (positive terms); in d = 1 both sums are 0.0
                 cos = 1.0 / root
                 tee = np.arcsinh(x) if n % 2 else 0.5 * np.log1p(xx)
                 rest = last * (cos if n % 2 else np.arctan2(1.0, x))
-                if n > 1:
-                    tee_sum, rest_sum = _recurrence_sums(n, x / root)
-                    tee -= tee_sum
-                    rest += rest_sum * cos
+                tee_sum, rest_sum = _recurrence_sums(n, x / root)
+                tee -= tee_sum
+                rest += rest_sum * cos
             else:
                 # T_n and S_n as series, to as many terms as the largest X^2 needs
                 sin = x / root

@@ -74,11 +74,6 @@ class Shape(ABC):
         """The least width of the shape over all directions; the diameter, for a ball."""
         return self.geometry.support_radius
 
-    @property
-    def gamma_vanishes(self) -> bool:
-        """gamma is identically zero (1-D sets), so R(t) and its limit vanish."""
-        return self.dim == 1
-
     @abstractmethod
     def covariance_at(self, y: list) -> float:
         """Set covariance g(y) = |Omega intersect (Omega + y)| at one point, a list of floats."""
@@ -115,9 +110,9 @@ class Shape(ABC):
         return self.geometry.support_radius
 
     def gamma_weighted_integral(self, quad: QuadSpec) -> tuple:
-        """(value, err) of int_0^1 gamma(ell s)/s ds, (0, 0) where gamma vanishes; seeded in even d
-        at s = 1 - 4^-k, k = 1..4, where a ball's gamma(ell s) has a (1 - s)^((d+1)/2) term."""
-        if self.gamma_vanishes:
+        """(value, err) of int_0^1 gamma(ell s)/s ds, (0, 0) on a 1-D set, whose gamma vanishes; seeded
+        in even d at s = 1 - 4^-k, k = 1..4, where a ball's gamma(ell s) has a (1 - s)^((d+1)/2) term."""
+        if self.dim == 1:
             return 0.0, 0.0
         seeds = [1.0 - 4.0**-k for k in range(1, 5)] if self.dim % 2 == 0 else []
         return integrate_1d(lambda s: gamma(self, s, quad) / s, 0.0, 1.0, quad, points=seeds)
@@ -152,12 +147,18 @@ class Ball(Shape):
         object.__setattr__(self, "geometry", ShapeGeometry(volume, perimeter, support_radius=2.0 * r, dim=d))
 
     def covariance_at(self, y):
-        r = self.radius
+        """g_B(2s) at s = |y/r|/2: two caps of height 1 - s give 2 w_(d-1) int_(asin s)^(pi/2) cos^d
+        = w_d - 2 w_(d-1) (s - M_d) with M_d = int_0^(asin s) (cos - cos^d), in float arithmetic."""
+        d, r = self.d, self.radius
         if max(map(abs, y)) >= 2.0 * r:  # beyond the diameter, before |y|^2 can overflow
             return 0.0
         # |y/r| from NumPy's pairwise sum of squares, the bits of np.linalg.norm
-        norm = math.sqrt(np.add.reduce(np.square(np.divide(y, r))))
-        return r**self.d * ball_covariance_radial(self.d, norm)
+        s = math.sqrt(np.add.reduce(np.square(np.divide(y, r)))) / 2.0
+        if s >= 1.0:  # max |y_i| < 2r does not bound |y|
+            return 0.0
+        cap_gap = s - kernel.cos_power_deficit(d, s)
+        # near s = 1 the difference is rounding noise of either sign
+        return r**d * max(0.0, kernel._ball_volume(d) - 2.0 * kernel._ball_volume(d - 1) * cap_gap)
 
     def line_integral(self, mean, quad, seeds=()):
         """Over psi in [0, pi/2]: the lines at distance r cos psi from the centre cut chords
@@ -193,15 +194,13 @@ class Ball(Shape):
 
     def directional_variation(self, us):
         d = self.d
-        return np.full(len(us), 2.0 * kernel.unit_ball_volume(d - 1) * self.radius ** (d - 1) if d >= 2 else 2.0)
+        return np.full(len(us), 2.0 * kernel._ball_volume(d - 1) * self.radius ** (d - 1))
 
     def gamma(self, s, quad):
         """gamma(2r s) = r^(d-1) gamma_B(2s), with gamma_B(2s) = A_d w_{d-1} / s *
-        int_0^{asin s} (cos - cos^d), in floats for a float s."""
-        if self.gamma_vanishes:
-            return 0.0 * s
+        int_0^{asin s} (cos - cos^d), in floats for a float s; 0 in d = 1, where M_1 = 0."""
         d = self.d
-        w_dm1 = kernel.unit_ball_volume(d - 1)
+        w_dm1 = kernel._ball_volume(d - 1)
         return self.radius ** (d - 1) * (kernel.unit_sphere_area(d) * w_dm1 * kernel.cos_power_deficit(d, s) / s)
 
 
@@ -255,6 +254,8 @@ class ConvexPolygon(Shape):
             pts = np.asarray(vertices, dtype=float)
         except (TypeError, ValueError):
             raise InvalidShapeError("polygon vertices must be a list of 2-D points") from None
+        except OverflowError:
+            raise InvalidShapeError("a polygon vertex coordinate is too large for a float") from None
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise InvalidShapeError("polygon vertices must be 2-D points")
         if len(pts) < 3:
@@ -698,21 +699,3 @@ def _turns(pts: np.ndarray) -> np.ndarray:
     """(b - a) x (c - a) at each vertex b of a closed polyline, a and c its neighbours."""
     a, c = pts[_successor(len(pts), -1)], pts[_successor(len(pts))]
     return (pts[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (pts[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-
-
-def ball_covariance_radial(d: int, r: float) -> float:
-    """g_B(r e) for the unit ball in R^d at a radius r, zero for r >= 2, in float arithmetic.
-
-    Two caps of height 1 - s, s = r/2, give g_B(2s) = 2 w_{d-1} int_{asin s}^{pi/2} cos^d
-    = w_d - 2 w_{d-1} (s - M_d) with M_d = int_0^{asin s} (cos - cos^d).
-    """
-    if r < 0.0:
-        raise DomainError("radius must be nonnegative")
-    if r >= 2.0:
-        return 0.0
-    if d == 1:
-        return 2.0 - r
-    s = r / 2.0
-    cap_gap = s - kernel.cos_power_deficit(d, s)
-    # near r = 2 the difference is rounding noise of either sign
-    return max(0.0, kernel.unit_ball_volume(d) - 2.0 * kernel.unit_ball_volume(d - 1) * cap_gap)

@@ -26,6 +26,7 @@ from heatcov import (
     kappa,
     phi_slope,
     psi_F,
+    tanh_deficit,
     third_term,
     unit_sphere_area,
 )
@@ -101,6 +102,17 @@ class TestHeatContent:
                     lambda: mc_heat_content(disc, t, n=1000, seed=1)):
             with pytest.raises(DomainError, match="t must be a real number"):
                 run()
+
+    @pytest.mark.parametrize("run", [
+        lambda big: heat_content(UnitBall(2), big), lambda big: decompositions(UnitBall(2), [0.1, big]),
+        lambda big: third_term(UnitBall(2), t_grid=[big, 0.5, 0.25, 0.125, 0.0625]), lambda big: gamma(UnitBall(2), big),
+        lambda big: tanh_deficit(3, big), lambda big: shapes.support_radius_at(UnitBall(2), big),
+    ], ids=["heat_content", "decompositions", "third_term", "gamma", "tanh_deficit", "support_radius_at"])
+    @pytest.mark.parametrize("big", [10**400, -(10**5000)], ids=["1e400", "-1e5000"])
+    def test_an_int_beyond_the_floats_raises_domain_error(self, run, big):
+        # float(big) raised a bare OverflowError; the message names the argument, as repr(-10**5000) raises
+        with pytest.raises(DomainError, match="too large for a float"):
+            run(big)
 
     @pytest.mark.parametrize("t", [np.float64(0.1), np.float32(0.1)], ids=["float64", "float32"])
     def test_numpy_float_t_is_its_float(self, t, quad):

@@ -116,9 +116,14 @@ class TestShapeFile:
             {"kind": "polygon", "vertices": [[0, 0], [1, 0], [1, math.nan], [0, 1]]},
             {"kind": "rectangle", "half_widths": [True, 1.0]},
             {"kind": "ball", "dim": 2, "radius": 3},
+            # float(10**400) raised OverflowError, which exited 3: "numerical failure: int too large to convert to float"
+            {"kind": "polygon", "vertices": [[10**400, 0], [1, 0], [0, 1]]},
+            {"kind": "rectangle", "half_widths": [10**400, 1]},
+            {"kind": "interval", "a": 0, "b": 10**400},
         ],
         ids=["missing-key", "not-an-object", "wrong-type", "non-integer-dim",
-             "nan-half-width", "nan-vertex", "bool-half-width", "unknown-key"],
+             "nan-half-width", "nan-vertex", "bool-half-width", "unknown-key",
+             "int-beyond-floats-vertex", "int-beyond-floats-half-width", "int-beyond-floats-interval-end"],
     )
     def test_invalid_shape_exits_2(self, doc, tmp_path, capsys):
         f = tmp_path / "shape.json"
@@ -127,6 +132,16 @@ class TestShapeFile:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"kind": "polygon", "vertices": %s}' % ("[" * 50_000 + "]" * 50_000)],
+                             ids=["nested-arrays", "nested-vertices"])
+    def test_a_deeply_nested_file_exits_2(self, text, tmp_path, capsys):
+        # json.load raised RecursionError, whose traceback exited 1, the code of a failed verification
+        f = tmp_path / "shape.json"
+        f.write_text(text)
+        code, out, err = run_cli(["heat-content", "--shape-file", str(f), "--t", "0.1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {f} nests too deeply to be a shape\n"
 
     def test_thin_rectangle_exits_2(self, tmp_path, capsys):
         # its corners fail the polygon checks; it used to print H(0.1) = 9.4e-87 and exit 0, where
@@ -329,6 +344,11 @@ class TestSweep:
             capsys,
         )
         assert code == 2
+
+    def test_infinite_t_max_exits_2(self, capsys):
+        # np.geomspace warned "invalid value encountered in add", then the sweep exited 3
+        argv = ["sweep", "--shape", "square", "--t-min", "0.1", "--t-max", "inf", "--count", "3"]
+        assert run_cli(argv, capsys) == (2, "", "sweep requires 0 < t-min < t-max < inf and count >= 2\n")
 
 
 def test_no_shape_exits_usage(capsys):

@@ -18,6 +18,7 @@ from heatcov import (
 from heatcov.errors import DomainError
 from heatcov.kernel import (
     _a_minus_sin,
+    _ball_volume,
     _recurrence_sums,
     cos_power_deficit,
     gamma_half_integer,
@@ -62,6 +63,7 @@ class TestBallConstants:
         assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
         assert unit_sphere_area(3) == pytest.approx(4.0 * math.pi)
         assert unit_ball_volume(1) == 2.0
+        assert _ball_volume(0) == 1.0  # w_0, behind the checked unit_ball_volume
         assert unit_sphere_area(1) == 2.0
 
     def test_area_is_d_times_volume(self):

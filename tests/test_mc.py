@@ -32,7 +32,7 @@ from heatcov import (
 from heatcov import asymptotics, kernel, mc, quadrature, shapes
 from heatcov.errors import DimensionMismatchError, DomainError, QuadratureError
 from heatcov.mc import _block_rng, mc_covariance, mc_heat_content
-from heatcov.shapes import Shape, ball_covariance_radial
+from heatcov.shapes import Shape
 
 from conftest import (
     area_left_of, contains, convex_polygons, reference_heat_hits, reference_shift_hits, run_python, sample,
@@ -405,7 +405,7 @@ class TestBallInvariants:
         for i, s in enumerate(self.SHIFTS):
             est = mc_covariance(ball, s * u, n=self.N, seed=200 * d + i)
             generic = self._generic(ball, reference_shift_hits, s * u, 200 * d + i + 50)
-            ref = ball_covariance_radial(d, s)
+            ref = covariance(UnitBall(d), [s] + [0.0] * (d - 1))
             self._assert_agree(est, generic, ref, ball.geometry.volume)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 6, 16])
@@ -415,7 +415,7 @@ class TestBallInvariants:
         # reference blocks, which draw X and W in the ball's own coordinates
         u = np.random.default_rng(d).standard_normal(d)
         u /= np.linalg.norm(u)
-        h, g = heat_content(UnitBall(d), 0.2, quad), ball_covariance_radial(d, 0.7)
+        h, g = heat_content(UnitBall(d), 0.2, quad), covariance(UnitBall(d), [0.7] + [0.0] * (d - 1))
         for i, r in enumerate((1e-6, 1e-3, 0.37, 3.0, 1e3, 1e6)):
             ball = Ball(d, r)
             vol = ball.geometry.volume

@@ -115,6 +115,15 @@ class TestShapeConstruction:
         with pytest.raises(InvalidShapeError, match="half-width must be a real number"):
             Rectangle(h1, h2)
 
+    @pytest.mark.parametrize("make", [lambda big: Ball(2, big), lambda big: Interval(0, big), lambda big: Rectangle(big, 1),
+                                      lambda big: ConvexPolygon([[big, 0], [1, 0], [0, 1]])],
+                             ids=["ball", "interval", "rectangle", "polygon"])
+    @pytest.mark.parametrize("big", [10**400, -(10**5000)], ids=["1e400", "-1e5000"])
+    def test_an_int_beyond_the_floats_is_invalid(self, make, big):
+        # float(big) raised a bare OverflowError; the message names the argument, as repr(-10**5000) raises
+        with pytest.raises(InvalidShapeError, match="too large for a float"):
+            make(big)
+
     def test_rectangle_stores_float_half_widths(self):
         rect = Rectangle(1, np.float64(2.0))
         assert [type(h) for h in rect.half_widths] == [float, float] and rect.half_widths == (1.0, 2.0)
@@ -646,10 +655,6 @@ class TestCovariance:
         near = [1.9] + [0.0] * (d - 1)
         assert covariance(UnitBall(d), [y, near]).tolist() == [0.0, covariance(UnitBall(d), near)]
 
-    def test_ball_radial_rejects_a_negative_radius(self):
-        with pytest.raises(DomainError, match="radius must be nonnegative"):
-            shapes.ball_covariance_radial(3, -0.1)
-
     def test_polygon_matches_rectangle_closed_form(self):
         # the chord walk on the square turned by 0.3, at the turned points: a box takes the closed form
         c, s = math.cos(0.3), math.sin(0.3)
@@ -826,9 +831,19 @@ class TestBall:
         np.testing.assert_allclose(singles, want, rtol=0.0, atol=1e-13)
         assert [v.hex() for v in singles] == [float(v).hex() for v in covariance(UnitBall(d), ys)]
 
-    def test_d1_gamma_vanishes(self):
-        assert UnitBall(1).gamma_vanishes
-        assert gamma(UnitBall(1), 1.0) == 0.0
+    @pytest.mark.parametrize("r", [1e-3, 0.37, 1.0, 1e5])
+    def test_d1_takes_the_general_formulas(self, r):
+        # w_0 = 1: the 1-ball's gamma, V_u, g, gamma integral and R come from the formulas of every d
+        ball = Ball(1, r)
+        for s in (1e-6, 0.3, 1.0):
+            assert math.copysign(1.0, gamma(ball, s)) == 1.0 and gamma(ball, s) == 0.0
+        values = gamma(ball, np.array([1e-6, 0.3, 1.0]))
+        assert values.tolist() == [0.0] * 3 and not np.signbit(values).any()
+        assert directional_variation(ball, [1.0]) == 2.0
+        for y in (0.0, 1e-300, 0.3 * r, -1.2 * r, 1.999999 * r, 2.0 * r):
+            assert covariance(ball, [y]).hex() == (r * (2.0 - abs(y) / r) if abs(y) < 2.0 * r else 0.0).hex()
+        assert gamma_weighted_integral(ball) == (0.0, 0.0)
+        assert big_R(ball, 0.1) == 0.0
 
     @pytest.mark.parametrize("d", range(1, 17))
     def test_gamma_of_one_s_is_a_float_with_the_batch_bits(self, d):
